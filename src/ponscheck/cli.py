@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .corpus import ENTRIES, load_text
@@ -247,6 +248,10 @@ def _describe_counterexample(rep: ModelCheckReport) -> str:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise CliError(2, f"--trials must not be negative, got {args.trials}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise CliError(2, f"--tol must be finite and positive, got {args.tol}")
     sources = _read_sources(args.files, args.corpus)
     pipeline = _build_pipeline(sources, strict=False)
     graph = pipeline.graph()

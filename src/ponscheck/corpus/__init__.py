@@ -103,7 +103,3 @@ PROVED_NAMES: Tuple[str, ...] = tuple(
 
 def load_text(filename: str) -> str:
     return (resources.files("ponscheck.corpus") / filename).read_text()
-
-
-def bundled_corpus() -> Tuple[CorpusEntry, ...]:
-    return ENTRIES

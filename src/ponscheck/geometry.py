@@ -1,10 +1,10 @@
 """Three constant-curvature plane models sharing one small interface.
 
 Points are plain tuples: (x, y) for the euclidean plane and the open unit
-Poincare disk, a unit 3-vector (x, y, z) for the sphere.  Production angle
-measurement goes through each model's law of cosines (see models.angle_at);
-this module only provides distances, geodesic motion (exp map along a unit
-tangent), tangent-frame helpers, and seeded point sampling.
+Poincare disk, a unit 3-vector (x, y, z) for the sphere.  Each model
+provides distances, its law of cosines (which models.angle_at measures
+angles with), geodesic motion (exp map along a unit tangent),
+tangent-frame helpers, and seeded point sampling.
 
 The Poincare disk is handled internally on the hyperboloid sheet
 {x^2 + y^2 - t^2 = -1, t > 0} in Minkowski 3-space, where geodesics are the
@@ -79,6 +79,11 @@ class Model:
     def dist(self, p: Vec, q: Vec) -> float:
         raise NotImplementedError
 
+    def cos_angle(self, p: float, q: float, r: float) -> float:
+        """Law of cosines: cosine of the angle between two geodesic arms
+        of lengths p and q whose far ends are r apart (unclamped)."""
+        raise NotImplementedError
+
     def unit_tangent(self, p: Vec, q: Vec):
         """Unit tangent at p pointing along the geodesic toward q."""
         raise NotImplementedError
@@ -129,6 +134,9 @@ class EuclideanModel(Model):
 
     def dist(self, p: Vec, q: Vec) -> float:
         return math.hypot(p[0] - q[0], p[1] - q[1])
+
+    def cos_angle(self, p: float, q: float, r: float) -> float:
+        return (p * p + q * q - r * r) / (2.0 * p * q)
 
     def unit_tangent(self, p: Vec, q: Vec):
         d = self.dist(p, q)
@@ -187,6 +195,10 @@ class PoincareModel(Model):
         dd = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
         return math.acosh(max(1.0, 1.0 + 2.0 * dd / (dp * dq)))
 
+    def cos_angle(self, p: float, q: float, r: float) -> float:
+        cosh, sinh = math.cosh, math.sinh
+        return (cosh(p) * cosh(q) - cosh(r)) / (sinh(p) * sinh(q))
+
     def unit_tangent(self, p: Vec, q: Vec):
         P, Q = disk_to_hyperboloid(p), disk_to_hyperboloid(q)
         d = self.dist(p, q)
@@ -244,6 +256,9 @@ class SphereModel(Model):
 
     def dist(self, p: Vec, q: Vec) -> float:
         return math.acos(_clamp(p[0] * q[0] + p[1] * q[1] + p[2] * q[2]))
+
+    def cos_angle(self, p: float, q: float, r: float) -> float:
+        return (math.cos(r) - math.cos(p) * math.cos(q)) / (math.sin(p) * math.sin(q))
 
     def unit_tangent(self, p: Vec, q: Vec):
         d = self.dist(p, q)

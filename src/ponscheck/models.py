@@ -6,15 +6,19 @@ steps with real coordinates, and measure every derived fact.  A sound
 derivation produces no failures in any model; a euclidean-only claim
 (such as the angle-sum conjecture) fails visibly in the curved models.
 
-Angle measurement uses each model's law of cosines over the three
-pairwise distances; the tangent-vector formulation is kept out of the
-production path on purpose so tests can use it as an independent oracle.
+Angle measurement uses each model's law of cosines (Model.cos_angle) over
+the three pairwise distances; the tangent-vector formulation is kept out of
+the production path on purpose so tests can use it as an independent oracle.
+
+A trial only samples, replays constructions, solves lemma-introduced
+points (bracketed Illinois regula falsi) and measures; the facts each step
+derives name points only, so one model_check call builds them once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -26,10 +30,8 @@ from .geometry import (
     Model,
     SamplingLimits,
     Vec,
-    get_model,
 )
 from .kernel import (
-    CaseBranch,
     CasesStep,
     ExtendStep,
     LayoffStep,
@@ -41,7 +43,6 @@ from .kernel import (
 )
 from .rules import RULES, RuleSchema
 from .terms import (
-    ABSURD,
     Absurd,
     AngEq,
     AngLt,
@@ -125,17 +126,7 @@ def angle_at(model: Model, a: Vec, v: Vec, b: Vec, tol: Optional[ToleranceProfil
     r = model.dist(a, b)
     if p <= tol.eq_tol or q <= tol.eq_tol:
         raise DegenerateAngle(f"arm shorter than tolerance: {p!r}, {q!r}")
-    if model.name == "euclidean":
-        c = (p * p + q * q - r * r) / (2.0 * p * q)
-    elif model.name == "poincare":
-        c = (math.cosh(p) * math.cosh(q) - math.cosh(r)) / (
-            math.sinh(p) * math.sinh(q)
-        )
-    elif model.name == "sphere":
-        c = (math.cos(r) - math.cos(p) * math.cos(q)) / (math.sin(p) * math.sin(q))
-    else:
-        raise ValueError(f"unknown model {model.name!r}")
-    return math.acos(min(1.0, max(-1.0, c)))
+    return math.acos(min(1.0, max(-1.0, model.cos_angle(p, q, r))))
 
 
 def _coords(instance: Mapping[PointId, Vec], p: PointId) -> Vec:
@@ -276,7 +267,7 @@ def _constructive_pass(
             u = model.unit_tangent(pts[s.name], pts[m2.name])
             pts[m2.name] = model.exp(pts[s.name], u, length)
         else:
-            length = _seg_len_names(model, pts, fact.left)
+            length = model.dist(pts[fact.left.a.name], pts[fact.left.b.name])
             c, d = fact.right.a.name, fact.right.b.name
             u = model.unit_tangent(pts[c], pts[d])
             pts[d] = model.exp(pts[c], u, length)
@@ -301,10 +292,6 @@ def _constructive_pass(
         t = rng.uniform(0.15, 0.85)
         pts[fact.mid.name] = model.point_toward(a, b, t * model.dist(a, b))
     # SegLt/AngLt/NonCollinear are left to rejection + guards
-
-
-def _seg_len_names(model: Model, pts: Mapping[str, Vec], s: SegmentTerm) -> float:
-    return model.dist(pts[s.a.name], pts[s.b.name])
 
 
 def _guards_ok(
@@ -383,59 +370,32 @@ def realize_construction(
     """Place the fresh point of an extend/layoff step; returns a new
     instance.  Walking off the model's working domain (hemisphere, disk
     rim) raises GeodesicOutOfDomain."""
-    out: Instance = dict(instance)
-    if isinstance(step, ExtendStep):
-        a = _coords(instance, PointId(step.a))
-        b = _coords(instance, PointId(step.b))
-        length = model.dist(
-            _coords(instance, PointId(step.seg[0])),
-            _coords(instance, PointId(step.seg[1])),
-        )
-        try:
-            u = model.unit_tangent(a, b)
-            fresh = model.exp(a, u, model.dist(a, b) + length)
-            model.validate(fresh)
-        except (DegenerateDirection, DomainError) as exc:
-            raise GeodesicOutOfDomain(str(exc)) from exc
-        if model.name == "sphere" and not model.in_hemisphere(fresh):
-            raise GeodesicOutOfDomain("extension leaves the working hemisphere")
-        out[PointId(step.fresh)] = fresh
-        return out
-    if isinstance(step, LayoffStep):
-        start = _coords(instance, PointId(step.start))
-        toward = _coords(instance, PointId(step.toward))
-        length = model.dist(
-            _coords(instance, PointId(step.seg[0])),
-            _coords(instance, PointId(step.seg[1])),
-        )
-        try:
-            fresh = model.point_toward(start, toward, length)
-            model.validate(fresh)
-        except (DegenerateDirection, DomainError) as exc:
-            raise GeodesicOutOfDomain(str(exc)) from exc
-        if model.name == "sphere" and not model.in_hemisphere(fresh):
-            raise GeodesicOutOfDomain("lay-off leaves the working hemisphere")
-        out[PointId(step.fresh)] = fresh
-        return out
-    raise ValueError(f"not a construction step: {step!r}")
-
-
-def _construction_facts(step) -> Tuple[Fact, ...]:
-    if isinstance(step, ExtendStep):
-        return (
-            between(PointId(step.b), PointId(step.a), PointId(step.fresh)),
-            seg_eq(
-                segment(PointId(step.b), PointId(step.fresh)),
-                segment(PointId(step.seg[0]), PointId(step.seg[1])),
-            ),
-        )
-    return (
-        between(PointId(step.fresh), PointId(step.start), PointId(step.toward)),
-        seg_eq(
-            segment(PointId(step.start), PointId(step.fresh)),
-            segment(PointId(step.seg[0]), PointId(step.seg[1])),
-        ),
+    if not isinstance(step, (ExtendStep, LayoffStep)):
+        raise ValueError(f"not a construction step: {step!r}")
+    extend = isinstance(step, ExtendStep)
+    # extend walks from a through b and on by seg; layoff walks seg from start
+    p = _coords(instance, PointId(step.a if extend else step.start))
+    q = _coords(instance, PointId(step.b if extend else step.toward))
+    length = model.dist(
+        _coords(instance, PointId(step.seg[0])),
+        _coords(instance, PointId(step.seg[1])),
     )
+    try:
+        fresh = model.point_toward(p, q, model.dist(p, q) + length if extend else length)
+        model.validate(fresh)
+    except (DegenerateDirection, DomainError) as exc:
+        raise GeodesicOutOfDomain(str(exc)) from exc
+    if model.name == "sphere" and not model.in_hemisphere(fresh):
+        raise GeodesicOutOfDomain(f"{step.label}: leaves the working hemisphere")
+    out: Instance = dict(instance)
+    out[PointId(step.fresh)] = fresh
+    return out
+
+
+# The solver stops once the angle residual, or the bracket measured as arc
+# length, is below this fraction of the equality tolerance.
+_SOLVE_MARGIN = 1e-3
+_SOLVE_MAX_STEPS = 40
 
 
 def solve_introduced_point(
@@ -447,7 +407,10 @@ def solve_introduced_point(
 ) -> Vec:
     """Realize a point that a lemma (or stated theorem) merely asserts:
     supported pattern is Between(fresh; {p, q}) plus at most one angle
-    equality mentioning fresh, solved by bisection along the geodesic."""
+    equality mentioning fresh.  The angle residual is bracketed by the two
+    ends of the geodesic from p to q and its root found by Illinois regula
+    falsi (Dowell & Jarratt 1971); without an angle equality the point is
+    the midpoint.  UnrealizableStep when the bracket has no sign change."""
     carrier: Optional[Between] = None
     target: Optional[AngEq] = None
     for fact in conclusions:
@@ -468,8 +431,9 @@ def solve_introduced_point(
     if target is None:
         return model.exp(a, u, 0.5 * span)
 
+    probe = dict(instance)
+
     def residual(t: float) -> float:
-        probe = dict(instance)
         probe[fresh] = model.exp(a, u, t * span)
         return _ang_size(model, probe, target.left, tol) - _ang_size(
             model, probe, target.right, tol
@@ -477,24 +441,28 @@ def solve_introduced_point(
 
     lo, hi = 1e-6, 1.0 - 1e-6
     flo, fhi = residual(lo), residual(hi)
-    if flo == 0.0:
-        return model.exp(a, u, lo * span)
-    if fhi == 0.0:
-        return model.exp(a, u, hi * span)
-    if (flo < 0) == (fhi < 0):
+    if fhi == 0.0:  # the probe is at hi; a zero at lo is the first step's root
+        return probe[fresh]
+    if not flo * fhi <= 0.0:  # no sign change, or a NaN residual
         raise UnrealizableStep(f"no sign change bracketing {fresh.name}")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fmid = residual(mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
+    eps = _SOLVE_MARGIN * tol.eq_tol
+    side = 0  # end the previous step replaced: -1 lo, +1 hi
+    for _ in range(_SOLVE_MAX_STEPS):
+        t = (lo * fhi - hi * flo) / (fhi - flo)
+        ft = residual(t)
+        if (ft < 0) == (flo < 0):
+            lo, flo = t, ft
+            if side == -1:
+                fhi *= 0.5
+            side = -1
         else:
-            hi, fhi = mid, fhi
-    t = 0.5 * (lo + hi)
-    return model.exp(a, u, t * span)
+            hi, fhi = t, ft
+            if side == 1:
+                flo *= 0.5
+            side = 1
+        if abs(ft) <= eps or (hi - lo) * span <= eps:
+            break
+    return probe[fresh]
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +507,38 @@ class _TrialSkip(Exception):
     pass
 
 
-def _instantiate_rule_facts(step: RuleStep) -> Tuple[Fact, ...]:
-    schema = RULES[step.rule_id]
-    binding = schema.bind([PointId(n) for n in step.points])
-    return schema.instantiate_conclusions(binding)
+class _StepPlan:
+    """The facts each replayed step derives, shared by every trial of one
+    model_check call: they name points only.  An entry is built when a
+    trial first reaches its step, so a step that cannot be instantiated
+    still fails where the replay reaches it."""
+
+    def __init__(self, registry: Optional[Mapping[str, TheoremStatement]]):
+        self.registry = registry
+        self._facts: Dict[int, Tuple[Fact, ...]] = {}  # keyed by id(step)
+
+    def facts(self, step: Step) -> Tuple[Fact, ...]:
+        got = self._facts.get(id(step))
+        if got is None:
+            got = self._facts[id(step)] = self._build(step)
+        return got
+
+    def _build(self, step: Step) -> Tuple[Fact, ...]:
+        if isinstance(step, RuleStep):
+            schema = RULES[step.rule_id]
+            binding = schema.bind([PointId(n) for n in step.points])
+            return schema.instantiate_conclusions(binding)
+        if isinstance(step, (ExtendStep, LayoffStep)):
+            fresh, seg = PointId(step.fresh), segment(*(PointId(n) for n in step.seg))
+            if isinstance(step, ExtendStep):
+                b = PointId(step.b)
+                return between(b, PointId(step.a), fresh), seg_eq(segment(b, fresh), seg)
+            start = PointId(step.start)
+            return between(fresh, start, PointId(step.toward)), seg_eq(segment(start, fresh), seg)
+        stmt = self.registry[step.lemma]
+        mapping = dict(zip(stmt.points, (PointId(n) for n in step.args)))
+        mapping.update(zip(stmt.introduced, (PointId(n) for n in step.fresh)))
+        return tuple(subst_fact(f, mapping) for f in stmt.conclusions)
 
 
 def _walk_steps(
@@ -550,7 +546,7 @@ def _walk_steps(
     instance: Instance,
     steps: Sequence[Step],
     tol: ToleranceProfile,
-    registry: Optional[Mapping[str, TheoremStatement]],
+    plan: _StepPlan,
     out_facts,
 ) -> Instance:
     """Replay proof steps on an instance: realize constructions, pick
@@ -558,20 +554,17 @@ def _walk_steps(
     fact for evaluation."""
     for step in steps:
         if isinstance(step, RuleStep):
-            out_facts.extend(_instantiate_rule_facts(step))
+            out_facts.extend(plan.facts(step))
         elif isinstance(step, (ExtendStep, LayoffStep)):
             try:
                 instance = realize_construction(model, instance, step, tol)
             except GeodesicOutOfDomain as exc:
                 raise _TrialSkip(str(exc)) from exc
-            out_facts.extend(_construction_facts(step))
+            out_facts.extend(plan.facts(step))
         elif isinstance(step, LemmaStep):
-            if registry is None or step.lemma not in registry:
+            if plan.registry is None or step.lemma not in plan.registry:
                 raise _TrialSkip(f"no statement for lemma {step.lemma}")
-            stmt = registry[step.lemma]
-            mapping = dict(zip(stmt.points, (PointId(n) for n in step.args)))
-            mapping.update(zip(stmt.introduced, (PointId(n) for n in step.fresh)))
-            conclusions = [subst_fact(f, mapping) for f in stmt.conclusions]
+            conclusions = plan.facts(step)
             inst2 = dict(instance)
             for name in step.fresh:
                 pid = PointId(name)
@@ -584,13 +577,9 @@ def _walk_steps(
             instance = inst2
             out_facts.extend(conclusions)
         elif isinstance(step, CasesStep):
-            dl = model.dist(
-                _coords(instance, PointId(step.left[0])),
-                _coords(instance, PointId(step.left[1])),
-            )
-            dr = model.dist(
-                _coords(instance, PointId(step.right[0])),
-                _coords(instance, PointId(step.right[1])),
+            dl, dr = (
+                model.dist(_coords(instance, PointId(x)), _coords(instance, PointId(y)))
+                for x, y in (step.left, step.right)
             )
             if tol.close(dl, dr):
                 kind = "eq"
@@ -601,9 +590,7 @@ def _walk_steps(
             else:
                 raise _TrialSkip("segment comparison inside tolerance dead zone")
             branch = next(b for b in step.branches if b.kind == kind)
-            instance = _walk_steps(
-                model, instance, branch.steps, tol, registry, out_facts
-            )
+            instance = _walk_steps(model, instance, branch.steps, tol, plan, out_facts)
         else:
             raise ValueError(f"unknown step {step!r}")
     return instance
@@ -628,6 +615,7 @@ def model_check(
     reports; unsatisfiable or unrealizable trials count as skipped."""
     tol = tol or tolerance_for(model)
     report = ModelCheckReport(model=model.name, trials=trials)
+    plan = _StepPlan(registry)
     for k in range(trials):
         try:
             instance = sample_instance(model, statement, f"{seed}:{k}", limits, tol)
@@ -636,7 +624,7 @@ def model_check(
             continue
         facts = []
         try:
-            instance = _walk_steps(model, instance, steps, tol, registry, facts)
+            instance = _walk_steps(model, instance, steps, tol, plan, facts)
             for name in statement.introduced:
                 pid = PointId(name)
                 if pid not in instance:

@@ -116,10 +116,6 @@ def angle(p: PointId, v: PointId, q: PointId) -> AngleTerm:
     return AngleTerm(v, a1, a2)
 
 
-canon_segment = segment
-canon_angle = angle
-
-
 class Fact:
     """Base class for the closed fact inventory."""
 

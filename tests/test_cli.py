@@ -145,6 +145,23 @@ def test_model_zero_trials_exits_zero(capsys):
     assert main(["model", "--corpus", "--trials", "0"]) == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "nan", "--tol must be finite and positive"),
+        ("--tol", "inf", "--tol must be finite and positive"),
+        ("--tol", "0", "--tol must be finite and positive"),
+        ("--tol", "-0.5", "--tol must be finite and positive"),
+        ("--trials", "-5", "--trials must not be negative"),
+    ],
+)
+def test_model_rejects_bad_numbers_with_exit_two(good_file, capsys, flag, value, message):
+    assert main(["model", good_file, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_model_runs_statements_in_all_models(good_file, capsys):
     assert main(["model", good_file, "--trials", "40", "--seed", "1"]) == 0
     out = capsys.readouterr().out

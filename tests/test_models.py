@@ -5,8 +5,11 @@ import math
 from random import Random
 
 import pytest
+from scipy.optimize import brentq
 
 from oracles import tangent_angle
+from ponscheck.corpus import PROOF_FILENAMES, load_text
+from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.geometry import (
     DEFAULT_LIMITS,
     EUCLIDEAN,
@@ -20,6 +23,7 @@ from ponscheck.models import (
     MissingPoint,
     SamplingFailed,
     TOLERANCES,
+    UnrealizableStep,
     angle_at,
     check_rule_soundness,
     eval_fact,
@@ -31,7 +35,8 @@ from ponscheck.models import (
     solve_introduced_point,
     tolerance_for,
 )
-from ponscheck.rules import RULE_IDS
+from ponscheck.rules import RULE_IDS, RuleSchema
+from ponscheck.script import parse
 from ponscheck.terms import (
     ABSURD,
     DegenerateAngle,
@@ -280,6 +285,89 @@ def test_solve_introduced_point_midpoint_fallback():
         EUCLIDEAN, inst, H, (between(H, B, C),), tolerance_for(EUCLIDEAN)
     )
     assert got == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
+BISECTOR_FOOT = (between(H, B, C), ang_eq(angle(B, A, H), angle(C, A, H)))
+
+
+def _triangles(model, count):
+    """Seeded nondegenerate (and in general scalene) triangles A, B, C."""
+    stmt = _statement(("A", "B", "C"), (("h", non_collinear(A, B, C)),), ())
+    return [sample_instance(model, stmt, f"foot:{k}") for k in range(count)]
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_solver_agrees_with_brentq_on_the_bisector_foot(model):
+    tol = tolerance_for(model)
+    for inst in _triangles(model, 40):
+        a, b, c = inst[A], inst[B], inst[C]
+        span = model.dist(b, c)
+        u = model.unit_tangent(b, c)
+
+        def residual(s):
+            h = model.exp(b, u, s)
+            return angle_at(model, b, a, h, tol) - angle_at(model, c, a, h, tol)
+
+        want = brentq(residual, 1e-6 * span, (1.0 - 1e-6) * span, xtol=1e-14)
+        got = solve_introduced_point(model, inst, H, BISECTOR_FOOT, tol)
+        assert model.dist(b, got) == pytest.approx(want, abs=1e-9)
+
+
+def test_solver_without_sign_change_is_unrealizable():
+    # angle BAH stays below BAC (about 22.6 deg) while ABC is about 78.7 deg
+    inst = {A: (0.0, 5.0), B: (-1.0, 0.0), C: (1.0, 0.0)}
+    conclusions = (between(H, B, C), ang_eq(angle(B, A, H), angle(A, B, C)))
+    with pytest.raises(UnrealizableStep):
+        solve_introduced_point(EUCLIDEAN, inst, H, conclusions, tolerance_for(EUCLIDEAN))
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_solver_exp_calls_per_solve_are_bounded(model):
+    counted = type(model)()  # a fresh instance, so the counter stays local
+    calls = []
+    exp = counted.exp
+
+    def counting(p, v, t):
+        calls.append(t)
+        return exp(p, v, t)
+
+    counted.exp = counting
+    tol = tolerance_for(model)
+    for inst in _triangles(model, 40):
+        del calls[:]
+        solve_introduced_point(counted, inst, H, BISECTOR_FOOT, tol)
+        assert len(calls) <= 12
+
+
+def _corpus_block(name):
+    asts = [parse(load_text(fn)) for fn in PROOF_FILENAMES]
+    registry = {}
+    for ast in asts:
+        registry.update(collect_statements(ast))
+    blocks = [b for ast in asts for b in elaborate_script(ast, registry)]
+    return next(b for b in blocks if b.name == name), registry
+
+
+def test_model_check_instantiates_rule_facts_independently_of_trials(monkeypatch):
+    block, registry = _corpus_block("bisector_pons")
+    calls = []
+    instantiate = RuleSchema.instantiate_conclusions
+
+    def counting(self, binding):
+        calls.append(self.rule_id)
+        return instantiate(self, binding)
+
+    monkeypatch.setattr(RuleSchema, "instantiate_conclusions", counting)
+    counts = []
+    for trials in (10, 40):
+        del calls[:]
+        rep = model_check(
+            POINCARE, block.statement, block.proof.steps,
+            trials=trials, seed=3, registry=registry,
+        )
+        assert rep.trials_run == trials
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------
