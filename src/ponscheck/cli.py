@@ -29,6 +29,7 @@ from .kernel import CheckReport, TheoremStatement, check_proof
 from .models import (
     BUILTIN_CONJECTURES,
     ModelCheckReport,
+    UninstantiableStep,
     UnknownConjecture,
     model_check,
     model_check_conjecture,
@@ -270,15 +271,18 @@ def cmd_model(args: argparse.Namespace) -> int:
         cls = graph.classify(block.name)
         steps = block.proof.steps if block.proof is not None else ()
         for model in model_list:
-            rep = model_check(
-                model,
-                block.statement,
-                steps=steps,
-                trials=args.trials,
-                seed=args.seed,
-                tol=tol,
-                registry=pipeline.registry,
-            )
+            try:
+                rep = model_check(
+                    model,
+                    block.statement,
+                    steps=steps,
+                    trials=args.trials,
+                    seed=args.seed,
+                    tol=tol,
+                    registry=pipeline.registry,
+                )
+            except UninstantiableStep as exc:
+                raise CliError(1, f"{block.name}: {exc}") from None
             collected.setdefault(block.name, {})[model.name] = rep
             base = (
                 f"{block.name} [{model.name}] trials={rep.trials_run}"

@@ -48,6 +48,7 @@ class Graph:
         self.nodes: Dict[str, Node] = {}
         self._edges: Dict[str, Tuple[str, ...]] = {}
         self._placeholders: Set[str] = set()
+        self._cycles: Optional[Tuple[Tuple[str, ...], ...]] = None  # found on first use
 
     def register(
         self,
@@ -66,6 +67,7 @@ class Graph:
             if self.nodes[name] == node and self._edges[name] == edges:
                 return self  # same registration, nothing to do
             raise DuplicateNode(f"conflicting registration for {name}")
+        self._cycles = None
         self.nodes[name] = node
         self._edges[name] = edges
         self._placeholders.discard(name)
@@ -106,6 +108,12 @@ class Graph:
         """Strongly connected components that are genuinely circular:
         two or more nodes, or a single node using itself.  Each cycle is
         name-sorted; cycles are sorted by first element."""
+        return list(self._find_cycles())
+
+    def _find_cycles(self) -> Tuple[Tuple[str, ...], ...]:
+        """The cycles, computed once per graph state."""
+        if self._cycles is not None:
+            return self._cycles
         order: List[str] = []
         seen: Set[str] = set()
         for root in sorted(self.nodes):
@@ -150,10 +158,11 @@ class Graph:
             for comp in components
             if len(comp) > 1 or comp[0] in self._edges[comp[0]]
         ]
-        return sorted(cycles, key=lambda c: c[0])
+        self._cycles = tuple(sorted(cycles, key=lambda c: c[0]))
+        return self._cycles
 
     def cyclic_nodes(self) -> FrozenSet[str]:
-        return frozenset(n for cyc in self.detect_cycles() for n in cyc)
+        return frozenset(n for cyc in self._find_cycles() for n in cyc)
 
     def axiom_basis(self, name: str) -> Tuple[str, ...]:
         self._require(name)
@@ -189,6 +198,7 @@ def graph_from_blocks(
     declare with no uses is taken as a postulate."""
     reports = reports or {}
     graph = Graph()
+    names = {block.name for block in blocks}
     for block in blocks:
         uses = list(block.uses)
         report = reports.get(block.name)
@@ -200,9 +210,9 @@ def graph_from_blocks(
         else:
             kind = "axiom"
         graph.register(block.name, kind, block.tags, tuple(dict.fromkeys(uses)))
-    # every proof rule that got used is a neutral-geometry postulate
+    # every used proof rule that is not itself a block is a neutral postulate
     for rule_id in sorted(RULES):
-        if rule_id in graph._placeholders:
+        if rule_id in graph.nodes and rule_id not in names:
             graph.register(rule_id, "axiom", (NEUTRAL,))
     return graph
 

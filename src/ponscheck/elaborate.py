@@ -30,6 +30,7 @@ from .terms import (
     ABSURD,
     Fact,
     PointId,
+    Trail,
     ang_eq,
     ang_lt,
     angle,
@@ -141,15 +142,19 @@ def collect_statements(ast: S.ScriptAst) -> Dict[str, TheoremStatement]:
 
 
 class _Scope:
-    """Visible labels and points at a position in the proof.  Branch
-    scopes copy the parent so branch-local names never leak out."""
+    """Visible labels and points at a position in the proof.  New names are
+    logged on `trail` (names already visible are not), so those a case
+    branch adds are rolled back when it ends and never leak out."""
 
     def __init__(self, labels: Set[str], points: Set[str]) -> None:
         self.labels = labels
         self.points = points
+        self.trail = Trail()
 
-    def child(self) -> "_Scope":
-        return _Scope(set(self.labels), set(self.points))
+    def add(self, names: Set[str], name: str) -> None:
+        if name not in names:
+            names.add(name)
+            self.trail.append((set.remove, names, name))
 
 
 def _check_refs(refs: Tuple[Ref, ...], scope: _Scope, line: int) -> Tuple[Ref, ...]:
@@ -182,15 +187,15 @@ def _convert_steps(
             fact = _convert_fact(st.fact, scope.points, st.line)
             _check_refs(st.refs, scope, st.line)
             out.append(RuleStep(st.label, fact, st.rule, st.inst.points, st.refs, line=st.line))
-            scope.labels.add(st.label)
+            scope.add(scope.labels, st.label)
         elif isinstance(st, S.ExtendStepAst):
             for n in (st.a, st.b):
                 if n not in scope.points:
                     raise UnknownPoint(f"unknown point {n}", st.line)
             seg = _seg_points(st.seg, scope, st.line)
             out.append(ExtendStep(st.label, st.a, st.b, seg, st.fresh, line=st.line))
-            scope.points.add(st.fresh)
-            scope.labels.add(st.label)
+            scope.add(scope.points, st.fresh)
+            scope.add(scope.labels, st.label)
         elif isinstance(st, S.LayoffStepAst):
             for n in (st.start, st.toward):
                 if n not in scope.points:
@@ -200,8 +205,8 @@ def _convert_steps(
             out.append(
                 LayoffStep(st.label, st.start, st.toward, seg, st.fresh, st.refs, line=st.line)
             )
-            scope.points.add(st.fresh)
-            scope.labels.add(st.label)
+            scope.add(scope.points, st.fresh)
+            scope.add(scope.labels, st.label)
         elif isinstance(st, S.LemmaStepAst):
             if registry is not None and st.lemma not in registry:
                 raise UnknownLemma(f"unknown lemma {st.lemma}", st.line)
@@ -209,22 +214,24 @@ def _convert_steps(
                 if n not in scope.points:
                     raise UnknownPoint(f"unknown point {n}", st.line)
             out.append(LemmaStep(st.label, st.lemma, st.args, st.fresh, line=st.line))
-            scope.points.update(st.fresh)
-            scope.labels.add(st.label)
+            for name in st.fresh:
+                scope.add(scope.points, name)
+            scope.add(scope.labels, st.label)
         elif isinstance(st, S.CasesStepAst):
             left = _seg_points(st.left, scope, st.line)
             right = _seg_points(st.right, scope, st.line)
             branches = []
             for br in st.branches:
-                bscope = scope.child()
-                bscope.labels.add(f"{st.label}.{br.kind}")
-                bsteps = _convert_steps(br.steps, bscope, registry)
-                _check_refs(br.close_refs, bscope, br.line)
+                mark = len(scope.trail)
+                scope.add(scope.labels, f"{st.label}.{br.kind}")
+                bsteps = _convert_steps(br.steps, scope, registry)
+                _check_refs(br.close_refs, scope, br.line)
+                scope.trail.rollback(mark)
                 branches.append(
                     CaseBranch(br.kind, bsteps, br.close_kind, br.close_refs, line=br.line)
                 )
             out.append(CasesStep(st.label, left, right, tuple(branches), line=st.line))
-            scope.labels.add(st.label)
+            scope.add(scope.labels, st.label)
         else:
             raise ElaborationError(f"unknown step kind {type(st).__name__}", 0)
     return tuple(out)

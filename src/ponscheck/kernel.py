@@ -15,6 +15,13 @@ register the corresponding equivalence rule as used.
 Absurdity is quarantined: the ABSURD_* rules refuse to fire unless at
 least one case assumption is open, so a reductio cannot leak out of its
 branch except through the case-split bookkeeping itself.
+
+Case branches run one after another on the one proof state.  Every update
+to it (points, labels, known facts, the NonCollinear index, the line table,
+open assumptions) is logged on an undo trail; after a branch closes, the
+trail rolls the state back to where the split began.  So a branch sees
+nothing its siblings derived, the parent gains only the split's own label,
+and a split costs the work its branches do rather than a copy of the state.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .terms import (
     PointId,
     SegEq,
     SegLt,
+    Trail,
     angle,
     ang_eq,
     ang_lt,
@@ -251,23 +259,18 @@ class CheckReport:
 
 
 class ProofState:
-    """Mutable checking context for one branch of one proof."""
+    """Mutable checking context for one proof.  Every update is logged on
+    `trail`, so a case branch runs on its parent's state and
+    `trail.rollback(mark)` then restores the parent exactly."""
 
     def __init__(self) -> None:
+        self.trail = Trail()
         self.known: Set[Fact] = set()
         self.facts: Dict[str, Tuple[Fact, ...]] = {}
         self.points: Dict[str, PointId] = {}
-        self.lines = LineTable()
+        self.lines = LineTable(self.trail)
+        self.noncollinear: Dict[str, List[NonCollinear]] = {}  # by point name
         self.assumptions: List[Tuple[str, Fact]] = []
-
-    def branch(self) -> "ProofState":
-        child = ProofState()
-        child.known = set(self.known)
-        child.facts = dict(self.facts)
-        child.points = dict(self.points)
-        child.lines = self.lines
-        child.assumptions = list(self.assumptions)
-        return child
 
     def point(self, name: str) -> PointId:
         try:
@@ -280,6 +283,7 @@ class ProofState:
             raise KernelError(f"point name {name} already in scope")
         p = PointId(name, origin)
         self.points[name] = p
+        self.trail.append((dict.pop, self.points, name))
         return p
 
     def add_label(self, label: str, facts: Sequence[Fact]) -> None:
@@ -287,10 +291,25 @@ class ProofState:
             raise KernelError(f"label {label} already defined")
         fs = tuple(canon_fact(f) for f in facts)
         self.facts[label] = fs
+        self.trail.append((dict.pop, self.facts, label))
         for f in fs:
-            self.known.add(f)
-            if isinstance(f, Between):
-                self.lines = self.lines.record_between(f)
+            self.know(f)
+
+    def know(self, fact: Fact) -> None:
+        """Add a canonical fact to the known set and to its index."""
+        known = self.known
+        size = len(known)
+        known.add(fact)
+        if len(known) == size:
+            return
+        self.trail.append((set.remove, known, fact))
+        if isinstance(fact, Between):
+            self.lines.record_between(fact)
+        elif isinstance(fact, NonCollinear):
+            for name in fact.names():
+                facts = self.noncollinear.setdefault(name, [])
+                facts.append(fact)
+                self.trail.append((list.pop, facts, -1))
 
 
 def initial_state(statement: TheoremStatement) -> ProofState:
@@ -333,17 +352,12 @@ def _transfer_probe(state: ProofState, want: NonCollinear) -> bool:
     """One NC_TRANSFER step: some known NonCollinear(x,y,z) shares its z with
     the target, and the target's other two points lie with {x,y} on one
     recorded line."""
-    target = set(want.names())
-    for fact in state.known:
-        if not isinstance(fact, NonCollinear):
-            continue
-        source = set(fact.names())
-        for z in source & target:
-            pq = target - {z}
-            xy = source - {z}
-            if len(pq) != 2:
-                continue
-            if state.lines.common_line(pq | xy) is not None:
+    target = want.names()
+    for z in target:
+        pq = [n for n in target if n != z]
+        for fact in state.noncollinear.get(z, ()):
+            xy = [n for n in fact.names() if n != z]
+            if state.lines.common_line(pq + xy) is not None:
                 return True
     return False
 
@@ -436,7 +450,7 @@ def _discharge_side_conditions(
             ctx.assumed.append(names)
         if transferred is not None:
             ctx.use_rule("NC_TRANSFER")
-            state.known.add(transferred)
+            state.know(transferred)
 
 
 def apply_rule(
@@ -573,25 +587,6 @@ def apply_lemma(
     return tuple(fresh_points), conclusions
 
 
-def open_trichotomy(
-    state: ProofState, label: str, left, right
-) -> Tuple[Tuple[str, ProofState], ...]:
-    """Three child states assuming s<t, s=t, t<s under dotted labels."""
-    cases = (
-        ("lt", seg_lt(left, right)),
-        ("eq", seg_eq(left, right)),
-        ("gt", seg_lt(right, left)),
-    )
-    out = []
-    for kind, assumption in cases:
-        child = state.branch()
-        alabel = f"{label}.{kind}"
-        child.assumptions.append((alabel, assumption))
-        child.add_label(alabel, (assumption,))
-        out.append((kind, child))
-    return tuple(out)
-
-
 def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
     if isinstance(step, RuleStep):
         points = tuple(state.point(n) for n in step.points)
@@ -615,10 +610,20 @@ def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
             right = segment(state.point(step.right[0]), state.point(step.right[1]))
         except ValueError as exc:
             raise DegenerateInstantiation(str(exc)) from None
-        for branch, (kind, child) in zip(step.branches, open_trichotomy(state, step.label, left, right)):
+        cases = (
+            ("lt", seg_lt(left, right)),
+            ("eq", seg_eq(left, right)),
+            ("gt", seg_lt(right, left)),
+        )
+        for branch, (kind, assumption) in zip(step.branches, cases):
             if branch.kind != kind:
                 raise KernelError(f"case branches out of order: expected {kind}")
-            _run_steps(child, branch.steps, ctx)
+            mark = len(state.trail)
+            label = f"{step.label}.{kind}"
+            state.assumptions.append((label, assumption))
+            state.trail.append((list.pop, state.assumptions, -1))
+            state.add_label(label, (assumption,))
+            _run_steps(state, branch.steps, ctx)
             wanted: Sequence[Fact]
             if branch.close_kind == "absurd":
                 wanted = (ABSURD,)
@@ -626,12 +631,13 @@ def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
                 wanted = ctx.statement.conclusions
             try:
                 _check_covered(
-                    child, branch.close_refs, wanted, ctx, f"close {branch.close_kind}"
+                    state, branch.close_refs, wanted, ctx, f"close {branch.close_kind}"
                 )
             except KernelError as exc:
                 where = f"{step.label} case {kind} close"
                 ctx.results.append(StepResult(where, False, str(exc), branch.line))
                 raise _ProofFailed(where, branch.line, str(exc)) from None
+            state.trail.rollback(mark)
         # All three cases closed, so the goal stands unconditionally.
         state.add_label(step.label, ctx.statement.conclusions)
     else:

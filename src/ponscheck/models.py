@@ -507,6 +507,11 @@ class _TrialSkip(Exception):
     pass
 
 
+class UninstantiableStep(Exception):
+    """A replayed step whose facts cannot be built from its points (the
+    kernel rejects the same step as a DegenerateInstantiation)."""
+
+
 class _StepPlan:
     """The facts each replayed step derives, shared by every trial of one
     model_check call: they name points only.  An entry is built when a
@@ -520,7 +525,12 @@ class _StepPlan:
     def facts(self, step: Step) -> Tuple[Fact, ...]:
         got = self._facts.get(id(step))
         if got is None:
-            got = self._facts[id(step)] = self._build(step)
+            try:
+                got = self._facts[id(step)] = self._build(step)
+            except ValueError as exc:
+                raise UninstantiableStep(
+                    f"step {step.label} cannot be instantiated: {exc}"
+                ) from None
         return got
 
     def _build(self, step: Step) -> Tuple[Fact, ...]:

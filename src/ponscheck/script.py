@@ -174,35 +174,35 @@ class ScriptAst:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(r"==|[:,\[\]()<]|[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*|\S")
+# One alternation, tried in order; the name of the group that matched is
+# the token's kind.
+_TOKEN_RE = re.compile(
+    r"(?P<punct>==|[:,\[\]()<])"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)"
+    r"|(?P<junk>\S)"
+)
 
 
-@dataclass(frozen=True)
 class _Tok:
-    kind: str  # "ident" | "punct" | "nl" | "eof" | "junk"
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
+        self.kind = kind  # "ident" | "punct" | "nl" | "eof" | "junk"
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> List[_Tok]:
     toks: List[_Tok] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        produced = False
-        for m in _TOKEN_RE.finditer(line):
-            v = m.group(0)
-            col = m.start() + 1
-            if v == "==" or v in ":,[]()<":
-                toks.append(_Tok("punct", v, lineno, col))
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*", v):
-                toks.append(_Tok("ident", v, lineno, col))
-            else:
-                toks.append(_Tok("junk", v, lineno, col))
-            produced = True
-        if produced:
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        start = len(toks)
+        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+            toks.append(_Tok(m.lastgroup, m.group(), lineno, m.start() + 1))
+        if len(toks) > start:
             toks.append(_Tok("nl", "", lineno, len(raw) + 1))
-    toks.append(_Tok("eof", "", len(text.splitlines()) + 1, 1))
+    toks.append(_Tok("eof", "", len(lines) + 1, 1))
     return toks
 
 
@@ -211,52 +211,57 @@ def _tokenize(text: str) -> List[_Tok]:
 
 
 class _Parser:
+    """Recursive descent over the token list.  `tok` is the current token.
+
+    Token values alone identify words and punctuation: only an ident can
+    spell a word (a junk token is one character that cannot start one),
+    only punct can be one of ``==:,[]()<``, and nl and eof have no value.
+    """
+
     def __init__(self, text: str) -> None:
         self.toks = _tokenize(text)
         self.pos = 0
+        self.tok = self.toks[0]
         self.depth = 0
 
     # -- token plumbing
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
     def advance(self) -> _Tok:
-        tok = self.toks[self.pos]
+        tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.toks[self.pos]
         return tok
 
     def fail(self, message: str, expected: Tuple[str, ...] = ()) -> "ParseError":
-        tok = self.peek()
+        tok = self.tok
         got = tok.value if tok.kind not in ("nl", "eof") else f"<{tok.kind}>"
         return ParseError(f"{message}, got {got!r}", tok.line, tok.col, expected)
 
     def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
+        return self.tok.value == word
 
-    def expect_word(self, word: str) -> _Tok:
-        if not self.at_word(word):
-            raise self.fail(f"expected {word!r}", (word,))
+    def expect(self, value: str) -> _Tok:
+        if self.tok.value != value:
+            raise self.fail(f"expected {value!r}", (value,))
         return self.advance()
 
-    def expect_punct(self, p: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != p:
-            raise self.fail(f"expected {p!r}", (p,))
-        return self.advance()
+    def accept(self, value: str) -> bool:
+        """Consume the current token if it is `value`; report whether it was."""
+        if self.tok.value == value:
+            self.advance()
+            return True
+        return False
 
     def expect_nl(self) -> None:
-        tok = self.peek()
-        if tok.kind == "eof":
-            return
-        if tok.kind != "nl":
+        kind = self.tok.kind
+        if kind == "nl":
+            self.advance()
+        elif kind != "eof":
             raise self.fail("expected end of line", ("newline",))
-        self.advance()
 
     def ident(self, what: str, allow_dots: bool = False, allow_keyword: bool = False) -> str:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "ident":
             raise self.fail(f"expected {what}", (what,))
         if not allow_dots and "." in tok.value:
@@ -279,7 +284,7 @@ class _Parser:
     def parse_script(self) -> ScriptAst:
         items: List[BlockAst] = []
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "eof":
                 break
             if tok.kind == "nl":
@@ -294,50 +299,47 @@ class _Parser:
         return ScriptAst(tuple(items))
 
     def parse_tags(self) -> Tuple[str, ...]:
-        self.expect_word("tags")
-        self.expect_punct(":")
+        self.expect("tags")
+        self.expect(":")
         tags = [self.tag_name()]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
+        while self.accept(","):
             tags.append(self.tag_name())
         self.expect_nl()
         return tuple(tags)
 
     def tag_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value not in TAG_NAMES:
+        tok = self.tok
+        if tok.value not in TAG_NAMES:
             raise self.fail("expected a tag", TAG_NAMES)
         self.advance()
         return tok.value
 
     def parse_name_list(self) -> Tuple[str, ...]:
         names = [self.ident("name", allow_keyword=False)]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
+        while self.accept(","):
             names.append(self.ident("name"))
         self.expect_nl()
         return tuple(names)
 
     def parse_declare(self) -> DeclareAst:
-        start = self.expect_word("declare")
+        start = self.expect("declare")
         name = self.ident("theorem name")
         self.expect_nl()
         tags = self.parse_tags()
         uses: Tuple[str, ...] = ()
-        if self.at_word("uses"):
-            self.advance()
+        if self.accept("uses"):
             uses = self.parse_name_list()
         return DeclareAst(name, tags, uses, line=start.line)
 
     def parse_theorem(self) -> TheoremAst:
-        start = self.expect_word("theorem")
+        start = self.expect("theorem")
         name = self.ident("theorem name")
         self.expect_nl()
         tags = self.parse_tags()
 
-        self.expect_word("points")
+        self.expect("points")
         points: List[str] = []
-        while self.peek().kind == "ident":
+        while self.tok.kind == "ident":
             p = self.point()
             if p in points:
                 tok = self.toks[self.pos - 1]
@@ -348,9 +350,8 @@ class _Parser:
         self.expect_nl()
 
         introduces: List[str] = []
-        if self.at_word("introduces"):
-            self.advance()
-            while self.peek().kind == "ident":
+        if self.accept("introduces"):
+            while self.tok.kind == "ident":
                 p = self.point()
                 if p in points or p in introduces:
                     tok = self.toks[self.pos - 1]
@@ -368,34 +369,31 @@ class _Parser:
             if label in labels:
                 raise ParseError(f"duplicate label {label}", tok.line, tok.col)
             labels.add(label)
-            self.expect_punct(":")
+            self.expect(":")
             fact = self.parse_fact(allow_absurd=False)
             self.expect_nl()
             assumes.append(AssumeAst(label, fact, line=tok.line))
 
         shows: List[FactAst] = []
-        while self.at_word("show"):
-            self.advance()
+        while self.accept("show"):
             shows.append(self.parse_fact(allow_absurd=True))
             self.expect_nl()
         if not shows:
             raise self.fail("expected 'show'", ("show",))
 
         uses: Tuple[str, ...] = ()
-        if self.at_word("uses"):
-            self.advance()
+        if self.accept("uses"):
             uses = self.parse_name_list()
 
         steps: Optional[Tuple[StepAst, ...]] = None
         qed_refs: Tuple[Ref, ...] = ()
-        if self.at_word("proof"):
-            self.advance()
+        if self.accept("proof"):
             self.expect_nl()
             body = self.parse_steps(labels, stop_words=("qed",))
             if not body:
                 raise self.fail("expected at least one proof step", ("step",))
-            self.expect_word("qed")
-            self.expect_word("from")
+            self.expect("qed")
+            self.expect("from")
             qed_refs = self.parse_refs()
             self.expect_nl()
             steps = tuple(body)
@@ -415,74 +413,67 @@ class _Parser:
     def parse_steps(self, labels: set, stop_words: Tuple[str, ...]) -> List[StepAst]:
         steps: List[StepAst] = []
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "nl":
                 self.advance()
                 continue
-            if tok.kind == "eof" or (tok.kind == "ident" and tok.value in stop_words):
+            if tok.kind == "eof" or tok.value in stop_words:
                 return steps
             steps.append(self.parse_step(labels))
 
     def parse_step(self, labels: set) -> StepAst:
-        tok = self.peek()
+        tok = self.tok
         label = self.ident("step label")
         if label in labels:
             raise ParseError(f"duplicate label {label}", tok.line, tok.col)
         labels.add(label)
-        self.expect_punct(":")
-        if self.at_word("extend"):
-            self.advance()
+        self.expect(":")
+        if self.accept("extend"):
             a, b = self.point(), self.point()
-            self.expect_word("by")
+            self.expect("by")
             seg = self.parse_segterm()
-            self.expect_word("as")
+            self.expect("as")
             fresh = self.point()
             self.expect_nl()
             return ExtendStepAst(label, a, b, seg, fresh, line=tok.line)
-        if self.at_word("layoff"):
-            self.advance()
+        if self.accept("layoff"):
             start = self.point()
-            self.expect_word("toward")
+            self.expect("toward")
             toward = self.point()
-            self.expect_word("by")
+            self.expect("by")
             seg = self.parse_segterm()
-            self.expect_word("as")
+            self.expect("as")
             fresh = self.point()
-            self.expect_word("from")
+            self.expect("from")
             refs = self.parse_refs()
             self.expect_nl()
             return LayoffStepAst(label, start, toward, seg, fresh, refs, line=tok.line)
-        if self.at_word("cases"):
-            self.advance()
+        if self.accept("cases"):
             left = self.parse_segterm()
-            self.expect_word("vs")
+            self.expect("vs")
             right = self.parse_segterm()
             self.expect_nl()
             branches = self.parse_case_branches(labels)
             return CasesStepAst(label, left, right, branches, line=tok.line)
-        if self.at_word("lemma"):
-            self.advance()
+        if self.accept("lemma"):
             lemma = self.ident("lemma name")
-            self.expect_punct("(")
+            self.expect("(")
             args = [self.point()]
-            while self.peek().kind == "punct" and self.peek().value == ",":
-                self.advance()
+            while self.accept(","):
                 args.append(self.point())
-            self.expect_punct(")")
+            self.expect(")")
             fresh: List[str] = []
-            if self.at_word("as"):
-                self.advance()
+            if self.accept("as"):
                 fresh.append(self.point())
-                while self.peek().kind == "punct" and self.peek().value == ",":
-                    self.advance()
+                while self.accept(","):
                     fresh.append(self.point())
             self.expect_nl()
             return LemmaStepAst(label, lemma, tuple(args), tuple(fresh), line=tok.line)
         fact = self.parse_fact(allow_absurd=True)
-        self.expect_word("by")
+        self.expect("by")
         rule = self.ident("rule name", allow_keyword=True)
         inst = self.parse_inst()
-        self.expect_word("from")
+        self.expect("from")
         refs = self.parse_refs()
         self.expect_nl()
         return RuleStepAst(label, fact, rule, inst, refs, line=tok.line)
@@ -490,29 +481,25 @@ class _Parser:
     def parse_case_branches(self, labels: set) -> Tuple[CaseBranchAst, ...]:
         self.depth += 1
         if self.depth > _MAX_CASE_DEPTH:
-            tok = self.peek()
+            tok = self.tok
             raise ParseError("case nesting too deep", tok.line, tok.col)
         try:
             branches = []
             for kind in ("lt", "eq", "gt"):
-                while self.peek().kind == "nl":
+                while self.tok.kind == "nl":
                     self.advance()
-                tok = self.peek()
-                self.expect_word("case")
-                if not self.at_word(kind):
+                tok = self.tok
+                self.expect("case")
+                if not self.accept(kind):
                     raise self.fail(f"expected case {kind!r}", (kind,))
-                self.advance()
                 self.expect_nl()
                 steps = self.parse_steps(labels, stop_words=("close",))
-                self.expect_word("close")
-                if self.at_word("goal"):
-                    close_kind = "goal"
-                elif self.at_word("absurd"):
-                    close_kind = "absurd"
-                else:
+                self.expect("close")
+                close_kind = self.tok.value
+                if close_kind not in ("goal", "absurd"):
                     raise self.fail("expected close kind", ("goal", "absurd"))
                 self.advance()
-                self.expect_word("from")
+                self.expect("from")
                 close_refs = self.parse_refs()
                 self.expect_nl()
                 branches.append(
@@ -523,33 +510,28 @@ class _Parser:
             self.depth -= 1
 
     def parse_segterm(self) -> SegTermAst:
-        self.expect_word("seg")
+        self.expect("seg")
         return SegTermAst(self.point(), self.point())
 
     def parse_fact(self, allow_absurd: bool) -> FactAst:
-        if self.at_word("seg"):
-            self.advance()
+        if self.accept("seg"):
             a, b = self.point(), self.point()
             op = self.parse_cmp()
-            self.expect_word("seg")
+            self.expect("seg")
             c, d = self.point(), self.point()
             return FactAst("seg_eq" if op == "==" else "seg_lt", (a, b, c, d))
-        if self.at_word("ang"):
-            self.advance()
+        if self.accept("ang"):
             a, v, b = self.point(), self.point(), self.point()
             op = self.parse_cmp()
-            self.expect_word("ang")
+            self.expect("ang")
             c, w, d = self.point(), self.point(), self.point()
             return FactAst("ang_eq" if op == "==" else "ang_lt", (a, v, b, c, w, d))
-        if self.at_word("between"):
+        if self.accept("between"):
             # "between A D B" reads: D lies strictly between A and B.
-            self.advance()
             return FactAst("between", (self.point(), self.point(), self.point()))
-        if self.at_word("noncollinear"):
-            self.advance()
+        if self.accept("noncollinear"):
             return FactAst("noncollinear", (self.point(), self.point(), self.point()))
-        if allow_absurd and self.at_word("absurd"):
-            self.advance()
+        if allow_absurd and self.accept("absurd"):
             return FactAst("absurd", ())
         expected = ("seg", "ang", "between", "noncollinear")
         if allow_absurd:
@@ -557,50 +539,46 @@ class _Parser:
         raise self.fail("expected a fact", expected)
 
     def parse_cmp(self) -> str:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value in ("==", "<"):
+        tok = self.tok
+        if tok.value in ("==", "<"):
             self.advance()
             return tok.value
         raise self.fail("expected a comparison", ("==", "<"))
 
     def parse_inst(self) -> InstAst:
-        self.expect_punct("[")
-        if self.peek().kind == "punct" and self.peek().value == "(":
+        self.expect("[")
+        if self.tok.value == "(":
             first = self.parse_triple()
-            self.expect_punct(",")
+            self.expect(",")
             second = self.parse_triple()
-            self.expect_punct("]")
+            self.expect("]")
             return InstAst(first + second, triples=True)
         pts = [self.point()]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
+        while self.accept(","):
             pts.append(self.point())
-        self.expect_punct("]")
+        self.expect("]")
         return InstAst(tuple(pts), triples=False)
 
     def parse_triple(self) -> Tuple[str, str, str]:
-        self.expect_punct("(")
+        self.expect("(")
         a = self.point()
-        self.expect_punct(",")
+        self.expect(",")
         b = self.point()
-        self.expect_punct(",")
+        self.expect(",")
         c = self.point()
-        self.expect_punct(")")
+        self.expect(")")
         return (a, b, c)
 
     def parse_refs(self) -> Tuple[Ref, ...]:
         refs = [self.parse_ref()]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
+        while self.accept(","):
             refs.append(self.parse_ref())
         return tuple(refs)
 
     def parse_ref(self) -> Ref:
-        if self.at_word("refl"):
-            self.advance()
+        if self.accept("refl"):
             return Ref("refl")
-        if self.at_word("sym"):
-            self.advance()
+        if self.accept("sym"):
             return Ref("sym", self.ident("label", allow_dots=True))
         return Ref("label", self.ident("label", allow_dots=True))
 
@@ -622,16 +600,16 @@ class ConjectureAst:
 
 def parse_conjecture(text: str) -> ConjectureAst:
     p = _Parser(text)
-    while p.peek().kind == "nl":
+    while p.tok.kind == "nl":
         p.advance()
-    start = p.expect_word("conjecture")
+    start = p.expect("conjecture")
     name = p.ident("conjecture name")
     p.expect_nl()
-    while p.peek().kind == "nl":
+    while p.tok.kind == "nl":
         p.advance()
-    p.expect_word("points")
+    p.expect("points")
     points: List[str] = []
-    while p.peek().kind == "ident":
+    while p.tok.kind == "ident":
         pt = p.point()
         if pt in points:
             tok = p.toks[p.pos - 1]
@@ -640,9 +618,9 @@ def parse_conjecture(text: str) -> ConjectureAst:
     if not points:
         raise p.fail("expected at least one point", ("point name",))
     p.expect_nl()
-    while p.peek().kind == "nl":
+    while p.tok.kind == "nl":
         p.advance()
-    if p.peek().kind != "eof":
+    if p.tok.kind != "eof":
         raise p.fail("expected end of file", ("end of file",))
     return ConjectureAst(name, tuple(points), line=start.line)
 

@@ -1,17 +1,18 @@
 """Geometric vocabulary: points, segment and angle terms, facts, and the line table.
 
-Everything here is an immutable value.  Segments and angles are canonicalized
-on construction (endpoints and arms sorted by point name), so syntactically
-mirrored writings such as seg(A,B) and seg(B,A) are the same object and the
-kernel never needs dedicated symmetry bookkeeping.  The line table is the
-collinearity store: every strict-betweenness fact contributes a three-point
-line, and lines sharing two points are merged transitively.
+Everything but the line table is an immutable value.  Segments and angles
+are canonicalized on construction (endpoints and arms sorted by point name),
+so syntactically mirrored writings such as seg(A,B) and seg(B,A) are the
+same object and the kernel never needs dedicated symmetry bookkeeping.  The
+line table is the collinearity store: every strict-betweenness fact adds a
+three-point line, and lines sharing two points are merged transitively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Tuple
+from itertools import count
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 ORIGIN_HYPOTHESIS = "hypothesis"
 ORIGIN_CONSTRUCTED = "constructed"
@@ -243,11 +244,13 @@ def non_collinear(p: PointId, q: PointId, r: PointId) -> NonCollinear:
 
 
 def canon_fact(fact: Fact) -> Fact:
-    """Rebuild a fact through the canonicalizing constructors (idempotent)."""
+    """Rebuild a fact through the canonicalizing constructors (idempotent).
+    Terms canonicalize on construction, so an equality whose sides are
+    already in order is returned as it is."""
     if isinstance(fact, SegEq):
-        return seg_eq(fact.left, fact.right)
+        return fact if fact.left.key() <= fact.right.key() else seg_eq(fact.left, fact.right)
     if isinstance(fact, AngEq):
-        return ang_eq(fact.left, fact.right)
+        return fact if fact.left.key() <= fact.right.key() else ang_eq(fact.left, fact.right)
     if isinstance(fact, SegLt):
         return seg_lt(fact.left, fact.right)
     if isinstance(fact, AngLt):
@@ -290,44 +293,104 @@ def flip_fact(fact: Fact) -> Fact:
     return fact
 
 
-@dataclass(frozen=True)
-class LineTable:
-    """Collinearity store.  Each line is a frozenset of at least three point
-    names; no two stored lines share two or more points.  Updates return a
-    new table."""
+class Trail(list):
+    """Undo log for in-place updates: an entry (function, object, argument)
+    such as (dict.pop, d, key) reverses one update when called.  Entries
+    are undone newest first."""
 
-    lines: Tuple[FrozenSet[str], ...] = ()
+    def rollback(self, mark: int) -> None:
+        """Undo every update logged since len(self) was `mark`."""
+        while len(self) > mark:
+            undo, obj, arg = self.pop()
+            undo(obj, arg)
+
+
+class LineTable:
+    """Collinearity store.  Each line is a set of at least three point
+    names; no two stored lines share two or more points.
+
+    Updates happen in place and are logged on `trail`, so a caller can roll
+    the table back to an earlier mark.  An index from each point to the
+    lines through it keeps every update and query local to the points
+    involved, and a merge moves the smaller line into the larger (union by
+    size, Tarjan 1975), so each point moves O(log n) times."""
+
+    def __init__(self, trail: Optional[Trail] = None) -> None:
+        self.trail = Trail() if trail is None else trail
+        self._points: Dict[int, Set[str]] = {}  # line id -> its points
+        self._through: Dict[str, Set[int]] = {}  # point -> ids of its lines
+        self._ids = count()
+
+    @property
+    def lines(self) -> Tuple[FrozenSet[str], ...]:
+        return tuple(sorted((frozenset(p) for p in self._points.values()), key=sorted))
 
     def record_between(self, fact: Between) -> "LineTable":
         """Fold the three collinear points of a betweenness fact into the
         table, merging any stored lines that come to share two points."""
-        new_line = frozenset({fact.mid.name, fact.a.name, fact.b.name})
-        merged = new_line
-        rest = list(self.lines)
-        # Merging can cascade: a grown line may newly overlap another.
-        changed = True
-        while changed:
-            changed = False
-            keep = []
-            for line in rest:
-                if len(line & merged) >= 2:
-                    merged = merged | line
-                    changed = True
-                else:
-                    keep.append(line)
-            rest = keep
-        rest.append(merged)
-        return LineTable(tuple(sorted(rest, key=sorted)))
+        triple = (fact.mid.name, fact.a.name, fact.b.name)
+        line = self._line_meeting(set(triple), triple)
+        if line is None:
+            line = next(self._ids)
+            self._points[line] = set()
+            self.trail.append((dict.pop, self._points, line))
+        # Only `line` can share two points with another stored line, and
+        # any such line passes through a point that has just joined `line`.
+        pending = self._absorb(line, triple)
+        while pending:
+            p = pending.pop()
+            other = self._line_meeting(self._points[line], (p,), line)
+            if other is None:
+                continue
+            pending.append(p)  # another line through p may meet the merged one
+            if len(self._points[other]) > len(self._points[line]):
+                line, other = other, line
+            pending.extend(self._absorb(line, self._points[other]))
+            for q in self._points[other]:
+                self._through[q].discard(other)
+                self.trail.append((set.add, self._through[q], other))
+            self.trail.append((dict.update, self._points, {other: self._points.pop(other)}))
+        return self
+
+    def _line_meeting(
+        self, names: AbstractSet[str], via: Iterable[str], skip: Optional[int] = None
+    ) -> Optional[int]:
+        """A stored line other than `skip`, through a point of `via`, that
+        holds two or more of `names`.  (A set intersection takes time in
+        the size of the smaller set.)"""
+        for p in via:
+            for line in self._through.get(p, ()):
+                if line != skip and len(self._points[line] & names) >= 2:
+                    return line
+        return None
+
+    def _absorb(self, line: int, names: Iterable[str]) -> List[str]:
+        """Add `names` to a stored line; return those that were new to it."""
+        trail = self.trail
+        into = self._points[line]
+        moved = []
+        for p in names:
+            if p not in into:
+                into.add(p)
+                trail.append((set.discard, into, p))
+                through = self._through.setdefault(p, set())
+                through.add(line)
+                trail.append((set.discard, through, line))
+                moved.append(p)
+        return moved
 
     def provably_collinear(self, p: PointId, q: PointId, r: PointId) -> bool:
         """True iff some stored line contains all three points."""
-        names = {p.name, q.name, r.name}
-        return any(names <= line for line in self.lines)
+        return self.common_line((p.name, q.name, r.name)) is not None
 
-    def common_line(self, names: Iterable[str]) -> FrozenSet[str] | None:
-        """The stored line containing every given name, if any."""
+    def common_line(self, names: Iterable[str]) -> Optional[AbstractSet[str]]:
+        """The stored line containing every given name, if any.  The result
+        is the table's own set: read it, do not keep or change it."""
         wanted = set(names)
-        for line in self.lines:
-            if wanted <= line:
-                return line
+        first = next(iter(wanted), None)
+        for line in self._through.get(first, ()):
+            points = self._points[line]
+            if wanted <= points:
+                return points
         return None
+

@@ -1,12 +1,16 @@
 """Independent oracles used by several test modules.
 
 These deliberately avoid the code paths they validate: angles come from
-tangent vectors at the vertex (production uses the law of cosines), and
+tangent vectors at the vertex (production uses the law of cosines),
 geodesic lengths come from numeric quadrature of each model's line
-element (production uses closed-form distance functions).
+element (production uses closed-form distance functions), tokens come
+from a two-regex tokenizer (production uses one named-group regex), and
+lines come from a brute-force closure (production keeps an incidence
+index and merges by size).
 """
 
 import math
+import re
 
 from scipy.integrate import quad
 
@@ -46,3 +50,50 @@ def quadrature_distance(model: Model, p: Vec, q: Vec) -> float:
     u = model.unit_tangent(p, q)
     val, _err = quad(lambda t: _speed(model, p, u, t), 0.0, total, limit=200)
     return val
+
+
+# --- symbolic front end ----------------------------------------------------
+
+_OLD_TOKEN_RE = re.compile(r"==|[:,\[\]()<]|[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*|\S")
+_OLD_IDENT_RE = r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*"
+
+
+def two_regex_tokenize(text: str):
+    """The original tokenizer: one regex finds the tokens, a second one
+    classifies each.  Yields (kind, value, line, col)."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        produced = False
+        for m in _OLD_TOKEN_RE.finditer(line):
+            v = m.group(0)
+            col = m.start() + 1
+            if v == "==" or v in ":,[]()<":
+                out.append(("punct", v, lineno, col))
+            elif re.fullmatch(_OLD_IDENT_RE, v):
+                out.append(("ident", v, lineno, col))
+            else:
+                out.append(("junk", v, lineno, col))
+            produced = True
+        if produced:
+            out.append(("nl", "", lineno, len(raw) + 1))
+    out.append(("eof", "", len(text.splitlines()) + 1, 1))
+    return out
+
+
+def closure_lines(triples):
+    """Brute-force collinearity closure: start from one line per triple and
+    merge any two lines sharing two points until nothing changes."""
+    lines = [set(t) for t in triples]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(lines)):
+            for j in range(i + 1, len(lines)):
+                if len(lines[i] & lines[j]) >= 2:
+                    lines[i] |= lines.pop(j)
+                    changed = True
+                    break
+            if changed:
+                break
+    return {frozenset(line) for line in lines}

@@ -162,6 +162,33 @@ def test_model_rejects_bad_numbers_with_exit_two(good_file, capsys, flag, value,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        "s1: seg A B == seg A B by SEG_REFL[A,B,C] from refl",  # wrong arity
+        "s1: seg A B == seg A B by SEG_SYM[A,B,A,A] from h1",  # degenerate segment
+    ],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_model_uninstantiable_step_is_a_diagnostic(tmp_path, capsys, step, json_flag):
+    p = tmp_path / "bad_inst.proof"
+    p.write_text(
+        GOOD.replace(
+            "s1: ang A B C == ang A C B by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl",
+            step,
+        ).replace("show ang A B C == ang A C B", "show seg A B == seg A B")
+    )
+    assert main(["check", str(p)]) == 1
+    assert "DegenerateInstantiation" in capsys.readouterr().out
+    assert main(["model", str(p), "--trials", "5"] + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert "mirror_pons" in err[0] and "step s1" in err[0]
+    assert "Traceback" not in captured.err
+
+
 def test_model_runs_statements_in_all_models(good_file, capsys):
     assert main(["model", good_file, "--trials", "40", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -195,3 +195,24 @@ def test_dot_quotes_awkward_names():
     g = Graph()
     g.register("has space", "theorem", (), ())
     assert '"has space"' in emit_dot(g)
+
+
+def test_cycles_found_once_per_graph_state(monkeypatch):
+    g = Graph()
+    g.register("a", "theorem", (), ("b",))  # b is a placeholder so far
+    passes = []
+    original = Graph._find_cycles
+
+    def counted(self):
+        passes.append(self._cycles is None)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "_find_cycles", counted)
+    assert [g.classify(n) for n in ("a", "b")] == [NEUTRAL, NEUTRAL]
+    assert g.detect_cycles() == []
+    assert passes.count(True) == 1
+    # registering b closes a loop, so the stored answer must go
+    g.register("b", "theorem", (), ("a",))
+    assert g.detect_cycles() == [("a", "b")]
+    assert g.classify("a") == CYCLIC
+    assert passes.count(True) == 2

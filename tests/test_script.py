@@ -147,11 +147,12 @@ def test_corpus_round_trip(filename):
 # --- generative round trip -------------------------------------------------
 
 _points = ("A", "B", "C", "D", "E")
-_pt = st.sampled_from(_points)
 
 
 def _distinct(n):
-    return st.tuples(*([_pt] * n)).filter(lambda t: len(set(t)) == n)
+    # n distinct points drawn directly: a filter on n independent draws
+    # rejects too often and trips hypothesis's filter_too_much check
+    return st.permutations(_points).map(lambda p: tuple(p[:n]))
 
 
 _seg_fact = _distinct(4).map(lambda t: FactAst("seg_eq", t))
@@ -282,3 +283,42 @@ def test_fuzz_bytes_parse_or_syntax_error():
             assert isinstance(result, ScriptAst)
         except SyntaxError:
             pass
+
+
+# --- tokenizer against the original two-regex one -------------------------
+
+from oracles import two_regex_tokenize  # noqa: E402
+from ponscheck.script import _tokenize  # noqa: E402
+
+
+def _stream(text):
+    return [(t.kind, t.value, t.line, t.col) for t in _tokenize(text)]
+
+
+@pytest.mark.parametrize("filename", PROOF_FILENAMES + ("anglesum.conj",))
+def test_tokenizer_matches_two_regex_oracle_on_corpus(filename):
+    text = load_text(filename)
+    assert _stream(text) == two_regex_tokenize(text)
+
+
+# Script words and punctuation, near misses (dots, '=', digits), comments,
+# every line boundary str.splitlines knows, and other Unicode whitespace.
+_FUZZ_PIECES = (
+    "theorem", "seg", "ang", "case", "c1.lt", "A", "Q12", "_x", "a.b.c", "a..b",
+    "x.", ".y", "9", "==", "=", "<", "<=", ":", ",", "[", "]", "(", ")", "#", "# c",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", " ", " ", " ", "é", "�", "-", "!", "'",
+)
+
+
+def test_tokenizer_matches_two_regex_oracle_on_fuzz():
+    import random
+
+    rng = random.Random(20161)
+    for i in range(2000):
+        if i % 4 == 0:
+            blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
+            text = blob.decode("utf-8", errors="replace")
+        else:
+            text = "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randrange(0, 60)))
+        assert _stream(text) == two_regex_tokenize(text), repr(text)

@@ -1,8 +1,12 @@
 """Canonical term construction and the collinearity table."""
 
-import pytest
-from hypothesis import given, strategies as st
+import random
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import closure_lines
 from ponscheck.terms import (
     ABSURD,
     DegenerateAngle,
@@ -10,6 +14,7 @@ from ponscheck.terms import (
     DegenerateSegment,
     LineTable,
     PointId,
+    Trail,
     ang_eq,
     ang_lt,
     angle,
@@ -160,3 +165,94 @@ def test_line_table_monotone(facts, extra):
     t2 = t.record_between(extra)
     for p, q, r in before:
         assert t2.provably_collinear(PointId(p), PointId(q), PointId(r))
+
+
+# --- indexed line table against a brute-force closure ---------------------
+
+_EIGHT = "ABCDEFGH"
+_QUERIES = [q for k in (2, 3) for q in combinations(_EIGHT, k)]
+
+
+def _record(table, triple):
+    mid, a, b = (PointId(n) for n in triple)
+    table.record_between(between(mid, a, b))
+
+
+def _answers(table):
+    """Every answer the table gives over the eight names."""
+    lines = set(table.lines)
+    collinear = {
+        t for t in combinations(_EIGHT, 3) if table.provably_collinear(*map(PointId, t))
+    }
+    common = {}
+    for q in _QUERIES:
+        line = table.common_line(q)
+        common[q] = None if line is None else frozenset(line)
+    return lines, collinear, common
+
+
+def _oracle_answers(triples):
+    lines = closure_lines(triples)
+    collinear = {t for t in combinations(_EIGHT, 3) if any(set(t) <= l for l in lines)}
+    common = {q: next((l for l in lines if set(q) <= l), None) for q in _QUERIES}
+    return lines, collinear, common
+
+
+def _check_against_closure(triples, cut):
+    """Record a prefix, mark the trail, record the rest, compare both
+    states with the closure, then roll back to the mark."""
+    trail = Trail()
+    table = LineTable(trail)
+    for t in triples[:cut]:
+        _record(table, t)
+    mark = len(trail)
+    before = _answers(table)
+    assert before == _oracle_answers(triples[:cut])
+    for t in triples[cut:]:
+        _record(table, t)
+    assert _answers(table) == _oracle_answers(triples)
+    trail.rollback(mark)
+    assert _answers(table) == before
+
+
+_triples8 = st.permutations(_EIGHT).map(lambda p: tuple(p[:3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_triples8, min_size=1, max_size=14), st.integers(0, 14))
+def test_line_table_matches_brute_force_closure(triples, cut):
+    _check_against_closure(triples, min(cut, len(triples)))
+
+
+def test_line_table_cascade_and_rollback():
+    # ABC, ADE and CEF pairwise share one point.  BCD joins ABC (B, C);
+    # the grown line then meets ADE (A, D), and after that CEF (C, E):
+    # one record, three merges
+    table = LineTable()
+    for t in ("BAC", "DAE", "ECF"):
+        _record(table, t)
+    assert len(table.lines) == 3
+    mark = len(table.trail)
+    _record(table, "CBD")
+    assert table.lines == (frozenset("ABCDEF"),)
+    table.trail.rollback(mark)
+    assert set(table.lines) == {frozenset("ABC"), frozenset("ADE"), frozenset("CEF")}
+
+
+def test_line_table_seeded_sequences_cover_cascades():
+    """Seeded random sequences over eight names: they include points on
+    several lines and records that merge two or more stored lines."""
+    rng = random.Random(1975)
+    multi_line_points = cascades = 0
+    for _ in range(400):
+        triples = [tuple(rng.sample(_EIGHT, 3)) for _ in range(rng.randrange(1, 13))]
+        _check_against_closure(triples, rng.randrange(len(triples) + 1))
+        table = LineTable()
+        for t in triples:
+            n = len(table.lines)
+            _record(table, t)
+            cascades += len(table.lines) < n
+        lines = table.lines
+        multi_line_points += any(sum(p in l for l in lines) >= 2 for p in _EIGHT)
+    assert multi_line_points >= 50
+    assert cascades >= 50
