@@ -546,6 +546,11 @@ class _StepPlan:
             start = PointId(step.start)
             return between(fresh, start, PointId(step.toward)), seg_eq(segment(start, fresh), seg)
         stmt = self.registry[step.lemma]
+        if len(step.args) != len(stmt.points) or len(step.fresh) != len(stmt.introduced):
+            raise ValueError(
+                f"lemma {step.lemma} takes {len(stmt.points)} point(s) and introduces "
+                f"{len(stmt.introduced)}, got {len(step.args)} and {len(step.fresh)}"
+            )
         mapping = dict(zip(stmt.points, (PointId(n) for n in step.args)))
         mapping.update(zip(stmt.introduced, (PointId(n) for n in step.fresh)))
         return tuple(subst_fact(f, mapping) for f in stmt.conclusions)

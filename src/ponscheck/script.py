@@ -5,9 +5,15 @@ line, comments from ``#`` to end of line.  A file is a sequence of
 ``theorem`` blocks (statement, optionally followed by a proof) and
 ``declare`` blocks (statement-free dependency stubs).
 
-The parser is plain recursive descent over a token stream and reports
-errors with line, column, and the expected-token set.  It never raises
-anything but ParseError on malformed input, whatever the bytes were.
+A token is the plain string the token regex matched; a newline string
+closes each line that had tokens, the empty string ends the input, and
+a parallel list holds each token's line number.  The garbage collector
+does not track strings, so a long script adds nothing for it to scan.
+The parser is plain recursive descent over the token strings and
+reports errors with line, column, and the expected-token set; a column
+is worked out only when an error is raised, by matching that one source
+line again.  It never raises anything but ParseError on malformed
+input, whatever the bytes were.
 """
 
 from __future__ import annotations
@@ -174,36 +180,38 @@ class ScriptAst:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# One alternation, tried in order; the name of the group that matched is
-# the token's kind.
+# One alternation, tried in order: punctuation, an identifier (dotted
+# for citations such as ``c1.lt``), or any other single character.  No
+# groups, so findall returns the matched strings themselves.
 _TOKEN_RE = re.compile(
-    r"(?P<punct>==|[:,\[\]()<])"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)"
-    r"|(?P<junk>\S)"
+    r"==|[:,\[\]()<]"
+    r"|[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*"
+    r"|\S"
 )
 
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-class _Tok:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
-        self.kind = kind  # "ident" | "punct" | "nl" | "eof" | "junk"
-        self.value = value
-        self.line = line
-        self.col = col
+_NL = "\n"  # closes every source line that had tokens
+_EOF = ""  # ends the stream
 
 
-def _tokenize(text: str) -> List[_Tok]:
-    toks: List[_Tok] = []
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        start = len(toks)
-        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
-            toks.append(_Tok(m.lastgroup, m.group(), lineno, m.start() + 1))
-        if len(toks) > start:
-            toks.append(_Tok("nl", "", lineno, len(raw) + 1))
-    toks.append(_Tok("eof", "", len(lines) + 1, 1))
-    return toks
+def _tokenize(text: str) -> Tuple[List[str], List[int]]:
+    """The token strings of `text` and, in a parallel list, the source
+    line of each (the tokens of one line share one int).  A token is an
+    identifier exactly when its first character is in _IDENT_START."""
+    findall = _TOKEN_RE.findall
+    toks: List[str] = []
+    lines: List[int] = []
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        found = findall(raw.split("#", 1)[0])
+        if found:
+            toks += found
+            toks.append(_NL)
+            lines += [lineno] * (len(found) + 1)
+    toks.append(_EOF)
+    lines.append(lineno + 1)
+    return toks, lines
 
 
 # ---------------------------------------------------------------------------
@@ -211,70 +219,93 @@ def _tokenize(text: str) -> List[_Tok]:
 
 
 class _Parser:
-    """Recursive descent over the token list.  `tok` is the current token.
+    """Recursive descent over the token list.  `tok` is the current token
+    and `pos` its index.
 
-    Token values alone identify words and punctuation: only an ident can
-    spell a word (a junk token is one character that cannot start one),
-    only punct can be one of ``==:,[]()<``, and nl and eof have no value.
+    Token strings alone identify words and punctuation: only an ident can
+    spell a word (any other token is punctuation or one character that
+    cannot start one), and the newline and end tokens cannot be matched.
+    Columns are not kept; an error finds its column by matching that one
+    source line again.
     """
 
     def __init__(self, text: str) -> None:
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks, self.lines = _tokenize(text)
         self.pos = 0
         self.tok = self.toks[0]
         self.depth = 0
 
     # -- token plumbing
 
-    def advance(self) -> _Tok:
+    def advance(self) -> str:
         tok = self.tok
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
             self.tok = self.toks[self.pos]
         return tok
 
-    def fail(self, message: str, expected: Tuple[str, ...] = ()) -> "ParseError":
+    def error(
+        self, message: str, expected: Tuple[str, ...] = (), pos: Optional[int] = None
+    ) -> ParseError:
+        """A ParseError placed at token `pos` (default: the current one)."""
+        if pos is None:
+            pos = self.pos
+        line, tok = self.lines[pos], self.toks[pos]
+        if not tok:
+            return ParseError(message, line, 1, expected)
+        raw = self.text.splitlines()[line - 1]
+        if tok == _NL:
+            return ParseError(message, line, len(raw) + 1, expected)
+        first = pos
+        while first and self.lines[first - 1] == line:
+            first -= 1
+        matches = _TOKEN_RE.finditer(raw)  # a comment only adds tokens after it
+        for _ in range(pos - first):
+            next(matches)
+        return ParseError(message, line, next(matches).start() + 1, expected)
+
+    def fail(self, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
         tok = self.tok
-        got = tok.value if tok.kind not in ("nl", "eof") else f"<{tok.kind}>"
-        return ParseError(f"{message}, got {got!r}", tok.line, tok.col, expected)
+        got = "<nl>" if tok == _NL else "<eof>" if not tok else tok
+        return self.error(f"{message}, got {got!r}", expected)
 
-    def at_word(self, word: str) -> bool:
-        return self.tok.value == word
+    def at_ident(self) -> bool:
+        return self.tok[:1] in _IDENT_START
 
-    def expect(self, value: str) -> _Tok:
-        if self.tok.value != value:
+    def expect(self, value: str) -> str:
+        if self.tok != value:
             raise self.fail(f"expected {value!r}", (value,))
         return self.advance()
 
     def accept(self, value: str) -> bool:
         """Consume the current token if it is `value`; report whether it was."""
-        if self.tok.value == value:
+        if self.tok == value:
             self.advance()
             return True
         return False
 
-    def expect_nl(self) -> None:
-        kind = self.tok.kind
-        if kind == "nl":
+    def skip_nl(self) -> None:
+        while self.tok == _NL:
             self.advance()
-        elif kind != "eof":
+
+    def expect_nl(self) -> None:
+        tok = self.tok
+        if tok == _NL:
+            self.advance()
+        elif tok:
             raise self.fail("expected end of line", ("newline",))
 
     def ident(self, what: str, allow_dots: bool = False, allow_keyword: bool = False) -> str:
         tok = self.tok
-        if tok.kind != "ident":
+        if tok[:1] not in _IDENT_START:
             raise self.fail(f"expected {what}", (what,))
-        if not allow_dots and "." in tok.value:
-            raise ParseError(f"{what} may not contain '.'", tok.line, tok.col, (what,))
-        if not allow_keyword and tok.value in KEYWORDS:
-            raise ParseError(
-                f"reserved word {tok.value!r} cannot be used as {what}",
-                tok.line,
-                tok.col,
-                (what,),
-            )
+        if not allow_dots and "." in tok:
+            raise self.error(f"{what} may not contain '.'", (what,))
+        if not allow_keyword and tok in KEYWORDS:
+            raise self.error(f"reserved word {tok!r} cannot be used as {what}", (what,))
         self.advance()
-        return tok.value
+        return tok
 
     def point(self) -> str:
         return self.ident("point name")
@@ -284,15 +315,12 @@ class _Parser:
     def parse_script(self) -> ScriptAst:
         items: List[BlockAst] = []
         while True:
-            tok = self.tok
-            if tok.kind == "eof":
+            self.skip_nl()
+            if not self.tok:
                 break
-            if tok.kind == "nl":
-                self.advance()
-                continue
-            if self.at_word("theorem"):
+            if self.tok == "theorem":
                 items.append(self.parse_theorem())
-            elif self.at_word("declare"):
+            elif self.tok == "declare":
                 items.append(self.parse_declare())
             else:
                 raise self.fail("expected a block", ("theorem", "declare"))
@@ -308,11 +336,9 @@ class _Parser:
         return tuple(tags)
 
     def tag_name(self) -> str:
-        tok = self.tok
-        if tok.value not in TAG_NAMES:
+        if self.tok not in TAG_NAMES:
             raise self.fail("expected a tag", TAG_NAMES)
-        self.advance()
-        return tok.value
+        return self.advance()
 
     def parse_name_list(self) -> Tuple[str, ...]:
         names = [self.ident("name", allow_keyword=False)]
@@ -322,28 +348,29 @@ class _Parser:
         return tuple(names)
 
     def parse_declare(self) -> DeclareAst:
-        start = self.expect("declare")
+        line = self.lines[self.pos]
+        self.expect("declare")
         name = self.ident("theorem name")
         self.expect_nl()
         tags = self.parse_tags()
         uses: Tuple[str, ...] = ()
         if self.accept("uses"):
             uses = self.parse_name_list()
-        return DeclareAst(name, tags, uses, line=start.line)
+        return DeclareAst(name, tags, uses, line=line)
 
     def parse_theorem(self) -> TheoremAst:
-        start = self.expect("theorem")
+        line = self.lines[self.pos]
+        self.expect("theorem")
         name = self.ident("theorem name")
         self.expect_nl()
         tags = self.parse_tags()
 
         self.expect("points")
         points: List[str] = []
-        while self.tok.kind == "ident":
+        while self.at_ident():
             p = self.point()
             if p in points:
-                tok = self.toks[self.pos - 1]
-                raise ParseError(f"duplicate point {p}", tok.line, tok.col)
+                raise self.error(f"duplicate point {p}", pos=self.pos - 1)
             points.append(p)
         if not points:
             raise self.fail("expected at least one point", ("point name",))
@@ -351,11 +378,10 @@ class _Parser:
 
         introduces: List[str] = []
         if self.accept("introduces"):
-            while self.tok.kind == "ident":
+            while self.at_ident():
                 p = self.point()
                 if p in points or p in introduces:
-                    tok = self.toks[self.pos - 1]
-                    raise ParseError(f"duplicate point {p}", tok.line, tok.col)
+                    raise self.error(f"duplicate point {p}", pos=self.pos - 1)
                 introduces.append(p)
             if not introduces:
                 raise self.fail("expected a point name", ("point name",))
@@ -363,16 +389,17 @@ class _Parser:
 
         labels: set = set()
         assumes: List[AssumeAst] = []
-        while self.at_word("assume"):
-            tok = self.advance()
+        while self.tok == "assume":
+            at = self.pos
+            self.advance()
             label = self.ident("hypothesis label")
             if label in labels:
-                raise ParseError(f"duplicate label {label}", tok.line, tok.col)
+                raise self.error(f"duplicate label {label}", pos=at)
             labels.add(label)
             self.expect(":")
             fact = self.parse_fact(allow_absurd=False)
             self.expect_nl()
-            assumes.append(AssumeAst(label, fact, line=tok.line))
+            assumes.append(AssumeAst(label, fact, line=self.lines[at]))
 
         shows: List[FactAst] = []
         while self.accept("show"):
@@ -407,25 +434,23 @@ class _Parser:
             uses,
             steps,
             qed_refs,
-            line=start.line,
+            line=line,
         )
 
     def parse_steps(self, labels: set, stop_words: Tuple[str, ...]) -> List[StepAst]:
         steps: List[StepAst] = []
         while True:
-            tok = self.tok
-            if tok.kind == "nl":
-                self.advance()
-                continue
-            if tok.kind == "eof" or tok.value in stop_words:
+            self.skip_nl()
+            if not self.tok or self.tok in stop_words:
                 return steps
             steps.append(self.parse_step(labels))
 
     def parse_step(self, labels: set) -> StepAst:
-        tok = self.tok
+        at = self.pos
+        line = self.lines[at]
         label = self.ident("step label")
         if label in labels:
-            raise ParseError(f"duplicate label {label}", tok.line, tok.col)
+            raise self.error(f"duplicate label {label}", pos=at)
         labels.add(label)
         self.expect(":")
         if self.accept("extend"):
@@ -435,7 +460,7 @@ class _Parser:
             self.expect("as")
             fresh = self.point()
             self.expect_nl()
-            return ExtendStepAst(label, a, b, seg, fresh, line=tok.line)
+            return ExtendStepAst(label, a, b, seg, fresh, line=line)
         if self.accept("layoff"):
             start = self.point()
             self.expect("toward")
@@ -447,14 +472,14 @@ class _Parser:
             self.expect("from")
             refs = self.parse_refs()
             self.expect_nl()
-            return LayoffStepAst(label, start, toward, seg, fresh, refs, line=tok.line)
+            return LayoffStepAst(label, start, toward, seg, fresh, refs, line=line)
         if self.accept("cases"):
             left = self.parse_segterm()
             self.expect("vs")
             right = self.parse_segterm()
             self.expect_nl()
             branches = self.parse_case_branches(labels)
-            return CasesStepAst(label, left, right, branches, line=tok.line)
+            return CasesStepAst(label, left, right, branches, line=line)
         if self.accept("lemma"):
             lemma = self.ident("lemma name")
             self.expect("(")
@@ -468,7 +493,7 @@ class _Parser:
                 while self.accept(","):
                     fresh.append(self.point())
             self.expect_nl()
-            return LemmaStepAst(label, lemma, tuple(args), tuple(fresh), line=tok.line)
+            return LemmaStepAst(label, lemma, tuple(args), tuple(fresh), line=line)
         fact = self.parse_fact(allow_absurd=True)
         self.expect("by")
         rule = self.ident("rule name", allow_keyword=True)
@@ -476,34 +501,31 @@ class _Parser:
         self.expect("from")
         refs = self.parse_refs()
         self.expect_nl()
-        return RuleStepAst(label, fact, rule, inst, refs, line=tok.line)
+        return RuleStepAst(label, fact, rule, inst, refs, line=line)
 
     def parse_case_branches(self, labels: set) -> Tuple[CaseBranchAst, ...]:
         self.depth += 1
         if self.depth > _MAX_CASE_DEPTH:
-            tok = self.tok
-            raise ParseError("case nesting too deep", tok.line, tok.col)
+            raise self.error("case nesting too deep")
         try:
             branches = []
             for kind in ("lt", "eq", "gt"):
-                while self.tok.kind == "nl":
-                    self.advance()
-                tok = self.tok
+                self.skip_nl()
+                line = self.lines[self.pos]
                 self.expect("case")
                 if not self.accept(kind):
                     raise self.fail(f"expected case {kind!r}", (kind,))
                 self.expect_nl()
                 steps = self.parse_steps(labels, stop_words=("close",))
                 self.expect("close")
-                close_kind = self.tok.value
-                if close_kind not in ("goal", "absurd"):
+                if self.tok not in ("goal", "absurd"):
                     raise self.fail("expected close kind", ("goal", "absurd"))
-                self.advance()
+                close_kind = self.advance()
                 self.expect("from")
                 close_refs = self.parse_refs()
                 self.expect_nl()
                 branches.append(
-                    CaseBranchAst(kind, tuple(steps), close_kind, close_refs, line=tok.line)
+                    CaseBranchAst(kind, tuple(steps), close_kind, close_refs, line=line)
                 )
             return tuple(branches)
         finally:
@@ -539,15 +561,13 @@ class _Parser:
         raise self.fail("expected a fact", expected)
 
     def parse_cmp(self) -> str:
-        tok = self.tok
-        if tok.value in ("==", "<"):
-            self.advance()
-            return tok.value
+        if self.tok in ("==", "<"):
+            return self.advance()
         raise self.fail("expected a comparison", ("==", "<"))
 
     def parse_inst(self) -> InstAst:
         self.expect("[")
-        if self.tok.value == "(":
+        if self.tok == "(":
             first = self.parse_triple()
             self.expect(",")
             second = self.parse_triple()
@@ -600,29 +620,26 @@ class ConjectureAst:
 
 def parse_conjecture(text: str) -> ConjectureAst:
     p = _Parser(text)
-    while p.tok.kind == "nl":
-        p.advance()
-    start = p.expect("conjecture")
+    p.skip_nl()
+    line = p.lines[p.pos]
+    p.expect("conjecture")
     name = p.ident("conjecture name")
     p.expect_nl()
-    while p.tok.kind == "nl":
-        p.advance()
+    p.skip_nl()
     p.expect("points")
     points: List[str] = []
-    while p.tok.kind == "ident":
+    while p.at_ident():
         pt = p.point()
         if pt in points:
-            tok = p.toks[p.pos - 1]
-            raise ParseError(f"duplicate point {pt}", tok.line, tok.col)
+            raise p.error(f"duplicate point {pt}", pos=p.pos - 1)
         points.append(pt)
     if not points:
         raise p.fail("expected at least one point", ("point name",))
     p.expect_nl()
-    while p.tok.kind == "nl":
-        p.advance()
-    if p.tok.kind != "eof":
+    p.skip_nl()
+    if p.tok:
         raise p.fail("expected end of file", ("end of file",))
-    return ConjectureAst(name, tuple(points), line=start.line)
+    return ConjectureAst(name, tuple(points), line=line)
 
 
 # ---------------------------------------------------------------------------

@@ -283,16 +283,6 @@ def fact_point_names(fact: Fact) -> Tuple[str, ...]:
     raise TypeError(f"not a fact: {fact!r}")
 
 
-def flip_fact(fact: Fact) -> Fact:
-    """Swap the sides of an equality.  Canonical storage makes this the
-    identity; kept so `sym` references have a definite meaning."""
-    if isinstance(fact, SegEq):
-        return seg_eq(fact.right, fact.left)
-    if isinstance(fact, AngEq):
-        return ang_eq(fact.right, fact.left)
-    return fact
-
-
 class Trail(list):
     """Undo log for in-place updates: an entry (function, object, argument)
     such as (dict.pop, d, key) reverses one update when called.  Entries

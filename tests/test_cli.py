@@ -2,11 +2,13 @@
 expected-divergence policy for euclidean-only claims."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ponscheck
 from ponscheck.cli import main
 
 GOOD = """\
@@ -189,6 +191,48 @@ def test_model_uninstantiable_step_is_a_diagnostic(tmp_path, capsys, step, json_
     assert "Traceback" not in captured.err
 
 
+FOOT_USER = """\
+theorem foot
+  tags: neutral
+  points A B C
+  introduces H
+  assume h1: noncollinear A B C
+  show between B H C
+  show ang B A H == ang C A H
+
+theorem uses_foot
+  tags: neutral
+  points A B C
+  assume h1: noncollinear A B C
+  show noncollinear A B C
+  proof
+    l1: LEMMA_STEP
+  qed from h1
+"""
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        "lemma foot(A,B) as H",  # one point short
+        "lemma foot(A,B,C) as H, K",  # one fresh name too many
+    ],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_model_lemma_arity_mismatch_is_a_diagnostic(tmp_path, capsys, step, json_flag):
+    p = tmp_path / "bad_lemma.proof"
+    p.write_text(FOOT_USER.replace("LEMMA_STEP", step))
+    assert main(["check", str(p)]) == 1
+    assert "DegenerateInstantiation" in capsys.readouterr().out
+    assert main(["model", str(p), "--trials", "20"] + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert "uses_foot" in err[0] and "step l1" in err[0]
+    assert "Traceback" not in captured.err
+
+
 def test_model_runs_statements_in_all_models(good_file, capsys):
     assert main(["model", good_file, "--trials", "40", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -229,10 +273,14 @@ def test_version_flag():
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(ponscheck.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ponscheck", "check", "--corpus"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "pappus_pons: ok" in proc.stdout

@@ -91,6 +91,27 @@ def test_duplicate_labels_rejected():
         parse(bad)
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("theorem demo\n  tags: neutral\n  points A B A  # again\n", 3, 14),
+        ("theorem demo\n  tags: neutral\n  points A\n  introduces B A\n", 4, 16),
+        (BASIC.replace("assume h2", "assume h1"), 6, 3),
+        (BASIC.replace("s1:", "h2:"), 9, 5),
+    ],
+)
+def test_duplicate_errors_point_at_the_repeat(text, line, col):
+    with pytest.raises(ParseError) as exc_info:
+        parse(text)
+    assert (exc_info.value.line, exc_info.value.col) == (line, col)
+
+
+def test_names_may_start_with_underscore():
+    text = "theorem _t\n  tags: neutral\n  points _a B\n  show seg _a B == seg B _a\n"
+    thm = parse(text).items[0]
+    assert (thm.name, thm.points) == ("_t", ("_a", "B"))
+
+
 def test_reserved_word_as_point_rejected():
     bad = BASIC.replace("points A B C", "points A B proof")
     with pytest.raises(ParseError):
@@ -288,11 +309,31 @@ def test_fuzz_bytes_parse_or_syntax_error():
 # --- tokenizer against the original two-regex one -------------------------
 
 from oracles import two_regex_tokenize  # noqa: E402
-from ponscheck.script import _tokenize  # noqa: E402
+from ponscheck.script import _Parser, _tokenize  # noqa: E402
+
+
+def _kind(tok):
+    if tok == "\n":
+        return "nl"
+    if not tok:
+        return "eof"
+    if tok[0].isascii() and (tok[0].isalpha() or tok[0] == "_"):
+        return "ident"
+    if tok == "==" or tok in ":,[]()<":
+        return "punct"
+    return "junk"
 
 
 def _stream(text):
-    return [(t.kind, t.value, t.line, t.col) for t in _tokenize(text)]
+    """(kind, value, line, col) per token; the column is the one a
+    ParseError at that token would report."""
+    p = _Parser(text)
+    out = []
+    for i, tok in enumerate(p.toks):
+        err = p.error("", pos=i)
+        kind = _kind(tok)
+        out.append((kind, "" if kind in ("nl", "eof") else tok, err.line, err.col))
+    return out
 
 
 @pytest.mark.parametrize("filename", PROOF_FILENAMES + ("anglesum.conj",))
@@ -322,3 +363,86 @@ def test_tokenizer_matches_two_regex_oracle_on_fuzz():
         else:
             text = "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randrange(0, 60)))
         assert _stream(text) == two_regex_tokenize(text), repr(text)
+
+
+def _extend_chain(n):
+    """A theorem of n chained `extend` steps, one token-heavy line each."""
+    lines = [
+        "theorem chain",
+        "  tags: neutral",
+        "  points A B C",
+        "  assume h1: noncollinear A B C",
+        "  show seg A B == seg A B",
+        "  proof",
+    ]
+    prev = "B"
+    for i in range(n):
+        lines.append(f"    e{i}: extend A {prev} by seg A B as P{i}  # step {i}")
+        prev = f"P{i}"
+    lines.append("  qed from h1")
+    return "\n".join(lines) + "\n"
+
+
+def test_tokens_are_untracked_strings():
+    import gc
+
+    texts = [load_text(f) for f in PROOF_FILENAMES + ("anglesum.conj",)]
+    texts.append(_extend_chain(2000))
+    for text in texts:
+        toks, lines = _tokenize(text)
+        assert len(toks) == len(lines) > 1
+        for tok in toks:
+            assert type(tok) is str and not gc.is_tracked(tok), repr(tok)
+        # one line-number object per source line, shared by its tokens
+        for i in range(1, len(lines)):
+            if lines[i] == lines[i - 1]:
+                assert lines[i] is lines[i - 1]
+
+
+def _mutate(rng, text):
+    """One seeded line-level edit of a script: drop, duplicate or swap a
+    line, or drop, duplicate or replace one token-sized piece in it."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    op = rng.randrange(6)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        words = lines[i].split(" ")
+        k = rng.randrange(len(words))
+        if op == 3:
+            del words[k]
+        elif op == 4:
+            words.insert(k, words[k])
+        else:
+            words[k] = rng.choice(_FUZZ_PIECES)
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def test_parse_errors_point_at_tokens_of_the_oracle_stream():
+    import ast
+    import random
+
+    rng = random.Random(4021)
+    sources = [load_text(f) for f in PROOF_FILENAMES]
+    errors = 0
+    for _ in range(2000):
+        text = _mutate(rng, rng.choice(sources))
+        try:
+            parse(text)
+        except ParseError as exc:
+            errors += 1
+            at = {(line, col): (kind, value) for kind, value, line, col in two_regex_tokenize(text)}
+            assert (exc.line, exc.col) in at, (text, exc)
+            kind, value = at[exc.line, exc.col]
+            _, sep, got = exc.message.rpartition(", got ")
+            if sep:
+                shown = f"<{kind}>" if kind in ("nl", "eof") else value
+                assert ast.literal_eval(got) == shown, (text, exc)
+    assert errors > 500
