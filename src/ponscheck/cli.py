@@ -17,8 +17,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .corpus import ENTRIES, load_text
@@ -27,7 +28,6 @@ from .elaborate import ElaboratedBlock, ElaborationError, collect_statements, el
 from .geometry import MODEL_NAMES, Model, get_model
 from .kernel import CheckReport, TheoremStatement, check_proof
 from .models import (
-    BUILTIN_CONJECTURES,
     ModelCheckReport,
     UninstantiableStep,
     UnknownConjecture,
@@ -235,7 +235,7 @@ def cmd_deps(args: argparse.Namespace) -> int:
 
 def _permitted(classification: str, model: Model) -> bool:
     """Whether a failure in this model counts against the theorem."""
-    return not (classification == EUCLIDEAN_ONLY and model.name != "euclidean")
+    return not (classification == EUCLIDEAN_ONLY and not model.flat)
 
 
 def _describe_counterexample(rep: ModelCheckReport) -> str:
@@ -262,78 +262,50 @@ def cmd_model(args: argparse.Namespace) -> int:
         else [get_model(args.model)]
     )
     tol = profile(args.tol) if args.tol is not None else None
-    hard_failures = 0
-    collected: Dict[str, Dict[str, ModelCheckReport]] = {}
-    lines: List[str] = []
+    runs = dict(trials=args.trials, seed=args.seed, tol=tol)
+    # (name, classification, check of one model); a conjecture carries a
+    # euclidean claim, so divergence in the curved models is expected
+    checks: List[Tuple[str, str, Callable[[Model], ModelCheckReport]]] = []
     for block in pipeline.blocks:
         if block.statement is None:
             continue
-        cls = graph.classify(block.name)
         steps = block.proof.steps if block.proof is not None else ()
-        for model in model_list:
-            try:
-                rep = model_check(
-                    model,
-                    block.statement,
-                    steps=steps,
-                    trials=args.trials,
-                    seed=args.seed,
-                    tol=tol,
-                    registry=pipeline.registry,
-                )
-            except UninstantiableStep as exc:
-                raise CliError(1, f"{block.name}: {exc}") from None
-            collected.setdefault(block.name, {})[model.name] = rep
-            base = (
-                f"{block.name} [{model.name}] trials={rep.trials_run}"
-                f" failures={rep.failures} skipped={rep.skipped}"
-            )
-            if rep.failures == 0:
-                lines.append(base)
-            elif _permitted(cls, model):
-                hard_failures += 1
-                lines.append(base + "  FAILED")
-                lines.append("  counterexample " + _describe_counterexample(rep))
-            else:
-                lines.append(
-                    f"{block.name} [{model.name}] expected-divergence"
-                    f" ({rep.failures}/{rep.trials_run} diverge)"
-                )
-                lines.append("  counterexample " + _describe_counterexample(rep))
+        run = partial(
+            model_check, statement=block.statement, steps=steps,
+            registry=pipeline.registry, **runs,
+        )
+        checks.append((block.name, graph.classify(block.name), run))
     for conj in pipeline.conjectures:
-        if conj.name not in BUILTIN_CONJECTURES:
-            raise CliError(2, f"unknown conjecture {conj.name}")
+        run = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
+        checks.append((conj.name, EUCLIDEAN_ONLY, run))
+    hard_failures = 0
+    collected: Dict[str, Dict[str, ModelCheckReport]] = {}
+    lines: List[str] = []
+    for name, cls, run in checks:
         for model in model_list:
             try:
-                rep = model_check_conjecture(
-                    model,
-                    conj.name,
-                    conj.points,
-                    trials=args.trials,
-                    seed=args.seed,
-                    tol=tol,
-                )
+                rep = run(model)
+            except UninstantiableStep as exc:
+                raise CliError(1, f"{name}: {exc}") from None
             except UnknownConjecture as exc:
                 raise CliError(2, f"unknown conjecture {exc}") from exc
-            collected.setdefault(conj.name, {})[model.name] = rep
+            collected.setdefault(name, {})[model.name] = rep
             base = (
-                f"{conj.name} [{model.name}] trials={rep.trials_run}"
+                f"{name} [{model.name}] trials={rep.trials_run}"
                 f" failures={rep.failures} skipped={rep.skipped}"
             )
             if rep.failures == 0:
                 lines.append(base)
-            elif model.name != "euclidean":
-                # conjectures carry a euclidean claim; divergence in the
-                # curved models is the expected outcome, not a failure
-                lines.append(
-                    f"{conj.name} [{model.name}] expected-divergence"
-                    f" ({rep.failures}/{rep.trials_run} diverge)"
-                )
-                lines.append("  counterexample " + _describe_counterexample(rep))
-            else:
+                continue
+            if _permitted(cls, model):
                 hard_failures += 1
                 lines.append(base + "  FAILED")
-                lines.append("  counterexample " + _describe_counterexample(rep))
+            else:
+                lines.append(
+                    f"{name} [{model.name}] expected-divergence"
+                    f" ({rep.failures}/{rep.trials_run} diverge)"
+                )
+            lines.append("  counterexample " + _describe_counterexample(rep))
     if args.json:
         _print_json(_run_report(pipeline, args.seed, collected))
     else:

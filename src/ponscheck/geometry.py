@@ -4,7 +4,9 @@ Points are plain tuples: (x, y) for the euclidean plane and the open unit
 Poincare disk, a unit 3-vector (x, y, z) for the sphere.  Each model
 provides distances, its law of cosines (which models.angle_at measures
 angles with), geodesic motion (exp map along a unit tangent),
-tangent-frame helpers, and seeded point sampling.
+tangent-frame helpers, and seeded point sampling.  Each model class also
+carries its numeric profile (equality tolerance, sampling distances,
+sampling region, working domain), so no caller branches on a model's name.
 
 The Poincare disk is handled internally on the hyperboloid sheet
 {x^2 + y^2 - t^2 = -1, t > 0} in Minkowski 3-space, where geodesics are the
@@ -17,7 +19,6 @@ strict betweenness behaves as in the plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import Tuple
 
@@ -39,29 +40,6 @@ class DegenerateDirection(ValueError):
 _TINY = 1e-12
 
 
-@dataclass(frozen=True)
-class SamplingLimits:
-    """Coordinate bounds and nondegeneracy guards for seeded sampling.
-
-    min_separation / min_angle reject near-degenerate triangles so that
-    strict facts (Lt, NonCollinear) hold by a margin far above tolerance.
-    """
-
-    euclidean_box: float = 4.0
-    poincare_radius: float = 0.9
-    sphere_cap: float = 0.5  # radians from the north pole; pairwise <= 1.0 rad
-    min_separation: float = 0.0  # intrinsic; 0 means per-model default
-    min_angle: float = 0.15
-
-    def separation_for(self, model: "Model") -> float:
-        if self.min_separation > 0:
-            return self.min_separation
-        return {"euclidean": 0.8, "poincare": 0.25, "sphere": 0.08}[model.name]
-
-
-DEFAULT_LIMITS = SamplingLimits()
-
-
 def _norm2(v: Vec) -> float:
     return math.sqrt(sum(c * c for c in v))
 
@@ -71,7 +49,28 @@ def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
 
 
 class Model:
+    """One constant-curvature model and its numeric profile: the equality
+    tolerance of measurements, the intrinsic distances sampled points keep
+    (min_separation apart, legs of at most max_leg, instances no wider than
+    max_spread), the region random_point draws from and the working domain
+    constructions must stay in.  The separation (with models.MIN_ANGLE)
+    rejects near-degenerate triangles so that strict facts (Lt,
+    NonCollinear) hold by a margin far above the tolerance."""
+
     name: str = ""
+    flat: bool = False  # zero curvature: euclidean-only claims must hold here
+    eq_tol: float
+    min_separation: float
+    max_leg: float
+    max_spread: float = math.inf
+
+    def in_domain(self, p: Vec) -> bool:
+        """Whether p lies in the working domain (the whole model by default)."""
+        return True
+
+    def in_sample_region(self, p: Vec) -> bool:
+        """Whether a sampled instance may keep p."""
+        return self.in_domain(p)
 
     def validate(self, p: Vec) -> None:
         raise NotImplementedError
@@ -100,7 +99,7 @@ class Model:
         """Riemannian inner product of tangent vectors at p."""
         raise NotImplementedError
 
-    def random_point(self, rng: Random, limits: SamplingLimits = DEFAULT_LIMITS) -> Vec:
+    def random_point(self, rng: Random) -> Vec:
         raise NotImplementedError
 
     def random_tangent(self, rng: Random, p: Vec):
@@ -127,6 +126,11 @@ class Model:
 
 class EuclideanModel(Model):
     name = "euclidean"
+    flat = True
+    eq_tol = 1e-9
+    min_separation = 0.8
+    max_leg = 2.5
+    box = 4.0  # random_point draws from [-box, box]^2
 
     def validate(self, p: Vec) -> None:
         if len(p) != 2 or not all(math.isfinite(c) for c in p):
@@ -153,8 +157,8 @@ class EuclideanModel(Model):
     def tangent_dot(self, p: Vec, u, v) -> float:
         return u[0] * v[0] + u[1] * v[1]
 
-    def random_point(self, rng: Random, limits: SamplingLimits = DEFAULT_LIMITS) -> Vec:
-        b = limits.euclidean_box
+    def random_point(self, rng: Random) -> Vec:
+        b = self.box
         return (rng.uniform(-b, b), rng.uniform(-b, b))
 
     def _frame_seed(self, p: Vec):
@@ -180,6 +184,10 @@ def minkowski_dot(u: Vec, v: Vec) -> float:
 
 class PoincareModel(Model):
     name = "poincare"
+    eq_tol = 1e-7
+    min_separation = 0.25
+    max_leg = 0.9
+    sample_radius = 0.9  # euclidean radius of the sampled disk
 
     def validate(self, p: Vec) -> None:
         if len(p) != 2 or not all(math.isfinite(c) for c in p):
@@ -231,8 +239,11 @@ class PoincareModel(Model):
     def tangent_dot(self, p: Vec, u, v) -> float:
         return minkowski_dot(u, v)
 
-    def random_point(self, rng: Random, limits: SamplingLimits = DEFAULT_LIMITS) -> Vec:
-        r = limits.poincare_radius * math.sqrt(rng.random())
+    def in_sample_region(self, p: Vec) -> bool:
+        return math.hypot(p[0], p[1]) <= self.sample_radius
+
+    def random_point(self, rng: Random) -> Vec:
+        r = self.sample_radius * math.sqrt(rng.random())
         th = rng.uniform(0.0, 2.0 * math.pi)
         return (r * math.cos(th), r * math.sin(th))
 
@@ -243,7 +254,11 @@ class PoincareModel(Model):
 
 class SphereModel(Model):
     name = "sphere"
-    POLE = (0.0, 0.0, 1.0)
+    eq_tol = 1e-7
+    min_separation = 0.08
+    max_leg = 0.45
+    cap = 0.5  # radians from the north pole; pairwise <= 1.0 rad
+    max_spread = 1.0
 
     def validate(self, p: Vec) -> None:
         if len(p) != 3 or not all(math.isfinite(c) for c in p):
@@ -251,7 +266,8 @@ class SphereModel(Model):
         if abs(_norm2(p) - 1.0) > 1e-9:
             raise DomainError(f"not a unit vector: {p!r}")
 
-    def in_hemisphere(self, p: Vec) -> bool:
+    def in_domain(self, p: Vec) -> bool:
+        """The open northern hemisphere."""
         return p[2] > _TINY
 
     def dist(self, p: Vec, q: Vec) -> float:
@@ -287,8 +303,8 @@ class SphereModel(Model):
     def tangent_dot(self, p: Vec, u, v) -> float:
         return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    def random_point(self, rng: Random, limits: SamplingLimits = DEFAULT_LIMITS) -> Vec:
-        phi = limits.sphere_cap * math.sqrt(rng.random())
+    def random_point(self, rng: Random) -> Vec:
+        phi = self.cap * math.sqrt(rng.random())
         th = rng.uniform(0.0, 2.0 * math.pi)
         return (math.sin(phi) * math.cos(th), math.sin(phi) * math.sin(th), math.cos(phi))
 

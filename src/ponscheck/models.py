@@ -13,6 +13,11 @@ the production path on purpose so tests can use it as an independent oracle.
 A trial only samples, replays constructions, solves lemma-introduced
 points (bracketed Illinois regula falsi) and measures; the facts each step
 derives name points only, so one model_check call builds them once.
+
+Each model's numeric profile (equality tolerance, sampling distances and
+region, working domain) lives on its Model class in geometry; MIN_ANGLE is
+the one sampling constant shared by all three.  The per-rule soundness
+samplers form one table built from a few configuration shapes.
 """
 
 from __future__ import annotations
@@ -22,15 +27,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from .geometry import (
-    DEFAULT_LIMITS,
-    DegenerateDirection,
-    DomainError,
-    GeodesicOutOfDomain,
-    Model,
-    SamplingLimits,
-    Vec,
-)
+from .geometry import DegenerateDirection, DomainError, GeodesicOutOfDomain, Model, Vec
 from .kernel import (
     CasesStep,
     ExtendStep,
@@ -78,6 +75,8 @@ class UnrealizableStep(SamplingFailed):
 
 
 _MAX_ATTEMPTS = 1000
+# smallest angle a sampled triangle or a sampler's prescribed angle may have
+MIN_ANGLE = 0.15
 
 
 @dataclass(frozen=True)
@@ -100,17 +99,8 @@ def profile(eq_tol: float) -> ToleranceProfile:
     return ToleranceProfile(eq_tol=eq_tol, lt_margin=10.0 * eq_tol)
 
 
-TOLERANCES: Dict[str, ToleranceProfile] = {
-    "euclidean": profile(1e-9),
-    "poincare": profile(1e-7),
-    "sphere": profile(1e-7),
-}
-
-
-def tolerance_for(model: Model, eq_tol: Optional[float] = None) -> ToleranceProfile:
-    if eq_tol is not None:
-        return profile(eq_tol)
-    return TOLERANCES[model.name]
+def tolerance_for(model: Model) -> ToleranceProfile:
+    return profile(model.eq_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,13 @@ def eval_fact(
 # ---------------------------------------------------------------------------
 # Instance sampling
 
-_MAX_LEG = {"euclidean": 2.5, "poincare": 0.9, "sphere": 0.45}
+
+def _rand_len(model: Model, rng: Random) -> float:
+    return rng.uniform(model.min_separation, model.max_leg)
+
+
+def _rand_angle(rng: Random) -> float:
+    return rng.uniform(2.0 * MIN_ANGLE, math.pi - 2.0 * MIN_ANGLE)
 
 
 def _shared_point(l: SegmentTerm, r: SegmentTerm) -> Optional[Tuple[PointId, PointId, PointId]]:
@@ -240,21 +236,18 @@ def _base_angle_apex(l: AngleTerm, r: AngleTerm) -> Optional[Tuple[PointId, Poin
 
 
 def _place_isosceles(
-    model: Model, pts: Dict[str, Vec], apex: str, left: str, right: str,
-    rng: Random, limits: SamplingLimits,
+    model: Model, pts: Dict[str, Vec], apex: str, left: str, right: str, rng: Random
 ) -> None:
     a = pts[apex]
-    sep = limits.separation_for(model)
-    leg = rng.uniform(max(sep * 1.2, 2.0 * sep), _MAX_LEG[model.name])
-    opening = rng.uniform(2.0 * limits.min_angle, math.pi - 2.0 * limits.min_angle)
+    leg = rng.uniform(2.0 * model.min_separation, model.max_leg)
+    opening = _rand_angle(rng)
     u = model.random_tangent(rng, a)
     pts[left] = model.exp(a, u, leg)
     pts[right] = model.exp(a, model.rotate_tangent(a, u, opening), leg)
 
 
 def _constructive_pass(
-    model: Model, pts: Dict[str, Vec], fact: Fact, rng: Random, limits: SamplingLimits,
-    tol: ToleranceProfile,
+    model: Model, pts: Dict[str, Vec], fact: Fact, rng: Random, tol: ToleranceProfile
 ) -> None:
     """Adjust point placements so `fact` holds by construction.  May
     raise DegenerateDirection/DomainError; callers treat that as a
@@ -275,7 +268,7 @@ def _constructive_pass(
         apex = _base_angle_apex(fact.left, fact.right)
         if apex is not None:
             a, v, w = apex
-            _place_isosceles(model, pts, a.name, v.name, w.name, rng, limits)
+            _place_isosceles(model, pts, a.name, v.name, w.name, rng)
         else:
             theta = angle_at(
                 model, pts[fact.left.arm1.name], pts[fact.left.vertex.name],
@@ -295,24 +288,17 @@ def _constructive_pass(
 
 
 def _guards_ok(
-    model: Model, pts: Mapping[str, Vec], statement_like: Sequence[Fact],
-    limits: SamplingLimits, tol: ToleranceProfile,
+    model: Model, pts: Mapping[str, Vec], statement_like: Sequence[Fact], tol: ToleranceProfile
 ) -> bool:
     names = sorted(pts)
-    sep = limits.separation_for(model)
+    sep, spread = model.min_separation, model.max_spread
     for i, n in enumerate(names):
         for m in names[i + 1 :]:
             d = model.dist(pts[n], pts[m])
-            if d < sep:
+            if d < sep or d > spread:
                 return False
-            if model.name == "sphere" and d > 1.0:
-                return False
-    if model.name == "sphere":
-        if any(not model.in_hemisphere(p) for p in pts.values()):
-            return False
-    if model.name == "poincare":
-        if any(math.hypot(p[0], p[1]) > limits.poincare_radius for p in pts.values()):
-            return False
+    if not all(model.in_sample_region(p) for p in pts.values()):
+        return False
     for fact in statement_like:
         if isinstance(fact, NonCollinear):
             tri = [pts[p.name] for p in (fact.a, fact.b, fact.c)]
@@ -321,7 +307,7 @@ def _guards_ok(
                     ang = angle_at(model, tri[(i + 1) % 3], tri[i], tri[(i + 2) % 3], tol)
                 except DegenerateAngle:
                     return False
-                if ang < limits.min_angle or ang > math.pi - limits.min_angle:
+                if ang < MIN_ANGLE or ang > math.pi - MIN_ANGLE:
                     return False
     return True
 
@@ -330,7 +316,6 @@ def sample_instance(
     model: Model,
     statement: TheoremStatement,
     seed,
-    limits: SamplingLimits = DEFAULT_LIMITS,
     tol: Optional[ToleranceProfile] = None,
 ) -> Instance:
     """Deterministically sample coordinates satisfying the statement's
@@ -342,14 +327,14 @@ def sample_instance(
     for attempt in range(_MAX_ATTEMPTS):
         rng = Random(f"{seed}:{attempt}")
         pts: Dict[str, Vec] = {
-            name: model.random_point(rng, limits) for name in statement.points
+            name: model.random_point(rng) for name in statement.points
         }
         try:
             for fact in hyps:
-                _constructive_pass(model, pts, fact, rng, limits, tol)
+                _constructive_pass(model, pts, fact, rng, tol)
         except (DegenerateDirection, DomainError, DegenerateAngle):
             continue
-        if not _guards_ok(model, pts, hyps, limits, tol):
+        if not _guards_ok(model, pts, hyps, tol):
             continue
         instance: Instance = {PointId(n): p for n, p in pts.items()}
         if all(eval_fact(model, instance, f, tol) for f in hyps):
@@ -385,8 +370,8 @@ def realize_construction(
         model.validate(fresh)
     except (DegenerateDirection, DomainError) as exc:
         raise GeodesicOutOfDomain(str(exc)) from exc
-    if model.name == "sphere" and not model.in_hemisphere(fresh):
-        raise GeodesicOutOfDomain(f"{step.label}: leaves the working hemisphere")
+    if not model.in_domain(fresh):
+        raise GeodesicOutOfDomain(f"{step.label}: leaves the working domain")
     out: Instance = dict(instance)
     out[PointId(step.fresh)] = fresh
     return out
@@ -621,7 +606,6 @@ def model_check(
     steps: Sequence[Step] = (),
     trials: int = 1000,
     seed=0,
-    limits: SamplingLimits = DEFAULT_LIMITS,
     tol: Optional[ToleranceProfile] = None,
     registry: Optional[Mapping[str, TheoremStatement]] = None,
 ) -> ModelCheckReport:
@@ -633,7 +617,7 @@ def model_check(
     plan = _StepPlan(registry)
     for k in range(trials):
         try:
-            instance = sample_instance(model, statement, f"{seed}:{k}", limits, tol)
+            instance = sample_instance(model, statement, f"{seed}:{k}", tol)
         except SamplingFailed:
             report.skipped += 1
             continue
@@ -723,7 +707,6 @@ def model_check_conjecture(
     points: Sequence[str],
     trials: int = 1000,
     seed=0,
-    limits: SamplingLimits = DEFAULT_LIMITS,
     tol: Optional[ToleranceProfile] = None,
 ) -> ModelCheckReport:
     tol = tol or tolerance_for(model)
@@ -735,7 +718,7 @@ def model_check_conjecture(
     pids = [PointId(p) for p in points]
     for k in range(trials):
         try:
-            instance = sample_instance(model, statement, f"{seed}:{k}", limits, tol)
+            instance = sample_instance(model, statement, f"{seed}:{k}", tol)
         except SamplingFailed:
             report.skipped += 1
             continue
@@ -753,327 +736,161 @@ def model_check_conjecture(
 # ---------------------------------------------------------------------------
 # Rule-level soundness harness
 
-_RuleSampler = Callable[[Model, Random, SamplingLimits], Optional[Dict[str, Vec]]]
-_RULE_SAMPLERS: Dict[str, _RuleSampler] = {}
+# Each sampler returns one premise-satisfying configuration of its rule's
+# points, in RuleSchema.variables order, or None.  They are built from a few
+# shapes; every draw comes from the trial's rng in a fixed order, so a seed
+# gives one configuration.
+
+_RuleSampler = Callable[[Model, Random], Optional[Sequence[Vec]]]
 
 
-def _rule_sampler(rule_id: str):
-    def deco(fn: _RuleSampler) -> _RuleSampler:
-        _RULE_SAMPLERS[rule_id] = fn
-        return fn
-
-    return deco
+def _start(model: Model, rng: Random) -> Tuple[Vec, Vec]:
+    """A random point and a random unit tangent there."""
+    p = model.random_point(rng)
+    return p, model.random_tangent(rng, p)
 
 
-def _sep(model: Model, limits: SamplingLimits) -> float:
-    return limits.separation_for(model)
+def _segment(model: Model, rng: Random, length: Optional[float] = None) -> Tuple[Vec, Vec]:
+    """Two points the given (or a random) length apart."""
+    p, u = _start(model, rng)
+    return p, model.exp(p, u, _rand_len(model, rng) if length is None else length)
 
 
-def _rand_len(model: Model, rng: Random, limits: SamplingLimits) -> float:
-    return rng.uniform(_sep(model, limits), _MAX_LEG[model.name])
+def _angle(model: Model, rng: Random, theta: Optional[float] = None) -> Tuple[Vec, Vec, Vec]:
+    """(arm, vertex, arm) with the given (or a random clear) angle at the
+    vertex."""
+    v, u = _start(model, rng)
+    la, lb = _rand_len(model, rng), _rand_len(model, rng)
+    if theta is None:
+        theta = _rand_angle(rng)
+    return model.exp(v, u, la), v, model.exp(v, model.rotate_tangent(v, u, theta), lb)
 
 
-def _rand_angle(rng: Random, limits: SamplingLimits) -> float:
-    return rng.uniform(2.0 * limits.min_angle, math.pi - 2.0 * limits.min_angle)
+def _arm(model: Model, rng: Random, v: Vec, u, theta: float) -> Vec:
+    """A point a random length from v, at angle theta from the tangent u."""
+    return model.exp(v, model.rotate_tangent(v, u, theta), _rand_len(model, rng))
 
 
-def _fat_triangle(
-    model: Model, rng: Random, limits: SamplingLimits
-) -> Tuple[Vec, Vec, Vec]:
-    """Apex plus two legs at a clear opening angle; always nondegenerate."""
-    v = model.random_point(rng, limits)
-    u = model.random_tangent(rng, v)
-    la, lb = _rand_len(model, rng, limits), _rand_len(model, rng, limits)
-    a = model.exp(v, u, la)
-    b = model.exp(v, model.rotate_tangent(v, u, _rand_angle(rng, limits)), lb)
-    return a, v, b
+def _each(model: Model, rng: Random, shape, params: Sequence) -> Tuple[Vec, ...]:
+    """One shape per parameter, points concatenated in order."""
+    return tuple(pt for x in params for pt in shape(model, rng, x))
 
 
-def _hemi_ok(model: Model, *pts: Vec) -> bool:
-    if model.name != "sphere":
-        return True
-    return all(model.in_hemisphere(p) for p in pts)
-
-
-def _angle_config(
-    model: Model, rng: Random, limits: SamplingLimits, theta: float
-) -> Tuple[Vec, Vec, Vec]:
-    """(arm, vertex, arm) with the prescribed angle at the vertex."""
-    v = model.random_point(rng, limits)
-    u = model.random_tangent(rng, v)
-    a = model.exp(v, u, _rand_len(model, rng, limits))
-    b = model.exp(v, model.rotate_tangent(v, u, theta), _rand_len(model, rng, limits))
-    return a, v, b
-
-
-@_rule_sampler("SEG_REFL")
-def _s_seg_refl(model, rng, limits):
-    p = model.random_point(rng, limits)
-    u = model.random_tangent(rng, p)
-    q = model.exp(p, u, _rand_len(model, rng, limits))
-    if not _hemi_ok(model, p, q):
-        return None
-    return {"a": p, "b": q}
-
-
-@_rule_sampler("ANG_REFL")
-def _s_ang_refl(model, rng, limits):
-    a, v, b = _fat_triangle(model, rng, limits)
-    if not _hemi_ok(model, a, v, b):
-        return None
-    return {"a": a, "v": v, "b": b}
-
-
-@_rule_sampler("SEG_SYM")
-def _s_seg_sym(model, rng, limits):
-    a = model.random_point(rng, limits)
-    b = model.exp(a, model.random_tangent(rng, a), _rand_len(model, rng, limits))
-    c = model.random_point(rng, limits)
-    d = model.exp(c, model.random_tangent(rng, c), model.dist(a, b))
-    if not _hemi_ok(model, a, b, c, d):
-        return None
-    return {"a": a, "b": b, "c": c, "d": d}
-
-
-@_rule_sampler("ANG_SYM")
-def _s_ang_sym(model, rng, limits):
-    theta = _rand_angle(rng, limits)
-    a, v, b = _angle_config(model, rng, limits, theta)
-    c, w, d = _angle_config(model, rng, limits, theta)
-    if not _hemi_ok(model, a, v, b, c, w, d):
-        return None
-    return {"a": a, "v": v, "b": b, "c": c, "w": w, "d": d}
-
-
-@_rule_sampler("SEG_TRANS")
-def _s_seg_trans(model, rng, limits):
-    length = _rand_len(model, rng, limits)
-    out = {}
-    for pair in (("a", "b"), ("c", "d"), ("e", "f")):
-        p = model.random_point(rng, limits)
-        q = model.exp(p, model.random_tangent(rng, p), length)
-        out[pair[0]], out[pair[1]] = p, q
-    if not _hemi_ok(model, *out.values()):
-        return None
-    return out
-
-
-@_rule_sampler("ANG_TRANS")
-def _s_ang_trans(model, rng, limits):
-    theta = _rand_angle(rng, limits)
-    out = {}
-    for trip in (("a", "v", "b"), ("c", "w", "d"), ("e", "u", "f")):
-        x, v, y = _angle_config(model, rng, limits, theta)
-        out[trip[0]], out[trip[1]], out[trip[2]] = x, v, y
-    if not _hemi_ok(model, *out.values()):
-        return None
-    return out
-
-
-def _congruent_triples(
-    model, rng, limits
-) -> Optional[Tuple[Tuple[Vec, Vec, Vec], Tuple[Vec, Vec, Vec]]]:
+def _congruent_pair(model: Model, rng: Random) -> Tuple[Vec, ...]:
     """Two congruent triangles (p1,p2,p3), (q1,q2,q3): same legs from the
     first vertex, same included angle, random placement and handedness."""
-    l2, l3 = _rand_len(model, rng, limits), _rand_len(model, rng, limits)
-    theta = _rand_angle(rng, limits)
-    p1 = model.random_point(rng, limits)
-    u = model.random_tangent(rng, p1)
+    l2, l3 = _rand_len(model, rng), _rand_len(model, rng)
+    theta = _rand_angle(rng)
+    p1, u = _start(model, rng)
     p2 = model.exp(p1, u, l2)
     p3 = model.exp(p1, model.rotate_tangent(p1, u, theta), l3)
-    q1 = model.random_point(rng, limits)
-    w = model.random_tangent(rng, q1)
+    q1, w = _start(model, rng)
     sign = 1.0 if rng.random() < 0.5 else -1.0
     q2 = model.exp(q1, w, l2)
     q3 = model.exp(q1, model.rotate_tangent(q1, w, sign * theta), l3)
-    if not _hemi_ok(model, p1, p2, p3, q1, q2, q3):
-        return None
-    return (p1, p2, p3), (q1, q2, q3)
+    return p1, p2, p3, q1, q2, q3
 
 
-@_rule_sampler("SAS_ORD")
-def _s_sas(model, rng, limits):
-    pair = _congruent_triples(model, rng, limits)
-    if pair is None:
-        return None
-    (p1, p2, p3), (q1, q2, q3) = pair
-    return {"p1": p1, "p2": p2, "p3": p3, "q1": q1, "q2": q2, "q3": q3}
-
-
-@_rule_sampler("ASA_ORD")
-def _s_asa(model, rng, limits):
-    # a congruent copy satisfies the angle-angle-side premises as well
-    return _s_sas(model, rng, limits)
-
-
-@_rule_sampler("SEG_SUM")
-def _s_seg_sum(model, rng, limits):
-    l1 = _rand_len(model, rng, limits)
-    l2 = _rand_len(model, rng, limits)
-    if model.name == "sphere" and l1 + l2 > 1.4:
-        return None
-    out = {}
-    for trip in (("a", "m", "b"), ("a2", "m2", "b2")):
-        p = model.random_point(rng, limits)
-        u = model.random_tangent(rng, p)
-        out[trip[0]] = p
-        out[trip[1]] = model.exp(p, u, l1)
-        out[trip[2]] = model.exp(p, u, l1 + l2)
-    if not _hemi_ok(model, *out.values()):
-        return None
-    return out
-
-
-@_rule_sampler("SUPP_CONG")
-def _s_supp_cong(model, rng, limits):
-    phi = _rand_angle(rng, limits)
-    out = {}
-    for names in (("a", "b", "c", "d"), ("a2", "b2", "c2", "d2")):
-        b = model.random_point(rng, limits)
-        u = model.random_tangent(rng, b)
-        la, ld = _rand_len(model, rng, limits), _rand_len(model, rng, limits)
-        out[names[0]] = model.exp(b, u, la)
-        out[names[1]] = b
-        out[names[2]] = model.exp(
-            b, model.rotate_tangent(b, u, phi), _rand_len(model, rng, limits)
-        )
-        out[names[3]] = model.exp(b, u, -ld)
-    if not _hemi_ok(model, *out.values()):
-        return None
-    return out
-
-
-def _ray_with_offside(model, rng, limits):
+def _ray_with_offside(model: Model, rng: Random) -> Tuple[Vec, Vec, Vec, Vec]:
     """v, interior point m, far point w on one geodesic ray, plus z off
     the line at a healthy angle."""
-    v = model.random_point(rng, limits)
-    u = model.random_tangent(rng, v)
-    l1 = _rand_len(model, rng, limits)
-    l2 = _rand_len(model, rng, limits)
-    if model.name == "sphere" and l1 + l2 > 1.4:
-        return None
-    m = model.exp(v, u, l1)
-    w = model.exp(v, u, l1 + l2)
-    z = model.exp(
-        v, model.rotate_tangent(v, u, _rand_angle(rng, limits)),
-        _rand_len(model, rng, limits),
-    )
-    if not _hemi_ok(model, v, m, w, z):
-        return None
-    return v, m, w, z
+    v, u = _start(model, rng)
+    l1, l2 = _rand_len(model, rng), _rand_len(model, rng)
+    m, w = model.exp(v, u, l1), model.exp(v, u, l1 + l2)
+    return v, m, w, _arm(model, rng, v, u, _rand_angle(rng))
 
 
-@_rule_sampler("ARM_SUBST")
-def _s_arm_subst(model, rng, limits):
-    got = _ray_with_offside(model, rng, limits)
-    if got is None:
-        return None
-    v, m, w, z = got
-    return {"v": v, "m": m, "w": w, "z": z}
+def _split_segment(model: Model, rng: Random, lengths: Tuple[float, float]) -> Tuple[Vec, Vec, Vec]:
+    """(outer, mid, outer) with the two parts of the given lengths."""
+    p, u = _start(model, rng)
+    l1, l2 = lengths
+    return p, model.exp(p, u, l1), model.exp(p, u, l1 + l2)
 
 
-@_rule_sampler("WHOLE_PART_SEG")
-def _s_whole_part_seg(model, rng, limits):
-    got = _ray_with_offside(model, rng, limits)
-    if got is None:
-        return None
-    a, m, b, _ = got
-    return {"a": a, "m": m, "b": b}
+def _supplement(model: Model, rng: Random, phi: float) -> Tuple[Vec, Vec, Vec, Vec]:
+    """(a, b, c, d) with b between a and d, and angle d-b-c equal to phi."""
+    b, u = _start(model, rng)
+    la, ld = _rand_len(model, rng), _rand_len(model, rng)
+    a = model.exp(b, u, la)
+    return a, b, _arm(model, rng, b, u, phi), model.exp(b, u, -ld)
 
 
-@_rule_sampler("WHOLE_PART_ANG")
-def _s_whole_part_ang(model, rng, limits):
-    got = _ray_with_offside(model, rng, limits)
-    if got is None:
-        return None
-    a, m, b, z = got
-    return {"a": a, "m": m, "b": b, "z": z}
+def _seg_sym(model: Model, rng: Random) -> Tuple[Vec, ...]:
+    a, b = _segment(model, rng)
+    return (a, b) + _segment(model, rng, model.dist(a, b))
 
 
-@_rule_sampler("LT_SUBST_SEG")
-def _s_lt_subst_seg(model, rng, limits):
-    lo = _rand_len(model, rng, limits)
-    hi = lo + rng.uniform(0.3 * _sep(model, limits), 0.8 * _sep(model, limits)) + lo * 0.1
-    if model.name == "sphere" and hi > 1.0:
-        return None
-    out = {}
-    for names, length in ((("a", "b"), lo), (("c", "d"), hi), (("e", "f"), lo), (("g", "h"), hi)):
-        p = model.random_point(rng, limits)
-        out[names[0]] = p
-        out[names[1]] = model.exp(p, model.random_tangent(rng, p), length)
-    if not _hemi_ok(model, *out.values()):
-        return None
-    return out
+def _arm_subst(model: Model, rng: Random) -> Tuple[Vec, ...]:
+    v, m, w, z = _ray_with_offside(model, rng)
+    return v, w, m, z
 
 
-@_rule_sampler("LT_SUBST_ANG")
-def _s_lt_subst_ang(model, rng, limits):
-    lo = rng.uniform(limits.min_angle, math.pi - 3.0 * limits.min_angle)
-    hi = lo + rng.uniform(0.5 * limits.min_angle, 2.0 * limits.min_angle)
-    out = {}
-    for trip, theta in (
-        (("a1", "v1", "b1"), lo),
-        (("a2", "v2", "b2"), hi),
-        (("a3", "v3", "b3"), lo),
-        (("a4", "v4", "b4"), hi),
-    ):
-        p, q, r = _angle_config(model, rng, limits, theta)
-        out[trip[0]], out[trip[1]], out[trip[2]] = p, q, r
-    if not _hemi_ok(model, *out.values()):
-        return None
-    return out
+def _lt_subst_seg(model: Model, rng: Random) -> Tuple[Vec, ...]:
+    lo = _rand_len(model, rng)
+    sep = model.min_separation
+    hi = lo + rng.uniform(0.3 * sep, 0.8 * sep) + lo * 0.1
+    return _each(model, rng, _segment, (lo, hi, lo, hi))
 
 
-@_rule_sampler("ABSURD_LT_EQ_SEG")
-def _s_absurd_seg(model, rng, limits):
-    # premises can never hold together; sample configurations that come
-    # close (equal or strictly shorter) to stress the dead zone
-    length = _rand_len(model, rng, limits)
-    bump = rng.choice([0.0, 0.5 * _sep(model, limits)])
-    out = {}
-    for names, l in ((("a", "b"), length), (("c", "d"), length + bump)):
-        p = model.random_point(rng, limits)
-        out[names[0]] = p
-        out[names[1]] = model.exp(p, model.random_tangent(rng, p), l)
-    if not _hemi_ok(model, *out.values()):
-        return None
-    return out
+def _lt_subst_ang(model: Model, rng: Random) -> Tuple[Vec, ...]:
+    lo = rng.uniform(MIN_ANGLE, math.pi - 3.0 * MIN_ANGLE)
+    hi = lo + rng.uniform(0.5 * MIN_ANGLE, 2.0 * MIN_ANGLE)
+    return _each(model, rng, _angle, (lo, hi, lo, hi))
 
 
-@_rule_sampler("ABSURD_LT_EQ_ANG")
-def _s_absurd_ang(model, rng, limits):
-    theta = _rand_angle(rng, limits)
-    bump = rng.choice([0.0, 2.0 * limits.min_angle])
-    a, v, b = _angle_config(model, rng, limits, theta)
-    c, w, d = _angle_config(model, rng, limits, min(theta + bump, math.pi - 0.05))
-    if not _hemi_ok(model, a, v, b, c, w, d):
-        return None
-    return {"a": a, "v": v, "b": b, "c": c, "w": w, "d": d}
+# The contradiction rules' premises can never hold together; their samplers
+# come close (equal or strictly smaller) to stress the dead zone.
 
 
-@_rule_sampler("NC_TRANSFER")
-def _s_nc_transfer(model, rng, limits):
+def _absurd_seg(model: Model, rng: Random) -> Tuple[Vec, ...]:
+    length = _rand_len(model, rng)
+    bump = rng.choice([0.0, 0.5 * model.min_separation])
+    return _each(model, rng, _segment, (length, length + bump))
+
+
+def _absurd_ang(model: Model, rng: Random) -> Tuple[Vec, ...]:
+    theta = _rand_angle(rng)
+    bump = rng.choice([0.0, 2.0 * MIN_ANGLE])
+    return _each(model, rng, _angle, (theta, min(theta + bump, math.pi - 0.05)))
+
+
+def _nc_transfer(model: Model, rng: Random) -> Optional[Tuple[Vec, ...]]:
     # p and q are placed on the geodesic through x and y: the rule's
     # shared-line side condition, enforced here by construction
-    sep = _sep(model, limits)
-    span = _MAX_LEG[model.name]
-    x = model.random_point(rng, limits)
-    u = model.random_tangent(rng, x)
+    sep, span = model.min_separation, model.max_leg
+    x, u = _start(model, rng)
     ty = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(1.5 * sep, span)
     tp = rng.uniform(-span, span)
     tq = rng.uniform(-span, span)
     if abs(tp - tq) < 1.2 * sep:
         return None
-    y = model.exp(x, u, ty)
-    p = model.exp(x, u, tp)
-    q = model.exp(x, u, tq)
-    z = model.exp(
-        x, model.rotate_tangent(x, u, _rand_angle(rng, limits)),
-        _rand_len(model, rng, limits),
-    )
-    if not _hemi_ok(model, x, y, p, q, z):
-        return None
-    return {"x": x, "y": y, "p": p, "q": q, "z": z}
+    y, p, q = (model.exp(x, u, t) for t in (ty, tp, tq))
+    return x, y, _arm(model, rng, x, u, _rand_angle(rng)), p, q
+
+
+_RULE_SAMPLERS: Dict[str, _RuleSampler] = {
+    "SEG_REFL": _segment,
+    "ANG_REFL": _angle,
+    "SEG_SYM": _seg_sym,
+    "ANG_SYM": lambda model, rng: _each(model, rng, _angle, [_rand_angle(rng)] * 2),
+    "SEG_TRANS": lambda model, rng: _each(model, rng, _segment, [_rand_len(model, rng)] * 3),
+    "ANG_TRANS": lambda model, rng: _each(model, rng, _angle, [_rand_angle(rng)] * 3),
+    "SAS_ORD": _congruent_pair,
+    # a congruent copy satisfies the angle-angle-side premises as well
+    "ASA_ORD": _congruent_pair,
+    "SEG_SUM": lambda model, rng: _each(
+        model, rng, _split_segment, [(_rand_len(model, rng), _rand_len(model, rng))] * 2
+    ),
+    "SUPP_CONG": lambda model, rng: _each(model, rng, _supplement, [_rand_angle(rng)] * 2),
+    "ARM_SUBST": _arm_subst,
+    "WHOLE_PART_SEG": lambda model, rng: _ray_with_offside(model, rng)[:3],
+    "WHOLE_PART_ANG": _ray_with_offside,
+    "LT_SUBST_SEG": _lt_subst_seg,
+    "LT_SUBST_ANG": _lt_subst_ang,
+    "ABSURD_LT_EQ_SEG": _absurd_seg,
+    "ABSURD_LT_EQ_ANG": _absurd_ang,
+    "NC_TRANSFER": _nc_transfer,
+}
 
 
 def check_rule_soundness(
@@ -1081,7 +898,6 @@ def check_rule_soundness(
     rule_id: str,
     trials: int = 1000,
     seed=0,
-    limits: SamplingLimits = DEFAULT_LIMITS,
     tol: Optional[ToleranceProfile] = None,
 ) -> ModelCheckReport:
     """For each trial build a random premise-satisfying instantiation of
@@ -1109,13 +925,13 @@ def check_rule_soundness(
             break
         rng = Random(f"{seed}:{rule_id}:{model.name}:{k}")
         try:
-            coords = sampler(model, rng, limits)
+            pts = sampler(model, rng)
         except (DegenerateDirection, DomainError, DegenerateAngle):
-            coords = None
-        if coords is None:
+            pts = None
+        if pts is None or not all(model.in_domain(p) for p in pts):
             report.skipped += 1
             continue
-        instance: Instance = {PointId(n): v for n, v in coords.items()}
+        instance: Instance = {PointId(n): p for n, p in zip(schema.variables, pts)}
         if not all(eval_fact(model, instance, f, tol) for f in required):
             report.skipped += 1
             continue

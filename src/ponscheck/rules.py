@@ -48,7 +48,6 @@ class RuleSchema:
     premises: Tuple[Template, ...]
     side_conditions: Tuple[Tuple[str, str, str], ...]
     conclusions: Tuple[Template, ...]
-    triple_inst: bool = False  # instantiation may be written as two triples
     collinear_side: Tuple[str, ...] = ()  # NC_TRANSFER: names that must share a line
 
     def bind(self, points: Sequence[PointId]) -> Dict[str, PointId]:
@@ -158,7 +157,6 @@ _rule(RuleSchema(
         _aeq("p1", "p2", "p3", "q1", "q2", "q3"),
         _aeq("p1", "p3", "p2", "q1", "q3", "q2"),
     ),
-    triple_inst=True,
 ))
 
 _rule(RuleSchema(
@@ -174,7 +172,6 @@ _rule(RuleSchema(
         _seq("p1", "p3", "q1", "q3"),
         _aeq("p2", "p1", "p3", "q2", "q1", "q3"),
     ),
-    triple_inst=True,
 ))
 
 _rule(RuleSchema(
@@ -187,7 +184,6 @@ _rule(RuleSchema(
     ),
     side_conditions=(),
     conclusions=(_seq("a", "b", "a2", "b2"),),
-    triple_inst=True,
 ))
 
 _rule(RuleSchema(

@@ -16,7 +16,7 @@ from ponscheck.cli import main as cli_main
 from ponscheck.corpus import PROOF_FILENAMES, PROVED_NAMES, load_text
 from ponscheck.depgraph import EUCLIDEAN_ONLY, NEUTRAL, graph_from_blocks
 from ponscheck.elaborate import collect_statements, elaborate_script
-from ponscheck.geometry import DEFAULT_LIMITS, EUCLIDEAN, MODELS, POINCARE, SPHERE
+from ponscheck.geometry import EUCLIDEAN, MODELS, POINCARE, SPHERE
 from ponscheck.kernel import check_proof
 from ponscheck.models import (
     angle_at,
@@ -229,9 +229,9 @@ def test_acceptance_7_oracle_equivalence(capsys):
         rng = random.Random(f"acceptance:{model.name}")
         checked = 0
         while checked < 1000:
-            a = model.random_point(rng, DEFAULT_LIMITS)
-            v = model.random_point(rng, DEFAULT_LIMITS)
-            b = model.random_point(rng, DEFAULT_LIMITS)
+            a = model.random_point(rng)
+            v = model.random_point(rng)
+            b = model.random_point(rng)
             if min(model.dist(v, a), model.dist(v, b), model.dist(a, b)) < 1e-2:
                 continue
             dev = abs(angle_at(model, a, v, b) - tangent_angle(model, a, v, b))

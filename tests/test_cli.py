@@ -251,6 +251,25 @@ def test_model_conjecture_divergence_is_expected(capsys):
     assert "FAILED" not in out
 
 
+def test_model_unknown_conjecture_exits_two(tmp_path, capsys):
+    p = tmp_path / "mystery.conj"
+    p.write_text("conjecture no_such_claim\n  points A B C\n")
+    assert main(["model", str(p), "--trials", "5"]) == 2
+    assert "unknown conjecture no_such_claim" in capsys.readouterr().err
+
+
+def test_model_conjecture_failure_in_flat_model_fails(capsys):
+    conj = os.path.join(os.path.dirname(ponscheck.__file__), "corpus", "anglesum.conj")
+    code = main(
+        ["model", conj, "--model", "euclidean", "--tol", "1e-300", "--trials", "20"]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "angle_sum_pi [euclidean] trials=20 failures=" in out
+    assert "FAILED" in out
+    assert "expected-divergence" not in out
+
+
 def test_model_json_shape(good_file, capsys):
     assert main(["model", good_file, "--trials", "10", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

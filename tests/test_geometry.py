@@ -6,7 +6,6 @@ from random import Random
 import pytest
 
 from ponscheck.geometry import (
-    DEFAULT_LIMITS,
     EUCLIDEAN,
     MODELS,
     POINCARE,
@@ -136,11 +135,11 @@ def test_random_point_respects_limits(name):
     model = MODELS[name]
     rng = Random(f"lim:{name}")
     for _ in range(300):
-        p = model.random_point(rng, DEFAULT_LIMITS)
+        p = model.random_point(rng)
         model.validate(p)
         if name == "poincare":
-            assert math.hypot(*p) <= DEFAULT_LIMITS.poincare_radius + 1e-12
+            assert math.hypot(*p) <= model.sample_radius + 1e-12
         if name == "sphere":
-            assert model.in_hemisphere(p)
+            assert model.in_domain(p)
             # cap radius keeps any two samples within a unit arc
-            assert model.dist(p, (0.0, 0.0, 1.0)) <= DEFAULT_LIMITS.sphere_cap + 1e-12
+            assert model.dist(p, (0.0, 0.0, 1.0)) <= model.cap + 1e-12

@@ -2,16 +2,18 @@
 divergence of the curved models on euclidean-only claims."""
 
 import math
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
 from scipy.optimize import brentq
 
+import ponscheck
 from oracles import tangent_angle
 from ponscheck.corpus import PROOF_FILENAMES, load_text
 from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.geometry import (
-    DEFAULT_LIMITS,
     EUCLIDEAN,
     MODELS,
     POINCARE,
@@ -22,7 +24,6 @@ from ponscheck.kernel import ExtendStep, LayoffStep, TheoremStatement
 from ponscheck.models import (
     MissingPoint,
     SamplingFailed,
-    TOLERANCES,
     UnrealizableStep,
     angle_at,
     check_rule_soundness,
@@ -93,12 +94,11 @@ def _converse_statement():
 
 
 def test_tolerance_profiles():
-    assert TOLERANCES["euclidean"].eq_tol == 1e-9
-    assert TOLERANCES["poincare"].eq_tol == 1e-7
-    assert TOLERANCES["sphere"].eq_tol == 1e-7
+    assert tolerance_for(EUCLIDEAN).eq_tol == 1e-9
+    assert tolerance_for(POINCARE).eq_tol == 1e-7
+    assert tolerance_for(SPHERE).eq_tol == 1e-7
     assert profile(1e-6).lt_margin == pytest.approx(1e-5)
     assert tolerance_for(POINCARE).eq_tol == 1e-7
-    assert tolerance_for(POINCARE, eq_tol=1e-4).eq_tol == 1e-4
 
 
 def test_close_and_less_are_relative():
@@ -146,9 +146,9 @@ def test_angle_at_agrees_with_tangent_oracle(model):
     rng = Random(f"angle-oracle:{model.name}")
     checked = 0
     while checked < 100:
-        a = model.random_point(rng, DEFAULT_LIMITS)
-        v = model.random_point(rng, DEFAULT_LIMITS)
-        b = model.random_point(rng, DEFAULT_LIMITS)
+        a = model.random_point(rng)
+        v = model.random_point(rng)
+        b = model.random_point(rng)
         if min(model.dist(v, a), model.dist(v, b), model.dist(a, b)) < 1e-2:
             continue
         got = angle_at(model, a, v, b)
@@ -488,3 +488,30 @@ def test_every_rule_has_a_sampler():
 
     assert missing_rule_samplers() == ()
     assert len(RULE_IDS) == 18
+
+
+@pytest.mark.parametrize("rule_id", RULE_IDS)
+def test_samplers_return_one_point_per_variable(rule_id):
+    # check_rule_soundness zips a sampler's points with the rule's variables
+    from ponscheck.models import _RULE_SAMPLERS
+    from ponscheck.rules import RULES
+
+    want = len(RULES[rule_id].variables)
+    for model in MODELS.values():
+        for k in range(20):
+            pts = _RULE_SAMPLERS[rule_id](model, Random(f"arity:{rule_id}:{model.name}:{k}"))
+            assert pts is None or len(pts) == want, (model.name, k)
+
+
+def test_no_model_name_dispatch_in_src():
+    # per-model constants and formulas live on the Model classes
+    src = Path(ponscheck.__file__).parent
+    names = r"""["'](?:euclidean|poincare|sphere)["']"""
+    dispatch = re.compile(rf"name\s*[!=]=\s*{names}|{names}\s*[!=]=")
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if dispatch.search(line)
+    ]
+    assert hits == []
