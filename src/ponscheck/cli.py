@@ -31,6 +31,7 @@ from .models import (
     ModelCheckReport,
     UninstantiableStep,
     UnknownConjecture,
+    conjecture_statement,
     model_check,
     model_check_conjecture,
     profile,
@@ -249,8 +250,8 @@ def _describe_counterexample(rep: ModelCheckReport) -> str:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    if args.trials < 0:
-        raise CliError(2, f"--trials must not be negative, got {args.trials}")
+    if args.trials < 1:  # a model check with no evaluated trial is not a pass
+        raise CliError(2, f"--trials must not be negative or zero, got {args.trials}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
         raise CliError(2, f"--tol must be finite and positive, got {args.tol}")
     sources = _read_sources(args.files, args.corpus)
@@ -262,7 +263,8 @@ def cmd_model(args: argparse.Namespace) -> int:
         else [get_model(args.model)]
     )
     tol = profile(args.tol) if args.tol is not None else None
-    runs = dict(trials=args.trials, seed=args.seed, tol=tol)
+    # one sample store: blocks with the same points and hypotheses share draws
+    runs = dict(trials=args.trials, seed=args.seed, tol=tol, samples={})
     # (name, classification, check of one model); a conjecture carries a
     # euclidean claim, so divergence in the curved models is expected
     checks: List[Tuple[str, str, Callable[[Model], ModelCheckReport]]] = []
@@ -276,6 +278,10 @@ def cmd_model(args: argparse.Namespace) -> int:
         )
         checks.append((block.name, graph.classify(block.name), run))
     for conj in pipeline.conjectures:
+        try:
+            conjecture_statement(conj.name, conj.points)
+        except UnknownConjecture as exc:
+            raise CliError(2, f"unknown conjecture {exc}") from exc
         run = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
         checks.append((conj.name, EUCLIDEAN_ONLY, run))
     hard_failures = 0
@@ -287,8 +293,6 @@ def cmd_model(args: argparse.Namespace) -> int:
                 rep = run(model)
             except UninstantiableStep as exc:
                 raise CliError(1, f"{name}: {exc}") from None
-            except UnknownConjecture as exc:
-                raise CliError(2, f"unknown conjecture {exc}") from exc
             collected.setdefault(name, {})[model.name] = rep
             base = (
                 f"{name} [{model.name}] trials={rep.trials_run}"

@@ -12,7 +12,12 @@ the production path on purpose so tests can use it as an independent oracle.
 
 A trial only samples, replays constructions, solves lemma-introduced
 points (bracketed Illinois regula falsi) and measures; the facts each step
-derives name points only, so one model_check call builds them once.
+derives name points only, so one model_check call builds them once.  A
+Trial holds a trial's points and measures each point pair once; the
+sampler's guards measure every pair and hand that table on.  Statements
+with the same points and hypotheses draw the same trials, so a sample store
+shared by their checks draws each trial once (the model command keeps one
+per run).
 
 Each model's numeric profile (equality tolerance, sampling distances and
 region, working domain) lives on its Model class in geometry; MIN_ANGLE is
@@ -22,6 +27,7 @@ samplers form one table built from a few configuration shapes.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass
 from random import Random
@@ -57,8 +63,6 @@ from .terms import (
     seg_eq,
     segment,
 )
-
-Instance = Dict[PointId, Vec]
 
 
 class MissingPoint(Exception):
@@ -107,39 +111,78 @@ def tolerance_for(model: Model) -> ToleranceProfile:
 # Measurement
 
 
-def angle_at(model: Model, a: Vec, v: Vec, b: Vec, tol: Optional[ToleranceProfile] = None) -> float:
-    """Angle at vertex v between geodesics toward a and b, in (0, pi),
-    via the model's law of cosines."""
-    tol = tol or tolerance_for(model)
-    p = model.dist(v, a)
-    q = model.dist(v, b)
-    r = model.dist(a, b)
+def _angle_of_sides(model: Model, p: float, q: float, r: float, tol: ToleranceProfile) -> float:
+    """Angle between arms of lengths p and q whose far ends are r apart."""
     if p <= tol.eq_tol or q <= tol.eq_tol:
         raise DegenerateAngle(f"arm shorter than tolerance: {p!r}, {q!r}")
     return math.acos(min(1.0, max(-1.0, model.cos_angle(p, q, r))))
 
 
-def _coords(instance: Mapping[PointId, Vec], p: PointId) -> Vec:
-    try:
-        return instance[p]
-    except KeyError:
-        raise MissingPoint(p.name) from None
+def angle_at(model: Model, a: Vec, v: Vec, b: Vec, tol: Optional[ToleranceProfile] = None) -> float:
+    """Angle at vertex v between geodesics toward a and b, in (0, pi),
+    via the model's law of cosines."""
+    tol = tol or tolerance_for(model)
+    return _angle_of_sides(model, model.dist(v, a), model.dist(v, b), model.dist(a, b), tol)
 
 
-def _seg_len(model: Model, instance: Mapping[PointId, Vec], s: SegmentTerm) -> float:
-    return model.dist(_coords(instance, s.a), _coords(instance, s.b))
+class Trial(collections.abc.Mapping):
+    """One trial's points by name and the table of their pairwise
+    distances, each pair measured on first use and stored under both
+    orders (dist is bitwise symmetric).  It reads as a mapping from PointId
+    to coordinates, like a plain instance; placing a point makes a copy."""
 
+    __slots__ = ("model", "pts", "dists")
 
-def _ang_size(
-    model: Model, instance: Mapping[PointId, Vec], a: AngleTerm, tol: ToleranceProfile
-) -> float:
-    return angle_at(
-        model,
-        _coords(instance, a.arm1),
-        _coords(instance, a.vertex),
-        _coords(instance, a.arm2),
-        tol,
-    )
+    def __init__(self, model: Model, pts: Dict[str, Vec], dists: Optional[dict] = None):
+        self.model, self.pts = model, pts
+        self.dists: Dict[Tuple[str, str], float] = {} if dists is None else dists
+
+    @staticmethod
+    def of(model: Model, instance: Mapping[PointId, Vec]) -> "Trial":
+        if isinstance(instance, Trial) and instance.model is model:
+            return instance
+        return Trial(model, {p.name: v for p, v in instance.items()})
+
+    def __getitem__(self, p: PointId) -> Vec:
+        return self.pts[p.name]
+
+    def __iter__(self):
+        return (PointId(n) for n in self.pts)
+
+    def __len__(self) -> int:
+        return len(self.pts)
+
+    def point(self, name: str) -> Vec:
+        try:
+            return self.pts[name]
+        except KeyError:
+            raise MissingPoint(name) from None
+
+    def dist(self, a: str, b: str) -> float:
+        d = self.dists.get((a, b))
+        if d is None:
+            d = self.dists[a, b] = self.dists[b, a] = self.model.dist(self.point(a), self.point(b))
+        return d
+
+    def angle(self, arm1: str, vertex: str, arm2: str, tol: ToleranceProfile) -> float:
+        return _angle_of_sides(
+            self.model, self.dist(vertex, arm1), self.dist(vertex, arm2), self.dist(arm1, arm2), tol
+        )
+
+    def size(self, a: AngleTerm, tol: ToleranceProfile) -> float:
+        return self.angle(a.arm1.name, a.vertex.name, a.arm2.name, tol)
+
+    def length(self, s: SegmentTerm) -> float:
+        return self.dist(s.a.name, s.b.name)
+
+    def with_point(self, name: str, v: Vec) -> "Trial":
+        """A copy with the point placed; a reused name moves its point, so
+        that point's distances are dropped."""
+        if name in self.pts:
+            dists = {k: d for k, d in self.dists.items() if name not in k}
+        else:
+            dists = dict(self.dists)
+        return Trial(self.model, {**self.pts, name: v}, dists)
 
 
 def eval_fact(
@@ -148,47 +191,36 @@ def eval_fact(
     fact: Fact,
     tol: Optional[ToleranceProfile] = None,
 ) -> bool:
-    """Measure a fact in an instance.  Degenerate angle configurations
-    make angle facts false rather than raising."""
+    """Measure a fact in an instance or a Trial's table.  Degenerate angle
+    configurations make angle facts false rather than raising."""
     tol = tol or tolerance_for(model)
+    t = Trial.of(model, instance)
     if isinstance(fact, SegEq):
-        return tol.close(
-            _seg_len(model, instance, fact.left), _seg_len(model, instance, fact.right)
-        )
+        return tol.close(t.length(fact.left), t.length(fact.right))
     if isinstance(fact, SegLt):
-        return tol.less(
-            _seg_len(model, instance, fact.left), _seg_len(model, instance, fact.right)
-        )
+        return tol.less(t.length(fact.left), t.length(fact.right))
     if isinstance(fact, AngEq):
         try:
-            return tol.close(
-                _ang_size(model, instance, fact.left, tol),
-                _ang_size(model, instance, fact.right, tol),
-            )
+            return tol.close(t.size(fact.left, tol), t.size(fact.right, tol))
         except DegenerateAngle:
             return False
     if isinstance(fact, AngLt):
         try:
-            return tol.less(
-                _ang_size(model, instance, fact.left, tol),
-                _ang_size(model, instance, fact.right, tol),
-            )
+            return tol.less(t.size(fact.left, tol), t.size(fact.right, tol))
         except DegenerateAngle:
             return False
     if isinstance(fact, Between):
-        m = _coords(instance, fact.mid)
-        a = _coords(instance, fact.a)
-        b = _coords(instance, fact.b)
-        am, mb, ab = model.dist(a, m), model.dist(m, b), model.dist(a, b)
+        m, a, b = fact.mid.name, fact.a.name, fact.b.name
+        am, mb, ab = t.dist(a, m), t.dist(m, b), t.dist(a, b)
         if tol.close(am, 0.0) or tol.close(mb, 0.0):
             return False
         return tol.close(am + mb, ab)
     if isinstance(fact, NonCollinear):
-        pts = [_coords(instance, p) for p in (fact.a, fact.b, fact.c)]
+        names = (fact.a.name, fact.b.name, fact.c.name)
         for i in range(3):
-            x, m, y = pts[(i + 1) % 3], pts[i], pts[(i + 2) % 3]
+            x, m, y = names[(i + 1) % 3], names[i], names[(i + 2) % 3]
             # collinearity defect must clear the strict margin
-            if not tol.less(model.dist(x, y), model.dist(x, m) + model.dist(m, y)):
+            if not tol.less(t.dist(x, y), t.dist(x, m) + t.dist(m, y)):
                 return False
         return True
     if isinstance(fact, Absurd):
@@ -287,29 +319,32 @@ def _constructive_pass(
     # SegLt/AngLt/NonCollinear are left to rejection + guards
 
 
-def _guards_ok(
-    model: Model, pts: Mapping[str, Vec], statement_like: Sequence[Fact], tol: ToleranceProfile
-) -> bool:
+def _guarded(
+    model: Model, pts: Dict[str, Vec], statement_like: Sequence[Fact], tol: ToleranceProfile
+) -> Optional[Trial]:
+    """The attempt's table, every pair measured, when the points pass the
+    separation, region and clear-angle guards; None otherwise."""
+    trial = Trial(model, pts)
     names = sorted(pts)
     sep, spread = model.min_separation, model.max_spread
     for i, n in enumerate(names):
         for m in names[i + 1 :]:
-            d = model.dist(pts[n], pts[m])
+            d = trial.dist(n, m)
             if d < sep or d > spread:
-                return False
+                return None
     if not all(model.in_sample_region(p) for p in pts.values()):
-        return False
+        return None
     for fact in statement_like:
         if isinstance(fact, NonCollinear):
-            tri = [pts[p.name] for p in (fact.a, fact.b, fact.c)]
+            tri = (fact.a.name, fact.b.name, fact.c.name)
             for i in range(3):
                 try:
-                    ang = angle_at(model, tri[(i + 1) % 3], tri[i], tri[(i + 2) % 3], tol)
+                    ang = trial.angle(tri[(i + 1) % 3], tri[i], tri[(i + 2) % 3], tol)
                 except DegenerateAngle:
-                    return False
+                    return None
                 if ang < MIN_ANGLE or ang > math.pi - MIN_ANGLE:
-                    return False
-    return True
+                    return None
+    return trial
 
 
 def sample_instance(
@@ -317,11 +352,12 @@ def sample_instance(
     statement: TheoremStatement,
     seed,
     tol: Optional[ToleranceProfile] = None,
-) -> Instance:
+) -> Trial:
     """Deterministically sample coordinates satisfying the statement's
     hypotheses: constructive placement where a hypothesis shape is
     recognized, rejection sampling plus nondegeneracy guards otherwise.
-    Raises SamplingFailed after 1000 attempts."""
+    Returns the accepted attempt's Trial, its distance table filled by the
+    guards.  Raises SamplingFailed after 1000 attempts."""
     tol = tol or tolerance_for(model)
     hyps = [fact for _, fact in statement.hypotheses]
     for attempt in range(_MAX_ATTEMPTS):
@@ -334,11 +370,9 @@ def sample_instance(
                 _constructive_pass(model, pts, fact, rng, tol)
         except (DegenerateDirection, DomainError, DegenerateAngle):
             continue
-        if not _guards_ok(model, pts, hyps, tol):
-            continue
-        instance: Instance = {PointId(n): p for n, p in pts.items()}
-        if all(eval_fact(model, instance, f, tol) for f in hyps):
-            return instance
+        trial = _guarded(model, pts, hyps, tol)
+        if trial is not None and all(eval_fact(model, trial, f, tol) for f in hyps):
+            return trial
     raise SamplingFailed(f"{statement.name}: no instance in {_MAX_ATTEMPTS} attempts")
 
 
@@ -351,30 +385,26 @@ def realize_construction(
     instance: Mapping[PointId, Vec],
     step,
     tol: Optional[ToleranceProfile] = None,
-) -> Instance:
+) -> Trial:
     """Place the fresh point of an extend/layoff step; returns a new
     instance.  Walking off the model's working domain (hemisphere, disk
     rim) raises GeodesicOutOfDomain."""
     if not isinstance(step, (ExtendStep, LayoffStep)):
         raise ValueError(f"not a construction step: {step!r}")
+    t = Trial.of(model, instance)
     extend = isinstance(step, ExtendStep)
     # extend walks from a through b and on by seg; layoff walks seg from start
-    p = _coords(instance, PointId(step.a if extend else step.start))
-    q = _coords(instance, PointId(step.b if extend else step.toward))
-    length = model.dist(
-        _coords(instance, PointId(step.seg[0])),
-        _coords(instance, PointId(step.seg[1])),
-    )
+    a, b = (step.a, step.b) if extend else (step.start, step.toward)
+    p, q = t.point(a), t.point(b)
+    length = t.dist(*step.seg)
     try:
-        fresh = model.point_toward(p, q, model.dist(p, q) + length if extend else length)
+        fresh = model.point_toward(p, q, t.dist(a, b) + length if extend else length)
         model.validate(fresh)
     except (DegenerateDirection, DomainError) as exc:
         raise GeodesicOutOfDomain(str(exc)) from exc
     if not model.in_domain(fresh):
         raise GeodesicOutOfDomain(f"{step.label}: leaves the working domain")
-    out: Instance = dict(instance)
-    out[PointId(step.fresh)] = fresh
-    return out
+    return t.with_point(step.fresh, fresh)
 
 
 # The solver stops once the angle residual, or the bracket measured as arc
@@ -408,26 +438,25 @@ def solve_introduced_point(
             target = fact
     if carrier is None:
         raise UnrealizableStep(f"no betweenness carrier for introduced point {fresh.name}")
-    a = _coords(instance, carrier.a)
-    b = _coords(instance, carrier.b)
-    span = model.dist(a, b)
+    inst = Trial.of(model, instance)
+    a, b = inst.point(carrier.a.name), inst.point(carrier.b.name)
+    span = inst.dist(carrier.a.name, carrier.b.name)
     u = model.unit_tangent(a, b)
 
     if target is None:
         return model.exp(a, u, 0.5 * span)
 
-    probe = dict(instance)
+    probe = Trial(model, dict(inst.pts))
 
     def residual(t: float) -> float:
-        probe[fresh] = model.exp(a, u, t * span)
-        return _ang_size(model, probe, target.left, tol) - _ang_size(
-            model, probe, target.right, tol
-        )
+        probe.pts[fresh.name] = model.exp(a, u, t * span)
+        probe.dists.clear()
+        return probe.size(target.left, tol) - probe.size(target.right, tol)
 
     lo, hi = 1e-6, 1.0 - 1e-6
     flo, fhi = residual(lo), residual(hi)
     if fhi == 0.0:  # the probe is at hi; a zero at lo is the first step's root
-        return probe[fresh]
+        return probe.pts[fresh.name]
     if not flo * fhi <= 0.0:  # no sign change, or a NaN residual
         raise UnrealizableStep(f"no sign change bracketing {fresh.name}")
     eps = _SOLVE_MARGIN * tol.eq_tol
@@ -447,7 +476,7 @@ def solve_introduced_point(
             side = 1
         if abs(ft) <= eps or (hi - lo) * span <= eps:
             break
-    return probe[fresh]
+    return probe.pts[fresh.name]
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +572,12 @@ class _StepPlan:
 
 def _walk_steps(
     model: Model,
-    instance: Instance,
+    instance: Trial,
     steps: Sequence[Step],
     tol: ToleranceProfile,
     plan: _StepPlan,
     out_facts,
-) -> Instance:
+) -> Trial:
     """Replay proof steps on an instance: realize constructions, pick
     the numerically true trichotomy branch, and collect every derived
     fact for evaluation."""
@@ -565,22 +594,16 @@ def _walk_steps(
             if plan.registry is None or step.lemma not in plan.registry:
                 raise _TrialSkip(f"no statement for lemma {step.lemma}")
             conclusions = plan.facts(step)
-            inst2 = dict(instance)
             for name in step.fresh:
-                pid = PointId(name)
                 try:
-                    inst2[pid] = solve_introduced_point(
-                        model, inst2, pid, conclusions, tol
-                    )
+                    instance = instance.with_point(name, solve_introduced_point(
+                        model, instance, PointId(name), conclusions, tol
+                    ))
                 except (UnrealizableStep, DegenerateDirection, DegenerateAngle) as exc:
                     raise _TrialSkip(str(exc)) from exc
-            instance = inst2
             out_facts.extend(conclusions)
         elif isinstance(step, CasesStep):
-            dl, dr = (
-                model.dist(_coords(instance, PointId(x)), _coords(instance, PointId(y)))
-                for x, y in (step.left, step.right)
-            )
+            dl, dr = instance.dist(*step.left), instance.dist(*step.right)
             if tol.close(dl, dr):
                 kind = "eq"
             elif tol.less(dl, dr):
@@ -596,8 +619,23 @@ def _walk_steps(
     return instance
 
 
-def _freeze_instance(instance: Mapping[PointId, Vec]) -> Tuple[Tuple[str, Vec], ...]:
-    return tuple(sorted((p.name, v) for p, v in instance.items()))
+def _freeze_instance(instance: Trial) -> Tuple[Tuple[str, Vec], ...]:
+    return tuple(sorted(instance.pts.items()))
+
+
+def _draws(model: Model, statement: TheoremStatement, trials: int, seed, tol, samples):
+    """(k, Trial or None where sampling failed) for each trial.  A sample
+    store (a dict) shares the draws among statements with the same points
+    and hypotheses; a stored Trial's points never change."""
+    key = (model, statement.points, tuple(f for _, f in statement.hypotheses), seed, tol)
+    drawn = (samples if samples is not None else {}).setdefault(key, {})
+    for k in range(trials):
+        if k not in drawn:
+            try:
+                drawn[k] = sample_instance(model, statement, f"{seed}:{k}", tol)
+            except SamplingFailed:
+                drawn[k] = None
+        yield k, drawn[k]
 
 
 def model_check(
@@ -608,28 +646,28 @@ def model_check(
     seed=0,
     tol: Optional[ToleranceProfile] = None,
     registry: Optional[Mapping[str, TheoremStatement]] = None,
+    samples: Optional[dict] = None,
 ) -> ModelCheckReport:
     """Sample instances of the hypotheses and measure every derived fact
     plus the statement's conclusions.  Identical seeds give identical
-    reports; unsatisfiable or unrealizable trials count as skipped."""
+    reports; unsatisfiable or unrealizable trials count as skipped.  Checks
+    given the same `samples` dict share the draws of statements with the
+    same points and hypotheses and report what fresh draws would."""
     tol = tol or tolerance_for(model)
     report = ModelCheckReport(model=model.name, trials=trials)
     plan = _StepPlan(registry)
-    for k in range(trials):
-        try:
-            instance = sample_instance(model, statement, f"{seed}:{k}", tol)
-        except SamplingFailed:
+    for k, instance in _draws(model, statement, trials, seed, tol, samples):
+        if instance is None:
             report.skipped += 1
             continue
         facts = []
         try:
             instance = _walk_steps(model, instance, steps, tol, plan, facts)
             for name in statement.introduced:
-                pid = PointId(name)
-                if pid not in instance:
-                    instance[pid] = solve_introduced_point(
-                        model, instance, pid, statement.conclusions, tol
-                    )
+                if name not in instance.pts:
+                    instance = instance.with_point(name, solve_introduced_point(
+                        model, instance, PointId(name), statement.conclusions, tol
+                    ))
         except (_TrialSkip, UnrealizableStep):
             report.skipped += 1
             continue
@@ -658,17 +696,14 @@ def model_check(
 class BuiltinConjecture:
     name: str
     arity: int
-    # returns (holds, detail) so counterexamples can say what was measured
-    evaluate: Callable[[Model, Sequence[Vec], ToleranceProfile], Tuple[bool, str]]
+    # measures a trial at the named points; returns (holds, detail) so
+    # counterexamples can say what was measured
+    evaluate: Callable[[Trial, Sequence[str], ToleranceProfile], Tuple[bool, str]]
 
 
-def _angle_sum_pi(model: Model, pts: Sequence[Vec], tol: ToleranceProfile) -> Tuple[bool, str]:
-    a, b, c = pts
-    total = (
-        angle_at(model, b, a, c, tol)
-        + angle_at(model, a, b, c, tol)
-        + angle_at(model, a, c, b, tol)
-    )
+def _angle_sum_pi(t: Trial, names: Sequence[str], tol: ToleranceProfile) -> Tuple[bool, str]:
+    a, b, c = names
+    total = t.angle(b, a, c, tol) + t.angle(a, b, c, tol) + t.angle(a, c, b, tol)
     return tol.close(total, math.pi), f"angle sum {total!r} vs pi"
 
 
@@ -708,22 +743,18 @@ def model_check_conjecture(
     trials: int = 1000,
     seed=0,
     tol: Optional[ToleranceProfile] = None,
+    samples: Optional[dict] = None,
 ) -> ModelCheckReport:
     tol = tol or tolerance_for(model)
-    conj = BUILTIN_CONJECTURES.get(name)
-    if conj is None:
-        raise UnknownConjecture(name)
     statement = conjecture_statement(name, points)
+    conj = BUILTIN_CONJECTURES[name]
     report = ModelCheckReport(model=model.name, trials=trials)
-    pids = [PointId(p) for p in points]
-    for k in range(trials):
-        try:
-            instance = sample_instance(model, statement, f"{seed}:{k}", tol)
-        except SamplingFailed:
+    for k, instance in _draws(model, statement, trials, seed, tol, samples):
+        if instance is None:
             report.skipped += 1
             continue
         report.trials_run += 1
-        holds, detail = conj.evaluate(model, [instance[p] for p in pids], tol)
+        holds, detail = conj.evaluate(instance, points, tol)
         if not holds:
             report.failures += 1
             if report.first_counterexample is None:
@@ -931,7 +962,7 @@ def check_rule_soundness(
         if pts is None or not all(model.in_domain(p) for p in pts):
             report.skipped += 1
             continue
-        instance: Instance = {PointId(n): p for n, p in zip(schema.variables, pts)}
+        instance = Trial(model, dict(zip(schema.variables, pts)))
         if not all(eval_fact(model, instance, f, tol) for f in required):
             report.skipped += 1
             continue

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, output stability, and the
 expected-divergence policy for euclidean-only claims."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import ponscheck
+from ponscheck import cli
 from ponscheck.cli import main
 
 GOOD = """\
@@ -143,8 +145,12 @@ def test_parse_reports_block_count(good_file, capsys):
     assert "(1 blocks)" in capsys.readouterr().out
 
 
-def test_model_zero_trials_exits_zero(capsys):
-    assert main(["model", "--corpus", "--trials", "0"]) == 0
+def test_model_zero_trials_exits_two(capsys):
+    # a model check with no evaluated trial is not a pass
+    assert main(["model", "--corpus", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--trials must not be negative or zero, got 0" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -258,6 +264,33 @@ def test_model_unknown_conjecture_exits_two(tmp_path, capsys):
     assert "unknown conjecture no_such_claim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, points, message",
+    [
+        ("no_such_claim", "A B C", "unknown conjecture no_such_claim"),
+        ("angle_sum_pi", "A B", "unknown conjecture angle_sum_pi expects 3 points, got 2"),
+    ],
+)
+def test_model_unknown_conjecture_is_rejected_before_any_check(
+    tmp_path, capsys, monkeypatch, name, points, message
+):
+    calls = []
+    model_check = cli.model_check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return model_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "model_check", counting)
+    p = tmp_path / "mystery.conj"
+    p.write_text(f"conjecture {name}\n  points {points}\n")
+    assert main(["model", "--corpus", str(p), "--trials", "200"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_model_conjecture_failure_in_flat_model_fails(capsys):
     conj = os.path.join(os.path.dirname(ponscheck.__file__), "corpus", "anglesum.conj")
     code = main(
@@ -268,6 +301,27 @@ def test_model_conjecture_failure_in_flat_model_fails(capsys):
     assert "angle_sum_pi [euclidean] trials=20 failures=" in out
     assert "FAILED" in out
     assert "expected-divergence" not in out
+
+
+# sha256 of stdout, recorded before the numeric layer shared draws and
+# distance tables (CPython 3.11, x86-64 Linux, glibc libm).  A change that
+# alters any number `model` prints must say why; see ROADMAP aim 1.
+MODEL_DIGESTS = [
+    (
+        ["--json", "--model", "all", "--trials", "40", "--seed", "0"],
+        "b689e3e71a0055f542efe1ca38e3be46ccd116bf178888a5d4e4815ecee9907b",
+    ),
+    (
+        ["--trials", "40", "--seed", "3"],
+        "9a6aae8ba0a0aae757246af815e8d3d77e0302986bcaad84edf44eaaf23bb371",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", MODEL_DIGESTS, ids=["json-all-seed0", "text-seed3"])
+def test_model_corpus_output_is_byte_identical(capsys, argv, digest):
+    assert main(["model", "--corpus"] + argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_model_json_shape(good_file, capsys):

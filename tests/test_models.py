@@ -1,8 +1,11 @@
 """Numeric layer: measurement, sampling, construction replay, and the
 divergence of the curved models on euclidean-only claims."""
 
+import json
 import math
 import re
+from collections import Counter
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -11,6 +14,8 @@ from scipy.optimize import brentq
 
 import ponscheck
 from oracles import tangent_angle
+from ponscheck import models
+from ponscheck.cli import main
 from ponscheck.corpus import PROOF_FILENAMES, load_text
 from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.geometry import (
@@ -339,12 +344,16 @@ def test_solver_exp_calls_per_solve_are_bounded(model):
         assert len(calls) <= 12
 
 
-def _corpus_block(name):
+def _corpus():
     asts = [parse(load_text(fn)) for fn in PROOF_FILENAMES]
     registry = {}
     for ast in asts:
         registry.update(collect_statements(ast))
-    blocks = [b for ast in asts for b in elaborate_script(ast, registry)]
+    return [b for ast in asts for b in elaborate_script(ast, registry)], registry
+
+
+def _corpus_block(name):
+    blocks, registry = _corpus()
     return next(b for b in blocks if b.name == name), registry
 
 
@@ -413,6 +422,135 @@ def test_model_check_reports_counterexample_points():
     assert ce is not None
     assert tuple(n for n, _ in ce.points) == ("A", "B", "C")
     assert "seg" in ce.fact
+
+
+# ---------------------------------------------------------------------------
+# Shared draws and the per-trial distance table
+
+
+def _corpus_checks():
+    """A check per corpus statement, then the conjecture, in the order the
+    model command runs them."""
+    blocks, registry = _corpus()
+    checks = [
+        partial(
+            model_check, statement=b.statement, registry=registry,
+            steps=b.proof.steps if b.proof is not None else (),
+        )
+        for b in blocks
+        if b.statement is not None
+    ]
+    return checks + [partial(model_check_conjecture, name="angle_sum_pi", points=("A", "B", "C"))]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_shared_draws_give_the_reports_of_fresh_draws(model, seed):
+    store = {}
+    checks = _corpus_checks()
+    for check in checks:
+        shared = check(model, trials=15, seed=seed, samples=store)
+        assert shared.as_dict() == check(model, trials=15, seed=seed).as_dict()
+    # the statements and the conjecture share 3 streams of draws
+    assert len(checks) == 8 and len(store) == 3
+
+
+def test_shared_draws_keep_their_points():
+    foot, registry = _corpus_block("bisector_foot")
+    assert foot.statement.introduced == ("H",)
+    store = {}
+
+    def snapshot():
+        return {
+            key: {k: None if t is None else dict(t) for k, t in drawn.items()}
+            for key, drawn in store.items()
+        }
+
+    model_check(POINCARE, foot.statement, trials=30, seed=5, registry=registry, samples=store)
+    before = snapshot()
+    rep = model_check_conjecture(
+        POINCARE, "angle_sum_pi", ("A", "B", "C"), trials=30, seed=5, samples=store
+    )
+    assert len(store) == 1  # the conjecture drew nothing of its own
+    assert snapshot() == before
+    assert all(H not in t for t in store.popitem()[1].values() if t is not None)
+    assert rep.failures > 0
+    assert [n for n, _ in rep.first_counterexample.points] == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_model_command_draws_each_trial_once_per_statement(model, monkeypatch, capsys):
+    calls = []
+    sample = models.sample_instance
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].name)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(models, "sample_instance", counting)
+    trials = 6
+    assert main(["model", "--corpus", "--model", model, "--trials", str(trials)]) == 0
+    assert len(calls) == 3 * trials
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_final_evaluation_measures_each_point_pair_once(model, monkeypatch):
+    counted = type(model)()  # a fresh instance, so the counter stays local
+    dist = counted.dist
+    evaluating, seen, measured = [], {}, []
+
+    def counting(p, q):
+        if evaluating:
+            measured.append((id(evaluating[-1]), frozenset((p, q))))
+        return dist(p, q)
+
+    counted.dist = counting
+    eval_fact = models.eval_fact
+
+    def spying(m, instance, fact, tol=None):
+        seen[id(instance)] = instance  # kept alive, so ids stay unique
+        evaluating.append(instance)
+        try:
+            return eval_fact(m, instance, fact, tol)
+        finally:
+            evaluating.pop()
+
+    monkeypatch.setattr(models, "eval_fact", spying)
+    for check in _corpus_checks()[:-1]:
+        check(counted, trials=10, seed=4)
+    assert measured
+    for key, times in Counter(measured).items():
+        assert times == 1, key
+    per_instance = Counter(key for key, _ in measured)
+    for key, pairs in per_instance.items():
+        n = len(seen[key])
+        assert pairs <= n * (n - 1) // 2
+
+
+REUSED_NAME = """\
+theorem reuse
+  tags: neutral
+  points A B C
+  assume h1: seg A B == seg A C
+  assume h2: noncollinear A B C
+  show seg A B == seg A C
+  proof
+    e1: extend A B by seg A B as C
+  qed from h1
+"""
+
+
+def test_a_reused_point_name_is_measured_where_it_moved(tmp_path, capsys):
+    # check rejects the step, but model replays it: C moves on past B, so
+    # the extension's betweenness holds and the sampled AB = AC fails
+    p = tmp_path / "reuse.proof"
+    p.write_text(REUSED_NAME)
+    assert main(["model", str(p), "--trials", "20", "--json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["theorems"][0]["models"]
+    assert set(reports) == set(MODELS)
+    for rep in reports.values():
+        assert rep["failures"] == 20
+        assert rep["first_counterexample"]["fact"] == "seg(A,B) == seg(A,C)"
 
 
 # ---------------------------------------------------------------------------
