@@ -84,7 +84,7 @@ def _convert_fact(fa: S.FactAst, known_points: Set[str], line: int) -> Fact:
     def pt(name: str) -> PointId:
         if name not in known_points:
             raise UnknownPoint(f"unknown point {name}", line)
-        return PointId(name)
+        return name
 
     p = fa.points
     try:

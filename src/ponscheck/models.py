@@ -128,8 +128,9 @@ def angle_at(model: Model, a: Vec, v: Vec, b: Vec, tol: Optional[ToleranceProfil
 class Trial(collections.abc.Mapping):
     """One trial's points by name and the table of their pairwise
     distances, each pair measured on first use and stored under both
-    orders (dist is bitwise symmetric).  It reads as a mapping from PointId
-    to coordinates, like a plain instance; placing a point makes a copy."""
+    orders (dist is bitwise symmetric).  It reads as a mapping from point
+    name to coordinates, like a plain instance; placing a point makes a
+    copy."""
 
     __slots__ = ("model", "pts", "dists")
 
@@ -141,13 +142,13 @@ class Trial(collections.abc.Mapping):
     def of(model: Model, instance: Mapping[PointId, Vec]) -> "Trial":
         if isinstance(instance, Trial) and instance.model is model:
             return instance
-        return Trial(model, {p.name: v for p, v in instance.items()})
+        return Trial(model, dict(instance))
 
     def __getitem__(self, p: PointId) -> Vec:
-        return self.pts[p.name]
+        return self.pts[p]
 
     def __iter__(self):
-        return (PointId(n) for n in self.pts)
+        return iter(self.pts)
 
     def __len__(self) -> int:
         return len(self.pts)
@@ -170,10 +171,11 @@ class Trial(collections.abc.Mapping):
         )
 
     def size(self, a: AngleTerm, tol: ToleranceProfile) -> float:
-        return self.angle(a.arm1.name, a.vertex.name, a.arm2.name, tol)
+        _, vertex, arm1, arm2 = a
+        return self.angle(arm1, vertex, arm2, tol)
 
     def length(self, s: SegmentTerm) -> float:
-        return self.dist(s.a.name, s.b.name)
+        return self.dist(s[1], s[2])
 
     def with_point(self, name: str, v: Vec) -> "Trial":
         """A copy with the point placed; a reused name moves its point, so
@@ -210,13 +212,13 @@ def eval_fact(
         except DegenerateAngle:
             return False
     if isinstance(fact, Between):
-        m, a, b = fact.mid.name, fact.a.name, fact.b.name
+        _, m, a, b = fact
         am, mb, ab = t.dist(a, m), t.dist(m, b), t.dist(a, b)
         if tol.close(am, 0.0) or tol.close(mb, 0.0):
             return False
         return tol.close(am + mb, ab)
     if isinstance(fact, NonCollinear):
-        names = (fact.a.name, fact.b.name, fact.c.name)
+        names = fact[1:]
         for i in range(3):
             x, m, y = names[(i + 1) % 3], names[i], names[(i + 2) % 3]
             # collinearity defect must clear the strict margin
@@ -288,34 +290,31 @@ def _constructive_pass(
         shared = _shared_point(fact.left, fact.right)
         if shared is not None:
             s, m1, m2 = shared
-            length = model.dist(pts[s.name], pts[m1.name])
-            u = model.unit_tangent(pts[s.name], pts[m2.name])
-            pts[m2.name] = model.exp(pts[s.name], u, length)
+            length = model.dist(pts[s], pts[m1])
+            u = model.unit_tangent(pts[s], pts[m2])
+            pts[m2] = model.exp(pts[s], u, length)
         else:
-            length = model.dist(pts[fact.left.a.name], pts[fact.left.b.name])
-            c, d = fact.right.a.name, fact.right.b.name
+            length = model.dist(pts[fact.left.a], pts[fact.left.b])
+            c, d = fact.right.a, fact.right.b
             u = model.unit_tangent(pts[c], pts[d])
             pts[d] = model.exp(pts[c], u, length)
     elif isinstance(fact, AngEq):
         apex = _base_angle_apex(fact.left, fact.right)
         if apex is not None:
             a, v, w = apex
-            _place_isosceles(model, pts, a.name, v.name, w.name, rng)
+            _place_isosceles(model, pts, a, v, w, rng)
         else:
-            theta = angle_at(
-                model, pts[fact.left.arm1.name], pts[fact.left.vertex.name],
-                pts[fact.left.arm2.name], tol,
-            )
-            w = fact.right.vertex.name
-            c, d = fact.right.arm1.name, fact.right.arm2.name
+            _, v, a, b = fact.left
+            theta = angle_at(model, pts[a], pts[v], pts[b], tol)
+            _, w, c, d = fact.right
             keep = model.dist(pts[w], pts[d])
             u = model.unit_tangent(pts[w], pts[c])
             sign = 1.0 if rng.random() < 0.5 else -1.0
             pts[d] = model.exp(pts[w], model.rotate_tangent(pts[w], u, sign * theta), keep)
     elif isinstance(fact, Between):
-        a, b = pts[fact.a.name], pts[fact.b.name]
+        a, b = pts[fact.a], pts[fact.b]
         t = rng.uniform(0.15, 0.85)
-        pts[fact.mid.name] = model.point_toward(a, b, t * model.dist(a, b))
+        pts[fact.mid] = model.point_toward(a, b, t * model.dist(a, b))
     # SegLt/AngLt/NonCollinear are left to rejection + guards
 
 
@@ -336,7 +335,7 @@ def _guarded(
         return None
     for fact in statement_like:
         if isinstance(fact, NonCollinear):
-            tri = (fact.a.name, fact.b.name, fact.c.name)
+            tri = fact[1:]
             for i in range(3):
                 try:
                     ang = trial.angle(tri[(i + 1) % 3], tri[i], tri[(i + 2) % 3], tol)
@@ -437,10 +436,10 @@ def solve_introduced_point(
         ):
             target = fact
     if carrier is None:
-        raise UnrealizableStep(f"no betweenness carrier for introduced point {fresh.name}")
+        raise UnrealizableStep(f"no betweenness carrier for introduced point {fresh}")
     inst = Trial.of(model, instance)
-    a, b = inst.point(carrier.a.name), inst.point(carrier.b.name)
-    span = inst.dist(carrier.a.name, carrier.b.name)
+    a, b = inst.point(carrier.a), inst.point(carrier.b)
+    span = inst.dist(carrier.a, carrier.b)
     u = model.unit_tangent(a, b)
 
     if target is None:
@@ -449,16 +448,16 @@ def solve_introduced_point(
     probe = Trial(model, dict(inst.pts))
 
     def residual(t: float) -> float:
-        probe.pts[fresh.name] = model.exp(a, u, t * span)
+        probe.pts[fresh] = model.exp(a, u, t * span)
         probe.dists.clear()
         return probe.size(target.left, tol) - probe.size(target.right, tol)
 
     lo, hi = 1e-6, 1.0 - 1e-6
     flo, fhi = residual(lo), residual(hi)
     if fhi == 0.0:  # the probe is at hi; a zero at lo is the first step's root
-        return probe.pts[fresh.name]
+        return probe.pts[fresh]
     if not flo * fhi <= 0.0:  # no sign change, or a NaN residual
-        raise UnrealizableStep(f"no sign change bracketing {fresh.name}")
+        raise UnrealizableStep(f"no sign change bracketing {fresh}")
     eps = _SOLVE_MARGIN * tol.eq_tol
     side = 0  # end the previous step replaced: -1 lo, +1 hi
     for _ in range(_SOLVE_MAX_STEPS):
@@ -476,7 +475,7 @@ def solve_introduced_point(
             side = 1
         if abs(ft) <= eps or (hi - lo) * span <= eps:
             break
-    return probe.pts[fresh.name]
+    return probe.pts[fresh]
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +549,20 @@ class _StepPlan:
     def _build(self, step: Step) -> Tuple[Fact, ...]:
         if isinstance(step, RuleStep):
             schema = RULES[step.rule_id]
-            binding = schema.bind([PointId(n) for n in step.points])
-            return schema.instantiate_conclusions(binding)
+            return schema.instantiate_conclusions(schema.bind(step.points))
         if isinstance(step, (ExtendStep, LayoffStep)):
-            fresh, seg = PointId(step.fresh), segment(*(PointId(n) for n in step.seg))
+            fresh, seg = step.fresh, segment(*step.seg)
             if isinstance(step, ExtendStep):
-                b = PointId(step.b)
-                return between(b, PointId(step.a), fresh), seg_eq(segment(b, fresh), seg)
-            start = PointId(step.start)
-            return between(fresh, start, PointId(step.toward)), seg_eq(segment(start, fresh), seg)
+                return between(step.b, step.a, fresh), seg_eq(segment(step.b, fresh), seg)
+            return between(fresh, step.start, step.toward), seg_eq(segment(step.start, fresh), seg)
         stmt = self.registry[step.lemma]
         if len(step.args) != len(stmt.points) or len(step.fresh) != len(stmt.introduced):
             raise ValueError(
                 f"lemma {step.lemma} takes {len(stmt.points)} point(s) and introduces "
                 f"{len(stmt.introduced)}, got {len(step.args)} and {len(step.fresh)}"
             )
-        mapping = dict(zip(stmt.points, (PointId(n) for n in step.args)))
-        mapping.update(zip(stmt.introduced, (PointId(n) for n in step.fresh)))
+        mapping = dict(zip(stmt.points, step.args))
+        mapping.update(zip(stmt.introduced, step.fresh))
         return tuple(subst_fact(f, mapping) for f in stmt.conclusions)
 
 
@@ -597,7 +593,7 @@ def _walk_steps(
             for name in step.fresh:
                 try:
                     instance = instance.with_point(name, solve_introduced_point(
-                        model, instance, PointId(name), conclusions, tol
+                        model, instance, name, conclusions, tol
                     ))
                 except (UnrealizableStep, DegenerateDirection, DegenerateAngle) as exc:
                     raise _TrialSkip(str(exc)) from exc
@@ -666,7 +662,7 @@ def model_check(
             for name in statement.introduced:
                 if name not in instance.pts:
                     instance = instance.with_point(name, solve_introduced_point(
-                        model, instance, PointId(name), statement.conclusions, tol
+                        model, instance, name, statement.conclusions, tol
                     ))
         except (_TrialSkip, UnrealizableStep):
             report.skipped += 1
@@ -726,12 +722,11 @@ def conjecture_statement(name: str, points: Sequence[str]) -> TheoremStatement:
         raise UnknownConjecture(
             f"{name} expects {conj.arity} points, got {len(points)}"
         )
-    pids = [PointId(p) for p in points]
     return TheoremStatement(
         name=name,
         tags=frozenset(),
         points=tuple(points),
-        hypotheses=(("nondeg", non_collinear(*pids[:3])),),
+        hypotheses=(("nondeg", non_collinear(*points[:3])),),
         conclusions=(),
     )
 
@@ -939,7 +934,7 @@ def check_rule_soundness(
     schema: RuleSchema = RULES[rule_id]
     sampler = _RULE_SAMPLERS[rule_id]
     report = ModelCheckReport(model=model.name, trials=trials)
-    binding = {var: PointId(var) for var in schema.variables}
+    binding = {var: var for var in schema.variables}
     premises = schema.instantiate_premises(binding)
     conclusions = schema.instantiate_conclusions(binding)
     sides = [

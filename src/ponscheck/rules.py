@@ -2,8 +2,9 @@
 
 Each rule is a schema over point variables: premise templates, NonCollinear
 side-condition triples, and conclusion templates.  Instantiating a schema
-with a variable-to-point binding yields concrete canonical facts.  The
-inventory is fixed; the kernel refuses rule ids outside this table.
+with a binding from variables to point names yields concrete canonical
+facts.  The inventory is fixed; the kernel refuses rule ids outside this
+table.
 
 Ordered-triple congruence: SAS_ORD and ASA_ORD act on two ordered triples
 (P1,P2,P3), (Q1,Q2,Q3), so one triangle can be made congruent to itself

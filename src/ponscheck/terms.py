@@ -1,23 +1,39 @@
 """Geometric vocabulary: points, segment and angle terms, facts, and the line table.
 
-Everything but the line table is an immutable value.  Segments and angles
-are canonicalized on construction (endpoints and arms sorted by point name),
-so syntactically mirrored writings such as seg(A,B) and seg(B,A) are the
-same object and the kernel never needs dedicated symmetry bookkeeping.  The
-line table is the collinearity store: every strict-betweenness fact adds a
-three-point line, and lines sharing two points are merged transitively.
+Points are names; terms and facts are tagged tuples.  A point is its name,
+a str, so the name is the whole identity and Python caches its hash.  A
+segment is ("s", a, b) and an angle ("a", vertex, arm1, arm2); a fact is a
+kind tag followed by its sides or points, such as ("=s", left, right) or
+("between", mid, a, b).  The tag keeps kinds apart (tuple equality ignores
+the subclass), and hashing and equality are tuple's own.  Each class names
+its fields as read-only properties and keeps its printed form.
+
+Terms and facts are built only by the constructors below (segment, angle,
+seg_eq ... non_collinear), never by calling a class.  The constructors
+reject degenerate input and canonicalize (endpoints, arms and outer pairs
+sorted by name, equality sides in tuple order), so every fact is canonical
+as built: syntactically mirrored writings such as seg(A,B) and seg(B,A)
+are the same value, and the kernel needs neither symmetry bookkeeping nor
+a second canonicalization pass.
+
+The line table is the collinearity store: every strict-betweenness fact
+adds a three-point line, and lines sharing two points are merged
+transitively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
+from operator import itemgetter
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+PointId = str  # a point is its name
 
 ORIGIN_HYPOTHESIS = "hypothesis"
 ORIGIN_CONSTRUCTED = "constructed"
 ORIGIN_LEMMA = "lemma-introduced"
-_ORIGINS = frozenset({ORIGIN_HYPOTHESIS, ORIGIN_CONSTRUCTED, ORIGIN_LEMMA})
+
+_new = tuple.__new__
 
 
 class DegenerateSegment(ValueError):
@@ -32,77 +48,36 @@ class DegenerateBetween(ValueError):
     """Raised when a betweenness fact does not name three distinct points."""
 
 
-@dataclass(frozen=True)
-class PointId:
-    """A named point.  Names are unique within one theorem's scope, so
-    identity and ordering use the name alone; origin is bookkeeping."""
+class SegmentTerm(tuple):
+    """("s", a, b): unordered pair of distinct endpoints, in name order."""
 
-    name: str
-    origin: str = field(default=ORIGIN_HYPOTHESIS, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("point name must be nonempty")
-        if self.origin not in _ORIGINS:
-            raise ValueError(f"unknown point origin: {self.origin!r}")
+    __slots__ = ()
+    a = property(itemgetter(1))
+    b = property(itemgetter(2))
 
     def __repr__(self) -> str:
-        return f"Point({self.name})"
+        return f"seg({self[1]},{self[2]})"
 
 
-@dataclass(frozen=True)
-class SegmentTerm:
-    """Unordered pair of distinct endpoints, stored in name order."""
+class AngleTerm(tuple):
+    """("a", vertex, arm1, arm2): a vertex plus an unordered pair of arm
+    points, arms in name order, so ang(A,B,C) and ang(C,B,A) are one
+    value.  Terms compare by (vertex, arm1, arm2)."""
 
-    a: PointId
-    b: PointId
-
-    def __post_init__(self) -> None:
-        if self.a.name >= self.b.name:
-            raise ValueError("SegmentTerm endpoints must be name-ordered; use segment()")
-
-    def key(self) -> Tuple[str, str]:
-        return (self.a.name, self.b.name)
-
-    def points(self) -> Tuple[PointId, PointId]:
-        return (self.a, self.b)
+    __slots__ = ()
+    vertex = property(itemgetter(1))
+    arm1 = property(itemgetter(2))
+    arm2 = property(itemgetter(3))
 
     def __repr__(self) -> str:
-        return f"seg({self.a.name},{self.b.name})"
-
-
-@dataclass(frozen=True)
-class AngleTerm:
-    """Vertex plus an unordered pair of arm points, arms stored in name order.
-
-    Representing arms as an unordered pair makes ang(A,B,C) and ang(C,B,A)
-    identical by construction.
-    """
-
-    vertex: PointId
-    arm1: PointId
-    arm2: PointId
-
-    def __post_init__(self) -> None:
-        if self.arm1.name >= self.arm2.name:
-            raise ValueError("AngleTerm arms must be name-ordered; use angle()")
-
-    def key(self) -> Tuple[str, str, str]:
-        return (self.vertex.name, self.arm1.name, self.arm2.name)
-
-    def points(self) -> Tuple[PointId, PointId, PointId]:
-        return (self.arm1, self.vertex, self.arm2)
-
-    def __repr__(self) -> str:
-        return f"ang({self.arm1.name},{self.vertex.name},{self.arm2.name})"
+        return f"ang({self[2]},{self[1]},{self[3]})"
 
 
 def segment(p: PointId, q: PointId) -> SegmentTerm:
     """Canonical segment with endpoints p, q.  DegenerateSegment if p == q."""
-    if p.name == q.name:
-        raise DegenerateSegment(f"segment endpoints coincide: {p.name}")
-    a, b = sorted((p, q), key=lambda x: x.name)
-    return SegmentTerm(a, b)
+    if p == q:
+        raise DegenerateSegment(f"segment endpoints coincide: {p}")
+    return _new(SegmentTerm, ("s", p, q) if p < q else ("s", q, p))
 
 
 def angle(p: PointId, v: PointId, q: PointId) -> AngleTerm:
@@ -110,176 +85,150 @@ def angle(p: PointId, v: PointId, q: PointId) -> AngleTerm:
 
     All three points must be pairwise distinct; DegenerateAngle otherwise.
     """
-    names = {p.name, v.name, q.name}
-    if len(names) != 3:
-        raise DegenerateAngle(f"angle points not distinct: {p.name},{v.name},{q.name}")
-    a1, a2 = sorted((p, q), key=lambda x: x.name)
-    return AngleTerm(v, a1, a2)
+    if p == v or v == q or p == q:
+        raise DegenerateAngle(f"angle points not distinct: {p},{v},{q}")
+    return _new(AngleTerm, ("a", v, p, q) if p < q else ("a", v, q, p))
 
 
-class Fact:
+class Fact(tuple):
     """Base class for the closed fact inventory."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class SegEq(Fact):
-    left: SegmentTerm
-    right: SegmentTerm
+class _Sides(Fact):
+    """(tag, left, right): a comparison of two terms."""
+
+    __slots__ = ()
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+    _op = ""
 
     def __repr__(self) -> str:
-        return f"{self.left!r} == {self.right!r}"
+        return f"{self[1]!r} {self._op} {self[2]!r}"
 
 
-@dataclass(frozen=True, repr=False)
-class AngEq(Fact):
-    left: AngleTerm
-    right: AngleTerm
+class SegEq(_Sides):
+    """("=s", left, right), sides in tuple order."""
 
-    def __repr__(self) -> str:
-        return f"{self.left!r} == {self.right!r}"
+    __slots__ = ()
+    _op = "=="
 
 
-@dataclass(frozen=True, repr=False)
-class SegLt(Fact):
-    """Strict comparison; sides are ordered, not interchangeable."""
+class AngEq(_Sides):
+    """("=a", left, right), sides in tuple order."""
 
-    left: SegmentTerm
-    right: SegmentTerm
-
-    def __repr__(self) -> str:
-        return f"{self.left!r} < {self.right!r}"
+    __slots__ = ()
+    _op = "=="
 
 
-@dataclass(frozen=True, repr=False)
-class AngLt(Fact):
-    left: AngleTerm
-    right: AngleTerm
+class SegLt(_Sides):
+    """("<s", left, right): strict; sides are ordered, not interchangeable."""
 
-    def __repr__(self) -> str:
-        return f"{self.left!r} < {self.right!r}"
+    __slots__ = ()
+    _op = "<"
 
 
-@dataclass(frozen=True, repr=False)
+class AngLt(_Sides):
+    """("<a", left, right): strict; sides are ordered, not interchangeable."""
+
+    __slots__ = ()
+    _op = "<"
+
+
 class Between(Fact):
-    """mid lies strictly between the outer pair (outer pair unordered)."""
+    """("between", mid, a, b): mid lies strictly between the outer pair,
+    which is unordered and stored in name order."""
 
-    mid: PointId
-    a: PointId
-    b: PointId
-
-    def __post_init__(self) -> None:
-        if self.a.name >= self.b.name:
-            raise ValueError("Between outer pair must be name-ordered; use between()")
+    __slots__ = ()
+    mid = property(itemgetter(1))
+    a = property(itemgetter(2))
+    b = property(itemgetter(3))
 
     def __repr__(self) -> str:
-        return f"between({self.mid.name};{{{self.a.name},{self.b.name}}})"
+        return f"between({self[1]};{{{self[2]},{self[3]}}})"
 
 
-@dataclass(frozen=True, repr=False)
 class NonCollinear(Fact):
-    """Unordered triple of points not on one line, stored sorted."""
+    """("noncollinear", a, b, c): unordered triple of points not on one
+    line, stored sorted."""
 
-    a: PointId
-    b: PointId
-    c: PointId
-
-    def __post_init__(self) -> None:
-        if not (self.a.name < self.b.name < self.c.name):
-            raise ValueError("NonCollinear triple must be name-ordered; use non_collinear()")
+    __slots__ = ()
+    a = property(itemgetter(1))
+    b = property(itemgetter(2))
+    c = property(itemgetter(3))
 
     def names(self) -> Tuple[str, str, str]:
-        return (self.a.name, self.b.name, self.c.name)
+        return self[1:]
 
     def __repr__(self) -> str:
-        return f"noncollinear({self.a.name},{self.b.name},{self.c.name})"
+        return f"noncollinear({self[1]},{self[2]},{self[3]})"
 
 
-@dataclass(frozen=True, repr=False)
 class Absurd(Fact):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "absurd"
 
 
-ABSURD = Absurd()
+ABSURD = _new(Absurd, ("absurd",))
 
 
 def seg_eq(s: SegmentTerm, t: SegmentTerm) -> SegEq:
-    """Segment equality with sides in canonical order (smaller key first)."""
-    if t.key() < s.key():
-        s, t = t, s
-    return SegEq(s, t)
+    """Segment equality with sides in canonical order (smaller first)."""
+    return _new(SegEq, ("=s", s, t) if s <= t else ("=s", t, s))
 
 
 def ang_eq(s: AngleTerm, t: AngleTerm) -> AngEq:
-    if t.key() < s.key():
-        s, t = t, s
-    return AngEq(s, t)
+    return _new(AngEq, ("=a", s, t) if s <= t else ("=a", t, s))
 
 
 def seg_lt(s: SegmentTerm, t: SegmentTerm) -> SegLt:
-    return SegLt(s, t)
+    return _new(SegLt, ("<s", s, t))
 
 
 def ang_lt(s: AngleTerm, t: AngleTerm) -> AngLt:
-    return AngLt(s, t)
+    return _new(AngLt, ("<a", s, t))
 
 
 def between(mid: PointId, p: PointId, q: PointId) -> Between:
     """mid strictly between p and q; all three pairwise distinct."""
-    names = {mid.name, p.name, q.name}
-    if len(names) != 3:
-        raise DegenerateBetween(f"betweenness points not distinct: {mid.name},{p.name},{q.name}")
-    a, b = sorted((p, q), key=lambda x: x.name)
-    return Between(mid, a, b)
+    if mid == p or mid == q or p == q:
+        raise DegenerateBetween(f"betweenness points not distinct: {mid},{p},{q}")
+    return _new(Between, ("between", mid, p, q) if p < q else ("between", mid, q, p))
 
 
 def non_collinear(p: PointId, q: PointId, r: PointId) -> NonCollinear:
-    names = {p.name, q.name, r.name}
-    if len(names) != 3:
-        raise DegenerateAngle(f"noncollinear points not distinct: {p.name},{q.name},{r.name}")
-    a, b, c = sorted((p, q, r), key=lambda x: x.name)
-    return NonCollinear(a, b, c)
+    if p == q or q == r or p == r:
+        raise DegenerateAngle(f"noncollinear points not distinct: {p},{q},{r}")
+    return _new(NonCollinear, ("noncollinear", *sorted((p, q, r))))
 
 
 def canon_fact(fact: Fact) -> Fact:
-    """Rebuild a fact through the canonicalizing constructors (idempotent).
-    Terms canonicalize on construction, so an equality whose sides are
-    already in order is returned as it is."""
+    """Rebuild a fact through the canonicalizing constructors (idempotent)."""
     if isinstance(fact, SegEq):
-        return fact if fact.left.key() <= fact.right.key() else seg_eq(fact.left, fact.right)
+        return seg_eq(fact[1], fact[2])
     if isinstance(fact, AngEq):
-        return fact if fact.left.key() <= fact.right.key() else ang_eq(fact.left, fact.right)
-    if isinstance(fact, SegLt):
-        return seg_lt(fact.left, fact.right)
-    if isinstance(fact, AngLt):
-        return ang_lt(fact.left, fact.right)
+        return ang_eq(fact[1], fact[2])
+    if isinstance(fact, (SegLt, AngLt, Absurd)):
+        return fact
     if isinstance(fact, Between):
-        return between(fact.mid, fact.a, fact.b)
+        return between(*fact[1:])
     if isinstance(fact, NonCollinear):
-        return non_collinear(fact.a, fact.b, fact.c)
-    if isinstance(fact, Absurd):
-        return ABSURD
+        return non_collinear(*fact[1:])
     raise TypeError(f"not a fact: {fact!r}")
 
 
 def fact_point_names(fact: Fact) -> Tuple[str, ...]:
     """Every point name the fact mentions, left to right (with repeats)."""
     if isinstance(fact, (SegEq, SegLt)):
-        return (fact.left.a.name, fact.left.b.name, fact.right.a.name, fact.right.b.name)
+        return fact[1][1:] + fact[2][1:]
     if isinstance(fact, (AngEq, AngLt)):
-        lt, rt = fact.left, fact.right
-        return (
-            lt.arm1.name, lt.vertex.name, lt.arm2.name,
-            rt.arm1.name, rt.vertex.name, rt.arm2.name,
-        )
-    if isinstance(fact, Between):
-        return (fact.mid.name, fact.a.name, fact.b.name)
-    if isinstance(fact, NonCollinear):
-        return fact.names()
-    if isinstance(fact, Absurd):
-        return ()
+        (_, v, p, q), (_, w, r, s) = fact[1], fact[2]
+        return (p, v, q, r, w, s)
+    if isinstance(fact, (Between, NonCollinear, Absurd)):
+        return fact[1:]
     raise TypeError(f"not a fact: {fact!r}")
 
 
@@ -318,7 +267,7 @@ class LineTable:
     def record_between(self, fact: Between) -> "LineTable":
         """Fold the three collinear points of a betweenness fact into the
         table, merging any stored lines that come to share two points."""
-        triple = (fact.mid.name, fact.a.name, fact.b.name)
+        triple = fact[1:]
         line = self._line_meeting(set(triple), triple)
         if line is None:
             line = next(self._ids)
@@ -371,7 +320,7 @@ class LineTable:
 
     def provably_collinear(self, p: PointId, q: PointId, r: PointId) -> bool:
         """True iff some stored line contains all three points."""
-        return self.common_line((p.name, q.name, r.name)) is not None
+        return self.common_line((p, q, r)) is not None
 
     def common_line(self, names: Iterable[str]) -> Optional[AbstractSet[str]]:
         """The stored line containing every given name, if any.  The result

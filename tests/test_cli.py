@@ -324,6 +324,55 @@ def test_model_corpus_output_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of the symbolic commands on the corpus, with their exit
+# codes (`deps` exits 1 on the corpus's deliberate cycle).  A change to the
+# kernel, the terms or the graph must keep these bytes; see ROADMAP aim 1.
+SYMBOLIC_DIGESTS = [
+    (
+        ["check", "--json"],
+        0,
+        "d936157bba5f325a3e6616c5bc6001ac1bbc2584029a18535baf3f002bd5758f",
+    ),
+    (
+        ["check", "--json", "--strict-degeneracy"],
+        0,
+        "d936157bba5f325a3e6616c5bc6001ac1bbc2584029a18535baf3f002bd5758f",
+    ),
+    (
+        ["deps"],
+        1,
+        "4ea4628644241a17e5d3bb30a7ca4621088d36a363def08432c99c12377f0691",
+    ),
+    (
+        ["parse", "--dump-ast"],
+        0,
+        "63c62a06a1802d765675f482e0b35a93f72855ca501c845696d88eaf857e7aa1",
+    ),
+]
+DOT_DIGEST = "f00a9ebb8a06584a20a88344b5f6f14bdcf5ea499bb533d5a8b425df4b2c6ff8"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    SYMBOLIC_DIGESTS,
+    ids=["check-json", "check-json-strict", "deps", "parse-dump-ast"],
+)
+def test_symbolic_corpus_output_is_byte_identical(capsys, argv, code, digest):
+    assert main(argv[:1] + ["--corpus"] + argv[1:]) == code
+    assert _sha(capsys.readouterr().out) == digest
+
+
+def test_deps_dot_file_is_byte_identical(capsys, tmp_path):
+    dot = tmp_path / "corpus.dot"
+    assert main(["deps", "--corpus", "--dot", str(dot)]) == 1
+    assert _sha(capsys.readouterr().out) == SYMBOLIC_DIGESTS[2][2]
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_DIGEST
+
+
 def test_model_json_shape(good_file, capsys):
     assert main(["model", good_file, "--trials", "10", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

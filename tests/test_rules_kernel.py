@@ -1,5 +1,7 @@
 """Rule schemas and the proof-checking kernel."""
 
+import sys
+
 import pytest
 
 from ponscheck.kernel import (
@@ -14,7 +16,9 @@ from ponscheck.kernel import (
     TheoremStatement,
     check_proof,
 )
+from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.rules import RULE_IDS, RULES
+from ponscheck.script import parse
 from ponscheck.terms import (
     ABSURD,
     PointId,
@@ -548,3 +552,48 @@ def test_sym_ref_flips_equality():
     )
     report = check_proof(stmt, proof)
     assert report.status == "ok"
+
+
+def _extend_chain(steps: int) -> str:
+    """`extend` plus `ARM_SUBST` pairs along one line through A and B, in
+    the shape of perfbench's extend_script: each ARM_SUBST needs
+    noncollinear(v, w, C), which strict mode derives by NC_TRANSFER."""
+    lines = [
+        "theorem chain",
+        "  tags: neutral",
+        "  points A B C",
+        "  assume h1: noncollinear A B C",
+        "  show seg A B == seg A B",
+        "  proof",
+    ]
+    chain = ["A", "B"]
+    for k in range(1, steps // 2 + 1):
+        v, m, w = chain[-2], chain[-1], f"Q{k}"
+        seg = ("A B", "A C", "B C")[k % 3]
+        lines.append(f"    e{k}: extend {v} {m} by seg {seg} as {w}")
+        lines.append(f"    a{k}: ang {w} {v} C == ang {m} {v} C by ARM_SUBST[{v},{w},{m},C] from e{k}")
+        chain.append(w)
+    lines.append("    g: seg A B == seg A B by SEG_REFL[A,B] from refl")
+    lines.append("  qed from g")
+    return "\n".join(lines) + "\n"
+
+
+def test_long_chain_check_makes_no_python_hash_or_eq_calls():
+    """Facts, terms and points hash and compare in C: checking a
+    1000-step chain calls no __hash__ or __eq__ written in Python."""
+    ast = parse(_extend_chain(1000))
+    registry = collect_statements(ast)
+    (block,) = elaborate_script(ast, registry)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("__hash__", "__eq__"):
+            calls.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        report = check_proof(block.statement, block.proof, registry, strict=True)
+    finally:
+        sys.setprofile(None)
+    assert report.status == "ok", report.error
+    assert len(calls) == 0, sorted(set(calls))

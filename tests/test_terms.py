@@ -93,6 +93,46 @@ def test_canon_fact_idempotent():
         assert canon_fact(canon_fact(f)) == canon_fact(f)
 
 
+def test_fact_kinds_over_the_same_sides_stay_distinct():
+    s, t = segment(A, B), segment(C, D)
+    x, y = angle(A, B, C), angle(A, C, B)
+    pairs = [
+        (seg_eq(s, t), seg_lt(s, t)),
+        (ang_eq(x, y), ang_lt(x, y)),
+        (seg_lt(s, t), seg_lt(t, s)),
+        (s, angle(A, C, B)),
+        (between(A, B, C), non_collinear(A, B, C)),
+    ]
+    for f, g in pairs:
+        assert f != g and g != f, (f, g)
+        assert len({f, g}) == 2, (f, g)
+    values = [seg_eq(s, t), seg_lt(s, t), seg_lt(t, s), ang_eq(x, y), ang_lt(x, y), s, y]
+    assert len(set(values)) == len(values)
+
+
+def test_fact_reprs_and_fields():
+    s, t = segment(B, A), segment(D, C)
+    x, y = angle(C, B, A), angle(A, C, B)
+    assert repr(s) == "seg(A,B)" and (s.a, s.b) == (A, B)
+    assert repr(x) == "ang(A,B,C)" and (x.vertex, x.arm1, x.arm2) == (B, A, C)
+    assert repr(seg_eq(t, s)) == "seg(A,B) == seg(C,D)"
+    assert repr(seg_lt(t, s)) == "seg(C,D) < seg(A,B)"
+    assert repr(ang_eq(y, x)) == "ang(A,B,C) == ang(A,C,B)"
+    assert repr(ang_lt(y, x)) == "ang(A,C,B) < ang(A,B,C)"
+    assert repr(between(D, B, A)) == "between(D;{A,B})"
+    assert repr(non_collinear(C, A, B)) == "noncollinear(A,B,C)"
+    assert repr(ABSURD) == "absurd"
+    for make, side in ((seg_eq, s), (seg_lt, s), (ang_eq, x), (ang_lt, x)):
+        f = make(side, side)
+        assert (f.left, f.right) == (side, side)
+    f = seg_lt(t, s)
+    assert (f.left, f.right) == (t, s)
+    f = between(D, B, A)
+    assert (f.mid, f.a, f.b) == (D, A, B)
+    f = non_collinear(C, A, B)
+    assert (f.a, f.b, f.c) == (A, B, C)
+
+
 def test_fact_point_names():
     assert fact_point_names(seg_lt(segment(A, B), segment(C, D))) == ("A", "B", "C", "D")
     assert fact_point_names(ABSURD) == ()
