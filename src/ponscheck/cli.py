@@ -250,7 +250,7 @@ def _describe_counterexample(rep: ModelCheckReport) -> str:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    if args.trials < 1:  # a model check with no evaluated trial is not a pass
+    if args.trials < 1:
         raise CliError(2, f"--trials must not be negative or zero, got {args.trials}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
         raise CliError(2, f"--tol must be finite and positive, got {args.tol}")
@@ -298,6 +298,10 @@ def cmd_model(args: argparse.Namespace) -> int:
                 f"{name} [{model.name}] trials={rep.trials_run}"
                 f" failures={rep.failures} skipped={rep.skipped}"
             )
+            if rep.trials_run == 0:  # a model check with no evaluated trial is not a pass
+                hard_failures += 1
+                lines.append(base + "  FAILED: no trial evaluated")
+                continue
             if rep.failures == 0:
                 lines.append(base)
                 continue

@@ -3,7 +3,9 @@
 A proof is checked by forward chaining: hypotheses seed a fact set, each
 step justifies new canonical facts via a rule application, a construction,
 a trichotomy case split, or a lemma application, and qed verifies that the
-cited labels establish every conclusion.
+cited labels establish every conclusion.  The facts each step other than a
+case split derives come from step_facts, once the kernel's own checks pass;
+the numeric replay in models measures the same facts.
 
 Label semantics: a step label stands for the full tuple of facts its
 justification produced (a rule application can yield up to three), so a
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .rules import RULES, RuleSchema
+from .rules import RULES
 from .terms import (
     ABSURD,
     Absurd,
@@ -362,6 +364,68 @@ def _transfer_probe(state: ProofState, want: NonCollinear) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Step semantics
+
+
+def subst_fact(fact: Fact, mapping: Mapping[PointId, PointId]) -> Fact:
+    """Rebuild a fact with points renamed through `mapping` (and therefore
+    re-canonicalized).  Raises the constructors' errors on collapses."""
+    m = mapping
+    if isinstance(fact, (SegEq, SegLt)):
+        make = seg_eq if isinstance(fact, SegEq) else seg_lt
+        (_, a, b), (_, c, d) = fact[1], fact[2]
+        return make(segment(m[a], m[b]), segment(m[c], m[d]))
+    if isinstance(fact, (AngEq, AngLt)):
+        make = ang_eq if isinstance(fact, AngEq) else ang_lt
+        (_, v, p, q), (_, w, r, t) = fact[1], fact[2]
+        return make(angle(m[p], m[v], m[q]), angle(m[r], m[w], m[t]))
+    if isinstance(fact, Between):
+        _, mid, a, b = fact
+        return between(m[mid], m[a], m[b])
+    if isinstance(fact, NonCollinear):
+        _, a, b, c = fact
+        return non_collinear(m[a], m[b], m[c])
+    if isinstance(fact, Absurd):
+        return ABSURD
+    raise TypeError(f"not a fact: {fact!r}")
+
+
+def _lemma_points(lemma: TheoremStatement, args: Sequence[str]) -> Dict[str, PointId]:
+    """A lemma's given points mapped to a step's arguments."""
+    if len(args) != len(lemma.points):
+        raise ValueError(
+            f"lemma {lemma.name} takes {len(lemma.points)} point(s), got {len(args)}"
+        )
+    return dict(zip(lemma.points, args))
+
+
+def step_facts(step: Step, registry: Mapping[str, TheoremStatement]) -> Tuple[Fact, ...]:
+    """The facts a rule, extend, layoff or lemma step derives, by point
+    name.  The kernel adds them under the step's label once its checks
+    pass; the numeric replay measures them.  Raises ValueError when the
+    step's points cannot build them."""
+    if isinstance(step, RuleStep):
+        schema = RULES[step.rule_id]
+        return schema.instantiate_conclusions(schema.bind(step.points))
+    if isinstance(step, (ExtendStep, LayoffStep)):
+        fresh, s = step.fresh, segment(*step.seg)
+        if isinstance(step, LayoffStep):
+            return between(fresh, step.start, step.toward), seg_eq(segment(step.start, fresh), s)
+        if step.a == step.b:
+            raise ValueError("extend needs two distinct points")
+        return between(step.b, step.a, fresh), seg_eq(segment(step.b, fresh), s)
+    lemma = registry[step.lemma]
+    mapping = _lemma_points(lemma, step.args)
+    if len(step.fresh) != len(lemma.introduced):
+        raise ValueError(
+            f"lemma {lemma.name} introduces {len(lemma.introduced)} point(s), "
+            f"{len(step.fresh)} name(s) given"
+        )
+    mapping.update(zip(lemma.introduced, step.fresh))
+    return tuple(subst_fact(c, mapping) for c in lemma.conclusions)
+
+
+# ---------------------------------------------------------------------------
 # Checking
 
 _EQUIV_FOR_REFL = {SegEq: "SEG_REFL", AngEq: "ANG_REFL"}
@@ -451,29 +515,25 @@ def _discharge_side_conditions(
             state.know(transferred)
 
 
-def apply_rule(
-    state: ProofState,
-    rule_id: str,
-    points: Sequence[PointId],
-    refs: Tuple[Ref, ...],
-    ctx: _Ctx,
-    step_label: str,
-) -> Tuple[Fact, ...]:
-    schema = RULES.get(rule_id)
+def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]:
+    for name in step.points:
+        state.point(name)
+    schema = RULES.get(step.rule_id)
     if schema is None:
-        raise KernelError(f"unknown rule {rule_id}")
+        raise KernelError(f"unknown rule {step.rule_id}")
     try:
-        binding = schema.bind(points)
+        binding = schema.bind(step.points)
         premises = schema.instantiate_premises(binding)
-        conclusions = schema.instantiate_conclusions(binding)
+        conclusions = step_facts(step, ctx.registry)
     except ValueError as exc:
         raise DegenerateInstantiation(str(exc)) from None
 
+    refs = step.refs
     if len(refs) != len(premises):
         # Premise-free rules still need a `from` clause; a lone refl is it.
         if not (not premises and len(refs) == 1 and refs[0].kind == "refl"):
             raise PremiseMismatch(
-                f"{rule_id} takes {len(premises)} premise(s), {len(refs)} cited"
+                f"{step.rule_id} takes {len(premises)} premise(s), {len(refs)} cited"
             )
         refs = ()
     for ref, want in zip(refs, premises):
@@ -486,72 +546,50 @@ def apply_rule(
                 f"points {{{','.join(sorted(set(names)))}}} are not on one recorded line"
             )
     _discharge_side_conditions(
-        state, step_label, schema.instantiate_side_conditions(binding), ctx
+        state, step.label, schema.instantiate_side_conditions(binding), ctx
     )
 
     if any(isinstance(c, Absurd) for c in conclusions) and not state.assumptions:
         raise AbsurdOutsideCase("absurdity derived outside any case assumption")
-    ctx.use_rule(rule_id)
+    ctx.use_rule(step.rule_id)
     return conclusions
+
+
+def _derived(step: Step, ctx: _Ctx) -> Tuple[Fact, ...]:
+    try:
+        return step_facts(step, ctx.registry)
+    except ValueError as exc:
+        raise DegenerateInstantiation(str(exc)) from None
 
 
 def apply_construction(
     state: ProofState, step: Union[ExtendStep, LayoffStep], ctx: _Ctx
-) -> Tuple[PointId, Tuple[Fact, ...]]:
-    try:
-        s = segment(state.point(step.seg[0]), state.point(step.seg[1]))
-        if isinstance(step, ExtendStep):
-            a, b = state.point(step.a), state.point(step.b)
-            if a == b:
-                raise DegenerateInstantiation("extend needs two distinct points")
-            d = state.bind_point(step.fresh, ORIGIN_CONSTRUCTED)
-            return d, (between(b, a, d), seg_eq(segment(b, d), s))
-        start, toward = state.point(step.start), state.point(step.toward)
-        bound = seg_lt(s, segment(start, toward))
-    except ValueError as exc:
-        raise DegenerateInstantiation(str(exc)) from None
-    if not any(_justifies(state, r, bound, ctx) for r in step.refs):
-        raise LayoffWithoutBound(f"layoff needs {bound!r} among its citations")
-    d = state.bind_point(step.fresh, ORIGIN_CONSTRUCTED)
-    return d, (between(d, start, toward), seg_eq(segment(start, d), s))
+) -> Tuple[Fact, ...]:
+    if isinstance(step, LayoffStep):
+        try:
+            s = segment(state.point(step.seg[0]), state.point(step.seg[1]))
+            bound = seg_lt(s, segment(state.point(step.start), state.point(step.toward)))
+        except ValueError as exc:
+            raise DegenerateInstantiation(str(exc)) from None
+        if not any(_justifies(state, r, bound, ctx) for r in step.refs):
+            raise LayoffWithoutBound(f"layoff needs {bound!r} among its citations")
+    else:
+        for name in (*step.seg, step.a, step.b):
+            state.point(name)
+    state.bind_point(step.fresh, ORIGIN_CONSTRUCTED)
+    return _derived(step, ctx)
 
 
-def subst_fact(fact: Fact, mapping: Mapping[PointId, PointId]) -> Fact:
-    """Rebuild a fact with points renamed through `mapping` (and therefore
-    re-canonicalized).  Raises the constructors' errors on collapses."""
-    m = mapping
-    if isinstance(fact, (SegEq, SegLt)):
-        make = seg_eq if isinstance(fact, SegEq) else seg_lt
-        (_, a, b), (_, c, d) = fact[1], fact[2]
-        return make(segment(m[a], m[b]), segment(m[c], m[d]))
-    if isinstance(fact, (AngEq, AngLt)):
-        make = ang_eq if isinstance(fact, AngEq) else ang_lt
-        (_, v, p, q), (_, w, r, t) = fact[1], fact[2]
-        return make(angle(m[p], m[v], m[q]), angle(m[r], m[w], m[t]))
-    if isinstance(fact, Between):
-        _, mid, a, b = fact
-        return between(m[mid], m[a], m[b])
-    if isinstance(fact, NonCollinear):
-        _, a, b, c = fact
-        return non_collinear(m[a], m[b], m[c])
-    if isinstance(fact, Absurd):
-        return ABSURD
-    raise TypeError(f"not a fact: {fact!r}")
-
-
-def apply_lemma(
-    state: ProofState, step: LemmaStep, ctx: _Ctx
-) -> Tuple[Tuple[PointId, ...], Tuple[Fact, ...]]:
+def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ...]:
     lemma = ctx.registry.get(step.lemma)
     if lemma is None:
         raise KernelError(f"unknown lemma {step.lemma}")
-    if len(step.args) != len(lemma.points):
-        raise DegenerateInstantiation(
-            f"lemma {lemma.name} takes {len(lemma.points)} point(s), got {len(step.args)}"
-        )
-    mapping = {
-        formal: state.point(actual) for formal, actual in zip(lemma.points, step.args)
-    }
+    try:
+        mapping = _lemma_points(lemma, step.args)
+    except ValueError as exc:
+        raise DegenerateInstantiation(str(exc)) from None
+    for name in step.args:
+        state.point(name)
     for _, hyp in lemma.hypotheses:
         try:
             mapped = subst_fact(hyp, mapping)
@@ -561,28 +599,16 @@ def apply_lemma(
             ) from None
         if mapped not in state.known:
             raise HypothesisNotSatisfied(f"lemma {lemma.name} needs {mapped!r}")
-    if len(step.fresh) != len(lemma.introduced):
-        raise DegenerateInstantiation(
-            f"lemma {lemma.name} introduces {len(lemma.introduced)} point(s), "
-            f"{len(step.fresh)} name(s) given"
-        )
-    fresh_points = []
-    for formal, name in zip(lemma.introduced, step.fresh):
-        p = state.bind_point(name, ORIGIN_LEMMA)
-        mapping[formal] = p
-        fresh_points.append(p)
-    try:
-        conclusions = tuple(subst_fact(c, mapping) for c in lemma.conclusions)
-    except ValueError as exc:
-        raise DegenerateInstantiation(str(exc)) from None
+    for name in step.fresh:
+        state.bind_point(name, ORIGIN_LEMMA)
+    facts = _derived(step, ctx)
     ctx.lemma_uses.append(lemma.name)
-    return tuple(fresh_points), conclusions
+    return facts
 
 
 def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
     if isinstance(step, RuleStep):
-        points = tuple(state.point(n) for n in step.points)
-        conclusions = apply_rule(state, step.rule_id, points, step.refs, ctx, step.label)
+        conclusions = apply_rule(state, step, ctx)
         if step.fact not in conclusions:
             raise ConclusionMismatch(
                 f"{step.fact!r} is not a conclusion of {step.rule_id} at this "
@@ -590,11 +616,9 @@ def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
             )
         state.add_label(step.label, conclusions)
     elif isinstance(step, (ExtendStep, LayoffStep)):
-        _, facts = apply_construction(state, step, ctx)
-        state.add_label(step.label, facts)
+        state.add_label(step.label, apply_construction(state, step, ctx))
     elif isinstance(step, LemmaStep):
-        _, facts = apply_lemma(state, step, ctx)
-        state.add_label(step.label, facts)
+        state.add_label(step.label, apply_lemma(state, step, ctx))
     elif isinstance(step, CasesStep):
         try:
             left = segment(state.point(step.left[0]), state.point(step.left[1]))

@@ -11,8 +11,9 @@ the three pairwise distances; the tangent-vector formulation is kept out of
 the production path on purpose so tests can use it as an independent oracle.
 
 A trial only samples, replays constructions, solves lemma-introduced
-points (bracketed Illinois regula falsi) and measures; the facts each step
-derives name points only, so one model_check call builds them once.  A
+points (bracketed Illinois regula falsi) and measures.  The facts each step
+derives come from kernel.step_facts, the kernel's own description of the
+step; they name points only, so one model_check call builds them once.  A
 Trial holds a trial's points and measures each point pair once; the
 sampler's guards measure every pair and hand that table on.  Statements
 with the same points and hypotheses draw the same trials, so a sample store
@@ -39,10 +40,9 @@ from .kernel import (
     ExtendStep,
     LayoffStep,
     LemmaStep,
-    RuleStep,
     Step,
     TheoremStatement,
-    subst_fact,
+    step_facts,
 )
 from .rules import RULES, RuleSchema
 from .terms import (
@@ -58,10 +58,7 @@ from .terms import (
     SegEq,
     SegLt,
     SegmentTerm,
-    between,
     non_collinear,
-    seg_eq,
-    segment,
 )
 
 
@@ -521,49 +518,9 @@ class _TrialSkip(Exception):
 
 
 class UninstantiableStep(Exception):
-    """A replayed step whose facts cannot be built from its points (the
-    kernel rejects the same step as a DegenerateInstantiation)."""
-
-
-class _StepPlan:
-    """The facts each replayed step derives, shared by every trial of one
-    model_check call: they name points only.  An entry is built when a
-    trial first reaches its step, so a step that cannot be instantiated
-    still fails where the replay reaches it."""
-
-    def __init__(self, registry: Optional[Mapping[str, TheoremStatement]]):
-        self.registry = registry
-        self._facts: Dict[int, Tuple[Fact, ...]] = {}  # keyed by id(step)
-
-    def facts(self, step: Step) -> Tuple[Fact, ...]:
-        got = self._facts.get(id(step))
-        if got is None:
-            try:
-                got = self._facts[id(step)] = self._build(step)
-            except ValueError as exc:
-                raise UninstantiableStep(
-                    f"step {step.label} cannot be instantiated: {exc}"
-                ) from None
-        return got
-
-    def _build(self, step: Step) -> Tuple[Fact, ...]:
-        if isinstance(step, RuleStep):
-            schema = RULES[step.rule_id]
-            return schema.instantiate_conclusions(schema.bind(step.points))
-        if isinstance(step, (ExtendStep, LayoffStep)):
-            fresh, seg = step.fresh, segment(*step.seg)
-            if isinstance(step, ExtendStep):
-                return between(step.b, step.a, fresh), seg_eq(segment(step.b, fresh), seg)
-            return between(fresh, step.start, step.toward), seg_eq(segment(step.start, fresh), seg)
-        stmt = self.registry[step.lemma]
-        if len(step.args) != len(stmt.points) or len(step.fresh) != len(stmt.introduced):
-            raise ValueError(
-                f"lemma {step.lemma} takes {len(stmt.points)} point(s) and introduces "
-                f"{len(stmt.introduced)}, got {len(step.args)} and {len(step.fresh)}"
-            )
-        mapping = dict(zip(stmt.points, step.args))
-        mapping.update(zip(stmt.introduced, step.fresh))
-        return tuple(subst_fact(f, mapping) for f in stmt.conclusions)
+    """A replayed step whose facts cannot be built from its points: it
+    carries kernel.step_facts' ValueError, which the kernel reports as a
+    DegenerateInstantiation."""
 
 
 def _walk_steps(
@@ -571,34 +528,14 @@ def _walk_steps(
     instance: Trial,
     steps: Sequence[Step],
     tol: ToleranceProfile,
-    plan: _StepPlan,
+    derived: Callable[[Step], Tuple[Fact, ...]],
     out_facts,
 ) -> Trial:
-    """Replay proof steps on an instance: realize constructions, pick
-    the numerically true trichotomy branch, and collect every derived
-    fact for evaluation."""
+    """Replay proof steps on an instance: realize constructions, solve
+    lemma-introduced points, pick the numerically true trichotomy branch,
+    and collect every derived fact for evaluation."""
     for step in steps:
-        if isinstance(step, RuleStep):
-            out_facts.extend(plan.facts(step))
-        elif isinstance(step, (ExtendStep, LayoffStep)):
-            try:
-                instance = realize_construction(model, instance, step, tol)
-            except GeodesicOutOfDomain as exc:
-                raise _TrialSkip(str(exc)) from exc
-            out_facts.extend(plan.facts(step))
-        elif isinstance(step, LemmaStep):
-            if plan.registry is None or step.lemma not in plan.registry:
-                raise _TrialSkip(f"no statement for lemma {step.lemma}")
-            conclusions = plan.facts(step)
-            for name in step.fresh:
-                try:
-                    instance = instance.with_point(name, solve_introduced_point(
-                        model, instance, name, conclusions, tol
-                    ))
-                except (UnrealizableStep, DegenerateDirection, DegenerateAngle) as exc:
-                    raise _TrialSkip(str(exc)) from exc
-            out_facts.extend(conclusions)
-        elif isinstance(step, CasesStep):
+        if isinstance(step, CasesStep):
             dl, dr = instance.dist(*step.left), instance.dist(*step.right)
             if tol.close(dl, dr):
                 kind = "eq"
@@ -609,9 +546,23 @@ def _walk_steps(
             else:
                 raise _TrialSkip("segment comparison inside tolerance dead zone")
             branch = next(b for b in step.branches if b.kind == kind)
-            instance = _walk_steps(model, instance, branch.steps, tol, plan, out_facts)
-        else:
-            raise ValueError(f"unknown step {step!r}")
+            instance = _walk_steps(model, instance, branch.steps, tol, derived, out_facts)
+            continue
+        facts = derived(step)
+        if isinstance(step, (ExtendStep, LayoffStep)):
+            try:
+                instance = realize_construction(model, instance, step, tol)
+            except GeodesicOutOfDomain as exc:
+                raise _TrialSkip(str(exc)) from exc
+        elif isinstance(step, LemmaStep):
+            for name in step.fresh:
+                try:
+                    instance = instance.with_point(name, solve_introduced_point(
+                        model, instance, name, facts, tol
+                    ))
+                except (UnrealizableStep, DegenerateDirection, DegenerateAngle) as exc:
+                    raise _TrialSkip(str(exc)) from exc
+        out_facts.extend(facts)
     return instance
 
 
@@ -650,15 +601,30 @@ def model_check(
     given the same `samples` dict share the draws of statements with the
     same points and hypotheses and report what fresh draws would."""
     tol = tol or tolerance_for(model)
+    registry = registry or {}
     report = ModelCheckReport(model=model.name, trials=trials)
-    plan = _StepPlan(registry)
+    memo: Dict[int, Tuple[Fact, ...]] = {}  # by id(step); facts name points only
+
+    def derived(step: Step) -> Tuple[Fact, ...]:
+        facts = memo.get(id(step))
+        if facts is None:
+            if isinstance(step, LemmaStep) and step.lemma not in registry:
+                raise _TrialSkip(f"no statement for lemma {step.lemma}")
+            try:
+                facts = memo[id(step)] = step_facts(step, registry)
+            except ValueError as exc:
+                raise UninstantiableStep(
+                    f"step {step.label} cannot be instantiated: {exc}"
+                ) from None
+        return facts
+
     for k, instance in _draws(model, statement, trials, seed, tol, samples):
         if instance is None:
             report.skipped += 1
             continue
         facts = []
         try:
-            instance = _walk_steps(model, instance, steps, tol, plan, facts)
+            instance = _walk_steps(model, instance, steps, tol, derived, facts)
             for name in statement.introduced:
                 if name not in instance.pts:
                     instance = instance.with_point(name, solve_introduced_point(

@@ -239,6 +239,302 @@ def test_model_lemma_arity_mismatch_is_a_diagnostic(tmp_path, capsys, step, json
     assert "Traceback" not in captured.err
 
 
+# One-step scripts and the exact diagnostic each gets from `check` and from
+# `model --trials 5`: (name, script, check line, model exit code, model
+# stderr).  Only the step differs between the scripts of one template.  The
+# `check` lines were recorded before the kernel and the replay shared
+# kernel.step_facts; `model` names the same reason where the step's facts
+# are what cannot be built.
+ONE_STEP = """\
+theorem t
+  tags: neutral
+  points A B C
+  assume h1: seg A B == seg A C
+  assume h2: noncollinear A B C
+  assume h3: seg A B < seg B C
+  show seg A B == seg A B
+  proof
+    STEP
+  qed from s1
+"""
+
+ONE_LEMMA_STEP = """\
+theorem foot
+  tags: neutral
+  points A B C
+  introduces H
+  assume h1: noncollinear A B C
+  show between B H C
+  show ang B A H == ang C A H
+
+theorem shorter
+  tags: neutral
+  points A B C
+  assume h1: seg A C < seg A B
+  show seg A C < seg A B
+
+theorem u
+  tags: neutral
+  points A B C
+  assume h1: noncollinear A B C
+  show noncollinear A B C
+  proof
+    STEP
+  qed from h1
+"""
+
+
+def _one_step(step, template=ONE_STEP):
+    return template.replace("STEP", step)
+
+
+def _at(line, detail):
+    return f"  step s1 (line {line}): {detail}"
+
+
+STEP_DIAGNOSTICS = [
+    (
+        "rule_ok",
+        _one_step("s1: seg A B == seg A B by SEG_REFL[A,B] from refl"),
+        None,
+        0,
+        "",
+    ),
+    (
+        "rule_arity",
+        _one_step("s1: seg A B == seg A B by SEG_REFL[A,B,C] from refl"),
+        _at(9, "DegenerateInstantiation: SEG_REFL expects 2 points, got 3"),
+        1,
+        "ponscheck: t: step s1 cannot be instantiated: SEG_REFL expects 2 points, got 3",
+    ),
+    (
+        "rule_degenerate",
+        _one_step("s1: seg A B == seg A B by SEG_SYM[A,B,A,A] from h1"),
+        _at(9, "DegenerateInstantiation: segment endpoints coincide: A"),
+        1,
+        "ponscheck: t: step s1 cannot be instantiated: segment endpoints coincide: A",
+    ),
+    (
+        "rule_premise_count",
+        _one_step("s1: seg A B == seg A B by SEG_REFL[A,B] from h1"),
+        _at(9, "PremiseMismatch: SEG_REFL takes 0 premise(s), 1 cited"),
+        0,
+        "",
+    ),
+    (
+        "rule_premise_mismatch",
+        _one_step("s1: seg A C == seg A B by SEG_SYM[A,B,A,C] from h2"),
+        _at(
+            9,
+            "PremiseMismatch: premise seg(A,B) == seg(A,C) expected; "
+            "h2 provides: noncollinear(A,B,C)",
+        ),
+        0,
+        "",
+    ),
+    (
+        "rule_conclusion",
+        _one_step("s1: seg A C == seg A C by SEG_REFL[A,B] from refl"),
+        _at(
+            9,
+            "ConclusionMismatch: seg(A,C) == seg(A,C) is not a conclusion of SEG_REFL "
+            "at this instantiation (it yields: seg(A,B) == seg(A,B))",
+        ),
+        0,
+        "",
+    ),
+    (
+        "absurd_outside_case",
+        _one_step("s1: absurd by ABSURD_LT_EQ_SEG[A,B,A,C] from h3, h1").replace(
+            "h3: seg A B < seg B C", "h3: seg A B < seg A C"
+        ),
+        _at(9, "AbsurdOutsideCase: absurdity derived outside any case assumption"),
+        1,  # the hypotheses contradict each other, so no trial is evaluated
+        "",
+    ),
+    (
+        "unknown_point_rule",
+        _one_step("s1: seg A X == seg A X by SEG_REFL[A,X] from refl"),
+        "ponscheck: elaboration error: line 9: unknown point X",
+        1,
+        "ponscheck: elaboration error: line 9: unknown point X",
+    ),
+    (
+        "unknown_point_extend",
+        _one_step("s1: extend A X by seg A B as D"),
+        "ponscheck: elaboration error: line 9: unknown point X",
+        1,
+        "ponscheck: elaboration error: line 9: unknown point X",
+    ),
+    (
+        "extend_same_points",
+        _one_step("s1: extend A A by seg A B as D"),
+        _at(9, "DegenerateInstantiation: extend needs two distinct points"),
+        1,
+        "ponscheck: t: step s1 cannot be instantiated: extend needs two distinct points",
+    ),
+    (
+        "extend_degenerate_seg",
+        _one_step("s1: extend A A by seg B B as D"),
+        _at(9, "DegenerateInstantiation: segment endpoints coincide: B"),
+        1,
+        "ponscheck: t: step s1 cannot be instantiated: segment endpoints coincide: B",
+    ),
+    (
+        "extend_fresh_is_a",
+        _one_step("s1: extend A B by seg A B as A"),
+        _at(9, "KernelError: point name A already in scope"),
+        1,
+        "ponscheck: t: step s1 cannot be instantiated: betweenness points not distinct: B,A,A",
+    ),
+    (
+        "extend_fresh_is_b",
+        _one_step("s1: extend A B by seg A B as B"),
+        _at(9, "KernelError: point name B already in scope"),
+        1,
+        "ponscheck: t: step s1 cannot be instantiated: betweenness points not distinct: B,A,B",
+    ),
+    (
+        "extend_fresh_exists",
+        _one_step("s1: extend A B by seg A B as C"),
+        _at(9, "KernelError: point name C already in scope"),
+        0,
+        "",
+    ),
+    (
+        "layoff_toward_start",
+        _one_step("s1: layoff A toward A by seg A B as D from h3"),
+        _at(9, "DegenerateInstantiation: segment endpoints coincide: A"),
+        1,
+        "ponscheck: t: step s1 cannot be instantiated: betweenness points not distinct: D,A,A",
+    ),
+    (
+        "layoff_no_bound",
+        _one_step("s1: layoff B toward C by seg A B as D from h1"),
+        _at(9, "LayoffWithoutBound: layoff needs seg(A,B) < seg(B,C) among its citations"),
+        0,
+        "",
+    ),
+    (
+        "layoff_fresh_exists",
+        _one_step("s1: layoff B toward C by seg A B as C from h3"),
+        _at(9, "KernelError: point name C already in scope"),
+        1,
+        "ponscheck: t: step s1 cannot be instantiated: betweenness points not distinct: C,B,C",
+    ),
+    (
+        "lemma_repeats_point",
+        _one_step("s1: lemma foot(A,A,C) as H", ONE_LEMMA_STEP),
+        _at(
+            21,
+            "HypothesisNotSatisfied: lemma foot: hypothesis noncollinear(A,B,C) "
+            "degenerates under this map",
+        ),
+        1,
+        "ponscheck: u: step s1 cannot be instantiated: angle points not distinct: A,A,H",
+    ),
+    (
+        "lemma_fresh_exists",
+        _one_step("s1: lemma foot(A,B,C) as A", ONE_LEMMA_STEP),
+        _at(21, "KernelError: point name A already in scope"),
+        1,
+        "ponscheck: u: step s1 cannot be instantiated: angle points not distinct: B,A,A",
+    ),
+    (
+        "lemma_too_many_fresh",
+        _one_step("s1: lemma foot(A,B,C) as H, K", ONE_LEMMA_STEP),
+        _at(21, "DegenerateInstantiation: lemma foot introduces 1 point(s), 2 name(s) given"),
+        1,
+        "ponscheck: u: step s1 cannot be instantiated: "
+        "lemma foot introduces 1 point(s), 2 name(s) given",
+    ),
+    (
+        "lemma_no_fresh",
+        _one_step("s1: lemma foot(A,B,C)", ONE_LEMMA_STEP),
+        _at(21, "DegenerateInstantiation: lemma foot introduces 1 point(s), 0 name(s) given"),
+        1,
+        "ponscheck: u: step s1 cannot be instantiated: "
+        "lemma foot introduces 1 point(s), 0 name(s) given",
+    ),
+    (
+        "lemma_one_point_short",
+        _one_step("s1: lemma foot(A,B) as H", ONE_LEMMA_STEP),
+        _at(21, "DegenerateInstantiation: lemma foot takes 3 point(s), got 2"),
+        1,
+        "ponscheck: u: step s1 cannot be instantiated: lemma foot takes 3 point(s), got 2",
+    ),
+    (
+        "lemma_hypothesis",
+        _one_step("s1: lemma shorter(A,B,C)", ONE_LEMMA_STEP),
+        _at(21, "HypothesisNotSatisfied: lemma shorter needs seg(A,C) < seg(A,B)"),
+        1,
+        "",
+    ),
+    (
+        "lemma_unknown",
+        _one_step("s1: lemma nosuch(A,B,C) as H", ONE_LEMMA_STEP),
+        "ponscheck: elaboration error: line 21: unknown lemma nosuch",
+        1,
+        "ponscheck: elaboration error: line 21: unknown lemma nosuch",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "script, check_line, model_code, model_err",
+    [case[1:] for case in STEP_DIAGNOSTICS],
+    ids=[case[0] for case in STEP_DIAGNOSTICS],
+)
+def test_step_diagnostics_are_pinned(tmp_path, capsys, script, check_line, model_code, model_err):
+    p = tmp_path / "one_step.proof"
+    p.write_text(script)
+    assert main(["check", str(p)]) == (0 if check_line is None else 1)
+    captured = capsys.readouterr()
+    diagnostics = [
+        line
+        for line in (captured.out + captured.err).splitlines()
+        if line.startswith(("  ", "ponscheck:"))
+    ]
+    assert diagnostics == ([] if check_line is None else [check_line])
+    assert main(["model", str(p), "--trials", "5"]) == model_code
+    assert capsys.readouterr().err.strip() == model_err
+
+
+# A stated lemma point with no betweenness carrier cannot be solved for, so
+# every trial of both blocks is skipped.
+NOFOOT = """\
+theorem nofoot
+  tags: neutral
+  points A B C
+  introduces H
+  assume h1: noncollinear A B C
+  show seg A H == seg A B
+
+theorem uses_nofoot
+  tags: neutral
+  points A B C
+  assume h1: noncollinear A B C
+  show noncollinear A B C
+  proof
+    l1: lemma nofoot(A,B,C) as H
+  qed from h1
+"""
+
+
+def test_model_with_no_evaluated_trial_fails(tmp_path, capsys):
+    p = tmp_path / "nofoot.proof"
+    p.write_text(NOFOOT)
+    assert main(["check", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["model", str(p), "--trials", "20"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name} [{model}] trials=0 failures=0 skipped=20  FAILED: no trial evaluated"
+        for name in ("nofoot", "uses_nofoot")
+        for model in ("euclidean", "poincare", "sphere")
+    ]
+    assert main(["model", str(p), "--trials", "20", "--json"]) == 1
+
+
 def test_model_runs_statements_in_all_models(good_file, capsys):
     assert main(["model", good_file, "--trials", "40", "--seed", "1"]) == 0
     out = capsys.readouterr().out

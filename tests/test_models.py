@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 import ponscheck
 from oracles import tangent_angle
-from ponscheck import models
+from ponscheck import kernel, models
 from ponscheck.cli import main
 from ponscheck.corpus import PROOF_FILENAMES, load_text
 from ponscheck.elaborate import collect_statements, elaborate_script
@@ -25,7 +25,7 @@ from ponscheck.geometry import (
     SPHERE,
     GeodesicOutOfDomain,
 )
-from ponscheck.kernel import ExtendStep, LayoffStep, TheoremStatement
+from ponscheck.kernel import ExtendStep, LayoffStep, TheoremStatement, check_proof
 from ponscheck.models import (
     MissingPoint,
     SamplingFailed,
@@ -377,6 +377,31 @@ def test_model_check_instantiates_rule_facts_independently_of_trials(monkeypatch
         assert rep.trials_run == trials
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("name", ["bisector_pons", "euclid_i5"])
+def test_kernel_and_replay_take_step_facts_from_one_function(monkeypatch, name):
+    block, registry = _corpus_block(name)
+    steps = block.proof.steps
+    calls = []
+    step_facts = kernel.step_facts
+
+    def counting(step, reg):
+        calls.append(step.label)
+        return step_facts(step, reg)
+
+    monkeypatch.setattr(models, "step_facts", counting)
+    for trials in (10, 40):
+        del calls[:]
+        rep = model_check(
+            POINCARE, block.statement, steps, trials=trials, seed=3, registry=registry
+        )
+        assert rep.trials_run == trials
+        assert calls == [step.label for step in steps]
+    monkeypatch.setattr(kernel, "step_facts", counting)
+    del calls[:]
+    assert check_proof(block.statement, block.proof, registry).status == "ok"
+    assert calls == [step.label for step in steps]
 
 
 # ---------------------------------------------------------------------------
