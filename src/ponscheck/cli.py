@@ -29,7 +29,6 @@ from .geometry import MODEL_NAMES, Model, get_model
 from .kernel import CheckReport, TheoremStatement, check_proof
 from .models import (
     ModelCheckReport,
-    UninstantiableStep,
     UnknownConjecture,
     conjecture_statement,
     model_check,
@@ -266,8 +265,9 @@ def cmd_model(args: argparse.Namespace) -> int:
     # one sample store: blocks with the same points and hypotheses share draws
     runs = dict(trials=args.trials, seed=args.seed, tol=tol, samples={})
     # (name, classification, check of one model); a conjecture carries a
-    # euclidean claim, so divergence in the curved models is expected
-    checks: List[Tuple[str, str, Callable[[Model], ModelCheckReport]]] = []
+    # euclidean claim, so divergence in the curved models is expected, and a
+    # proof that failed `check` gets no check: its steps are not replayed
+    checks: List[Tuple[str, str, Optional[Callable[[Model], ModelCheckReport]]]] = []
     for block in pipeline.blocks:
         if block.statement is None:
             continue
@@ -276,7 +276,8 @@ def cmd_model(args: argparse.Namespace) -> int:
             model_check, statement=block.statement, steps=steps,
             registry=pipeline.registry, **runs,
         )
-        checks.append((block.name, graph.classify(block.name), run))
+        failed = _block_status(pipeline, block) == "failed"
+        checks.append((block.name, graph.classify(block.name), None if failed else run))
     for conj in pipeline.conjectures:
         try:
             conjecture_statement(conj.name, conj.points)
@@ -289,10 +290,11 @@ def cmd_model(args: argparse.Namespace) -> int:
     lines: List[str] = []
     for name, cls, run in checks:
         for model in model_list:
-            try:
-                rep = run(model)
-            except UninstantiableStep as exc:
-                raise CliError(1, f"{name}: {exc}") from None
+            if run is None:
+                hard_failures += 1
+                lines.append(f"{name} [{model.name}] proof-failed")
+                continue
+            rep = run(model)
             collected.setdefault(name, {})[model.name] = rep
             base = (
                 f"{name} [{model.name}] trials={rep.trials_run}"

@@ -157,18 +157,16 @@ class _Scope:
             self.trail.append((set.remove, names, name))
 
 
-def _check_refs(refs: Tuple[Ref, ...], scope: _Scope, line: int) -> Tuple[Ref, ...]:
+def _check_refs(refs: Tuple[Ref, ...], scope: _Scope, line: int) -> None:
     for ref in refs:
         if ref.kind in ("label", "sym") and ref.label not in scope.labels:
             raise UnresolvedLabel(f"unresolved label {ref.label}", line)
-    return refs
 
 
-def _seg_points(seg: S.SegTermAst, scope: _Scope, line: int) -> Tuple[str, str]:
-    for n in (seg.a, seg.b):
+def _known_points(names: Tuple[str, ...], scope: _Scope, line: int) -> None:
+    for n in names:
         if n not in scope.points:
             raise UnknownPoint(f"unknown point {n}", line)
-    return (seg.a, seg.b)
 
 
 def _convert_steps(
@@ -181,45 +179,30 @@ def _convert_steps(
         if isinstance(st, S.RuleStepAst):
             if st.rule not in RULES:
                 raise UnknownRule(f"unknown rule {st.rule}", st.line)
-            for n in st.inst.points:
-                if n not in scope.points:
-                    raise UnknownPoint(f"unknown point {n}", st.line)
+            _known_points(st.inst.points, scope, st.line)
             fact = _convert_fact(st.fact, scope.points, st.line)
             _check_refs(st.refs, scope, st.line)
             out.append(RuleStep(st.label, fact, st.rule, st.inst.points, st.refs, line=st.line))
-            scope.add(scope.labels, st.label)
         elif isinstance(st, S.ExtendStepAst):
-            for n in (st.a, st.b):
-                if n not in scope.points:
-                    raise UnknownPoint(f"unknown point {n}", st.line)
-            seg = _seg_points(st.seg, scope, st.line)
-            out.append(ExtendStep(st.label, st.a, st.b, seg, st.fresh, line=st.line))
+            _known_points((st.a, st.b, *st.seg), scope, st.line)
+            out.append(ExtendStep(st.label, st.a, st.b, tuple(st.seg), st.fresh, line=st.line))
             scope.add(scope.points, st.fresh)
-            scope.add(scope.labels, st.label)
         elif isinstance(st, S.LayoffStepAst):
-            for n in (st.start, st.toward):
-                if n not in scope.points:
-                    raise UnknownPoint(f"unknown point {n}", st.line)
-            seg = _seg_points(st.seg, scope, st.line)
+            _known_points((st.start, st.toward, *st.seg), scope, st.line)
             _check_refs(st.refs, scope, st.line)
-            out.append(
-                LayoffStep(st.label, st.start, st.toward, seg, st.fresh, st.refs, line=st.line)
-            )
+            out.append(LayoffStep(
+                st.label, st.start, st.toward, tuple(st.seg), st.fresh, st.refs, line=st.line
+            ))
             scope.add(scope.points, st.fresh)
-            scope.add(scope.labels, st.label)
         elif isinstance(st, S.LemmaStepAst):
             if registry is not None and st.lemma not in registry:
                 raise UnknownLemma(f"unknown lemma {st.lemma}", st.line)
-            for n in st.args:
-                if n not in scope.points:
-                    raise UnknownPoint(f"unknown point {n}", st.line)
+            _known_points(st.args, scope, st.line)
             out.append(LemmaStep(st.label, st.lemma, st.args, st.fresh, line=st.line))
             for name in st.fresh:
                 scope.add(scope.points, name)
-            scope.add(scope.labels, st.label)
         elif isinstance(st, S.CasesStepAst):
-            left = _seg_points(st.left, scope, st.line)
-            right = _seg_points(st.right, scope, st.line)
+            _known_points((*st.left, *st.right), scope, st.line)
             branches = []
             for br in st.branches:
                 mark = len(scope.trail)
@@ -230,10 +213,11 @@ def _convert_steps(
                 branches.append(
                     CaseBranch(br.kind, bsteps, br.close_kind, br.close_refs, line=br.line)
                 )
+            left, right = tuple(st.left), tuple(st.right)
             out.append(CasesStep(st.label, left, right, tuple(branches), line=st.line))
-            scope.add(scope.labels, st.label)
         else:
             raise ElaborationError(f"unknown step kind {type(st).__name__}", 0)
+        scope.add(scope.labels, st.label)
     return tuple(out)
 
 

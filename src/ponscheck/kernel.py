@@ -24,12 +24,15 @@ open assumptions) is logged on an undo trail; after a branch closes, the
 trail rolls the state back to where the split began.  So a branch sees
 nothing its siblings derived, the parent gains only the split's own label,
 and a split costs the work its branches do rather than a copy of the state.
+
+Steps and citations, like the parser's syntax nodes, are NamedTuples (see
+node): immutable, hashable, and built without a dataclass __init__.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .rules import RULES
 from .terms import (
@@ -129,8 +132,25 @@ class TheoremStatement:
                     raise ValueError(f"{self.name}: conclusion mentions unknown point {n}")
 
 
-@dataclass(frozen=True)
-class Ref:
+def node(cls):
+    """Class decorator for the NamedTuple syntax nodes and proof steps: an
+    instance equals only instances of its own class (tuple equality ignores
+    the class), and a trailing `line` field is left out of equality and hashing."""
+    n = -1 if cls._fields[-1] == "line" else None
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and self[:n] == other[:n]
+
+    def __hash__(self) -> int:
+        return hash(self[:n])
+
+    # object.__ne__ inverts __eq__; tuple's own __ne__ would bypass it
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, object.__ne__, __hash__
+    return cls
+
+
+@node
+class Ref(NamedTuple):
     """A premise citation: a label, inline `refl`, or `sym label`."""
 
     kind: str  # "label" | "refl" | "sym"
@@ -144,8 +164,8 @@ class Ref:
         return self.label
 
 
-@dataclass(frozen=True)
-class RuleStep:
+@node
+class RuleStep(NamedTuple):
     label: str
     fact: Fact
     rule_id: str
@@ -154,8 +174,8 @@ class RuleStep:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class ExtendStep:
+@node
+class ExtendStep(NamedTuple):
     """Prolong segment a..b beyond b by a copy of `seg`, naming the new end."""
 
     label: str
@@ -166,8 +186,8 @@ class ExtendStep:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class LayoffStep:
+@node
+class LayoffStep(NamedTuple):
     """Place a point on segment start..toward at distance `seg` from start;
     needs a cited SegLt bound to guarantee it lands strictly inside."""
 
@@ -180,8 +200,8 @@ class LayoffStep:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class LemmaStep:
+@node
+class LemmaStep(NamedTuple):
     label: str
     lemma: str
     args: Tuple[str, ...]
@@ -189,8 +209,8 @@ class LemmaStep:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class CaseBranch:
+@node
+class CaseBranch(NamedTuple):
     kind: str  # "lt" | "eq" | "gt"
     steps: Tuple["Step", ...]
     close_kind: str  # "goal" | "absurd"
@@ -198,8 +218,8 @@ class CaseBranch:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class CasesStep:
+@node
+class CasesStep(NamedTuple):
     """Trichotomy on two segment terms; branch assumptions get the labels
     <label>.lt / <label>.eq / <label>.gt."""
 

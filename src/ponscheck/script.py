@@ -13,16 +13,18 @@ The parser is plain recursive descent over the token strings and
 reports errors with line, column, and the expected-token set; a column
 is worked out only when an error is raised, by matching that one source
 line again.  It never raises anything but ParseError on malformed
-input, whatever the bytes were.
+input, whatever the bytes were.  Syntax nodes are NamedTuples (see
+kernel.node), compared without their source line, so that
+parse(format_script(x)) == x; the per-block classes stay dataclasses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
-from .kernel import Ref
+from .kernel import Ref, node
 
 KEYWORDS = frozenset(
     """theorem declare tags points introduces assume show uses proof qed
@@ -33,6 +35,8 @@ KEYWORDS = frozenset(
 TAG_NAMES = ("neutral", "euclidean")
 
 _MAX_CASE_DEPTH = 64
+_REFL = Ref("refl")  # one citation object serves every `refl`
+_T = TypeVar("_T")
 
 
 class ParseError(SyntaxError):
@@ -55,14 +59,14 @@ class ParseError(SyntaxError):
 # AST
 
 
-@dataclass(frozen=True)
-class SegTermAst:
+@node
+class SegTermAst(NamedTuple):
     a: str
     b: str
 
 
-@dataclass(frozen=True)
-class FactAst:
+@node
+class FactAst(NamedTuple):
     """A fact as written; `points` keeps source order.  For kind
     "between" the middle point is the one lying between the outer two."""
 
@@ -70,8 +74,8 @@ class FactAst:
     points: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class InstAst:
+@node
+class InstAst(NamedTuple):
     """A rule instantiation; `triples` records whether it was written as
     two point triples (congruence criteria) or one flat list."""
 
@@ -79,69 +83,69 @@ class InstAst:
     triples: bool = False
 
 
-@dataclass(frozen=True)
-class AssumeAst:
+@node
+class AssumeAst(NamedTuple):
     label: str
     fact: FactAst
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class RuleStepAst:
+@node
+class RuleStepAst(NamedTuple):
     label: str
     fact: FactAst
     rule: str
     inst: InstAst
     refs: Tuple[Ref, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class ExtendStepAst:
+@node
+class ExtendStepAst(NamedTuple):
     label: str
     a: str
     b: str
     seg: SegTermAst
     fresh: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class LayoffStepAst:
+@node
+class LayoffStepAst(NamedTuple):
     label: str
     start: str
     toward: str
     seg: SegTermAst
     fresh: str
     refs: Tuple[Ref, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class LemmaStepAst:
+@node
+class LemmaStepAst(NamedTuple):
     label: str
     lemma: str
     args: Tuple[str, ...]
     fresh: Tuple[str, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class CaseBranchAst:
+@node
+class CaseBranchAst(NamedTuple):
     kind: str  # lt | eq | gt
     steps: Tuple["StepAst", ...]
     close_kind: str  # goal | absurd
     close_refs: Tuple[Ref, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class CasesStepAst:
+@node
+class CasesStepAst(NamedTuple):
     label: str
     left: SegTermAst
     right: SegTermAst
     branches: Tuple[CaseBranchAst, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
 StepAst = Union[RuleStepAst, ExtendStepAst, LayoffStepAst, LemmaStepAst, CasesStepAst]
@@ -310,6 +314,13 @@ class _Parser:
     def point(self) -> str:
         return self.ident("point name")
 
+    def comma_list(self, item: Callable[[], _T]) -> Tuple[_T, ...]:
+        """One or more items, separated by commas."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return tuple(items)
+
     # -- grammar
 
     def parse_script(self) -> ScriptAst:
@@ -329,11 +340,9 @@ class _Parser:
     def parse_tags(self) -> Tuple[str, ...]:
         self.expect("tags")
         self.expect(":")
-        tags = [self.tag_name()]
-        while self.accept(","):
-            tags.append(self.tag_name())
+        tags = self.comma_list(self.tag_name)
         self.expect_nl()
-        return tuple(tags)
+        return tags
 
     def tag_name(self) -> str:
         if self.tok not in TAG_NAMES:
@@ -341,11 +350,9 @@ class _Parser:
         return self.advance()
 
     def parse_name_list(self) -> Tuple[str, ...]:
-        names = [self.ident("name", allow_keyword=False)]
-        while self.accept(","):
-            names.append(self.ident("name"))
+        names = self.comma_list(lambda: self.ident("name"))
         self.expect_nl()
-        return tuple(names)
+        return names
 
     def parse_declare(self) -> DeclareAst:
         line = self.lines[self.pos]
@@ -366,23 +373,14 @@ class _Parser:
         tags = self.parse_tags()
 
         self.expect("points")
-        points: List[str] = []
-        while self.at_ident():
-            p = self.point()
-            if p in points:
-                raise self.error(f"duplicate point {p}", pos=self.pos - 1)
-            points.append(p)
+        points = self.parse_points()
         if not points:
             raise self.fail("expected at least one point", ("point name",))
         self.expect_nl()
 
         introduces: List[str] = []
         if self.accept("introduces"):
-            while self.at_ident():
-                p = self.point()
-                if p in points or p in introduces:
-                    raise self.error(f"duplicate point {p}", pos=self.pos - 1)
-                introduces.append(p)
+            introduces = self.parse_points(points)
             if not introduces:
                 raise self.fail("expected a point name", ("point name",))
             self.expect_nl()
@@ -437,6 +435,16 @@ class _Parser:
             line=line,
         )
 
+    def parse_points(self, taken: Sequence[str] = ()) -> List[str]:
+        """Point names up to the next non-name token, each new and none in `taken`."""
+        points: List[str] = []
+        while self.at_ident():
+            p = self.point()
+            if p in points or p in taken:
+                raise self.error(f"duplicate point {p}", pos=self.pos - 1)
+            points.append(p)
+        return points
+
     def parse_steps(self, labels: set, stop_words: Tuple[str, ...]) -> List[StepAst]:
         steps: List[StepAst] = []
         while True:
@@ -483,17 +491,13 @@ class _Parser:
         if self.accept("lemma"):
             lemma = self.ident("lemma name")
             self.expect("(")
-            args = [self.point()]
-            while self.accept(","):
-                args.append(self.point())
+            args = self.comma_list(self.point)
             self.expect(")")
-            fresh: List[str] = []
+            fresh: Tuple[str, ...] = ()
             if self.accept("as"):
-                fresh.append(self.point())
-                while self.accept(","):
-                    fresh.append(self.point())
+                fresh = self.comma_list(self.point)
             self.expect_nl()
-            return LemmaStepAst(label, lemma, tuple(args), tuple(fresh), line=line)
+            return LemmaStepAst(label, lemma, args, fresh, line=line)
         fact = self.parse_fact(allow_absurd=True)
         self.expect("by")
         rule = self.ident("rule name", allow_keyword=True)
@@ -573,11 +577,9 @@ class _Parser:
             second = self.parse_triple()
             self.expect("]")
             return InstAst(first + second, triples=True)
-        pts = [self.point()]
-        while self.accept(","):
-            pts.append(self.point())
+        pts = self.comma_list(self.point)
         self.expect("]")
-        return InstAst(tuple(pts), triples=False)
+        return InstAst(pts, triples=False)
 
     def parse_triple(self) -> Tuple[str, str, str]:
         self.expect("(")
@@ -590,14 +592,11 @@ class _Parser:
         return (a, b, c)
 
     def parse_refs(self) -> Tuple[Ref, ...]:
-        refs = [self.parse_ref()]
-        while self.accept(","):
-            refs.append(self.parse_ref())
-        return tuple(refs)
+        return self.comma_list(self.parse_ref)
 
     def parse_ref(self) -> Ref:
         if self.accept("refl"):
-            return Ref("refl")
+            return _REFL
         if self.accept("sym"):
             return Ref("sym", self.ident("label", allow_dots=True))
         return Ref("label", self.ident("label", allow_dots=True))
@@ -627,12 +626,7 @@ def parse_conjecture(text: str) -> ConjectureAst:
     p.expect_nl()
     p.skip_nl()
     p.expect("points")
-    points: List[str] = []
-    while p.at_ident():
-        pt = p.point()
-        if pt in points:
-            raise p.error(f"duplicate point {pt}", pos=p.pos - 1)
-        points.append(pt)
+    points = p.parse_points()
     if not points:
         raise p.fail("expected at least one point", ("point name",))
     p.expect_nl()

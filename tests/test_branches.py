@@ -2,8 +2,6 @@
 nothing a branch introduces is visible to its siblings or after the
 split, in the kernel and in the elaborator alike."""
 
-import dataclasses
-
 import pytest
 
 from ponscheck.elaborate import (
@@ -152,7 +150,7 @@ def test_kernel_parent_gains_only_the_split_label():
     state = initial_state(STATEMENT)
     before = _snapshot(state)
     introductions = [
-        dataclasses.replace(intro, label=f"x{i}")
+        intro._replace(label=f"x{i}")
         for i, (intro, _, _) in enumerate(INTRODUCE_AND_USE.values())
     ]
     proof = _proof(lt=introductions)

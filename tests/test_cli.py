@@ -12,6 +12,10 @@ import pytest
 import ponscheck
 from ponscheck import cli
 from ponscheck.cli import main
+from ponscheck.elaborate import collect_statements, elaborate_script
+from ponscheck.geometry import EUCLIDEAN
+from ponscheck.models import UninstantiableStep, model_check
+from ponscheck.script import parse
 
 GOOD = """\
 theorem mirror_pons
@@ -189,12 +193,21 @@ def test_model_uninstantiable_step_is_a_diagnostic(tmp_path, capsys, step, json_
     assert main(["check", str(p)]) == 1
     assert "DegenerateInstantiation" in capsys.readouterr().out
     assert main(["model", str(p), "--trials", "5"] + json_flag) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1
-    assert "mirror_pons" in err[0] and "step s1" in err[0]
-    assert "Traceback" not in captured.err
+    _assert_proof_failed(capsys.readouterr(), "mirror_pons", json_flag)
+
+
+def _assert_proof_failed(captured, name, json_flag):
+    """`model` reports the block as proof-failed in every model: the step
+    `check` rejected is never replayed, so there is no diagnostic from the
+    replay and no traceback."""
+    assert captured.err == ""
+    if json_flag:
+        rows = [r for r in json.loads(captured.out)["theorems"] if r["name"] == name]
+        assert [(r["status"], r["models"]) for r in rows] == [("failed", {})]
+    else:
+        assert [line for line in captured.out.splitlines() if line.startswith(name + " ")] == [
+            f"{name} [{m}] proof-failed" for m in ("euclidean", "poincare", "sphere")
+        ]
 
 
 FOOT_USER = """\
@@ -231,20 +244,15 @@ def test_model_lemma_arity_mismatch_is_a_diagnostic(tmp_path, capsys, step, json
     assert main(["check", str(p)]) == 1
     assert "DegenerateInstantiation" in capsys.readouterr().out
     assert main(["model", str(p), "--trials", "20"] + json_flag) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1
-    assert "uses_foot" in err[0] and "step l1" in err[0]
-    assert "Traceback" not in captured.err
+    _assert_proof_failed(capsys.readouterr(), "uses_foot", json_flag)
 
 
 # One-step scripts and the exact diagnostic each gets from `check` and from
 # `model --trials 5`: (name, script, check line, model exit code, model
 # stderr).  Only the step differs between the scripts of one template.  The
 # `check` lines were recorded before the kernel and the replay shared
-# kernel.step_facts; `model` names the same reason where the step's facts
-# are what cannot be built.
+# kernel.step_facts.  `model` reports a proof that `check` rejected as
+# proof-failed, on stdout, and never replays it.
 ONE_STEP = """\
 theorem t
   tags: neutral
@@ -305,20 +313,20 @@ STEP_DIAGNOSTICS = [
         _one_step("s1: seg A B == seg A B by SEG_REFL[A,B,C] from refl"),
         _at(9, "DegenerateInstantiation: SEG_REFL expects 2 points, got 3"),
         1,
-        "ponscheck: t: step s1 cannot be instantiated: SEG_REFL expects 2 points, got 3",
+        "",
     ),
     (
         "rule_degenerate",
         _one_step("s1: seg A B == seg A B by SEG_SYM[A,B,A,A] from h1"),
         _at(9, "DegenerateInstantiation: segment endpoints coincide: A"),
         1,
-        "ponscheck: t: step s1 cannot be instantiated: segment endpoints coincide: A",
+        "",
     ),
     (
         "rule_premise_count",
         _one_step("s1: seg A B == seg A B by SEG_REFL[A,B] from h1"),
         _at(9, "PremiseMismatch: SEG_REFL takes 0 premise(s), 1 cited"),
-        0,
+        1,
         "",
     ),
     (
@@ -329,7 +337,7 @@ STEP_DIAGNOSTICS = [
             "PremiseMismatch: premise seg(A,B) == seg(A,C) expected; "
             "h2 provides: noncollinear(A,B,C)",
         ),
-        0,
+        1,
         "",
     ),
     (
@@ -340,7 +348,7 @@ STEP_DIAGNOSTICS = [
             "ConclusionMismatch: seg(A,C) == seg(A,C) is not a conclusion of SEG_REFL "
             "at this instantiation (it yields: seg(A,B) == seg(A,B))",
         ),
-        0,
+        1,
         "",
     ),
     (
@@ -371,34 +379,34 @@ STEP_DIAGNOSTICS = [
         _one_step("s1: extend A A by seg A B as D"),
         _at(9, "DegenerateInstantiation: extend needs two distinct points"),
         1,
-        "ponscheck: t: step s1 cannot be instantiated: extend needs two distinct points",
+        "",
     ),
     (
         "extend_degenerate_seg",
         _one_step("s1: extend A A by seg B B as D"),
         _at(9, "DegenerateInstantiation: segment endpoints coincide: B"),
         1,
-        "ponscheck: t: step s1 cannot be instantiated: segment endpoints coincide: B",
+        "",
     ),
     (
         "extend_fresh_is_a",
         _one_step("s1: extend A B by seg A B as A"),
         _at(9, "KernelError: point name A already in scope"),
         1,
-        "ponscheck: t: step s1 cannot be instantiated: betweenness points not distinct: B,A,A",
+        "",
     ),
     (
         "extend_fresh_is_b",
         _one_step("s1: extend A B by seg A B as B"),
         _at(9, "KernelError: point name B already in scope"),
         1,
-        "ponscheck: t: step s1 cannot be instantiated: betweenness points not distinct: B,A,B",
+        "",
     ),
     (
         "extend_fresh_exists",
         _one_step("s1: extend A B by seg A B as C"),
         _at(9, "KernelError: point name C already in scope"),
-        0,
+        1,
         "",
     ),
     (
@@ -406,13 +414,13 @@ STEP_DIAGNOSTICS = [
         _one_step("s1: layoff A toward A by seg A B as D from h3"),
         _at(9, "DegenerateInstantiation: segment endpoints coincide: A"),
         1,
-        "ponscheck: t: step s1 cannot be instantiated: betweenness points not distinct: D,A,A",
+        "",
     ),
     (
         "layoff_no_bound",
         _one_step("s1: layoff B toward C by seg A B as D from h1"),
         _at(9, "LayoffWithoutBound: layoff needs seg(A,B) < seg(B,C) among its citations"),
-        0,
+        1,
         "",
     ),
     (
@@ -420,7 +428,7 @@ STEP_DIAGNOSTICS = [
         _one_step("s1: layoff B toward C by seg A B as C from h3"),
         _at(9, "KernelError: point name C already in scope"),
         1,
-        "ponscheck: t: step s1 cannot be instantiated: betweenness points not distinct: C,B,C",
+        "",
     ),
     (
         "lemma_repeats_point",
@@ -431,37 +439,35 @@ STEP_DIAGNOSTICS = [
             "degenerates under this map",
         ),
         1,
-        "ponscheck: u: step s1 cannot be instantiated: angle points not distinct: A,A,H",
+        "",
     ),
     (
         "lemma_fresh_exists",
         _one_step("s1: lemma foot(A,B,C) as A", ONE_LEMMA_STEP),
         _at(21, "KernelError: point name A already in scope"),
         1,
-        "ponscheck: u: step s1 cannot be instantiated: angle points not distinct: B,A,A",
+        "",
     ),
     (
         "lemma_too_many_fresh",
         _one_step("s1: lemma foot(A,B,C) as H, K", ONE_LEMMA_STEP),
         _at(21, "DegenerateInstantiation: lemma foot introduces 1 point(s), 2 name(s) given"),
         1,
-        "ponscheck: u: step s1 cannot be instantiated: "
-        "lemma foot introduces 1 point(s), 2 name(s) given",
+        "",
     ),
     (
         "lemma_no_fresh",
         _one_step("s1: lemma foot(A,B,C)", ONE_LEMMA_STEP),
         _at(21, "DegenerateInstantiation: lemma foot introduces 1 point(s), 0 name(s) given"),
         1,
-        "ponscheck: u: step s1 cannot be instantiated: "
-        "lemma foot introduces 1 point(s), 0 name(s) given",
+        "",
     ),
     (
         "lemma_one_point_short",
         _one_step("s1: lemma foot(A,B) as H", ONE_LEMMA_STEP),
         _at(21, "DegenerateInstantiation: lemma foot takes 3 point(s), got 2"),
         1,
-        "ponscheck: u: step s1 cannot be instantiated: lemma foot takes 3 point(s), got 2",
+        "",
     ),
     (
         "lemma_hypothesis",
@@ -497,7 +503,41 @@ def test_step_diagnostics_are_pinned(tmp_path, capsys, script, check_line, model
     ]
     assert diagnostics == ([] if check_line is None else [check_line])
     assert main(["model", str(p), "--trials", "5"]) == model_code
-    assert capsys.readouterr().err.strip() == model_err
+    captured = capsys.readouterr()
+    assert captured.err.strip() == model_err
+    if check_line is not None and check_line.startswith("  step"):
+        assert captured.out.count("] proof-failed\n") == 3
+
+
+# The reason the numeric replay itself gives for each step above whose facts
+# it cannot build, as `model` printed it before it stopped replaying proofs
+# that `check` rejected; models.model_check still raises it for such steps.
+REPLAY_DIAGNOSTICS = {
+    "rule_arity": "SEG_REFL expects 2 points, got 3",
+    "rule_degenerate": "segment endpoints coincide: A",
+    "extend_same_points": "extend needs two distinct points",
+    "extend_degenerate_seg": "segment endpoints coincide: B",
+    "extend_fresh_is_a": "betweenness points not distinct: B,A,A",
+    "extend_fresh_is_b": "betweenness points not distinct: B,A,B",
+    "layoff_toward_start": "betweenness points not distinct: D,A,A",
+    "layoff_fresh_exists": "betweenness points not distinct: C,B,C",
+    "lemma_repeats_point": "angle points not distinct: A,A,H",
+    "lemma_fresh_exists": "angle points not distinct: B,A,A",
+    "lemma_too_many_fresh": "lemma foot introduces 1 point(s), 2 name(s) given",
+    "lemma_no_fresh": "lemma foot introduces 1 point(s), 0 name(s) given",
+    "lemma_one_point_short": "lemma foot takes 3 point(s), got 2",
+}
+
+
+@pytest.mark.parametrize("name, reason", sorted(REPLAY_DIAGNOSTICS.items()))
+def test_replay_names_the_step_it_cannot_instantiate(name, reason):
+    (script,) = [case[1] for case in STEP_DIAGNOSTICS if case[0] == name]
+    ast = parse(script)
+    registry = collect_statements(ast)
+    block = elaborate_script(ast, registry)[-1]
+    with pytest.raises(UninstantiableStep) as exc:
+        model_check(EUCLIDEAN, block.statement, block.proof.steps, 5, registry=registry)
+    assert str(exc.value) == f"step s1 cannot be instantiated: {reason}"
 
 
 # A stated lemma point with no betweenness carrier cannot be solved for, so
@@ -533,6 +573,34 @@ def test_model_with_no_evaluated_trial_fails(tmp_path, capsys):
         for model in ("euclidean", "poincare", "sphere")
     ]
     assert main(["model", str(p), "--trials", "20", "--json"]) == 1
+
+
+def test_model_does_not_pass_a_proof_that_check_rejected(tmp_path, capsys, monkeypatch):
+    """A block whose proof fails `check` is `proof-failed` in every model:
+    it is not replayed, and it fails `model`.  Other blocks are checked."""
+    p = tmp_path / "fresh_exists.proof"
+    p.write_text(_one_step("s1: extend A B by seg A B as C") + "\n" + GOOD)
+    assert main(["check", str(p)]) == 1
+    assert "KernelError: point name C already in scope" in capsys.readouterr().out
+    replayed = []
+
+    def spy(model, **kw):
+        replayed.append(kw["statement"].name)
+        return model_check(model, **kw)
+
+    monkeypatch.setattr(cli, "model_check", spy)
+    assert main(["model", str(p), "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    models = ("euclidean", "poincare", "sphere")
+    assert captured.out.splitlines() == [f"t [{m}] proof-failed" for m in models] + [
+        f"mirror_pons [{m}] trials=5 failures=0 skipped=0" for m in models
+    ]
+    assert captured.err == ""
+    assert replayed == ["mirror_pons"] * 3
+    assert main(["model", str(p), "--trials", "5", "--json"]) == 1
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["theorems"]}
+    assert (rows["t"]["status"], rows["t"]["models"]) == ("failed", {})
+    assert sorted(rows["mirror_pons"]["models"]) == list(models)
 
 
 def test_model_runs_statements_in_all_models(good_file, capsys):

@@ -162,11 +162,11 @@ def _delete_step(steps: Tuple, path: Tuple) -> Tuple:
     step = steps[i]
     assert isinstance(step, CasesStep)
     branch = step.branches[bi]
-    new_branch = dataclasses.replace(
-        branch, steps=_delete_step(branch.steps, path[2:])
+    new_branch = branch._replace(
+        steps=_delete_step(branch.steps, path[2:])
     )
-    new_step = dataclasses.replace(
-        step, branches=step.branches[:bi] + (new_branch,) + step.branches[bi + 1 :]
+    new_step = step._replace(
+        branches=step.branches[:bi] + (new_branch,) + step.branches[bi + 1 :]
     )
     return steps[:i] + (new_step,) + steps[i + 1 :]
 
@@ -193,14 +193,13 @@ def _ref_sites(steps: Tuple, rebuild):
             for ri, ref in enumerate(step.refs):
                 if ref.kind in ("label", "sym"):
                     yield lambda step=step, ri=ri, rb=rebuild_step: rb(
-                        dataclasses.replace(step, refs=_corrupt_ref_tuple(step.refs, ri))
+                        step._replace(refs=_corrupt_ref_tuple(step.refs, ri))
                     )
         elif isinstance(step, CasesStep):
             for bi, branch in enumerate(step.branches):
                 def rebuild_branch(new_branch, step=step, bi=bi, rb=rebuild_step):
                     return rb(
-                        dataclasses.replace(
-                            step,
+                        step._replace(
                             branches=step.branches[:bi]
                             + (new_branch,)
                             + step.branches[bi + 1 :],
@@ -210,13 +209,12 @@ def _ref_sites(steps: Tuple, rebuild):
                 for ri, ref in enumerate(branch.close_refs):
                     if ref.kind in ("label", "sym"):
                         yield lambda branch=branch, ri=ri, rb=rebuild_branch: rb(
-                            dataclasses.replace(
-                                branch,
+                            branch._replace(
                                 close_refs=_corrupt_ref_tuple(branch.close_refs, ri),
                             )
                         )
                 yield from _ref_sites(branch.steps, lambda s, rb=rebuild_branch,
-                                      branch=branch: rb(dataclasses.replace(branch, steps=s)))
+                                      branch=branch: rb(branch._replace(steps=s)))
 
 
 def _citation_mutants(proof: Proof) -> List[Proof]:
@@ -263,7 +261,7 @@ def test_citation_corruption_is_located(pipeline):
         for i, s in enumerate(block.proof.steps)
         if isinstance(s, RuleStep) and s.label == "s4"
     )
-    corrupted = dataclasses.replace(step, refs=_corrupt_ref_tuple(step.refs, 0))
+    corrupted = step._replace(refs=_corrupt_ref_tuple(step.refs, 0))
     mutant = dataclasses.replace(
         block.proof,
         steps=block.proof.steps[:idx] + (corrupted,) + block.proof.steps[idx + 1 :],

@@ -1,7 +1,6 @@
 """Numeric layer: measurement, sampling, construction replay, and the
 divergence of the curved models on euclidean-only claims."""
 
-import json
 import math
 import re
 from collections import Counter
@@ -565,17 +564,18 @@ theorem reuse
 """
 
 
-def test_a_reused_point_name_is_measured_where_it_moved(tmp_path, capsys):
-    # check rejects the step, but model replays it: C moves on past B, so
-    # the extension's betweenness holds and the sampled AB = AC fails
-    p = tmp_path / "reuse.proof"
-    p.write_text(REUSED_NAME)
-    assert main(["model", str(p), "--trials", "20", "--json"]) == 1
-    reports = json.loads(capsys.readouterr().out)["theorems"][0]["models"]
-    assert set(reports) == set(MODELS)
-    for rep in reports.values():
-        assert rep["failures"] == 20
-        assert rep["first_counterexample"]["fact"] == "seg(A,B) == seg(A,C)"
+def test_a_reused_point_name_is_measured_where_it_moved():
+    # check rejects the step (so `model` reports the block proof-failed), but
+    # the replay, called on its own, runs it: C moves on past B, so the
+    # extension's betweenness holds and the sampled AB = AC fails
+    ast = parse(REUSED_NAME)
+    registry = collect_statements(ast)
+    (block,) = elaborate_script(ast, registry)
+    assert check_proof(block.statement, block.proof, registry).status == "failed"
+    for model in MODELS.values():
+        rep = model_check(model, block.statement, block.proof.steps, 20, registry=registry)
+        assert rep.failures == 20
+        assert rep.first_counterexample.fact == "seg(A,B) == seg(A,C)"
 
 
 # ---------------------------------------------------------------------------

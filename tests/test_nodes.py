@@ -1,0 +1,101 @@
+"""Syntax nodes and proof steps are immutable tuples: hashable, equal only
+to instances of their own class, and equal whatever source line they were
+read from."""
+
+import itertools
+
+import pytest
+
+from ponscheck import kernel as K
+from ponscheck import script as S
+from ponscheck.terms import seg_eq, segment
+
+FACT = S.FactAst("seg_eq", ("A", "B", "A", "C"))
+SEG = S.SegTermAst("A", "B")
+REFS = (K.Ref("label", "h1"), K.Ref("sym", "h2"), K.Ref("refl"))
+RULE_AST = S.RuleStepAst("s1", FACT, "SEG_SYM", S.InstAst(("A", "B", "A", "C")), REFS[:1], 4)
+KSTEP = K.ExtendStep("e1", "A", "B", ("A", "C"), "D", 5)
+
+SYNTAX_NODES = [
+    SEG,
+    FACT,
+    S.InstAst(("A", "B", "C", "A", "C", "B"), True),
+    S.AssumeAst("h1", FACT, 3),
+    RULE_AST,
+    S.ExtendStepAst("e1", "A", "B", SEG, "D", 5),
+    S.LayoffStepAst("l1", "A", "C", SEG, "D", REFS[:1], 6),
+    S.LemmaStepAst("m1", "foot", ("A", "B", "C"), ("H",), 7),
+    S.CaseBranchAst("lt", (RULE_AST,), "goal", REFS[:1], 8),
+    S.CasesStepAst(
+        "c1", SEG, S.SegTermAst("A", "C"), (S.CaseBranchAst("lt", (), "absurd", (), 9),), 9
+    ),
+]
+KERNEL_NODES = [
+    *REFS,
+    K.RuleStep(
+        "s1", seg_eq(segment("A", "B"), segment("A", "C")), "SEG_SYM", ("A", "B", "A", "C"), REFS[:1], 4
+    ),
+    KSTEP,
+    K.LayoffStep("l1", "A", "C", ("A", "B"), "D", REFS[:1], 6),
+    K.LemmaStep("m1", "foot", ("A", "B", "C"), ("H",), 7),
+    K.CaseBranch("lt", (KSTEP,), "goal", REFS[:1], 8),
+    K.CasesStep("c1", ("A", "B"), ("A", "C"), (K.CaseBranch("eq", (), "absurd", (), 9),), 9),
+]
+NODES = SYNTAX_NODES + KERNEL_NODES
+
+
+def _id(node):
+    return type(node).__name__
+
+
+def test_every_converted_class_is_covered():
+    classes = {type(n) for n in NODES}
+    assert len(classes) == 17
+    assert all(issubclass(c, tuple) for c in classes)
+
+
+@pytest.mark.parametrize("node", NODES, ids=_id)
+def test_fields_cannot_be_assigned(node):
+    for name in node._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, getattr(node, name))
+    with pytest.raises(AttributeError):
+        node.extra = 1
+
+
+@pytest.mark.parametrize("node", NODES, ids=_id)
+def test_nodes_hash_and_equal_their_copies(node):
+    copy = type(node)(*node)
+    assert copy == node and not copy != node
+    assert hash(copy) == hash(node)
+    assert len({node, copy}) == 1
+
+
+@pytest.mark.parametrize("node", [n for n in NODES if "line" in n._fields], ids=_id)
+def test_nodes_ignore_their_line(node):
+    moved = node._replace(line=node.line + 100)
+    assert moved == node and not moved != node
+    assert hash(moved) == hash(node)
+    assert moved._replace(**{node._fields[0]: "zz"}) != node
+
+
+def test_classes_with_the_same_field_values_stay_distinct():
+    """Every pair of converted classes with the same field count (such as
+    RuleStepAst and RuleStep, or ExtendStep and RuleStep), filled with one
+    tuple of values, and each class against the plain tuple."""
+    pairs = 0
+    for x, y in itertools.combinations(NODES, 2):
+        if type(x) is type(y) or len(x) != len(y):
+            continue
+        y = type(y)._make(x)
+        pairs += 1
+        assert x != y and y != x
+        assert not (x == y or y == x)
+        assert len({x, y}) == 2
+    assert pairs == 34
+    for node in NODES:
+        assert node != tuple(node) and tuple(node) != node
+
+
+def test_ref_prints_as_written():
+    assert [repr(r) for r in REFS] == ["h1", "sym h2", "refl"]

@@ -1,6 +1,8 @@
 """Rule schemas and the proof-checking kernel."""
 
+import dataclasses
 import sys
+from collections import Counter
 
 import pytest
 
@@ -597,3 +599,36 @@ def test_long_chain_check_makes_no_python_hash_or_eq_calls():
         sys.setprofile(None)
     assert report.status == "ok", report.error
     assert len(calls) == 0, sorted(set(calls))
+
+
+# Built at most a few times per block; every per-step object is a tuple.
+PER_BLOCK_DATACLASSES = {
+    "ScriptAst", "TheoremAst", "TheoremStatement", "Proof", "ElaboratedBlock",
+    "CheckReport", "StepResult", "SideConditionRecord",
+}
+
+
+def test_long_chain_builds_no_dataclass_per_node_or_step():
+    """Syntax nodes and proof steps are tuples: parsing, elaborating and
+    strictly checking a 1000-step chain runs no dataclass __init__ for any
+    of them."""
+    text = _extend_chain(1000)
+    built = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__init__":
+            obj = frame.f_locals.get("self")
+            if dataclasses.is_dataclass(obj):
+                built[type(obj).__name__] += 1
+
+    sys.setprofile(profile)
+    try:
+        ast = parse(text)
+        registry = collect_statements(ast)
+        (block,) = elaborate_script(ast, registry)
+        report = check_proof(block.statement, block.proof, registry, strict=True)
+    finally:
+        sys.setprofile(None)
+    assert report.status == "ok", report.error
+    assert set(built) <= PER_BLOCK_DATACLASSES, built
+    assert built["StepResult"] == 1001  # the hook does see dataclass inits
