@@ -22,8 +22,9 @@ per run).
 
 Each model's numeric profile (equality tolerance, sampling distances and
 region, working domain) lives on its Model class in geometry; MIN_ANGLE is
-the one sampling constant shared by all three.  The per-rule soundness
-samplers form one table built from a few configuration shapes.
+the one sampling constant shared by all three.  There is one sampler: the
+rule soundness harness takes each rule's premises and side conditions as
+hypotheses and samples them with sample_instance's attempts.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .kernel import (
 )
 from .rules import RULES, RuleSchema
 from .terms import (
+    ABSURD,
     Absurd,
     AngEq,
     AngLt,
@@ -58,6 +60,7 @@ from .terms import (
     SegEq,
     SegLt,
     SegmentTerm,
+    fact_point_names,
     non_collinear,
 )
 
@@ -76,7 +79,8 @@ class UnrealizableStep(SamplingFailed):
 
 
 _MAX_ATTEMPTS = 1000
-# smallest angle a sampled triangle or a sampler's prescribed angle may have
+# smallest angle a sampled noncollinear triangle may have; an opening the
+# sampler prescribes stays twice as far from 0 and pi
 MIN_ANGLE = 0.15
 
 
@@ -231,25 +235,6 @@ def eval_fact(
 # Instance sampling
 
 
-def _rand_len(model: Model, rng: Random) -> float:
-    return rng.uniform(model.min_separation, model.max_leg)
-
-
-def _rand_angle(rng: Random) -> float:
-    return rng.uniform(2.0 * MIN_ANGLE, math.pi - 2.0 * MIN_ANGLE)
-
-
-def _shared_point(l: SegmentTerm, r: SegmentTerm) -> Optional[Tuple[PointId, PointId, PointId]]:
-    """(shared, other-of-l, other-of-r) when the segments share exactly
-    one endpoint."""
-    ls, rs = {l.a, l.b}, {r.a, r.b}
-    common = ls & rs
-    if len(common) != 1:
-        return None
-    s = common.pop()
-    return s, (ls - {s}).pop(), (rs - {s}).pop()
-
-
 def _base_angle_apex(l: AngleTerm, r: AngleTerm) -> Optional[Tuple[PointId, PointId, PointId]]:
     """Detect the two-base-angles-of-one-triangle pattern: angles at v
     and w whose arms are each other plus a common apex.  Returns
@@ -266,66 +251,132 @@ def _base_angle_apex(l: AngleTerm, r: AngleTerm) -> Optional[Tuple[PointId, Poin
     return apex_l, v, w
 
 
-def _place_isosceles(
-    model: Model, pts: Dict[str, Vec], apex: str, left: str, right: str, rng: Random
-) -> None:
-    a = pts[apex]
-    leg = rng.uniform(2.0 * model.min_separation, model.max_leg)
-    opening = _rand_angle(rng)
-    u = model.random_tangent(rng, a)
-    pts[left] = model.exp(a, u, leg)
-    pts[right] = model.exp(a, model.rotate_tangent(a, u, opening), leg)
+def _moves(left, right, placed: Dict[str, int]):
+    """The move an equality makes: (fixed side, moving side, pivot, moved
+    point), or None.  The moved point is an endpoint or arm of one side
+    that the other side does not name; the first choice is the right
+    side's second point, and a point earlier hypotheses placed is chosen
+    last (a moved one after a named one)."""
+    best, best_rank = None, 3
+    for fixed, side in ((left, right), (right, left)):
+        for c, d in ((side[-2], side[-1]), (side[-1], side[-2])):
+            rank = placed.get(d, 0)
+            if rank < best_rank and d not in fixed[1:]:
+                if rank == 0:
+                    return fixed, side, c, d
+                best, best_rank = (fixed, side, c, d), rank
+    return best
+
+
+def _copy_arms(left: AngleTerm, right: AngleTerm, earlier: Sequence[Fact], placed):
+    """For two disjoint triangles whose points are all placed, the right
+    angle's arms in the order that matches the left angle's arm1 and arm2,
+    when copying the left triangle onto the right one keeps every earlier
+    hypothesis that names a moved arm: each must be an equality between
+    parts the copy matches, or the right triangle's own noncollinearity.
+    None otherwise."""
+    (_, v, a, b), (_, w, c, d) = left, right
+    if len({v, a, b, w, c, d}) < 6 or not placed.keys() >= {v, a, b, w, c, d}:
+        return None
+
+    def matched(x, y, image) -> bool:  # the copy carries term x onto term y
+        mapped = [image.get(n) for n in x[1:]]
+        return (len(mapped) == 2 or mapped[0] == y[1]) and set(mapped) == set(y[1:])
+
+    def kept(fact, image) -> bool:
+        names = fact_point_names(fact)
+        if c not in names and d not in names:
+            return True
+        if isinstance(fact, NonCollinear):
+            return set(names) == {w, c, d}
+        return isinstance(fact, (SegEq, AngEq)) and (
+            matched(fact.left, fact.right, image) or matched(fact.right, fact.left, image)
+        )
+
+    for arms in ((c, d), (d, c)):
+        image = {v: w, a: arms[0], b: arms[1]}
+        if all(kept(fact, image) for fact in earlier):
+            return arms
+    return None
 
 
 def _constructive_pass(
-    model: Model, pts: Dict[str, Vec], fact: Fact, rng: Random, tol: ToleranceProfile
+    model: Model, pts: Dict[str, Vec], fact: Fact, rng: Random, tol: ToleranceProfile,
+    placed: Dict[str, int], earlier: Sequence[Fact],
 ) -> None:
-    """Adjust point placements so `fact` holds by construction.  May
-    raise DegenerateDirection/DomainError; callers treat that as a
-    failed attempt."""
+    """Adjust point placements so `fact` holds by construction, and record
+    in `placed` the points it named (1) and moved (2).
+
+    A betweenness puts its mid on the segment.  A segment equality moves a
+    point along the geodesic from its pivot and an angle equality turns an
+    arm about its vertex; each moves a point no earlier hypothesis named if
+    it can, else one none moved (a segment equality can slide an outer
+    point of a betweenness along the ray from its mid), taking it from the
+    other side when one side is fully placed.  An angle equality copies one
+    triangle onto another when _copy_arms finds a copy that keeps the
+    `earlier` hypotheses.  A hypothesis undone by a later one is left to
+    rejection within tolerance: a Between accepted that way can be about
+    sqrt(eq_tol) off straight, and angle equalities measured against it
+    fail.  May raise DegenerateDirection/DomainError; callers treat that
+    as a failed attempt."""
+    moved: Tuple[str, ...] = ()
     if isinstance(fact, SegEq):
-        shared = _shared_point(fact.left, fact.right)
-        if shared is not None:
-            s, m1, m2 = shared
-            length = model.dist(pts[s], pts[m1])
-            u = model.unit_tangent(pts[s], pts[m2])
-            pts[m2] = model.exp(pts[s], u, length)
-        else:
-            length = model.dist(pts[fact.left.a], pts[fact.left.b])
-            c, d = fact.right.a, fact.right.b
-            u = model.unit_tangent(pts[c], pts[d])
-            pts[d] = model.exp(pts[c], u, length)
+        move = _moves(fact.left, fact.right, placed)
+        if move is not None:
+            fixed, _, c, d = move
+            length = model.dist(pts[fixed.a], pts[fixed.b])
+            pts[d] = model.exp(pts[c], model.unit_tangent(pts[c], pts[d]), length)
+            moved = (d,)
     elif isinstance(fact, AngEq):
         apex = _base_angle_apex(fact.left, fact.right)
-        if apex is not None:
+        if apex is not None and apex[1] not in placed and apex[2] not in placed:
             a, v, w = apex
-            _place_isosceles(model, pts, a, v, w, rng)
+            leg = rng.uniform(2.0 * model.min_separation, model.max_leg)
+            opening = rng.uniform(2.0 * MIN_ANGLE, math.pi - 2.0 * MIN_ANGLE)
+            u = model.random_tangent(rng, pts[a])
+            pts[v] = model.exp(pts[a], u, leg)
+            pts[w] = model.exp(pts[a], model.rotate_tangent(pts[a], u, opening), leg)
+            moved = (v, w)
         else:
-            _, v, a, b = fact.left
-            theta = angle_at(model, pts[a], pts[v], pts[b], tol)
-            _, w, c, d = fact.right
-            keep = model.dist(pts[w], pts[d])
-            u = model.unit_tangent(pts[w], pts[c])
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            pts[d] = model.exp(pts[w], model.rotate_tangent(pts[w], u, sign * theta), keep)
+            arms = _copy_arms(fact.left, fact.right, earlier, placed)
+            move = (fact.left, fact.right) + arms if arms else _moves(fact.left, fact.right, placed)
+            if move is not None:
+                (_, v, a, b), (_, w, _, _), c, d = move
+                theta = angle_at(model, pts[a], pts[v], pts[b], tol)
+                u = model.unit_tangent(pts[w], pts[c])
+                if arms is not None:  # c to |v a| along its ray, d turned at |v b|
+                    pts[c] = model.exp(pts[w], u, model.dist(pts[v], pts[a]))
+                    keep, moved = model.dist(pts[v], pts[b]), (c, d)
+                else:
+                    keep, moved = model.dist(pts[w], pts[d]), (d,)
+                sign = 1.0 if rng.random() < 0.5 else -1.0
+                pts[d] = model.exp(pts[w], model.rotate_tangent(pts[w], u, sign * theta), keep)
     elif isinstance(fact, Between):
         a, b = pts[fact.a], pts[fact.b]
         t = rng.uniform(0.15, 0.85)
         pts[fact.mid] = model.point_toward(a, b, t * model.dist(a, b))
-    # SegLt/AngLt/NonCollinear are left to rejection + guards
+        moved = (fact.mid,)
+    else:
+        return  # SegLt/AngLt/NonCollinear are left to rejection + guards
+    for name in fact_point_names(fact):
+        placed.setdefault(name, 1)
+    for name in moved:
+        placed[name] = 2
 
 
 def _guarded(
     model: Model, pts: Dict[str, Vec], statement_like: Sequence[Fact], tol: ToleranceProfile
 ) -> Optional[Trial]:
     """The attempt's table, every pair measured, when the points pass the
-    separation, region and clear-angle guards; None otherwise."""
+    separation, region and clear-angle guards and every fact holds; None
+    otherwise."""
     trial = Trial(model, pts)
-    names = sorted(pts)
+    dists, dist = trial.dists, model.dist
+    items = sorted(pts.items())
     sep, spread = model.min_separation, model.max_spread
-    for i, n in enumerate(names):
-        for m in names[i + 1 :]:
-            d = trial.dist(n, m)
+    for i, (n, p) in enumerate(items):
+        for m, q in items[i + 1 :]:
+            d = dists[n, m] = dists[m, n] = dist(p, q)
             if d < sep or d > spread:
                 return None
     if not all(model.in_sample_region(p) for p in pts.values()):
@@ -340,7 +391,44 @@ def _guarded(
                     return None
                 if ang < MIN_ANGLE or ang > math.pi - MIN_ANGLE:
                     return None
-    return trial
+    if all(eval_fact(model, trial, f, tol) for f in statement_like):
+        return trial
+    return None
+
+
+def _attempt(
+    model: Model, points: Sequence[str], hyps: Sequence[Fact], rng: Random,
+    tol: ToleranceProfile, line: Sequence[str] = (),
+) -> Optional[Trial]:
+    """One sampling attempt: random points, the constructive passes in
+    hypothesis order, then the guards; None when it is rejected.  A `line`
+    (p, q, x, y) moves p and q onto the geodesic through x and y, at signed
+    distances from x on both sides, before the guards."""
+    pts: Dict[str, Vec] = {name: model.random_point(rng) for name in points}
+    placed: Dict[str, int] = {}
+    try:
+        for i, fact in enumerate(hyps):
+            _constructive_pass(model, pts, fact, rng, tol, placed, hyps[:i])
+        if line:
+            p, q, x, y = line
+            u = model.unit_tangent(pts[x], pts[y])
+            for name in (p, q):
+                pts[name] = model.exp(pts[x], u, rng.uniform(-model.max_leg, model.max_leg))
+    except (DegenerateDirection, DomainError, DegenerateAngle):
+        return None
+    return _guarded(model, pts, hyps, tol)
+
+
+def _sample(
+    model: Model, points: Sequence[str], hyps: Sequence[Fact], seed,
+    tol: ToleranceProfile, line: Sequence[str] = (),
+) -> Optional[Trial]:
+    """The first accepted of 1000 seeded attempts, or None."""
+    for attempt in range(_MAX_ATTEMPTS):
+        trial = _attempt(model, points, hyps, Random(f"{seed}:{attempt}"), tol, line)
+        if trial is not None:
+            return trial
+    return None
 
 
 def sample_instance(
@@ -354,22 +442,11 @@ def sample_instance(
     recognized, rejection sampling plus nondegeneracy guards otherwise.
     Returns the accepted attempt's Trial, its distance table filled by the
     guards.  Raises SamplingFailed after 1000 attempts."""
-    tol = tol or tolerance_for(model)
     hyps = [fact for _, fact in statement.hypotheses]
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = Random(f"{seed}:{attempt}")
-        pts: Dict[str, Vec] = {
-            name: model.random_point(rng) for name in statement.points
-        }
-        try:
-            for fact in hyps:
-                _constructive_pass(model, pts, fact, rng, tol)
-        except (DegenerateDirection, DomainError, DegenerateAngle):
-            continue
-        trial = _guarded(model, pts, hyps, tol)
-        if trial is not None and all(eval_fact(model, trial, f, tol) for f in hyps):
-            return trial
-    raise SamplingFailed(f"{statement.name}: no instance in {_MAX_ATTEMPTS} attempts")
+    trial = _sample(model, statement.points, hyps, seed, tol or tolerance_for(model))
+    if trial is None:
+        raise SamplingFailed(f"{statement.name}: no instance in {_MAX_ATTEMPTS} attempts")
+    return trial
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +589,32 @@ class ModelCheckReport:
             }
         return d
 
+    def record(self, trial: int, instance: Trial, failed: Optional[str]) -> None:
+        """Count one evaluated trial; `failed` describes the first fact
+        that did not hold, and the first such trial is kept."""
+        self.trials_run += 1
+        if failed is not None:
+            self.failures += 1
+            if self.first_counterexample is None:
+                self.first_counterexample = Counterexample(
+                    trial=trial, fact=failed, points=tuple(sorted(instance.pts.items()))
+                )
+
+
+def _first_false(
+    model: Model, instance: Trial, facts: Sequence[Fact], tol: ToleranceProfile
+) -> Optional[str]:
+    """The first fact that does not hold in the instance (a missing point
+    makes it false), printed; None when all hold."""
+    for fact in facts:
+        try:
+            holds = eval_fact(model, instance, fact, tol)
+        except MissingPoint:
+            holds = False
+        if not holds:
+            return repr(fact)
+    return None
+
 
 class _TrialSkip(Exception):
     pass
@@ -564,10 +667,6 @@ def _walk_steps(
                     raise _TrialSkip(str(exc)) from exc
         out_facts.extend(facts)
     return instance
-
-
-def _freeze_instance(instance: Trial) -> Tuple[Tuple[str, Vec], ...]:
-    return tuple(sorted(instance.pts.items()))
 
 
 def _draws(model: Model, statement: TheoremStatement, trials: int, seed, tol, samples):
@@ -634,19 +733,7 @@ def model_check(
             report.skipped += 1
             continue
         facts.extend(statement.conclusions)
-        report.trials_run += 1
-        for fact in facts:
-            try:
-                holds = eval_fact(model, instance, fact, tol)
-            except MissingPoint:
-                holds = False
-            if not holds:
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = Counterexample(
-                        trial=k, fact=repr(fact), points=_freeze_instance(instance)
-                    )
-                break
+        report.record(k, instance, _first_false(model, instance, facts, tol))
     return report
 
 
@@ -714,175 +801,13 @@ def model_check_conjecture(
         if instance is None:
             report.skipped += 1
             continue
-        report.trials_run += 1
         holds, detail = conj.evaluate(instance, points, tol)
-        if not holds:
-            report.failures += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = Counterexample(
-                    trial=k, fact=detail, points=_freeze_instance(instance)
-                )
+        report.record(k, instance, None if holds else detail)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Rule-level soundness harness
-
-# Each sampler returns one premise-satisfying configuration of its rule's
-# points, in RuleSchema.variables order, or None.  They are built from a few
-# shapes; every draw comes from the trial's rng in a fixed order, so a seed
-# gives one configuration.
-
-_RuleSampler = Callable[[Model, Random], Optional[Sequence[Vec]]]
-
-
-def _start(model: Model, rng: Random) -> Tuple[Vec, Vec]:
-    """A random point and a random unit tangent there."""
-    p = model.random_point(rng)
-    return p, model.random_tangent(rng, p)
-
-
-def _segment(model: Model, rng: Random, length: Optional[float] = None) -> Tuple[Vec, Vec]:
-    """Two points the given (or a random) length apart."""
-    p, u = _start(model, rng)
-    return p, model.exp(p, u, _rand_len(model, rng) if length is None else length)
-
-
-def _angle(model: Model, rng: Random, theta: Optional[float] = None) -> Tuple[Vec, Vec, Vec]:
-    """(arm, vertex, arm) with the given (or a random clear) angle at the
-    vertex."""
-    v, u = _start(model, rng)
-    la, lb = _rand_len(model, rng), _rand_len(model, rng)
-    if theta is None:
-        theta = _rand_angle(rng)
-    return model.exp(v, u, la), v, model.exp(v, model.rotate_tangent(v, u, theta), lb)
-
-
-def _arm(model: Model, rng: Random, v: Vec, u, theta: float) -> Vec:
-    """A point a random length from v, at angle theta from the tangent u."""
-    return model.exp(v, model.rotate_tangent(v, u, theta), _rand_len(model, rng))
-
-
-def _each(model: Model, rng: Random, shape, params: Sequence) -> Tuple[Vec, ...]:
-    """One shape per parameter, points concatenated in order."""
-    return tuple(pt for x in params for pt in shape(model, rng, x))
-
-
-def _congruent_pair(model: Model, rng: Random) -> Tuple[Vec, ...]:
-    """Two congruent triangles (p1,p2,p3), (q1,q2,q3): same legs from the
-    first vertex, same included angle, random placement and handedness."""
-    l2, l3 = _rand_len(model, rng), _rand_len(model, rng)
-    theta = _rand_angle(rng)
-    p1, u = _start(model, rng)
-    p2 = model.exp(p1, u, l2)
-    p3 = model.exp(p1, model.rotate_tangent(p1, u, theta), l3)
-    q1, w = _start(model, rng)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    q2 = model.exp(q1, w, l2)
-    q3 = model.exp(q1, model.rotate_tangent(q1, w, sign * theta), l3)
-    return p1, p2, p3, q1, q2, q3
-
-
-def _ray_with_offside(model: Model, rng: Random) -> Tuple[Vec, Vec, Vec, Vec]:
-    """v, interior point m, far point w on one geodesic ray, plus z off
-    the line at a healthy angle."""
-    v, u = _start(model, rng)
-    l1, l2 = _rand_len(model, rng), _rand_len(model, rng)
-    m, w = model.exp(v, u, l1), model.exp(v, u, l1 + l2)
-    return v, m, w, _arm(model, rng, v, u, _rand_angle(rng))
-
-
-def _split_segment(model: Model, rng: Random, lengths: Tuple[float, float]) -> Tuple[Vec, Vec, Vec]:
-    """(outer, mid, outer) with the two parts of the given lengths."""
-    p, u = _start(model, rng)
-    l1, l2 = lengths
-    return p, model.exp(p, u, l1), model.exp(p, u, l1 + l2)
-
-
-def _supplement(model: Model, rng: Random, phi: float) -> Tuple[Vec, Vec, Vec, Vec]:
-    """(a, b, c, d) with b between a and d, and angle d-b-c equal to phi."""
-    b, u = _start(model, rng)
-    la, ld = _rand_len(model, rng), _rand_len(model, rng)
-    a = model.exp(b, u, la)
-    return a, b, _arm(model, rng, b, u, phi), model.exp(b, u, -ld)
-
-
-def _seg_sym(model: Model, rng: Random) -> Tuple[Vec, ...]:
-    a, b = _segment(model, rng)
-    return (a, b) + _segment(model, rng, model.dist(a, b))
-
-
-def _arm_subst(model: Model, rng: Random) -> Tuple[Vec, ...]:
-    v, m, w, z = _ray_with_offside(model, rng)
-    return v, w, m, z
-
-
-def _lt_subst_seg(model: Model, rng: Random) -> Tuple[Vec, ...]:
-    lo = _rand_len(model, rng)
-    sep = model.min_separation
-    hi = lo + rng.uniform(0.3 * sep, 0.8 * sep) + lo * 0.1
-    return _each(model, rng, _segment, (lo, hi, lo, hi))
-
-
-def _lt_subst_ang(model: Model, rng: Random) -> Tuple[Vec, ...]:
-    lo = rng.uniform(MIN_ANGLE, math.pi - 3.0 * MIN_ANGLE)
-    hi = lo + rng.uniform(0.5 * MIN_ANGLE, 2.0 * MIN_ANGLE)
-    return _each(model, rng, _angle, (lo, hi, lo, hi))
-
-
-# The contradiction rules' premises can never hold together; their samplers
-# come close (equal or strictly smaller) to stress the dead zone.
-
-
-def _absurd_seg(model: Model, rng: Random) -> Tuple[Vec, ...]:
-    length = _rand_len(model, rng)
-    bump = rng.choice([0.0, 0.5 * model.min_separation])
-    return _each(model, rng, _segment, (length, length + bump))
-
-
-def _absurd_ang(model: Model, rng: Random) -> Tuple[Vec, ...]:
-    theta = _rand_angle(rng)
-    bump = rng.choice([0.0, 2.0 * MIN_ANGLE])
-    return _each(model, rng, _angle, (theta, min(theta + bump, math.pi - 0.05)))
-
-
-def _nc_transfer(model: Model, rng: Random) -> Optional[Tuple[Vec, ...]]:
-    # p and q are placed on the geodesic through x and y: the rule's
-    # shared-line side condition, enforced here by construction
-    sep, span = model.min_separation, model.max_leg
-    x, u = _start(model, rng)
-    ty = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(1.5 * sep, span)
-    tp = rng.uniform(-span, span)
-    tq = rng.uniform(-span, span)
-    if abs(tp - tq) < 1.2 * sep:
-        return None
-    y, p, q = (model.exp(x, u, t) for t in (ty, tp, tq))
-    return x, y, _arm(model, rng, x, u, _rand_angle(rng)), p, q
-
-
-_RULE_SAMPLERS: Dict[str, _RuleSampler] = {
-    "SEG_REFL": _segment,
-    "ANG_REFL": _angle,
-    "SEG_SYM": _seg_sym,
-    "ANG_SYM": lambda model, rng: _each(model, rng, _angle, [_rand_angle(rng)] * 2),
-    "SEG_TRANS": lambda model, rng: _each(model, rng, _segment, [_rand_len(model, rng)] * 3),
-    "ANG_TRANS": lambda model, rng: _each(model, rng, _angle, [_rand_angle(rng)] * 3),
-    "SAS_ORD": _congruent_pair,
-    # a congruent copy satisfies the angle-angle-side premises as well
-    "ASA_ORD": _congruent_pair,
-    "SEG_SUM": lambda model, rng: _each(
-        model, rng, _split_segment, [(_rand_len(model, rng), _rand_len(model, rng))] * 2
-    ),
-    "SUPP_CONG": lambda model, rng: _each(model, rng, _supplement, [_rand_angle(rng)] * 2),
-    "ARM_SUBST": _arm_subst,
-    "WHOLE_PART_SEG": lambda model, rng: _ray_with_offside(model, rng)[:3],
-    "WHOLE_PART_ANG": _ray_with_offside,
-    "LT_SUBST_SEG": _lt_subst_seg,
-    "LT_SUBST_ANG": _lt_subst_ang,
-    "ABSURD_LT_EQ_SEG": _absurd_seg,
-    "ABSURD_LT_EQ_ANG": _absurd_ang,
-    "NC_TRANSFER": _nc_transfer,
-}
 
 
 def check_rule_soundness(
@@ -892,52 +817,33 @@ def check_rule_soundness(
     seed=0,
     tol: Optional[ToleranceProfile] = None,
 ) -> ModelCheckReport:
-    """For each trial build a random premise-satisfying instantiation of
-    the rule and measure its conclusions.  Trials whose premises fail
-    numerically (including the always-unsatisfiable contradiction rules)
-    are counted as skipped, never as failures."""
+    """Sample the rule's premises and side conditions as a statement's
+    hypotheses, like sample_instance, and measure its conclusions.  A rule
+    whose points must share a line has them placed on it in each attempt.
+    A contradiction rule, whose premises never hold together, gets one
+    attempt per trial.  Trials whose premises cannot be sampled are counted
+    as skipped, never as failures; after the first trial that 1000 attempts
+    cannot sample, the rest are skipped unsampled."""
     tol = tol or tolerance_for(model)
-    schema: RuleSchema = RULES[rule_id]
-    sampler = _RULE_SAMPLERS[rule_id]
-    report = ModelCheckReport(model=model.name, trials=trials)
+    schema = RULES[rule_id]
     binding = {var: var for var in schema.variables}
-    premises = schema.instantiate_premises(binding)
+    hyps = schema.instantiate_premises(binding) + tuple(
+        non_collinear(*triple) for triple in schema.instantiate_side_conditions(binding)
+    )
     conclusions = schema.instantiate_conclusions(binding)
-    sides = [
-        non_collinear(binding[a], binding[b], binding[c])
-        for a, b, c in schema.side_conditions
-    ]
-    required = list(premises) + sides
-    vacuous = any(isinstance(c, Absurd) for c in conclusions)
-    # contradiction rules have no satisfying instantiation: run the
-    # requested number of attempts and insist none satisfies the premises
-    budget = trials if vacuous else 50 * trials
-    for k in range(budget):
-        if not vacuous and report.trials_run >= trials:
-            break
-        rng = Random(f"{seed}:{rule_id}:{model.name}:{k}")
-        try:
-            pts = sampler(model, rng)
-        except (DegenerateDirection, DomainError, DegenerateAngle):
-            pts = None
-        if pts is None or not all(model.in_domain(p) for p in pts):
-            report.skipped += 1
-            continue
-        instance = Trial(model, dict(zip(schema.variables, pts)))
-        if not all(eval_fact(model, instance, f, tol) for f in required):
-            report.skipped += 1
-            continue
-        report.trials_run += 1
-        for fact in conclusions:
-            if not eval_fact(model, instance, fact, tol):
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = Counterexample(
-                        trial=k, fact=repr(fact), points=_freeze_instance(instance)
-                    )
+    vacuous = ABSURD in conclusions
+    report = ModelCheckReport(model=model.name, trials=trials)
+    for k in range(trials):
+        key = f"{seed}:{rule_id}:{model.name}:{k}"
+        if vacuous:
+            trial = _attempt(model, schema.variables, hyps, Random(key), tol)
+        else:
+            trial = _sample(model, schema.variables, hyps, key, tol, schema.collinear_side)
+            if trial is None:
+                report.skipped = trials - report.trials_run
                 break
+        if trial is None:
+            report.skipped += 1
+            continue
+        report.record(k, trial, _first_false(model, trial, conclusions, tol))
     return report
-
-
-def missing_rule_samplers() -> Tuple[str, ...]:
-    return tuple(sorted(set(RULES) - set(_RULE_SAMPLERS)))

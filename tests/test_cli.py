@@ -611,6 +611,81 @@ def test_model_runs_statements_in_all_models(good_file, capsys):
     assert "FAILED" not in out
 
 
+SUPP_CONG_INSTANCE = """\
+theorem supp_cong_instance
+  tags: neutral
+  points A B C D P Q R S
+  assume h1: between A B D
+  assume h2: between P Q S
+  assume h3: ang D B C == ang S Q R
+  assume h4: noncollinear A B C
+  assume h5: noncollinear P Q R
+  show ang A B C == ang P Q R
+  proof
+    s1: ang A B C == ang P Q R by SUPP_CONG[A,B,C,D,P,Q,R,S] from h1, h2, h3
+  qed from s1
+"""
+
+
+# SAS with the arms of the angle equality in the other name order: the
+# triangle copy must match B with F and C with E, as h1 and h2 do.
+SAS_RELABELLED = """\
+theorem sas_relabelled
+  tags: neutral
+  points A B C D E F
+  assume h1: seg A B == seg D F
+  assume h2: seg A C == seg D E
+  assume h3: ang B A C == ang F D E
+  assume h4: noncollinear A B C
+  assume h5: noncollinear D F E
+  show seg B C == seg F E
+  proof
+    s1: seg B C == seg F E by SAS_ORD[A,B,C,D,F,E] from h1, h2, h3
+  qed from s1
+"""
+
+# SAS after a betweenness through the vertex D, or through the arm point
+# F: a copy of one triangle onto the other that moved D or F would take it
+# off the segment G H.
+SAS_AFTER_BETWEEN = """\
+theorem sas_after_between
+  tags: neutral
+  points A B C D E F G H
+  assume h0: between G {} H
+  assume h1: seg A B == seg D E
+  assume h2: seg A C == seg D F
+  assume h3: ang B A C == ang E D F
+  assume h4: noncollinear A B C
+  assume h5: noncollinear D E F
+  show seg B C == seg E F
+  proof
+    s1: seg B C == seg E F by SAS_ORD[A,B,C,D,E,F] from h1, h2, h3
+  qed from s1
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [SUPP_CONG_INSTANCE, SAS_RELABELLED, SAS_AFTER_BETWEEN.format("D"),
+     SAS_AFTER_BETWEEN.format("F")],
+    ids=["supp_cong", "sas_relabelled", "sas_vertex_between", "sas_arm_between"],
+)
+def test_model_samples_hypotheses_that_share_points(text, tmp_path, capsys):
+    """Each later hypothesis names points an earlier one placed: the
+    sampler must place it without undoing the earlier ones (in SUPP_CONG,
+    move R instead of S), or every trial breaks one hypothesis and is
+    skipped or reports a false counterexample."""
+    p = tmp_path / "shared.proof"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["model", str(p), "--trials", "20", "--seed", "0", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["theorems"][0]
+    for name in ("euclidean", "poincare", "sphere"):
+        rep = row["models"][name]
+        assert (rep["trials_run"], rep["failures"], rep["skipped"]) == (20, 0, 0), name
+
+
 def test_model_conjecture_divergence_is_expected(capsys):
     code = main(
         ["model", "--corpus", "--trials", "30", "--seed", "2", "--model", "all"]

@@ -1,6 +1,7 @@
 """Numeric layer: measurement, sampling, construction replay, and the
 divergence of the curved models on euclidean-only claims."""
 
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -40,7 +41,7 @@ from ponscheck.models import (
     solve_introduced_point,
     tolerance_for,
 )
-from ponscheck.rules import RULE_IDS, RuleSchema
+from ponscheck.rules import RULES, RuleSchema
 from ponscheck.script import parse
 from ponscheck.terms import (
     ABSURD,
@@ -646,24 +647,35 @@ def test_rule_soundness_rejects_unknown_rule():
         check_rule_soundness(EUCLIDEAN, "NOT_A_RULE", trials=1)
 
 
-def test_every_rule_has_a_sampler():
-    from ponscheck.models import missing_rule_samplers
+def test_nc_transfer_samples_p_and_q_on_the_line_through_x_and_y(monkeypatch):
+    """NC_TRANSFER's side condition puts p and q on the line x y; a trial
+    with p and q anywhere else tests nothing about the rule."""
+    conclusion = non_collinear("p", "q", "z")
+    seen = []
 
-    assert missing_rule_samplers() == ()
-    assert len(RULE_IDS) == 18
+    def spy(model, instance, fact, tol=None):
+        if fact == conclusion:
+            seen.append(dict(instance))
+        return eval_fact(model, instance, fact, tol)
 
-
-@pytest.mark.parametrize("rule_id", RULE_IDS)
-def test_samplers_return_one_point_per_variable(rule_id):
-    # check_rule_soundness zips a sampler's points with the rule's variables
-    from ponscheck.models import _RULE_SAMPLERS
-    from ponscheck.rules import RULES
-
-    want = len(RULES[rule_id].variables)
+    monkeypatch.setattr(models, "eval_fact", spy)
     for model in MODELS.values():
-        for k in range(20):
-            pts = _RULE_SAMPLERS[rule_id](model, Random(f"arity:{rule_id}:{model.name}:{k}"))
-            assert pts is None or len(pts) == want, (model.name, k)
+        seen.clear()
+        rep = check_rule_soundness(model, "NC_TRANSFER", trials=100, seed=3)
+        assert rep.trials_run == len(seen) == 100 and rep.failures == 0, model.name
+        for inst in seen:
+            assert not eval_fact(model, inst, non_collinear("p", "x", "y")), model.name
+            assert not eval_fact(model, inst, non_collinear("q", "x", "y")), model.name
+
+
+def test_a_rule_without_its_betweenness_premises_fails(monkeypatch):
+    """SEG_SUM without its two `between` premises is unsound; the harness
+    must report failures, not skip every trial."""
+    seg_sum = RULES["SEG_SUM"]
+    monkeypatch.setitem(RULES, "SEG_SUM", dataclasses.replace(seg_sum, premises=seg_sum.premises[2:]))
+    for model in MODELS.values():
+        rep = check_rule_soundness(model, "SEG_SUM", trials=10, seed=3)
+        assert rep.trials_run == 10 and rep.failures > 0, model.name
 
 
 def test_no_model_name_dispatch_in_src():
