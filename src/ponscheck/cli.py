@@ -262,12 +262,11 @@ def cmd_model(args: argparse.Namespace) -> int:
         else [get_model(args.model)]
     )
     tol = profile(args.tol) if args.tol is not None else None
-    # one sample store: blocks with the same points and hypotheses share draws
-    runs = dict(trials=args.trials, seed=args.seed, tol=tol, samples={})
+    runs = dict(trials=args.trials, seed=args.seed, tol=tol)
     # (name, classification, check of one model); a conjecture carries a
     # euclidean claim, so divergence in the curved models is expected, and a
     # proof that failed `check` gets no check: its steps are not replayed
-    checks: List[Tuple[str, str, Optional[Callable[[Model], ModelCheckReport]]]] = []
+    checks: List[Tuple[str, str, Optional[Callable[..., ModelCheckReport]]]] = []
     for block in pipeline.blocks:
         if block.statement is None:
             continue
@@ -287,14 +286,15 @@ def cmd_model(args: argparse.Namespace) -> int:
         checks.append((conj.name, EUCLIDEAN_ONLY, run))
     hard_failures = 0
     collected: Dict[str, Dict[str, ModelCheckReport]] = {}
-    lines: List[str] = []
-    for name, cls, run in checks:
-        for model in model_list:
+    lines: List[List[str]] = [[] for _ in checks]  # each check's, in model order
+    for model in model_list:
+        samples: dict = {}  # this model's: blocks with equal points and hypotheses share draws
+        for (name, cls, run), out in zip(checks, lines):
             if run is None:
                 hard_failures += 1
-                lines.append(f"{name} [{model.name}] proof-failed")
+                out.append(f"{name} [{model.name}] proof-failed")
                 continue
-            rep = run(model)
+            rep = run(model, samples=samples)
             collected.setdefault(name, {})[model.name] = rep
             base = (
                 f"{name} [{model.name}] trials={rep.trials_run}"
@@ -302,24 +302,24 @@ def cmd_model(args: argparse.Namespace) -> int:
             )
             if rep.trials_run == 0:  # a model check with no evaluated trial is not a pass
                 hard_failures += 1
-                lines.append(base + "  FAILED: no trial evaluated")
+                out.append(base + "  FAILED: no trial evaluated")
                 continue
             if rep.failures == 0:
-                lines.append(base)
+                out.append(base)
                 continue
             if _permitted(cls, model):
                 hard_failures += 1
-                lines.append(base + "  FAILED")
+                out.append(base + "  FAILED")
             else:
-                lines.append(
+                out.append(
                     f"{name} [{model.name}] expected-divergence"
                     f" ({rep.failures}/{rep.trials_run} diverge)"
                 )
-            lines.append("  counterexample " + _describe_counterexample(rep))
+            out.append("  counterexample " + _describe_counterexample(rep))
     if args.json:
         _print_json(_run_report(pipeline, args.seed, collected))
     else:
-        for line in lines:
+        for line in (line for out in lines for line in out):
             print(line)
     return 1 if hard_failures else 0
 

@@ -2,7 +2,7 @@
 
 Points are plain tuples: (x, y) for the euclidean plane and the open unit
 Poincare disk, a unit 3-vector (x, y, z) for the sphere.  Each model
-provides distances, its law of cosines (which models.angle_at measures
+provides distances, its law of cosines (which models' plans measure
 angles with), geodesic motion (exp map along a unit tangent),
 tangent-frame helpers, and seeded point sampling.  Each model class also
 carries its numeric profile (equality tolerance, sampling distances,

@@ -6,19 +6,22 @@ steps with real coordinates, and measure every derived fact.  A sound
 derivation produces no failures in any model; a euclidean-only claim
 (such as the angle-sum conjecture) fails visibly in the curved models.
 
-Angle measurement uses each model's law of cosines (Model.cos_angle) over
-the three pairwise distances; the tangent-vector formulation is kept out of
-the production path on purpose so tests can use it as an independent oracle.
+Facts are measured through a Plan compiled from them: their distinct
+point pairs, their distinct angles and each fact as an opcode over their
+indices.  A trial fills one distance list from its Trial's table (the
+sampler's guards measure every pair and hand it on), computes each angle
+once by the model's law of cosines, Model.cos_angle (the tangent-vector
+formulation stays out of the production path as a test oracle), and runs
+the opcodes.  The guards, eval_fact, the lemma solver's residual (which
+re-measures only the moving point) and the final evaluation, compiled once
+per model_check call, run plans.
 
 A trial only samples, replays constructions, solves lemma-introduced
-points (bracketed Illinois regula falsi) and measures.  The facts each step
-derives come from kernel.step_facts, the kernel's own description of the
-step; they name points only, so one model_check call builds them once.  A
-Trial holds a trial's points and measures each point pair once; the
-sampler's guards measure every pair and hand that table on.  Statements
-with the same points and hypotheses draw the same trials, so a sample store
-shared by their checks draws each trial once (the model command keeps one
-per run).
+points (bracketed Illinois regula falsi) and measures the facts that
+kernel.step_facts derives.  Statements with the same points and hypotheses
+draw the same trials, shared through a sample store (the model command
+keeps one per model); after a trial that cannot be sampled, the rest are
+skipped unsampled.
 
 Each model's numeric profile (equality tolerance, sampling distances and
 region, working domain) lives on its Model class in geometry; MIN_ANGLE is
@@ -33,7 +36,7 @@ import collections.abc
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .geometry import DegenerateDirection, DomainError, GeodesicOutOfDomain, Model, Vec
 from .kernel import (
@@ -45,12 +48,10 @@ from .kernel import (
     TheoremStatement,
     step_facts,
 )
-from .rules import RULES, RuleSchema
+from .rules import RULES
 from .terms import (
     ABSURD,
-    Absurd,
     AngEq,
-    AngLt,
     AngleTerm,
     Between,
     DegenerateAngle,
@@ -58,8 +59,6 @@ from .terms import (
     NonCollinear,
     PointId,
     SegEq,
-    SegLt,
-    SegmentTerm,
     fact_point_names,
     non_collinear,
 )
@@ -82,6 +81,7 @@ _MAX_ATTEMPTS = 1000
 # smallest angle a sampled noncollinear triangle may have; an opening the
 # sampler prescribes stays twice as far from 0 and pi
 MIN_ANGLE = 0.15
+_CORNERS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # angles at a, b, c by sides ab, ac, bc
 
 
 @dataclass(frozen=True)
@@ -112,38 +112,43 @@ def tolerance_for(model: Model) -> ToleranceProfile:
 # Measurement
 
 
-def _angle_of_sides(model: Model, p: float, q: float, r: float, tol: ToleranceProfile) -> float:
-    """Angle between arms of lengths p and q whose far ends are r apart."""
-    if p <= tol.eq_tol or q <= tol.eq_tol:
-        raise DegenerateAngle(f"arm shorter than tolerance: {p!r}, {q!r}")
-    return math.acos(min(1.0, max(-1.0, model.cos_angle(p, q, r))))
+def _angles(cos_angle, d: Sequence[float], sides, eq_tol: float) -> List[float]:
+    """For each (i, j, k) of sides, the angle between arms of lengths d[i]
+    and d[j] whose far ends are d[k] apart; NaN, for which no comparison
+    holds, unless both arms are longer than eq_tol.  The cosine is clamped
+    to [-1, 1], a NaN one to -1."""
+    acos, nan = math.acos, math.nan
+    return [
+        acos(c if -1.0 <= (c := cos_angle(d[i], d[j], d[k])) <= 1.0 else 1.0 if c > 1.0 else -1.0)
+        if d[i] > eq_tol and d[j] > eq_tol else nan
+        for i, j, k in sides
+    ]
 
 
 def angle_at(model: Model, a: Vec, v: Vec, b: Vec, tol: Optional[ToleranceProfile] = None) -> float:
     """Angle at vertex v between geodesics toward a and b, in (0, pi),
     via the model's law of cosines."""
     tol = tol or tolerance_for(model)
-    return _angle_of_sides(model, model.dist(v, a), model.dist(v, b), model.dist(a, b), tol)
+    p, q = model.dist(v, a), model.dist(v, b)
+    if p <= tol.eq_tol or q <= tol.eq_tol:
+        raise DegenerateAngle(f"arm shorter than tolerance: {p!r}, {q!r}")
+    return math.acos(min(1.0, max(-1.0, model.cos_angle(p, q, model.dist(a, b)))))
 
 
 class Trial(collections.abc.Mapping):
     """One trial's points by name and the table of their pairwise
     distances, each pair measured on first use and stored under both
     orders (dist is bitwise symmetric).  It reads as a mapping from point
-    name to coordinates, like a plain instance; placing a point makes a
-    copy."""
+    name to coordinates; built on a Trial of the same model it shares that
+    Trial's points and table, and placing a point makes a copy."""
 
     __slots__ = ("model", "pts", "dists")
 
-    def __init__(self, model: Model, pts: Dict[str, Vec], dists: Optional[dict] = None):
-        self.model, self.pts = model, pts
+    def __init__(self, model: Model, pts: Mapping[str, Vec], dists: Optional[dict] = None):
+        if isinstance(pts, Trial) and pts.model is model:
+            pts, dists = pts.pts, pts.dists
+        self.model, self.pts = model, pts if type(pts) is dict else dict(pts)
         self.dists: Dict[Tuple[str, str], float] = {} if dists is None else dists
-
-    @staticmethod
-    def of(model: Model, instance: Mapping[PointId, Vec]) -> "Trial":
-        if isinstance(instance, Trial) and instance.model is model:
-            return instance
-        return Trial(model, dict(instance))
 
     def __getitem__(self, p: PointId) -> Vec:
         return self.pts[p]
@@ -166,17 +171,15 @@ class Trial(collections.abc.Mapping):
             d = self.dists[a, b] = self.dists[b, a] = self.model.dist(self.point(a), self.point(b))
         return d
 
-    def angle(self, arm1: str, vertex: str, arm2: str, tol: ToleranceProfile) -> float:
-        return _angle_of_sides(
-            self.model, self.dist(vertex, arm1), self.dist(vertex, arm2), self.dist(arm1, arm2), tol
-        )
-
-    def size(self, a: AngleTerm, tol: ToleranceProfile) -> float:
-        _, vertex, arm1, arm2 = a
-        return self.angle(arm1, vertex, arm2, tol)
-
-    def length(self, s: SegmentTerm) -> float:
-        return self.dist(s[1], s[2])
+    def measure(self, pairs: Sequence[Tuple[str, str]]) -> List[float]:
+        """The pairs' distances, from the table or measured (and not stored);
+        NaN where a point is missing."""
+        d = list(map(self.dists.get, pairs))
+        if None in d:
+            pts, dist = self.pts, self.model.dist
+            d = [x if x is not None else dist(pts[a], pts[b]) if a in pts and b in pts else math.nan
+                 for x, (a, b) in zip(d, pairs)]
+        return d
 
     def with_point(self, name: str, v: Vec) -> "Trial":
         """A copy with the point placed; a reused name moves its point, so
@@ -188,47 +191,95 @@ class Trial(collections.abc.Mapping):
         return Trial(self.model, {**self.pts, name: v}, dists)
 
 
+def _sides(x: str, y: str, z: str) -> Tuple[Tuple[str, str], ...]:
+    """The pairs x y, x z and y z in name order, for y before z: at vertex
+    x, two arms and the opposite side."""
+    return (x, y) if x < y else (y, x), (x, z) if x < z else (z, x), (y, z)
+
+
+_EQ, _LT, _BETWEEN, _NONCOLLINEAR, _FALSE, _CLEAR = range(6)
+_OPCODES = {"=s": _EQ, "=a": _EQ, "<s": _LT, "<a": _LT, "between": _BETWEEN,
+            "noncollinear": _NONCOLLINEAR, "absurd": _FALSE}
+
+
+class Plan:
+    """Facts compiled for one model and tolerance: their distinct point
+    pairs (in name order), their distinct angles (by vertex and unordered
+    arms; dist and cos_angle are bitwise symmetric), each as the pair
+    indices of its two arms and opposite side, and each fact as an opcode
+    over value indices: the distances, then the angles in reverse order,
+    so angle j is value ~j.  A guard plan also keeps the angles of each
+    noncollinearity's triangle clear of 0 and pi, in opcodes after the
+    facts'."""
+
+    def __init__(self, model: Model, facts: Sequence[Fact], tol: ToleranceProfile, guard=False):
+        self.model, self.facts, self.tol = model, tuple(facts), tol
+        pairs: Dict[Tuple[str, str], int] = {}
+        angles: Dict[Tuple[str, ...], int] = {}
+        ops, clear = [], []
+        for fact in self.facts:
+            op = _OPCODES[fact[0]]
+            if op == _FALSE:
+                ops.append((op,))
+            elif op <= _LT and fact[1][0] == "a":  # two angles, by ~ their indices
+                ops.append((op, ~angles.setdefault(fact[1], len(angles)),
+                            ~angles.setdefault(fact[2], len(angles))))
+            else:  # two segments, |mid a|, |mid b|, |a b| of (mid, a, b), or the sides of (a, b, c)
+                keys = (fact[1][1:], fact[2][1:]) if op <= _LT else _sides(*fact[1:])
+                ops.append((op, *[pairs.setdefault(key, len(pairs)) for key in keys]))
+                if guard and op == _NONCOLLINEAR:
+                    clear.append((_CLEAR,) + ops[-1][1:])
+        self.ops = ops + clear
+        self.angles = [[pairs.setdefault(key, len(pairs)) for key in _sides(v, p, q)]
+                       for _, v, p, q in reversed(angles)]
+        self.pairs = list(pairs)
+
+    def run(self, v: List[float]) -> Optional[int]:
+        """Index of the first failing opcode, or None; _EQ and _LT inline close and less."""
+        close, less, eq, lt = self.tol.close, self.tol.less, self.tol.eq_tol, self.tol.lt_margin
+        for k, o in enumerate(self.ops):
+            op = o[0]
+            if op <= _LT:  # values are never negative: max(|x|, |y|) is the larger
+                x, y = v[o[1]], v[o[2]]
+                m = 1.0 + (x if x > y else y)
+                holds = abs(x - y) <= eq * m if op == _EQ else x < y - lt * m
+            elif op == _BETWEEN:  # an end coinciding with the mid is not between
+                _, x, y, z = o
+                holds = not (close(v[x], 0.0) or close(v[y], 0.0)) and close(v[x] + v[y], v[z])
+            elif op == _NONCOLLINEAR:  # each side clears the others' sum by the margin
+                a, b, c = v[o[1]], v[o[2]], v[o[3]]
+                holds = less(c, a + b) and less(b, c + a) and less(a, b + c)
+            elif op == _CLEAR:  # a guarded triangle's angles stay clear of 0 and pi
+                angles = _angles(self.model.cos_angle, (v[o[1]], v[o[2]], v[o[3]]), _CORNERS, eq)
+                holds = all(MIN_ANGLE <= t <= math.pi - MIN_ANGLE for t in angles)
+            else:
+                holds = False
+            if not holds:
+                return k
+        return None
+
+    def first_false(self, trial: Trial) -> Optional[int]:
+        """The index of the first fact (or clear angle) that does not hold
+        in the trial, or None; a point the trial lacks makes values NaN."""
+        d = trial.measure(self.pairs)
+        return self.run(d + _angles(self.model.cos_angle, d, self.angles, self.tol.eq_tol))
+
+    def failure(self, trial: Trial) -> Optional[str]:
+        """The first fact that does not hold in the trial, printed; None when all hold."""
+        k = self.first_false(trial)
+        return None if k is None else repr(self.facts[k])
+
+
 def eval_fact(
-    model: Model,
-    instance: Mapping[PointId, Vec],
-    fact: Fact,
-    tol: Optional[ToleranceProfile] = None,
+    model: Model, instance: Mapping[str, Vec], fact: Fact, tol: Optional[ToleranceProfile] = None
 ) -> bool:
-    """Measure a fact in an instance or a Trial's table.  Degenerate angle
-    configurations make angle facts false rather than raising."""
-    tol = tol or tolerance_for(model)
-    t = Trial.of(model, instance)
-    if isinstance(fact, SegEq):
-        return tol.close(t.length(fact.left), t.length(fact.right))
-    if isinstance(fact, SegLt):
-        return tol.less(t.length(fact.left), t.length(fact.right))
-    if isinstance(fact, AngEq):
-        try:
-            return tol.close(t.size(fact.left, tol), t.size(fact.right, tol))
-        except DegenerateAngle:
-            return False
-    if isinstance(fact, AngLt):
-        try:
-            return tol.less(t.size(fact.left, tol), t.size(fact.right, tol))
-        except DegenerateAngle:
-            return False
-    if isinstance(fact, Between):
-        _, m, a, b = fact
-        am, mb, ab = t.dist(a, m), t.dist(m, b), t.dist(a, b)
-        if tol.close(am, 0.0) or tol.close(mb, 0.0):
-            return False
-        return tol.close(am + mb, ab)
-    if isinstance(fact, NonCollinear):
-        names = fact[1:]
-        for i in range(3):
-            x, m, y = names[(i + 1) % 3], names[i], names[(i + 2) % 3]
-            # collinearity defect must clear the strict margin
-            if not tol.less(t.dist(x, y), t.dist(x, m) + t.dist(m, y)):
-                return False
-        return True
-    if isinstance(fact, Absurd):
-        return False
-    raise ValueError(f"cannot evaluate fact {fact!r}")
+    """Measure one fact, as a one-fact plan, in an instance or a Trial's
+    table.  Degenerate angle configurations make angle facts false; a
+    missing point raises MissingPoint."""
+    trial = Trial(model, instance)
+    for name in fact_point_names(fact):
+        trial.point(name)
+    return Plan(model, (fact,), tol or tolerance_for(model)).first_false(trial) is None
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +415,9 @@ def _constructive_pass(
         placed[name] = 2
 
 
-def _guarded(
-    model: Model, pts: Dict[str, Vec], statement_like: Sequence[Fact], tol: ToleranceProfile
-) -> Optional[Trial]:
+def _guarded(model: Model, pts: Dict[str, Vec], plan: Plan) -> Optional[Trial]:
     """The attempt's table, every pair measured, when the points pass the
-    separation, region and clear-angle guards and every fact holds; None
+    separation and region guards and the guard plan holds; None
     otherwise."""
     trial = Trial(model, pts)
     dists, dist = trial.dists, model.dist
@@ -381,34 +430,21 @@ def _guarded(
                 return None
     if not all(model.in_sample_region(p) for p in pts.values()):
         return None
-    for fact in statement_like:
-        if isinstance(fact, NonCollinear):
-            tri = fact[1:]
-            for i in range(3):
-                try:
-                    ang = trial.angle(tri[(i + 1) % 3], tri[i], tri[(i + 2) % 3], tol)
-                except DegenerateAngle:
-                    return None
-                if ang < MIN_ANGLE or ang > math.pi - MIN_ANGLE:
-                    return None
-    if all(eval_fact(model, trial, f, tol) for f in statement_like):
-        return trial
-    return None
+    return trial if plan.first_false(trial) is None else None
 
 
-def _attempt(
-    model: Model, points: Sequence[str], hyps: Sequence[Fact], rng: Random,
-    tol: ToleranceProfile, line: Sequence[str] = (),
-) -> Optional[Trial]:
-    """One sampling attempt: random points, the constructive passes in
-    hypothesis order, then the guards; None when it is rejected.  A `line`
-    (p, q, x, y) moves p and q onto the geodesic through x and y, at signed
-    distances from x on both sides, before the guards."""
+def _attempt(plan: Plan, points: Sequence[str], rng: Random, line=()) -> Optional[Trial]:
+    """One sampling attempt for a guard plan's hypotheses: random points,
+    the constructive passes in hypothesis order, then the guards; None when
+    it is rejected.  A `line` (p, q, x, y) moves p and q onto the geodesic
+    through x and y, at signed distances from x on both sides, before the
+    guards."""
+    model, hyps = plan.model, plan.facts
     pts: Dict[str, Vec] = {name: model.random_point(rng) for name in points}
     placed: Dict[str, int] = {}
     try:
         for i, fact in enumerate(hyps):
-            _constructive_pass(model, pts, fact, rng, tol, placed, hyps[:i])
+            _constructive_pass(model, pts, fact, rng, plan.tol, placed, hyps[:i])
         if line:
             p, q, x, y = line
             u = model.unit_tangent(pts[x], pts[y])
@@ -416,26 +452,20 @@ def _attempt(
                 pts[name] = model.exp(pts[x], u, rng.uniform(-model.max_leg, model.max_leg))
     except (DegenerateDirection, DomainError, DegenerateAngle):
         return None
-    return _guarded(model, pts, hyps, tol)
+    return _guarded(model, pts, plan)
 
 
-def _sample(
-    model: Model, points: Sequence[str], hyps: Sequence[Fact], seed,
-    tol: ToleranceProfile, line: Sequence[str] = (),
-) -> Optional[Trial]:
+def _sample(plan: Plan, points: Sequence[str], seed, line: Sequence[str] = ()) -> Optional[Trial]:
     """The first accepted of 1000 seeded attempts, or None."""
     for attempt in range(_MAX_ATTEMPTS):
-        trial = _attempt(model, points, hyps, Random(f"{seed}:{attempt}"), tol, line)
+        trial = _attempt(plan, points, Random(f"{seed}:{attempt}"), line)
         if trial is not None:
             return trial
     return None
 
 
 def sample_instance(
-    model: Model,
-    statement: TheoremStatement,
-    seed,
-    tol: Optional[ToleranceProfile] = None,
+    model: Model, statement: TheoremStatement, seed, tol: Optional[ToleranceProfile] = None
 ) -> Trial:
     """Deterministically sample coordinates satisfying the statement's
     hypotheses: constructive placement where a hypothesis shape is
@@ -443,7 +473,7 @@ def sample_instance(
     Returns the accepted attempt's Trial, its distance table filled by the
     guards.  Raises SamplingFailed after 1000 attempts."""
     hyps = [fact for _, fact in statement.hypotheses]
-    trial = _sample(model, statement.points, hyps, seed, tol or tolerance_for(model))
+    trial = _sample(Plan(model, hyps, tol or tolerance_for(model), True), statement.points, seed)
     if trial is None:
         raise SamplingFailed(f"{statement.name}: no instance in {_MAX_ATTEMPTS} attempts")
     return trial
@@ -454,17 +484,14 @@ def sample_instance(
 
 
 def realize_construction(
-    model: Model,
-    instance: Mapping[PointId, Vec],
-    step,
-    tol: Optional[ToleranceProfile] = None,
+    model: Model, instance: Mapping[PointId, Vec], step, tol: Optional[ToleranceProfile] = None
 ) -> Trial:
     """Place the fresh point of an extend/layoff step; returns a new
     instance.  Walking off the model's working domain (hemisphere, disk
     rim) raises GeodesicOutOfDomain."""
     if not isinstance(step, (ExtendStep, LayoffStep)):
         raise ValueError(f"not a construction step: {step!r}")
-    t = Trial.of(model, instance)
+    t = Trial(model, instance)
     extend = isinstance(step, ExtendStep)
     # extend walks from a through b and on by seg; layoff walks seg from start
     a, b = (step.a, step.b) if extend else (step.start, step.toward)
@@ -487,10 +514,7 @@ _SOLVE_MAX_STEPS = 40
 
 
 def solve_introduced_point(
-    model: Model,
-    instance: Mapping[PointId, Vec],
-    fresh: PointId,
-    conclusions: Sequence[Fact],
+    model: Model, instance: Mapping[PointId, Vec], fresh: PointId, conclusions: Sequence[Fact],
     tol: ToleranceProfile,
 ) -> Vec:
     """Realize a point that a lemma (or stated theorem) merely asserts:
@@ -499,19 +523,12 @@ def solve_introduced_point(
     ends of the geodesic from p to q and its root found by Illinois regula
     falsi (Dowell & Jarratt 1971); without an angle equality the point is
     the midpoint.  UnrealizableStep when the bracket has no sign change."""
-    carrier: Optional[Between] = None
-    target: Optional[AngEq] = None
-    for fact in conclusions:
-        if isinstance(fact, Between) and fact.mid == fresh:
-            carrier = fact
-        elif isinstance(fact, AngEq) and fresh in (
-            fact.left.vertex, fact.left.arm1, fact.left.arm2,
-            fact.right.vertex, fact.right.arm1, fact.right.arm2,
-        ):
-            target = fact
+    last = tuple(reversed(conclusions))  # the last carrier and target count
+    carrier = next((f for f in last if isinstance(f, Between) and f.mid == fresh), None)
+    target = next((f for f in last if isinstance(f, AngEq) and fresh in fact_point_names(f)), None)
     if carrier is None:
         raise UnrealizableStep(f"no betweenness carrier for introduced point {fresh}")
-    inst = Trial.of(model, instance)
+    inst = Trial(model, instance)
     a, b = inst.point(carrier.a), inst.point(carrier.b)
     span = inst.dist(carrier.a, carrier.b)
     u = model.unit_tangent(a, b)
@@ -519,17 +536,29 @@ def solve_introduced_point(
     if target is None:
         return model.exp(a, u, 0.5 * span)
 
-    probe = Trial(model, dict(inst.pts))
+    # pairs without the fresh point are measured once, the rest per probe
+    plan = Plan(model, (target,), tol)
+    (_, left, right), = plan.ops
+    d = [0.0 if fresh in pair else inst.dist(*pair) for pair in plan.pairs]
+    moving = [(i, inst.point(q if p == fresh else p))
+              for i, (p, q) in enumerate(plan.pairs) if fresh in (p, q)]
+    probe: Vec = ()
 
     def residual(t: float) -> float:
-        probe.pts[fresh] = model.exp(a, u, t * span)
-        probe.dists.clear()
-        return probe.size(target.left, tol) - probe.size(target.right, tol)
+        nonlocal probe
+        probe = model.exp(a, u, t * span)
+        for i, other in moving:
+            d[i] = model.dist(probe, other)
+        angles = _angles(model.cos_angle, d, plan.angles, tol.eq_tol)  # angle j is ~j here too
+        r = angles[left] - angles[right]
+        if r != r:
+            raise DegenerateAngle(f"degenerate angle probing {fresh}")
+        return r
 
     lo, hi = 1e-6, 1.0 - 1e-6
     flo, fhi = residual(lo), residual(hi)
     if fhi == 0.0:  # the probe is at hi; a zero at lo is the first step's root
-        return probe.pts[fresh]
+        return probe
     if not flo * fhi <= 0.0:  # no sign change, or a NaN residual
         raise UnrealizableStep(f"no sign change bracketing {fresh}")
     eps = _SOLVE_MARGIN * tol.eq_tol
@@ -549,7 +578,7 @@ def solve_introduced_point(
             side = 1
         if abs(ft) <= eps or (hi - lo) * span <= eps:
             break
-    return probe.pts[fresh]
+    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -573,20 +602,12 @@ class ModelCheckReport:
     first_counterexample: Optional[Counterexample] = None
 
     def as_dict(self) -> Dict[str, object]:
-        d: Dict[str, object] = {
-            "trials": self.trials,
-            "trials_run": self.trials_run,
-            "failures": self.failures,
-            "skipped": self.skipped,
-        }
-        if self.first_counterexample is not None:
-            d["first_counterexample"] = {
-                "trial": self.first_counterexample.trial,
-                "fact": self.first_counterexample.fact,
-                "points": {
-                    n: list(v) for n, v in self.first_counterexample.points
-                },
-            }
+        keys = ("trials", "trials_run", "failures", "skipped")
+        d: Dict[str, object] = {k: getattr(self, k) for k in keys}
+        ce = self.first_counterexample
+        if ce is not None:
+            points = {n: list(v) for n, v in ce.points}
+            d["first_counterexample"] = {"trial": ce.trial, "fact": ce.fact, "points": points}
         return d
 
     def record(self, trial: int, instance: Trial, failed: Optional[str]) -> None:
@@ -601,21 +622,6 @@ class ModelCheckReport:
                 )
 
 
-def _first_false(
-    model: Model, instance: Trial, facts: Sequence[Fact], tol: ToleranceProfile
-) -> Optional[str]:
-    """The first fact that does not hold in the instance (a missing point
-    makes it false), printed; None when all hold."""
-    for fact in facts:
-        try:
-            holds = eval_fact(model, instance, fact, tol)
-        except MissingPoint:
-            holds = False
-        if not holds:
-            return repr(fact)
-    return None
-
-
 class _TrialSkip(Exception):
     pass
 
@@ -627,26 +633,18 @@ class UninstantiableStep(Exception):
 
 
 def _walk_steps(
-    model: Model,
-    instance: Trial,
-    steps: Sequence[Step],
-    tol: ToleranceProfile,
-    derived: Callable[[Step], Tuple[Fact, ...]],
-    out_facts,
+    model: Model, instance: Trial, steps: Sequence[Step], tol: ToleranceProfile,
+    derived: Callable[[Step], Tuple[Fact, ...]], out_facts: List[Tuple[Fact, ...]],
 ) -> Trial:
     """Replay proof steps on an instance: realize constructions, solve
     lemma-introduced points, pick the numerically true trichotomy branch,
-    and collect every derived fact for evaluation."""
+    and collect each step's derived facts for evaluation."""
     for step in steps:
         if isinstance(step, CasesStep):
             dl, dr = instance.dist(*step.left), instance.dist(*step.right)
-            if tol.close(dl, dr):
-                kind = "eq"
-            elif tol.less(dl, dr):
-                kind = "lt"
-            elif tol.less(dr, dl):
-                kind = "gt"
-            else:
+            eq, lt, gt = tol.close(dl, dr), tol.less(dl, dr), tol.less(dr, dl)
+            kind = "eq" if eq else "lt" if lt else "gt" if gt else ""
+            if not kind:
                 raise _TrialSkip("segment comparison inside tolerance dead zone")
             branch = next(b for b in step.branches if b.kind == kind)
             instance = _walk_steps(model, instance, branch.steps, tol, derived, out_facts)
@@ -665,34 +663,41 @@ def _walk_steps(
                     ))
                 except (UnrealizableStep, DegenerateDirection, DegenerateAngle) as exc:
                     raise _TrialSkip(str(exc)) from exc
-        out_facts.extend(facts)
+        out_facts.append(facts)
     return instance
 
 
+def _until_unsampled(trials: int, draw: Callable[[int], Optional[Trial]]):
+    """(k, draw(k)) per trial, None where sampling failed; after that, None without sampling."""
+    failed = False
+    for k in range(trials):
+        trial = None if failed else draw(k)
+        failed = trial is None
+        yield k, trial
+
+
 def _draws(model: Model, statement: TheoremStatement, trials: int, seed, tol, samples):
-    """(k, Trial or None where sampling failed) for each trial.  A sample
+    """The statement's trials, as _until_unsampled yields them.  A sample
     store (a dict) shares the draws among statements with the same points
     and hypotheses; a stored Trial's points never change."""
     key = (model, statement.points, tuple(f for _, f in statement.hypotheses), seed, tol)
     drawn = (samples if samples is not None else {}).setdefault(key, {})
-    for k in range(trials):
+
+    def draw(k: int) -> Optional[Trial]:
         if k not in drawn:
             try:
                 drawn[k] = sample_instance(model, statement, f"{seed}:{k}", tol)
             except SamplingFailed:
                 drawn[k] = None
-        yield k, drawn[k]
+        return drawn[k]
+
+    return _until_unsampled(trials, draw)
 
 
 def model_check(
-    model: Model,
-    statement: TheoremStatement,
-    steps: Sequence[Step] = (),
-    trials: int = 1000,
-    seed=0,
-    tol: Optional[ToleranceProfile] = None,
-    registry: Optional[Mapping[str, TheoremStatement]] = None,
-    samples: Optional[dict] = None,
+    model: Model, statement: TheoremStatement, steps: Sequence[Step] = (), trials: int = 1000,
+    seed=0, tol: Optional[ToleranceProfile] = None,
+    registry: Optional[Mapping[str, TheoremStatement]] = None, samples: Optional[dict] = None,
 ) -> ModelCheckReport:
     """Sample instances of the hypotheses and measure every derived fact
     plus the statement's conclusions.  Identical seeds give identical
@@ -703,6 +708,7 @@ def model_check(
     registry = registry or {}
     report = ModelCheckReport(model=model.name, trials=trials)
     memo: Dict[int, Tuple[Fact, ...]] = {}  # by id(step); facts name points only
+    plans: Dict[Tuple[int, ...], Plan] = {}  # by the ids of the walked steps' facts
 
     def derived(step: Step) -> Tuple[Fact, ...]:
         facts = memo.get(id(step))
@@ -721,9 +727,9 @@ def model_check(
         if instance is None:
             report.skipped += 1
             continue
-        facts = []
+        walked: List[Tuple[Fact, ...]] = []
         try:
-            instance = _walk_steps(model, instance, steps, tol, derived, facts)
+            instance = _walk_steps(model, instance, steps, tol, derived, walked)
             for name in statement.introduced:
                 if name not in instance.pts:
                     instance = instance.with_point(name, solve_introduced_point(
@@ -732,8 +738,11 @@ def model_check(
         except (_TrialSkip, UnrealizableStep):
             report.skipped += 1
             continue
-        facts.extend(statement.conclusions)
-        report.record(k, instance, _first_false(model, instance, facts, tol))
+        key = tuple(map(id, walked))
+        if key not in plans:
+            facts = [f for part in walked for f in part] + list(statement.conclusions)
+            plans[key] = Plan(model, facts, tol)
+        report.record(k, instance, plans[key].failure(instance))
     return report
 
 
@@ -752,7 +761,9 @@ class BuiltinConjecture:
 
 def _angle_sum_pi(t: Trial, names: Sequence[str], tol: ToleranceProfile) -> Tuple[bool, str]:
     a, b, c = names
-    total = t.angle(b, a, c, tol) + t.angle(a, b, c, tol) + t.angle(a, c, b, tol)
+    sides = t.measure(((a, b), (a, c), (b, c)))
+    at_a, at_b, at_c = _angles(t.model.cos_angle, sides, _CORNERS, tol.eq_tol)
+    total = at_a + at_b + at_c
     return tol.close(total, math.pi), f"angle sum {total!r} vs pi"
 
 
@@ -785,13 +796,8 @@ def conjecture_statement(name: str, points: Sequence[str]) -> TheoremStatement:
 
 
 def model_check_conjecture(
-    model: Model,
-    name: str,
-    points: Sequence[str],
-    trials: int = 1000,
-    seed=0,
-    tol: Optional[ToleranceProfile] = None,
-    samples: Optional[dict] = None,
+    model: Model, name: str, points: Sequence[str], trials: int = 1000, seed=0,
+    tol: Optional[ToleranceProfile] = None, samples: Optional[dict] = None,
 ) -> ModelCheckReport:
     tol = tol or tolerance_for(model)
     statement = conjecture_statement(name, points)
@@ -811,11 +817,7 @@ def model_check_conjecture(
 
 
 def check_rule_soundness(
-    model: Model,
-    rule_id: str,
-    trials: int = 1000,
-    seed=0,
-    tol: Optional[ToleranceProfile] = None,
+    model: Model, rule_id: str, trials: int = 1000, seed=0, tol: Optional[ToleranceProfile] = None
 ) -> ModelCheckReport:
     """Sample the rule's premises and side conditions as a statement's
     hypotheses, like sample_instance, and measure its conclusions.  A rule
@@ -830,20 +832,18 @@ def check_rule_soundness(
     hyps = schema.instantiate_premises(binding) + tuple(
         non_collinear(*triple) for triple in schema.instantiate_side_conditions(binding)
     )
-    conclusions = schema.instantiate_conclusions(binding)
-    vacuous = ABSURD in conclusions
+    conclusions = Plan(model, schema.instantiate_conclusions(binding), tol)
+    guard = Plan(model, hyps, tol, guard=True)
+    points, line = schema.variables, schema.collinear_side
+    key = f"{seed}:{rule_id}:{model.name}:{{}}".format
+    if ABSURD in conclusions.facts:
+        draws = ((k, _attempt(guard, points, Random(key(k)))) for k in range(trials))
+    else:
+        draws = _until_unsampled(trials, lambda k: _sample(guard, points, key(k), line))
     report = ModelCheckReport(model=model.name, trials=trials)
-    for k in range(trials):
-        key = f"{seed}:{rule_id}:{model.name}:{k}"
-        if vacuous:
-            trial = _attempt(model, schema.variables, hyps, Random(key), tol)
-        else:
-            trial = _sample(model, schema.variables, hyps, key, tol, schema.collinear_side)
-            if trial is None:
-                report.skipped = trials - report.trials_run
-                break
+    for k, trial in draws:
         if trial is None:
             report.skipped += 1
             continue
-        report.record(k, trial, _first_false(model, trial, conclusions, tol))
+        report.record(k, trial, conclusions.failure(trial))
     return report

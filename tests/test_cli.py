@@ -743,7 +743,8 @@ def test_model_conjecture_failure_in_flat_model_fails(capsys):
 
 
 # sha256 of stdout, recorded before the numeric layer shared draws and
-# distance tables (CPython 3.11, x86-64 Linux, glibc libm).  A change that
+# distance tables, and the --tol row before its checks were compiled into
+# plans (CPython 3.11, x86-64 Linux, glibc libm).  A change that
 # alters any number `model` prints must say why; see ROADMAP aim 1.
 MODEL_DIGESTS = [
     (
@@ -754,10 +755,16 @@ MODEL_DIGESTS = [
         ["--trials", "40", "--seed", "3"],
         "9a6aae8ba0a0aae757246af815e8d3d77e0302986bcaad84edf44eaaf23bb371",
     ),
+    (
+        ["--json", "--model", "all", "--trials", "40", "--seed", "5", "--tol", "1e-6"],
+        "46bf83bc50b743b5b75716fd2da490b22011a128625851950a4439ff53041760",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", MODEL_DIGESTS, ids=["json-all-seed0", "text-seed3"])
+@pytest.mark.parametrize(
+    "argv, digest", MODEL_DIGESTS, ids=["json-all-seed0", "text-seed3", "json-all-seed5-tol"]
+)
 def test_model_corpus_output_is_byte_identical(capsys, argv, digest):
     assert main(["model", "--corpus"] + argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -10,6 +10,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import ponscheck
@@ -48,6 +49,7 @@ from ponscheck.terms import (
     DegenerateAngle,
     PointId,
     ang_eq,
+    ang_lt,
     angle,
     between,
     non_collinear,
@@ -197,6 +199,114 @@ def test_eval_fact_degenerate_angle_is_false():
 def test_eval_fact_missing_point():
     with pytest.raises(MissingPoint):
         eval_fact(EUCLIDEAN, {A: (0.0, 0.0)}, seg_eq(segment(A, B), segment(A, B)))
+
+
+# ---------------------------------------------------------------------------
+# The compiled plan against a fact-by-fact reference
+
+
+def _reference_first_false(model, instance, facts, tol):
+    """The index of the first fact that does not hold, each measured on its
+    own from model.dist and angle_at; a missing point or a degenerate angle
+    makes a fact false."""
+
+    def dist(a, b):
+        return model.dist(instance[a], instance[b])
+
+    def size(term):
+        _, v, p, q = term
+        return angle_at(model, instance[p], instance[v], instance[q], tol)
+
+    for k, fact in enumerate(facts):
+        tag = fact[0]
+        try:
+            if tag in ("=s", "<s"):
+                left, right = dist(*fact[1][1:]), dist(*fact[2][1:])
+            elif tag in ("=a", "<a"):
+                left, right = size(fact[1]), size(fact[2])
+            if tag in ("=s", "=a"):
+                holds = tol.close(left, right)
+            elif tag in ("<s", "<a"):
+                holds = tol.less(left, right)
+            elif tag == "between":
+                _, m, a, b = fact
+                am, mb, ab = dist(a, m), dist(m, b), dist(a, b)
+                holds = not (tol.close(am, 0.0) or tol.close(mb, 0.0)) and tol.close(am + mb, ab)
+            elif tag == "noncollinear":
+                _, a, b, c = fact
+                holds = all(
+                    tol.less(dist(x, y), dist(x, m) + dist(m, y)) for m, x, y in ((a, b, c), (b, c, a), (c, a, b))
+                )
+            else:
+                holds = False
+        except (KeyError, DegenerateAngle):
+            holds = False
+        if not holds:
+            return k
+    return None
+
+
+_PLAN_NAMES = "ABCDE"
+
+
+def _distinct(k):
+    return st.lists(st.sampled_from(_PLAN_NAMES), min_size=k, max_size=k, unique=True)
+
+
+_plan_segments = _distinct(2).map(lambda n: segment(*n))
+_plan_angles = _distinct(3).map(lambda n: angle(*n))
+_plan_facts = st.one_of(
+    st.tuples(_plan_segments, _plan_segments).map(lambda t: seg_eq(*t)),
+    st.tuples(_plan_segments, _plan_segments).map(lambda t: seg_lt(*t)),
+    st.tuples(_plan_angles, _plan_angles).map(lambda t: ang_eq(*t)),
+    st.tuples(_plan_angles, _plan_angles).map(lambda t: ang_lt(*t)),
+    _distinct(3).map(lambda n: between(*n)),
+    _distinct(3).map(lambda n: non_collinear(*n)),
+    st.just(ABSURD),
+)
+
+
+@st.composite
+def _plan_instances(draw, model, tol):
+    """Points for some of the names around an anchor, the first name: some
+    on one geodesic through it, so that betweenness and collinearity hold
+    and angles at it are straight; some at lengths from it a few tolerance
+    margins apart, on both sides of close() (1 margin) and less() (10);
+    some on an earlier point, so that angles at them are degenerate; the
+    rest anywhere."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    names = draw(st.lists(st.sampled_from(_PLAN_NAMES), min_size=1, max_size=5, unique=True))
+    anchor, length = model.random_point(rng), draw(st.floats(0.2, model.max_leg))
+    line = model.random_tangent(rng, anchor)
+    instance = {names[0]: anchor}
+    for name in names[1:]:
+        how = draw(st.sampled_from(["line", "margin", "same", "free"]))
+        if how == "line":
+            instance[name] = model.exp(anchor, line, draw(st.sampled_from([-1.0, -0.5, 0.5, 1.0])) * length)
+        elif how == "margin":
+            margins = draw(st.sampled_from([0.0, 0.5, 1.5, 5.0, 9.0, 11.0, 20.0]))
+            t = length + margins * tol.eq_tol * (1.0 + length)
+            instance[name] = model.exp(anchor, model.random_tangent(rng, anchor), t)
+        elif how == "same":
+            instance[name] = instance[draw(st.sampled_from(sorted(instance)))]
+        else:
+            instance[name] = model.random_point(rng)
+    return instance
+
+
+@pytest.mark.parametrize("eq_tol", [None, 1e-3], ids=["default-tol", "tol-1e-3"])
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_plan_first_false_matches_a_fact_by_fact_reference(model, eq_tol, data):
+    tol = tolerance_for(model) if eq_tol is None else profile(eq_tol)
+    instance = data.draw(_plan_instances(model, tol))
+    facts = data.draw(st.lists(_plan_facts, min_size=1, max_size=8))
+    plan = models.Plan(model, facts, tol)
+    assert plan.first_false(models.Trial(model, instance)) == _reference_first_false(model, instance, facts, tol)
+    for fact in facts:  # each on its own, so that facts after a false one are compared too
+        alone = models.Plan(model, (fact,), tol).first_false(models.Trial(model, instance))
+        assert alone == _reference_first_false(model, instance, (fact,), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +628,42 @@ def test_model_command_draws_each_trial_once_per_statement(model, monkeypatch, c
     assert len(calls) == 3 * trials
 
 
+UNSATISFIABLE = """\
+theorem unsat
+  tags: neutral
+  points A B C
+  assume h1: seg A B == seg A C
+  assume h2: seg A B < seg A C
+  assume h3: noncollinear A B C
+  show noncollinear A B C
+  proof
+    s1: seg A B == seg A B by SEG_REFL[A,B] from refl
+  qed from h3
+"""
+
+
+def test_a_statement_that_cannot_be_sampled_is_sampled_once(tmp_path, monkeypatch, capsys):
+    # after the first trial that 1000 attempts cannot sample, the rest are
+    # skipped unsampled, as in the rule harness
+    path = tmp_path / "unsat.proof"
+    path.write_text(UNSATISFIABLE, encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    calls = []
+    sample = models.sample_instance
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].name)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(models, "sample_instance", counting)
+    capsys.readouterr()
+    assert main(["model", "--model", "euclidean", "--trials", "40", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "unsat [euclidean] trials=0 failures=0 skipped=40  FAILED: no trial evaluated\n"
+    )
+    assert calls == ["unsat"]
+
+
 @pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
 def test_final_evaluation_measures_each_point_pair_once(model, monkeypatch):
     counted = type(model)()  # a fresh instance, so the counter stays local
@@ -530,17 +676,17 @@ def test_final_evaluation_measures_each_point_pair_once(model, monkeypatch):
         return dist(p, q)
 
     counted.dist = counting
-    eval_fact = models.eval_fact
+    first_false = models.Plan.first_false
 
-    def spying(m, instance, fact, tol=None):
+    def spying(plan, instance):
         seen[id(instance)] = instance  # kept alive, so ids stay unique
         evaluating.append(instance)
         try:
-            return eval_fact(m, instance, fact, tol)
+            return first_false(plan, instance)
         finally:
             evaluating.pop()
 
-    monkeypatch.setattr(models, "eval_fact", spying)
+    monkeypatch.setattr(models.Plan, "first_false", spying)
     for check in _corpus_checks()[:-1]:
         check(counted, trials=10, seed=4)
     assert measured
@@ -652,13 +798,14 @@ def test_nc_transfer_samples_p_and_q_on_the_line_through_x_and_y(monkeypatch):
     with p and q anywhere else tests nothing about the rule."""
     conclusion = non_collinear("p", "q", "z")
     seen = []
+    first_false = models.Plan.first_false
 
-    def spy(model, instance, fact, tol=None):
-        if fact == conclusion:
+    def spy(plan, instance):
+        if conclusion in plan.facts:
             seen.append(dict(instance))
-        return eval_fact(model, instance, fact, tol)
+        return first_false(plan, instance)
 
-    monkeypatch.setattr(models, "eval_fact", spy)
+    monkeypatch.setattr(models.Plan, "first_false", spy)
     for model in MODELS.values():
         seen.clear()
         rep = check_rule_soundness(model, "NC_TRANSFER", trials=100, seed=3)
