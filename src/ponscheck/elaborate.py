@@ -2,9 +2,9 @@
 
 The elaborator is purely static: it resolves names (labels, points,
 rules, lemmas), enforces visibility (a label defined inside one case
-branch is invisible in the others and after the split), and builds the
-kernel's immutable step objects.  All semantic checking is left to the
-kernel.
+branch is invisible in the others and after the split), and turns rule
+steps into the kernel's; the parser emits kernel steps for every other
+step kind.  All semantic checking is left to the kernel.
 """
 
 from __future__ import annotations
@@ -183,25 +183,23 @@ def _convert_steps(
             fact = _convert_fact(st.fact, scope.points, st.line)
             _check_refs(st.refs, scope, st.line)
             out.append(RuleStep(st.label, fact, st.rule, st.inst.points, st.refs, line=st.line))
-        elif isinstance(st, S.ExtendStepAst):
+        elif isinstance(st, ExtendStep):
             _known_points((st.a, st.b, *st.seg), scope, st.line)
-            out.append(ExtendStep(st.label, st.a, st.b, tuple(st.seg), st.fresh, line=st.line))
+            out.append(st)
             scope.add(scope.points, st.fresh)
-        elif isinstance(st, S.LayoffStepAst):
+        elif isinstance(st, LayoffStep):
             _known_points((st.start, st.toward, *st.seg), scope, st.line)
             _check_refs(st.refs, scope, st.line)
-            out.append(LayoffStep(
-                st.label, st.start, st.toward, tuple(st.seg), st.fresh, st.refs, line=st.line
-            ))
+            out.append(st)
             scope.add(scope.points, st.fresh)
-        elif isinstance(st, S.LemmaStepAst):
+        elif isinstance(st, LemmaStep):
             if registry is not None and st.lemma not in registry:
                 raise UnknownLemma(f"unknown lemma {st.lemma}", st.line)
             _known_points(st.args, scope, st.line)
-            out.append(LemmaStep(st.label, st.lemma, st.args, st.fresh, line=st.line))
+            out.append(st)
             for name in st.fresh:
                 scope.add(scope.points, name)
-        elif isinstance(st, S.CasesStepAst):
+        else:  # CasesStep
             _known_points((*st.left, *st.right), scope, st.line)
             branches = []
             for br in st.branches:
@@ -210,13 +208,8 @@ def _convert_steps(
                 bsteps = _convert_steps(br.steps, scope, registry)
                 _check_refs(br.close_refs, scope, br.line)
                 scope.trail.rollback(mark)
-                branches.append(
-                    CaseBranch(br.kind, bsteps, br.close_kind, br.close_refs, line=br.line)
-                )
-            left, right = tuple(st.left), tuple(st.right)
-            out.append(CasesStep(st.label, left, right, tuple(branches), line=st.line))
-        else:
-            raise ElaborationError(f"unknown step kind {type(st).__name__}", 0)
+                branches.append(CaseBranch(br.kind, bsteps, br.close_kind, br.close_refs, br.line))
+            out.append(CasesStep(st.label, st.left, st.right, tuple(branches), st.line))
         scope.add(scope.labels, st.label)
     return tuple(out)
 

@@ -25,8 +25,9 @@ trail rolls the state back to where the split began.  So a branch sees
 nothing its siblings derived, the parent gains only the split's own label,
 and a split costs the work its branches do rather than a copy of the state.
 
-Steps and citations, like the parser's syntax nodes, are NamedTuples (see
-node): immutable, hashable, and built without a dataclass __init__.
+Steps and citations are NamedTuples (see node): immutable, hashable, and
+built without a dataclass __init__.  The parser builds the steps of every
+kind but rule steps itself; the elaborator builds RuleSteps.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from .kernel import (
     ExtendStep,
     LayoffStep,
     LemmaStep,
+    RuleStep,
     Step,
     TheoremStatement,
     step_facts,
@@ -489,8 +490,6 @@ def realize_construction(
     """Place the fresh point of an extend/layoff step; returns a new
     instance.  Walking off the model's working domain (hemisphere, disk
     rim) raises GeodesicOutOfDomain."""
-    if not isinstance(step, (ExtendStep, LayoffStep)):
-        raise ValueError(f"not a construction step: {step!r}")
     t = Trial(model, instance)
     extend = isinstance(step, ExtendStep)
     # extend walks from a through b and on by seg; layoff walks seg from start
@@ -626,19 +625,16 @@ class _TrialSkip(Exception):
     pass
 
 
-class UninstantiableStep(Exception):
-    """A replayed step whose facts cannot be built from its points: it
-    carries kernel.step_facts' ValueError, which the kernel reports as a
-    DegenerateInstantiation."""
-
-
 def _walk_steps(
     model: Model, instance: Trial, steps: Sequence[Step], tol: ToleranceProfile,
     derived: Callable[[Step], Tuple[Fact, ...]], out_facts: List[Tuple[Fact, ...]],
+    cuts: List[Tuple[int, Trial]],
 ) -> Trial:
     """Replay proof steps on an instance: realize constructions, solve
     lemma-introduced points, pick the numerically true trichotomy branch,
-    and collect each step's derived facts for evaluation."""
+    and collect each step's derived facts for evaluation.  Before a step
+    moves a point a closed case branch named, `cuts` gets the number of
+    facts collected and the trial they are to be measured in."""
     for step in steps:
         if isinstance(step, CasesStep):
             dl, dr = instance.dist(*step.left), instance.dist(*step.right)
@@ -647,9 +643,13 @@ def _walk_steps(
             if not kind:
                 raise _TrialSkip("segment comparison inside tolerance dead zone")
             branch = next(b for b in step.branches if b.kind == kind)
-            instance = _walk_steps(model, instance, branch.steps, tol, derived, out_facts)
+            instance = _walk_steps(model, instance, branch.steps, tol, derived, out_facts, cuts)
             continue
         facts = derived(step)
+        if not isinstance(step, RuleStep):
+            fresh = step.fresh if isinstance(step, LemmaStep) else (step.fresh,)
+            if any(name in instance.pts for name in fresh):
+                cuts.append((len(out_facts), instance))
         if isinstance(step, (ExtendStep, LayoffStep)):
             try:
                 instance = realize_construction(model, instance, step, tol)
@@ -700,7 +700,8 @@ def model_check(
     registry: Optional[Mapping[str, TheoremStatement]] = None, samples: Optional[dict] = None,
 ) -> ModelCheckReport:
     """Sample instances of the hypotheses and measure every derived fact
-    plus the statement's conclusions.  Identical seeds give identical
+    plus the statement's conclusions, replaying `steps`, which
+    kernel.check_proof must have accepted.  Identical seeds give identical
     reports; unsatisfiable or unrealizable trials count as skipped.  Checks
     given the same `samples` dict share the draws of statements with the
     same points and hypotheses and report what fresh draws would."""
@@ -708,19 +709,12 @@ def model_check(
     registry = registry or {}
     report = ModelCheckReport(model=model.name, trials=trials)
     memo: Dict[int, Tuple[Fact, ...]] = {}  # by id(step); facts name points only
-    plans: Dict[Tuple[int, ...], Plan] = {}  # by the ids of the walked steps' facts
+    plans: Dict[Tuple[int, ...], Plan] = {}  # by the ids of the measured facts' tuples
 
     def derived(step: Step) -> Tuple[Fact, ...]:
         facts = memo.get(id(step))
         if facts is None:
-            if isinstance(step, LemmaStep) and step.lemma not in registry:
-                raise _TrialSkip(f"no statement for lemma {step.lemma}")
-            try:
-                facts = memo[id(step)] = step_facts(step, registry)
-            except ValueError as exc:
-                raise UninstantiableStep(
-                    f"step {step.label} cannot be instantiated: {exc}"
-                ) from None
+            facts = memo[id(step)] = step_facts(step, registry)
         return facts
 
     for k, instance in _draws(model, statement, trials, seed, tol, samples):
@@ -728,8 +722,9 @@ def model_check(
             report.skipped += 1
             continue
         walked: List[Tuple[Fact, ...]] = []
+        cuts: List[Tuple[int, Trial]] = []
         try:
-            instance = _walk_steps(model, instance, steps, tol, derived, walked)
+            instance = _walk_steps(model, instance, steps, tol, derived, walked, cuts)
             for name in statement.introduced:
                 if name not in instance.pts:
                     instance = instance.with_point(name, solve_introduced_point(
@@ -738,11 +733,18 @@ def model_check(
         except (_TrialSkip, UnrealizableStep):
             report.skipped += 1
             continue
-        key = tuple(map(id, walked))
-        if key not in plans:
-            facts = [f for part in walked for f in part] + list(statement.conclusions)
-            plans[key] = Plan(model, facts, tol)
-        report.record(k, instance, plans[key].failure(instance))
+        walked.append(statement.conclusions)
+        cuts.append((len(walked), instance))
+        start = 0
+        for end, at in cuts:  # each run of facts on the trial it was walked in
+            key = tuple(map(id, walked[start:end]))
+            if key not in plans:
+                plans[key] = Plan(model, [f for part in walked[start:end] for f in part], tol)
+            failed = plans[key].failure(at)
+            if failed is not None:
+                break
+            start = end
+        report.record(k, at, failed)
     return report
 
 

@@ -13,9 +13,12 @@ The parser is plain recursive descent over the token strings and
 reports errors with line, column, and the expected-token set; a column
 is worked out only when an error is raised, by matching that one source
 line again.  It never raises anything but ParseError on malformed
-input, whatever the bytes were.  Syntax nodes are NamedTuples (see
-kernel.node), compared without their source line, so that
-parse(format_script(x)) == x; the per-block classes stay dataclasses.
+input, whatever the bytes were.  It emits the kernel's step tuples for
+every step kind but rule steps, with a segment as a point pair; a
+RuleStepAst keeps the written fact and instantiation for format_script.
+Syntax nodes are NamedTuples (see kernel.node), compared without their
+source line, so that parse(format_script(x)) == x; the per-block classes
+stay dataclasses.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
-from .kernel import Ref, node
+from .kernel import CaseBranch, CasesStep, ExtendStep, LayoffStep, LemmaStep, Ref, node
 
 KEYWORDS = frozenset(
     """theorem declare tags points introduces assume show uses proof qed
@@ -57,12 +60,6 @@ class ParseError(SyntaxError):
 
 # ---------------------------------------------------------------------------
 # AST
-
-
-@node
-class SegTermAst(NamedTuple):
-    a: str
-    b: str
 
 
 @node
@@ -100,55 +97,8 @@ class RuleStepAst(NamedTuple):
     line: int = 0
 
 
-@node
-class ExtendStepAst(NamedTuple):
-    label: str
-    a: str
-    b: str
-    seg: SegTermAst
-    fresh: str
-    line: int = 0
-
-
-@node
-class LayoffStepAst(NamedTuple):
-    label: str
-    start: str
-    toward: str
-    seg: SegTermAst
-    fresh: str
-    refs: Tuple[Ref, ...]
-    line: int = 0
-
-
-@node
-class LemmaStepAst(NamedTuple):
-    label: str
-    lemma: str
-    args: Tuple[str, ...]
-    fresh: Tuple[str, ...]
-    line: int = 0
-
-
-@node
-class CaseBranchAst(NamedTuple):
-    kind: str  # lt | eq | gt
-    steps: Tuple["StepAst", ...]
-    close_kind: str  # goal | absurd
-    close_refs: Tuple[Ref, ...]
-    line: int = 0
-
-
-@node
-class CasesStepAst(NamedTuple):
-    label: str
-    left: SegTermAst
-    right: SegTermAst
-    branches: Tuple[CaseBranchAst, ...]
-    line: int = 0
-
-
-StepAst = Union[RuleStepAst, ExtendStepAst, LayoffStepAst, LemmaStepAst, CasesStepAst]
+# A case branch's steps are StepAsts here and kernel Steps once elaborated.
+StepAst = Union[RuleStepAst, ExtendStep, LayoffStep, LemmaStep, CasesStep]
 
 
 @dataclass(frozen=True)
@@ -468,7 +418,7 @@ class _Parser:
             self.expect("as")
             fresh = self.point()
             self.expect_nl()
-            return ExtendStepAst(label, a, b, seg, fresh, line=line)
+            return ExtendStep(label, a, b, seg, fresh, line)
         if self.accept("layoff"):
             start = self.point()
             self.expect("toward")
@@ -480,14 +430,14 @@ class _Parser:
             self.expect("from")
             refs = self.parse_refs()
             self.expect_nl()
-            return LayoffStepAst(label, start, toward, seg, fresh, refs, line=line)
+            return LayoffStep(label, start, toward, seg, fresh, refs, line)
         if self.accept("cases"):
             left = self.parse_segterm()
             self.expect("vs")
             right = self.parse_segterm()
             self.expect_nl()
             branches = self.parse_case_branches(labels)
-            return CasesStepAst(label, left, right, branches, line=line)
+            return CasesStep(label, left, right, branches, line)
         if self.accept("lemma"):
             lemma = self.ident("lemma name")
             self.expect("(")
@@ -497,7 +447,7 @@ class _Parser:
             if self.accept("as"):
                 fresh = self.comma_list(self.point)
             self.expect_nl()
-            return LemmaStepAst(label, lemma, args, fresh, line=line)
+            return LemmaStep(label, lemma, args, fresh, line)
         fact = self.parse_fact(allow_absurd=True)
         self.expect("by")
         rule = self.ident("rule name", allow_keyword=True)
@@ -507,7 +457,7 @@ class _Parser:
         self.expect_nl()
         return RuleStepAst(label, fact, rule, inst, refs, line=line)
 
-    def parse_case_branches(self, labels: set) -> Tuple[CaseBranchAst, ...]:
+    def parse_case_branches(self, labels: set) -> Tuple[CaseBranch, ...]:
         self.depth += 1
         if self.depth > _MAX_CASE_DEPTH:
             raise self.error("case nesting too deep")
@@ -528,16 +478,14 @@ class _Parser:
                 self.expect("from")
                 close_refs = self.parse_refs()
                 self.expect_nl()
-                branches.append(
-                    CaseBranchAst(kind, tuple(steps), close_kind, close_refs, line=line)
-                )
+                branches.append(CaseBranch(kind, tuple(steps), close_kind, close_refs, line))
             return tuple(branches)
         finally:
             self.depth -= 1
 
-    def parse_segterm(self) -> SegTermAst:
+    def parse_segterm(self) -> Tuple[str, str]:
         self.expect("seg")
-        return SegTermAst(self.point(), self.point())
+        return self.point(), self.point()
 
     def parse_fact(self, allow_absurd: bool) -> FactAst:
         if self.accept("seg"):
@@ -676,26 +624,24 @@ def _fmt_step(step: StepAst, indent: str, out: List[str]) -> None:
             f"{indent}{step.label}: {_fmt_fact(step.fact)} by {step.rule}"
             f"{_fmt_inst(step.inst)} from {_fmt_refs(step.refs)}"
         )
-    elif isinstance(step, ExtendStepAst):
+    elif isinstance(step, ExtendStep):
         out.append(
             f"{indent}{step.label}: extend {step.a} {step.b} by "
-            f"seg {step.seg.a} {step.seg.b} as {step.fresh}"
+            f"seg {' '.join(step.seg)} as {step.fresh}"
         )
-    elif isinstance(step, LayoffStepAst):
+    elif isinstance(step, LayoffStep):
         out.append(
             f"{indent}{step.label}: layoff {step.start} toward {step.toward} by "
-            f"seg {step.seg.a} {step.seg.b} as {step.fresh} from {_fmt_refs(step.refs)}"
+            f"seg {' '.join(step.seg)} as {step.fresh} from {_fmt_refs(step.refs)}"
         )
-    elif isinstance(step, LemmaStepAst):
+    elif isinstance(step, LemmaStep):
         text = f"{indent}{step.label}: lemma {step.lemma}({','.join(step.args)})"
         if step.fresh:
             text += " as " + ", ".join(step.fresh)
         out.append(text)
-    elif isinstance(step, CasesStepAst):
-        out.append(
-            f"{indent}{step.label}: cases seg {step.left.a} {step.left.b} "
-            f"vs seg {step.right.a} {step.right.b}"
-        )
+    elif isinstance(step, CasesStep):
+        left, right = " ".join(step.left), " ".join(step.right)
+        out.append(f"{indent}{step.label}: cases seg {left} vs seg {right}")
         for branch in step.branches:
             out.append(f"{indent}case {branch.kind}")
             for inner in branch.steps:

@@ -12,10 +12,7 @@ import pytest
 import ponscheck
 from ponscheck import cli
 from ponscheck.cli import main
-from ponscheck.elaborate import collect_statements, elaborate_script
-from ponscheck.geometry import EUCLIDEAN
-from ponscheck.models import UninstantiableStep, model_check
-from ponscheck.script import parse
+from ponscheck.models import model_check
 
 GOOD = """\
 theorem mirror_pons
@@ -507,37 +504,6 @@ def test_step_diagnostics_are_pinned(tmp_path, capsys, script, check_line, model
     assert captured.err.strip() == model_err
     if check_line is not None and check_line.startswith("  step"):
         assert captured.out.count("] proof-failed\n") == 3
-
-
-# The reason the numeric replay itself gives for each step above whose facts
-# it cannot build, as `model` printed it before it stopped replaying proofs
-# that `check` rejected; models.model_check still raises it for such steps.
-REPLAY_DIAGNOSTICS = {
-    "rule_arity": "SEG_REFL expects 2 points, got 3",
-    "rule_degenerate": "segment endpoints coincide: A",
-    "extend_same_points": "extend needs two distinct points",
-    "extend_degenerate_seg": "segment endpoints coincide: B",
-    "extend_fresh_is_a": "betweenness points not distinct: B,A,A",
-    "extend_fresh_is_b": "betweenness points not distinct: B,A,B",
-    "layoff_toward_start": "betweenness points not distinct: D,A,A",
-    "layoff_fresh_exists": "betweenness points not distinct: C,B,C",
-    "lemma_repeats_point": "angle points not distinct: A,A,H",
-    "lemma_fresh_exists": "angle points not distinct: B,A,A",
-    "lemma_too_many_fresh": "lemma foot introduces 1 point(s), 2 name(s) given",
-    "lemma_no_fresh": "lemma foot introduces 1 point(s), 0 name(s) given",
-    "lemma_one_point_short": "lemma foot takes 3 point(s), got 2",
-}
-
-
-@pytest.mark.parametrize("name, reason", sorted(REPLAY_DIAGNOSTICS.items()))
-def test_replay_names_the_step_it_cannot_instantiate(name, reason):
-    (script,) = [case[1] for case in STEP_DIAGNOSTICS if case[0] == name]
-    ast = parse(script)
-    registry = collect_statements(ast)
-    block = elaborate_script(ast, registry)[-1]
-    with pytest.raises(UninstantiableStep) as exc:
-        model_check(EUCLIDEAN, block.statement, block.proof.steps, 5, registry=registry)
-    assert str(exc.value) == f"step s1 cannot be instantiated: {reason}"
 
 
 # A stated lemma point with no betweenness carrier cannot be solved for, so

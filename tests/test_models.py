@@ -698,31 +698,51 @@ def test_final_evaluation_measures_each_point_pair_once(model, monkeypatch):
         assert pairs <= n * (n - 1) // 2
 
 
-REUSED_NAME = """\
-theorem reuse
+REUSED_AFTER_SPLIT = """\
+theorem reuse_after_split
   tags: neutral
   points A B C
-  assume h1: seg A B == seg A C
-  assume h2: noncollinear A B C
-  show seg A B == seg A C
+  assume h1: noncollinear A B C
+  show seg A B == seg A B
   proof
-    e1: extend A B by seg A B as C
-  qed from h1
+    c1: cases seg A B vs seg A C
+    case lt
+      e1: extend A B by seg A B as E
+      r1: seg A B == seg A B by SEG_REFL[A,B] from refl
+      close goal from r1
+    case eq
+      e2: extend A B by seg A B as E
+      r2: seg A B == seg A B by SEG_REFL[A,B] from refl
+      close goal from r2
+    case gt
+      e3: extend A B by seg A B as E
+      r3: seg A B == seg A B by SEG_REFL[A,B] from refl
+      close goal from r3
+    e4: extend A C by seg A B as E
+  qed from c1
 """
 
 
-def test_a_reused_point_name_is_measured_where_it_moved():
-    # check rejects the step (so `model` reports the block proof-failed), but
-    # the replay, called on its own, runs it: C moves on past B, so the
-    # extension's betweenness holds and the sampled AB = AC fails
-    ast = parse(REUSED_NAME)
+def test_a_name_bound_again_after_a_split_is_measured_where_each_step_put_it():
+    # the branch's E is out of scope after the split, so the checked proof
+    # names E again; the branch's between(B;{A,E}) is measured before e4
+    # moves E off the line A B
+    ast = parse(REUSED_AFTER_SPLIT)
     registry = collect_statements(ast)
     (block,) = elaborate_script(ast, registry)
-    assert check_proof(block.statement, block.proof, registry).status == "failed"
+    assert check_proof(block.statement, block.proof, registry).status == "ok"
     for model in MODELS.values():
-        rep = model_check(model, block.statement, block.proof.steps, 20, registry=registry)
-        assert rep.failures == 20
-        assert rep.first_counterexample.fact == "seg(A,B) == seg(A,C)"
+        rep = model_check(model, block.statement, block.proof.steps, 50, registry=registry)
+        assert (rep.trials_run, rep.failures) == (50, 0), model.name
+
+
+def test_moving_a_point_drops_only_its_measured_distances():
+    trial = models.Trial(EUCLIDEAN, {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (0.0, 2.0)})
+    assert [trial.dist(*pair) for pair in ("AB", "BC", "AC")] == pytest.approx([1.0, 5**0.5, 2.0])
+    moved = trial.with_point("B", (3.0, 0.0))
+    assert set(moved.dists) == {("A", "C"), ("C", "A")}
+    assert [moved.dist(*pair) for pair in ("AB", "BC")] == pytest.approx([3.0, 13**0.5])
+    assert trial.dist("A", "B") == pytest.approx(1.0)  # the original keeps its table
 
 
 # ---------------------------------------------------------------------------

@@ -11,24 +11,15 @@ from ponscheck import script as S
 from ponscheck.terms import seg_eq, segment
 
 FACT = S.FactAst("seg_eq", ("A", "B", "A", "C"))
-SEG = S.SegTermAst("A", "B")
 REFS = (K.Ref("label", "h1"), K.Ref("sym", "h2"), K.Ref("refl"))
 RULE_AST = S.RuleStepAst("s1", FACT, "SEG_SYM", S.InstAst(("A", "B", "A", "C")), REFS[:1], 4)
 KSTEP = K.ExtendStep("e1", "A", "B", ("A", "C"), "D", 5)
 
 SYNTAX_NODES = [
-    SEG,
     FACT,
     S.InstAst(("A", "B", "C", "A", "C", "B"), True),
     S.AssumeAst("h1", FACT, 3),
     RULE_AST,
-    S.ExtendStepAst("e1", "A", "B", SEG, "D", 5),
-    S.LayoffStepAst("l1", "A", "C", SEG, "D", REFS[:1], 6),
-    S.LemmaStepAst("m1", "foot", ("A", "B", "C"), ("H",), 7),
-    S.CaseBranchAst("lt", (RULE_AST,), "goal", REFS[:1], 8),
-    S.CasesStepAst(
-        "c1", SEG, S.SegTermAst("A", "C"), (S.CaseBranchAst("lt", (), "absurd", (), 9),), 9
-    ),
 ]
 KERNEL_NODES = [
     *REFS,
@@ -50,7 +41,7 @@ def _id(node):
 
 def test_every_converted_class_is_covered():
     classes = {type(n) for n in NODES}
-    assert len(classes) == 17
+    assert len(classes) == 11
     assert all(issubclass(c, tuple) for c in classes)
 
 
@@ -92,7 +83,7 @@ def test_classes_with_the_same_field_values_stay_distinct():
         assert x != y and y != x
         assert not (x == y or y == x)
         assert len({x, y}) == 2
-    assert pairs == 34
+    assert pairs == 13
     for node in NODES:
         assert node != tuple(node) and tuple(node) != node
 

@@ -4,26 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ponscheck.corpus import PROOF_FILENAMES, load_text
+from ponscheck.elaborate import elaborate_script
 from ponscheck.script import (
     AssumeAst,
-    CaseBranchAst,
-    CasesStepAst,
     DeclareAst,
-    ExtendStepAst,
     FactAst,
     InstAst,
-    LayoffStepAst,
-    LemmaStepAst,
     ParseError,
     RuleStepAst,
     ScriptAst,
-    SegTermAst,
     TheoremAst,
     format_script,
     parse,
     parse_conjecture,
 )
-from ponscheck.kernel import Ref
+from ponscheck.kernel import CaseBranch, CasesStep, ExtendStep, LayoffStep, LemmaStep, Ref
 
 BASIC = """\
 # base angles of an isosceles triangle
@@ -194,6 +189,52 @@ _refs = st.lists(
 ).map(tuple)
 
 
+def _draw_steps(draw, labels, depth, min_size):
+    """Steps of every kind, labelled uniquely across the whole proof (the
+    parser rejects a repeated label, in a branch as anywhere else); a case
+    split nests at most two deep."""
+    kinds = ("rule", "extend", "layoff", "lemma") + (("cases",) if depth < 2 else ())
+    steps = []
+    for _ in range(draw(st.integers(min_size, 3 if depth == 0 else 2))):
+        label = f"s{len(labels)}"
+        labels.append(label)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "rule":
+            # the two-triples surface form always carries six points
+            triples = draw(st.booleans())
+            inst_pts = draw(_distinct(5)) + ("F",) if triples else draw(_distinct(3))
+            steps.append(
+                RuleStepAst(
+                    label=label,
+                    fact=draw(_fact),
+                    rule=draw(st.sampled_from(["SAS_ORD", "SEG_TRANS", "ARM_SUBST"])),
+                    inst=InstAst(points=inst_pts, triples=triples),
+                    refs=draw(_refs),
+                )
+            )
+        elif kind == "extend":
+            steps.append(ExtendStep(label, *draw(_distinct(2)), draw(_distinct(2)), "F"))
+        elif kind == "layoff":
+            start, toward = draw(_distinct(2))
+            steps.append(LayoffStep(label, start, toward, draw(_distinct(2)), "F", draw(_refs)))
+        elif kind == "lemma":
+            args = draw(st.integers(1, 3).flatmap(_distinct))
+            fresh = draw(st.sampled_from([(), ("F",), ("F", "G")]))
+            steps.append(LemmaStep(label, draw(st.sampled_from(["foot", "mid"])), args, fresh))
+        else:
+            branches = tuple(
+                CaseBranch(
+                    case,
+                    tuple(_draw_steps(draw, labels, depth + 1, 0)),
+                    draw(st.sampled_from(["goal", "absurd"])),
+                    draw(_refs),
+                )
+                for case in ("lt", "eq", "gt")
+            )
+            steps.append(CasesStep(label, draw(_distinct(2)), draw(_distinct(2)), branches))
+    return steps
+
+
 @st.composite
 def _theorems(draw):
     n_assumes = draw(st.integers(0, 2))
@@ -206,22 +247,7 @@ def _theorems(draw):
     qed = ()
     if has_proof:
         # a proof block must contain at least one step to parse
-        n_steps = draw(st.integers(1, 3))
-        steps = []
-        for i in range(n_steps):
-            # the two-triples surface form always carries six points
-            triples = draw(st.booleans())
-            inst_pts = draw(_distinct(5)) + ("F",) if triples else draw(_distinct(3))
-            steps.append(
-                RuleStepAst(
-                    label=f"s{i}",
-                    fact=draw(_fact),
-                    rule=draw(st.sampled_from(["SAS_ORD", "SEG_TRANS", "ARM_SUBST"])),
-                    inst=InstAst(points=inst_pts, triples=triples),
-                    refs=draw(_refs),
-                )
-            )
-        steps = tuple(steps)
+        steps = tuple(_draw_steps(draw, [], 0, 1))
         qed = draw(_refs)
     return TheoremAst(
         name=draw(st.sampled_from(["t1", "lemma_x", "claim"])),
@@ -273,6 +299,7 @@ theorem build
   proof
     e1: extend A B by seg A B as E
     l1: layoff A toward B by seg C D as F from h1
+    m1: lemma foot(A,B,C) as H
     c1: cases seg A B vs seg C D
     case lt
       x1: seg A B == seg A B by SEG_REFL[A,B] from refl
@@ -285,9 +312,13 @@ theorem build
 """
     ast = parse(text)
     thm = ast.items[0]
-    kinds = [type(s).__name__ for s in thm.steps]
-    assert kinds == ["ExtendStepAst", "LayoffStepAst", "CasesStepAst"]
+    assert [type(s) for s in thm.steps] == [ExtendStep, LayoffStep, LemmaStep, CasesStep]
+    assert thm.steps[0].seg == ("A", "B") and thm.steps[3].right == ("C", "D")
+    assert type(thm.steps[3].branches[0]) is CaseBranch
     assert parse(format_script(ast)) == ast
+    # the elaborator passes the construction and lemma steps through as parsed
+    (block,) = elaborate_script(ast)
+    assert all(e is s for e, s in zip(block.proof.steps[:3], thm.steps))
 
 
 def test_fuzz_bytes_parse_or_syntax_error():
