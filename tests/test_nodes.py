@@ -10,6 +10,27 @@ from ponscheck import kernel as K
 from ponscheck import script as S
 from ponscheck.terms import seg_eq, segment
 
+SCRIPT = """\
+theorem build
+  tags: neutral
+  points A B C D
+  assume h1: seg C D < seg A B
+  show seg A B == seg A B
+  proof
+    e1: extend A B by seg A B as E
+    l1: layoff A toward B by seg C D as F from h1
+    m1: lemma foot(A,B,C) as H
+    c1: cases seg A B vs seg C D
+    case lt
+      x1: seg A B == seg A B by SEG_REFL[A,B] from refl
+      close absurd from x1
+    case eq
+      close goal from c1.eq
+    case gt
+      close goal from c1.gt
+  qed from c1
+"""
+
 FACT = S.FactAst("seg_eq", ("A", "B", "A", "C"))
 REFS = (K.Ref("label", "h1"), K.Ref("sym", "h2"), K.Ref("refl"))
 RULE_AST = S.RuleStepAst("s1", FACT, "SEG_SYM", S.InstAst(("A", "B", "A", "C")), REFS[:1], 4)
@@ -33,10 +54,21 @@ KERNEL_NODES = [
     K.CasesStep("c1", ("A", "B"), ("A", "C"), (K.CaseBranch("eq", (), "absurd", (), 9),), 9),
 ]
 NODES = SYNTAX_NODES + KERNEL_NODES
+# The extend, layoff, lemma, cases and case-branch steps as the parser builds
+# them from SCRIPT, source lines included; their ids carry an ``Ast`` suffix.
+_PARSED_STEPS = S.parse(SCRIPT).items[0].steps
+PARSED_NODES = [*_PARSED_STEPS, _PARSED_STEPS[3].branches[0]]
 
 
 def _id(node):
     return type(node).__name__
+
+
+def _params(nodes):
+    """The given nodes, then every parsed node (each of which has a line)."""
+    return [pytest.param(n, id=_id(n)) for n in nodes] + [
+        pytest.param(n, id=_id(n) + "Ast") for n in PARSED_NODES
+    ]
 
 
 def test_every_converted_class_is_covered():
@@ -45,7 +77,7 @@ def test_every_converted_class_is_covered():
     assert all(issubclass(c, tuple) for c in classes)
 
 
-@pytest.mark.parametrize("node", NODES, ids=_id)
+@pytest.mark.parametrize("node", _params(NODES))
 def test_fields_cannot_be_assigned(node):
     for name in node._fields:
         with pytest.raises(AttributeError):
@@ -54,7 +86,7 @@ def test_fields_cannot_be_assigned(node):
         node.extra = 1
 
 
-@pytest.mark.parametrize("node", NODES, ids=_id)
+@pytest.mark.parametrize("node", _params(NODES))
 def test_nodes_hash_and_equal_their_copies(node):
     copy = type(node)(*node)
     assert copy == node and not copy != node
@@ -62,7 +94,7 @@ def test_nodes_hash_and_equal_their_copies(node):
     assert len({node, copy}) == 1
 
 
-@pytest.mark.parametrize("node", [n for n in NODES if "line" in n._fields], ids=_id)
+@pytest.mark.parametrize("node", _params([n for n in NODES if "line" in n._fields]))
 def test_nodes_ignore_their_line(node):
     moved = node._replace(line=node.line + 100)
     assert moved == node and not moved != node
