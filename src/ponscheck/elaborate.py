@@ -101,11 +101,9 @@ def _convert_fact(fa: S.FactAst, known_points: Set[str], line: int) -> Fact:
             return between(pt(p[1]), pt(p[0]), pt(p[2]))
         if fa.kind == "noncollinear":
             return non_collinear(pt(p[0]), pt(p[1]), pt(p[2]))
-        if fa.kind == "absurd":
-            return ABSURD
+        return ABSURD  # absurd, the one kind left
     except ValueError as exc:
         raise ElaborationError(f"degenerate fact: {exc}", line) from exc
-    raise ElaborationError(f"unknown fact kind {fa.kind!r}", line)
 
 
 def make_statement(block: S.TheoremAst) -> TheoremStatement:

@@ -9,13 +9,18 @@ A token is the plain string the token regex matched; a newline string
 closes each line that had tokens, the empty string ends the input, and
 a parallel list holds each token's line number.  The garbage collector
 does not track strings, so a long script adds nothing for it to scan.
-The parser is plain recursive descent over the token strings and
-reports errors with line, column, and the expected-token set; a column
-is worked out only when an error is raised, by matching that one source
-line again.  It never raises anything but ParseError on malformed
-input, whatever the bytes were.  It emits the kernel's step tuples for
-every step kind but rule steps, with a segment as a point pair; a
-RuleStepAst keeps the written fact and instantiation for format_script.
+A proof line takes one of two paths.  The line path matches a rule,
+`extend` or `cases` step, `case` or `close` line with one compiled
+pattern and builds its tuple from the groups without tokenizing; it
+takes a line only when the token path would build the same tuple.  Any
+other line is tokenized and read by plain recursive descent over the
+token strings, so that path alone reports errors, with line, column,
+and the expected-token set; a column is worked out only when an error
+is raised, by matching that one source line again.  The parser never
+raises anything but ParseError on malformed input, whatever the bytes
+were.  It emits the kernel's step tuples for every step kind but rule
+steps, with a segment as a point pair; a RuleStepAst keeps the written
+fact and instantiation for format_script.
 Syntax nodes are NamedTuples (see kernel.node), compared without their
 source line, so that parse(format_script(x)) == x; the per-block classes
 stay dataclasses.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 from .kernel import CaseBranch, CasesStep, ExtendStep, LayoffStep, LemmaStep, Ref, node
 
@@ -148,24 +153,27 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _NL = "\n"  # closes every source line that had tokens
 _EOF = ""  # ends the stream
 
-
-def _tokenize(text: str) -> Tuple[List[str], List[int]]:
-    """The token strings of `text` and, in a parallel list, the source
-    line of each (the tokens of one line share one int).  A token is an
-    identifier exactly when its first character is in _IDENT_START."""
-    findall = _TOKEN_RE.findall
-    toks: List[str] = []
-    lines: List[int] = []
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        found = findall(raw.split("#", 1)[0])
-        if found:
-            toks += found
-            toks.append(_NL)
-            lines += [lineno] * (len(found) + 1)
-    toks.append(_EOF)
-    lines.append(lineno + 1)
-    return toks, lines
+# Line path: one pattern per line shape, for fullmatch on a line without
+# its comment.  Two words need \s+ between them, else the tokenizer reads
+# one identifier; names are undotted, and the parser checks them against
+# KEYWORDS.  Rule groups: label 0, seg 1-5 (op 3), ang 6-12 (op 9),
+# between/noncollinear 13-16, rule 17, triples 18-23, flat list 24, refs 25.
+_N = r"[A-Za-z_][A-Za-z0-9_]*"
+_DOTTED = _N + r"(?:\.[A-Za-z0-9_]+)*"
+_REFS = rf"((?:sym\s+)?{_DOTTED}(?:\s*,\s*(?:sym\s+)?{_DOTTED})*)\s*"
+_SEG, _ANG = rf"seg\s+({_N})\s+({_N})", rf"ang\s+({_N})\s+({_N})\s+({_N})"
+_TRIPLE = rf"\(\s*({_N})\s*,\s*({_N})\s*,\s*({_N})\s*\)"
+_RULE_RE = re.compile(
+    rf"\s*({_N})\s*:\s*(?:{_SEG}\s*(==|<)\s*{_SEG}|{_ANG}\s*(==|<)\s*{_ANG}"
+    rf"|(between|noncollinear)\s+({_N})\s+({_N})\s+({_N})|absurd)\s+by\s+({_N})\s*\[\s*"
+    rf"(?:{_TRIPLE}\s*,\s*{_TRIPLE}|({_N}(?:\s*,\s*{_N})*))\s*\]\s*from\s+{_REFS}"
+)
+_EXTEND_RE = re.compile(rf"\s*({_N})\s*:\s*extend\s+({_N})\s+({_N})\s+by\s+{_SEG}\s+as\s+({_N})\s*")
+_CASES_RE = re.compile(rf"\s*({_N})\s*:\s*cases\s+{_SEG}\s+vs\s+{_SEG}\s*")
+_CASE_RE = re.compile(r"\s*case\s+(lt|eq|gt)\s*")
+_CLOSE_RE = re.compile(rf"\s*close\s+(goal|absurd)\s+from\s+{_REFS}")
+_REF_RE = re.compile(rf"(sym\s+)?({_DOTTED})")
+_NAME_RE = re.compile(_N)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +181,10 @@ def _tokenize(text: str) -> Tuple[List[str], List[int]]:
 
 
 class _Parser:
-    """Recursive descent over the token list.  `tok` is the current token
-    and `pos` its index.
+    """Both paths of the module docstring.  `tok` is the current token and
+    `pos` its index in `toks`, which skip_nl extends one source line at a
+    time; `row` is the next source line not yet read.  The line path runs
+    only at a line boundary, where `tok` is the newline ending `toks`.
 
     Token strings alone identify words and punctuation: only an ident can
     spell a word (any other token is punctuation or one character that
@@ -184,11 +194,14 @@ class _Parser:
     """
 
     def __init__(self, text: str) -> None:
-        self.text = text
-        self.toks, self.lines = _tokenize(text)
-        self.pos = 0
-        self.tok = self.toks[0]
+        self.rows = text.splitlines()
+        self.row = 0
+        self.toks: List[str] = []
+        self.lines: List[int] = []  # each token's source line
+        self.pos, self.tok = -1, _NL
         self.depth = 0
+        self.cited: Dict[str, Optional[Tuple[Ref, ...]]] = {}
+        self.skip_nl()
 
     # -- token plumbing
 
@@ -208,7 +221,7 @@ class _Parser:
         line, tok = self.lines[pos], self.toks[pos]
         if not tok:
             return ParseError(message, line, 1, expected)
-        raw = self.text.splitlines()[line - 1]
+        raw = self.rows[line - 1]
         if tok == _NL:
             return ParseError(message, line, len(raw) + 1, expected)
         first = pos
@@ -240,15 +253,64 @@ class _Parser:
         return False
 
     def skip_nl(self) -> None:
-        while self.tok == _NL:
-            self.advance()
+        """Step past a newline: tokenize the next source line that has
+        tokens (its tokens share one line number), or end the stream."""
+        if self.tok != _NL:
+            return
+        rows, row = self.rows, self.row
+        found: List[str] = []
+        while not found and row < len(rows):
+            found = _TOKEN_RE.findall(rows[row].split("#", 1)[0])
+            row += 1
+        self.row = row
+        found.append(_NL if found else _EOF)
+        self.toks += found
+        self.lines += [row if len(found) > 1 else row + 1] * len(found)
+        self.pos += 1
+        self.tok = self.toks[self.pos]
+
+    def end_line(self) -> None:
+        """The line must end here; its newline stays for the line path."""
+        if self.tok and self.tok != _NL:
+            raise self.fail("expected end of line", ("newline",))
 
     def expect_nl(self) -> None:
-        tok = self.tok
-        if tok == _NL:
-            self.advance()
-        elif tok:
-            raise self.fail("expected end of line", ("newline",))
+        self.end_line()
+        self.skip_nl()
+
+    def peek(self) -> Optional[str]:
+        """At a line boundary, the next source line with tokens, its comment removed."""
+        while self.tok == _NL and self.row < len(self.rows):
+            line = self.rows[self.row].split("#", 1)[0]
+            if line.strip():
+                return line
+            self.row += 1
+        return None
+
+    def take(self) -> int:
+        """Consume the line the line path read; its line number."""
+        self.row += 1
+        return self.row
+
+    def cite(self, text: str) -> Optional[Tuple[Ref, ...]]:
+        """A matched refs group's citations; None if one is a reserved word."""
+        if text not in self.cited:
+            if text.isidentifier():  # one undotted label, the common case
+                refs = (_REFL,) if text == "refl" else (Ref("label", text),)
+            else:
+                refs = tuple(
+                    Ref("sym", label) if sym else _REFL if label == "refl" else Ref("label", label)
+                    for sym, label in _REF_RE.findall(text)
+                )
+            self.cited[text] = None if any(r.label in KEYWORDS for r in refs) else refs
+        return self.cited[text]
+
+    def claim(self, labels: set, label: str, names: Sequence[Optional[str]]) -> bool:
+        """Record a step label if it is new and no name is a reserved word."""
+        if label in labels or not KEYWORDS.isdisjoint(names):
+            return False
+        labels.add(label)
+        return True
 
     def ident(self, what: str, allow_dots: bool = False, allow_keyword: bool = False) -> str:
         tok = self.tok
@@ -363,8 +425,8 @@ class _Parser:
         steps: Optional[Tuple[StepAst, ...]] = None
         qed_refs: Tuple[Ref, ...] = ()
         if self.accept("proof"):
-            self.expect_nl()
-            body = self.parse_steps(labels, stop_words=("qed",))
+            self.end_line()
+            body, _ = self.parse_steps(labels, "qed", None)
             if not body:
                 raise self.fail("expected at least one proof step", ("step",))
             self.expect("qed")
@@ -395,13 +457,52 @@ class _Parser:
             points.append(p)
         return points
 
-    def parse_steps(self, labels: set, stop_words: Tuple[str, ...]) -> List[StepAst]:
+    def parse_steps(
+        self, labels: set, stop: str, end: Optional[re.Pattern]
+    ) -> Tuple[List[StepAst], Optional[re.Match]]:
+        """Steps up to a line whose first token is `stop`, or up to one that
+        `end` matches (returned with its match, the line not consumed)."""
         steps: List[StepAst] = []
         while True:
+            line = self.peek()
+            if line is not None:
+                m = end and end.fullmatch(line)
+                if m:
+                    return steps, m
+                step = self.line_step(line, labels)
+                if step is not None:
+                    steps.append(step)
+                    continue
             self.skip_nl()
-            if not self.tok or self.tok in stop_words:
-                return steps
+            if not self.tok or self.tok == stop:
+                return steps, None
             steps.append(self.parse_step(labels))
+
+    def line_step(self, line: str, labels: set) -> Optional[StepAst]:
+        """The step the line path reads from `line`; None leaves it to the token path."""
+        m = _RULE_RE.fullmatch(line)
+        if m:
+            g = m.groups()
+            if g[1]:
+                fact = FactAst("seg_eq" if g[3] == "==" else "seg_lt", (g[1], g[2], g[4], g[5]))
+            elif g[6]:
+                fact = FactAst("ang_eq" if g[9] == "==" else "ang_lt", g[6:9] + g[10:13])
+            else:
+                fact = FactAst(g[13] or "absurd", g[14:17] if g[13] else ())
+            flat = g[18] is None
+            inst = InstAst(tuple(_NAME_RE.findall(g[24])) if flat else g[18:24], not flat)
+            refs = self.cite(g[25])
+            if refs and self.claim(labels, g[0], g[:13] + g[14:17] + inst.points):
+                return RuleStepAst(g[0], fact, g[17], inst, refs, self.take())
+            return None
+        m = _EXTEND_RE.fullmatch(line)
+        if m and self.claim(labels, m[1], m.groups()):
+            return ExtendStep(m[1], m[2], m[3], (m[4], m[5]), m[6], self.take())
+        m = _CASES_RE.fullmatch(line)
+        if m and self.claim(labels, m[1], m.groups()):
+            at = self.take()
+            return CasesStep(m[1], (m[2], m[3]), (m[4], m[5]), self.parse_case_branches(labels), at)
+        return None
 
     def parse_step(self, labels: set) -> StepAst:
         at = self.pos
@@ -417,7 +518,7 @@ class _Parser:
             seg = self.parse_segterm()
             self.expect("as")
             fresh = self.point()
-            self.expect_nl()
+            self.end_line()
             return ExtendStep(label, a, b, seg, fresh, line)
         if self.accept("layoff"):
             start = self.point()
@@ -429,13 +530,13 @@ class _Parser:
             fresh = self.point()
             self.expect("from")
             refs = self.parse_refs()
-            self.expect_nl()
+            self.end_line()
             return LayoffStep(label, start, toward, seg, fresh, refs, line)
         if self.accept("cases"):
             left = self.parse_segterm()
             self.expect("vs")
             right = self.parse_segterm()
-            self.expect_nl()
+            self.end_line()
             branches = self.parse_case_branches(labels)
             return CasesStep(label, left, right, branches, line)
         if self.accept("lemma"):
@@ -446,7 +547,7 @@ class _Parser:
             fresh: Tuple[str, ...] = ()
             if self.accept("as"):
                 fresh = self.comma_list(self.point)
-            self.expect_nl()
+            self.end_line()
             return LemmaStep(label, lemma, args, fresh, line)
         fact = self.parse_fact(allow_absurd=True)
         self.expect("by")
@@ -454,34 +555,47 @@ class _Parser:
         inst = self.parse_inst()
         self.expect("from")
         refs = self.parse_refs()
-        self.expect_nl()
+        self.end_line()
         return RuleStepAst(label, fact, rule, inst, refs, line=line)
 
     def parse_case_branches(self, labels: set) -> Tuple[CaseBranch, ...]:
+        """The three branches after a `cases` header either path read."""
         self.depth += 1
         if self.depth > _MAX_CASE_DEPTH:
+            self.skip_nl()
             raise self.error("case nesting too deep")
-        try:
-            branches = []
-            for kind in ("lt", "eq", "gt"):
-                self.skip_nl()
-                line = self.lines[self.pos]
-                self.expect("case")
-                if not self.accept(kind):
-                    raise self.fail(f"expected case {kind!r}", (kind,))
-                self.expect_nl()
-                steps = self.parse_steps(labels, stop_words=("close",))
-                self.expect("close")
-                if self.tok not in ("goal", "absurd"):
-                    raise self.fail("expected close kind", ("goal", "absurd"))
-                close_kind = self.advance()
-                self.expect("from")
-                close_refs = self.parse_refs()
-                self.expect_nl()
-                branches.append(CaseBranch(kind, tuple(steps), close_kind, close_refs, line))
-            return tuple(branches)
-        finally:
-            self.depth -= 1
+        branch = self.parse_branch
+        branches = branch("lt", labels), branch("eq", labels), branch("gt", labels)
+        self.depth -= 1
+        return branches
+
+    def parse_branch(self, kind: str, labels: set) -> CaseBranch:
+        text = self.peek()
+        m = text and _CASE_RE.fullmatch(text)
+        if m and m[1] == kind:
+            line = self.take()
+        else:
+            self.skip_nl()
+            line = self.lines[self.pos]
+            self.expect("case")
+            if not self.accept(kind):
+                raise self.fail(f"expected case {kind!r}", (kind,))
+            self.end_line()
+        steps, m = self.parse_steps(labels, "close", _CLOSE_RE)
+        close_refs = m and self.cite(m[2])
+        if close_refs:
+            self.take()
+            close_kind = m[1]
+        else:
+            self.skip_nl()
+            self.expect("close")
+            if self.tok not in ("goal", "absurd"):
+                raise self.fail("expected close kind", ("goal", "absurd"))
+            close_kind = self.advance()
+            self.expect("from")
+            close_refs = self.parse_refs()
+            self.end_line()
+        return CaseBranch(kind, tuple(steps), close_kind, close_refs, line)
 
     def parse_segterm(self) -> Tuple[str, str]:
         self.expect("seg")
@@ -602,9 +716,7 @@ def _fmt_fact(fact: FactAst) -> str:
         return f"between {p[0]} {p[1]} {p[2]}"
     if fact.kind == "noncollinear":
         return f"noncollinear {p[0]} {p[1]} {p[2]}"
-    if fact.kind == "absurd":
-        return "absurd"
-    raise ValueError(f"unknown fact kind {fact.kind!r}")
+    return "absurd"  # absurd, the one kind left
 
 
 def _fmt_refs(refs: Tuple[Ref, ...]) -> str:
@@ -639,7 +751,7 @@ def _fmt_step(step: StepAst, indent: str, out: List[str]) -> None:
         if step.fresh:
             text += " as " + ", ".join(step.fresh)
         out.append(text)
-    elif isinstance(step, CasesStep):
+    else:  # CasesStep
         left, right = " ".join(step.left), " ".join(step.right)
         out.append(f"{indent}{step.label}: cases seg {left} vs seg {right}")
         for branch in step.branches:
@@ -649,8 +761,6 @@ def _fmt_step(step: StepAst, indent: str, out: List[str]) -> None:
             out.append(
                 f"{indent}  close {branch.close_kind} from {_fmt_refs(branch.close_refs)}"
             )
-    else:
-        raise ValueError(f"unknown step {step!r}")
 
 
 def format_script(ast: ScriptAst) -> str:

@@ -1,5 +1,7 @@
 """Proof-script parser: grammar coverage, errors, round-trip stability."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -340,7 +342,7 @@ def test_fuzz_bytes_parse_or_syntax_error():
 # --- tokenizer against the original two-regex one -------------------------
 
 from oracles import two_regex_tokenize  # noqa: E402
-from ponscheck.script import _Parser, _tokenize  # noqa: E402
+from ponscheck.script import KEYWORDS, _Parser  # noqa: E402
 
 
 def _kind(tok):
@@ -355,10 +357,22 @@ def _kind(tok):
     return "junk"
 
 
+def _tokenized(text):
+    """A parser that has walked every token of `text` on the token path,
+    so its token and line lists cover the whole input."""
+    p = _Parser(text)
+    while p.tok:
+        if p.tok == "\n":
+            p.skip_nl()
+        else:
+            p.advance()
+    return p
+
+
 def _stream(text):
     """(kind, value, line, col) per token; the column is the one a
     ParseError at that token would report."""
-    p = _Parser(text)
+    p = _tokenized(text)
     out = []
     for i, tok in enumerate(p.toks):
         err = p.error("", pos=i)
@@ -420,7 +434,8 @@ def test_tokens_are_untracked_strings():
     texts = [load_text(f) for f in PROOF_FILENAMES + ("anglesum.conj",)]
     texts.append(_extend_chain(2000))
     for text in texts:
-        toks, lines = _tokenize(text)
+        p = _tokenized(text)
+        toks, lines = p.toks, p.lines
         assert len(toks) == len(lines) > 1
         for tok in toks:
             assert type(tok) is str and not gc.is_tracked(tok), repr(tok)
@@ -477,3 +492,222 @@ def test_parse_errors_point_at_tokens_of_the_oracle_stream():
                 shown = f"<{kind}>" if kind in ("nl", "eof") else value
                 assert ast.literal_eval(got) == shown, (text, exc)
     assert errors > 500
+
+
+# --- the line path against the token path --------------------------------
+
+# Every step shape the line path reads, each fact kind, both instantiation
+# forms, `sym` and dotted citations, nested cases, and the layoff and lemma
+# steps it leaves to the token path.
+_SHAPES = """\
+theorem shapes
+  tags: neutral
+  points A B C D E F
+  assume h1: seg A B == seg A C
+  assume h2: noncollinear A B C
+  show seg A B == seg A B
+  proof
+    r1: seg A B == seg A B by SEG_REFL[A,B] from refl
+    r2: seg A B < seg A C by LT_SUBST[A,B,A,C] from sym h1, r1
+    r3: ang A B C == ang A C B by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl
+    r4: ang A B C < ang A C B by WHOLE_PART_ANG[A,B,C,D] from r3
+    r5: between A B C by BETWEEN_SYM[C,B,A] from r4
+    r6: noncollinear A B C by NC_TRANSFER[A,B,C,D] from h2
+    e1: extend A B by seg A C as G
+    l1: layoff A toward B by seg A C as H from r2
+    m1: lemma foot(A,B,C) as J, K
+    c1: cases seg A B vs seg A C
+    case lt
+      c2: cases seg A C vs seg B C
+      case lt
+        x1: absurd by ABSURD_LT_EQ[A,B,A,C] from c1.lt, sym c2.lt
+        close absurd from x1
+      case eq
+        close goal from c2.eq
+      case gt
+        close goal from c2.gt, sym c1.lt
+      close goal from c2
+    case eq
+      close goal from c1.eq
+    case gt
+      y1: seg A B == seg A B by SEG_REFL[A,B] from refl
+      close goal from y1
+  qed from c1
+"""
+
+
+_BLOCK_RE = re.compile(r"^(?:theorem|declare) ", re.M)
+
+
+def _blocks_with_proofs():
+    """The corpus theorem blocks that have a proof, and _SHAPES."""
+    texts = [load_text(f) for f in PROOF_FILENAMES]
+    blocks = []
+    for text in texts:
+        starts = [m.start() for m in _BLOCK_RE.finditer(text)] + [len(text)]
+        blocks += [text[a:b] for a, b in zip(starts, starts[1:]) if "\n  proof" in text[a:b]]
+    return blocks + [_SHAPES]
+
+
+_BREAKS = ("\r\n", "\x85", "\u2028")
+_SPACES = ("\t", "\u00a0", "\u3000", "  ")
+
+
+def _edit_step_line(rng, text):
+    """One seeded edit of one proof line of `text` (a line between `proof`
+    and `qed`): spacing around punctuation, other whitespace, joined words,
+    dotted or reserved names, `sym`, triples, comments, a repeated label
+    or one of _mutate's token edits; sometimes other line breaks as well."""
+    lines = text.split("\n")
+    i = rng.choice([i for i, line in enumerate(lines) if line.startswith("    ")])
+    line = lines[i]
+    op = rng.randrange(12)
+    if op == 0:  # spacing around punctuation, removed or added
+        for punct in rng.sample(["==", "<", ",", "[", "]", "(", ")", ":"], 3):
+            if rng.random() < 0.5:
+                line = line.replace(f" {punct} ", punct)
+            else:
+                line = line.replace(punct, f" {punct} ")
+    elif op == 1:  # other whitespace between tokens
+        line = line.replace(" ", rng.choice(_SPACES), rng.randrange(1, 4))
+    elif op == 2:  # two words joined into one identifier, mostly after a reserved word
+        words = line.split(" ")
+        after = [k for k, w in enumerate(words[:-1]) if w in KEYWORDS]
+        k = rng.choice(after) if after and rng.random() < 0.7 else rng.randrange(len(words) - 1)
+        line = " ".join(words[:k] + [words[k] + words[k + 1]] + words[k + 2:])
+    elif op == 3:  # a name replaced by a reserved word, a dotted name or another name
+        names = re.findall(r"\b[A-Za-z_][A-Za-z0-9_]*\b", line)
+        others = ["A.x", "c1.lt", "Z", "_q", "refl.x"]
+        new = rng.choice(sorted(KEYWORDS) if rng.random() < 0.5 else others)
+        line = re.sub(rf"\b{re.escape(rng.choice(names))}\b", new, line, count=1)
+    elif op == 4:  # sym before a citation, or sym dropped
+        if "sym" in line:
+            line = line.replace("sym ", "", 1)
+        else:
+            line = line.replace("from ", "from sym ", 1)
+    elif op == 5:  # flat list and triples swapped
+        if rng.random() < 0.7:
+            six = r"\[(\w+),(\w+),(\w+),(\w+),(\w+),(\w+)\]"
+            line = re.sub(six, r"[(\1,\2,\3),(\4,\5,\6)]", line)
+        else:
+            line = line.replace("),(", ",").replace("[(", "[").replace(")]", "]")
+    elif op == 6:  # a trailing comment, with or without a space before it
+        line += rng.choice(("  # why", "#x: seg A B", " #"))
+    elif op == 7:  # the label of another step
+        labels = re.findall(r"^    \s*(\w+):", "\n".join(lines), re.M)
+        line = re.sub(r"^(\s*)\w+:", lambda m: m.group(1) + rng.choice(labels) + ":", line)
+    elif op == 8:  # a whole case/close keyword changed
+        line = line.replace("case lt", rng.choice(("case eq", "case  lt", "caselt", "case lt x")))
+        line = line.replace("close goal", rng.choice(("close absurd", "close", "close goal goal")))
+    else:  # one of _mutate's line or token edits
+        return _mutate(rng, text)
+    lines[i] = line
+    text = "\n".join(lines)
+    if rng.random() < 0.2:
+        text = text.replace("\n", rng.choice(_BREAKS))
+    return text
+
+
+def _nested_cases(depth):
+    """Case splits nested `depth` deep in their first branch."""
+    lines = ["theorem deep", "  tags: neutral", "  points A B C", "  show seg A B == seg A B"]
+    lines.append("  proof")
+    for d in range(depth):
+        lines += [f"    c{d}: cases seg A B vs seg A C", "    case lt"]
+    lines.append("      r: seg A B == seg A B by SEG_REFL[A,B] from refl")
+    # each split, innermost first: close its lt branch, then its eq and gt branches
+    close = "    close goal from r"
+    lines += [close, "    case eq", close, "    case gt", close] * depth
+    lines.append("  qed from c0")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(text):
+    """The parse of `text` with every line number, or its error's fields."""
+    try:
+        return repr(parse(text))
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.col, exc.expected)
+
+
+def test_the_line_path_builds_what_the_token_path_builds(monkeypatch):
+    import random
+
+    rng = random.Random(1613)
+    blocks = _blocks_with_proofs()
+    texts = blocks + [_extend_chain(30)] + [_nested_cases(d) for d in (63, 64, 65)]
+    texts += [_edit_step_line(rng, rng.choice(blocks)) for _ in range(2400)]
+    normal = [_outcome(t) for t in texts]
+    # a line path that never matches leaves every line to the token path
+    monkeypatch.setattr(_Parser, "peek", lambda self: None)
+    tokens_only = [_outcome(t) for t in texts]
+    for text, got, want in zip(texts, normal, tokens_only):
+        assert got == want, text
+    errors = sum(isinstance(o, tuple) for o in normal)
+    assert 600 < errors < len(texts) - 600
+
+
+def _cases_script(n):
+    """n case splits whose three branches all close on the hypothesis."""
+    lines = [
+        "theorem split",
+        "  tags: neutral",
+        "  points A B C",
+        "  assume h1: seg A B == seg A C",
+        "  show seg A B == seg A C",
+        "  proof",
+    ]
+    for k in range(n):
+        lines.append(f"    c{k}: cases seg A B vs seg B C")
+        for kind in ("lt", "eq", "gt"):
+            lines += [f"    case {kind}", f"      close goal from h1, c{k}.{kind}"]
+    lines.append(f"  qed from c{n - 1}")
+    return "\n".join(lines) + "\n"
+
+
+def _refl_script(n):
+    """n SEG_REFL steps."""
+    lines = [
+        "theorem refl_run",
+        "  tags: neutral",
+        "  points A B C D",
+        "  assume h1: noncollinear A B C",
+        "  show seg A B == seg A B",
+        "  proof",
+    ]
+    for k in range(n):
+        a, b = ("AB", "CD", "BD")[k % 3]
+        lines.append(f"    r{k}: seg {a} {b} == seg {a} {b} by SEG_REFL[{a},{b}] from refl")
+    lines.append(f"  qed from r{n - 1}")
+    return "\n".join(lines) + "\n"
+
+
+# Step kinds the line path leaves to the token path.
+_TOKEN_PATH_STEPS = ("layoff", "lemma")
+
+
+def test_the_token_path_reads_no_valid_step_line(monkeypatch):
+    """Only block headers, `qed` and the steps named in _TOKEN_PATH_STEPS
+    are tokenized; parse_step builds no other step.  (parse_case_branches
+    serves both paths, so the tokenized lines stand in for a spy on it.)"""
+    built = []
+    parse_step = _Parser.parse_step
+
+    def spy(self, labels):
+        built.append(parse_step(self, labels))
+        return built[-1]
+
+    monkeypatch.setattr(_Parser, "parse_step", spy)
+    texts = [load_text(f) for f in PROOF_FILENAMES]
+    texts += [_SHAPES, _extend_chain(40), _cases_script(5), _refl_script(15)]
+    for text in texts:
+        p = _Parser(text)
+        p.parse_script()
+        by_line = {}
+        for line, tok in zip(p.lines, p.toks[:-1]):  # the end token has no line
+            by_line.setdefault(line, []).append(tok)
+        for toks in by_line.values():
+            assert toks[0] not in ("case", "close"), toks
+            if toks[1] == ":" and toks[0] != "tags":  # a step line
+                assert toks[2] in _TOKEN_PATH_STEPS, toks
+    assert built and {type(s) for s in built} == {LayoffStep, LemmaStep}
