@@ -6,8 +6,15 @@ Subcommands:
   model   numeric spot-checks of statements in the three models
   parse   syntax check, optionally dumping the canonical form
 
+`check`, `deps` and `model` render one list of rows: `_rows` parses,
+elaborates and kernel-checks the inputs once, and returns the dependency
+graph with one `Row` per block, then per conjecture.  `check` prints their
+statuses, `deps` their classifications, `model` their model checks, and
+`--json` the rows themselves.
+
 Exit codes: 0 success, 1 failed proofs / cyclic checked theorems /
-model-check failures, 2 syntax or usage or IO errors.
+model-check failures, 2 syntax or usage or IO errors (including a file
+that is not UTF-8).
 """
 
 from __future__ import annotations
@@ -16,16 +23,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .corpus import ENTRIES, load_text
 from .depgraph import CYCLIC, EUCLIDEAN_ONLY, Graph, emit_dot, graph_from_blocks
 from .elaborate import ElaboratedBlock, ElaborationError, collect_statements, elaborate_script
-from .geometry import MODEL_NAMES, Model, get_model
+from .geometry import MODEL_NAMES, get_model
 from .kernel import CheckReport, TheoremStatement, check_proof
 from .models import (
     ModelCheckReport,
@@ -35,7 +41,7 @@ from .models import (
     model_check_conjecture,
     profile,
 )
-from .script import ConjectureAst, ParseError, format_script, parse, parse_conjecture
+from .script import ConjectureAst, ParseError, ScriptAst, format_script, parse, parse_conjecture
 
 
 class CliError(Exception):
@@ -45,68 +51,55 @@ class CliError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Source:
-    name: str  # display name for messages
-    text: str
-    kind: str  # "proof" | "conjecture"
-
-
-def _kind_for(filename: str) -> str:
-    return "conjecture" if filename.endswith(".conj") else "proof"
-
-
-def _read_sources(paths: Sequence[str], use_corpus: bool) -> List[Source]:
-    sources: List[Source] = []
+def _read_sources(paths: Sequence[str], use_corpus: bool) -> List[Tuple[str, str]]:
+    """(display name, text) of every input; a name ending in `.conj` is a
+    conjecture, any other a proof script."""
+    sources: List[Tuple[str, str]] = []
     if use_corpus:
-        seen = set()
-        for entry in ENTRIES:
-            if entry.filename in seen:
-                continue
-            seen.add(entry.filename)
-            sources.append(
-                Source(
-                    name=f"corpus:{entry.filename}",
-                    text=load_text(entry.filename),
-                    kind=_kind_for(entry.filename),
-                )
-            )
+        for filename in dict.fromkeys(entry.filename for entry in ENTRIES):
+            sources.append((f"corpus:{filename}", load_text(filename)))
     for raw in paths:
-        path = Path(raw)
         try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+            text = Path(raw).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(2, f"cannot read {raw}: {exc}") from exc
-        sources.append(Source(name=raw, text=text, kind=_kind_for(raw)))
+        sources.append((raw, text))
     if not sources:
         raise CliError(2, "no input files (pass paths or --corpus)")
     return sources
 
 
-@dataclass
-class Pipeline:
-    blocks: List[ElaboratedBlock]
-    registry: Dict[str, TheoremStatement]
-    reports: Dict[str, CheckReport]  # proof-bearing blocks only
-    conjectures: List[ConjectureAst]
-
-    def graph(self) -> Graph:
-        return graph_from_blocks(self.blocks, self.reports)
+def _parse(name: str, text: str) -> ScriptAst | ConjectureAst:
+    try:
+        return (parse_conjecture if name.endswith(".conj") else parse)(text)
+    except ParseError as exc:
+        raise CliError(2, f"{name}:{exc.line}:{exc.col}: syntax error: {exc.message}") from exc
 
 
-def _build_pipeline(sources: Sequence[Source], strict: bool) -> Pipeline:
-    asts = []
+class Row(NamedTuple):
+    """The verdict on one block or conjecture.  `classification` is "" for
+    a conjecture: it has no graph node, and its claim is euclidean, so it
+    may diverge in the curved models.  `check` is `model`'s check in one
+    model, None for a proof that failed `check` and for a bare declare."""
+
+    name: str
+    status: str  # "ok" | "failed" | "stated" | "conjecture"
+    classification: str
+    report: Optional[CheckReport]  # checked proofs only
+    check: Optional[Callable[..., ModelCheckReport]]
+
+
+def _rows(
+    args: argparse.Namespace, strict: bool = False, runs: Optional[dict] = None
+) -> Tuple[Graph, List[Row]]:
+    """Parse, elaborate and check the inputs once: the dependency graph and
+    one row per block, then one per conjecture.  Given `runs` (the trials,
+    seed and tolerance of `model`), each row is bound to its model check."""
+    asts: List[ScriptAst] = []
     conjectures: List[ConjectureAst] = []
-    for src in sources:
-        try:
-            if src.kind == "conjecture":
-                conjectures.append(parse_conjecture(src.text))
-            else:
-                asts.append(parse(src.text))
-        except ParseError as exc:
-            raise CliError(
-                2, f"{src.name}:{exc.line}:{exc.col}: syntax error: {exc.message}"
-            ) from exc
+    for name, text in _read_sources(args.files, args.corpus):
+        tree = _parse(name, text)
+        (conjectures if isinstance(tree, ConjectureAst) else asts).append(tree)
     registry: Dict[str, TheoremStatement] = {}
     blocks: List[ElaboratedBlock] = []
     try:
@@ -124,51 +117,47 @@ def _build_pipeline(sources: Sequence[Source], strict: bool) -> Pipeline:
         for b in blocks
         if b.proof is not None and b.statement is not None
     }
-    return Pipeline(blocks, registry, reports, conjectures)
+    graph = graph_from_blocks(blocks, reports)
+    rows: List[Row] = []
+    for b in blocks:
+        rep = reports.get(b.name)
+        status = rep.status if rep else "stated"
+        check = None
+        if runs is not None and b.statement is not None and status != "failed":
+            steps = b.proof.steps if b.proof is not None else ()
+            check = partial(
+                model_check, statement=b.statement, steps=steps, registry=registry, **runs
+            )
+        rows.append(Row(b.name, status, graph.classify(b.name), rep, check))
+    for conj in conjectures:
+        check = None
+        if runs is not None:
+            try:
+                conjecture_statement(conj.name, conj.points)
+            except UnknownConjecture as exc:
+                raise CliError(2, f"unknown conjecture {exc}") from exc
+            check = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
+        rows.append(Row(conj.name, "conjecture", "", None, check))
+    return graph, rows
 
 
-def _block_status(pipeline: Pipeline, block: ElaboratedBlock) -> str:
-    if block.name in pipeline.reports:
-        return pipeline.reports[block.name].status
-    return "stated"
-
-
-def _run_report(
-    pipeline: Pipeline,
-    seed: int,
-    models: Optional[Dict[str, Dict[str, ModelCheckReport]]] = None,
-) -> Dict[str, object]:
-    graph = pipeline.graph()
-    theorems = []
-    for block in pipeline.blocks:
-        rep = pipeline.reports.get(block.name)
-        per_model = (models or {}).get(block.name, {})
-        theorems.append(
-            {
-                "name": block.name,
-                "status": _block_status(pipeline, block),
-                "classification": graph.classify(block.name),
-                "axioms": list(graph.axiom_basis(block.name)),
-                "assumptions": [list(t) for t in rep.assumed] if rep else [],
-                "models": {m: r.as_dict() for m, r in sorted(per_model.items())},
-            }
-        )
-    for conj in pipeline.conjectures:
-        per_model = (models or {}).get(conj.name, {})
-        theorems.append(
-            {
-                "name": conj.name,
-                "status": "conjecture",
-                "classification": "",
-                "axioms": [],
-                "assumptions": [],
-                "models": {m: r.as_dict() for m, r in sorted(per_model.items())},
-            }
-        )
-    return {"version": __version__, "seed": seed, "theorems": theorems}
-
-
-def _print_json(report: Dict[str, object]) -> None:
+def _print_json(
+    graph: Graph, rows: List[Row], seed: int,
+    models: Optional[List[Dict[str, ModelCheckReport]]] = None,
+) -> None:
+    """The rows as a JSON report; `models` holds each row's model checks."""
+    theorems = [
+        {
+            "name": row.name,
+            "status": row.status,
+            "classification": row.classification,
+            "axioms": list(graph.axiom_basis(row.name)) if row.classification else [],
+            "assumptions": [list(t) for t in row.report.assumed] if row.report else [],
+            "models": {m: r.as_dict() for m, r in sorted(per_model.items())},
+        }
+        for row, per_model in zip(rows, models or [{} for _ in rows])
+    ]
+    report = {"version": __version__, "seed": seed, "theorems": theorems}
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -177,30 +166,22 @@ def _print_json(report: Dict[str, object]) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    sources = _read_sources(args.files, args.corpus)
-    pipeline = _build_pipeline(sources, strict=args.strict_degeneracy)
-    failed = 0
-    lines: List[str] = []
-    for block in pipeline.blocks:
-        status = _block_status(pipeline, block)
-        lines.append(f"{block.name}: {status}")
-        if status == "failed":
-            failed += 1
-            rep = pipeline.reports[block.name]
-            bad_steps = [sr for sr in rep.steps if not sr.ok]
+    graph, rows = _rows(args, strict=args.strict_degeneracy)
+    if args.json:
+        _print_json(graph, rows, args.seed)
+    else:
+        for row in rows:
+            note = " (numeric only; see the model command)" if row.status == "conjecture" else ""
+            print(f"{row.name}: {row.status}{note}")
+            if row.status != "failed":
+                continue
+            bad_steps = [sr for sr in row.report.steps if not sr.ok]
             for sr in bad_steps:
                 where = f" (line {sr.line})" if sr.line else ""
-                lines.append(f"  step {sr.label}{where}: {sr.detail}")
-            if rep.error and not bad_steps:
-                lines.append(f"  error: {rep.error}")
-    for conj in pipeline.conjectures:
-        lines.append(f"{conj.name}: conjecture (numeric only; see the model command)")
-    if args.json:
-        _print_json(_run_report(pipeline, args.seed))
-    else:
-        for line in lines:
-            print(line)
-    return 1 if failed else 0
+                print(f"  step {sr.label}{where}: {sr.detail}")
+            if row.report.error and not bad_steps:
+                print(f"  error: {row.report.error}")
+    return 1 if any(row.status == "failed" for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +189,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_deps(args: argparse.Namespace) -> int:
-    sources = _read_sources(args.files, args.corpus)
-    pipeline = _build_pipeline(sources, strict=False)
-    graph = pipeline.graph()
-    for block in pipeline.blocks:
-        print(f"{block.name}: {graph.classify(block.name)}")
+    graph, rows = _rows(args)
+    for row in rows:
+        if row.classification:
+            print(f"{row.name}: {row.classification}")
     cycles = graph.detect_cycles()
     if cycles:
         print("cycles:")
@@ -223,9 +203,7 @@ def cmd_deps(args: argparse.Namespace) -> int:
             Path(args.dot).write_text(emit_dot(graph), encoding="utf-8")
         except OSError as exc:
             raise CliError(2, f"cannot write {args.dot}: {exc}") from exc
-    checked_cyclic = [
-        name for name in pipeline.reports if graph.classify(name) == CYCLIC
-    ]
+    checked_cyclic = any(row.report and row.classification == CYCLIC for row in rows)
     return 1 if checked_cyclic else 0
 
 
@@ -233,15 +211,8 @@ def cmd_deps(args: argparse.Namespace) -> int:
 # model
 
 
-def _permitted(classification: str, model: Model) -> bool:
-    """Whether a failure in this model counts against the theorem."""
-    return not (classification == EUCLIDEAN_ONLY and not model.flat)
-
-
 def _describe_counterexample(rep: ModelCheckReport) -> str:
-    ce = rep.first_counterexample
-    if ce is None:
-        return ""
+    ce = rep.first_counterexample  # set by the first failed trial
     coords = ", ".join(
         f"{n}=({', '.join(f'{x:.6f}' for x in v)})" for n, v in ce.points
     )
@@ -253,51 +224,24 @@ def cmd_model(args: argparse.Namespace) -> int:
         raise CliError(2, f"--trials must not be negative or zero, got {args.trials}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
         raise CliError(2, f"--tol must be finite and positive, got {args.tol}")
-    sources = _read_sources(args.files, args.corpus)
-    pipeline = _build_pipeline(sources, strict=False)
-    graph = pipeline.graph()
-    model_list = (
-        [get_model(n) for n in MODEL_NAMES]
-        if args.model == "all"
-        else [get_model(args.model)]
-    )
     tol = profile(args.tol) if args.tol is not None else None
-    runs = dict(trials=args.trials, seed=args.seed, tol=tol)
-    # (name, classification, check of one model); a conjecture carries a
-    # euclidean claim, so divergence in the curved models is expected, and a
-    # proof that failed `check` gets no check: its steps are not replayed
-    checks: List[Tuple[str, str, Optional[Callable[..., ModelCheckReport]]]] = []
-    for block in pipeline.blocks:
-        if block.statement is None:
-            continue
-        steps = block.proof.steps if block.proof is not None else ()
-        run = partial(
-            model_check, statement=block.statement, steps=steps,
-            registry=pipeline.registry, **runs,
-        )
-        failed = _block_status(pipeline, block) == "failed"
-        checks.append((block.name, graph.classify(block.name), None if failed else run))
-    for conj in pipeline.conjectures:
-        try:
-            conjecture_statement(conj.name, conj.points)
-        except UnknownConjecture as exc:
-            raise CliError(2, f"unknown conjecture {exc}") from exc
-        run = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
-        checks.append((conj.name, EUCLIDEAN_ONLY, run))
+    graph, rows = _rows(args, runs=dict(trials=args.trials, seed=args.seed, tol=tol))
+    names = MODEL_NAMES if args.model == "all" else (args.model,)
     hard_failures = 0
-    collected: Dict[str, Dict[str, ModelCheckReport]] = {}
-    lines: List[List[str]] = [[] for _ in checks]  # each check's, in model order
-    for model in model_list:
+    collected: List[Dict[str, ModelCheckReport]] = [{} for _ in rows]
+    lines: List[List[str]] = [[] for _ in rows]  # each row's, in model order
+    for model in map(get_model, names):
         samples: dict = {}  # this model's: blocks with equal points and hypotheses share draws
-        for (name, cls, run), out in zip(checks, lines):
-            if run is None:
+        for row, reps, out in zip(rows, collected, lines):
+            if row.status == "failed":  # its steps are not replayed
                 hard_failures += 1
-                out.append(f"{name} [{model.name}] proof-failed")
+                out.append(f"{row.name} [{model.name}] proof-failed")
                 continue
-            rep = run(model, samples=samples)
-            collected.setdefault(name, {})[model.name] = rep
+            if row.check is None:
+                continue
+            rep = reps[model.name] = row.check(model, samples=samples)
             base = (
-                f"{name} [{model.name}] trials={rep.trials_run}"
+                f"{row.name} [{model.name}] trials={rep.trials_run}"
                 f" failures={rep.failures} skipped={rep.skipped}"
             )
             if rep.trials_run == 0:  # a model check with no evaluated trial is not a pass
@@ -307,17 +251,17 @@ def cmd_model(args: argparse.Namespace) -> int:
             if rep.failures == 0:
                 out.append(base)
                 continue
-            if _permitted(cls, model):
+            if model.flat or row.classification not in (EUCLIDEAN_ONLY, ""):
                 hard_failures += 1
                 out.append(base + "  FAILED")
             else:
                 out.append(
-                    f"{name} [{model.name}] expected-divergence"
+                    f"{row.name} [{model.name}] expected-divergence"
                     f" ({rep.failures}/{rep.trials_run} diverge)"
                 )
             out.append("  counterexample " + _describe_counterexample(rep))
     if args.json:
-        _print_json(_run_report(pipeline, args.seed, collected))
+        _print_json(graph, rows, args.seed, collected)
     else:
         for line in (line for out in lines for line in out):
             print(line)
@@ -329,26 +273,18 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    sources = _read_sources(args.files, args.corpus)
-    for src in sources:
-        try:
-            if src.kind == "conjecture":
-                conj = parse_conjecture(src.text)
-                if args.dump_ast:
-                    print(f"conjecture {conj.name}")
-                    print(f"  points {' '.join(conj.points)}")
-                else:
-                    print(f"{src.name}: ok (conjecture {conj.name})")
+    for name, text in _read_sources(args.files, args.corpus):
+        tree = _parse(name, text)
+        if isinstance(tree, ConjectureAst):
+            if args.dump_ast:
+                print(f"conjecture {tree.name}")
+                print(f"  points {' '.join(tree.points)}")
             else:
-                ast = parse(src.text)
-                if args.dump_ast:
-                    print(format_script(ast))
-                else:
-                    print(f"{src.name}: ok ({len(ast.items)} blocks)")
-        except ParseError as exc:
-            raise CliError(
-                2, f"{src.name}:{exc.line}:{exc.col}: syntax error: {exc.message}"
-            ) from exc
+                print(f"{name}: ok (conjecture {tree.name})")
+        elif args.dump_ast:
+            print(format_script(tree))
+        else:
+            print(f"{name}: ok ({len(tree.items)} blocks)")
     return 0
 
 

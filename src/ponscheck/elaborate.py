@@ -230,8 +230,9 @@ def elaborate_script(
     registry: Optional[Mapping[str, TheoremStatement]] = None,
 ) -> List[ElaboratedBlock]:
     """Second pass: full statement + proof for every block.  `registry`
-    (from collect_statements over all input files) resolves lemma names;
-    omit it to defer lemma resolution to the kernel."""
+    (from collect_statements over all input files) resolves lemma names and
+    supplies each block's statement, built there once; omit it to defer
+    lemma resolution to the kernel."""
     blocks: List[ElaboratedBlock] = []
     for item in ast.items:
         if isinstance(item, S.DeclareAst):
@@ -239,7 +240,9 @@ def elaborate_script(
                 ElaboratedBlock(item.name, item.tags, item.uses, None, None, line=item.line)
             )
             continue
-        statement = make_statement(item)
+        statement = registry.get(item.name) if registry is not None else None
+        if statement is None:
+            statement = make_statement(item)
         proof = make_proof(item, registry)
         blocks.append(
             ElaboratedBlock(item.name, item.tags, item.uses, statement, proof, line=item.line)

@@ -83,6 +83,16 @@ def test_missing_file_exits_two(capsys):
     assert "no_such_file.proof" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "deps", "model", "parse"])
+def test_undecodable_file_exits_two(tmp_path, capsys, command):
+    p = tmp_path / "binary.proof"
+    p.write_bytes(GOOD.encode() + b"# \xff\n")
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"ponscheck: cannot read {p}: ")
+    assert captured.out == ""
+
+
 def test_no_input_exits_two(capsys):
     assert main(["check"]) == 2
     assert "no input" in capsys.readouterr().err
@@ -783,6 +793,54 @@ def test_deps_dot_file_is_byte_identical(capsys, tmp_path):
     assert main(["deps", "--corpus", "--dot", str(dot)]) == 1
     assert _sha(capsys.readouterr().out) == SYMBOLIC_DIGESTS[2][2]
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_DIGEST
+
+
+MIXED = (
+    GOOD.replace("mirror_pons", "mix_ok")
+    + BAD_CITATION.replace("mirror_pons", "mix_failed")
+    + """\
+theorem mix_stated
+  tags: neutral
+  points A B C
+  assume h1: seg A B == seg A C
+  show seg A B == seg A C
+  uses mix_declared
+
+declare mix_declared
+  tags: euclidean
+"""
+)
+
+
+def test_every_command_renders_the_same_rows(tmp_path, capsys):
+    """`check` text and `--json`, `deps` and `model --json` agree row by row
+    on the corpus plus a script with every status and a second conjecture."""
+    script = tmp_path / "mixed.proof"
+    script.write_text(MIXED)
+    conj = tmp_path / "mixed.conj"
+    conj.write_text("conjecture angle_sum_pi\n  points P Q R\n")
+
+    def out(*argv):
+        assert main([*argv, "--corpus", str(script), str(conj)]) == 1
+        return capsys.readouterr().out
+
+    rows = json.loads(out("check", "--json"))["theorems"]
+    statuses = [(row["name"], row["status"]) for row in rows]
+    assert {"ok", "failed", "stated", "conjecture"} <= {status for _, status in statuses}
+    assert ("mix_declared", "stated") in statuses
+    text = [line.split(": ", 1) for line in out("check").splitlines() if line[0] != " "]
+    assert [(name, rest.split(" ")[0]) for name, rest in text] == statuses
+    deps = [tuple(line.split(": ")) for line in out("deps").splitlines() if ": " in line]
+    assert deps == [
+        (row["name"], row["classification"]) for row in rows if row["status"] != "conjecture"
+    ]
+    model_rows = json.loads(out("model", "--trials", "3", "--json"))["theorems"]
+    assert [{k: v for k, v in row.items() if k != "models"} for row in model_rows] == [
+        {k: v for k, v in row.items() if k != "models"} for row in rows
+    ]
+    lines = out("model", "--trials", "3").splitlines()
+    for model in ("euclidean", "poincare", "sphere"):
+        assert f"mix_failed [{model}] proof-failed" in lines
 
 
 def test_model_json_shape(good_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ponscheck.corpus import PROOF_FILENAMES, load_text
-from ponscheck.elaborate import elaborate_script
+from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.script import (
     AssumeAst,
     DeclareAst,
@@ -321,6 +321,16 @@ theorem build
     # the elaborator passes the construction and lemma steps through as parsed
     (block,) = elaborate_script(ast)
     assert all(e is s for e, s in zip(block.proof.steps[:3], thm.steps))
+
+
+def test_elaborated_statement_is_the_registrys():
+    """Given collect_statements' registry, the elaborator takes each
+    theorem's statement from it; without one it builds an equal one."""
+    ast = parse(BASIC)
+    registry = collect_statements(ast)
+    blocks = elaborate_script(ast, registry)
+    assert registry and all(b.statement is registry[b.name] for b in blocks)
+    assert [b.statement for b in elaborate_script(ast)] == list(registry.values())
 
 
 def test_fuzz_bytes_parse_or_syntax_error():
