@@ -3,15 +3,31 @@ neutral geometry, with dependency analysis and numeric model checking."""
 
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
+# The keys of geometry.MODELS, which cli reads without loading geometry.
+MODEL_NAMES = ("euclidean", "poincare", "sphere")
 
 from .depgraph import CYCLIC, EUCLIDEAN_ONLY, NEUTRAL, Graph, graph_from_blocks
 from .elaborate import collect_statements, elaborate_script
-from .geometry import EUCLIDEAN, MODELS, POINCARE, SPHERE, get_model
 from .kernel import CheckReport, TheoremStatement, check_proof
-from .models import ModelCheckReport, eval_fact, model_check, sample_instance
 from .rules import RULES
 from .script import ParseError, ScriptAst, parse
+
+_GEOMETRY = ("geometry", "EUCLIDEAN", "MODELS", "POINCARE", "SPHERE", "get_model")
+_MODELS = ("models", "ModelCheckReport", "eval_fact", "model_check", "sample_instance")
+_LAZY = {**dict.fromkeys(_GEOMETRY, "geometry"), **dict.fromkeys(_MODELS, "models")}
+
+
+def __getattr__(name: str) -> object:
+    """Import the numeric layer (`geometry`, `models`) when it or a name
+    exported from it is first asked for (PEP 562): `check` and `deps` never do."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
 
 __all__ = [
     "__version__",

@@ -12,6 +12,11 @@ graph with one `Row` per block, then per conjecture.  `check` prints their
 statuses, `deps` their classifications, `model` their model checks, and
 `--json` the rows themselves.
 
+The numeric layer (`models`, `geometry`) is imported for `model` only, so
+a fresh `check`, `deps` or `parse` process never loads it.  `model_check`
+and `model_check_conjecture` import `models` and delegate to it only
+because perfbench's tracer patches them here; they can go once it stops.
+
 Exit codes: 0 success, 1 failed proofs / cyclic checked theorems /
 model-check failures, 2 syntax or usage or IO errors (including a file
 that is not UTF-8).
@@ -25,23 +30,17 @@ import math
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import __version__
+from . import MODEL_NAMES, __version__
 from .corpus import ENTRIES, load_text
 from .depgraph import CYCLIC, EUCLIDEAN_ONLY, Graph, emit_dot, graph_from_blocks
 from .elaborate import ElaboratedBlock, ElaborationError, collect_statements, elaborate_script
-from .geometry import MODEL_NAMES, get_model
 from .kernel import CheckReport, TheoremStatement, check_proof
-from .models import (
-    ModelCheckReport,
-    UnknownConjecture,
-    conjecture_statement,
-    model_check,
-    model_check_conjecture,
-    profile,
-)
 from .script import ConjectureAst, ParseError, ScriptAst, format_script, parse, parse_conjecture
+
+if TYPE_CHECKING:
+    from .models import ModelCheckReport
 
 
 class CliError(Exception):
@@ -89,6 +88,18 @@ class Row(NamedTuple):
     check: Optional[Callable[..., ModelCheckReport]]
 
 
+def model_check(*args, **kwargs) -> ModelCheckReport:
+    """models.model_check (see the module docstring)."""
+    from .models import model_check
+    return model_check(*args, **kwargs)
+
+
+def model_check_conjecture(*args, **kwargs) -> ModelCheckReport:
+    """models.model_check_conjecture (see the module docstring)."""
+    from .models import model_check_conjecture
+    return model_check_conjecture(*args, **kwargs)
+
+
 def _rows(
     args: argparse.Namespace, strict: bool = False, runs: Optional[dict] = None
 ) -> Tuple[Graph, List[Row]]:
@@ -132,6 +143,7 @@ def _rows(
     for conj in conjectures:
         check = None
         if runs is not None:
+            from .models import UnknownConjecture, conjecture_statement
             try:
                 conjecture_statement(conj.name, conj.points)
             except UnknownConjecture as exc:
@@ -220,6 +232,8 @@ def _describe_counterexample(rep: ModelCheckReport) -> str:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
+    from .geometry import get_model
+    from .models import profile
     if args.trials < 1:
         raise CliError(2, f"--trials must not be negative or zero, got {args.trials}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):

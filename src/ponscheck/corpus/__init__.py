@@ -9,19 +9,17 @@ code as a sanity harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str  # the block the expectations below are about
     filename: str
     kind: str  # "proved" | "stated" | "conjecture"
     expected_status: str  # check outcome for the lead block ("" for conjectures)
     expected_classification: str  # "" for conjectures
-    expected_edges: Tuple[Tuple[str, str], ...] = field(default_factory=tuple)
+    expected_edges: Tuple[Tuple[str, str], ...] = ()
 
 
 ENTRIES: Tuple[CorpusEntry, ...] = (

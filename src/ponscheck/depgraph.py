@@ -10,11 +10,12 @@ outside euclidean geometry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from .elaborate import ElaboratedBlock
-from .kernel import CheckReport
+from .kernel import CheckReport, node
 from .rules import RULES
 
 NEUTRAL = "NEUTRAL"
@@ -34,8 +35,8 @@ class UnknownNode(DepGraphError):
     pass
 
 
-@dataclass(frozen=True)
-class Node:
+@node
+class Node(NamedTuple):
     name: str
     kind: str  # "axiom" | "theorem" | "declared"
     tags: FrozenSet[str] = frozenset()  # subset of {"NEUTRAL", "EUCLIDEAN"}

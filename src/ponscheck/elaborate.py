@@ -9,8 +9,7 @@ step kind.  All semantic checking is left to the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from . import script as S
 from .kernel import (
@@ -64,8 +63,7 @@ class UnknownPoint(ElaborationError):
     pass
 
 
-@dataclass(frozen=True)
-class ElaboratedBlock:
+class ElaboratedBlock(NamedTuple):  # equal only with the same line, so no node
     """One script block, ready for checking and dependency analysis.
 
     `statement` is None for bare `declare` blocks; `proof` is None for
@@ -113,18 +111,15 @@ def make_statement(block: S.TheoremAst) -> TheoremStatement:
         (a.label, _convert_fact(a.fact, given, a.line)) for a in block.assumes
     )
     conclusions = tuple(_convert_fact(f, full, block.line) for f in block.shows)
-    try:
-        return TheoremStatement(
-            name=block.name,
-            tags=frozenset(block.tags),
-            points=tuple(block.points),
-            hypotheses=hypotheses,
-            conclusions=conclusions,
-            introduced=tuple(block.introduces),
-            uses=tuple(block.uses),
-        )
-    except ValueError as exc:
-        raise ElaborationError(str(exc), block.line) from exc
+    return TheoremStatement(
+        name=block.name,
+        tags=frozenset(block.tags),
+        points=tuple(block.points),
+        hypotheses=hypotheses,
+        conclusions=conclusions,
+        introduced=tuple(block.introduces),
+        uses=tuple(block.uses),
+    )
 
 
 def collect_statements(ast: S.ScriptAst) -> Dict[str, TheoremStatement]:

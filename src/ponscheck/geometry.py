@@ -22,6 +22,8 @@ import math
 from random import Random
 from typing import Tuple
 
+from . import MODEL_NAMES
+
 Vec = Tuple[float, ...]
 
 
@@ -321,7 +323,6 @@ POINCARE = PoincareModel()
 SPHERE = SphereModel()
 
 MODELS = {m.name: m for m in (EUCLIDEAN, POINCARE, SPHERE)}
-MODEL_NAMES = ("euclidean", "poincare", "sphere")
 
 
 def get_model(name: str) -> Model:

@@ -25,14 +25,13 @@ trail rolls the state back to where the split began.  So a branch sees
 nothing its siblings derived, the parent gains only the split's own label,
 and a split costs the work its branches do rather than a copy of the state.
 
-Steps and citations are NamedTuples (see node): immutable, hashable, and
-built without a dataclass __init__.  The parser builds the steps of every
-kind but rule steps itself; the elaborator builds RuleSteps.
+Statements, steps, citations and reports are NamedTuples (see node).  The
+parser builds the steps of every kind but rule steps itself; the
+elaborator builds RuleSteps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .rules import RULES
@@ -105,38 +104,10 @@ class AbsurdOutsideCase(KernelError):
 # Statements and elaborated steps
 
 
-@dataclass(frozen=True)
-class TheoremStatement:
-    """What a theorem claims: hypotheses over given points, conclusions that
-    may also mention existentially introduced points."""
-
-    name: str
-    tags: FrozenSet[str]
-    points: Tuple[str, ...]
-    hypotheses: Tuple[Tuple[str, Fact], ...]
-    conclusions: Tuple[Fact, ...]
-    introduced: Tuple[str, ...] = ()
-    uses: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        given = set(self.points)
-        scope = given | set(self.introduced)
-        for label, fact in self.hypotheses:
-            for n in fact_point_names(fact):
-                if n not in given:
-                    raise ValueError(
-                        f"{self.name}: hypothesis {label} mentions undeclared point {n}"
-                    )
-        for fact in self.conclusions:
-            for n in fact_point_names(fact):
-                if n not in scope:
-                    raise ValueError(f"{self.name}: conclusion mentions unknown point {n}")
-
-
 def node(cls):
-    """Class decorator for the NamedTuple syntax nodes and proof steps: an
-    instance equals only instances of its own class (tuple equality ignores
-    the class), and a trailing `line` field is left out of equality and hashing."""
+    """Class decorator for NamedTuple nodes, steps and records: an instance
+    equals only instances of its own class (tuple equality ignores the
+    class), and a trailing `line` field is left out of equality and hashing."""
     n = -1 if cls._fields[-1] == "line" else None
 
     def __eq__(self, other: object) -> bool:
@@ -148,6 +119,37 @@ def node(cls):
     # object.__ne__ inverts __eq__; tuple's own __ne__ would bypass it
     cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, object.__ne__, __hash__
     return cls
+
+
+@node
+class TheoremStatement(NamedTuple):
+    """What a theorem claims: hypotheses over given points, conclusions that
+    may also mention existentially introduced points (see check_statement)."""
+
+    name: str
+    tags: FrozenSet[str]
+    points: Tuple[str, ...]
+    hypotheses: Tuple[Tuple[str, Fact], ...]
+    conclusions: Tuple[Fact, ...]
+    introduced: Tuple[str, ...] = ()
+    uses: Tuple[str, ...] = ()
+
+
+def check_statement(statement: TheoremStatement) -> None:
+    """Raise ValueError when a hypothesis names a point other than the given
+    ones, or a conclusion one neither given nor introduced."""
+    given = set(statement.points)
+    scope = given | set(statement.introduced)
+    for label, fact in statement.hypotheses:
+        for n in fact_point_names(fact):
+            if n not in given:
+                raise ValueError(
+                    f"{statement.name}: hypothesis {label} mentions undeclared point {n}"
+                )
+    for fact in statement.conclusions:
+        for n in fact_point_names(fact):
+            if n not in scope:
+                raise ValueError(f"{statement.name}: conclusion mentions unknown point {n}")
 
 
 @node
@@ -234,8 +236,8 @@ class CasesStep(NamedTuple):
 Step = Union[RuleStep, ExtendStep, LayoffStep, LemmaStep, CasesStep]
 
 
-@dataclass(frozen=True)
-class Proof:
+@node
+class Proof(NamedTuple):
     steps: Tuple[Step, ...]
     qed_refs: Tuple[Ref, ...]
     qed_line: int = 0
@@ -245,30 +247,29 @@ class Proof:
 # Reports
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):  # equal only with the same line, so no node
     label: str
     ok: bool
     detail: str = ""
     line: int = 0
 
 
-@dataclass
-class SideConditionRecord:
+@node
+class SideConditionRecord(NamedTuple):
     step: str
     triple: Tuple[str, str, str]
     outcome: str  # "derived" | "assumed" | "failed"
 
 
-@dataclass
-class CheckReport:
+@node
+class CheckReport(NamedTuple):
     name: str
     status: str  # "ok" | "failed"
-    steps: List[StepResult] = field(default_factory=list)
+    steps: Sequence[StepResult] = ()
     rule_uses: Tuple[str, ...] = ()
     lemma_uses: Tuple[str, ...] = ()
-    side_conditions: List[SideConditionRecord] = field(default_factory=list)
-    assumed: List[Tuple[str, str, str]] = field(default_factory=list)
+    side_conditions: Sequence[SideConditionRecord] = ()
+    assumed: Sequence[Tuple[str, str, str]] = ()
     error: Optional[str] = None
 
     @property
@@ -335,6 +336,7 @@ class ProofState:
 
 
 def initial_state(statement: TheoremStatement) -> ProofState:
+    check_statement(statement)
     state = ProofState()
     for name in statement.points:
         state.bind_point(name, ORIGIN_HYPOTHESIS)
@@ -606,6 +608,7 @@ def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ..
     if lemma is None:
         raise KernelError(f"unknown lemma {step.lemma}")
     try:
+        check_statement(lemma)
         mapping = _lemma_points(lemma, step.args)
     except ValueError as exc:
         raise DegenerateInstantiation(str(exc)) from None
@@ -705,24 +708,21 @@ def check_proof(
     closes, and the qed citations establish every conclusion.
     """
     ctx = _Ctx(statement, registry, strict)
-    report = CheckReport(name=statement.name, status="failed")
     try:
         state = initial_state(statement)
     except (ValueError, KernelError) as exc:
-        report.error = f"bad statement: {exc}"
-        return report
+        return CheckReport(statement.name, "failed", error=f"bad statement: {exc}")
+    error = None
     try:
         _run_steps(state, proof.steps, ctx)
         try:
             _check_covered(state, proof.qed_refs, statement.conclusions, ctx, "qed")
         except KernelError as exc:
             raise _ProofFailed("qed", proof.qed_line, str(exc)) from exc
-        report.status = "ok"
     except _ProofFailed as failure:
-        report.error = f"{failure.where} (line {failure.line}): {failure}"
-    report.steps = ctx.results
-    report.rule_uses = tuple(ctx.rule_uses)
-    report.lemma_uses = tuple(dict.fromkeys(ctx.lemma_uses))
-    report.side_conditions = ctx.side_conditions
-    report.assumed = ctx.assumed
-    return report
+        error = f"{failure.where} (line {failure.line}): {failure}"
+    return CheckReport(
+        statement.name, "failed" if error is not None else "ok", ctx.results,
+        tuple(ctx.rule_uses), tuple(dict.fromkeys(ctx.lemma_uses)),
+        ctx.side_conditions, ctx.assumed, error,
+    )

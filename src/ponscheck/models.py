@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import collections.abc
 import math
-from dataclasses import dataclass
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import DegenerateDirection, DomainError, GeodesicOutOfDomain, Model, Vec
 from .kernel import (
@@ -47,6 +46,7 @@ from .kernel import (
     RuleStep,
     Step,
     TheoremStatement,
+    node,
     step_facts,
 )
 from .rules import RULES
@@ -85,8 +85,8 @@ MIN_ANGLE = 0.15
 _CORNERS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # angles at a, b, c by sides ab, ac, bc
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
+@node
+class ToleranceProfile(NamedTuple):
     """Relative-plus-absolute comparisons: two measures are equal when
     |x-y| <= eq_tol * (1 + max(|x|,|y|)), strictly ordered when they
     differ by the same scaling of lt_margin."""
@@ -584,21 +584,20 @@ def solve_introduced_point(
 # Model checking
 
 
-@dataclass(frozen=True)
-class Counterexample:
+@node
+class Counterexample(NamedTuple):
     trial: int
     fact: str
     points: Tuple[Tuple[str, Vec], ...]  # name-sorted coordinates
 
 
-@dataclass
 class ModelCheckReport:
-    model: str
-    trials: int  # requested
-    trials_run: int = 0  # fully evaluated
-    failures: int = 0
-    skipped: int = 0
-    first_counterexample: Optional[Counterexample] = None
+    __slots__ = ("model", "trials", "trials_run", "failures", "skipped", "first_counterexample")
+
+    def __init__(self, model: str, trials: int) -> None:
+        self.model, self.trials = model, trials  # trials requested
+        self.trials_run = self.failures = self.skipped = 0  # trials_run: fully evaluated
+        self.first_counterexample: Optional[Counterexample] = None
 
     def as_dict(self) -> Dict[str, object]:
         keys = ("trials", "trials_run", "failures", "skipped")
@@ -752,8 +751,8 @@ def model_check(
 # Built-in numeric conjectures
 
 
-@dataclass(frozen=True)
-class BuiltinConjecture:
+@node
+class BuiltinConjecture(NamedTuple):
     name: str
     arity: int
     # measures a trial at the named points; returns (holds, detail) so

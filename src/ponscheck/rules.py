@@ -21,8 +21,7 @@ Conventions baked into instantiations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .terms import (
     ABSURD,
@@ -42,8 +41,7 @@ Binding = Mapping[str, PointId]
 Template = Callable[[Binding], Fact]
 
 
-@dataclass(frozen=True)
-class RuleSchema:
+class RuleSchema(NamedTuple):
     rule_id: str
     variables: Tuple[str, ...]
     premises: Tuple[Template, ...]

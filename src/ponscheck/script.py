@@ -21,15 +21,13 @@ raises anything but ParseError on malformed input, whatever the bytes
 were.  It emits the kernel's step tuples for every step kind but rule
 steps, with a segment as a point pair; a RuleStepAst keeps the written
 fact and instantiation for format_script.
-Syntax nodes are NamedTuples (see kernel.node), compared without their
-source line, so that parse(format_script(x)) == x; the per-block classes
-stay dataclasses.
+Syntax nodes, blocks and scripts are NamedTuples (see kernel.node),
+compared without their source line, so that parse(format_script(x)) == x.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 from .kernel import CaseBranch, CasesStep, ExtendStep, LayoffStep, LemmaStep, Ref, node
@@ -106,8 +104,8 @@ class RuleStepAst(NamedTuple):
 StepAst = Union[RuleStepAst, ExtendStep, LayoffStep, LemmaStep, CasesStep]
 
 
-@dataclass(frozen=True)
-class TheoremAst:
+@node
+class TheoremAst(NamedTuple):
     name: str
     tags: Tuple[str, ...]
     points: Tuple[str, ...]
@@ -117,22 +115,22 @@ class TheoremAst:
     uses: Tuple[str, ...]
     steps: Optional[Tuple[StepAst, ...]]  # None when the block has no proof
     qed_refs: Tuple[Ref, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class DeclareAst:
+@node
+class DeclareAst(NamedTuple):
     name: str
     tags: Tuple[str, ...]
     uses: Tuple[str, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
 BlockAst = Union[TheoremAst, DeclareAst]
 
 
-@dataclass(frozen=True)
-class ScriptAst:
+@node
+class ScriptAst(NamedTuple):
     items: Tuple[BlockAst, ...]
 
 
@@ -669,14 +667,14 @@ def parse(text: str) -> ScriptAst:
     return _Parser(text).parse_script()
 
 
-@dataclass(frozen=True)
-class ConjectureAst:
+@node
+class ConjectureAst(NamedTuple):
     """A named numeric claim over bare points, from a .conj file.  The
     evaluation itself lives with the model-checking code."""
 
     name: str
     points: Tuple[str, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
 def parse_conjecture(text: str) -> ConjectureAst:

@@ -876,3 +876,54 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "pappus_pons: ok" in proc.stdout
+
+
+FRESH_INTERPRETER = """\
+import sys
+
+before = set(sys.modules)
+import ponscheck
+from ponscheck import cli
+
+for argv in (["check", "--corpus"], ["deps", "--corpus"]):
+    cli.main(argv)
+loaded = [m for m in ("ponscheck.models", "ponscheck.geometry") if m in sys.modules]
+loaded += [m for m in ("dataclasses",) if m in sys.modules and m not in before]
+assert not loaded, loaded
+
+assert cli.main(["model", "--corpus", "--trials", "2", "--model", "euclidean"]) == 0
+from ponscheck import EUCLIDEAN, model_check
+
+assert model_check is ponscheck.models.model_check and EUCLIDEAN.name == "euclidean"
+try:
+    ponscheck.no_such_name
+except AttributeError as exc:
+    print("no attribute:", exc)
+"""
+
+
+def test_check_and_deps_never_load_the_numeric_layer():
+    """A fresh `check` and `deps` import neither `models`, `geometry` nor
+    `dataclasses`; `model` and the package's numeric names still load them."""
+    src = os.path.dirname(os.path.dirname(ponscheck.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "[euclidean] trials=2 failures=0" in proc.stdout
+    missing = "module 'ponscheck' has no attribute 'no_such_name'"
+    assert proc.stdout.endswith(f"no attribute: {missing}\n")
+
+
+def test_model_choices_are_the_geometry_models(capsys):
+    from ponscheck import MODEL_NAMES, geometry
+
+    assert MODEL_NAMES == tuple(geometry.MODELS)
+    with pytest.raises(SystemExit):
+        main(["model", "--corpus", "--model", "nope"])
+    choices = ", ".join(repr(m) for m in (*geometry.MODELS, "all"))
+    assert f"(choose from {choices})" in capsys.readouterr().err

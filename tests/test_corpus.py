@@ -1,7 +1,6 @@
 """Bundled corpus: golden checking results, dependency shape, and a
 mutation harness showing the kernel rejects every damaged proof."""
 
-import dataclasses
 from typing import Iterator, List, Tuple
 
 import pytest
@@ -173,7 +172,7 @@ def _delete_step(steps: Tuple, path: Tuple) -> Tuple:
 
 def _deletion_mutants(proof: Proof) -> List[Proof]:
     return [
-        dataclasses.replace(proof, steps=_delete_step(proof.steps, path))
+        proof._replace(steps=_delete_step(proof.steps, path))
         for path in _steps_paths(proof.steps)
     ]
 
@@ -220,15 +219,13 @@ def _ref_sites(steps: Tuple, rebuild):
 def _citation_mutants(proof: Proof) -> List[Proof]:
     out = []
     for make in _ref_sites(
-        proof.steps, lambda s: dataclasses.replace(proof, steps=s)
+        proof.steps, lambda s: proof._replace(steps=s)
     ):
         out.append(make())
     for ri, ref in enumerate(proof.qed_refs):
         if ref.kind in ("label", "sym"):
             out.append(
-                dataclasses.replace(
-                    proof, qed_refs=_corrupt_ref_tuple(proof.qed_refs, ri)
-                )
+                proof._replace(qed_refs=_corrupt_ref_tuple(proof.qed_refs, ri))
             )
     return out
 
@@ -262,8 +259,7 @@ def test_citation_corruption_is_located(pipeline):
         if isinstance(s, RuleStep) and s.label == "s4"
     )
     corrupted = step._replace(refs=_corrupt_ref_tuple(step.refs, 0))
-    mutant = dataclasses.replace(
-        block.proof,
+    mutant = block.proof._replace(
         steps=block.proof.steps[:idx] + (corrupted,) + block.proof.steps[idx + 1 :],
     )
     rep = check_proof(block.statement, mutant, registry)

@@ -1,7 +1,6 @@
 """Numeric layer: measurement, sampling, construction replay, and the
 divergence of the curved models on euclidean-only claims."""
 
-import dataclasses
 import math
 import re
 from collections import Counter
@@ -839,7 +838,7 @@ def test_a_rule_without_its_betweenness_premises_fails(monkeypatch):
     """SEG_SUM without its two `between` premises is unsound; the harness
     must report failures, not skip every trial."""
     seg_sum = RULES["SEG_SUM"]
-    monkeypatch.setitem(RULES, "SEG_SUM", dataclasses.replace(seg_sum, premises=seg_sum.premises[2:]))
+    monkeypatch.setitem(RULES, "SEG_SUM", seg_sum._replace(premises=seg_sum.premises[2:]))
     for model in MODELS.values():
         rep = check_rule_soundness(model, "SEG_SUM", trials=10, seed=3)
         assert rep.trials_run == 10 and rep.failures > 0, model.name

@@ -1,11 +1,13 @@
 """Syntax nodes and proof steps are immutable tuples: hashable, equal only
 to instances of their own class, and equal whatever source line they were
-read from."""
+read from.  Statements, blocks, reports and the other records are
+immutable tuples too, with the equality their dataclasses had."""
 
 import itertools
 
 import pytest
 
+from ponscheck import corpus, depgraph, elaborate, models, rules
 from ponscheck import kernel as K
 from ponscheck import script as S
 from ponscheck.terms import seg_eq, segment
@@ -122,3 +124,72 @@ def test_classes_with_the_same_field_values_stay_distinct():
 
 def test_ref_prints_as_written():
     assert [repr(r) for r in REFS] == ["h1", "sym h2", "refl"]
+
+
+AB_AC = seg_eq(segment("A", "B"), segment("A", "C"))
+STATEMENT = K.TheoremStatement(
+    "t", frozenset({"NEUTRAL"}), ("A", "B", "C"), (("h1", AB_AC),), (AB_AC,), ("D",), ("u",)
+)
+PROOF = K.Proof((KSTEP,), REFS[:1], 9)
+STEP_RESULT = K.StepResult("e1", True, "", 5)
+# Records with plain tuple equality; every other one is a kernel.node.  The
+# first two compare their line, as their dataclasses did; kernel imports
+# rules, and corpus imports nothing of the checker.
+TUPLE_EQUALITY = (K.StepResult, elaborate.ElaboratedBlock, rules.RuleSchema, corpus.CorpusEntry)
+RECORDS = [
+    STATEMENT,
+    PROOF,
+    STEP_RESULT,
+    K.SideConditionRecord("s1", ("A", "B", "C"), "derived"),
+    K.CheckReport("t", "ok", (STEP_RESULT,), ("SEG_SYM",), ("foot",), (), (("A", "B", "C"),)),
+    S.parse(SCRIPT),
+    S.parse(SCRIPT).items[0],
+    S.DeclareAst("d", ("euclidean",), ("t",), 2),
+    S.ConjectureAst("angle_sum_pi", ("A", "B", "C"), 1),
+    elaborate.ElaboratedBlock("t", ("neutral",), ("u",), STATEMENT, PROOF, 1),
+    depgraph.Node("t", "theorem", frozenset({"NEUTRAL"})),
+    rules.RULES["SEG_SYM"],
+    corpus.ENTRIES[-1],
+    models.profile(1e-9),
+    models.Counterexample(3, "seg(A,B) == seg(A,C)", (("A", (0.0, 0.5)), ("B", (0.25, 0.0)))),
+    models.BUILTIN_CONJECTURES["angle_sum_pi"],
+]
+
+
+def test_every_record_class_is_covered():
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 16
+    assert all(isinstance(r, tuple) for r in RECORDS)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=_id)
+def test_record_fields_cannot_be_assigned(record):
+    test_fields_cannot_be_assigned(record)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=_id)
+def test_records_hash_and_equal_their_copies(record):
+    test_nodes_hash_and_equal_their_copies(record)
+
+
+@pytest.mark.parametrize("record", [r for r in RECORDS if "line" in r._fields], ids=_id)
+def test_records_ignore_their_line_where_their_dataclass_did(record):
+    moved = record._replace(line=record.line + 100)
+    if isinstance(record, TUPLE_EQUALITY):
+        assert moved != record and not moved == record
+    else:
+        test_nodes_ignore_their_line(record)
+
+
+@pytest.mark.parametrize("record", [r for r in RECORDS if type(r) not in TUPLE_EQUALITY], ids=_id)
+def test_records_equal_only_their_own_class(record):
+    assert record != tuple(record) and tuple(record) != record
+    assert not record == tuple(record)
+
+
+def test_a_model_check_report_holds_only_its_counts():
+    report = models.ModelCheckReport("euclidean", 5)
+    report.skipped += 1
+    assert (report.trials, report.trials_run, report.skipped) == (5, 0, 1)
+    assert report.as_dict() == {"trials": 5, "trials_run": 0, "failures": 0, "skipped": 1}
+    with pytest.raises(AttributeError):
+        report.extra = 1

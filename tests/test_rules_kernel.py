@@ -1,10 +1,14 @@
 """Rule schemas and the proof-checking kernel."""
 
 import dataclasses
+import importlib
+import pkgutil
 import sys
 from collections import Counter
 
 import pytest
+
+import ponscheck
 
 from ponscheck.kernel import (
     CaseBranch,
@@ -15,6 +19,7 @@ from ponscheck.kernel import (
     Proof,
     Ref,
     RuleStep,
+    StepResult,
     TheoremStatement,
     check_proof,
 )
@@ -99,6 +104,53 @@ def test_mirror_sas_closes_pons():
     assert report.status == "ok"
     assert "SAS_ORD" in report.rule_uses
     assert all(sr.ok for sr in report.steps)
+
+
+_AB, _AD, _BD = segment(P("A"), P("B")), segment(P("A"), P("D")), segment(P("B"), P("D"))
+_NC = ("h1", non_collinear(P("A"), P("B"), P("C")))
+
+
+def _statement(name, hypotheses, conclusions):
+    return TheoremStatement(
+        name=name, tags=frozenset(), points=("A", "B", "C"),
+        hypotheses=hypotheses, conclusions=conclusions,
+    )
+
+
+def _through_lemma(hypotheses, conclusions):
+    """A sound statement whose one step applies a lemma that names D."""
+    lemma = _statement("bad_lemma", hypotheses, conclusions)
+    proof = Proof((LemmaStep("m1", "bad_lemma", ("A", "B", "C"), (), 1),), ())
+    return _statement("user", (_NC,), ()), proof, {"bad_lemma": lemma}
+
+
+# Each builds (statement, proof, registry); D is declared nowhere.  Without a
+# statement check, the first two would pass: qed cites the hypothesis that
+# names D, or an extend step that happens to name its new point D.
+UNDECLARED_POINT = {
+    "hypothesis": lambda: (
+        _statement("hyp", (("h1", seg_eq(_AB, _AD)),), (seg_eq(_AB, _AD),)),
+        Proof((), (LBL("h1"),)), {},
+    ),
+    "conclusion": lambda: (
+        _statement("concl", (_NC,), (seg_eq(_BD, _AB),)),
+        Proof((ExtendStep("e1", "A", "B", ("A", "B"), "D", 1),), (LBL("e1"),)), {},
+    ),
+    "lemma_hypothesis": lambda: _through_lemma((_NC, ("h2", seg_eq(_AB, _AD))), ()),
+    "lemma_conclusion": lambda: _through_lemma((_NC,), (seg_eq(_AB, _AD),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECLARED_POINT))
+def test_a_statement_naming_an_undeclared_point_is_never_ok(case):
+    try:
+        statement, proof, registry = UNDECLARED_POINT[case]()
+    except ValueError as exc:  # refused where the statement is built
+        assert "point D" in str(exc)
+        return
+    report = check_proof(statement, proof, registry)
+    assert report.status == "failed"
+    assert "point D" in report.error
 
 
 def test_unknown_premise_label_fails():
@@ -601,25 +653,31 @@ def test_long_chain_check_makes_no_python_hash_or_eq_calls():
     assert len(calls) == 0, sorted(set(calls))
 
 
-# Built at most a few times per block; every per-step object is a tuple.
-PER_BLOCK_DATACLASSES = {
-    "ScriptAst", "TheoremAst", "TheoremStatement", "Proof", "ElaboratedBlock",
-    "CheckReport", "StepResult", "SideConditionRecord",
-}
-
-
 def test_long_chain_builds_no_dataclass_per_node_or_step():
-    """Syntax nodes and proof steps are tuples: parsing, elaborating and
-    strictly checking a 1000-step chain runs no dataclass __init__ for any
-    of them."""
+    """No class in any ponscheck module is a dataclass, and parsing,
+    elaborating and strictly checking a 1000-step chain builds no object
+    per node or step other than a tuple."""
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(ponscheck.__path__, "ponscheck.")
+        if info.name != "ponscheck.__main__"  # importing it runs the CLI
+    ]
+    assert len(modules) >= 10
+    for module in (ponscheck, *modules):
+        for obj in vars(module).values():
+            assert not (isinstance(obj, type) and dataclasses.is_dataclass(obj)), obj
+
     text = _extend_chain(1000)
     built = Counter()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "__init__":
-            obj = frame.f_locals.get("self")
-            if dataclasses.is_dataclass(obj):
-                built[type(obj).__name__] += 1
+        # an __init__, or a NamedTuple's __new__ (a lambda whose first argument is _cls)
+        code = frame.f_code
+        if event == "call" and (code.co_name == "__init__" or code.co_varnames[:1] == ("_cls",)):
+            local = frame.f_locals
+            cls = local["_cls"] if "_cls" in local else type(local.get("self"))
+            if getattr(cls, "__module__", "").startswith("ponscheck"):
+                built[cls] += 1
 
     sys.setprofile(profile)
     try:
@@ -630,5 +688,6 @@ def test_long_chain_builds_no_dataclass_per_node_or_step():
     finally:
         sys.setprofile(None)
     assert report.status == "ok", report.error
-    assert set(built) <= PER_BLOCK_DATACLASSES, built
-    assert built["StepResult"] == 1001  # the hook does see dataclass inits
+    per_step = [cls for cls, n in built.items() if n >= 1000]
+    assert all(issubclass(cls, tuple) for cls in per_step), built
+    assert built[StepResult] == 1001  # the hook does see each tuple built
