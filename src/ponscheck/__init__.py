@@ -4,10 +4,29 @@ neutral geometry, with dependency analysis and numeric model checking."""
 from __future__ import annotations
 
 from importlib import import_module
+from typing import Sequence
 
 __version__ = "0.1.0"
 # The keys of geometry.MODELS, which cli reads without loading geometry.
 MODEL_NAMES = ("euclidean", "poincare", "sphere")
+# The keys of models.BUILTIN_CONJECTURES and their arities, which every
+# command checks a conjecture against without loading models.
+CONJECTURE_ARITIES = {"angle_sum_pi": 3}
+
+
+class UnknownConjecture(Exception):
+    pass
+
+
+def check_conjecture(name: str, points: Sequence[str]) -> None:
+    """Raise UnknownConjecture unless `name` is a built-in conjecture over
+    as many points as given."""
+    arity = CONJECTURE_ARITIES.get(name)
+    if arity is None:
+        raise UnknownConjecture(name)
+    if len(points) != arity:
+        raise UnknownConjecture(f"{name} expects {arity} points, got {len(points)}")
+
 
 from .depgraph import CYCLIC, EUCLIDEAN_ONLY, NEUTRAL, Graph, graph_from_blocks
 from .elaborate import collect_statements, elaborate_script

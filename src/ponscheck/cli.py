@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands:
-  check   parse, elaborate, and kernel-check proof scripts
+  check   parse proof scripts, build their statements, kernel-check the proofs
   deps    dependency graph: classifications, cycles, DOT export
   model   numeric spot-checks of statements in the three models
   parse   syntax check, optionally dumping the canonical form
 
-`check`, `deps` and `model` render one list of rows: `_rows` parses,
-elaborates and kernel-checks the inputs once, and returns the dependency
-graph with one `Row` per block, then per conjecture.  `check` prints their
+`check`, `deps` and `model` render one list of rows: `_rows` parses the
+inputs, rejects an unknown conjecture, builds every statement, checks
+every proof in the kernel once, and returns the dependency graph with one
+`Row` per block, then per conjecture.  A name a proof gets wrong fails
+that proof's block only; an error in a statement or a theorem name
+defined twice stops the command.  `check` prints their
 statuses, `deps` their classifications, `model` their model checks, and
 `--json` the rows themselves.
 
@@ -32,10 +35,10 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import MODEL_NAMES, __version__
+from . import MODEL_NAMES, UnknownConjecture, __version__, check_conjecture
 from .corpus import ENTRIES, load_text
 from .depgraph import CYCLIC, EUCLIDEAN_ONLY, Graph, emit_dot, graph_from_blocks
-from .elaborate import ElaboratedBlock, ElaborationError, collect_statements, elaborate_script
+from .elaborate import ElaborationError, collect_statements, elaborate_script
 from .kernel import CheckReport, TheoremStatement, check_proof
 from .script import ConjectureAst, ParseError, ScriptAst, format_script, parse, parse_conjecture
 
@@ -110,19 +113,24 @@ def _rows(
     conjectures: List[ConjectureAst] = []
     for name, text in _read_sources(args.files, args.corpus):
         tree = _parse(name, text)
-        (conjectures if isinstance(tree, ConjectureAst) else asts).append(tree)
+        if isinstance(tree, ScriptAst):
+            asts.append(tree)
+            continue
+        try:
+            check_conjecture(tree.name, tree.points)
+        except UnknownConjecture as exc:
+            raise CliError(2, f"unknown conjecture {exc}") from exc
+        conjectures.append(tree)
     registry: Dict[str, TheoremStatement] = {}
-    blocks: List[ElaboratedBlock] = []
     try:
         for ast in asts:
             for name, stmt in collect_statements(ast).items():
                 if name in registry:
                     raise CliError(1, f"theorem {name} defined in more than one file")
                 registry[name] = stmt
-        for ast in asts:
-            blocks.extend(elaborate_script(ast, registry))
     except ElaborationError as exc:
         raise CliError(1, f"elaboration error: {exc}") from exc
+    blocks = [b for ast in asts for b in elaborate_script(ast, registry)]
     reports = {
         b.name: check_proof(b.statement, b.proof, registry, strict=strict)
         for b in blocks
@@ -143,11 +151,6 @@ def _rows(
     for conj in conjectures:
         check = None
         if runs is not None:
-            from .models import UnknownConjecture, conjecture_statement
-            try:
-                conjecture_statement(conj.name, conj.points)
-            except UnknownConjecture as exc:
-                raise CliError(2, f"unknown conjecture {exc}") from exc
             check = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
         rows.append(Row(conj.name, "conjecture", "", None, check))
     return graph, rows

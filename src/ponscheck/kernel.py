@@ -25,9 +25,14 @@ trail rolls the state back to where the split began.  So a branch sees
 nothing its siblings derived, the parent gains only the split's own label,
 and a split costs the work its branches do rather than a copy of the state.
 
+Names are resolved here and nowhere else: every point a step names and
+every label a citation names must be in scope when the step runs, and a
+name that is not fails that step alone.  A citation list is resolved in
+full before any of its citations is matched.
+
 Statements, steps, citations and reports are NamedTuples (see node).  The
-parser builds the steps of every kind but rule steps itself; the
-elaborator builds RuleSteps.
+parser builds every step; a RuleStep keeps its fact and instantiation as
+written, and apply_rule builds the canonical fact from them.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from .terms import (
     seg_eq,
     seg_lt,
     segment,
+    written_fact,
 )
 
 
@@ -101,7 +107,7 @@ class AbsurdOutsideCase(KernelError):
 
 
 # ---------------------------------------------------------------------------
-# Statements and elaborated steps
+# Statements and proof steps
 
 
 def node(cls):
@@ -168,11 +174,32 @@ class Ref(NamedTuple):
 
 
 @node
-class RuleStep(NamedTuple):
-    label: str
-    fact: Fact
-    rule_id: str
+class FactAst(NamedTuple):
+    """A fact as written; `points` keeps source order.  For kind
+    "between" the middle point is the one lying between the outer two."""
+
+    kind: str  # seg_eq | seg_lt | ang_eq | ang_lt | between | noncollinear | absurd
+    points: Tuple[str, ...] = ()
+
+
+@node
+class InstAst(NamedTuple):
+    """A rule instantiation; `triples` records whether it was written as
+    two point triples (congruence criteria) or one flat list."""
+
     points: Tuple[str, ...]
+    triples: bool = False
+
+
+@node
+class RuleStep(NamedTuple):
+    """A rule application as written: `fact` is the stated conclusion and
+    `inst` the rule's points, both in source form."""
+
+    label: str
+    fact: FactAst
+    rule_id: str
+    inst: InstAst
     refs: Tuple[Ref, ...]
     line: int = 0
 
@@ -240,7 +267,7 @@ Step = Union[RuleStep, ExtendStep, LayoffStep, LemmaStep, CasesStep]
 class Proof(NamedTuple):
     steps: Tuple[Step, ...]
     qed_refs: Tuple[Ref, ...]
-    qed_line: int = 0
+    line: int = 0  # of the qed line
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +456,7 @@ def step_facts(step: Step, registry: Mapping[str, TheoremStatement]) -> Tuple[Fa
     step's points cannot build them."""
     if isinstance(step, RuleStep):
         schema = RULES[step.rule_id]
-        return schema.instantiate_conclusions(schema.bind(step.points))
+        return schema.instantiate_conclusions(schema.bind(step.inst.points))
     if isinstance(step, (ExtendStep, LayoffStep)):
         fresh, s = step.fresh, segment(*step.seg)
         if isinstance(step, LayoffStep):
@@ -482,17 +509,21 @@ class _ProofFailed(Exception):
         self.line = line
 
 
+def _resolve(state: ProofState, refs: Tuple[Ref, ...]) -> None:
+    """Raise UnknownPremise unless every label the citations name is in scope."""
+    for ref in refs:
+        if ref.kind != "refl" and ref.label not in state.facts:
+            raise UnknownPremise(f"no step or hypothesis labeled {ref.label}")
+
+
 def _justifies(state: ProofState, ref: Ref, want: Fact, ctx: _Ctx) -> bool:
-    """Whether one citation yields `want`; raises UnknownPremise for a bad
-    label, returns False on a mere mismatch."""
+    """Whether one resolved citation yields `want`."""
     if ref.kind == "refl":
         rule = _EQUIV_FOR_REFL.get(type(want))
         if rule is not None and want.left == want.right:  # type: ignore[union-attr]
             ctx.use_rule(rule)
             return True
         return False
-    if ref.label not in state.facts:
-        raise UnknownPremise(f"no step or hypothesis labeled {ref.label}")
     if want not in state.facts[ref.label]:
         return False
     if ref.kind == "sym":
@@ -514,6 +545,7 @@ def _match_ref(state: ProofState, ref: Ref, want: Fact, ctx: _Ctx) -> None:
 def _check_covered(
     state: ProofState, refs: Tuple[Ref, ...], wanted: Sequence[Fact], ctx: _Ctx, what: str
 ) -> None:
+    _resolve(state, refs)
     for fact in wanted:
         if not any(_justifies(state, r, fact, ctx) for r in refs):
             raise PremiseMismatch(f"{what}: cited labels do not establish {fact!r}")
@@ -539,13 +571,14 @@ def _discharge_side_conditions(
 
 
 def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]:
-    for name in step.points:
+    for name in (*step.inst.points, *step.fact.points):
         state.point(name)
     schema = RULES.get(step.rule_id)
     if schema is None:
         raise KernelError(f"unknown rule {step.rule_id}")
     try:
-        binding = schema.bind(step.points)
+        fact = written_fact(*step.fact)
+        binding = schema.bind(step.inst.points)
         premises = schema.instantiate_premises(binding)
         conclusions = step_facts(step, ctx.registry)
     except ValueError as exc:
@@ -559,6 +592,7 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
                 f"{step.rule_id} takes {len(premises)} premise(s), {len(refs)} cited"
             )
         refs = ()
+    _resolve(state, refs)
     for ref, want in zip(refs, premises):
         _match_ref(state, ref, want, ctx)
 
@@ -575,6 +609,11 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
     if any(isinstance(c, Absurd) for c in conclusions) and not state.assumptions:
         raise AbsurdOutsideCase("absurdity derived outside any case assumption")
     ctx.use_rule(step.rule_id)
+    if fact not in conclusions:
+        raise ConclusionMismatch(
+            f"{fact!r} is not a conclusion of {step.rule_id} at this "
+            f"instantiation (it yields: {', '.join(repr(c) for c in conclusions)})"
+        )
     return conclusions
 
 
@@ -594,6 +633,7 @@ def apply_construction(
             bound = seg_lt(s, segment(state.point(step.start), state.point(step.toward)))
         except ValueError as exc:
             raise DegenerateInstantiation(str(exc)) from None
+        _resolve(state, step.refs)
         if not any(_justifies(state, r, bound, ctx) for r in step.refs):
             raise LayoffWithoutBound(f"layoff needs {bound!r} among its citations")
     else:
@@ -632,13 +672,7 @@ def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ..
 
 def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
     if isinstance(step, RuleStep):
-        conclusions = apply_rule(state, step, ctx)
-        if step.fact not in conclusions:
-            raise ConclusionMismatch(
-                f"{step.fact!r} is not a conclusion of {step.rule_id} at this "
-                f"instantiation (it yields: {', '.join(repr(c) for c in conclusions)})"
-            )
-        state.add_label(step.label, conclusions)
+        state.add_label(step.label, apply_rule(state, step, ctx))
     elif isinstance(step, (ExtendStep, LayoffStep)):
         state.add_label(step.label, apply_construction(state, step, ctx))
     elif isinstance(step, LemmaStep):
@@ -702,7 +736,7 @@ def check_proof(
     registry: Optional[Mapping[str, TheoremStatement]] = None,
     strict: bool = False,
 ) -> CheckReport:
-    """Check one elaborated proof against its statement.
+    """Check one proof against its statement.
 
     Status is ok iff every step is justified, every trichotomy branch
     closes, and the qed citations establish every conclusion.
@@ -718,7 +752,7 @@ def check_proof(
         try:
             _check_covered(state, proof.qed_refs, statement.conclusions, ctx, "qed")
         except KernelError as exc:
-            raise _ProofFailed("qed", proof.qed_line, str(exc)) from exc
+            raise _ProofFailed("qed", proof.line, str(exc)) from exc
     except _ProofFailed as failure:
         error = f"{failure.where} (line {failure.line}): {failure}"
     return CheckReport(

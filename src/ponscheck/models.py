@@ -37,6 +37,7 @@ import math
 from random import Random
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from . import CONJECTURE_ARITIES, check_conjecture
 from .geometry import DegenerateDirection, DomainError, GeodesicOutOfDomain, Model, Vec
 from .kernel import (
     CasesStep,
@@ -754,7 +755,6 @@ def model_check(
 @node
 class BuiltinConjecture(NamedTuple):
     name: str
-    arity: int
     # measures a trial at the named points; returns (holds, detail) so
     # counterexamples can say what was measured
     evaluate: Callable[[Trial, Sequence[str], ToleranceProfile], Tuple[bool, str]]
@@ -768,25 +768,16 @@ def _angle_sum_pi(t: Trial, names: Sequence[str], tol: ToleranceProfile) -> Tupl
     return tol.close(total, math.pi), f"angle sum {total!r} vs pi"
 
 
+_EVALUATE = {"angle_sum_pi": _angle_sum_pi}
 BUILTIN_CONJECTURES: Dict[str, BuiltinConjecture] = {
-    "angle_sum_pi": BuiltinConjecture("angle_sum_pi", 3, _angle_sum_pi),
+    name: BuiltinConjecture(name, _EVALUATE[name]) for name in CONJECTURE_ARITIES
 }
-
-
-class UnknownConjecture(Exception):
-    pass
 
 
 def conjecture_statement(name: str, points: Sequence[str]) -> TheoremStatement:
     """Sampling harness for a conjecture: bare points constrained to a
     nondegenerate triangle on the first three."""
-    if name not in BUILTIN_CONJECTURES:
-        raise UnknownConjecture(name)
-    conj = BUILTIN_CONJECTURES[name]
-    if len(points) != conj.arity:
-        raise UnknownConjecture(
-            f"{name} expects {conj.arity} points, got {len(points)}"
-        )
+    check_conjecture(name, points)
     return TheoremStatement(
         name=name,
         tags=frozenset(),

@@ -18,9 +18,10 @@ token strings, so that path alone reports errors, with line, column,
 and the expected-token set; a column is worked out only when an error
 is raised, by matching that one source line again.  The parser never
 raises anything but ParseError on malformed input, whatever the bytes
-were.  It emits the kernel's step tuples for every step kind but rule
-steps, with a segment as a point pair; a RuleStepAst keeps the written
-fact and instantiation for format_script.
+were.  It emits the kernel's steps and proofs, with a segment as a point
+pair: a rule step keeps its fact and instantiation as written (format_script
+prints them, the kernel resolves them), and a proof its qed line.  It
+resolves no name; the kernel does.
 Syntax nodes, blocks and scripts are NamedTuples (see kernel.node),
 compared without their source line, so that parse(format_script(x)) == x.
 """
@@ -30,7 +31,20 @@ from __future__ import annotations
 import re
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
-from .kernel import CaseBranch, CasesStep, ExtendStep, LayoffStep, LemmaStep, Ref, node
+from .kernel import (
+    CaseBranch,
+    CasesStep,
+    ExtendStep,
+    FactAst,
+    InstAst,
+    LayoffStep,
+    LemmaStep,
+    Proof,
+    Ref,
+    RuleStep,
+    Step,
+    node,
+)
 
 KEYWORDS = frozenset(
     """theorem declare tags points introduces assume show uses proof qed
@@ -66,42 +80,10 @@ class ParseError(SyntaxError):
 
 
 @node
-class FactAst(NamedTuple):
-    """A fact as written; `points` keeps source order.  For kind
-    "between" the middle point is the one lying between the outer two."""
-
-    kind: str  # seg_eq | seg_lt | ang_eq | ang_lt | between | noncollinear | absurd
-    points: Tuple[str, ...] = ()
-
-
-@node
-class InstAst(NamedTuple):
-    """A rule instantiation; `triples` records whether it was written as
-    two point triples (congruence criteria) or one flat list."""
-
-    points: Tuple[str, ...]
-    triples: bool = False
-
-
-@node
 class AssumeAst(NamedTuple):
     label: str
     fact: FactAst
     line: int = 0
-
-
-@node
-class RuleStepAst(NamedTuple):
-    label: str
-    fact: FactAst
-    rule: str
-    inst: InstAst
-    refs: Tuple[Ref, ...]
-    line: int = 0
-
-
-# A case branch's steps are StepAsts here and kernel Steps once elaborated.
-StepAst = Union[RuleStepAst, ExtendStep, LayoffStep, LemmaStep, CasesStep]
 
 
 @node
@@ -113,8 +95,7 @@ class TheoremAst(NamedTuple):
     assumes: Tuple[AssumeAst, ...]
     shows: Tuple[FactAst, ...]
     uses: Tuple[str, ...]
-    steps: Optional[Tuple[StepAst, ...]]  # None when the block has no proof
-    qed_refs: Tuple[Ref, ...]
+    proof: Optional[Proof]  # None when the block has no proof
     line: int = 0
 
 
@@ -420,18 +401,17 @@ class _Parser:
         if self.accept("uses"):
             uses = self.parse_name_list()
 
-        steps: Optional[Tuple[StepAst, ...]] = None
-        qed_refs: Tuple[Ref, ...] = ()
+        proof = None
         if self.accept("proof"):
             self.end_line()
             body, _ = self.parse_steps(labels, "qed", None)
             if not body:
                 raise self.fail("expected at least one proof step", ("step",))
+            qed_line = self.lines[self.pos]
             self.expect("qed")
             self.expect("from")
-            qed_refs = self.parse_refs()
+            proof = Proof(tuple(body), self.parse_refs(), qed_line)
             self.expect_nl()
-            steps = tuple(body)
         return TheoremAst(
             name,
             tags,
@@ -440,8 +420,7 @@ class _Parser:
             tuple(assumes),
             tuple(shows),
             uses,
-            steps,
-            qed_refs,
+            proof,
             line=line,
         )
 
@@ -457,10 +436,10 @@ class _Parser:
 
     def parse_steps(
         self, labels: set, stop: str, end: Optional[re.Pattern]
-    ) -> Tuple[List[StepAst], Optional[re.Match]]:
+    ) -> Tuple[List[Step], Optional[re.Match]]:
         """Steps up to a line whose first token is `stop`, or up to one that
         `end` matches (returned with its match, the line not consumed)."""
-        steps: List[StepAst] = []
+        steps: List[Step] = []
         while True:
             line = self.peek()
             if line is not None:
@@ -476,7 +455,7 @@ class _Parser:
                 return steps, None
             steps.append(self.parse_step(labels))
 
-    def line_step(self, line: str, labels: set) -> Optional[StepAst]:
+    def line_step(self, line: str, labels: set) -> Optional[Step]:
         """The step the line path reads from `line`; None leaves it to the token path."""
         m = _RULE_RE.fullmatch(line)
         if m:
@@ -491,7 +470,7 @@ class _Parser:
             inst = InstAst(tuple(_NAME_RE.findall(g[24])) if flat else g[18:24], not flat)
             refs = self.cite(g[25])
             if refs and self.claim(labels, g[0], g[:13] + g[14:17] + inst.points):
-                return RuleStepAst(g[0], fact, g[17], inst, refs, self.take())
+                return RuleStep(g[0], fact, g[17], inst, refs, self.take())
             return None
         m = _EXTEND_RE.fullmatch(line)
         if m and self.claim(labels, m[1], m.groups()):
@@ -502,7 +481,7 @@ class _Parser:
             return CasesStep(m[1], (m[2], m[3]), (m[4], m[5]), self.parse_case_branches(labels), at)
         return None
 
-    def parse_step(self, labels: set) -> StepAst:
+    def parse_step(self, labels: set) -> Step:
         at = self.pos
         line = self.lines[at]
         label = self.ident("step label")
@@ -554,7 +533,7 @@ class _Parser:
         self.expect("from")
         refs = self.parse_refs()
         self.end_line()
-        return RuleStepAst(label, fact, rule, inst, refs, line=line)
+        return RuleStep(label, fact, rule, inst, refs, line)
 
     def parse_case_branches(self, labels: set) -> Tuple[CaseBranch, ...]:
         """The three branches after a `cases` header either path read."""
@@ -728,10 +707,10 @@ def _fmt_inst(inst: InstAst) -> str:
     return "[" + ",".join(inst.points) + "]"
 
 
-def _fmt_step(step: StepAst, indent: str, out: List[str]) -> None:
-    if isinstance(step, RuleStepAst):
+def _fmt_step(step: Step, indent: str, out: List[str]) -> None:
+    if isinstance(step, RuleStep):
         out.append(
-            f"{indent}{step.label}: {_fmt_fact(step.fact)} by {step.rule}"
+            f"{indent}{step.label}: {_fmt_fact(step.fact)} by {step.rule_id}"
             f"{_fmt_inst(step.inst)} from {_fmt_refs(step.refs)}"
         )
     elif isinstance(step, ExtendStep):
@@ -784,9 +763,9 @@ def format_script(ast: ScriptAst) -> str:
             out.append(f"  show {_fmt_fact(s)}")
         if item.uses:
             out.append(f"  uses {', '.join(item.uses)}")
-        if item.steps is not None:
+        if item.proof is not None:
             out.append("  proof")
-            for step in item.steps:
+            for step in item.proof.steps:
                 _fmt_step(step, "    ", out)
-            out.append(f"  qed from {_fmt_refs(item.qed_refs)}")
+            out.append(f"  qed from {_fmt_refs(item.proof.qed_refs)}")
     return "\n".join(out) + ("\n" if out else "")

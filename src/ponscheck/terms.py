@@ -205,6 +205,22 @@ def non_collinear(p: PointId, q: PointId, r: PointId) -> NonCollinear:
     return _new(NonCollinear, ("noncollinear", *sorted((p, q, r))))
 
 
+def written_fact(kind: str, p: Tuple[PointId, ...]) -> Fact:
+    """The fact a script writes as `kind` (seg_eq, seg_lt, ang_eq, ang_lt,
+    between, noncollinear or absurd) over points `p` in source order;
+    written "between X Y Z", Y is the middle point.  Raises the
+    constructors' errors on degenerate points."""
+    if kind in ("seg_eq", "seg_lt"):
+        return (seg_eq if kind == "seg_eq" else seg_lt)(segment(*p[:2]), segment(*p[2:]))
+    if kind in ("ang_eq", "ang_lt"):
+        return (ang_eq if kind == "ang_eq" else ang_lt)(angle(*p[:3]), angle(*p[3:]))
+    if kind == "between":
+        return between(p[1], p[0], p[2])
+    if kind == "noncollinear":
+        return non_collinear(*p)
+    return ABSURD  # absurd, the one kind left
+
+
 def canon_fact(fact: Fact) -> Fact:
     """Rebuild a fact through the canonicalizing constructors (idempotent)."""
     if isinstance(fact, SegEq):

@@ -1,19 +1,16 @@
 """Case branches run on one shared state and are rolled back afterwards:
 nothing a branch introduces is visible to its siblings or after the
-split, in the kernel and in the elaborator alike."""
+split, whether the kernel checks steps built here or parsed from text."""
 
 import pytest
 
-from ponscheck.elaborate import (
-    UnknownPoint,
-    UnresolvedLabel,
-    collect_statements,
-    elaborate_script,
-)
+from ponscheck.elaborate import make_statement
 from ponscheck.kernel import (
     CaseBranch,
     CasesStep,
     ExtendStep,
+    FactAst,
+    InstAst,
     LemmaStep,
     Proof,
     Ref,
@@ -38,6 +35,11 @@ def _nc(a, b, c):
 
 def _seg_refl(a, b):
     return seg_eq(segment(P(a), P(b)), segment(P(a), P(b)))
+
+
+def _rule(label, kind, points, rule_id, inst, refs):
+    """A rule step as the parser builds it from its written form."""
+    return RuleStep(label, FactAst(kind, points), rule_id, InstAst(inst), refs)
 
 
 # D lies between A and B, so {A, B, D} is a recorded line from the start.
@@ -70,20 +72,21 @@ REGISTRY = {
 # kernel gives when the step runs where the introduction is not visible.
 INTRODUCE_AND_USE = {
     "label": (
-        RuleStep("x", _seg_refl("A", "B"), "SEG_REFL", ("A", "B"), (REFL,)),
-        RuleStep("u", _seg_refl("A", "B"), "SEG_SYM", ("A", "B", "A", "B"), (LBL("x"),)),
+        _rule("x", "seg_eq", ("A", "B", "A", "B"), "SEG_REFL", ("A", "B"), (REFL,)),
+        _rule("u", "seg_eq", ("A", "B", "A", "B"), "SEG_SYM", ("A", "B", "A", "B"), (LBL("x"),)),
         "UnknownPremise",
     ),
     "point": (
         ExtendStep("x", "A", "B", ("A", "C"), "F"),
-        RuleStep("u", _seg_refl("A", "F"), "SEG_REFL", ("A", "F"), (REFL,)),
+        _rule("u", "seg_eq", ("A", "F", "A", "F"), "SEG_REFL", ("A", "F"), (REFL,)),
         "point F is not in scope",
     ),
     # strict mode derives noncollinear(A,C,D) by NC_TRANSFER from h1 and
     # the line {A,B,D}; the lemma needs that fact to be known already
     "nc_transfer": (
-        RuleStep(
-            "x", _seg_refl("C", "D"), "SAS_ORD", ("A", "D", "C", "A", "D", "C"), (REFL, REFL, REFL)
+        _rule(
+            "x", "seg_eq", ("C", "D", "C", "D"), "SAS_ORD", ("A", "D", "C", "A", "D", "C"),
+            (REFL, REFL, REFL),
         ),
         LemmaStep("u", "needs_nc", ("A", "D", "C"), ()),
         "HypothesisNotSatisfied",
@@ -91,7 +94,10 @@ INTRODUCE_AND_USE = {
     # the lemma records the line {A, C, E}; NC_TRANSFER needs it
     "line": (
         LemmaStep("x", "make_line", ("C", "E", "A"), ()),
-        RuleStep("u", _nc("A", "B", "E"), "NC_TRANSFER", ("A", "C", "B", "A", "E"), (LBL("h1"),)),
+        _rule(
+            "u", "noncollinear", ("A", "B", "E"), "NC_TRANSFER", ("A", "C", "B", "A", "E"),
+            (LBL("h1"),),
+        ),
         "are not on one recorded line",
     ),
 }
@@ -161,7 +167,7 @@ def test_kernel_parent_gains_only_the_split_label():
     assert trail == before[-1] + 1
 
 
-# --- elaborator ------------------------------------------------------------
+# --- parsed proofs ---------------------------------------------------------
 
 SCRIPT = """\
 theorem probe
@@ -186,29 +192,38 @@ theorem probe
 """
 
 USES = {
-    "label": ("u: seg A B == seg A B by SEG_SYM[A,B,A,B] from x", UnresolvedLabel),
-    "point": ("u: seg A F == seg A F by SEG_REFL[A,F] from refl", UnknownPoint),
+    "label": (
+        "u: seg A B < seg A C by LT_SUBST_SEG[A,B,A,C,A,B,A,C] from c1.lt, refl, refl",
+        "UnknownPremise: no step or hypothesis labeled c1.lt",
+    ),
+    "point": (
+        "u: seg A F == seg A F by SEG_REFL[A,F] from refl",
+        "KernelError: point F is not in scope",
+    ),
 }
 
 
-def _elaborate(**slots):
+def _check_script(**slots):
     text = SCRIPT
     for slot in ("LT", "EQ", "GT", "AFTER"):
         filler = f"n{slot}: seg A B == seg A B by SEG_REFL[A,B] from refl"
         text = text.replace(slot, slots.get(slot, filler))
-    ast = parse(text)
-    return elaborate_script(ast, collect_statements(ast))
+    (theorem,) = parse(text).items
+    return check_proof(make_statement(theorem), theorem.proof)
 
 
 @pytest.mark.parametrize("what", sorted(USES))
-def test_elaborator_branch_sees_its_own_introductions(what):
-    blocks = _elaborate(LT=USES[what][0])
-    assert blocks[0].proof is not None
+def test_parsed_branch_sees_its_own_introductions(what):
+    report = _check_script(LT=USES[what][0])
+    assert report.status == "ok", report.error
 
 
 @pytest.mark.parametrize("where", ["EQ", "GT", "AFTER"])
 @pytest.mark.parametrize("what", sorted(USES))
-def test_elaborator_hides_lt_introductions(what, where):
+def test_parsed_proof_hides_lt_introductions(what, where):
     use, error = USES[what]
-    with pytest.raises(error):
-        _elaborate(**{where: use})
+    report = _check_script(**{where: use})
+    assert report.status == "failed"
+    failed = [s for s in report.steps if not s.ok]
+    assert [s.label for s in failed] == ["u"]
+    assert error in failed[0].detail

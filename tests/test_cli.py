@@ -69,6 +69,33 @@ def test_check_bad_citation_exits_one(tmp_path, capsys):
     assert "step s1" in out
 
 
+def test_a_name_error_fails_only_its_own_block(tmp_path, capsys):
+    """A proof citing a label that names nothing fails on its qed line;
+    the other blocks, corpus included, keep their verdicts."""
+    typo = GOOD.replace("mirror_pons", "typo").replace("qed from s1", "qed from r2")
+    p = tmp_path / "two.proof"
+    p.write_text(GOOD.replace("mirror_pons", "good") + "\n" + typo)
+    assert main(["check", "--corpus", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "good: ok" in lines and "euclid_i5: ok" in lines
+    failed = lines.index("typo: failed")
+    assert lines[failed + 1] == "  error: qed (line 19): no step or hypothesis labeled r2"
+    assert [line for line in lines if line.startswith("  ")] == [lines[failed + 1]]
+
+
+def test_a_failed_qed_names_its_own_line(tmp_path, capsys):
+    p = tmp_path / "late_qed.proof"
+    text = GOOD.replace("  qed from s1", "\n  # the qed line follows a comment\n\n  qed from h1")
+    p.write_text(text)
+    assert text.splitlines()[11] == "  qed from h1"
+    assert main(["check", str(p)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "  error: qed (line 12): qed: cited labels do not establish ang(A,B,C) == ang(A,C,B)"
+    )
+
+
 def test_check_syntax_error_exits_two(tmp_path, capsys):
     p = tmp_path / "broken.proof"
     p.write_text(BAD_SYNTAX)
@@ -370,16 +397,44 @@ STEP_DIAGNOSTICS = [
     (
         "unknown_point_rule",
         _one_step("s1: seg A X == seg A X by SEG_REFL[A,X] from refl"),
-        "ponscheck: elaboration error: line 9: unknown point X",
+        _at(9, "KernelError: point X is not in scope"),
         1,
-        "ponscheck: elaboration error: line 9: unknown point X",
+        "",
+    ),
+    (
+        "unknown_point_in_fact",
+        _one_step("s1: seg A X == seg A X by SEG_REFL[A,B] from refl"),
+        _at(9, "KernelError: point X is not in scope"),
+        1,
+        "",
+    ),
+    (
+        "degenerate_fact",
+        _one_step("s1: seg A A == seg A B by SEG_SYM[A,B,A,A] from h1"),
+        _at(9, "DegenerateInstantiation: segment endpoints coincide: A"),
+        1,
+        "",
+    ),
+    (
+        "unknown_rule",
+        _one_step("s1: seg A B == seg A B by NO_SUCH_RULE[A,B] from refl"),
+        _at(9, "KernelError: unknown rule NO_SUCH_RULE"),
+        1,
+        "",
+    ),
+    (
+        "unknown_label",
+        _one_step("s1: seg A C == seg A B by SEG_SYM[A,B,A,C] from h9"),
+        _at(9, "UnknownPremise: no step or hypothesis labeled h9"),
+        1,
+        "",
     ),
     (
         "unknown_point_extend",
         _one_step("s1: extend A X by seg A B as D"),
-        "ponscheck: elaboration error: line 9: unknown point X",
+        _at(9, "KernelError: point X is not in scope"),
         1,
-        "ponscheck: elaboration error: line 9: unknown point X",
+        "",
     ),
     (
         "extend_same_points",
@@ -486,9 +541,9 @@ STEP_DIAGNOSTICS = [
     (
         "lemma_unknown",
         _one_step("s1: lemma nosuch(A,B,C) as H", ONE_LEMMA_STEP),
-        "ponscheck: elaboration error: line 21: unknown lemma nosuch",
+        _at(21, "KernelError: unknown lemma nosuch"),
         1,
-        "ponscheck: elaboration error: line 21: unknown lemma nosuch",
+        "",
     ),
 ]
 
@@ -677,6 +732,20 @@ def test_model_unknown_conjecture_exits_two(tmp_path, capsys):
     p.write_text("conjecture no_such_claim\n  points A B C\n")
     assert main(["model", str(p), "--trials", "5"]) == 2
     assert "unknown conjecture no_such_claim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "deps"])
+def test_check_and_deps_reject_an_unknown_conjecture(tmp_path, capsys, command):
+    p = tmp_path / "mystery.conj"
+    for text, message in (
+        ("conjecture no_such_claim\n  points A B C\n", "unknown conjecture no_such_claim"),
+        ("conjecture angle_sum_pi\n  points A B\n",
+         "unknown conjecture angle_sum_pi expects 3 points, got 2"),
+    ):
+        p.write_text(text)
+        assert main([command, "--corpus", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"ponscheck: {message}\n")
 
 
 @pytest.mark.parametrize(

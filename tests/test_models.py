@@ -782,7 +782,7 @@ def test_angle_sum_direction(model, sign):
 
 
 def test_unknown_conjecture_name():
-    from ponscheck.models import UnknownConjecture
+    from ponscheck import UnknownConjecture
 
     with pytest.raises(UnknownConjecture):
         model_check_conjecture(EUCLIDEAN, "riemann_hypothesis", ("A", "B", "C"))

@@ -33,22 +33,16 @@ theorem build
   qed from c1
 """
 
-FACT = S.FactAst("seg_eq", ("A", "B", "A", "C"))
+FACT = K.FactAst("seg_eq", ("A", "B", "A", "C"))
 REFS = (K.Ref("label", "h1"), K.Ref("sym", "h2"), K.Ref("refl"))
-RULE_AST = S.RuleStepAst("s1", FACT, "SEG_SYM", S.InstAst(("A", "B", "A", "C")), REFS[:1], 4)
 KSTEP = K.ExtendStep("e1", "A", "B", ("A", "C"), "D", 5)
 
-SYNTAX_NODES = [
-    FACT,
-    S.InstAst(("A", "B", "C", "A", "C", "B"), True),
-    S.AssumeAst("h1", FACT, 3),
-    RULE_AST,
-]
+SYNTAX_NODES = [S.AssumeAst("h1", FACT, 3)]
 KERNEL_NODES = [
+    FACT,
+    K.InstAst(("A", "B", "C", "A", "C", "B"), True),
     *REFS,
-    K.RuleStep(
-        "s1", seg_eq(segment("A", "B"), segment("A", "C")), "SEG_SYM", ("A", "B", "A", "C"), REFS[:1], 4
-    ),
+    K.RuleStep("s1", FACT, "SEG_SYM", K.InstAst(("A", "B", "A", "C")), REFS[:1], 4),
     KSTEP,
     K.LayoffStep("l1", "A", "C", ("A", "B"), "D", REFS[:1], 6),
     K.LemmaStep("m1", "foot", ("A", "B", "C"), ("H",), 7),
@@ -56,10 +50,11 @@ KERNEL_NODES = [
     K.CasesStep("c1", ("A", "B"), ("A", "C"), (K.CaseBranch("eq", (), "absurd", (), 9),), 9),
 ]
 NODES = SYNTAX_NODES + KERNEL_NODES
-# The extend, layoff, lemma, cases and case-branch steps as the parser builds
-# them from SCRIPT, source lines included; their ids carry an ``Ast`` suffix.
-_PARSED_STEPS = S.parse(SCRIPT).items[0].steps
-PARSED_NODES = [*_PARSED_STEPS, _PARSED_STEPS[3].branches[0]]
+# The steps of every kind and a case branch as the parser builds them from
+# SCRIPT, source lines included; their ids carry an ``Ast`` suffix.
+_PARSED_STEPS = S.parse(SCRIPT).items[0].proof.steps
+_CASE_LT = _PARSED_STEPS[3].branches[0]
+PARSED_NODES = [*_PARSED_STEPS, _CASE_LT, _CASE_LT.steps[0]]
 
 
 def _id(node):
@@ -75,7 +70,7 @@ def _params(nodes):
 
 def test_every_converted_class_is_covered():
     classes = {type(n) for n in NODES}
-    assert len(classes) == 11
+    assert len(classes) == 10
     assert all(issubclass(c, tuple) for c in classes)
 
 
@@ -106,8 +101,8 @@ def test_nodes_ignore_their_line(node):
 
 def test_classes_with_the_same_field_values_stay_distinct():
     """Every pair of converted classes with the same field count (such as
-    RuleStepAst and RuleStep, or ExtendStep and RuleStep), filled with one
-    tuple of values, and each class against the plain tuple."""
+    ExtendStep and RuleStep), filled with one tuple of values, and each
+    class against the plain tuple."""
     pairs = 0
     for x, y in itertools.combinations(NODES, 2):
         if type(x) is type(y) or len(x) != len(y):
@@ -117,7 +112,7 @@ def test_classes_with_the_same_field_values_stay_distinct():
         assert x != y and y != x
         assert not (x == y or y == x)
         assert len({x, y}) == 2
-    assert pairs == 13
+    assert pairs == 11
     for node in NODES:
         assert node != tuple(node) and tuple(node) != node
 

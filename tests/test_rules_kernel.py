@@ -14,6 +14,8 @@ from ponscheck.kernel import (
     CaseBranch,
     CasesStep,
     ExtendStep,
+    FactAst,
+    InstAst,
     LayoffStep,
     LemmaStep,
     Proof,
@@ -27,7 +29,6 @@ from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.rules import RULE_IDS, RULES
 from ponscheck.script import parse
 from ponscheck.terms import (
-    ABSURD,
     PointId,
     ang_eq,
     angle,
@@ -90,13 +91,13 @@ def _pons_proof() -> Proof:
     # mirror application of the ordered SAS rule to (A,B,C) vs (A,C,B)
     step = RuleStep(
         label="s1",
-        fact=ang_eq(angle(P("A"), P("B"), P("C")), angle(P("A"), P("C"), P("B"))),
+        fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
         rule_id="SAS_ORD",
-        points=("A", "B", "C", "A", "C", "B"),
+        inst=InstAst(("A", "B", "C", "A", "C", "B")),
         refs=(LBL("h1"), LBL("h1"), REFL),
         line=1,
     )
-    return Proof(steps=(step,), qed_refs=(LBL("s1"),), qed_line=2)
+    return Proof(steps=(step,), qed_refs=(LBL("s1"),), line=2)
 
 
 def test_mirror_sas_closes_pons():
@@ -158,9 +159,9 @@ def test_unknown_premise_label_fails():
         steps=(
             RuleStep(
                 label="s1",
-                fact=ang_eq(angle(P("A"), P("B"), P("C")), angle(P("A"), P("C"), P("B"))),
+                fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
                 rule_id="SAS_ORD",
-                points=("A", "B", "C", "A", "C", "B"),
+                inst=InstAst(("A", "B", "C", "A", "C", "B")),
                 refs=(LBL("nope"), LBL("h1"), REFL),
                 line=1,
             ),
@@ -172,14 +173,52 @@ def test_unknown_premise_label_fails():
     assert "nope" in (report.error or "")
 
 
+_BOUNDED = TheoremStatement(
+    name="bounded",
+    tags=frozenset(),
+    points=("A", "B", "C"),
+    hypotheses=(_NC, ("h3", seg_lt(_AB, segment(P("A"), P("C"))))),
+    conclusions=(_NC[1],),
+)
+
+
+def _closes(lt_refs):
+    """A split whose three branches close the goal, `lt` from `lt_refs`."""
+    branches = tuple(
+        CaseBranch(kind, (), "goal", lt_refs if kind == "lt" else (LBL("h1"),), 3 + i)
+        for i, kind in enumerate(("lt", "eq", "gt"))
+    )
+    return Proof((CasesStep("c1", ("A", "B"), ("A", "C"), branches, 2),), (LBL("c1"),), 6)
+
+
+# Each cites r9, which names nothing, after a citation that alone covers.
+CITES_AFTER_A_COVERING_ONE = {
+    "qed": lambda refs: Proof((), refs, 2),
+    "close": _closes,
+    "layoff": lambda refs: Proof(
+        (LayoffStep("l1", "A", "C", ("A", "B"), "D", refs, 2),), (LBL("h1"),), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(CITES_AFTER_A_COVERING_ONE))
+def test_every_cited_label_must_resolve(where):
+    make = CITES_AFTER_A_COVERING_ONE[where]
+    covering = LBL("h3") if where == "layoff" else LBL("h1")
+    assert check_proof(_BOUNDED, make((covering,))).status == "ok"
+    report = check_proof(_BOUNDED, make((covering, LBL("r9"))))
+    assert report.status == "failed"
+    assert "no step or hypothesis labeled r9" in report.error
+
+
 def test_premise_mismatch_fails():
     bad = Proof(
         steps=(
             RuleStep(
                 label="s1",
-                fact=ang_eq(angle(P("A"), P("B"), P("C")), angle(P("A"), P("C"), P("B"))),
+                fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
                 rule_id="SAS_ORD",
-                points=("A", "B", "C", "A", "C", "B"),
+                inst=InstAst(("A", "B", "C", "A", "C", "B")),
                 refs=(LBL("h2"), LBL("h1"), REFL),
                 line=1,
             ),
@@ -196,9 +235,9 @@ def test_refl_only_fills_reflexive_premises():
         steps=(
             RuleStep(
                 label="s1",
-                fact=ang_eq(angle(P("A"), P("B"), P("C")), angle(P("A"), P("C"), P("B"))),
+                fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
                 rule_id="SAS_ORD",
-                points=("A", "B", "C", "A", "C", "B"),
+                inst=InstAst(("A", "B", "C", "A", "C", "B")),
                 refs=(REFL, LBL("h1"), REFL),
                 line=1,
             ),
@@ -215,9 +254,9 @@ def test_conclusion_must_match_schema():
         steps=(
             RuleStep(
                 label="s1",
-                fact=seg_eq(segment(P("A"), P("B")), segment(P("A"), P("C"))),
+                fact=FactAst("seg_eq", ("A", "B", "A", "C")),
                 rule_id="SAS_ORD",
-                points=("A", "B", "C", "A", "C", "B"),
+                inst=InstAst(("A", "B", "C", "A", "C", "B")),
                 refs=(LBL("h1"), LBL("h1"), REFL),
                 line=1,
             ),
@@ -233,9 +272,9 @@ def test_degenerate_instantiation_fails():
         steps=(
             RuleStep(
                 label="s1",
-                fact=ang_eq(angle(P("A"), P("B"), P("C")), angle(P("A"), P("C"), P("B"))),
+                fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
                 rule_id="SAS_ORD",
-                points=("A", "A", "C", "A", "C", "A"),
+                inst=InstAst(("A", "A", "C", "A", "C", "A")),
                 refs=(LBL("h1"), LBL("h1"), REFL),
                 line=1,
             ),
@@ -305,9 +344,9 @@ def test_nc_transfer_probe_derives_side_condition():
         steps=(
             RuleStep(
                 label="s1",
-                fact=ang_eq(angle(P("A"), P("D"), P("C")), angle(P("A"), P("C"), P("D"))),
+                fact=FactAst("ang_eq", ("A", "D", "C", "A", "C", "D")),
                 rule_id="SAS_ORD",
-                points=("A", "D", "C", "A", "C", "D"),
+                inst=InstAst(("A", "D", "C", "A", "C", "D")),
                 refs=(LBL("h3"), LBL("h3"), REFL),
                 line=1,
             ),
@@ -385,9 +424,9 @@ def test_extend_records_both_facts():
     # both recorded facts are citable: B between A,D and seg B,D == seg A,B
     s2 = RuleStep(
         label="s2",
-        fact=seg_lt(segment(P("A"), P("B")), segment(P("A"), P("D"))),
+        fact=FactAst("seg_lt", ("A", "B", "A", "D")),
         rule_id="WHOLE_PART_SEG",
-        points=("A", "B", "D"),
+        inst=InstAst(("A", "B", "D")),
         refs=(LBL("e1"),),
         line=2,
     )
@@ -410,9 +449,9 @@ def test_absurd_outside_case_analysis_fails():
         steps=(
             RuleStep(
                 label="s1",
-                fact=ABSURD,
+                fact=FactAst("absurd"),
                 rule_id="ABSURD_LT_EQ_SEG",
-                points=("A", "B", "C", "D"),
+                inst=InstAst(("A", "B", "C", "D")),
                 refs=(LBL("h1"), LBL("h2")),
                 line=1,
             ),
@@ -437,9 +476,9 @@ def test_cases_branch_assumptions_and_closure():
     )
     mk_absurd = lambda which: RuleStep(
         label=f"{which}1",
-        fact=ABSURD,
+        fact=FactAst("absurd"),
         rule_id="ABSURD_LT_EQ_SEG",
-        points=("A", "B", "C", "D") if which == "l" else ("C", "D", "A", "B"),
+        inst=InstAst(("A", "B", "C", "D") if which == "l" else ("C", "D", "A", "B")),
         refs=(
             LBL("c1.lt") if which == "l" else LBL("c1.gt"),
             LBL("h1") if which == "l" else Ref("sym", "h1"),
@@ -595,9 +634,9 @@ def test_sym_ref_flips_equality():
         steps=(
             RuleStep(
                 label="s1",
-                fact=seg_eq(segment(P("A"), P("B")), segment(P("E"), P("F"))),
+                fact=FactAst("seg_eq", ("A", "B", "E", "F")),
                 rule_id="SEG_TRANS",
-                points=("A", "B", "C", "D", "E", "F"),
+                inst=InstAst(("A", "B", "C", "D", "E", "F")),
                 refs=(Ref("sym", "h1"), LBL("h2")),
                 line=1,
             ),

@@ -13,14 +13,22 @@ from ponscheck.script import (
     FactAst,
     InstAst,
     ParseError,
-    RuleStepAst,
     ScriptAst,
     TheoremAst,
     format_script,
     parse,
     parse_conjecture,
 )
-from ponscheck.kernel import CaseBranch, CasesStep, ExtendStep, LayoffStep, LemmaStep, Ref
+from ponscheck.kernel import (
+    CaseBranch,
+    CasesStep,
+    ExtendStep,
+    LayoffStep,
+    LemmaStep,
+    Proof,
+    Ref,
+    RuleStep,
+)
 
 BASIC = """\
 # base angles of an isosceles triangle
@@ -46,14 +54,15 @@ def test_basic_theorem_parses():
     assert thm.points == ("A", "B", "C")
     assert [a.label for a in thm.assumes] == ["h1", "h2"]
     assert thm.shows[0].kind == "ang_eq"
-    assert thm.steps is not None and len(thm.steps) == 1
-    step = thm.steps[0]
-    assert isinstance(step, RuleStepAst)
-    assert step.rule == "SAS_ORD"
+    assert thm.proof is not None and len(thm.proof.steps) == 1
+    step = thm.proof.steps[0]
+    assert isinstance(step, RuleStep)
+    assert step.rule_id == "SAS_ORD"
     assert step.inst.points == ("A", "B", "C", "A", "C", "B")
     assert step.inst.triples
     assert step.refs == (Ref("label", "h1"), Ref("label", "h1"), Ref("refl"))
-    assert thm.qed_refs == (Ref("label", "s1"),)
+    assert thm.proof.qed_refs == (Ref("label", "s1"),)
+    assert thm.proof.line == 10
 
 
 def test_between_fact_reorders_to_mid_first():
@@ -206,10 +215,10 @@ def _draw_steps(draw, labels, depth, min_size):
             triples = draw(st.booleans())
             inst_pts = draw(_distinct(5)) + ("F",) if triples else draw(_distinct(3))
             steps.append(
-                RuleStepAst(
+                RuleStep(
                     label=label,
                     fact=draw(_fact),
-                    rule=draw(st.sampled_from(["SAS_ORD", "SEG_TRANS", "ARM_SUBST"])),
+                    rule_id=draw(st.sampled_from(["SAS_ORD", "SEG_TRANS", "ARM_SUBST"])),
                     inst=InstAst(points=inst_pts, triples=triples),
                     refs=draw(_refs),
                 )
@@ -244,13 +253,10 @@ def _theorems(draw):
         AssumeAst(label=f"h{i+1}", fact=draw(_fact)) for i in range(n_assumes)
     )
     shows = tuple(draw(st.lists(_fact, min_size=1, max_size=2)))
-    has_proof = draw(st.booleans())
-    steps = None
-    qed = ()
-    if has_proof:
+    proof = None
+    if draw(st.booleans()):
         # a proof block must contain at least one step to parse
-        steps = tuple(_draw_steps(draw, [], 0, 1))
-        qed = draw(_refs)
+        proof = Proof(tuple(_draw_steps(draw, [], 0, 1)), draw(_refs))
     return TheoremAst(
         name=draw(st.sampled_from(["t1", "lemma_x", "claim"])),
         # the grammar requires at least one tag, so () is unreachable
@@ -260,8 +266,7 @@ def _theorems(draw):
         assumes=assumes,
         shows=shows,
         uses=draw(st.sampled_from([(), ("other",), ("other", "third")])),
-        steps=steps,
-        qed_refs=qed,
+        proof=proof,
     )
 
 
@@ -314,13 +319,14 @@ theorem build
 """
     ast = parse(text)
     thm = ast.items[0]
-    assert [type(s) for s in thm.steps] == [ExtendStep, LayoffStep, LemmaStep, CasesStep]
-    assert thm.steps[0].seg == ("A", "B") and thm.steps[3].right == ("C", "D")
-    assert type(thm.steps[3].branches[0]) is CaseBranch
+    steps = thm.proof.steps
+    assert [type(s) for s in steps] == [ExtendStep, LayoffStep, LemmaStep, CasesStep]
+    assert steps[0].seg == ("A", "B") and steps[3].right == ("C", "D")
+    assert type(steps[3].branches[0]) is CaseBranch
     assert parse(format_script(ast)) == ast
-    # the elaborator passes the construction and lemma steps through as parsed
+    # the elaborator passes the parsed proof through as it is
     (block,) = elaborate_script(ast)
-    assert all(e is s for e, s in zip(block.proof.steps[:3], thm.steps))
+    assert block.proof is thm.proof
 
 
 def test_elaborated_statement_is_the_registrys():
