@@ -7,13 +7,13 @@ Subcommands:
   parse   syntax check, optionally dumping the canonical form
 
 `check`, `deps` and `model` render one list of rows: `_rows` parses the
-inputs, rejects an unknown conjecture, builds every statement, checks
-every proof in the kernel once, and returns the dependency graph with one
-`Row` per block, then per conjecture.  A name a proof gets wrong fails
-that proof's block only; an error in a statement or a theorem name
-defined twice stops the command.  `check` prints their
-statuses, `deps` their classifications, `model` their model checks, and
-`--json` the rows themselves.
+inputs, rejects an unknown conjecture or a block name defined twice,
+builds every statement, checks every proof in the kernel once, and
+returns the dependency graph with one `Row` per block, then per
+conjecture.  A bad statement, or a name a proof gets wrong, fails that
+block only.  `check` prints their statuses, `deps` their
+classifications, `model` their model checks, and `--json` the rows
+themselves.
 
 The numeric layer (`models`, `geometry`) is imported for `model` only, so
 a fresh `check`, `deps` or `parse` process never loads it.  `model_check`
@@ -21,8 +21,8 @@ and `model_check_conjecture` import `models` and delegate to it only
 because perfbench's tracer patches them here; they can go once it stops.
 
 Exit codes: 0 success, 1 failed proofs / cyclic checked theorems /
-model-check failures, 2 syntax or usage or IO errors (including a file
-that is not UTF-8).
+model-check failures / a block name defined twice, 2 syntax or usage or
+IO errors (including a file that is not UTF-8).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Se
 from . import MODEL_NAMES, UnknownConjecture, __version__, check_conjecture
 from .corpus import ENTRIES, load_text
 from .depgraph import CYCLIC, EUCLIDEAN_ONLY, Graph, emit_dot, graph_from_blocks
-from .elaborate import ElaborationError, collect_statements, elaborate_script
-from .kernel import CheckReport, TheoremStatement, check_proof
+from .elaborate import collect_statements, elaborate_script
+from .kernel import CheckReport, TheoremStatement, bad_statement, check_proof
 from .script import ConjectureAst, ParseError, ScriptAst, format_script, parse, parse_conjecture
 
 if TYPE_CHECKING:
@@ -109,33 +109,35 @@ def _rows(
     """Parse, elaborate and check the inputs once: the dependency graph and
     one row per block, then one per conjecture.  Given `runs` (the trials,
     seed and tolerance of `model`), each row is bound to its model check."""
-    asts: List[ScriptAst] = []
+    asts: List[Tuple[str, ScriptAst]] = []
     conjectures: List[ConjectureAst] = []
-    for name, text in _read_sources(args.files, args.corpus):
-        tree = _parse(name, text)
+    for source, text in _read_sources(args.files, args.corpus):
+        tree = _parse(source, text)
         if isinstance(tree, ScriptAst):
-            asts.append(tree)
+            asts.append((source, tree))
             continue
         try:
             check_conjecture(tree.name, tree.points)
         except UnknownConjecture as exc:
             raise CliError(2, f"unknown conjecture {exc}") from exc
         conjectures.append(tree)
+    where: Dict[str, str] = {}  # block name -> file:line
+    for source, ast in asts:
+        for item in ast.items:
+            here = f"{source}:{item.line}"
+            if item.name in where:
+                raise CliError(1, f"{item.name} is defined twice: {where[item.name]} and {here}")
+            where[item.name] = here
     registry: Dict[str, TheoremStatement] = {}
-    try:
-        for ast in asts:
-            for name, stmt in collect_statements(ast).items():
-                if name in registry:
-                    raise CliError(1, f"theorem {name} defined in more than one file")
-                registry[name] = stmt
-    except ElaborationError as exc:
-        raise CliError(1, f"elaboration error: {exc}") from exc
-    blocks = [b for ast in asts for b in elaborate_script(ast, registry)]
-    reports = {
-        b.name: check_proof(b.statement, b.proof, registry, strict=strict)
-        for b in blocks
-        if b.proof is not None and b.statement is not None
-    }
+    for _, ast in asts:
+        registry.update(collect_statements(ast))
+    blocks = [b for _, ast in asts for b in elaborate_script(ast, registry)]
+    reports: Dict[str, CheckReport] = {}
+    for b in blocks:
+        if b.error:
+            reports[b.name] = bad_statement(b.name, b.error)
+        elif b.proof is not None:
+            reports[b.name] = check_proof(b.statement, b.proof, registry, strict=strict)
     graph = graph_from_blocks(blocks, reports)
     rows: List[Row] = []
     for b in blocks:

@@ -1,17 +1,17 @@
 """Dependency bookkeeping for theorems, lemmas, rules, and postulates.
 
-Checked proofs contribute edges to the rules and lemmas they invoked;
-stated-only blocks contribute their declared `uses`.  On top of the
-graph sit three questions: which axioms does a result ultimately rest
-on, does its justification loop back on itself, and does it survive
-outside euclidean geometry.
+graph_from_blocks builds the graph in one pass: checked proofs contribute
+edges to the rules and lemmas they invoked, stated-only blocks their
+declared `uses`.  On top of the graph sit three questions: which axioms
+does a result ultimately rest on, does its justification loop back on
+itself, and does it survive outside euclidean geometry.
 """
 
 from __future__ import annotations
 
 import re
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from .elaborate import ElaboratedBlock
@@ -23,18 +23,6 @@ EUCLIDEAN_ONLY = "EUCLIDEAN_ONLY"
 CYCLIC = "CYCLIC"
 
 
-class DepGraphError(Exception):
-    pass
-
-
-class DuplicateNode(DepGraphError):
-    pass
-
-
-class UnknownNode(DepGraphError):
-    pass
-
-
 @node
 class Node(NamedTuple):
     name: str
@@ -43,55 +31,20 @@ class Node(NamedTuple):
 
 
 class Graph:
-    """Directed graph, edges pointing from a result to what it uses."""
+    """Directed graph, edges pointing from a result to what it uses.
+    `edges` maps every node's name to the sorted names of the nodes it
+    uses.  The graph is never changed, so its cycles are found once."""
 
-    def __init__(self) -> None:
-        self.nodes: Dict[str, Node] = {}
-        self._edges: Dict[str, Tuple[str, ...]] = {}
-        self._placeholders: Set[str] = set()
-        self._cycles: Optional[Tuple[Tuple[str, ...], ...]] = None  # found on first use
-
-    def register(
-        self,
-        name: str,
-        kind: str,
-        tags: Iterable[str] = (),
-        uses: Sequence[str] = (),
-    ) -> "Graph":
-        if kind not in ("axiom", "theorem", "declared"):
-            raise ValueError(f"bad node kind {kind!r}")
-        node = Node(name, kind, frozenset(t.upper() for t in tags))
-        edges = tuple(sorted(dict.fromkeys(uses)))
-        if kind == "axiom" and edges:
-            raise ValueError(f"axiom {name} cannot have uses edges")
-        if name in self.nodes and name not in self._placeholders:
-            if self.nodes[name] == node and self._edges[name] == edges:
-                return self  # same registration, nothing to do
-            raise DuplicateNode(f"conflicting registration for {name}")
-        self._cycles = None
-        self.nodes[name] = node
-        self._edges[name] = edges
-        self._placeholders.discard(name)
-        for target in edges:
-            if target not in self.nodes:
-                self.nodes[target] = Node(target, "declared")
-                self._edges[target] = ()
-                self._placeholders.add(target)
-        return self
-
-    def edges_from(self, name: str) -> Tuple[str, ...]:
-        self._require(name)
-        return self._edges[name]
+    def __init__(self, nodes: Dict[str, Node], edges: Dict[str, Tuple[str, ...]]) -> None:
+        self.nodes = nodes
+        self._edges = edges
+        self._cycles = self._find_cycles()
+        self.cyclic = frozenset(n for cyc in self._cycles for n in cyc)  # their nodes
 
     def all_edges(self) -> Tuple[Tuple[str, str], ...]:
         return tuple(
             (src, dst) for src in sorted(self._edges) for dst in self._edges[src]
         )
-
-    def _require(self, name: str) -> Node:
-        if name not in self.nodes:
-            raise UnknownNode(name)
-        return self.nodes[name]
 
     # -- reachability and cycles
 
@@ -109,12 +62,9 @@ class Graph:
         """Strongly connected components that are genuinely circular:
         two or more nodes, or a single node using itself.  Each cycle is
         name-sorted; cycles are sorted by first element."""
-        return list(self._find_cycles())
+        return list(self._cycles)
 
     def _find_cycles(self) -> Tuple[Tuple[str, ...], ...]:
-        """The cycles, computed once per graph state."""
-        if self._cycles is not None:
-            return self._cycles
         order: List[str] = []
         seen: Set[str] = set()
         for root in sorted(self.nodes):
@@ -159,14 +109,9 @@ class Graph:
             for comp in components
             if len(comp) > 1 or comp[0] in self._edges[comp[0]]
         ]
-        self._cycles = tuple(sorted(cycles, key=lambda c: c[0]))
-        return self._cycles
-
-    def cyclic_nodes(self) -> FrozenSet[str]:
-        return frozenset(n for cyc in self._find_cycles() for n in cyc)
+        return tuple(sorted(cycles, key=lambda c: c[0]))
 
     def axiom_basis(self, name: str) -> Tuple[str, ...]:
-        self._require(name)
         return tuple(
             sorted(
                 n for n in self._reachable(name) if self.nodes[n].kind == "axiom"
@@ -174,9 +119,8 @@ class Graph:
         )
 
     def classify(self, name: str) -> str:
-        self._require(name)
         reach = self._reachable(name)
-        if reach & self.cyclic_nodes():
+        if reach & self.cyclic:
             return CYCLIC
         for n in reach:
             node = self.nodes[n]
@@ -193,29 +137,32 @@ def graph_from_blocks(
     blocks: Sequence[ElaboratedBlock],
     reports: Optional[Mapping[str, CheckReport]] = None,
 ) -> Graph:
-    """Assemble the graph for a batch of blocks.  `reports` supplies the
-    precise dependencies (rules fired, lemmas invoked) of every checked
-    proof; stated-only blocks fall back to their written uses list.  A
-    declare with no uses is taken as a postulate."""
+    """The graph of uniquely named blocks.  `reports` supplies the precise
+    dependencies (rules fired, lemmas invoked) of every checked proof;
+    stated-only blocks fall back to their written uses list.  A declare
+    with no uses is a postulate, and so is a used proof rule that is not
+    a block; any other used name is a declared result."""
     reports = reports or {}
-    graph = Graph()
-    names = {block.name for block in blocks}
+    nodes: Dict[str, Node] = {}
+    edges: Dict[str, Tuple[str, ...]] = {}
     for block in blocks:
-        uses = list(block.uses)
         report = reports.get(block.name)
+        uses = block.uses
         if report is not None:
-            uses.extend(report.uses)
-            kind = "theorem"
+            kind, uses = "theorem", uses + report.uses
         elif block.statement is not None or uses:
             kind = "declared"
         else:
             kind = "axiom"
-        graph.register(block.name, kind, block.tags, tuple(dict.fromkeys(uses)))
-    # every used proof rule that is not itself a block is a neutral postulate
-    for rule_id in sorted(RULES):
-        if rule_id in graph.nodes and rule_id not in names:
-            graph.register(rule_id, "axiom", (NEUTRAL,))
-    return graph
+        nodes[block.name] = Node(block.name, kind, frozenset(t.upper() for t in block.tags))
+        edges[block.name] = tuple(sorted(set(uses)))
+    for name in {n for uses in edges.values() for n in uses} - nodes.keys():
+        if name in RULES:
+            nodes[name] = Node(name, "axiom", frozenset({NEUTRAL}))
+        else:
+            nodes[name] = Node(name, "declared")
+        edges[name] = ()
+    return Graph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +182,7 @@ def emit_dot(graph: Graph) -> str:
     axioms boxed, plain nodes styled by kind."""
     if not graph.nodes:
         return "digraph deps { }"
-    cyclic = graph.cyclic_nodes()
+    cyclic = graph.cyclic
     lines = ["digraph deps {"]
     for name in sorted(graph.nodes):
         node = graph.nodes[name]

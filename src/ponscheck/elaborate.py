@@ -3,28 +3,26 @@
 The elaborator builds each theorem's statement from its written facts and
 pairs it with the proof the parser built.  It walks no proof: the kernel
 alone resolves the names a proof uses, so a name error fails only its
-own block.
+own block.  A statement that cannot be built (a degenerate fact) or that
+names a point out of scope (kernel.check_statement) becomes its block's
+error, so it too fails only its own block.  Block names are unique
+across the inputs; cli._rows checks that before elaborating.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import script as S
-from .kernel import FactAst, Proof, TheoremStatement
-from .terms import Fact, written_fact
-
-
-class ElaborationError(Exception):
-    def __init__(self, message: str, line: int = 0):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
+from .kernel import Proof, TheoremStatement, check_statement
+from .terms import written_fact
 
 
 class ElaboratedBlock(NamedTuple):  # equal only with the same line, so no node
     """One script block, ready for checking and dependency analysis.
 
-    `statement` is None for bare `declare` blocks; `proof` is None for
+    `statement` is None for bare `declare` blocks and for a theorem whose
+    statement is bad, which `error` then explains; `proof` is None for
     statements given without one (both act as stubs in the graph).
     """
 
@@ -34,46 +32,29 @@ class ElaboratedBlock(NamedTuple):  # equal only with the same line, so no node
     statement: Optional[TheoremStatement]
     proof: Optional[Proof]
     line: int = 0
-
-
-def _statement_fact(fa: FactAst, known_points: Set[str], line: int) -> Fact:
-    for name in fa.points:
-        if name not in known_points:
-            raise ElaborationError(f"unknown point {name}", line)
-    try:
-        return written_fact(*fa)
-    except ValueError as exc:
-        raise ElaborationError(f"degenerate fact: {exc}", line) from exc
+    error: str = ""
 
 
 def make_statement(block: S.TheoremAst) -> TheoremStatement:
-    given = set(block.points)
-    full = given | set(block.introduces)
-    hypotheses = tuple(
-        (a.label, _statement_fact(a.fact, given, a.line)) for a in block.assumes
-    )
-    conclusions = tuple(_statement_fact(f, full, block.line) for f in block.shows)
-    return TheoremStatement(
+    """The statement a theorem block writes.  Raises ValueError when a
+    fact is degenerate or names a point out of scope."""
+    statement = TheoremStatement(
         name=block.name,
         tags=frozenset(block.tags),
         points=tuple(block.points),
-        hypotheses=hypotheses,
-        conclusions=conclusions,
+        hypotheses=tuple((a.label, written_fact(*a.fact)) for a in block.assumes),
+        conclusions=tuple(written_fact(*f) for f in block.shows),
         introduced=tuple(block.introduces),
         uses=tuple(block.uses),
     )
+    check_statement(statement)
+    return statement
 
 
 def collect_statements(ast: S.ScriptAst) -> Dict[str, TheoremStatement]:
-    """First pass: statements of every theorem block, keyed by name.
-    Used as the lemma registry before any proof is checked."""
-    out: Dict[str, TheoremStatement] = {}
-    for item in ast.items:
-        if isinstance(item, S.TheoremAst):
-            if item.name in out:
-                raise ElaborationError(f"duplicate theorem name {item.name}", item.line)
-            out[item.name] = make_statement(item)
-    return out
+    """First pass: every good theorem statement, keyed by name.  Used as
+    the lemma registry before any proof is checked."""
+    return {b.name: b.statement for b in elaborate_script(ast) if b.statement is not None}
 
 
 def elaborate_script(
@@ -81,13 +62,21 @@ def elaborate_script(
     registry: Optional[Mapping[str, TheoremStatement]] = None,
 ) -> List[ElaboratedBlock]:
     """Second pass: statement and proof for every block.  `registry` (from
-    collect_statements over all input files) supplies each block's
-    statement, built there once; without it, each is built here."""
+    collect_statements over all input files) supplies the statements built
+    there; any other is built here."""
     blocks: List[ElaboratedBlock] = []
     for item in ast.items:
         statement = proof = None
+        error = ""
         if isinstance(item, S.TheoremAst):
-            statement = (registry or {}).get(item.name) or make_statement(item)
             proof = item.proof
-        blocks.append(ElaboratedBlock(item.name, item.tags, item.uses, statement, proof, item.line))
+            statement = (registry or {}).get(item.name)
+            if statement is None:
+                try:
+                    statement = make_statement(item)
+                except ValueError as exc:
+                    error = str(exc)
+        blocks.append(
+            ElaboratedBlock(item.name, item.tags, item.uses, statement, proof, item.line, error)
+        )
     return blocks

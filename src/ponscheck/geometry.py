@@ -190,6 +190,11 @@ class PoincareModel(Model):
     min_separation = 0.25
     max_leg = 0.9
     sample_radius = 0.9  # euclidean radius of the sampled disk
+    # Hyperbolic radius of the working domain.  Float error in a construction
+    # grows like e^R at distance R from the centre; a sound two-extend proof
+    # first failed at R <= 9, so the bound keeps a margin of 2 below that.
+    max_radius = 7.0
+    _domain_r2 = math.tanh(max_radius / 2) ** 2  # its euclidean radius, squared
 
     def validate(self, p: Vec) -> None:
         if len(p) != 2 or not all(math.isfinite(c) for c in p):
@@ -240,6 +245,10 @@ class PoincareModel(Model):
 
     def tangent_dot(self, p: Vec, u, v) -> float:
         return minkowski_dot(u, v)
+
+    def in_domain(self, p: Vec) -> bool:
+        """Within hyperbolic distance max_radius of the centre."""
+        return p[0] * p[0] + p[1] * p[1] <= self._domain_r2
 
     def in_sample_region(self, p: Vec) -> bool:
         return math.hypot(p[0], p[1]) <= self.sample_radius

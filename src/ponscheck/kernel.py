@@ -49,9 +49,6 @@ from .terms import (
     Fact,
     LineTable,
     NonCollinear,
-    ORIGIN_CONSTRUCTED,
-    ORIGIN_HYPOTHESIS,
-    ORIGIN_LEMMA,
     PointId,
     SegEq,
     SegLt,
@@ -318,7 +315,7 @@ class ProofState:
         self.trail = Trail()
         self.known: Set[Fact] = set()
         self.facts: Dict[str, Tuple[Fact, ...]] = {}
-        self.points: Dict[PointId, str] = {}  # name -> origin
+        self.points: Set[PointId] = set()
         self.lines = LineTable(self.trail)
         self.noncollinear: Dict[str, List[NonCollinear]] = {}  # by point name
         self.assumptions: List[Tuple[str, Fact]] = []
@@ -328,11 +325,11 @@ class ProofState:
             raise KernelError(f"point {name} is not in scope")
         return name
 
-    def bind_point(self, name: str, origin: str) -> PointId:
+    def bind_point(self, name: str) -> PointId:
         if name in self.points:
             raise KernelError(f"point name {name} already in scope")
-        self.points[name] = origin
-        self.trail.append((dict.pop, self.points, name))
+        self.points.add(name)
+        self.trail.append((set.discard, self.points, name))
         return name
 
     def add_label(self, label: str, facts: Sequence[Fact]) -> None:
@@ -366,7 +363,7 @@ def initial_state(statement: TheoremStatement) -> ProofState:
     check_statement(statement)
     state = ProofState()
     for name in statement.points:
-        state.bind_point(name, ORIGIN_HYPOTHESIS)
+        state.bind_point(name)
     for label, fact in statement.hypotheses:
         state.add_label(label, (fact,))
     return state
@@ -639,7 +636,7 @@ def apply_construction(
     else:
         for name in (*step.seg, step.a, step.b):
             state.point(name)
-    state.bind_point(step.fresh, ORIGIN_CONSTRUCTED)
+    state.bind_point(step.fresh)
     return _derived(step, ctx)
 
 
@@ -664,7 +661,7 @@ def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ..
         if mapped not in state.known:
             raise HypothesisNotSatisfied(f"lemma {lemma.name} needs {mapped!r}")
     for name in step.fresh:
-        state.bind_point(name, ORIGIN_LEMMA)
+        state.bind_point(name)
     facts = _derived(step, ctx)
     ctx.lemma_uses.append(lemma.name)
     return facts
@@ -730,6 +727,12 @@ def _run_steps(state: ProofState, steps: Sequence[Step], ctx: _Ctx) -> None:
         ctx.results.append(StepResult(step.label, True, "", step.line))
 
 
+def bad_statement(name: str, error: object) -> CheckReport:
+    """The report on a block whose statement cannot be built or names a
+    point out of scope."""
+    return CheckReport(name, "failed", error=f"bad statement: {error}")
+
+
 def check_proof(
     statement: TheoremStatement,
     proof: Proof,
@@ -745,7 +748,7 @@ def check_proof(
     try:
         state = initial_state(statement)
     except (ValueError, KernelError) as exc:
-        return CheckReport(statement.name, "failed", error=f"bad statement: {exc}")
+        return bad_statement(statement.name, exc)
     error = None
     try:
         _run_steps(state, proof.steps, ctx)

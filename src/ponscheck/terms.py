@@ -29,10 +29,6 @@ from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, 
 
 PointId = str  # a point is its name
 
-ORIGIN_HYPOTHESIS = "hypothesis"
-ORIGIN_CONSTRUCTED = "constructed"
-ORIGIN_LEMMA = "lemma-introduced"
-
 _new = tuple.__new__
 
 

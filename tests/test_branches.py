@@ -144,7 +144,7 @@ def _snapshot(state):
     return (
         set(state.known),
         dict(state.facts),
-        dict(state.points),
+        set(state.points),
         state.lines.lines,
         {k: list(v) for k, v in state.noncollinear.items() if v},
         list(state.assumptions),

@@ -96,6 +96,96 @@ def test_a_failed_qed_names_its_own_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["check", "deps", "model"])
+@pytest.mark.parametrize("tag", ["euclidean", "neutral"], ids=["conflicting", "identical"])
+def test_a_repeated_declare_is_one_message(tmp_path, capsys, command, tag):
+    p = tmp_path / "twice.proof"
+    p.write_text(f"declare foo\n  tags: neutral\n\ndeclare foo\n  tags: {tag}\n")
+    assert main([command, str(p)]) == 1
+    assert capsys.readouterr() == ("", f"ponscheck: foo is defined twice: {p}:1 and {p}:4\n")
+
+
+@pytest.mark.parametrize("command", ["check", "deps", "model"])
+def test_a_theorem_and_a_declare_may_not_share_a_name(tmp_path, capsys, command):
+    p = tmp_path / "shared.proof"
+    p.write_text(GOOD + "\ndeclare mirror_pons\n  tags: neutral\n")
+    assert main([command, str(p)]) == 1
+    assert capsys.readouterr() == (
+        "", f"ponscheck: mirror_pons is defined twice: {p}:1 and {p}:11\n"
+    )
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-file", "two-files"])
+def test_a_theorem_defined_twice_is_one_message(tmp_path, capsys, split):
+    a, b = tmp_path / "a.proof", tmp_path / "b.proof"
+    a.write_text(GOOD if split else GOOD + "\n" + GOOD)
+    b.write_text(GOOD if split else "")
+    assert main(["check", str(a), str(b)]) == 1
+    repeat = f"{b}:1" if split else f"{a}:11"
+    assert capsys.readouterr() == (
+        "", f"ponscheck: mirror_pons is defined twice: {a}:1 and {repeat}\n"
+    )
+
+
+BAD_STATEMENT = """\
+theorem bad_stmt
+  tags: neutral
+  points A B
+  assume h1: seg A B == seg A X
+  show seg A B == seg A B
+"""
+DEGENERATE_STATEMENT = BAD_STATEMENT.replace(
+    "seg A B == seg A X\n  show seg A B == seg A B", "seg A B == seg A B\n  show seg A A == seg A B"
+)
+BAD_STATEMENT_ERRORS = {
+    BAD_STATEMENT: "bad statement: bad_stmt: hypothesis h1 mentions undeclared point X",
+    DEGENERATE_STATEMENT: "bad statement: segment endpoints coincide: A",
+}
+
+
+@pytest.mark.parametrize("bad", BAD_STATEMENT_ERRORS, ids=["unknown-point", "degenerate"])
+def test_a_bad_statement_fails_only_its_own_block(tmp_path, capsys, bad):
+    p = tmp_path / "two.proof"
+    p.write_text(GOOD.replace("mirror_pons", "good") + "\n" + bad)
+    assert main(["check", "--corpus", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "good: ok" in lines and "euclid_i5: ok" in lines
+    failed = lines.index("bad_stmt: failed")
+    assert lines[failed + 1] == "  error: " + BAD_STATEMENT_ERRORS[bad]
+    assert [line for line in lines if line.startswith("  ")] == [lines[failed + 1]]
+
+    assert main(["deps", str(p)]) == 0
+    assert capsys.readouterr() == ("good: NEUTRAL\nbad_stmt: NEUTRAL\n", "")
+    assert main(["model", "--trials", "5", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "good [euclidean] trials=5 failures=0 skipped=0" in captured.out
+    assert "bad_stmt [poincare] proof-failed" in captured.out.splitlines()
+    assert main(["check", "--json", str(p)]) == 1
+    rows = json.loads(capsys.readouterr().out)["theorems"]
+    assert [(row["name"], row["status"]) for row in rows] == [("good", "ok"), ("bad_stmt", "failed")]
+
+
+def test_a_proof_citing_a_bad_statement_fails_at_that_step(tmp_path, capsys):
+    p = tmp_path / "cites.proof"
+    p.write_text(
+        BAD_STATEMENT
+        + "\ntheorem cites\n  tags: neutral\n  points A B\n  show seg A B == seg A B\n"
+        "  proof\n    l1: lemma bad_stmt(A,B)\n    r1: seg A B == seg A B by SEG_REFL[A,B] from refl\n"
+        "  qed from r1\n"
+    )
+    assert main(["check", str(p)]) == 1
+    assert capsys.readouterr() == (
+        "bad_stmt: failed\n"
+        f"  error: {BAD_STATEMENT_ERRORS[BAD_STATEMENT]}\n"
+        "cites: failed\n"
+        "  step l1 (line 12): KernelError: unknown lemma bad_stmt\n",
+        "",
+    )
+
+
 def test_check_syntax_error_exits_two(tmp_path, capsys):
     p = tmp_path / "broken.proof"
     p.write_text(BAD_SYNTAX)
@@ -789,8 +879,9 @@ def test_model_conjecture_failure_in_flat_model_fails(capsys):
 
 # sha256 of stdout, recorded before the numeric layer shared draws and
 # distance tables, and the --tol row before its checks were compiled into
-# plans (CPython 3.11, x86-64 Linux, glibc libm).  A change that
-# alters any number `model` prints must say why; see ROADMAP aim 1.
+# plans (CPython 3.11, x86-64 Linux, glibc libm); the seed-3 row since the
+# disk's working domain skips one euclid_i5 trial.  A change that alters
+# any number `model` prints must say why; see ROADMAP aim 1.
 MODEL_DIGESTS = [
     (
         ["--json", "--model", "all", "--trials", "40", "--seed", "0"],
@@ -798,7 +889,7 @@ MODEL_DIGESTS = [
     ),
     (
         ["--trials", "40", "--seed", "3"],
-        "9a6aae8ba0a0aae757246af815e8d3d77e0302986bcaad84edf44eaaf23bb371",
+        "605d7df3043545e110328ac80aab2c8ed61a60fdf2691a09fbdc926d7b43ef67",
     ),
     (
         ["--json", "--model", "all", "--trials", "40", "--seed", "5", "--tol", "1e-6"],

@@ -5,29 +5,29 @@ import itertools
 import random
 from typing import Dict, List, Sequence, Set, Tuple
 
-import pytest
-
 from ponscheck.depgraph import (
     CYCLIC,
     EUCLIDEAN_ONLY,
     NEUTRAL,
-    DuplicateNode,
     Graph,
-    UnknownNode,
+    Node,
     emit_dot,
     graph_from_blocks,
 )
 from ponscheck.elaborate import ElaboratedBlock
 
 
+def _blocks(**uses: Tuple[str, ...]) -> List[ElaboratedBlock]:
+    """Stated-only blocks: each keyword names a block and what it uses."""
+    return [ElaboratedBlock(name, (), targets, None, None) for name, targets in uses.items()]
+
+
 def _graph_of(n: int, edges: Sequence[Tuple[int, int]]) -> Graph:
-    adj: Dict[int, List[int]] = {i: [] for i in range(n)}
+    adj: Dict[int, List[str]] = {i: [] for i in range(n)}
     for src, dst in edges:
-        adj[src].append(dst)
-    g = Graph()
-    for i in range(n):
-        g.register(f"n{i}", "theorem", (), tuple(f"n{j}" for j in adj[i]))
-    return g
+        adj[src].append(f"n{dst}")
+    nodes = {f"n{i}": Node(f"n{i}", "theorem") for i in range(n)}
+    return Graph(nodes, {f"n{i}": tuple(sorted(set(adj[i]))) for i in range(n)})
 
 
 def _oracle_cycles(n: int, edges: Sequence[Tuple[int, int]]) -> List[Tuple[str, ...]]:
@@ -87,50 +87,27 @@ def test_cycles_match_oracle_random_larger():
         assert g.detect_cycles() == _oracle_cycles(n, edges), (n, edges)
 
 
-def test_register_is_idempotent_and_guards_conflicts():
-    g = Graph()
-    g.register("thm", "theorem", ("neutral",), ("lemma",))
-    g.register("thm", "theorem", ("neutral",), ("lemma",))  # identical: fine
-    with pytest.raises(DuplicateNode):
-        g.register("thm", "theorem", ("neutral",), ("lemma", "other"))
+LATTICE = dict(
+    ax_n=(),
+    ax_e=(),
+    plain=("ax_n",),
+    flat=("ax_e", "ax_n"),
+    loop_a=("loop_b", "ax_e"),
+    loop_b=("loop_a",),
+    onlooker=("loop_a",),
+)
 
 
-def test_placeholder_upgrades_to_real_node():
-    g = Graph()
-    g.register("thm", "theorem", (), ("helper",))
-    assert g.nodes["helper"].kind == "declared"
-    g.register("helper", "theorem", ("neutral",), ())
-    assert g.nodes["helper"].kind == "theorem"
-    assert g.edges_from("thm") == ("helper",)
-
-
-def test_axioms_cannot_have_uses():
-    with pytest.raises(ValueError):
-        Graph().register("ax", "axiom", (), ("anything",))
-    with pytest.raises(ValueError):
-        Graph().register("x", "banana")
-
-
-def test_unknown_node_errors():
-    g = Graph()
-    with pytest.raises(UnknownNode):
-        g.edges_from("ghost")
-    with pytest.raises(UnknownNode):
-        g.classify("ghost")
-    with pytest.raises(UnknownNode):
-        g.axiom_basis("ghost")
-
-
-def _lattice_graph() -> Graph:
-    g = Graph()
-    g.register("ax_n", "axiom", ("neutral",))
-    g.register("ax_e", "axiom", ("euclidean",))
-    g.register("plain", "theorem", (), ("ax_n",))
-    g.register("flat", "theorem", (), ("ax_e", "ax_n"))
-    g.register("loop_a", "theorem", (), ("loop_b", "ax_e"))
-    g.register("loop_b", "theorem", (), ("loop_a",))
-    g.register("onlooker", "theorem", (), ("loop_a",))
-    return g
+def _lattice_graph(order=tuple(LATTICE)) -> Graph:
+    """Two postulates (`declare` with no uses), one neutral and one
+    euclidean, and stated results above them, built in `order`."""
+    tags = {"ax_n": ("neutral",), "ax_e": ("euclidean",)}
+    return graph_from_blocks(
+        [
+            ElaboratedBlock(name, tags.get(name, ()), LATTICE[name], None, None)
+            for name in order
+        ]
+    )
 
 
 def test_classification_lattice():
@@ -154,8 +131,7 @@ def test_axiom_basis_is_sorted_reachable_axioms():
 
 
 def test_self_loop_is_a_cycle():
-    g = Graph()
-    g.register("ouro", "theorem", (), ("ouro",))
+    g = graph_from_blocks(_blocks(ouro=("ouro",)))
     assert g.detect_cycles() == [("ouro",)]
     assert g.classify("ouro") == CYCLIC
 
@@ -173,14 +149,7 @@ def test_blocks_without_statement_or_uses_become_axioms():
 
 def test_dot_output_is_insertion_order_independent():
     g1 = _lattice_graph()
-    g2 = Graph()
-    g2.register("onlooker", "theorem", (), ("loop_a",))
-    g2.register("loop_b", "theorem", (), ("loop_a",))
-    g2.register("loop_a", "theorem", (), ("loop_b", "ax_e"))
-    g2.register("flat", "theorem", (), ("ax_e", "ax_n"))
-    g2.register("plain", "theorem", (), ("ax_n",))
-    g2.register("ax_e", "axiom", ("euclidean",))
-    g2.register("ax_n", "axiom", ("neutral",))
+    g2 = _lattice_graph(tuple(reversed(LATTICE)))
     assert emit_dot(g1) == emit_dot(g2)
     assert emit_dot(g1).startswith("digraph deps {")
     assert "color=red" in emit_dot(g1)
@@ -188,31 +157,32 @@ def test_dot_output_is_insertion_order_independent():
 
 
 def test_dot_empty_graph():
-    assert emit_dot(Graph()) == "digraph deps { }"
+    assert emit_dot(Graph({}, {})) == "digraph deps { }"
 
 
 def test_dot_quotes_awkward_names():
-    g = Graph()
-    g.register("has space", "theorem", (), ())
+    g = graph_from_blocks(_blocks(**{"has space": ()}))
     assert '"has space"' in emit_dot(g)
 
 
+def test_used_names_that_are_not_blocks_become_nodes():
+    g = graph_from_blocks(_blocks(thm=("SEG_REFL", "helper")))
+    assert g.nodes["SEG_REFL"] == Node("SEG_REFL", "axiom", frozenset({NEUTRAL}))
+    assert g.nodes["helper"] == Node("helper", "declared")
+    assert g.all_edges() == (("thm", "SEG_REFL"), ("thm", "helper"))
+
+
 def test_cycles_found_once_per_graph_state(monkeypatch):
-    g = Graph()
-    g.register("a", "theorem", (), ("b",))  # b is a placeholder so far
     passes = []
     original = Graph._find_cycles
 
     def counted(self):
-        passes.append(self._cycles is None)
+        passes.append(self)
         return original(self)
 
     monkeypatch.setattr(Graph, "_find_cycles", counted)
-    assert [g.classify(n) for n in ("a", "b")] == [NEUTRAL, NEUTRAL]
-    assert g.detect_cycles() == []
-    assert passes.count(True) == 1
-    # registering b closes a loop, so the stored answer must go
-    g.register("b", "theorem", (), ("a",))
+    g = graph_from_blocks(_blocks(a=("b",), b=("a",), c=("a",)))
+    assert [g.classify(n) for n in ("a", "b", "c")] == [CYCLIC] * 3
     assert g.detect_cycles() == [("a", "b")]
-    assert g.classify("a") == CYCLIC
-    assert passes.count(True) == 2
+    assert emit_dot(g).count("color=red") == 2
+    assert passes == [g]

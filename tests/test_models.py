@@ -374,6 +374,32 @@ def test_extend_off_the_hemisphere_is_rejected():
         realize_construction(SPHERE, {A: a, B: b}, step)
 
 
+RIM = """\
+theorem rim
+  tags: neutral
+  points A B C
+  assume h1: noncollinear A B C
+  show seg A B == seg A B
+  proof
+    e1: extend A B by seg A B as E
+    f1: extend A E by seg A B as F
+    r1: seg A B == seg A B by SEG_REFL[A,B] from refl
+  qed from r1
+"""
+
+
+def test_extends_toward_the_disk_rim_are_skipped_not_failed():
+    # float precision runs out near the rim: with the whole disk as its
+    # domain, 31 of these 1000 trials of a sound proof fail
+    (block,) = elaborate_script(parse(RIM))
+    rep = model_check(POINCARE, block.statement, block.proof.steps, 1000, seed=0)
+    assert rep.failures == 0
+    assert 0 < rep.skipped < rep.trials
+    bound = math.tanh(POINCARE.max_radius / 2)
+    assert POINCARE.in_domain((0.0, bound - 1e-9))
+    assert not POINCARE.in_domain((-bound - 1e-9, 0.0))
+
+
 def test_layoff_places_point_at_cited_length():
     inst = {A: (0.0, 0.0), B: (3.0, 0.0), C: (10.0, 0.0)}
     step = LayoffStep("l1", "C", "A", ("A", "B"), "D", refs=())
@@ -505,7 +531,8 @@ def test_kernel_and_replay_take_step_facts_from_one_function(monkeypatch, name):
         rep = model_check(
             POINCARE, block.statement, steps, trials=trials, seed=3, registry=registry
         )
-        assert rep.trials_run == trials
+        # one of euclid_i5's 40 trials walks out of the disk's working domain
+        assert rep.trials_run == trials - ((name, trials) == ("euclid_i5", 40))
         assert calls == [step.label for step in steps]
     monkeypatch.setattr(kernel, "step_facts", counting)
     del calls[:]
