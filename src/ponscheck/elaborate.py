@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import script as S
-from .kernel import Proof, TheoremStatement, check_statement
-from .terms import written_fact
+from .kernel import FactAst, Proof, TheoremStatement, check_statement
+from .terms import Fact, written_fact
 
 
 class ElaboratedBlock(NamedTuple):  # equal only with the same line, so no node
@@ -35,15 +35,24 @@ class ElaboratedBlock(NamedTuple):  # equal only with the same line, so no node
     error: str = ""
 
 
+def _fact(block: S.TheoremAst, where: str, line: int, fact: FactAst) -> Fact:
+    try:
+        return written_fact(*fact)
+    except ValueError as exc:
+        raise ValueError(f"{block.name}: {where} (line {line}): {exc}") from None
+
+
 def make_statement(block: S.TheoremAst) -> TheoremStatement:
     """The statement a theorem block writes.  Raises ValueError when a
-    fact is degenerate or names a point out of scope."""
+    fact is degenerate, naming the hypothesis and its line (a `show`, the
+    block's line), or when a fact names a point out of scope."""
+    hyps = [(a.label, _fact(block, f"hypothesis {a.label}", a.line, a.fact)) for a in block.assumes]
     statement = TheoremStatement(
         name=block.name,
         tags=frozenset(block.tags),
         points=tuple(block.points),
-        hypotheses=tuple((a.label, written_fact(*a.fact)) for a in block.assumes),
-        conclusions=tuple(written_fact(*f) for f in block.shows),
+        hypotheses=tuple(hyps),
+        conclusions=tuple(_fact(block, "show", block.line, f) for f in block.shows),
         introduced=tuple(block.introduces),
         uses=tuple(block.uses),
     )

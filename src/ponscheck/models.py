@@ -25,9 +25,10 @@ skipped unsampled.
 
 Each model's numeric profile (equality tolerance, sampling distances and
 region, working domain) lives on its Model class in geometry; MIN_ANGLE is
-the one sampling constant shared by all three.  There is one sampler: the
-rule soundness harness takes each rule's premises and side conditions as
-hypotheses and samples them with sample_instance's attempts.
+the one sampling constant shared by all three.  There is one sampler, which
+the rule soundness harness shares (a rule's premises and side conditions
+are its hypotheses); it never copies one triangle onto another, which
+would make every sample a congruent pair.
 """
 
 from __future__ import annotations
@@ -54,13 +55,12 @@ from .rules import RULES
 from .terms import (
     ABSURD,
     AngEq,
-    AngleTerm,
     Between,
     DegenerateAngle,
     Fact,
-    NonCollinear,
     PointId,
     SegEq,
+    between,
     fact_point_names,
     non_collinear,
 )
@@ -83,6 +83,9 @@ _MAX_ATTEMPTS = 1000
 # smallest angle a sampled noncollinear triangle may have; an opening the
 # sampler prescribes stays twice as far from 0 and pi
 MIN_ANGLE = 0.15
+# the ray a point slides along, in the model's legs (a longer one passes the
+# sphere's antipodes), and its far end's name, which no script point can have
+_SLIDE_LEGS, _RAY_END = 4.0, " end"
 _CORNERS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # angles at a, b, c by sides ab, ac, bc
 
 
@@ -212,7 +215,8 @@ class Plan:
     over value indices: the distances, then the angles in reverse order,
     so angle j is value ~j.  A guard plan also keeps the angles of each
     noncollinearity's triangle clear of 0 and pi, in opcodes after the
-    facts'."""
+    facts', and the sampler's build order: as written, but an angle
+    equality not of one triangle's base angles after every other fact."""
 
     def __init__(self, model: Model, facts: Sequence[Fact], tol: ToleranceProfile, guard=False):
         self.model, self.facts, self.tol = model, tuple(facts), tol
@@ -235,6 +239,8 @@ class Plan:
         self.angles = [[pairs.setdefault(key, len(pairs)) for key in _sides(v, p, q)]
                        for _, v, p, q in reversed(angles)]
         self.pairs = list(pairs)
+        if guard:
+            self.build = sorted(self.facts, key=lambda f: f[0] == "=a" and not _base_angle_apex(f))
 
     def run(self, v: List[float]) -> Optional[int]:
         """Index of the first failing opcode, or None; _EQ and _LT inline close and less."""
@@ -288,20 +294,15 @@ def eval_fact(
 # Instance sampling
 
 
-def _base_angle_apex(l: AngleTerm, r: AngleTerm) -> Optional[Tuple[PointId, PointId, PointId]]:
-    """Detect the two-base-angles-of-one-triangle pattern: angles at v
-    and w whose arms are each other plus a common apex.  Returns
-    (apex, v, w)."""
-    v, w = l.vertex, r.vertex
-    if v == w:
+def _base_angle_apex(fact: AngEq) -> Optional[Tuple[PointId, PointId, PointId]]:
+    """Detect the two-base-angles-of-one-triangle pattern: angles at v and
+    w over the same three points, the third their apex.  Returns (apex, v,
+    w)."""
+    (_, v, *_), (_, w, *_) = fact.left, fact.right
+    points = set(fact.left[1:])
+    if v == w or points != set(fact.right[1:]):
         return None
-    larms, rarms = {l.arm1, l.arm2}, {r.arm1, r.arm2}
-    if w not in larms or v not in rarms:
-        return None
-    apex_l, apex_r = (larms - {w}).pop(), (rarms - {v}).pop()
-    if apex_l != apex_r or apex_l in (v, w):
-        return None
-    return apex_l, v, w
+    return (points - {v, w}).pop(), v, w
 
 
 def _moves(left, right, placed: Dict[str, int]):
@@ -321,57 +322,36 @@ def _moves(left, right, placed: Dict[str, int]):
     return best
 
 
-def _copy_arms(left: AngleTerm, right: AngleTerm, earlier: Sequence[Fact], placed):
-    """For two disjoint triangles whose points are all placed, the right
-    angle's arms in the order that matches the left angle's arm1 and arm2,
-    when copying the left triangle onto the right one keeps every earlier
-    hypothesis that names a moved arm: each must be an equality between
-    parts the copy matches, or the right triangle's own noncollinearity.
-    None otherwise."""
-    (_, v, a, b), (_, w, c, d) = left, right
-    if len({v, a, b, w, c, d}) < 6 or not placed.keys() >= {v, a, b, w, c, d}:
-        return None
-
-    def matched(x, y, image) -> bool:  # the copy carries term x onto term y
-        mapped = [image.get(n) for n in x[1:]]
-        return (len(mapped) == 2 or mapped[0] == y[1]) and set(mapped) == set(y[1:])
-
-    def kept(fact, image) -> bool:
-        names = fact_point_names(fact)
-        if c not in names and d not in names:
-            return True
-        if isinstance(fact, NonCollinear):
-            return set(names) == {w, c, d}
-        return isinstance(fact, (SegEq, AngEq)) and (
-            matched(fact.left, fact.right, image) or matched(fact.right, fact.left, image)
-        )
-
-    for arms in ((c, d), (d, c)):
-        image = {v: w, a: arms[0], b: arms[1]}
-        if all(kept(fact, image) for fact in earlier):
-            return arms
+def _slide(fact: AngEq, pivots: Mapping[str, str]) -> Optional[Tuple[str, str]]:
+    """A point an earlier angle equality turned about an arm of one of this
+    fact's angles, and that arm: (point, arm), or None."""
+    for _, *names in (fact.right, fact.left):
+        for x in names:
+            if pivots.get(x) in names[1:]:
+                return x, pivots[x]
     return None
 
 
 def _constructive_pass(
     model: Model, pts: Dict[str, Vec], fact: Fact, rng: Random, tol: ToleranceProfile,
-    placed: Dict[str, int], earlier: Sequence[Fact],
+    placed: Dict[str, int], pivots: Dict[str, str],
 ) -> None:
     """Adjust point placements so `fact` holds by construction, and record
-    in `placed` the points it named (1) and moved (2).
+    in `placed` the points it named (1) and moved (2), and in `pivots` the
+    vertex each turn moved a point about.
 
     A betweenness puts its mid on the segment.  A segment equality moves a
     point along the geodesic from its pivot and an angle equality turns an
     arm about its vertex; each moves a point no earlier hypothesis named if
     it can, else one none moved (a segment equality can slide an outer
     point of a betweenness along the ray from its mid), taking it from the
-    other side when one side is fully placed.  An angle equality copies one
-    triangle onto another when _copy_arms finds a copy that keeps the
-    `earlier` hypotheses.  A hypothesis undone by a later one is left to
-    rejection within tolerance: a Between accepted that way can be about
-    sqrt(eq_tol) off straight, and angle equalities measured against it
-    fail.  May raise DegenerateDirection/DomainError; callers treat that
-    as a failed attempt."""
+    other side when one side is fully placed.  A point an earlier turn
+    moved about an arm of this angle slides along its ray from that arm
+    until the angle holds, keeping the earlier angle.  A hypothesis undone
+    by a later one is left to rejection within tolerance (a Between so
+    accepted can be about sqrt(eq_tol) off straight).  May raise
+    DegenerateDirection, DomainError, DegenerateAngle or UnrealizableStep;
+    callers treat that as a failed attempt."""
     moved: Tuple[str, ...] = ()
     if isinstance(fact, SegEq):
         move = _moves(fact.left, fact.right, placed)
@@ -381,7 +361,7 @@ def _constructive_pass(
             pts[d] = model.exp(pts[c], model.unit_tangent(pts[c], pts[d]), length)
             moved = (d,)
     elif isinstance(fact, AngEq):
-        apex = _base_angle_apex(fact.left, fact.right)
+        apex = _base_angle_apex(fact)
         if apex is not None and apex[1] not in placed and apex[2] not in placed:
             a, v, w = apex
             leg = rng.uniform(2.0 * model.min_separation, model.max_leg)
@@ -390,20 +370,22 @@ def _constructive_pass(
             pts[v] = model.exp(pts[a], u, leg)
             pts[w] = model.exp(pts[a], model.rotate_tangent(pts[a], u, opening), leg)
             moved = (v, w)
+        elif (slide := _slide(fact, pivots)) is not None:
+            x, u = slide
+            end = model.exp(pts[u], model.unit_tangent(pts[u], pts[x]), _SLIDE_LEGS * model.max_leg)
+            carrier = between(x, u, _RAY_END)
+            pts[x] = solve_introduced_point(model, {**pts, _RAY_END: end}, x, (carrier, fact), tol)
+            moved = (x,)
         else:
-            arms = _copy_arms(fact.left, fact.right, earlier, placed)
-            move = (fact.left, fact.right) + arms if arms else _moves(fact.left, fact.right, placed)
+            move = _moves(fact.left, fact.right, placed)
             if move is not None:
                 (_, v, a, b), (_, w, _, _), c, d = move
                 theta = angle_at(model, pts[a], pts[v], pts[b], tol)
                 u = model.unit_tangent(pts[w], pts[c])
-                if arms is not None:  # c to |v a| along its ray, d turned at |v b|
-                    pts[c] = model.exp(pts[w], u, model.dist(pts[v], pts[a]))
-                    keep, moved = model.dist(pts[v], pts[b]), (c, d)
-                else:
-                    keep, moved = model.dist(pts[w], pts[d]), (d,)
                 sign = 1.0 if rng.random() < 0.5 else -1.0
-                pts[d] = model.exp(pts[w], model.rotate_tangent(pts[w], u, sign * theta), keep)
+                turned = model.rotate_tangent(pts[w], u, sign * theta)
+                pts[d] = model.exp(pts[w], turned, model.dist(pts[w], pts[d]))
+                moved, pivots[d] = (d,), w
     elif isinstance(fact, Between):
         a, b = pts[fact.a], pts[fact.b]
         t = rng.uniform(0.15, 0.85)
@@ -437,22 +419,23 @@ def _guarded(model: Model, pts: Dict[str, Vec], plan: Plan) -> Optional[Trial]:
 
 def _attempt(plan: Plan, points: Sequence[str], rng: Random, line=()) -> Optional[Trial]:
     """One sampling attempt for a guard plan's hypotheses: random points,
-    the constructive passes in hypothesis order, then the guards; None when
-    it is rejected.  A `line` (p, q, x, y) moves p and q onto the geodesic
-    through x and y, at signed distances from x on both sides, before the
-    guards."""
-    model, hyps = plan.model, plan.facts
+    the constructive passes in the plan's build order, then the guards;
+    None when it is rejected.  A `line` (p, q, x, y) moves p and q onto the
+    geodesic through x and y, at signed distances from x on both sides,
+    before the guards."""
+    model = plan.model
     pts: Dict[str, Vec] = {name: model.random_point(rng) for name in points}
     placed: Dict[str, int] = {}
+    pivots: Dict[str, str] = {}
     try:
-        for i, fact in enumerate(hyps):
-            _constructive_pass(model, pts, fact, rng, plan.tol, placed, hyps[:i])
+        for fact in plan.build:
+            _constructive_pass(model, pts, fact, rng, plan.tol, placed, pivots)
         if line:
             p, q, x, y = line
             u = model.unit_tangent(pts[x], pts[y])
             for name in (p, q):
                 pts[name] = model.exp(pts[x], u, rng.uniform(-model.max_leg, model.max_leg))
-    except (DegenerateDirection, DomainError, DegenerateAngle):
+    except (DegenerateDirection, DomainError, DegenerateAngle, UnrealizableStep):
         return None
     return _guarded(model, pts, plan)
 
@@ -812,8 +795,10 @@ def check_rule_soundness(
     model: Model, rule_id: str, trials: int = 1000, seed=0, tol: Optional[ToleranceProfile] = None
 ) -> ModelCheckReport:
     """Sample the rule's premises and side conditions as a statement's
-    hypotheses, like sample_instance, and measure its conclusions.  A rule
-    whose points must share a line has them placed on it in each attempt.
+    hypotheses, like sample_instance (no triangle is copied onto another,
+    so a conclusion holds only where the rule is sound), and measure its
+    conclusions.  A rule whose points must share a line has them placed on
+    it in each attempt.
     A contradiction rule, whose premises never hold together, gets one
     attempt per trial.  Trials whose premises cannot be sampled are counted
     as skipped, never as failures; after the first trial that 1000 attempts

@@ -137,13 +137,19 @@ theorem bad_stmt
 DEGENERATE_STATEMENT = BAD_STATEMENT.replace(
     "seg A B == seg A X\n  show seg A B == seg A B", "seg A B == seg A B\n  show seg A A == seg A B"
 )
-BAD_STATEMENT_ERRORS = {
+DEGENERATE_HYPOTHESIS = BAD_STATEMENT.replace("seg A B == seg A X", "seg A A == seg A B")
+BAD_STATEMENT_ERRORS = {  # a degenerate `show` is placed on its block's line
     BAD_STATEMENT: "bad statement: bad_stmt: hypothesis h1 mentions undeclared point X",
-    DEGENERATE_STATEMENT: "bad statement: segment endpoints coincide: A",
+    DEGENERATE_STATEMENT: "bad statement: bad_stmt: show (line 11): segment endpoints coincide: A",
+    DEGENERATE_HYPOTHESIS: (
+        "bad statement: bad_stmt: hypothesis h1 (line 14): segment endpoints coincide: A"
+    ),
 }
 
 
-@pytest.mark.parametrize("bad", BAD_STATEMENT_ERRORS, ids=["unknown-point", "degenerate"])
+@pytest.mark.parametrize(
+    "bad", BAD_STATEMENT_ERRORS, ids=["unknown-point", "degenerate", "degenerate-hypothesis"]
+)
 def test_a_bad_statement_fails_only_its_own_block(tmp_path, capsys, bad):
     p = tmp_path / "two.proof"
     p.write_text(GOOD.replace("mirror_pons", "good") + "\n" + bad)
@@ -748,8 +754,8 @@ theorem supp_cong_instance
 """
 
 
-# SAS with the arms of the angle equality in the other name order: the
-# triangle copy must match B with F and C with E, as h1 and h2 do.
+# SAS with the arms of the angle equality in the other name order: the arm
+# the angle equality turns must keep the length h1 or h2 gave it.
 SAS_RELABELLED = """\
 theorem sas_relabelled
   tags: neutral
@@ -766,8 +772,8 @@ theorem sas_relabelled
 """
 
 # SAS after a betweenness through the vertex D, or through the arm point
-# F: a copy of one triangle onto the other that moved D or F would take it
-# off the segment G H.
+# F: a segment or angle equality that moved D or F would take it off the
+# segment G H.
 SAS_AFTER_BETWEEN = """\
 theorem sas_after_between
   tags: neutral
@@ -805,6 +811,60 @@ def test_model_samples_hypotheses_that_share_points(text, tmp_path, capsys):
     for name in ("euclidean", "poincare", "sphere"):
         rep = row["models"][name]
         assert (rep["trials_run"], rep["failures"], rep["skipped"]) == (20, 0, 0), name
+
+
+# Two angles of one triangle equal to two of another, and the side between
+# them: ASA proves the other sides equal.  Without the side, nothing does.
+ASA_INSTANCE = """\
+theorem asa_instance
+  tags: neutral
+  points A B C D E F
+  assume h1: ang A B C == ang D E F
+  assume h2: ang A C B == ang D F E
+  assume h3: seg B C == seg E F
+  assume h4: noncollinear A B C
+  assume h5: noncollinear D E F
+  show seg A B == seg D E
+  proof
+    s1: seg A B == seg D E by ASA_ORD[A,B,C,D,E,F] from h1, h2, h3
+  qed from s1
+"""
+TWO_ANGLES_ONE_SIDE = """\
+theorem two_angles_one_side
+  tags: neutral
+  points A B C D E F
+  assume h1: ang A B C == ang D E F
+  assume h2: ang A C B == ang D F E
+  assume h3: noncollinear A B C
+  assume h4: noncollinear D E F
+  show seg B C == seg E F
+"""
+
+
+def test_model_passes_an_asa_proof(tmp_path, capsys):
+    p = tmp_path / "asa.proof"
+    p.write_text(ASA_INSTANCE)
+    assert main(["check", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["model", str(p), "--trials", "50", "--seed", "0", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["theorems"][0]
+    for name in ("euclidean", "poincare", "sphere"):
+        rep = row["models"][name]
+        assert (rep["trials_run"], rep["failures"]) == (50, 0), name
+
+
+def test_model_refutes_two_angles_without_the_side_between(tmp_path, capsys):
+    """The sampler must not build the two triangles congruent: a claim that
+    two angles make the triangles' sides equal fails in every model."""
+    p = tmp_path / "two_angles.proof"
+    p.write_text(TWO_ANGLES_ONE_SIDE)
+    assert main(["model", str(p), "--trials", "50", "--seed", "0", "--json"]) == 1
+    row = json.loads(capsys.readouterr().out)["theorems"][0]
+    for name in ("euclidean", "poincare", "sphere"):
+        rep = row["models"][name]
+        assert rep["trials_run"] == rep["failures"] == 50, name
+    assert main(["model", str(p), "--trials", "50", "--seed", "0"]) == 1
+    assert capsys.readouterr().out.count("FAILED") == 3
 
 
 def test_model_conjecture_divergence_is_expected(capsys):

@@ -1,6 +1,7 @@
 """Numeric layer: measurement, sampling, construction replay, and the
 divergence of the curved models on euclidean-only claims."""
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -330,6 +331,36 @@ def test_sampled_instances_satisfy_hypotheses(model):
         inst = sample_instance(model, stmt, seed=k)
         for _, hyp in stmt.hypotheses:
             assert eval_fact(model, inst, hyp, tol), (model.name, k, hyp)
+
+
+_TWO_TRIANGLES = {  # the premises of each congruence over triangles A B C and D E F
+    "sas": (
+        seg_eq(segment("A", "B"), segment("D", "E")),
+        seg_eq(segment("A", "C"), segment("D", "F")),
+        ang_eq(angle("B", "A", "C"), angle("E", "D", "F")),
+    ),
+    "asa": (
+        ang_eq(angle("A", "B", "C"), angle("D", "E", "F")),
+        ang_eq(angle("A", "C", "B"), angle("D", "F", "E")),
+        seg_eq(segment("B", "C"), segment("E", "F")),
+    ),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=str)
+@pytest.mark.parametrize("shape", _TWO_TRIANGLES)
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_congruence_premises_sample_in_every_written_order(model, shape, order):
+    """Angle equalities of two triangles are built after the other
+    hypotheses, however they are written; an ASA pair of angles turns one
+    arm and slides the other point along it."""
+    facts = [_TWO_TRIANGLES[shape][i] for i in order]
+    facts += [non_collinear("A", "B", "C"), non_collinear("D", "E", "F")]
+    stmt = _statement(tuple("ABCDEF"), tuple((f"h{k}", f) for k, f in enumerate(facts)), ())
+    tol = tolerance_for(model)
+    for seed in range(30):
+        inst = sample_instance(model, stmt, seed)
+        assert all(eval_fact(model, inst, fact, tol) for fact in facts), seed
 
 
 def test_sampling_contradiction_fails_cleanly():
