@@ -35,24 +35,24 @@ class ElaboratedBlock(NamedTuple):  # equal only with the same line, so no node
     error: str = ""
 
 
-def _fact(block: S.TheoremAst, where: str, line: int, fact: FactAst) -> Fact:
+def _fact(name: str, where: str, line: int, fact: FactAst) -> Fact:
     try:
         return written_fact(*fact)
     except ValueError as exc:
-        raise ValueError(f"{block.name}: {where} (line {line}): {exc}") from None
+        raise ValueError(f"{name}: {where} (line {line}): {exc}") from None
 
 
 def make_statement(block: S.TheoremAst) -> TheoremStatement:
     """The statement a theorem block writes.  Raises ValueError when a
     fact is degenerate, naming the hypothesis and its line (a `show`, the
     block's line), or when a fact names a point out of scope."""
-    hyps = [(a.label, _fact(block, f"hypothesis {a.label}", a.line, a.fact)) for a in block.assumes]
     statement = TheoremStatement(
         name=block.name,
         tags=frozenset(block.tags),
         points=tuple(block.points),
-        hypotheses=tuple(hyps),
-        conclusions=tuple(_fact(block, "show", block.line, f) for f in block.shows),
+        hypotheses=tuple((a.label, _fact(block.name, f"hypothesis {a.label}", a.line, a.fact))
+                         for a in block.assumes),
+        conclusions=tuple(_fact(block.name, "show", block.line, f) for f in block.shows),
         introduced=tuple(block.introduces),
         uses=tuple(block.uses),
     )

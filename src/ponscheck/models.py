@@ -34,6 +34,7 @@ would make every sample a congruent pair.
 from __future__ import annotations
 
 import collections.abc
+import functools
 import math
 from random import Random
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -83,9 +84,11 @@ _MAX_ATTEMPTS = 1000
 # smallest angle a sampled noncollinear triangle may have; an opening the
 # sampler prescribes stays twice as far from 0 and pi
 MIN_ANGLE = 0.15
-# the ray a point slides along, in the model's legs (a longer one passes the
-# sphere's antipodes), and its far end's name, which no script point can have
-_SLIDE_LEGS, _RAY_END = 4.0, " end"
+# the length of the ray a point slides along, in the model's legs (a longer
+# one passes the sphere's antipodes)
+_SLIDE_LEGS = 4.0
+# the name of that ray's far end, which no script point can have
+_RAY_END = " end"
 _CORNERS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # angles at a, b, c by sides ab, ac, bc
 
 
@@ -215,8 +218,8 @@ class Plan:
     over value indices: the distances, then the angles in reverse order,
     so angle j is value ~j.  A guard plan also keeps the angles of each
     noncollinearity's triangle clear of 0 and pi, in opcodes after the
-    facts', and the sampler's build order: as written, but an angle
-    equality not of one triangle's base angles after every other fact."""
+    facts'.  `build` is the facts in the order the sampler builds them: a
+    guard plan's by _build_order, any other's as written."""
 
     def __init__(self, model: Model, facts: Sequence[Fact], tol: ToleranceProfile, guard=False):
         self.model, self.facts, self.tol = model, tuple(facts), tol
@@ -239,8 +242,7 @@ class Plan:
         self.angles = [[pairs.setdefault(key, len(pairs)) for key in _sides(v, p, q)]
                        for _, v, p, q in reversed(angles)]
         self.pairs = list(pairs)
-        if guard:
-            self.build = sorted(self.facts, key=lambda f: f[0] == "=a" and not _base_angle_apex(f))
+        self.build = _build_order(self.facts) if guard else self.facts
 
     def run(self, v: List[float]) -> Optional[int]:
         """Index of the first failing opcode, or None; _EQ and _LT inline close and less."""
@@ -298,11 +300,25 @@ def _base_angle_apex(fact: AngEq) -> Optional[Tuple[PointId, PointId, PointId]]:
     """Detect the two-base-angles-of-one-triangle pattern: angles at v and
     w over the same three points, the third their apex.  Returns (apex, v,
     w)."""
-    (_, v, *_), (_, w, *_) = fact.left, fact.right
-    points = set(fact.left[1:])
-    if v == w or points != set(fact.right[1:]):
+    _, (_, v, a, b), (_, w, c, d) = fact
+    if v == w or {v, a, b} != {w, c, d}:
         return None
-    return (points - {v, w}).pop(), v, w
+    return a if b == w else b, v, w
+
+
+@functools.lru_cache(maxsize=256)  # a statement's plan is compiled for every trial
+def _build_order(facts: Tuple[Fact, ...]) -> Tuple[Fact, ...]:
+    """The facts as written, but the angle equalities that are not one
+    triangle's base angles are built together where the last of them or
+    of the segment equalities is written: a segment equality built later
+    would undo their turns.  An angle at an end of a segment equality goes
+    first, so that a second angle of its triangle slides along its arm."""
+    ends = {p for f in facts if f[0] == "=s" for p in fact_point_names(f)}
+    rank = {i: 1 if ends & {f.left.vertex, f.right.vertex} else 2
+            for i, f in enumerate(facts) if f[0] == "=a" and not _base_angle_apex(f)}
+    slot = max([i for i, f in enumerate(facts) if f[0] == "=s"] + list(rank), default=0)
+    order = sorted(range(len(facts)), key=lambda i: (slot, rank[i]) if i in rank else (i, 0))
+    return tuple(facts[i] for i in order)
 
 
 def _moves(left, right, placed: Dict[str, int]):
@@ -795,9 +811,9 @@ def check_rule_soundness(
     model: Model, rule_id: str, trials: int = 1000, seed=0, tol: Optional[ToleranceProfile] = None
 ) -> ModelCheckReport:
     """Sample the rule's premises and side conditions as a statement's
-    hypotheses, like sample_instance (no triangle is copied onto another,
-    so a conclusion holds only where the rule is sound), and measure its
-    conclusions.  A rule whose points must share a line has them placed on
+    hypotheses, like sample_instance (the sample is built from the
+    hypotheses alone, so a conclusion holds only where the rule is
+    sound), and measure its conclusions.  A rule whose points must share a line has them placed on
     it in each attempt.
     A contradiction rule, whose premises never hold together, gets one
     attempt per trial.  Trials whose premises cannot be sampled are counted

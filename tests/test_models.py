@@ -52,6 +52,7 @@ from ponscheck.terms import (
     ang_lt,
     angle,
     between,
+    fact_point_names,
     non_collinear,
     seg_eq,
     seg_lt,
@@ -344,23 +345,45 @@ _TWO_TRIANGLES = {  # the premises of each congruence over triangles A B C and D
         ang_eq(angle("A", "C", "B"), angle("D", "F", "E")),
         seg_eq(segment("B", "C"), segment("E", "F")),
     ),
+    "aas": (
+        ang_eq(angle("A", "B", "C"), angle("D", "E", "F")),
+        ang_eq(angle("A", "C", "B"), angle("D", "F", "E")),
+        seg_eq(segment("A", "B"), segment("D", "E")),
+    ),
 }
+
+
+def _assert_samples(model, facts, seeds=30):
+    facts = list(facts) + [non_collinear("A", "B", "C"), non_collinear("D", "E", "F")]
+    points = sorted({p for fact in facts for p in fact_point_names(fact)})
+    stmt = _statement(tuple(points), tuple((f"h{k}", f) for k, f in enumerate(facts)), ())
+    tol = tolerance_for(model)
+    for seed in range(seeds):
+        inst = sample_instance(model, stmt, seed)
+        assert all(eval_fact(model, inst, fact, tol) for fact in facts), seed
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=str)
 @pytest.mark.parametrize("shape", _TWO_TRIANGLES)
 @pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
 def test_congruence_premises_sample_in_every_written_order(model, shape, order):
-    """Angle equalities of two triangles are built after the other
-    hypotheses, however they are written; an ASA pair of angles turns one
-    arm and slides the other point along it."""
-    facts = [_TWO_TRIANGLES[shape][i] for i in order]
-    facts += [non_collinear("A", "B", "C"), non_collinear("D", "E", "F")]
-    stmt = _statement(tuple("ABCDEF"), tuple((f"h{k}", f) for k, f in enumerate(facts)), ())
-    tol = tolerance_for(model)
-    for seed in range(30):
-        inst = sample_instance(model, stmt, seed)
-        assert all(eval_fact(model, inst, fact, tol) for fact in facts), seed
+    """Angle equalities of two triangles are built after the segment
+    equalities, however they are written, the one at an end of the equal
+    side first; the second angle of a triangle slides the point the first
+    one turned along its arm."""
+    _assert_samples(model, [_TWO_TRIANGLES[shape][i] for i in order])
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_betweenness_on_the_arms_of_an_earlier_angle_samples(model):
+    """A betweenness written after an angle equality puts its mid between
+    the arm points the angle's turn placed, so it is built after the turn,
+    not deferred before it."""
+    _assert_samples(model, (
+        ang_eq(angle("A", "B", "C"), angle("D", "E", "F")),
+        between("G", "A", "C"),
+        between("H", "D", "F"),
+    ))
 
 
 def test_sampling_contradiction_fails_cleanly():
