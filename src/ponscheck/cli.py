@@ -15,6 +15,10 @@ block only.  `check` prints their statuses, `deps` their
 classifications, `model` their model checks, and `--json` the rows
 themselves.
 
+`_rows` pauses the cyclic garbage collector and restores the caller's
+setting on every exit: the many small tuples, sets and dicts it builds stay
+live until it returns, so a collection there would scan them for nothing.
+
 The numeric layer (`models`, `geometry`) is imported for `model` only, so
 a fresh `check`, `deps` or `parse` process never loads it.  `model_check`
 and `model_check_conjecture` import `models` and delegate to it only
@@ -28,6 +32,7 @@ IO errors (including a file that is not UTF-8).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -109,53 +114,59 @@ def _rows(
     """Parse, elaborate and check the inputs once: the dependency graph and
     one row per block, then one per conjecture.  Given `runs` (the trials,
     seed and tolerance of `model`), each row is bound to its model check."""
-    asts: List[Tuple[str, ScriptAst]] = []
-    conjectures: List[ConjectureAst] = []
-    for source, text in _read_sources(args.files, args.corpus):
-        tree = _parse(source, text)
-        if isinstance(tree, ScriptAst):
-            asts.append((source, tree))
-            continue
-        try:
-            check_conjecture(tree.name, tree.points)
-        except UnknownConjecture as exc:
-            raise CliError(2, f"unknown conjecture {exc}") from exc
-        conjectures.append(tree)
-    where: Dict[str, str] = {}  # block name -> file:line
-    for source, ast in asts:
-        for item in ast.items:
-            here = f"{source}:{item.line}"
-            if item.name in where:
-                raise CliError(1, f"{item.name} is defined twice: {where[item.name]} and {here}")
-            where[item.name] = here
-    registry: Dict[str, TheoremStatement] = {}
-    for _, ast in asts:
-        registry.update(collect_statements(ast))
-    blocks = [b for _, ast in asts for b in elaborate_script(ast, registry)]
-    reports: Dict[str, CheckReport] = {}
-    for b in blocks:
-        if b.error:
-            reports[b.name] = bad_statement(b.name, b.error)
-        elif b.proof is not None:
-            reports[b.name] = check_proof(b.statement, b.proof, registry, strict=strict)
-    graph = graph_from_blocks(blocks, reports)
-    rows: List[Row] = []
-    for b in blocks:
-        rep = reports.get(b.name)
-        status = rep.status if rep else "stated"
-        check = None
-        if runs is not None and b.statement is not None and status != "failed":
-            steps = b.proof.steps if b.proof is not None else ()
-            check = partial(
-                model_check, statement=b.statement, steps=steps, registry=registry, **runs
-            )
-        rows.append(Row(b.name, status, graph.classify(b.name), rep, check))
-    for conj in conjectures:
-        check = None
-        if runs is not None:
-            check = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
-        rows.append(Row(conj.name, "conjecture", "", None, check))
-    return graph, rows
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        asts: List[Tuple[str, ScriptAst]] = []
+        conjectures: List[ConjectureAst] = []
+        for source, text in _read_sources(args.files, args.corpus):
+            tree = _parse(source, text)
+            if isinstance(tree, ScriptAst):
+                asts.append((source, tree))
+                continue
+            try:
+                check_conjecture(tree.name, tree.points)
+            except UnknownConjecture as exc:
+                raise CliError(2, f"unknown conjecture {exc}") from exc
+            conjectures.append(tree)
+        where: Dict[str, str] = {}  # block name -> file:line
+        for source, ast in asts:
+            for item in ast.items:
+                at = f"{source}:{item.line}"
+                if item.name in where:
+                    raise CliError(1, f"{item.name} is defined twice: {where[item.name]} and {at}")
+                where[item.name] = at
+        registry: Dict[str, Optional[TheoremStatement]] = {}
+        for _, ast in asts:
+            registry.update(collect_statements(ast))
+        blocks = [b for _, ast in asts for b in elaborate_script(ast, registry)]
+        reports: Dict[str, CheckReport] = {}
+        for b in blocks:
+            if b.error:
+                reports[b.name] = bad_statement(b.name, b.error)
+            elif b.proof is not None:
+                reports[b.name] = check_proof(b.statement, b.proof, registry, strict=strict)
+        graph = graph_from_blocks(blocks, reports)
+        rows: List[Row] = []
+        for b in blocks:
+            rep = reports.get(b.name)
+            status = rep.status if rep else "stated"
+            check = None
+            if runs is not None and b.statement is not None and status != "failed":
+                steps = b.proof.steps if b.proof is not None else ()
+                check = partial(
+                    model_check, statement=b.statement, steps=steps, registry=registry, **runs
+                )
+            rows.append(Row(b.name, status, graph.classify(b.name), rep, check))
+        for conj in conjectures:
+            check = None
+            if runs is not None:
+                check = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
+            rows.append(Row(conj.name, "conjecture", "", None, check))
+        return graph, rows
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _print_json(

@@ -3,9 +3,9 @@
 The elaborator builds each theorem's statement from its written facts and
 pairs it with the proof the parser built.  It walks no proof: the kernel
 alone resolves the names a proof uses, so a name error fails only its
-own block.  A statement that cannot be built (a degenerate fact) or that
-names a point out of scope (kernel.check_statement) becomes its block's
-error, so it too fails only its own block.  Block names are unique
+own block.  A statement that cannot be built (a degenerate fact, or one
+that names a point out of scope) becomes its block's error, which names
+the fact's line, so it too fails only its own block.  Block names are unique
 across the inputs; cli._rows checks that before elaborating.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import script as S
-from .kernel import FactAst, Proof, TheoremStatement, check_statement
+from .kernel import FactAst, Proof, TheoremStatement
 from .terms import Fact, written_fact
 
 
@@ -35,35 +35,38 @@ class ElaboratedBlock(NamedTuple):  # equal only with the same line, so no node
     error: str = ""
 
 
-def _fact(name: str, where: str, line: int, fact: FactAst) -> Fact:
+def _fact(name: str, where: str, line: int, fact: FactAst, scope: Tuple[str, ...]) -> Fact:
     try:
+        unknown = [n for n in fact.points if n not in scope]
+        if unknown:
+            raise ValueError(f"mentions undeclared point {unknown[0]}")
         return written_fact(*fact)
     except ValueError as exc:
         raise ValueError(f"{name}: {where} (line {line}): {exc}") from None
 
 
 def make_statement(block: S.TheoremAst) -> TheoremStatement:
-    """The statement a theorem block writes.  Raises ValueError when a
-    fact is degenerate, naming the hypothesis and its line (a `show`, the
-    block's line), or when a fact names a point out of scope."""
-    statement = TheoremStatement(
-        name=block.name,
+    """The statement a theorem block writes.  Raises ValueError, naming the
+    hypothesis and its line (a `show`, the block's line), when a fact names
+    a point out of scope (kernel.check_statement) or is degenerate."""
+    name, given = block.name, tuple(block.points)
+    scope = given + tuple(block.introduces)
+    return TheoremStatement(
+        name=name,
         tags=frozenset(block.tags),
-        points=tuple(block.points),
-        hypotheses=tuple((a.label, _fact(block.name, f"hypothesis {a.label}", a.line, a.fact))
+        points=given,
+        hypotheses=tuple((a.label, _fact(name, f"hypothesis {a.label}", a.line, a.fact, given))
                          for a in block.assumes),
-        conclusions=tuple(_fact(block.name, "show", block.line, f) for f in block.shows),
+        conclusions=tuple(_fact(name, "show", block.line, f, scope) for f in block.shows),
         introduced=tuple(block.introduces),
         uses=tuple(block.uses),
     )
-    check_statement(statement)
-    return statement
 
 
-def collect_statements(ast: S.ScriptAst) -> Dict[str, TheoremStatement]:
-    """First pass: every good theorem statement, keyed by name.  Used as
-    the lemma registry before any proof is checked."""
-    return {b.name: b.statement for b in elaborate_script(ast) if b.statement is not None}
+def collect_statements(ast: S.ScriptAst) -> Dict[str, Optional[TheoremStatement]]:
+    """First pass: every theorem statement, keyed by name, None for a bad
+    one.  Used as the lemma registry before any proof is checked."""
+    return {b.name: b.statement for b in elaborate_script(ast) if b.statement or b.error}
 
 
 def elaborate_script(

@@ -483,7 +483,7 @@ class _Ctx:
     def __init__(
         self,
         statement: TheoremStatement,
-        registry: Optional[Mapping[str, TheoremStatement]],
+        registry: Optional[Mapping[str, Optional[TheoremStatement]]],
         strict: bool,
     ) -> None:
         self.statement = statement
@@ -642,8 +642,9 @@ def apply_construction(
 
 def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ...]:
     lemma = ctx.registry.get(step.lemma)
-    if lemma is None:
-        raise KernelError(f"unknown lemma {step.lemma}")
+    if lemma is None:  # no such block, or (None in the registry) a bad statement
+        raise KernelError(f"lemma {step.lemma} has a bad statement" if step.lemma in ctx.registry
+                          else f"unknown lemma {step.lemma}")
     try:
         check_statement(lemma)
         mapping = _lemma_points(lemma, step.args)
@@ -736,7 +737,7 @@ def bad_statement(name: str, error: object) -> CheckReport:
 def check_proof(
     statement: TheoremStatement,
     proof: Proof,
-    registry: Optional[Mapping[str, TheoremStatement]] = None,
+    registry: Optional[Mapping[str, Optional[TheoremStatement]]] = None,
     strict: bool = False,
 ) -> CheckReport:
     """Check one proof against its statement.

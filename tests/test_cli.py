@@ -1,6 +1,7 @@
 """Command line surface: exit codes, output stability, and the
 expected-divergence policy for euclidean-only claims."""
 
+import gc
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import ponscheck
 from ponscheck import cli
 from ponscheck.cli import main
 from ponscheck.models import model_check
+from test_rules_kernel import _extend_chain
 
 GOOD = """\
 theorem mirror_pons
@@ -138,17 +140,23 @@ DEGENERATE_STATEMENT = BAD_STATEMENT.replace(
     "seg A B == seg A X\n  show seg A B == seg A B", "seg A B == seg A B\n  show seg A A == seg A B"
 )
 DEGENERATE_HYPOTHESIS = BAD_STATEMENT.replace("seg A B == seg A X", "seg A A == seg A B")
-BAD_STATEMENT_ERRORS = {  # a degenerate `show` is placed on its block's line
-    BAD_STATEMENT: "bad statement: bad_stmt: hypothesis h1 mentions undeclared point X",
+UNKNOWN_SHOW_POINT = BAD_STATEMENT.replace(
+    "seg A B == seg A X\n  show seg A B == seg A B", "seg A B == seg A B\n  show seg A B == seg A Y"
+)
+BAD_STATEMENT_ERRORS = {  # a `show` is placed on its block's line
+    BAD_STATEMENT: "bad statement: bad_stmt: hypothesis h1 (line 14): mentions undeclared point X",
     DEGENERATE_STATEMENT: "bad statement: bad_stmt: show (line 11): segment endpoints coincide: A",
     DEGENERATE_HYPOTHESIS: (
         "bad statement: bad_stmt: hypothesis h1 (line 14): segment endpoints coincide: A"
     ),
+    UNKNOWN_SHOW_POINT: "bad statement: bad_stmt: show (line 11): mentions undeclared point Y",
 }
 
 
 @pytest.mark.parametrize(
-    "bad", BAD_STATEMENT_ERRORS, ids=["unknown-point", "degenerate", "degenerate-hypothesis"]
+    "bad",
+    BAD_STATEMENT_ERRORS,
+    ids=["unknown-point", "degenerate", "degenerate-hypothesis", "unknown-show-point"],
 )
 def test_a_bad_statement_fails_only_its_own_block(tmp_path, capsys, bad):
     p = tmp_path / "two.proof"
@@ -185,11 +193,64 @@ def test_a_proof_citing_a_bad_statement_fails_at_that_step(tmp_path, capsys):
     assert main(["check", str(p)]) == 1
     assert capsys.readouterr() == (
         "bad_stmt: failed\n"
-        f"  error: {BAD_STATEMENT_ERRORS[BAD_STATEMENT]}\n"
+        "  error: bad statement: bad_stmt: hypothesis h1 (line 4): mentions undeclared point X\n"
         "cites: failed\n"
-        "  step l1 (line 12): KernelError: unknown lemma bad_stmt\n",
+        "  step l1 (line 12): KernelError: lemma bad_stmt has a bad statement\n",
         "",
     )
+    p.write_text(p.read_text().replace("lemma bad_stmt(A,B)", "lemma nosuch(A,B)"))
+    assert main(["check", str(p)]) == 1
+    assert "  step l1 (line 12): KernelError: unknown lemma nosuch\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, text, code",
+    [
+        ("good.proof", GOOD, 0),
+        ("bad.proof", BAD_CITATION, 1),
+        ("twice.proof", "declare foo\n  tags: neutral\n\ndeclare foo\n  tags: neutral\n", 1),
+        ("broken.proof", BAD_SYNTAX, 2),
+        ("mystery.conj", "conjecture no_such_claim\n  points A B C\n", 2),
+    ],
+    ids=["ok", "failed", "defined-twice", "syntax-error", "unknown-conjecture"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_check_leaves_the_collector_as_it_found_it(tmp_path, name, text, code, enabled):
+    p = tmp_path / name
+    p.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["check", str(p)]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_check_runs_no_collection(tmp_path):
+    """The parse, the statements, the kernel check and the graph of a
+    2000-step proof run with the cyclic collector paused."""
+    p = tmp_path / "chain.proof"
+    p.write_text(_extend_chain(2000))
+    args = cli.build_parser().parse_args(["check", "--strict-degeneracy", str(p)])
+    collections = []
+
+    def record(phase, info):  # the first allocation after `_rows` may collect: not counted
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not cli._rows.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        _, rows = cli._rows(args, strict=True)
+    finally:
+        gc.callbacks.remove(record)
+    assert [(row.name, row.status) for row in rows] == [("chain", "ok")]
+    assert collections == []
+    assert gc.isenabled()
 
 
 def test_check_syntax_error_exits_two(tmp_path, capsys):
