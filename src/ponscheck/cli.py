@@ -15,9 +15,10 @@ block only.  `check` prints their statuses, `deps` their
 classifications, `model` their model checks, and `--json` the rows
 themselves.
 
-`_rows` pauses the cyclic garbage collector and restores the caller's
-setting on every exit: the many small tuples, sets and dicts it builds stay
-live until it returns, so a collection there would scan them for nothing.
+`_rows` pauses the cyclic garbage collector, and `check` and `deps` keep it
+paused until they have printed; each restores the caller's setting on every
+exit.  The many small tuples, sets and dicts `_rows` builds stay live until
+then, so a collection would scan them for nothing.
 
 The numeric layer (`models`, `geometry`) is imported for `model` only, so
 a fresh `check`, `deps` or `parse` process never loads it.  `model_check`
@@ -108,15 +109,22 @@ def model_check_conjecture(*args, **kwargs) -> ModelCheckReport:
     return model_check_conjecture(*args, **kwargs)
 
 
+class _GcPaused:  # the cyclic collector off, then as the caller had it
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:  # nothing is allocated after the collector is back on
+        (gc.enable if self.enabled else gc.disable)()
+
+
 def _rows(
     args: argparse.Namespace, strict: bool = False, runs: Optional[dict] = None
 ) -> Tuple[Graph, List[Row]]:
     """Parse, elaborate and check the inputs once: the dependency graph and
     one row per block, then one per conjecture.  Given `runs` (the trials,
     seed and tolerance of `model`), each row is bound to its model check."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _GcPaused():
         asts: List[Tuple[str, ScriptAst]] = []
         conjectures: List[ConjectureAst] = []
         for source, text in _read_sources(args.files, args.corpus):
@@ -164,9 +172,6 @@ def _rows(
                 check = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
             rows.append(Row(conj.name, "conjecture", "", None, check))
         return graph, rows
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _print_json(
@@ -194,22 +199,24 @@ def _print_json(
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    graph, rows = _rows(args, strict=args.strict_degeneracy)
-    if args.json:
-        _print_json(graph, rows, args.seed)
-    else:
-        for row in rows:
-            note = " (numeric only; see the model command)" if row.status == "conjecture" else ""
-            print(f"{row.name}: {row.status}{note}")
-            if row.status != "failed":
-                continue
-            bad_steps = [sr for sr in row.report.steps if not sr.ok]
-            for sr in bad_steps:
-                where = f" (line {sr.line})" if sr.line else ""
-                print(f"  step {sr.label}{where}: {sr.detail}")
-            if row.report.error and not bad_steps:
-                print(f"  error: {row.report.error}")
-    return 1 if any(row.status == "failed" for row in rows) else 0
+    with _GcPaused():
+        graph, rows = _rows(args, strict=args.strict_degeneracy)
+        if args.json:
+            _print_json(graph, rows, args.seed)
+        else:
+            for row in rows:
+                conjecture = row.status == "conjecture"
+                note = " (numeric only; see the model command)" if conjecture else ""
+                print(f"{row.name}: {row.status}{note}")
+                if row.status != "failed":
+                    continue
+                bad_steps = [sr for sr in row.report.steps if not sr.ok]
+                for sr in bad_steps:
+                    where = f" (line {sr.line})" if sr.line else ""
+                    print(f"  step {sr.label}{where}: {sr.detail}")
+                if row.report.error and not bad_steps:
+                    print(f"  error: {row.report.error}")
+        return 1 if any(row.status == "failed" for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +224,23 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_deps(args: argparse.Namespace) -> int:
-    graph, rows = _rows(args)
-    for row in rows:
-        if row.classification:
-            print(f"{row.name}: {row.classification}")
-    cycles = graph.detect_cycles()
-    if cycles:
-        print("cycles:")
-        for cycle in cycles:
-            print("  " + " ".join(cycle))
-    if args.dot is not None:
-        try:
-            Path(args.dot).write_text(emit_dot(graph), encoding="utf-8")
-        except OSError as exc:
-            raise CliError(2, f"cannot write {args.dot}: {exc}") from exc
-    checked_cyclic = any(row.report and row.classification == CYCLIC for row in rows)
-    return 1 if checked_cyclic else 0
+    with _GcPaused():
+        graph, rows = _rows(args)
+        for row in rows:
+            if row.classification:
+                print(f"{row.name}: {row.classification}")
+        cycles = graph.detect_cycles()
+        if cycles:
+            print("cycles:")
+            for cycle in cycles:
+                print("  " + " ".join(cycle))
+        if args.dot is not None:
+            try:
+                Path(args.dot).write_text(emit_dot(graph), encoding="utf-8")
+            except OSError as exc:
+                raise CliError(2, f"cannot write {args.dot}: {exc}") from exc
+        checked_cyclic = any(row.report and row.classification == CYCLIC for row in rows)
+        return 1 if checked_cyclic else 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ sampler's guards measure every pair and hand it on), computes each angle
 once by the model's law of cosines, Model.cos_angle (the tangent-vector
 formulation stays out of the production path as a test oracle), and runs
 the opcodes.  The guards, eval_fact, the lemma solver's residual (which
-re-measures only the moving point) and the final evaluation, compiled once
-per model_check call, run plans.
+re-measures only the moving point) and the final evaluation run plans,
+cached per model, facts and tolerance (the final ones per model_check).
 
 A trial only samples, replays constructions, solves lemma-introduced
 points (bracketed Illinois regula falsi) and measures the facts that
@@ -280,6 +280,9 @@ class Plan:
         return None if k is None else repr(self.facts[k])
 
 
+_plan = functools.lru_cache(maxsize=1024)(Plan)  # one compile per distinct arguments
+
+
 def eval_fact(
     model: Model, instance: Mapping[str, Vec], fact: Fact, tol: Optional[ToleranceProfile] = None
 ) -> bool:
@@ -306,7 +309,6 @@ def _base_angle_apex(fact: AngEq) -> Optional[Tuple[PointId, PointId, PointId]]:
     return a if b == w else b, v, w
 
 
-@functools.lru_cache(maxsize=256)  # a statement's plan is compiled for every trial
 def _build_order(facts: Tuple[Fact, ...]) -> Tuple[Fact, ...]:
     """The facts as written, but the angle equalities that are not one
     triangle's base angles are built together where the last of them or
@@ -473,8 +475,8 @@ def sample_instance(
     recognized, rejection sampling plus nondegeneracy guards otherwise.
     Returns the accepted attempt's Trial, its distance table filled by the
     guards.  Raises SamplingFailed after 1000 attempts."""
-    hyps = [fact for _, fact in statement.hypotheses]
-    trial = _sample(Plan(model, hyps, tol or tolerance_for(model), True), statement.points, seed)
+    hyps = tuple(fact for _, fact in statement.hypotheses)
+    trial = _sample(_plan(model, hyps, tol or tolerance_for(model), True), statement.points, seed)
     if trial is None:
         raise SamplingFailed(f"{statement.name}: no instance in {_MAX_ATTEMPTS} attempts")
     return trial
@@ -512,6 +514,20 @@ _SOLVE_MARGIN = 1e-3
 _SOLVE_MAX_STEPS = 40
 
 
+@functools.lru_cache(maxsize=1024)
+def _solver_setup(model: Model, fresh: str, conclusions: Tuple[Fact, ...], tol: ToleranceProfile):
+    """The last carrier of fresh and the plan of the last angle equality
+    naming it (None without one), each plan pair measured once (None if it
+    moves), and (index, other point) of those that move with the probe."""
+    last = conclusions[::-1]
+    carrier = next((f for f in last if isinstance(f, Between) and f.mid == fresh), None)
+    target = next((f for f in last if isinstance(f, AngEq) and fresh in fact_point_names(f)), None)
+    plan = _plan(model, (target,), tol) if target else None
+    pairs = plan.pairs if plan else ()
+    return (carrier, plan, tuple(None if fresh in pair else pair for pair in pairs),
+            tuple((i, q if p == fresh else p) for i, (p, q) in enumerate(pairs) if fresh in (p, q)))
+
+
 def solve_introduced_point(
     model: Model, instance: Mapping[PointId, Vec], fresh: PointId, conclusions: Sequence[Fact],
     tol: ToleranceProfile,
@@ -522,9 +538,7 @@ def solve_introduced_point(
     ends of the geodesic from p to q and its root found by Illinois regula
     falsi (Dowell & Jarratt 1971); without an angle equality the point is
     the midpoint.  UnrealizableStep when the bracket has no sign change."""
-    last = tuple(reversed(conclusions))  # the last carrier and target count
-    carrier = next((f for f in last if isinstance(f, Between) and f.mid == fresh), None)
-    target = next((f for f in last if isinstance(f, AngEq) and fresh in fact_point_names(f)), None)
+    carrier, plan, fixed, moving = _solver_setup(model, fresh, tuple(conclusions), tol)
     if carrier is None:
         raise UnrealizableStep(f"no betweenness carrier for introduced point {fresh}")
     inst = Trial(model, instance)
@@ -532,15 +546,12 @@ def solve_introduced_point(
     span = inst.dist(carrier.a, carrier.b)
     u = model.unit_tangent(a, b)
 
-    if target is None:
+    if plan is None:
         return model.exp(a, u, 0.5 * span)
 
-    # pairs without the fresh point are measured once, the rest per probe
-    plan = Plan(model, (target,), tol)
     (_, left, right), = plan.ops
-    d = [0.0 if fresh in pair else inst.dist(*pair) for pair in plan.pairs]
-    moving = [(i, inst.point(q if p == fresh else p))
-              for i, (p, q) in enumerate(plan.pairs) if fresh in (p, q)]
+    d = [0.0 if pair is None else inst.dist(*pair) for pair in fixed]
+    moving = [(i, inst.point(p)) for i, p in moving]
     probe: Vec = ()
 
     def residual(t: float) -> float:

@@ -1,8 +1,10 @@
 """Command line surface: exit codes, output stability, and the
 expected-divergence policy for euclidean-only claims."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -251,6 +253,38 @@ def test_check_runs_no_collection(tmp_path):
     assert [(row.name, row.status) for row in rows] == [("chain", "ok")]
     assert collections == []
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("command", [["check", "--json"], ["deps"]], ids=["check-json", "deps"])
+def test_check_and_deps_print_without_a_collection(tmp_path, monkeypatch, command):
+    """From the start of `_rows` to the end of the output for a 2000-step
+    proof, the cyclic collector does not run."""
+    p = tmp_path / "chain.proof"
+    p.write_text(_extend_chain(2000))
+    out = io.StringIO()
+    started = []
+    written = []  # the output written when each collection after the start began
+    rows = cli._rows
+
+    def starting(*args, **kwargs):
+        started.append(True)
+        return rows(*args, **kwargs)
+
+    def record(phase, info):  # a collection after the output is not counted
+        if phase == "start" and started:
+            written.append(out.tell())
+
+    monkeypatch.setattr(cli, "_rows", starting)
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main([*command, str(p)]) == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert gc.isenabled()
+    assert started and out.tell() > 0
+    assert [n for n in written if n < out.tell()] == []
 
 
 def test_check_syntax_error_exits_two(tmp_path, capsys):

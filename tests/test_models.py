@@ -568,6 +568,53 @@ def test_model_check_instantiates_rule_facts_independently_of_trials(monkeypatch
     assert counts[0] == counts[1] > 0
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """The facts of every Plan compiled from here on, the caches emptied first."""
+    models._plan.cache_clear()
+    models._solver_setup.cache_clear()
+    compiled = []
+    init = models.Plan.__init__
+
+    def counting(self, model, facts, *args, **kwargs):
+        compiled.append(tuple(facts))
+        init(self, model, facts, *args, **kwargs)
+
+    monkeypatch.setattr(models.Plan, "__init__", counting)
+    yield compiled
+    models._plan.cache_clear()
+    models._solver_setup.cache_clear()
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+@pytest.mark.parametrize("name", ["bisector_pons", "bisector_foot"])
+def test_model_check_compiles_plans_independently_of_trials(compiles, model, name):
+    """The guard plan of the hypotheses and the lemma solver's target plan
+    are compiled once per statement, not once per trial."""
+    block, registry = _corpus_block(name)
+    steps = block.proof.steps if block.proof is not None else ()
+    counts = []
+    for trials in (5, 50):
+        models._plan.cache_clear()
+        models._solver_setup.cache_clear()
+        del compiles[:]
+        rep = model_check(model, block.statement, steps, trials=trials, seed=3, registry=registry)
+        assert rep.trials_run > 0
+        counts.append(len(compiles))
+    assert counts[0] == counts[1] > 0
+
+
+def test_solver_compiles_nothing_for_conclusions_it_has_seen(compiles):
+    tol = tolerance_for(EUCLIDEAN)
+    first, second = _triangles(EUCLIDEAN, 2)
+    del compiles[:]  # the triangles' guard plan
+    solve_introduced_point(EUCLIDEAN, first, H, BISECTOR_FOOT, tol)
+    assert compiles == [BISECTOR_FOOT[1:]]
+    del compiles[:]
+    solve_introduced_point(EUCLIDEAN, second, H, list(BISECTOR_FOOT), tolerance_for(EUCLIDEAN))
+    assert compiles == []
+
+
 @pytest.mark.parametrize("name", ["bisector_pons", "euclid_i5"])
 def test_kernel_and_replay_take_step_facts_from_one_function(monkeypatch, name):
     block, registry = _corpus_block(name)
