@@ -32,7 +32,9 @@ full before any of its citations is matched.
 
 Statements, steps, citations and reports are NamedTuples (see node).  The
 parser builds every step; a RuleStep keeps its fact and instantiation as
-written, and apply_rule builds the canonical fact from them.
+written, and apply_rule builds the canonical fact from them.  A rule's
+premises and conclusions and a lemma's hypotheses and conclusions are
+instantiated by one renaming, terms.subst_fact.
 """
 
 from __future__ import annotations
@@ -44,18 +46,13 @@ from .terms import (
     ABSURD,
     Absurd,
     AngEq,
-    AngLt,
     Between,
     Fact,
     LineTable,
     NonCollinear,
     PointId,
     SegEq,
-    SegLt,
     Trail,
-    angle,
-    ang_eq,
-    ang_lt,
     between,
     canon_fact,  # noqa: F401  (perfbench's tracer counts calls through this name)
     fact_point_names,
@@ -63,6 +60,7 @@ from .terms import (
     seg_eq,
     seg_lt,
     segment,
+    subst_fact,
     written_fact,
 )
 
@@ -412,29 +410,6 @@ def _transfer_probe(state: ProofState, want: NonCollinear) -> bool:
 
 # ---------------------------------------------------------------------------
 # Step semantics
-
-
-def subst_fact(fact: Fact, mapping: Mapping[PointId, PointId]) -> Fact:
-    """Rebuild a fact with points renamed through `mapping` (and therefore
-    re-canonicalized).  Raises the constructors' errors on collapses."""
-    m = mapping
-    if isinstance(fact, (SegEq, SegLt)):
-        make = seg_eq if isinstance(fact, SegEq) else seg_lt
-        (_, a, b), (_, c, d) = fact[1], fact[2]
-        return make(segment(m[a], m[b]), segment(m[c], m[d]))
-    if isinstance(fact, (AngEq, AngLt)):
-        make = ang_eq if isinstance(fact, AngEq) else ang_lt
-        (_, v, p, q), (_, w, r, t) = fact[1], fact[2]
-        return make(angle(m[p], m[v], m[q]), angle(m[r], m[w], m[t]))
-    if isinstance(fact, Between):
-        _, mid, a, b = fact
-        return between(m[mid], m[a], m[b])
-    if isinstance(fact, NonCollinear):
-        _, a, b, c = fact
-        return non_collinear(m[a], m[b], m[c])
-    if isinstance(fact, Absurd):
-        return ABSURD
-    raise TypeError(f"not a fact: {fact!r}")
 
 
 def _lemma_points(lemma: TheoremStatement, args: Sequence[str]) -> Dict[str, PointId]:

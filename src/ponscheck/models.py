@@ -39,7 +39,7 @@ import math
 from random import Random
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from . import CONJECTURE_ARITIES, check_conjecture
+from . import check_conjecture
 from .geometry import DegenerateDirection, DomainError, GeodesicOutOfDomain, Model, Vec
 from .kernel import (
     CasesStep,
@@ -89,6 +89,10 @@ MIN_ANGLE = 0.15
 _SLIDE_LEGS = 4.0
 # the name of that ray's far end, which no script point can have
 _RAY_END = " end"
+# the fraction of eq_tol within which a guard plan accepts equalities and
+# betweenness, so a sample's hypotheses hold well inside the tolerance its
+# conclusions are measured at (orders and noncollinearity keep lt_margin)
+GUARD_EQ = 1e-2
 _CORNERS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # angles at a, b, c by sides ab, ac, bc
 
 
@@ -218,11 +222,13 @@ class Plan:
     over value indices: the distances, then the angles in reverse order,
     so angle j is value ~j.  A guard plan also keeps the angles of each
     noncollinearity's triangle clear of 0 and pi, in opcodes after the
-    facts'.  `build` is the facts in the order the sampler builds them: a
-    guard plan's by _build_order, any other's as written."""
+    facts', and compares equalities and betweenness at GUARD_EQ of eq_tol
+    (`compare`).  `build` is the facts in the order the sampler builds
+    them: a guard plan's by _build_order, any other's as written."""
 
     def __init__(self, model: Model, facts: Sequence[Fact], tol: ToleranceProfile, guard=False):
         self.model, self.facts, self.tol = model, tuple(facts), tol
+        self.compare = tol._replace(eq_tol=GUARD_EQ * tol.eq_tol) if guard else tol
         pairs: Dict[Tuple[str, str], int] = {}
         angles: Dict[Tuple[str, ...], int] = {}
         ops, clear = [], []
@@ -246,7 +252,8 @@ class Plan:
 
     def run(self, v: List[float]) -> Optional[int]:
         """Index of the first failing opcode, or None; _EQ and _LT inline close and less."""
-        close, less, eq, lt = self.tol.close, self.tol.less, self.tol.eq_tol, self.tol.lt_margin
+        t = self.compare
+        close, less, eq, lt = t.close, t.less, t.eq_tol, t.lt_margin
         for k, o in enumerate(self.ops):
             op = o[0]
             if op <= _LT:  # values are never negative: max(|x|, |y|) is the larger
@@ -366,8 +373,9 @@ def _constructive_pass(
     other side when one side is fully placed.  A point an earlier turn
     moved about an arm of this angle slides along its ray from that arm
     until the angle holds, keeping the earlier angle.  A hypothesis undone
-    by a later one is left to rejection within tolerance (a Between so
-    accepted can be about sqrt(eq_tol) off straight).  May raise
+    by a later one is left to the guard, which accepts a gap of at most
+    GUARD_EQ * eq_tol (a Between so accepted can be about
+    sqrt(GUARD_EQ * eq_tol) off straight).  May raise
     DegenerateDirection, DomainError, DegenerateAngle or UnrealizableStep;
     callers treat that as a failed attempt."""
     moved: Tuple[str, ...] = ()
@@ -762,15 +770,9 @@ def model_check(
 # Built-in numeric conjectures
 
 
-@node
-class BuiltinConjecture(NamedTuple):
-    name: str
-    # measures a trial at the named points; returns (holds, detail) so
-    # counterexamples can say what was measured
-    evaluate: Callable[[Trial, Sequence[str], ToleranceProfile], Tuple[bool, str]]
-
-
 def _angle_sum_pi(t: Trial, names: Sequence[str], tol: ToleranceProfile) -> Tuple[bool, str]:
+    """Whether the triangle at the named points has angle sum pi, and what
+    was measured, for a counterexample to say."""
     a, b, c = names
     sides = t.measure(((a, b), (a, c), (b, c)))
     at_a, at_b, at_c = _angles(t.model.cos_angle, sides, _CORNERS, tol.eq_tol)
@@ -778,10 +780,8 @@ def _angle_sum_pi(t: Trial, names: Sequence[str], tol: ToleranceProfile) -> Tupl
     return tol.close(total, math.pi), f"angle sum {total!r} vs pi"
 
 
-_EVALUATE = {"angle_sum_pi": _angle_sum_pi}
-BUILTIN_CONJECTURES: Dict[str, BuiltinConjecture] = {
-    name: BuiltinConjecture(name, _EVALUATE[name]) for name in CONJECTURE_ARITIES
-}
+# each conjecture's measure of a trial at the named points: (holds, detail)
+BUILTIN_CONJECTURES = {"angle_sum_pi": _angle_sum_pi}
 
 
 def conjecture_statement(name: str, points: Sequence[str]) -> TheoremStatement:
@@ -803,13 +803,13 @@ def model_check_conjecture(
 ) -> ModelCheckReport:
     tol = tol or tolerance_for(model)
     statement = conjecture_statement(name, points)
-    conj = BUILTIN_CONJECTURES[name]
+    evaluate = BUILTIN_CONJECTURES[name]
     report = ModelCheckReport(model=model.name, trials=trials)
     for k, instance in _draws(model, statement, trials, seed, tol, samples):
         if instance is None:
             report.skipped += 1
             continue
-        holds, detail = conj.evaluate(instance, points, tol)
+        holds, detail = evaluate(instance, points, tol)
         report.record(k, instance, None if holds else detail)
     return report
 
@@ -824,19 +824,17 @@ def check_rule_soundness(
     """Sample the rule's premises and side conditions as a statement's
     hypotheses, like sample_instance (the sample is built from the
     hypotheses alone, so a conclusion holds only where the rule is
-    sound), and measure its conclusions.  A rule whose points must share a line has them placed on
-    it in each attempt.
-    A contradiction rule, whose premises never hold together, gets one
-    attempt per trial.  Trials whose premises cannot be sampled are counted
-    as skipped, never as failures; after the first trial that 1000 attempts
-    cannot sample, the rest are skipped unsampled."""
+    sound), and measure its conclusions; the schema's own facts, over its
+    variable names, are the statement.  A rule whose points must share a
+    line has them placed on it in each attempt.  A contradiction rule,
+    whose premises never hold together, gets one attempt per trial.
+    Trials whose premises cannot be sampled are counted as skipped, never
+    as failures; after the first trial that 1000 attempts cannot sample,
+    the rest are skipped unsampled."""
     tol = tol or tolerance_for(model)
     schema = RULES[rule_id]
-    binding = {var: var for var in schema.variables}
-    hyps = schema.instantiate_premises(binding) + tuple(
-        non_collinear(*triple) for triple in schema.instantiate_side_conditions(binding)
-    )
-    conclusions = Plan(model, schema.instantiate_conclusions(binding), tol)
+    hyps = schema.premises + tuple(non_collinear(*triple) for triple in schema.side_conditions)
+    conclusions = Plan(model, schema.conclusions, tol)
     guard = Plan(model, hyps, tol, guard=True)
     points, line = schema.variables, schema.collinear_side
     key = f"{seed}:{rule_id}:{model.name}:{{}}".format

@@ -1,17 +1,21 @@
 """The closed deduction rule inventory.
 
-Each rule is a schema over point variables: premise templates, NonCollinear
-side-condition triples, and conclusion templates.  Instantiating a schema
-with a binding from variables to point names yields concrete canonical
-facts.  The inventory is fixed; the kernel refuses rule ids outside this
-table.
+Each rule is a schema over point variables: premises, NonCollinear
+side-condition triples and conclusions.  Premises and conclusions are
+ordinary canonical facts over the variable names, built once here by _f
+from the kind and points a script would write, so a schema prints as the
+facts it states (between a m b has m in the middle, as in a script).
+Instantiating a schema renames its facts through a binding from variables
+to point names (terms.subst_fact, the renaming lemmas use), which yields
+concrete canonical facts.  The inventory is fixed; the kernel refuses rule
+ids outside this table.
 
 Ordered-triple congruence: SAS_ORD and ASA_ORD act on two ordered triples
 (P1,P2,P3), (Q1,Q2,Q3), so one triangle can be made congruent to itself
 under a nontrivial correspondence, which is exactly what the one-step
 base-angle proofs exploit.
 
-Conventions baked into instantiations:
+Conventions of the instantiation points:
   * angles are written arm, vertex, arm (the middle point is the vertex);
   * SEG_SUM triples are (outer, mid, outer) for each of the two sums;
   * WHOLE_PART_ANG's compared arm is the first instantiation point;
@@ -21,32 +25,19 @@ Conventions baked into instantiations:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
-from .terms import (
-    ABSURD,
-    Fact,
-    PointId,
-    ang_eq,
-    ang_lt,
-    angle,
-    between,
-    non_collinear,
-    seg_eq,
-    seg_lt,
-    segment,
-)
+from .terms import ABSURD, Fact, PointId, subst_fact, written_fact
 
 Binding = Mapping[str, PointId]
-Template = Callable[[Binding], Fact]
 
 
 class RuleSchema(NamedTuple):
     rule_id: str
     variables: Tuple[str, ...]
-    premises: Tuple[Template, ...]
+    premises: Tuple[Fact, ...]
     side_conditions: Tuple[Tuple[str, str, str], ...]
-    conclusions: Tuple[Template, ...]
+    conclusions: Tuple[Fact, ...]
     collinear_side: Tuple[str, ...] = ()  # NC_TRANSFER: names that must share a line
 
     def bind(self, points: Sequence[PointId]) -> Dict[str, PointId]:
@@ -57,41 +48,18 @@ class RuleSchema(NamedTuple):
         return dict(zip(self.variables, points))
 
     def instantiate_premises(self, b: Binding) -> Tuple[Fact, ...]:
-        return tuple(t(b) for t in self.premises)
+        return tuple([subst_fact(f, b) for f in self.premises])
 
     def instantiate_conclusions(self, b: Binding) -> Tuple[Fact, ...]:
-        return tuple(t(b) for t in self.conclusions)
+        return tuple([subst_fact(f, b) for f in self.conclusions])
 
     def instantiate_side_conditions(self, b: Binding):
         return tuple((b[x], b[y], b[z]) for (x, y, z) in self.side_conditions)
 
 
-def _seq(a: str, b: str, c: str, d: str) -> Template:
-    return lambda m: seg_eq(segment(m[a], m[b]), segment(m[c], m[d]))
-
-
-def _slt(a: str, b: str, c: str, d: str) -> Template:
-    return lambda m: seg_lt(segment(m[a], m[b]), segment(m[c], m[d]))
-
-
-def _aeq(a1: str, v1: str, b1: str, a2: str, v2: str, b2: str) -> Template:
-    return lambda m: ang_eq(angle(m[a1], m[v1], m[b1]), angle(m[a2], m[v2], m[b2]))
-
-
-def _alt(a1: str, v1: str, b1: str, a2: str, v2: str, b2: str) -> Template:
-    return lambda m: ang_lt(angle(m[a1], m[v1], m[b1]), angle(m[a2], m[v2], m[b2]))
-
-
-def _btw(mid: str, a: str, b: str) -> Template:
-    return lambda m: between(m[mid], m[a], m[b])
-
-
-def _nc(a: str, b: str, c: str) -> Template:
-    return lambda m: non_collinear(m[a], m[b], m[c])
-
-
-def _absurd() -> Template:
-    return lambda m: ABSURD
+def _f(kind: str, *variables: str) -> Fact:
+    """The schema fact a script writes as `kind` over these variables."""
+    return written_fact(kind, variables)
 
 
 RULES: Dict[str, RuleSchema] = {}
@@ -105,159 +73,165 @@ _rule(RuleSchema(
     "SEG_REFL", ("a", "b"),
     premises=(),
     side_conditions=(),
-    conclusions=(_seq("a", "b", "a", "b"),),
+    conclusions=(_f("seg_eq", "a", "b", "a", "b"),),
 ))
 
 _rule(RuleSchema(
     "ANG_REFL", ("a", "v", "b"),
     premises=(),
     side_conditions=(),
-    conclusions=(_aeq("a", "v", "b", "a", "v", "b"),),
+    conclusions=(_f("ang_eq", "a", "v", "b", "a", "v", "b"),),
 ))
 
 _rule(RuleSchema(
     "SEG_SYM", ("a", "b", "c", "d"),
-    premises=(_seq("a", "b", "c", "d"),),
+    premises=(_f("seg_eq", "a", "b", "c", "d"),),
     side_conditions=(),
-    conclusions=(_seq("c", "d", "a", "b"),),
+    conclusions=(_f("seg_eq", "c", "d", "a", "b"),),
 ))
 
 _rule(RuleSchema(
     "ANG_SYM", ("a", "v", "b", "c", "w", "d"),
-    premises=(_aeq("a", "v", "b", "c", "w", "d"),),
+    premises=(_f("ang_eq", "a", "v", "b", "c", "w", "d"),),
     side_conditions=(),
-    conclusions=(_aeq("c", "w", "d", "a", "v", "b"),),
+    conclusions=(_f("ang_eq", "c", "w", "d", "a", "v", "b"),),
 ))
 
 _rule(RuleSchema(
     "SEG_TRANS", ("a", "b", "c", "d", "e", "f"),
-    premises=(_seq("a", "b", "c", "d"), _seq("c", "d", "e", "f")),
+    premises=(_f("seg_eq", "a", "b", "c", "d"), _f("seg_eq", "c", "d", "e", "f")),
     side_conditions=(),
-    conclusions=(_seq("a", "b", "e", "f"),),
+    conclusions=(_f("seg_eq", "a", "b", "e", "f"),),
 ))
 
 _rule(RuleSchema(
     "ANG_TRANS", ("a", "v", "b", "c", "w", "d", "e", "u", "f"),
-    premises=(_aeq("a", "v", "b", "c", "w", "d"), _aeq("c", "w", "d", "e", "u", "f")),
+    premises=(
+        _f("ang_eq", "a", "v", "b", "c", "w", "d"),
+        _f("ang_eq", "c", "w", "d", "e", "u", "f"),
+    ),
     side_conditions=(),
-    conclusions=(_aeq("a", "v", "b", "e", "u", "f"),),
+    conclusions=(_f("ang_eq", "a", "v", "b", "e", "u", "f"),),
 ))
 
 _rule(RuleSchema(
     "SAS_ORD", ("p1", "p2", "p3", "q1", "q2", "q3"),
     premises=(
-        _seq("p1", "p2", "q1", "q2"),
-        _seq("p1", "p3", "q1", "q3"),
-        _aeq("p2", "p1", "p3", "q2", "q1", "q3"),
+        _f("seg_eq", "p1", "p2", "q1", "q2"),
+        _f("seg_eq", "p1", "p3", "q1", "q3"),
+        _f("ang_eq", "p2", "p1", "p3", "q2", "q1", "q3"),
     ),
     side_conditions=(("p1", "p2", "p3"), ("q1", "q2", "q3")),
     conclusions=(
-        _seq("p2", "p3", "q2", "q3"),
-        _aeq("p1", "p2", "p3", "q1", "q2", "q3"),
-        _aeq("p1", "p3", "p2", "q1", "q3", "q2"),
+        _f("seg_eq", "p2", "p3", "q2", "q3"),
+        _f("ang_eq", "p1", "p2", "p3", "q1", "q2", "q3"),
+        _f("ang_eq", "p1", "p3", "p2", "q1", "q3", "q2"),
     ),
 ))
 
 _rule(RuleSchema(
     "ASA_ORD", ("p1", "p2", "p3", "q1", "q2", "q3"),
     premises=(
-        _aeq("p1", "p2", "p3", "q1", "q2", "q3"),
-        _aeq("p1", "p3", "p2", "q1", "q3", "q2"),
-        _seq("p2", "p3", "q2", "q3"),
+        _f("ang_eq", "p1", "p2", "p3", "q1", "q2", "q3"),
+        _f("ang_eq", "p1", "p3", "p2", "q1", "q3", "q2"),
+        _f("seg_eq", "p2", "p3", "q2", "q3"),
     ),
     side_conditions=(("p1", "p2", "p3"), ("q1", "q2", "q3")),
     conclusions=(
-        _seq("p1", "p2", "q1", "q2"),
-        _seq("p1", "p3", "q1", "q3"),
-        _aeq("p2", "p1", "p3", "q2", "q1", "q3"),
+        _f("seg_eq", "p1", "p2", "q1", "q2"),
+        _f("seg_eq", "p1", "p3", "q1", "q3"),
+        _f("ang_eq", "p2", "p1", "p3", "q2", "q1", "q3"),
     ),
 ))
 
 _rule(RuleSchema(
     "SEG_SUM", ("a", "m", "b", "a2", "m2", "b2"),
     premises=(
-        _btw("m", "a", "b"),
-        _btw("m2", "a2", "b2"),
-        _seq("a", "m", "a2", "m2"),
-        _seq("m", "b", "m2", "b2"),
+        _f("between", "a", "m", "b"),
+        _f("between", "a2", "m2", "b2"),
+        _f("seg_eq", "a", "m", "a2", "m2"),
+        _f("seg_eq", "m", "b", "m2", "b2"),
     ),
     side_conditions=(),
-    conclusions=(_seq("a", "b", "a2", "b2"),),
+    conclusions=(_f("seg_eq", "a", "b", "a2", "b2"),),
 ))
 
 _rule(RuleSchema(
     "SUPP_CONG", ("a", "b", "c", "d", "a2", "b2", "c2", "d2"),
     premises=(
-        _btw("b", "a", "d"),
-        _btw("b2", "a2", "d2"),
-        _aeq("d", "b", "c", "d2", "b2", "c2"),
+        _f("between", "a", "b", "d"),
+        _f("between", "a2", "b2", "d2"),
+        _f("ang_eq", "d", "b", "c", "d2", "b2", "c2"),
     ),
     side_conditions=(("a", "b", "c"), ("a2", "b2", "c2")),
-    conclusions=(_aeq("a", "b", "c", "a2", "b2", "c2"),),
+    conclusions=(_f("ang_eq", "a", "b", "c", "a2", "b2", "c2"),),
 ))
 
 _rule(RuleSchema(
     "ARM_SUBST", ("v", "w", "m", "z"),
-    premises=(_btw("m", "v", "w"),),
+    premises=(_f("between", "v", "m", "w"),),
     side_conditions=(("v", "w", "z"),),
-    conclusions=(_aeq("w", "v", "z", "m", "v", "z"),),
+    conclusions=(_f("ang_eq", "w", "v", "z", "m", "v", "z"),),
 ))
 
 _rule(RuleSchema(
     "WHOLE_PART_SEG", ("a", "m", "b"),
-    premises=(_btw("m", "a", "b"),),
+    premises=(_f("between", "a", "m", "b"),),
     side_conditions=(),
-    conclusions=(_slt("a", "m", "a", "b"),),
+    conclusions=(_f("seg_lt", "a", "m", "a", "b"),),
 ))
 
 _rule(RuleSchema(
     "WHOLE_PART_ANG", ("a", "m", "b", "z"),
-    premises=(_btw("m", "a", "b"),),
+    premises=(_f("between", "a", "m", "b"),),
     side_conditions=(("a", "b", "z"),),
-    conclusions=(_alt("a", "z", "m", "a", "z", "b"),),
+    conclusions=(_f("ang_lt", "a", "z", "m", "a", "z", "b"),),
 ))
 
 _rule(RuleSchema(
     "LT_SUBST_SEG", ("a", "b", "c", "d", "e", "f", "g", "h"),
     premises=(
-        _slt("a", "b", "c", "d"),
-        _seq("a", "b", "e", "f"),
-        _seq("c", "d", "g", "h"),
+        _f("seg_lt", "a", "b", "c", "d"),
+        _f("seg_eq", "a", "b", "e", "f"),
+        _f("seg_eq", "c", "d", "g", "h"),
     ),
     side_conditions=(),
-    conclusions=(_slt("e", "f", "g", "h"),),
+    conclusions=(_f("seg_lt", "e", "f", "g", "h"),),
 ))
 
 _rule(RuleSchema(
     "LT_SUBST_ANG", ("a1", "v1", "b1", "a2", "v2", "b2", "a3", "v3", "b3", "a4", "v4", "b4"),
     premises=(
-        _alt("a1", "v1", "b1", "a2", "v2", "b2"),
-        _aeq("a1", "v1", "b1", "a3", "v3", "b3"),
-        _aeq("a2", "v2", "b2", "a4", "v4", "b4"),
+        _f("ang_lt", "a1", "v1", "b1", "a2", "v2", "b2"),
+        _f("ang_eq", "a1", "v1", "b1", "a3", "v3", "b3"),
+        _f("ang_eq", "a2", "v2", "b2", "a4", "v4", "b4"),
     ),
     side_conditions=(),
-    conclusions=(_alt("a3", "v3", "b3", "a4", "v4", "b4"),),
+    conclusions=(_f("ang_lt", "a3", "v3", "b3", "a4", "v4", "b4"),),
 ))
 
 _rule(RuleSchema(
     "ABSURD_LT_EQ_SEG", ("a", "b", "c", "d"),
-    premises=(_slt("a", "b", "c", "d"), _seq("a", "b", "c", "d")),
+    premises=(_f("seg_lt", "a", "b", "c", "d"), _f("seg_eq", "a", "b", "c", "d")),
     side_conditions=(),
-    conclusions=(_absurd(),),
+    conclusions=(ABSURD,),
 ))
 
 _rule(RuleSchema(
     "ABSURD_LT_EQ_ANG", ("a", "v", "b", "c", "w", "d"),
-    premises=(_alt("a", "v", "b", "c", "w", "d"), _aeq("a", "v", "b", "c", "w", "d")),
+    premises=(
+        _f("ang_lt", "a", "v", "b", "c", "w", "d"),
+        _f("ang_eq", "a", "v", "b", "c", "w", "d"),
+    ),
     side_conditions=(),
-    conclusions=(_absurd(),),
+    conclusions=(ABSURD,),
 ))
 
 _rule(RuleSchema(
     "NC_TRANSFER", ("x", "y", "z", "p", "q"),
-    premises=(_nc("x", "y", "z"),),
+    premises=(_f("noncollinear", "x", "y", "z"),),
     side_conditions=(),
-    conclusions=(_nc("p", "q", "z"),),
+    conclusions=(_f("noncollinear", "p", "q", "z"),),
     collinear_side=("p", "q", "x", "y"),
 ))
 

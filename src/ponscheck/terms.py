@@ -14,7 +14,9 @@ reject degenerate input and canonicalize (endpoints, arms and outer pairs
 sorted by name, equality sides in tuple order), so every fact is canonical
 as built: syntactically mirrored writings such as seg(A,B) and seg(B,A)
 are the same value, and the kernel needs neither symmetry bookkeeping nor
-a second canonicalization pass.
+a second canonicalization pass.  One renaming, subst_fact, rebuilds a fact
+over other points through the same constructors; rule schemas, lemmas and
+canon_fact all instantiate through it.
 
 The line table is the collinearity store: every strict-betweenness fact
 adds a three-point line, and lines sharing two points are merged
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from itertools import count
 from operator import itemgetter
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 PointId = str  # a point is its name
 
@@ -217,19 +219,32 @@ def written_fact(kind: str, p: Tuple[PointId, ...]) -> Fact:
     return ABSURD  # absurd, the one kind left
 
 
+def subst_fact(fact: Fact, mapping: Mapping[PointId, PointId]) -> Fact:
+    """The fact with every point p renamed to mapping[p], rebuilt through
+    the canonicalizing constructors: the one renaming, which instantiates
+    rule schemas and lemmas.  Raises the constructors' errors when points
+    collapse."""
+    m, kind = mapping, type(fact)
+    if kind is SegEq or kind is SegLt:
+        (_, a, b), (_, c, d) = fact[1], fact[2]
+        make = seg_eq if kind is SegEq else seg_lt
+        return make(segment(m[a], m[b]), segment(m[c], m[d]))
+    if kind is AngEq or kind is AngLt:
+        (_, v, p, q), (_, w, r, t) = fact[1], fact[2]
+        make = ang_eq if kind is AngEq else ang_lt
+        return make(angle(m[p], m[v], m[q]), angle(m[r], m[w], m[t]))
+    if kind is Between:
+        return between(m[fact[1]], m[fact[2]], m[fact[3]])
+    if kind is NonCollinear:
+        return non_collinear(m[fact[1]], m[fact[2]], m[fact[3]])
+    if kind is Absurd:
+        return ABSURD
+    raise TypeError(f"not a fact: {fact!r}")
+
+
 def canon_fact(fact: Fact) -> Fact:
     """Rebuild a fact through the canonicalizing constructors (idempotent)."""
-    if isinstance(fact, SegEq):
-        return seg_eq(fact[1], fact[2])
-    if isinstance(fact, AngEq):
-        return ang_eq(fact[1], fact[2])
-    if isinstance(fact, (SegLt, AngLt, Absurd)):
-        return fact
-    if isinstance(fact, Between):
-        return between(*fact[1:])
-    if isinstance(fact, NonCollinear):
-        return non_collinear(*fact[1:])
-    raise TypeError(f"not a fact: {fact!r}")
+    return subst_fact(fact, {p: p for p in fact_point_names(fact)})
 
 
 def fact_point_names(fact: Fact) -> Tuple[str, ...]:

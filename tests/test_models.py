@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 import ponscheck
 from oracles import tangent_angle
-from ponscheck import kernel, models
+from ponscheck import CONJECTURE_ARITIES, kernel, models
 from ponscheck.cli import main
 from ponscheck.corpus import PROOF_FILENAMES, load_text
 from ponscheck.elaborate import collect_statements, elaborate_script
@@ -28,6 +28,7 @@ from ponscheck.geometry import (
 )
 from ponscheck.kernel import ExtendStep, LayoffStep, TheoremStatement, check_proof
 from ponscheck.models import (
+    BUILTIN_CONJECTURES,
     MissingPoint,
     SamplingFailed,
     UnrealizableStep,
@@ -916,8 +917,22 @@ def test_unknown_conjecture_name():
         model_check_conjecture(EUCLIDEAN, "riemann_hypothesis", ("A", "B", "C"))
 
 
+def test_the_builtin_conjectures_are_those_every_command_checks_against():
+    assert BUILTIN_CONJECTURES.keys() == CONJECTURE_ARITIES.keys()
+
+
 # ---------------------------------------------------------------------------
 # Rule soundness spot checks (the full sweep lives in the acceptance tests)
+
+
+def test_an_ill_conditioned_sample_is_skipped_not_failed(monkeypatch):
+    """A slide four times as long builds poincare ASA_ORD premises on
+    ill-conditioned triangles.  Accepting their gaps up to eq_tol made a
+    sound rule fail 255 of 300 trials; the guard's tighter comparison
+    rejects those samples instead."""
+    monkeypatch.setattr(models, "_SLIDE_LEGS", 16.0)
+    rep = check_rule_soundness(POINCARE, "ASA_ORD", trials=300, seed=11)
+    assert rep.failures == 0 and rep.trials_run + rep.skipped == 300
 
 
 def test_sas_rule_sound_in_flat_model():

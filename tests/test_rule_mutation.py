@@ -13,6 +13,7 @@ failure, so only the survivors pay for the longest round.
 from ponscheck.geometry import MODELS
 from ponscheck.models import check_rule_soundness
 from ponscheck.rules import RULES
+from ponscheck.terms import subst_fact
 
 SEED = 5
 ROUNDS = (5, 20, 75, 200)
@@ -40,8 +41,9 @@ EQUIVALENT = {
 }
 
 
-def _renamed(template, x, y):
-    return lambda m: template({**m, x: m[y]})
+def _renamed(fact, variables, x, y):
+    """The schema fact with variable x read as y; ValueError if it degenerates."""
+    return subst_fact(fact, {p: y if p == x else p for p in variables})
 
 
 def _mutants():
@@ -56,23 +58,21 @@ def _mutants():
             parts = getattr(schema, field)
             for i in range(len(parts)):
                 yield (rule_id, field, i), rule_id, schema._replace(**{field: parts[:i] + parts[i + 1:]})
-        identity = {v: v for v in schema.variables}
-        seen = {schema.instantiate_conclusions(identity)}
-        for i, template in enumerate(schema.conclusions):
+        seen = {schema.conclusions}
+        for i, fact in enumerate(schema.conclusions):
             for x in schema.variables:
                 for y in schema.variables:
                     if x == y:
                         continue
                     conclusions = list(schema.conclusions)
-                    conclusions[i] = _renamed(template, x, y)
-                    mutant = schema._replace(conclusions=tuple(conclusions))
                     try:
-                        facts = mutant.instantiate_conclusions(identity)
+                        conclusions[i] = _renamed(fact, schema.variables, x, y)
                     except ValueError:
                         continue
+                    facts = tuple(conclusions)
                     if facts not in seen:
                         seen.add(facts)
-                        yield (rule_id, "conclusions", i, x, y), rule_id, mutant
+                        yield (rule_id, "conclusions", i, x, y), rule_id, schema._replace(conclusions=facts)
 
 
 def _caught(rule_id: str) -> bool:

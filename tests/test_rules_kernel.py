@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ponscheck
 
@@ -29,14 +30,17 @@ from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.rules import RULE_IDS, RULES
 from ponscheck.script import parse
 from ponscheck.terms import (
+    Fact,
     PointId,
     ang_eq,
     angle,
     between,
+    fact_point_names,
     non_collinear,
     seg_eq,
     seg_lt,
     segment,
+    subst_fact,
 )
 
 P = PointId
@@ -72,6 +76,43 @@ def test_rule_inventory_is_closed():
 def test_rule_arity_enforced():
     with pytest.raises(ValueError):
         RULES["SAS_ORD"].bind([P("A"), P("B")])
+
+
+def test_schemas_are_facts_over_their_own_variables():
+    for schema in RULES.values():
+        names = set(schema.variables)
+        for fact in schema.premises + schema.conclusions:
+            assert isinstance(fact, Fact), (schema.rule_id, fact)
+            assert set(fact_point_names(fact)) <= names, (schema.rule_id, fact)
+        for triple in schema.side_conditions:
+            assert set(triple) <= names, (schema.rule_id, triple)
+        assert set(schema.collinear_side) <= names
+
+
+def test_the_identity_instantiates_a_schema_as_its_own_facts():
+    for schema in RULES.values():
+        identity = schema.bind(schema.variables)
+        assert schema.instantiate_premises(identity) == schema.premises
+        assert schema.instantiate_conclusions(identity) == schema.conclusions
+        assert schema.instantiate_side_conditions(identity) == schema.side_conditions
+
+
+SCHEMA_FACTS = sorted({f for s in RULES.values() for f in s.premises + s.conclusions})
+VARIABLES = sorted({v for s in RULES.values() for v in s.variables})
+POOL = VARIABLES + list("ABCDEFGH")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(POOL), st.permutations(POOL))
+def test_renaming_twice_is_renaming_by_the_composite(image1, image2):
+    """For injective maps m1 and m2, renaming by m1 then m2 equals renaming
+    by m2 after m1, on every schema fact; the mutation gate instantiates
+    renamed schema facts and relies on this."""
+    m1 = dict(zip(VARIABLES, image1))
+    m2 = dict(zip(POOL, image2))
+    composite = {v: m2[m1[v]] for v in VARIABLES}
+    for fact in SCHEMA_FACTS:
+        assert subst_fact(subst_fact(fact, m1), m2) == subst_fact(fact, composite)
 
 
 def _pons_statement() -> TheoremStatement:
