@@ -45,7 +45,7 @@ from . import MODEL_NAMES, UnknownConjecture, __version__, check_conjecture
 from .corpus import ENTRIES, load_text
 from .depgraph import CYCLIC, EUCLIDEAN_ONLY, Graph, emit_dot, graph_from_blocks
 from .elaborate import collect_statements, elaborate_script
-from .kernel import CheckReport, TheoremStatement, bad_statement, check_proof
+from .kernel import CheckReport, bad_statement, check_proof
 from .script import ConjectureAst, ParseError, ScriptAst, format_script, parse, parse_conjecture
 
 if TYPE_CHECKING:
@@ -144,10 +144,8 @@ def _rows(
                 if item.name in where:
                     raise CliError(1, f"{item.name} is defined twice: {where[item.name]} and {at}")
                 where[item.name] = at
-        registry: Dict[str, Optional[TheoremStatement]] = {}
-        for _, ast in asts:
-            registry.update(collect_statements(ast))
-        blocks = [b for _, ast in asts for b in elaborate_script(ast, registry)]
+        blocks = [b for _, ast in asts for b in elaborate_script(ast)]
+        registry = collect_statements(blocks)
         reports: Dict[str, CheckReport] = {}
         for b in blocks:
             if b.error:

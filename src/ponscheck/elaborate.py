@@ -11,7 +11,7 @@ across the inputs; cli._rows checks that before elaborating.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import script as S
 from .kernel import FactAst, Proof, TheoremStatement
@@ -63,32 +63,25 @@ def make_statement(block: S.TheoremAst) -> TheoremStatement:
     )
 
 
-def collect_statements(ast: S.ScriptAst) -> Dict[str, Optional[TheoremStatement]]:
-    """First pass: every theorem statement, keyed by name, None for a bad
-    one.  Used as the lemma registry before any proof is checked."""
-    return {b.name: b.statement for b in elaborate_script(ast) if b.statement or b.error}
-
-
-def elaborate_script(
-    ast: S.ScriptAst,
-    registry: Optional[Mapping[str, TheoremStatement]] = None,
-) -> List[ElaboratedBlock]:
-    """Second pass: statement and proof for every block.  `registry` (from
-    collect_statements over all input files) supplies the statements built
-    there; any other is built here."""
+def elaborate_script(ast: S.ScriptAst) -> List[ElaboratedBlock]:
+    """Statement and proof for every block, each statement built once."""
     blocks: List[ElaboratedBlock] = []
     for item in ast.items:
         statement = proof = None
         error = ""
         if isinstance(item, S.TheoremAst):
             proof = item.proof
-            statement = (registry or {}).get(item.name)
-            if statement is None:
-                try:
-                    statement = make_statement(item)
-                except ValueError as exc:
-                    error = str(exc)
+            try:
+                statement = make_statement(item)
+            except ValueError as exc:
+                error = str(exc)
         blocks.append(
             ElaboratedBlock(item.name, item.tags, item.uses, statement, proof, item.line, error)
         )
     return blocks
+
+
+def collect_statements(blocks: Iterable[ElaboratedBlock]) -> Dict[str, Optional[TheoremStatement]]:
+    """The lemma registry: every theorem's statement, keyed by name, None
+    for a bad one."""
+    return {b.name: b.statement for b in blocks if b.statement or b.error}

@@ -3,8 +3,8 @@
 Points are plain tuples: (x, y) for the euclidean plane and the open unit
 Poincare disk, a unit 3-vector (x, y, z) for the sphere.  Each model
 provides distances, its law of cosines (which models' plans measure
-angles with), geodesic motion (exp map along a unit tangent),
-tangent-frame helpers, and seeded point sampling.  Each model class also
+angles with), geodesic motion (exp map along a unit tangent), the unit
+tangent toward a point and its turns, and seeded point sampling.  Each model class also
 carries its numeric profile (equality tolerance, sampling distances,
 sampling region, working domain), so no caller branches on a model's name.
 
@@ -29,10 +29,6 @@ Vec = Tuple[float, ...]
 
 class DomainError(ValueError):
     """Point outside a model's domain (e.g. on or beyond the disk rim)."""
-
-
-class GeodesicOutOfDomain(ValueError):
-    """A construction walked a geodesic out of the model's working domain."""
 
 
 class DegenerateDirection(ValueError):
@@ -104,14 +100,6 @@ class Model:
     def random_point(self, rng: Random) -> Vec:
         raise NotImplementedError
 
-    def random_tangent(self, rng: Random, p: Vec):
-        """Uniformly random unit tangent direction at p."""
-        e1 = self._frame_seed(p)
-        e2 = self.perp_tangent(p, e1)
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        c, s = math.cos(th), math.sin(th)
-        return tuple(c * a + s * b for a, b in zip(e1, e2))
-
     def rotate_tangent(self, p: Vec, v, ang: float):
         """Rotate a unit tangent at p by ang (sign picks the half-plane)."""
         w = self.perp_tangent(p, v)
@@ -121,9 +109,6 @@ class Model:
     def point_toward(self, p: Vec, q: Vec, t: float) -> Vec:
         """Point at arc length t from p on the geodesic through q."""
         return self.exp(p, self.unit_tangent(p, q), t)
-
-    def _frame_seed(self, p: Vec):
-        raise NotImplementedError
 
 
 class EuclideanModel(Model):
@@ -162,9 +147,6 @@ class EuclideanModel(Model):
     def random_point(self, rng: Random) -> Vec:
         b = self.box
         return (rng.uniform(-b, b), rng.uniform(-b, b))
-
-    def _frame_seed(self, p: Vec):
-        return (1.0, 0.0)
 
 
 def disk_to_hyperboloid(p: Vec) -> Vec:
@@ -258,10 +240,6 @@ class PoincareModel(Model):
         th = rng.uniform(0.0, 2.0 * math.pi)
         return (r * math.cos(th), r * math.sin(th))
 
-    def _frame_seed(self, p: Vec):
-        q = (p[0] + 1e-3, p[1]) if abs(p[0]) < 0.98 else (p[0] - 1e-3, p[1])
-        return self.unit_tangent(p, q)
-
 
 class SphereModel(Model):
     name = "sphere"
@@ -318,13 +296,6 @@ class SphereModel(Model):
         phi = self.cap * math.sqrt(rng.random())
         th = rng.uniform(0.0, 2.0 * math.pi)
         return (math.sin(phi) * math.cos(th), math.sin(phi) * math.sin(th), math.cos(phi))
-
-    def _frame_seed(self, p: Vec):
-        seed = (1.0, 0.0, 0.0) if abs(p[0]) < 0.9 else (0.0, 1.0, 0.0)
-        d = p[0] * seed[0] + p[1] * seed[1] + p[2] * seed[2]
-        w = tuple(seed[i] - d * p[i] for i in range(3))
-        n = _norm2(w)
-        return (w[0] / n, w[1] / n, w[2] / n)
 
 
 EUCLIDEAN = EuclideanModel()

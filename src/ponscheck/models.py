@@ -16,12 +16,13 @@ the opcodes.  The guards, eval_fact, the lemma solver's residual (which
 re-measures only the moving point) and the final evaluation run plans,
 cached per model, facts and tolerance (the final ones per model_check).
 
-A trial only samples, replays constructions, solves lemma-introduced
-points (bracketed Illinois regula falsi) and measures the facts that
-kernel.step_facts derives.  Statements with the same points and hypotheses
-draw the same trials, shared through a sample store (the model command
-keeps one per model); after a trial that cannot be sampled, the rest are
-skipped unsampled.
+A trial only samples, replays constructions, solves the points a lemma
+or statement only asserts (bracketed Illinois regula falsi) and measures
+the facts that kernel.step_facts derives.  Statements with the same points
+and hypotheses draw the same trials, shared through a sample store (the
+model command keeps one per model); after a trial that cannot be sampled,
+the rest are skipped unsampled.  ModelCheckReport.tally counts the trials
+of every check, skipping those that raise UnrealizableStep.
 
 Each model's numeric profile (equality tolerance, sampling distances and
 region, working domain) lives on its Model class in geometry; MIN_ANGLE is
@@ -40,7 +41,7 @@ from random import Random
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import check_conjecture
-from .geometry import DegenerateDirection, DomainError, GeodesicOutOfDomain, Model, Vec
+from .geometry import DegenerateDirection, DomainError, Model, Vec
 from .kernel import (
     CasesStep,
     ExtendStep,
@@ -76,8 +77,14 @@ class SamplingFailed(Exception):
 
 
 class UnrealizableStep(SamplingFailed):
-    """A proof step (lemma-introduced point, out-of-domain construction)
-    that cannot be realized numerically for this instance."""
+    """A trial that cannot be evaluated: a construction that leaves the
+    working domain, a case split inside the tolerance's dead zone, or an
+    asserted point the solver cannot place (no carrier, no sign change, a
+    degenerate carrier or probe).  The model checks count it as skipped."""
+
+
+class GeodesicOutOfDomain(UnrealizableStep):
+    """A construction walked a geodesic out of the model's working domain."""
 
 
 _MAX_ATTEMPTS = 1000
@@ -392,7 +399,7 @@ def _constructive_pass(
             a, v, w = apex
             leg = rng.uniform(2.0 * model.min_separation, model.max_leg)
             opening = rng.uniform(2.0 * MIN_ANGLE, math.pi - 2.0 * MIN_ANGLE)
-            u = model.random_tangent(rng, pts[a])
+            u = model.unit_tangent(pts[a], pts[v])
             pts[v] = model.exp(pts[a], u, leg)
             pts[w] = model.exp(pts[a], model.rotate_tangent(pts[a], u, opening), leg)
             moved = (v, w)
@@ -494,9 +501,7 @@ def sample_instance(
 # Construction realization
 
 
-def realize_construction(
-    model: Model, instance: Mapping[PointId, Vec], step, tol: Optional[ToleranceProfile] = None
-) -> Trial:
+def realize_construction(model: Model, instance: Mapping[PointId, Vec], step) -> Trial:
     """Place the fresh point of an extend/layoff step; returns a new
     instance.  Walking off the model's working domain (hemisphere, disk
     rim) raises GeodesicOutOfDomain."""
@@ -545,14 +550,18 @@ def solve_introduced_point(
     equality mentioning fresh.  The angle residual is bracketed by the two
     ends of the geodesic from p to q and its root found by Illinois regula
     falsi (Dowell & Jarratt 1971); without an angle equality the point is
-    the midpoint.  UnrealizableStep when the bracket has no sign change."""
+    the midpoint.  UnrealizableStep without a carrier or a sign change, or
+    when the carrier's ends coincide or a probe's angle is degenerate."""
     carrier, plan, fixed, moving = _solver_setup(model, fresh, tuple(conclusions), tol)
     if carrier is None:
         raise UnrealizableStep(f"no betweenness carrier for introduced point {fresh}")
     inst = Trial(model, instance)
     a, b = inst.point(carrier.a), inst.point(carrier.b)
     span = inst.dist(carrier.a, carrier.b)
-    u = model.unit_tangent(a, b)
+    try:
+        u = model.unit_tangent(a, b)
+    except DegenerateDirection as exc:
+        raise UnrealizableStep(f"degenerate carrier for {fresh}: {exc}") from exc
 
     if plan is None:
         return model.exp(a, u, 0.5 * span)
@@ -570,7 +579,7 @@ def solve_introduced_point(
         angles = _angles(model.cos_angle, d, plan.angles, tol.eq_tol)  # angle j is ~j here too
         r = angles[left] - angles[right]
         if r != r:
-            raise DegenerateAngle(f"degenerate angle probing {fresh}")
+            raise UnrealizableStep(f"degenerate angle probing {fresh}")
         return r
 
     lo, hi = 1e-6, 1.0 - 1e-6
@@ -627,20 +636,36 @@ class ModelCheckReport:
             d["first_counterexample"] = {"trial": ce.trial, "fact": ce.fact, "points": points}
         return d
 
-    def record(self, trial: int, instance: Trial, failed: Optional[str]) -> None:
-        """Count one evaluated trial; `failed` describes the first fact
-        that did not hold, and the first such trial is kept."""
-        self.trials_run += 1
-        if failed is not None:
-            self.failures += 1
-            if self.first_counterexample is None:
-                self.first_counterexample = Counterexample(
-                    trial=trial, fact=failed, points=tuple(sorted(instance.pts.items()))
-                )
+    def tally(self, draws, measure) -> "ModelCheckReport":
+        """Count each draw (k, trial): skipped when the trial is None (not
+        sampled) or measure(trial) raises UnrealizableStep, else evaluated.
+        measure returns the first fact that did not hold, printed (None
+        when all hold), and the trial it was measured in; the first such
+        trial is kept."""
+        for k, trial in draws:
+            try:
+                failed, at = (None, None) if trial is None else measure(trial)
+            except UnrealizableStep:
+                trial = None
+            if trial is None:
+                self.skipped += 1
+                continue
+            self.trials_run += 1
+            if failed is not None:
+                self.failures += 1
+                if self.first_counterexample is None:
+                    points = tuple(sorted(at.pts.items()))
+                    self.first_counterexample = Counterexample(k, failed, points)
+        return self
 
 
-class _TrialSkip(Exception):
-    pass
+def _place_asserted(model: Model, instance: Trial, names, facts, tol: ToleranceProfile) -> Trial:
+    """The instance with each named point, which the facts only assert,
+    placed by solve_introduced_point; a reused name moves its point."""
+    for name in names:
+        point = solve_introduced_point(model, instance, name, facts, tol)
+        instance = instance.with_point(name, point)
+    return instance
 
 
 def _walk_steps(
@@ -652,14 +677,15 @@ def _walk_steps(
     lemma-introduced points, pick the numerically true trichotomy branch,
     and collect each step's derived facts for evaluation.  Before a step
     moves a point a closed case branch named, `cuts` gets the number of
-    facts collected and the trial they are to be measured in."""
+    facts collected and the trial they are to be measured in.  Raises
+    UnrealizableStep for a trial that cannot be replayed."""
     for step in steps:
         if isinstance(step, CasesStep):
             dl, dr = instance.dist(*step.left), instance.dist(*step.right)
             eq, lt, gt = tol.close(dl, dr), tol.less(dl, dr), tol.less(dr, dl)
             kind = "eq" if eq else "lt" if lt else "gt" if gt else ""
             if not kind:
-                raise _TrialSkip("segment comparison inside tolerance dead zone")
+                raise UnrealizableStep("segment comparison inside tolerance dead zone")
             branch = next(b for b in step.branches if b.kind == kind)
             instance = _walk_steps(model, instance, branch.steps, tol, derived, out_facts, cuts)
             continue
@@ -669,18 +695,9 @@ def _walk_steps(
             if any(name in instance.pts for name in fresh):
                 cuts.append((len(out_facts), instance))
         if isinstance(step, (ExtendStep, LayoffStep)):
-            try:
-                instance = realize_construction(model, instance, step, tol)
-            except GeodesicOutOfDomain as exc:
-                raise _TrialSkip(str(exc)) from exc
+            instance = realize_construction(model, instance, step)
         elif isinstance(step, LemmaStep):
-            for name in step.fresh:
-                try:
-                    instance = instance.with_point(name, solve_introduced_point(
-                        model, instance, name, facts, tol
-                    ))
-                except (UnrealizableStep, DegenerateDirection, DegenerateAngle) as exc:
-                    raise _TrialSkip(str(exc)) from exc
+            instance = _place_asserted(model, instance, step.fresh, facts, tol)
         out_facts.append(facts)
     return instance
 
@@ -735,22 +752,12 @@ def model_check(
             facts = memo[id(step)] = step_facts(step, registry)
         return facts
 
-    for k, instance in _draws(model, statement, trials, seed, tol, samples):
-        if instance is None:
-            report.skipped += 1
-            continue
+    def measure(instance: Trial) -> Tuple[Optional[str], Trial]:
         walked: List[Tuple[Fact, ...]] = []
         cuts: List[Tuple[int, Trial]] = []
-        try:
-            instance = _walk_steps(model, instance, steps, tol, derived, walked, cuts)
-            for name in statement.introduced:
-                if name not in instance.pts:
-                    instance = instance.with_point(name, solve_introduced_point(
-                        model, instance, name, statement.conclusions, tol
-                    ))
-        except (_TrialSkip, UnrealizableStep):
-            report.skipped += 1
-            continue
+        instance = _walk_steps(model, instance, steps, tol, derived, walked, cuts)
+        asserted = [name for name in statement.introduced if name not in instance.pts]
+        instance = _place_asserted(model, instance, asserted, statement.conclusions, tol)
         walked.append(statement.conclusions)
         cuts.append((len(walked), instance))
         start = 0
@@ -762,8 +769,9 @@ def model_check(
             if failed is not None:
                 break
             start = end
-        report.record(k, at, failed)
-    return report
+        return failed, at
+
+    return report.tally(_draws(model, statement, trials, seed, tol, samples), measure)
 
 
 # ---------------------------------------------------------------------------
@@ -805,13 +813,12 @@ def model_check_conjecture(
     statement = conjecture_statement(name, points)
     evaluate = BUILTIN_CONJECTURES[name]
     report = ModelCheckReport(model=model.name, trials=trials)
-    for k, instance in _draws(model, statement, trials, seed, tol, samples):
-        if instance is None:
-            report.skipped += 1
-            continue
+
+    def measure(instance: Trial) -> Tuple[Optional[str], Trial]:
         holds, detail = evaluate(instance, points, tol)
-        report.record(k, instance, None if holds else detail)
-    return report
+        return None if holds else detail, instance
+
+    return report.tally(_draws(model, statement, trials, seed, tol, samples), measure)
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +850,4 @@ def check_rule_soundness(
     else:
         draws = _until_unsampled(trials, lambda k: _sample(guard, points, key(k), line))
     report = ModelCheckReport(model=model.name, trials=trials)
-    for k, trial in draws:
-        if trial is None:
-            report.skipped += 1
-            continue
-        report.record(k, trial, conclusions.failure(trial))
-    return report
+    return report.tally(draws, lambda trial: (conclusions.failure(trial), trial))

@@ -51,12 +51,8 @@ def _verdict(capsys, num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def corpus():
     asts = [parse(load_text(fn)) for fn in PROOF_FILENAMES]
-    registry = {}
-    for ast in asts:
-        registry.update(collect_statements(ast))
-    blocks = []
-    for ast in asts:
-        blocks.extend(elaborate_script(ast, registry))
+    blocks = [b for ast in asts for b in elaborate_script(ast)]
+    registry = collect_statements(blocks)
     reports = {
         b.name: check_proof(b.statement, b.proof, registry)
         for b in blocks

@@ -19,16 +19,11 @@ from ponscheck import CONJECTURE_ARITIES, kernel, models
 from ponscheck.cli import main
 from ponscheck.corpus import PROOF_FILENAMES, load_text
 from ponscheck.elaborate import collect_statements, elaborate_script
-from ponscheck.geometry import (
-    EUCLIDEAN,
-    MODELS,
-    POINCARE,
-    SPHERE,
-    GeodesicOutOfDomain,
-)
+from ponscheck.geometry import EUCLIDEAN, MODELS, POINCARE, SPHERE
 from ponscheck.kernel import ExtendStep, LayoffStep, TheoremStatement, check_proof
 from ponscheck.models import (
     BUILTIN_CONJECTURES,
+    GeodesicOutOfDomain,
     MissingPoint,
     SamplingFailed,
     UnrealizableStep,
@@ -279,7 +274,7 @@ def _plan_instances(draw, model, tol):
     rng = Random(draw(st.integers(0, 2**32)))
     names = draw(st.lists(st.sampled_from(_PLAN_NAMES), min_size=1, max_size=5, unique=True))
     anchor, length = model.random_point(rng), draw(st.floats(0.2, model.max_leg))
-    line = model.random_tangent(rng, anchor)
+    line = model.unit_tangent(anchor, model.random_point(rng))
     instance = {names[0]: anchor}
     for name in names[1:]:
         how = draw(st.sampled_from(["line", "margin", "same", "free"]))
@@ -288,7 +283,8 @@ def _plan_instances(draw, model, tol):
         elif how == "margin":
             margins = draw(st.sampled_from([0.0, 0.5, 1.5, 5.0, 9.0, 11.0, 20.0]))
             t = length + margins * tol.eq_tol * (1.0 + length)
-            instance[name] = model.exp(anchor, model.random_tangent(rng, anchor), t)
+            toward = model.unit_tangent(anchor, model.random_point(rng))
+            instance[name] = model.exp(anchor, toward, t)
         elif how == "same":
             instance[name] = instance[draw(st.sampled_from(sorted(instance)))]
         else:
@@ -536,10 +532,8 @@ def test_solver_exp_calls_per_solve_are_bounded(model):
 
 def _corpus():
     asts = [parse(load_text(fn)) for fn in PROOF_FILENAMES]
-    registry = {}
-    for ast in asts:
-        registry.update(collect_statements(ast))
-    return [b for ast in asts for b in elaborate_script(ast, registry)], registry
+    blocks = [b for ast in asts for b in elaborate_script(ast)]
+    return blocks, collect_statements(blocks)
 
 
 def _corpus_block(name):
@@ -856,12 +850,91 @@ def test_a_name_bound_again_after_a_split_is_measured_where_each_step_put_it():
     # names E again; the branch's between(B;{A,E}) is measured before e4
     # moves E off the line A B
     ast = parse(REUSED_AFTER_SPLIT)
-    registry = collect_statements(ast)
-    (block,) = elaborate_script(ast, registry)
+    blocks = elaborate_script(ast)
+    (block,), registry = blocks, collect_statements(blocks)
     assert check_proof(block.statement, block.proof, registry).status == "ok"
     for model in MODELS.values():
         rep = model_check(model, block.statement, block.proof.steps, 50, registry=registry)
         assert (rep.trials_run, rep.failures) == (50, 0), model.name
+
+
+PERP_FOOT = """\
+theorem perp_foot
+  tags: neutral
+  points A B C
+  introduces D
+  assume h1: noncollinear A B C
+  show between B D C
+  show ang A D B == ang A D C
+
+theorem uses_foot
+  tags: neutral
+  points A B C
+  introduces D
+  assume h1: noncollinear A B C
+  show between B D C
+  show ang A D B == ang A D C
+  proof
+    l1: lemma perp_foot(A,B,C) as D
+  qed from l1
+"""
+
+
+def _checks(text):
+    """The blocks of a script and their registry, each proof checked."""
+    blocks = elaborate_script(parse(text))
+    registry = collect_statements(blocks)
+    for b in blocks:
+        assert b.proof is None or check_proof(b.statement, b.proof, registry).status == "ok"
+    return blocks, registry
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_a_stated_point_is_skipped_where_its_lemma_use_is(model):
+    # on the sphere the bracket's first probe can land within eq_tol of B,
+    # where its angle cannot be measured: the stated theorem skips that
+    # draw, as the proof that applies it as a lemma does
+    blocks, registry = _checks(PERP_FOOT)
+    stated, used = [
+        model_check(model, b.statement, b.proof.steps if b.proof else (), 50, seed=0,
+                    registry=registry)
+        for b in blocks
+    ]
+    assert stated.as_dict() == used.as_dict()
+    assert stated.trials_run > 0 and stated.failures == 0
+
+
+def _steps(text):
+    """The first block's statement and proof steps (none without a proof)."""
+    block = _checks(text)[0][0]
+    return block.statement, block.proof.steps if block.proof else ()
+
+
+def _unsampleable():
+    hyps = (("h1", seg_lt(segment(A, B), segment(C, D))), ("h2", seg_lt(segment(C, D), segment(A, B))))
+    stmt = _statement(("A", "B", "C", "D"), hyps, (seg_eq(segment(A, B), segment(A, B)),))
+    return model_check(EUCLIDEAN, stmt, (), 20)
+
+
+def _dead_zone():
+    # the split's two segments differ by 5 eq_tol: neither equal nor ordered
+    (block,), _ = _checks(REUSED_AFTER_SPLIT)
+    split, tol = block.proof.steps[:1], tolerance_for(EUCLIDEAN)
+    trial = models.Trial(EUCLIDEAN, {A: (0.0, 0.0), B: (1.0, 0.0), C: (0.0, 1.0 + 5.0 * tol.eq_tol)})
+    walk = lambda t: (None, models._walk_steps(EUCLIDEAN, t, split, tol, lambda step: (), [], []))
+    return models.ModelCheckReport(EUCLIDEAN.name, 1).tally([(0, trial)], walk)
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(_unsampleable, id="unsampleable"),
+    pytest.param(lambda: model_check(POINCARE, *_steps(RIM), 20), id="out-of-domain"),
+    pytest.param(lambda: model_check(SPHERE, *_steps(PERP_FOOT), 50, seed=0), id="unsolvable"),
+    pytest.param(_dead_zone, id="dead-zone"),
+])
+def test_every_skipped_trial_is_counted_not_raised(check):
+    rep = check()
+    assert rep.skipped > 0
+    assert rep.trials_run + rep.skipped == rep.trials
 
 
 def test_moving_a_point_drops_only_its_measured_distances():

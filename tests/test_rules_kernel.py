@@ -716,8 +716,8 @@ def test_long_chain_check_makes_no_python_hash_or_eq_calls():
     """Facts, terms and points hash and compare in C: checking a
     1000-step chain calls no __hash__ or __eq__ written in Python."""
     ast = parse(_extend_chain(1000))
-    registry = collect_statements(ast)
-    (block,) = elaborate_script(ast, registry)
+    blocks = elaborate_script(ast)
+    (block,), registry = blocks, collect_statements(blocks)
     calls = []
 
     def profile(frame, event, arg):
@@ -762,8 +762,8 @@ def test_long_chain_builds_no_dataclass_per_node_or_step():
     sys.setprofile(profile)
     try:
         ast = parse(text)
-        registry = collect_statements(ast)
-        (block,) = elaborate_script(ast, registry)
+        blocks = elaborate_script(ast)
+        (block,), registry = blocks, collect_statements(blocks)
         report = check_proof(block.statement, block.proof, registry, strict=True)
     finally:
         sys.setprofile(None)

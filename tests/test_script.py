@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ponscheck import elaborate
 from ponscheck.corpus import PROOF_FILENAMES, load_text
 from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.script import (
@@ -329,14 +330,19 @@ theorem build
     assert block.proof is thm.proof
 
 
-def test_elaborated_statement_is_the_registrys():
-    """Given collect_statements' registry, the elaborator takes each
-    theorem's statement from it; without one it builds an equal one."""
-    ast = parse(BASIC)
-    registry = collect_statements(ast)
-    blocks = elaborate_script(ast, registry)
-    assert registry and all(b.statement is registry[b.name] for b in blocks)
-    assert [b.statement for b in elaborate_script(ast)] == list(registry.values())
+def test_elaborated_statement_is_the_registrys(monkeypatch):
+    """The elaborator builds each theorem's statement once, and
+    collect_statements keys those very statements by name, a bad one as
+    None; a declare has none."""
+    built = []
+    make = elaborate.make_statement
+    monkeypatch.setattr(elaborate, "make_statement", lambda item: built.append(item.name) or make(item))
+    bad = "theorem bad\n  tags: neutral\n  points A B\n  show seg A A == seg A B\n"
+    blocks = elaborate_script(parse(BASIC + "\ndeclare post\n  tags: neutral\n\n" + bad))
+    registry = collect_statements(blocks)
+    assert built == ["demo", "bad"]
+    assert registry == {"demo": blocks[0].statement, "bad": None}
+    assert registry["demo"] is blocks[0].statement and blocks[2].error
 
 
 def test_fuzz_bytes_parse_or_syntax_error():
