@@ -44,7 +44,6 @@ from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequenc
 from .rules import RULES
 from .terms import (
     ABSURD,
-    Absurd,
     AngEq,
     Between,
     Fact,
@@ -323,6 +322,12 @@ class ProofState:
             raise KernelError(f"point {name} is not in scope")
         return name
 
+    def require(self, names: Tuple[str, ...]) -> None:
+        """Raise on the first of the names that is not in scope."""
+        if not self.points.issuperset(names):
+            for name in names:
+                self.point(name)
+
     def bind_point(self, name: str) -> PointId:
         if name in self.points:
             raise KernelError(f"point name {name} already in scope")
@@ -468,10 +473,7 @@ class _Ctx:
         self.rule_uses: Dict[str, None] = {}
         self.lemma_uses: List[str] = []
         self.side_conditions: List[SideConditionRecord] = []
-        self.assumed: List[Tuple[str, str, str]] = []
-
-    def use_rule(self, rule_id: str) -> None:
-        self.rule_uses[rule_id] = None
+        self.assumed: Dict[Tuple[str, str, str], None] = {}  # in first-seen order
 
 
 class _ProofFailed(Exception):
@@ -493,7 +495,7 @@ def _justifies(state: ProofState, ref: Ref, want: Fact, ctx: _Ctx) -> bool:
     if ref.kind == "refl":
         rule = _EQUIV_FOR_REFL.get(type(want))
         if rule is not None and want.left == want.right:  # type: ignore[union-attr]
-            ctx.use_rule(rule)
+            ctx.rule_uses[rule] = None
             return True
         return False
     if want not in state.facts[ref.label]:
@@ -502,16 +504,8 @@ def _justifies(state: ProofState, ref: Ref, want: Fact, ctx: _Ctx) -> bool:
         rule = _EQUIV_FOR_SYM.get(type(want))
         if rule is None:
             return False  # sym only makes sense for congruences
-        ctx.use_rule(rule)
+        ctx.rule_uses[rule] = None
     return True
-
-
-def _match_ref(state: ProofState, ref: Ref, want: Fact, ctx: _Ctx) -> None:
-    if not _justifies(state, ref, want, ctx):
-        if ref.kind == "refl":
-            raise PremiseMismatch(f"refl does not justify {want!r}")
-        have = ", ".join(repr(f) for f in state.facts[ref.label])
-        raise PremiseMismatch(f"premise {want!r} expected; {ref!r} provides: {have}")
 
 
 def _check_covered(
@@ -519,7 +513,10 @@ def _check_covered(
 ) -> None:
     _resolve(state, refs)
     for fact in wanted:
-        if not any(_justifies(state, r, fact, ctx) for r in refs):
+        for r in refs:
+            if _justifies(state, r, fact, ctx):
+                break
+        else:
             raise PremiseMismatch(f"{what}: cited labels do not establish {fact!r}")
 
 
@@ -535,23 +532,30 @@ def _discharge_side_conditions(
                 f"cannot justify noncollinear({','.join(names)})"
                 + (" (strict mode)" if ctx.strict else "")
             )
-        if outcome == "assumed" and names not in ctx.assumed:
-            ctx.assumed.append(names)
+        if outcome == "assumed":
+            ctx.assumed[names] = None
         if transferred is not None:
-            ctx.use_rule("NC_TRANSFER")
+            ctx.rule_uses["NC_TRANSFER"] = None
             state.know(transferred)
 
 
 def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]:
-    for name in (*step.inst.points, *step.fact.points):
-        state.point(name)
+    """The facts a rule step derives.  Its checks run in this order; the
+    first that fails raises: (1) the named points are in scope; (2) the rule
+    exists; (3) the stated fact, premises and conclusions can be built; (4)
+    one citation per premise, or a lone `refl` for none; (5) the cited
+    labels are in scope, then each citation yields its premise; (6)
+    NC_TRANSFER's points share a recorded line, then each side condition is
+    derived or, outside strict mode, assumed; (7) an absurdity needs an open
+    case; (8) the stated fact is a conclusion."""
+    state.require((*step.inst.points, *step.fact.points))
     schema = RULES.get(step.rule_id)
     if schema is None:
         raise KernelError(f"unknown rule {step.rule_id}")
     try:
         fact = written_fact(*step.fact)
         binding = schema.bind(step.inst.points)
-        premises = schema.instantiate_premises(binding)
+        premises = schema.instantiate_premises(binding) if schema.premises else ()
         conclusions = step_facts(step, ctx.registry)
     except ValueError as exc:
         raise DegenerateInstantiation(str(exc)) from None
@@ -559,14 +563,18 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
     refs = step.refs
     if len(refs) != len(premises):
         # Premise-free rules still need a `from` clause; a lone refl is it.
-        if not (not premises and len(refs) == 1 and refs[0].kind == "refl"):
+        if premises or len(refs) != 1 or refs[0].kind != "refl":
             raise PremiseMismatch(
                 f"{step.rule_id} takes {len(premises)} premise(s), {len(refs)} cited"
             )
-        refs = ()
-    _resolve(state, refs)
-    for ref, want in zip(refs, premises):
-        _match_ref(state, ref, want, ctx)
+    elif refs:
+        _resolve(state, refs)
+        for ref, want in zip(refs, premises):
+            if not _justifies(state, ref, want, ctx):
+                if ref.kind == "refl":
+                    raise PremiseMismatch(f"refl does not justify {want!r}")
+                have = ", ".join(repr(f) for f in state.facts[ref.label])
+                raise PremiseMismatch(f"premise {want!r} expected; {ref!r} provides: {have}")
 
     if schema.collinear_side:
         names = [binding[v] for v in schema.collinear_side]
@@ -574,13 +582,13 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
             raise SideConditionFailed(
                 f"points {{{','.join(sorted(set(names)))}}} are not on one recorded line"
             )
-    _discharge_side_conditions(
-        state, step.label, schema.instantiate_side_conditions(binding), ctx
-    )
+    if schema.side_conditions:
+        triples = schema.instantiate_side_conditions(binding)
+        _discharge_side_conditions(state, step.label, triples, ctx)
 
-    if any(isinstance(c, Absurd) for c in conclusions) and not state.assumptions:
+    if ABSURD in conclusions and not state.assumptions:
         raise AbsurdOutsideCase("absurdity derived outside any case assumption")
-    ctx.use_rule(step.rule_id)
+    ctx.rule_uses[step.rule_id] = None
     if fact not in conclusions:
         raise ConclusionMismatch(
             f"{fact!r} is not a conclusion of {step.rule_id} at this "
@@ -609,8 +617,7 @@ def apply_construction(
         if not any(_justifies(state, r, bound, ctx) for r in step.refs):
             raise LayoffWithoutBound(f"layoff needs {bound!r} among its citations")
     else:
-        for name in (*step.seg, step.a, step.b):
-            state.point(name)
+        state.require((*step.seg, step.a, step.b))
     state.bind_point(step.fresh)
     return _derived(step, ctx)
 
@@ -625,8 +632,7 @@ def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ..
         mapping = _lemma_points(lemma, step.args)
     except ValueError as exc:
         raise DegenerateInstantiation(str(exc)) from None
-    for name in step.args:
-        state.point(name)
+    state.require(step.args)
     for _, hyp in lemma.hypotheses:
         try:
             mapped = subst_fact(hyp, mapping)
@@ -669,12 +675,9 @@ def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
             state.assumptions.append((label, assumption))
             state.trail.append((list.pop, state.assumptions, -1))
             state.add_label(label, (assumption,))
-            _run_steps(state, branch.steps, ctx)
-            wanted: Sequence[Fact]
-            if branch.close_kind == "absurd":
-                wanted = (ABSURD,)
-            else:
-                wanted = ctx.statement.conclusions
+            if branch.steps:
+                _run_steps(state, branch.steps, ctx)
+            wanted = (ABSURD,) if branch.close_kind == "absurd" else ctx.statement.conclusions
             try:
                 _check_covered(
                     state, branch.close_refs, wanted, ctx, f"close {branch.close_kind}"
@@ -737,5 +740,5 @@ def check_proof(
     return CheckReport(
         statement.name, "failed" if error is not None else "ok", ctx.results,
         tuple(ctx.rule_uses), tuple(dict.fromkeys(ctx.lemma_uses)),
-        ctx.side_conditions, ctx.assumed, error,
+        ctx.side_conditions, list(ctx.assumed), error,
     )

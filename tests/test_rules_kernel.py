@@ -1,7 +1,10 @@
 """Rule schemas and the proof-checking kernel."""
 
+import contextlib
 import dataclasses
+import hashlib
 import importlib
+import io
 import pkgutil
 import sys
 from collections import Counter
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import ponscheck
 
+from ponscheck import cli
 from ponscheck.kernel import (
     CaseBranch,
     CasesStep,
@@ -688,10 +692,12 @@ def test_sym_ref_flips_equality():
     assert report.status == "ok"
 
 
-def _extend_chain(steps: int) -> str:
+def _extend_chain(steps: int, defect_at: int = 0) -> str:
     """`extend` plus `ARM_SUBST` pairs along one line through A and B, in
     the shape of perfbench's extend_script: each ARM_SUBST needs
-    noncollinear(v, w, C), which strict mode derives by NC_TRANSFER."""
+    noncollinear(v, w, C), which strict mode derives by NC_TRANSFER.  The
+    ARM_SUBST of pair `defect_at` names A instead of C, which is on the
+    line, so its side condition fails."""
     lines = [
         "theorem chain",
         "  tags: neutral",
@@ -705,7 +711,9 @@ def _extend_chain(steps: int) -> str:
         v, m, w = chain[-2], chain[-1], f"Q{k}"
         seg = ("A B", "A C", "B C")[k % 3]
         lines.append(f"    e{k}: extend {v} {m} by seg {seg} as {w}")
-        lines.append(f"    a{k}: ang {w} {v} C == ang {m} {v} C by ARM_SUBST[{v},{w},{m},C] from e{k}")
+        z = "A" if k == defect_at else "C"
+        lines.append(f"    a{k}: ang {w} {v} {z} == ang {m} {v} {z}"
+                     f" by ARM_SUBST[{v},{w},{m},{z}] from e{k}")
         chain.append(w)
     lines.append("    g: seg A B == seg A B by SEG_REFL[A,B] from refl")
     lines.append("  qed from g")
@@ -771,3 +779,217 @@ def test_long_chain_builds_no_dataclass_per_node_or_step():
     per_step = [cls for cls, n in built.items() if n >= 1000]
     assert all(issubclass(cls, tuple) for cls in per_step), built
     assert built[StepResult] == 1001  # the hook does see each tuple built
+
+
+# ---------------------------------------------------------------------------
+# A rule step wrong in two ways reports the check that runs first, and a
+# premise-free rule takes a lone `refl` and no other citation.
+
+_ABSURD_PAIR = TheoremStatement(
+    name="pair",
+    tags=frozenset(),
+    points=("A", "B", "C", "D"),
+    hypotheses=(
+        ("h1", seg_lt(_AB, segment(P("C"), P("D")))),
+        ("h2", seg_eq(_AB, segment(P("C"), P("D")))),
+    ),
+    conclusions=(),
+)
+_NO_NC = TheoremStatement(
+    name="pons_degenerate",
+    tags=frozenset(),
+    points=("A", "B", "C"),
+    hypotheses=(("h1", seg_eq(_AB, segment(P("A"), P("C")))),),
+    conclusions=(),
+)
+_MIRROR = ("A", "B", "C", "A", "C", "B")
+
+# name: (statement, strict, fact, rule, inst, refs, the error the step reports)
+TWO_WAYS_WRONG = {
+    "point out of scope, unknown rule": (
+        _pons_statement(), False, ("seg_eq", ("A", "Z", "A", "Z")), "NO_SUCH_RULE", ("A", "Z"),
+        (REFL,),
+        "KernelError: point Z is not in scope",
+    ),
+    "degenerate instantiation, premise count": (
+        _pons_statement(), False, ("ang_eq", _MIRROR), "SAS_ORD", ("A", "A", "C", "A", "C", "A"),
+        (LBL("h1"), LBL("h1")),
+        "DegenerateInstantiation: segment endpoints coincide: A",
+    ),
+    "unknown label, premise mismatch": (
+        _pons_statement(), False, ("ang_eq", _MIRROR), "SAS_ORD", _MIRROR,
+        (LBL("h2"), LBL("nope"), REFL),
+        "UnknownPremise: no step or hypothesis labeled nope",
+    ),
+    "strict side condition, conclusion mismatch": (
+        _NO_NC, True, ("seg_eq", ("A", "B", "A", "C")), "SAS_ORD", _MIRROR,
+        (LBL("h1"), LBL("h1"), REFL),
+        "SideConditionFailed: cannot justify noncollinear(A,B,C) (strict mode)",
+    ),
+    "absurd outside a case, conclusion mismatch": (
+        _ABSURD_PAIR, False, ("seg_eq", ("A", "B", "C", "D")), "ABSURD_LT_EQ_SEG",
+        ("A", "B", "C", "D"),
+        (LBL("h1"), LBL("h2")),
+        "AbsurdOutsideCase: absurdity derived outside any case assumption",
+    ),
+    "label cited for a premise-free rule": (
+        _pons_statement(), False, ("seg_eq", ("A", "B", "A", "B")), "SEG_REFL", ("A", "B"),
+        (LBL("h1"),),
+        "PremiseMismatch: SEG_REFL takes 0 premise(s), 1 cited",
+    ),
+    "refl and a label cited for a premise-free rule": (
+        _pons_statement(), False, ("seg_eq", ("A", "B", "A", "B")), "SEG_REFL", ("A", "B"),
+        (REFL, LBL("h1")),
+        "PremiseMismatch: SEG_REFL takes 0 premise(s), 2 cited",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_WAYS_WRONG))
+def test_a_step_wrong_in_two_ways_reports_the_first_check(case):
+    statement, strict, (kind, points), rule, inst, refs, detail = TWO_WAYS_WRONG[case]
+    step = RuleStep("s1", FactAst(kind, points), rule, InstAst(inst), refs, 4)
+    report = check_proof(statement, Proof((step,), (LBL("s1"),), 5), strict=strict)
+    assert report.status == "failed"
+    assert report.steps == [StepResult("s1", False, detail, 4)]
+    assert report.error == f"s1 (line 4): {detail}"
+
+
+def test_a_lone_refl_justifies_a_premise_free_rule():
+    fact = FactAst("seg_eq", ("B", "A", "A", "B"))
+    step = RuleStep("s1", fact, "SEG_REFL", InstAst(("A", "B")), (REFL,), 4)
+    statement = _statement("r", (_NC,), (seg_eq(_AB, _AB),))
+    report = check_proof(statement, Proof((step,), (LBL("s1"),), 5))
+    assert report.status == "ok", report.error
+    assert report.rule_uses == ("SEG_REFL",)
+
+
+def test_assumed_side_conditions_are_listed_once_in_first_seen_order():
+    """A non-strict proof that assumes noncollinear(A,B,C) at several steps,
+    and two other triples once each, lists each triple once, in the order
+    the steps first assumed it."""
+    pons = ("ang_eq", _MIRROR), "SAS_ORD", _MIRROR, (LBL("h1"), LBL("h1"), REFL)
+    steps = [
+        ("s1", *pons),
+        ("s2", ("seg_eq", ("A", "D", "A", "D")), "SAS_ORD", ("B", "A", "D") * 2, (REFL,) * 3),
+        ("s3", *pons),
+        ("s4", ("ang_eq", ("D", "C", "A", "D", "C", "A")), "ANG_REFL", ("D", "C", "A"), (REFL,)),
+        ("s5", ("seg_eq", ("A", "D", "A", "D")), "SAS_ORD", ("C", "A", "D") * 2, (REFL,) * 3),
+        ("s6", *pons),
+    ]
+    statement = TheoremStatement(
+        name="assumes",
+        tags=frozenset(),
+        points=("A", "B", "C", "D"),
+        hypotheses=(("h1", seg_eq(_AB, segment(P("A"), P("C")))),),
+        conclusions=(),
+    )
+    proof = Proof(
+        tuple(RuleStep(label, FactAst(*fact), rule, InstAst(inst), refs, i + 1)
+              for i, (label, fact, rule, inst, refs) in enumerate(steps)),
+        (), 9,
+    )
+    report = check_proof(statement, proof)
+    assert report.status == "ok", report.error
+    assert list(report.assumed) == [("A", "B", "C"), ("A", "B", "D"), ("A", "C", "D")]
+    assert [(r.step, r.outcome) for r in report.side_conditions] == [
+        (s, "assumed") for s in ("s1", "s1", "s2", "s2", "s3", "s3", "s5", "s5", "s6", "s6")
+    ]
+
+
+def _cases_chain(steps: int, defect_at: int = 0) -> str:
+    """Trichotomy splits that close every branch on the goal from the
+    hypothesis; the `gt` branch of split `defect_at` cites its own
+    assumption instead, which does not establish the goal."""
+    lines = [
+        "theorem splits",
+        "  tags: neutral",
+        "  points A B C",
+        "  assume h1: seg A B == seg A C",
+        "  show seg A B == seg A C",
+        "  proof",
+    ]
+    pairs = ("seg A B vs seg A C", "seg A C vs seg A B", "seg B C vs seg A B", "seg A B vs seg B C")
+    for k in range(1, steps + 1):
+        lines.append(f"    c{k}: cases {pairs[k % 4]}")
+        for kind in ("lt", "eq", "gt"):
+            cite = f"c{k}.gt" if (k, kind) == (defect_at, "gt") else "h1"
+            lines += [f"    case {kind}", f"      close goal from {cite}"]
+    lines.append(f"  qed from c{steps}")
+    return "\n".join(lines) + "\n"
+
+
+def _refl_chain(steps: int, defect_at: int = 0) -> str:
+    """SEG_REFL steps on segments of A B C D; step `defect_at` states an
+    equality of two different segments, which SEG_REFL does not yield."""
+    lines = [
+        "theorem refls",
+        "  tags: neutral",
+        "  points A B C D",
+        "  assume h1: noncollinear A B C",
+        "  show seg A B == seg A B",
+        "  proof",
+    ]
+    pairs = ("A B", "C A", "B D", "D C", "B C", "A D")
+    for k in range(1, steps):
+        x, y = pairs[k % 6].split()
+        right = f"{x} {y}"
+        if k == defect_at:
+            right = f"{x} {next(p for p in 'ABCD' if p not in (x, y))}"
+        lines.append(f"    r{k}: seg {x} {y} == seg {right} by SEG_REFL[{x},{y}] from refl")
+    lines.append(f"    r{steps}: seg A B == seg A B by SEG_REFL[A,B] from refl")
+    lines.append(f"  qed from r{steps}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the output of `check --strict-degeneracy`, of the same with
+# `--json`, and of `deps`, on 1000-step scripts of each shape, clean and
+# with one defect, with the exit codes.
+LONG_PROOF_DIGESTS = {
+    ('extend', 0): [
+        (0, '7bca99f062bd40fcbd8aa82e372a3bb2e8004267e86b53c3dd60b710cc00fdd1'),
+        (0, 'a459f76d41a702311375907a58bde9140ecef2312d5305309414fd39981f894e'),
+        (0, '3861528ebf09a610f2285bc519bb7f72cf69d8e1ea25d282f0d3c2ef16cb0607'),
+    ],
+    ('extend', 397): [
+        (1, '899e137b34455ef6aea43e13d69901aaa6401b84d637d8e5e13dc1e52f752fd2'),
+        (1, '0650c6292e3f4e3cff48db47c63ed385f65ff70b16e3560403c3a0986f3b203c'),
+        (0, '3861528ebf09a610f2285bc519bb7f72cf69d8e1ea25d282f0d3c2ef16cb0607'),
+    ],
+    ('cases', 0): [
+        (0, 'fbc725f2eeecdc6400329c31ec55723e74cef3f50da3d4f5f023a2d79422d977'),
+        (0, '50277063c53d71bbb0d3f553ec0a152df3c7d91aa57331a1c5f1be4a6936105f'),
+        (0, '663617486b04f57ae995db34c54645225134ef8a5e70c31de02a44a71d4d6e45'),
+    ],
+    ('cases', 397): [
+        (1, 'e78e799997fc59f434a97befdc69d4101af8d2c3ec2821d4cf9fcd061f2095cc'),
+        (1, '37e49d452b6cf772bef0a0130270e0a12df359330deea0db89e7c500f684ed89'),
+        (0, '663617486b04f57ae995db34c54645225134ef8a5e70c31de02a44a71d4d6e45'),
+    ],
+    ('refl', 0): [
+        (0, '227f6d922be602804952fe7da77ce948d7f49c240ac7cfdb3e79f9982dd6621c'),
+        (0, 'f974829cb9d186e4e0cce53ddab9690a4ede411305361902f4bd5fc8dfe00d01'),
+        (0, '13be8a026c984312fcfad917a826f4f0c2a8124fd26f506083917ec9b58d89d2'),
+    ],
+    ('refl', 397): [
+        (1, 'a1c5c6ee1254b79dc4430a0d2573c94f0d464d34ed3d1e0779fa4caa497d2fc9'),
+        (1, 'b46632dbbca16a3969c150c4014abb5a913c97e8f319c03846791511e33992ff'),
+        (0, '13be8a026c984312fcfad917a826f4f0c2a8124fd26f506083917ec9b58d89d2'),
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", ["extend", "cases", "refl"])
+@pytest.mark.parametrize("defect_at", [0, 397])
+def test_long_proof_output_digests_are_pinned(tmp_path, shape, defect_at):
+    make = {"extend": _extend_chain, "cases": _cases_chain, "refl": _refl_chain}[shape]
+    path = tmp_path / f"{shape}.proof"
+    path.write_text(make(1000, defect_at))
+    got = []
+    strict = ["check", "--strict-degeneracy"]
+    for argv in (strict, [*strict, "--json"], ["deps"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([*argv, str(path)])
+        got.append((code, hashlib.sha256(out.getvalue().encode()).hexdigest()))
+    assert got == LONG_PROOF_DIGESTS[shape, defect_at]
