@@ -9,14 +9,16 @@ A token is the plain string the token regex matched; a newline string
 closes each line that had tokens, the empty string ends the input, and
 a parallel list holds each token's line number.  The garbage collector
 does not track strings, so a long script adds nothing for it to scan.
-A proof line takes one of two paths.  The line path matches a rule,
-`extend` or `cases` step, `case` or `close` line with one compiled
-pattern and builds its tuple from the groups without tokenizing; it
-takes a line only when the token path would build the same tuple.  Any
-other line is tokenized and read by plain recursive descent over the
-token strings, so that path alone reports errors, with line, column,
-and the expected-token set; a column is worked out only when an error
-is raised, by matching that one source line again.  The parser never
+A proof body is read by one loop over its rows.  Each row with tokens
+is matched once by the line path's compiled pattern for what may come
+there (a rule, `extend` or `cases` step, and in a case split its `case`
+and `close` rows), and its tuple is built from the groups without
+tokenizing; the line path takes a row only when the token path would
+build the same tuple.  Any other row, and every row outside a proof
+body, is tokenized and read by plain recursive descent over the token
+strings, so that path alone reports errors, with line, column, and the
+expected-token set; a column is worked out only when an error is
+raised, by matching that one source line again.  The parser never
 raises anything but ParseError on malformed input, whatever the bytes
 were.  It emits the kernel's steps and proofs, with a segment as a point
 pair: a rule step keeps its fact and instantiation as written (format_script
@@ -55,8 +57,10 @@ KEYWORDS = frozenset(
 TAG_NAMES = ("neutral", "euclidean")
 
 _MAX_CASE_DEPTH = 64
+_KINDS = ("lt", "eq", "gt")  # the branches of a case split, in order
 _REFL = Ref("refl")  # one citation object serves every `refl`
 _T = TypeVar("_T")
+_new = tuple.__new__  # builds a node without its Python-level __new__
 
 
 class ParseError(SyntaxError):
@@ -152,7 +156,6 @@ _CASES_RE = re.compile(rf"\s*({_N})\s*:\s*cases\s+{_SEG}\s+vs\s+{_SEG}\s*")
 _CASE_RE = re.compile(r"\s*case\s+(lt|eq|gt)\s*")
 _CLOSE_RE = re.compile(rf"\s*close\s+(goal|absurd)\s+from\s+{_REFS}")
 _REF_RE = re.compile(rf"(sym\s+)?({_DOTTED})")
-_NAME_RE = re.compile(_N)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +165,9 @@ _NAME_RE = re.compile(_N)
 class _Parser:
     """Both paths of the module docstring.  `tok` is the current token and
     `pos` its index in `toks`, which skip_nl extends one source line at a
-    time; `row` is the next source line not yet read.  The line path runs
-    only at a line boundary, where `tok` is the newline ending `toks`.
+    time; `row` is the next source line not yet read.  parse_steps walks
+    the rows itself and hands one to the token path by setting `row` to
+    it and calling skip_nl; between rows `tok` is the newline ending `toks`.
 
     Token strings alone identify words and punctuation: only an ident can
     spell a word (any other token is punctuation or one character that
@@ -178,7 +182,6 @@ class _Parser:
         self.toks: List[str] = []
         self.lines: List[int] = []  # each token's source line
         self.pos, self.tok = -1, _NL
-        self.depth = 0
         self.cited: Dict[str, Optional[Tuple[Ref, ...]]] = {}
         self.skip_nl()
 
@@ -257,25 +260,11 @@ class _Parser:
         self.end_line()
         self.skip_nl()
 
-    def peek(self) -> Optional[str]:
-        """At a line boundary, the next source line with tokens, its comment removed."""
-        while self.tok == _NL and self.row < len(self.rows):
-            line = self.rows[self.row].split("#", 1)[0]
-            if line.strip():
-                return line
-            self.row += 1
-        return None
-
-    def take(self) -> int:
-        """Consume the line the line path read; its line number."""
-        self.row += 1
-        return self.row
-
     def cite(self, text: str) -> Optional[Tuple[Ref, ...]]:
         """A matched refs group's citations; None if one is a reserved word."""
         if text not in self.cited:
             if text.isidentifier():  # one undotted label, the common case
-                refs = (_REFL,) if text == "refl" else (Ref("label", text),)
+                refs = (_REFL,) if text == "refl" else (_new(Ref, ("label", text)),)
             else:
                 refs = tuple(
                     Ref("sym", label) if sym else _REFL if label == "refl" else Ref("label", label)
@@ -283,13 +272,6 @@ class _Parser:
                 )
             self.cited[text] = None if any(r.label in KEYWORDS for r in refs) else refs
         return self.cited[text]
-
-    def claim(self, labels: set, label: str, names: Sequence[Optional[str]]) -> bool:
-        """Record a step label if it is new and no name is a reserved word."""
-        if label in labels or not KEYWORDS.isdisjoint(names):
-            return False
-        labels.add(label)
-        return True
 
     def ident(self, what: str, allow_dots: bool = False, allow_keyword: bool = False) -> str:
         tok = self.tok
@@ -404,7 +386,7 @@ class _Parser:
         proof = None
         if self.accept("proof"):
             self.end_line()
-            body, _ = self.parse_steps(labels, "qed", None)
+            body = self.parse_steps(labels)
             if not body:
                 raise self.fail("expected at least one proof step", ("step",))
             qed_line = self.lines[self.pos]
@@ -434,54 +416,109 @@ class _Parser:
             points.append(p)
         return points
 
-    def parse_steps(
-        self, labels: set, stop: str, end: Optional[re.Pattern]
-    ) -> Tuple[List[Step], Optional[re.Match]]:
-        """Steps up to a line whose first token is `stop`, or up to one that
-        `end` matches (returned with its match, the line not consumed)."""
+    def parse_steps(self, labels: set) -> List[Step]:
+        """A proof body, case branches included, up to the row whose first
+        token is `qed` (or the end of input)."""
+        rows, i, n = self.rows, self.row, len(self.rows)
         steps: List[Step] = []
+        # per open case split, innermost last: its header (a CasesStep without
+        # branches), its branches, the steps it goes into, its `case` row's line
+        splits: List[list] = []
         while True:
-            line = self.peek()
-            if line is not None:
-                m = end and end.fullmatch(line)
-                if m:
-                    return steps, m
-                step = self.line_step(line, labels)
-                if step is not None:
-                    steps.append(step)
-                    continue
-            self.skip_nl()
-            if not self.tok or self.tok == stop:
-                return steps, None
-            steps.append(self.parse_step(labels))
-
-    def line_step(self, line: str, labels: set) -> Optional[Step]:
-        """The step the line path reads from `line`; None leaves it to the token path."""
-        m = _RULE_RE.fullmatch(line)
-        if m:
-            g = m.groups()
-            if g[1]:
-                fact = FactAst("seg_eq" if g[3] == "==" else "seg_lt", (g[1], g[2], g[4], g[5]))
-            elif g[6]:
-                fact = FactAst("ang_eq" if g[9] == "==" else "ang_lt", g[6:9] + g[10:13])
+            while i < n:  # the next row with tokens, without its comment
+                text = rows[i]
+                if "#" in text:
+                    text = text[: text.index("#")]
+                if text and not text.isspace():
+                    break
+                i += 1
             else:
-                fact = FactAst(g[13] or "absurd", g[14:17] if g[13] else ())
-            flat = g[18] is None
-            inst = InstAst(tuple(_NAME_RE.findall(g[24])) if flat else g[18:24], not flat)
-            refs = self.cite(g[25])
-            if refs and self.claim(labels, g[0], g[:13] + g[14:17] + inst.points):
-                return RuleStep(g[0], fact, g[17], inst, refs, self.take())
-            return None
-        m = _EXTEND_RE.fullmatch(line)
-        if m and self.claim(labels, m[1], m.groups()):
-            return ExtendStep(m[1], m[2], m[3], (m[4], m[5]), m[6], self.take())
-        m = _CASES_RE.fullmatch(line)
-        if m and self.claim(labels, m[1], m.groups()):
-            at = self.take()
-            return CasesStep(m[1], (m[2], m[3]), (m[4], m[5]), self.parse_case_branches(labels), at)
-        return None
+                text = ""
+            split = splits[-1] if splits else None
+            if split and not split[3]:  # a `case` row is due
+                kind = _KINDS[len(split[1])]
+                m = _CASE_RE.fullmatch(text)
+                if m and m[1] == kind:
+                    i += 1
+                    split[3] = i
+                else:
+                    self.row = i
+                    self.skip_nl()
+                    split[3] = self.lines[self.pos]
+                    self.expect("case")
+                    if not self.accept(kind):
+                        raise self.fail(f"expected case {kind!r}", (kind,))
+                    self.end_line()
+                    i = self.row
+                steps = []
+                continue
+            step = refs = None
+            m = split and _CLOSE_RE.fullmatch(text)
+            if m and (refs := self.cite(m[2])):
+                i += 1
+                close = m[1]
+            elif m := _RULE_RE.fullmatch(text):
+                g = m.groups()
+                if g[1]:
+                    kind, pts = "seg_eq" if g[3] == "==" else "seg_lt", (g[1], g[2], g[4], g[5])
+                elif g[6]:
+                    kind, pts = "ang_eq" if g[9] == "==" else "ang_lt", g[6:9] + g[10:13]
+                else:
+                    kind, pts = g[13] or "absurd", g[14:17] if g[13] else ()
+                # a flat list is names and commas, maybe with whitespace around them
+                inst = g[18:24] if g[24] is None else tuple("".join(g[24].split()).split(","))
+                cited = self.cite(g[25])
+                if cited and g[0] not in labels and KEYWORDS.isdisjoint((g[0],) + pts + inst):
+                    labels.add(g[0])
+                    i += 1
+                    fact, inst = _new(FactAst, (kind, pts)), _new(InstAst, (inst, g[24] is None))
+                    step = _new(RuleStep, (g[0], fact, g[17], inst, cited, i))
+            elif m := _EXTEND_RE.fullmatch(text) or _CASES_RE.fullmatch(text):
+                g = m.groups()
+                if g[0] not in labels and KEYWORDS.isdisjoint(g):
+                    labels.add(g[0])
+                    i += 1
+                    if m.re is _EXTEND_RE:
+                        step = _new(ExtendStep, (g[0], g[1], g[2], g[3:5], g[5], i))
+                    else:
+                        step = _new(CasesStep, (g[0], g[1:3], g[3:5], (), i))
+            if step is None and not refs:  # the token path reads this row
+                self.row = i
+                self.skip_nl()
+                if self.tok and self.tok != ("close" if split else "qed"):
+                    step = self.parse_step(labels)
+                elif not split:
+                    return steps
+                else:
+                    self.expect("close")
+                    if self.tok not in ("goal", "absurd"):
+                        raise self.fail("expected close kind", ("goal", "absurd"))
+                    close = self.advance()
+                    self.expect("from")
+                    refs = self.parse_refs()
+                    self.end_line()
+                i = self.row
+            if refs:  # a `close` row ends the current branch
+                head, branches, outer, at = split
+                kind = _KINDS[len(branches)]
+                branches.append(_new(CaseBranch, (kind, tuple(steps), close, refs, at)))
+                if len(branches) < 3:
+                    split[3] = 0  # the next `case` row is due
+                    continue
+                splits.pop()
+                steps = outer
+                step = _new(CasesStep, (*head[:3], tuple(branches), head[4]))
+            elif type(step) is CasesStep:  # a header: its branches follow
+                splits.append([step, [], steps, 0])
+                if len(splits) > _MAX_CASE_DEPTH:
+                    self.row = i
+                    self.skip_nl()
+                    raise self.error("case nesting too deep")
+                continue
+            steps.append(step)
 
     def parse_step(self, labels: set) -> Step:
+        """A step on the token path; a `cases` step without its branches."""
         at = self.pos
         line = self.lines[at]
         label = self.ident("step label")
@@ -514,8 +551,7 @@ class _Parser:
             self.expect("vs")
             right = self.parse_segterm()
             self.end_line()
-            branches = self.parse_case_branches(labels)
-            return CasesStep(label, left, right, branches, line)
+            return CasesStep(label, left, right, (), line)
         if self.accept("lemma"):
             lemma = self.ident("lemma name")
             self.expect("(")
@@ -534,45 +570,6 @@ class _Parser:
         refs = self.parse_refs()
         self.end_line()
         return RuleStep(label, fact, rule, inst, refs, line)
-
-    def parse_case_branches(self, labels: set) -> Tuple[CaseBranch, ...]:
-        """The three branches after a `cases` header either path read."""
-        self.depth += 1
-        if self.depth > _MAX_CASE_DEPTH:
-            self.skip_nl()
-            raise self.error("case nesting too deep")
-        branch = self.parse_branch
-        branches = branch("lt", labels), branch("eq", labels), branch("gt", labels)
-        self.depth -= 1
-        return branches
-
-    def parse_branch(self, kind: str, labels: set) -> CaseBranch:
-        text = self.peek()
-        m = text and _CASE_RE.fullmatch(text)
-        if m and m[1] == kind:
-            line = self.take()
-        else:
-            self.skip_nl()
-            line = self.lines[self.pos]
-            self.expect("case")
-            if not self.accept(kind):
-                raise self.fail(f"expected case {kind!r}", (kind,))
-            self.end_line()
-        steps, m = self.parse_steps(labels, "close", _CLOSE_RE)
-        close_refs = m and self.cite(m[2])
-        if close_refs:
-            self.take()
-            close_kind = m[1]
-        else:
-            self.skip_nl()
-            self.expect("close")
-            if self.tok not in ("goal", "absurd"):
-                raise self.fail("expected close kind", ("goal", "absurd"))
-            close_kind = self.advance()
-            self.expect("from")
-            close_refs = self.parse_refs()
-            self.end_line()
-        return CaseBranch(kind, tuple(steps), close_kind, close_refs, line)
 
     def parse_segterm(self) -> Tuple[str, str]:
         self.expect("seg")

@@ -1,5 +1,6 @@
 """Proof-script parser: grammar coverage, errors, round-trip stability."""
 
+import hashlib
 import re
 
 import pytest
@@ -364,6 +365,7 @@ def test_fuzz_bytes_parse_or_syntax_error():
 # --- tokenizer against the original two-regex one -------------------------
 
 from oracles import two_regex_tokenize  # noqa: E402
+from ponscheck import script as script_module  # noqa: E402
 from ponscheck.script import KEYWORDS, _Parser  # noqa: E402
 
 
@@ -652,19 +654,107 @@ def _outcome(text):
         return (exc.message, exc.line, exc.col, exc.expected)
 
 
+# Rows the loop of parse_steps reads inside case branches: blank and
+# comment-only rows between a `case` row and its `close` row, a branch
+# whose `close` row directly follows its `case` row, and a flat list with
+# other whitespace around its names.
+_BRANCH_ROWS = """\
+theorem rows
+  tags: neutral
+  points A B C
+  assume h1: seg A B == seg A C
+  show seg A B == seg A C
+  proof
+    c1: cases seg A B vs seg A C
+    case lt
+
+      # nothing yet
+      close goal from h1
+    case eq  # why
+    # between
+
+      r1: seg A B == seg A B by SEG_REFL[ A ,\tB\u3000] from refl
+      # after a step
+      close goal from c1.eq
+    case gt
+      close goal from h1, c1.gt
+  qed from c1
+"""
+
+# Edits of _BRANCH_ROWS: a `close` the line path must reject right after
+# its `case` row (a reserved word cited, a token after the refs), and a
+# `case` row it must reject before a `close` row it could take.
+_BRANCH_EDITS = (
+    ("close goal from h1, c1.gt", "close goal from h1, case"),
+    ("close goal from h1, c1.gt", "close goal from sym refl"),
+    ("close goal from h1, c1.gt", "close goal from h1, c1.gt x"),
+    ("close goal from h1, c1.gt", "close goal from h1 c1.gt"),
+    ("case gt", "case gt x"),
+    ("case gt", "case lt"),
+    ("case gt", "case"),
+)
+
+
+def _with_gaps(text):
+    """`text` with a blank row and a comment-only row after every proof row."""
+    head, sep, body = text.partition("  proof\n")
+    body = re.sub(r"(?m)^(    .*)$", r"\1\n\n      # gap", body)
+    return head + sep + body
+
+
+def _branch_texts():
+    """_BRANCH_ROWS, its edits, and case and SEG_REFL runs with and
+    without gap rows, each also with CRLF line ends."""
+    texts = [_BRANCH_ROWS] + [_BRANCH_ROWS.replace(a, b, 1) for a, b in _BRANCH_EDITS]
+    for script in (_cases_script(4), _refl_script(6), _nested_cases(3)):
+        texts += [script, _with_gaps(script)]
+    return texts + [t.replace("\n", "\r\n") for t in texts]
+
+
+def _line_path_off(monkeypatch):
+    """Switch the line path off: none of its patterns matches any row, so
+    the token path reads every proof row."""
+    never = re.compile(r"(?!)")
+    for name in ("_RULE_RE", "_EXTEND_RE", "_CASES_RE", "_CASE_RE", "_CLOSE_RE"):
+        monkeypatch.setattr(script_module, name, never)
+
+
+def _step_labels(steps):
+    """The labels of `steps` and of every step in their case branches."""
+    out = []
+    for step in steps:
+        out.append(step.label)
+        for branch in getattr(step, "branches", ()):
+            out += _step_labels(branch.steps)
+    return out
+
+
 def test_the_line_path_builds_what_the_token_path_builds(monkeypatch):
     import random
 
     rng = random.Random(1613)
     blocks = _blocks_with_proofs()
     texts = blocks + [_extend_chain(30)] + [_nested_cases(d) for d in (63, 64, 65)]
+    texts += _branch_texts()
     texts += [_edit_step_line(rng, rng.choice(blocks)) for _ in range(2400)]
     normal = [_outcome(t) for t in texts]
-    # a line path that never matches leaves every line to the token path
-    monkeypatch.setattr(_Parser, "peek", lambda self: None)
-    tokens_only = [_outcome(t) for t in texts]
-    for text, got, want in zip(texts, normal, tokens_only):
-        assert got == want, text
+    _line_path_off(monkeypatch)
+    built = []
+    parse_step = _Parser.parse_step
+
+    def spy(self, labels):
+        built.append(parse_step(self, labels))
+        return built[-1]
+
+    monkeypatch.setattr(_Parser, "parse_step", spy)
+    for text, got in zip(texts, normal):
+        built.clear()
+        assert _outcome(text) == got, text
+        if isinstance(got, str):  # parsed: the token path read every step, in order
+            seen = [s.label for s in built]
+            ast = parse(text)
+            steps = [s for item in ast.items if getattr(item, "proof", None) for s in item.proof.steps]
+            assert seen == _step_labels(steps), text
     errors = sum(isinstance(o, tuple) for o in normal)
     assert 600 < errors < len(texts) - 600
 
@@ -702,6 +792,37 @@ def _refl_script(n):
         lines.append(f"    r{k}: seg {a} {b} == seg {a} {b} by SEG_REFL[{a},{b}] from refl")
     lines.append(f"  qed from r{n - 1}")
     return "\n".join(lines) + "\n"
+
+
+def _with_notes(text):
+    """`text` with a blank row after every 97th row and a comment-only row
+    after every 89th."""
+    out = []
+    for i, line in enumerate(text.splitlines(), 1):
+        out.append(line)
+        if i % 97 == 0:
+            out.append("")
+        if i % 89 == 0:
+            out.append("      # note")
+    return "\n".join(out) + "\n"
+
+
+# sha256 of repr(parse(text)), every line number included, for 1000-step
+# scripts with blank and comment-only rows among their proof rows.
+LONG_PARSE_DIGESTS = {
+    "extend": "7669347d6595df4d1b3f2758dc98eccdbbf3a795648ff183d75930bd0741cb3d",
+    "cases": "5449bd7a83e442ad49644a4d93c03b93b774d5db03d05cd4cd30b302bf6b231f",
+    "refl": "888e1506dfee7bac4622da4234acc654bdd6d7dcf24c337d04cc7393951969fa",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LONG_PARSE_DIGESTS))
+def test_long_script_parses_are_pinned(shape):
+    make = {"extend": _extend_chain, "cases": _cases_script, "refl": _refl_script}[shape]
+    text = _with_notes(make(1000))
+    assert re.search(r"(?m)^$", text) and re.search(r"(?m)^\s*# note$", text)
+    digest = hashlib.sha256(repr(parse(text)).encode()).hexdigest()
+    assert digest == LONG_PARSE_DIGESTS[shape]
 
 
 # Step kinds the line path leaves to the token path.
