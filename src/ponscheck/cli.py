@@ -7,11 +7,11 @@ Subcommands:
   parse   syntax check, optionally dumping the canonical form
 
 `check`, `deps` and `model` render one list of rows: `_rows` parses the
-inputs, rejects an unknown conjecture or a block name defined twice,
-builds every statement, checks every proof in the kernel once, and
-returns the dependency graph with one `Row` per block, then per
-conjecture.  A bad statement, or a name a proof gets wrong, fails that
-block only.  `check` prints their statuses, `deps` their
+inputs, rejects an unknown conjecture and a block name defined twice or
+naming a proof rule, builds every statement, checks every proof in the
+kernel once, and returns the dependency graph with one `Row` per block,
+then per conjecture.  A bad statement, or a name a proof gets wrong,
+fails that block only.  `check` prints their statuses, `deps` their
 classifications, `model` their model checks, and `--json` the rows
 themselves.
 
@@ -26,8 +26,8 @@ and `model_check_conjecture` import `models` and delegate to it only
 because perfbench's tracer patches them here; they can go once it stops.
 
 Exit codes: 0 success, 1 failed proofs / cyclic checked theorems /
-model-check failures / a block name defined twice, 2 syntax or usage or
-IO errors (including a file that is not UTF-8).
+model-check failures / a block name defined twice or naming a rule, 2
+syntax or usage or IO errors (including a file that is not UTF-8).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .corpus import ENTRIES, load_text
 from .depgraph import CYCLIC, EUCLIDEAN_ONLY, Graph, emit_dot, graph_from_blocks
 from .elaborate import collect_statements, elaborate_script
 from .kernel import CheckReport, bad_statement, check_proof
+from .rules import RULES
 from .script import ConjectureAst, ParseError, ScriptAst, format_script, parse, parse_conjecture
 
 if TYPE_CHECKING:
@@ -143,6 +144,8 @@ def _rows(
                 at = f"{source}:{item.line}"
                 if item.name in where:
                     raise CliError(1, f"{item.name} is defined twice: {where[item.name]} and {at}")
+                if item.name in RULES:  # it would stand for the rule in the graph
+                    raise CliError(1, f"{item.name} is the name of a rule: {at}")
                 where[item.name] = at
         blocks = [b for _, ast in asts for b in elaborate_script(ast)]
         registry = collect_statements(blocks)

@@ -2,17 +2,16 @@
 
 graph_from_blocks builds the graph in one pass: checked proofs contribute
 edges to the rules and lemmas they invoked, stated-only blocks their
-declared `uses`.  On top of the graph sit three questions: which axioms
-does a result ultimately rest on, does its justification loop back on
-itself, and does it survive outside euclidean geometry.
+declared `uses`.  The graph answers three questions: which axioms does a
+result ultimately rest on, does its justification loop back on itself,
+and does it survive outside euclidean geometry.  `Graph` settles all
+three for every node in one depth-first pass when it is built.
 """
 
 from __future__ import annotations
 
 import re
-from typing import (
-    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .elaborate import ElaboratedBlock
 from .kernel import CheckReport, node
@@ -33,30 +32,74 @@ class Node(NamedTuple):
 class Graph:
     """Directed graph, edges pointing from a result to what it uses.
     `edges` maps every node's name to the sorted names of the nodes it
-    uses.  The graph is never changed, so its cycles are found once."""
+    uses.  The graph is never changed, so one depth-first pass over it
+    answers every question: Tarjan's algorithm closes each strongly
+    connected component only after every component it uses, and a
+    component's cycle, class and axiom basis are settled as it closes.
+    `classify` and `axiom_basis` look them up."""
 
     def __init__(self, nodes: Dict[str, Node], edges: Dict[str, Tuple[str, ...]]) -> None:
         self.nodes = nodes
         self._edges = edges
-        self._cycles = self._find_cycles()
+        self._class: Dict[str, str] = {}  # a node's, once its component closes
+        self._basis: Dict[str, Tuple[str, ...]] = {}
+        self._cycles: List[Tuple[str, ...]] = []
+        # Tarjan's algorithm.  `open_` holds the reached nodes whose component is
+        # open, in the order they were reached, so a node's place on it serves
+        # as its index: `low` is the lowest place it reaches, and a component
+        # closes at its root as the top of the stack from the root's place up.
+        open_: List[str] = []
+        place: Dict[str, int] = {}
+        low: Dict[str, int] = {}
+        for root in sorted(nodes):
+            if root in place:
+                continue
+            place[root] = low[root] = 0  # the stack is empty between roots
+            open_.append(root)
+            work = [(root, iter(edges[root]))]
+            while work:
+                name, todo = work[-1]
+                for nxt in todo:
+                    if nxt not in place:
+                        place[nxt] = low[nxt] = len(open_)
+                        open_.append(nxt)
+                        work.append((nxt, iter(edges[nxt])))
+                        break
+                    if nxt not in self._class:  # on the stack
+                        low[name] = min(low[name], place[nxt])
+                else:
+                    work.pop()
+                    if work:
+                        above = work[-1][0]
+                        low[above] = min(low[above], low[name])
+                    if low[name] == place[name]:  # the root of its component
+                        self._close(open_[place[name]:])
+                        del open_[place[name]:]
+        self._cycles.sort()
         self.cyclic = frozenset(n for cyc in self._cycles for n in cyc)  # their nodes
+
+    def _close(self, comp: List[str]) -> None:
+        """Record a closing component's cycle, class and axiom basis; every
+        component it uses is recorded already."""
+        edges, nodes = self._edges, self.nodes
+        used = {dst for name in comp for dst in edges[name]}.difference(comp)
+        axioms = {name for name in comp if nodes[name].kind == "axiom"}
+        classes = {self._class[name] for name in used}  # then those of `comp` itself
+        if len(comp) > 1 or comp[0] in edges[comp[0]]:
+            self._cycles.append(tuple(sorted(comp)))
+            classes.add(CYCLIC)
+        if any("EUCLIDEAN" in nodes[a].tags for a in axioms):
+            classes.add(EUCLIDEAN_ONLY)
+        cls = next((c for c in (CYCLIC, EUCLIDEAN_ONLY) if c in classes), NEUTRAL)
+        basis = tuple(sorted(axioms.union(*(self._basis[name] for name in used))))
+        for name in comp:
+            self._class[name] = cls
+            self._basis[name] = basis
 
     def all_edges(self) -> Tuple[Tuple[str, str], ...]:
         return tuple(
             (src, dst) for src in sorted(self._edges) for dst in self._edges[src]
         )
-
-    # -- reachability and cycles
-
-    def _reachable(self, name: str) -> Set[str]:
-        seen = {name}
-        stack = [name]
-        while stack:
-            for nxt in self._edges[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
 
     def detect_cycles(self) -> List[Tuple[str, ...]]:
         """Strongly connected components that are genuinely circular:
@@ -64,69 +107,14 @@ class Graph:
         name-sorted; cycles are sorted by first element."""
         return list(self._cycles)
 
-    def _find_cycles(self) -> Tuple[Tuple[str, ...], ...]:
-        order: List[str] = []
-        seen: Set[str] = set()
-        for root in sorted(self.nodes):
-            if root in seen:
-                continue
-            # iterative post-order
-            stack: List[Tuple[str, int]] = [(root, 0)]
-            seen.add(root)
-            while stack:
-                node, idx = stack.pop()
-                adj = self._edges[node]
-                if idx < len(adj):
-                    stack.append((node, idx + 1))
-                    nxt = adj[idx]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append((nxt, 0))
-                else:
-                    order.append(node)
-        reverse: Dict[str, List[str]] = {n: [] for n in self.nodes}
-        for src, dsts in self._edges.items():
-            for dst in dsts:
-                reverse[dst].append(src)
-        assigned: Set[str] = set()
-        components: List[List[str]] = []
-        for node in reversed(order):
-            if node in assigned:
-                continue
-            comp = [node]
-            assigned.add(node)
-            stack2 = [node]
-            while stack2:
-                cur = stack2.pop()
-                for prev in reverse[cur]:
-                    if prev not in assigned:
-                        assigned.add(prev)
-                        comp.append(prev)
-                        stack2.append(prev)
-            components.append(comp)
-        cycles = [
-            tuple(sorted(comp))
-            for comp in components
-            if len(comp) > 1 or comp[0] in self._edges[comp[0]]
-        ]
-        return tuple(sorted(cycles, key=lambda c: c[0]))
-
     def axiom_basis(self, name: str) -> Tuple[str, ...]:
-        return tuple(
-            sorted(
-                n for n in self._reachable(name) if self.nodes[n].kind == "axiom"
-            )
-        )
+        """The sorted axioms `name` rests on, itself included."""
+        return self._basis[name]
 
     def classify(self, name: str) -> str:
-        reach = self._reachable(name)
-        if reach & self.cyclic:
-            return CYCLIC
-        for n in reach:
-            node = self.nodes[n]
-            if node.kind == "axiom" and "EUCLIDEAN" in node.tags:
-                return EUCLIDEAN_ONLY
-        return NEUTRAL
+        """CYCLIC if `name` rests on a cycle, else EUCLIDEAN_ONLY if on a
+        euclidean axiom, else NEUTRAL."""
+        return self._class[name]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,16 @@ def test_a_theorem_and_a_declare_may_not_share_a_name(tmp_path, capsys, command)
     )
 
 
+@pytest.mark.parametrize("command", ["check", "deps", "model"])
+def test_a_block_named_after_a_rule_is_one_message(tmp_path, capsys, command):
+    """A block may not take a proof rule's name: in the dependency graph it
+    would stand for the rule the kernel checked other proofs against."""
+    p = tmp_path / "rule.proof"
+    p.write_text("declare SAS_ORD\n  tags: euclidean\n")
+    assert main([command, "--corpus", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"ponscheck: SAS_ORD is the name of a rule: {p}:1\n")
+
+
 @pytest.mark.parametrize("split", [False, True], ids=["one-file", "two-files"])
 def test_a_theorem_defined_twice_is_one_message(tmp_path, capsys, split):
     a, b = tmp_path / "a.proof", tmp_path / "b.proof"

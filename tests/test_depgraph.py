@@ -1,8 +1,10 @@
-"""Graph layer: cycle detection against a brute-force oracle, the
-classification lattice, and DOT output stability."""
+"""Graph layer: cycles, classes and axiom bases against a brute-force
+reachability oracle, the classification lattice, and DOT output
+stability."""
 
 import itertools
 import random
+import time
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ponscheck.depgraph import (
@@ -22,16 +24,25 @@ def _blocks(**uses: Tuple[str, ...]) -> List[ElaboratedBlock]:
     return [ElaboratedBlock(name, (), targets, None, None) for name, targets in uses.items()]
 
 
-def _graph_of(n: int, edges: Sequence[Tuple[int, int]]) -> Graph:
+# A node's kind and tags: a theorem, a neutral axiom or a euclidean axiom.
+_KINDS = (
+    ("theorem", frozenset()),
+    ("axiom", frozenset({NEUTRAL})),
+    ("axiom", frozenset({"EUCLIDEAN"})),
+)
+
+
+def _graph_of(n: int, edges: Sequence[Tuple[int, int]], kinds=None) -> Graph:
     adj: Dict[int, List[str]] = {i: [] for i in range(n)}
     for src, dst in edges:
         adj[src].append(f"n{dst}")
-    nodes = {f"n{i}": Node(f"n{i}", "theorem") for i in range(n)}
+    kinds = kinds or [_KINDS[0]] * n
+    nodes = {f"n{i}": Node(f"n{i}", *kinds[i]) for i in range(n)}
     return Graph(nodes, {f"n{i}": tuple(sorted(set(adj[i]))) for i in range(n)})
 
 
-def _oracle_cycles(n: int, edges: Sequence[Tuple[int, int]]) -> List[Tuple[str, ...]]:
-    """Mutual reachability, computed the slow obvious way."""
+def _reach(n: int, edges: Sequence[Tuple[int, int]]) -> Dict[int, Set[int]]:
+    """Every node's reach set, itself included, computed the slow obvious way."""
     adj: Dict[int, Set[int]] = {i: set() for i in range(n)}
     for src, dst in edges:
         adj[src].add(dst)
@@ -46,35 +57,62 @@ def _oracle_cycles(n: int, edges: Sequence[Tuple[int, int]]) -> List[Tuple[str, 
                     seen.add(j)
                     frontier.append(j)
         reach[i] = seen
+    return reach
+
+
+def _oracle_cycles(n: int, edges: Sequence[Tuple[int, int]]) -> List[Tuple[str, ...]]:
+    """Mutual reachability."""
+    reach = _reach(n, edges)
     comps: Set[Tuple[str, ...]] = set()
     for i in range(n):
         comp = {j for j in reach[i] if i in reach[j]}
-        if len(comp) > 1 or i in adj[i]:
+        if len(comp) > 1 or (i, i) in edges:
             comps.add(tuple(sorted(f"n{j}" for j in comp)))
     return sorted(comps, key=lambda c: c[0])
 
 
+def _assert_matches_oracle(n: int, edges: Sequence[Tuple[int, int]], rng: random.Random) -> None:
+    """Cycles, and with each node's kind and tag drawn from `rng`, every
+    node's class and axiom basis: CYCLIC if it reaches a node on a cycle,
+    else EUCLIDEAN_ONLY if it reaches a euclidean axiom; its basis is the
+    sorted axioms it reaches."""
+    kinds = [rng.choice(_KINDS) for _ in range(n)]
+    g = _graph_of(n, edges, kinds)
+    cycles = _oracle_cycles(n, edges)
+    assert g.detect_cycles() == cycles, edges
+    on_cycle = {int(name[1:]) for cyc in cycles for name in cyc}
+    for i, reach in _reach(n, edges).items():
+        if reach & on_cycle:
+            want = CYCLIC
+        elif any(kinds[j] == _KINDS[2] for j in reach):
+            want = EUCLIDEAN_ONLY
+        else:
+            want = NEUTRAL
+        basis = tuple(sorted(f"n{j}" for j in reach if kinds[j][0] == "axiom"))
+        assert (g.classify(f"n{i}"), g.axiom_basis(f"n{i}")) == (want, basis), (edges, kinds, i)
+
+
 def test_cycles_match_oracle_exhaustively_small():
     # every digraph on up to 3 nodes, self-loops included
+    rng = random.Random(3)
     for n in range(1, 4):
         pairs = list(itertools.product(range(n), repeat=2))
         for bits in range(1 << len(pairs)):
             edges = [p for k, p in enumerate(pairs) if bits >> k & 1]
-            g = _graph_of(n, edges)
-            assert g.detect_cycles() == _oracle_cycles(n, edges), edges
+            _assert_matches_oracle(n, edges, rng)
 
 
 def test_cycles_match_oracle_exhaustively_four_nodes():
     # all 4096 loop-free digraphs on 4 nodes
+    rng = random.Random(4)
     pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
     for bits in range(1 << len(pairs)):
         edges = [p for k, p in enumerate(pairs) if bits >> k & 1]
-        g = _graph_of(4, edges)
-        assert g.detect_cycles() == _oracle_cycles(4, edges), edges
+        _assert_matches_oracle(4, edges, rng)
 
 
 def test_cycles_match_oracle_random_larger():
-    rng = random.Random(20260814)
+    rng, kinds = random.Random(20260814), random.Random(5)
     for _ in range(300):
         n = rng.randint(5, 8)
         edges = [
@@ -83,8 +121,7 @@ def test_cycles_match_oracle_random_larger():
             for j in range(n)
             if rng.random() < 0.25
         ]
-        g = _graph_of(n, edges)
-        assert g.detect_cycles() == _oracle_cycles(n, edges), (n, edges)
+        _assert_matches_oracle(n, edges, kinds)
 
 
 LATTICE = dict(
@@ -173,16 +210,41 @@ def test_used_names_that_are_not_blocks_become_nodes():
 
 
 def test_cycles_found_once_per_graph_state(monkeypatch):
-    passes = []
-    original = Graph._find_cycles
+    """Building the graph closes each of its components once; no question
+    asked of the graph afterwards closes one again."""
+    closed = []
+    original = Graph._close
 
-    def counted(self):
-        passes.append(self)
-        return original(self)
+    def counted(self, comp):
+        closed.append((self, sorted(comp)))
+        return original(self, comp)
 
-    monkeypatch.setattr(Graph, "_find_cycles", counted)
+    monkeypatch.setattr(Graph, "_close", counted)
     g = graph_from_blocks(_blocks(a=("b",), b=("a",), c=("a",)))
+    assert closed == [(g, ["a", "b"]), (g, ["c"])]
     assert [g.classify(n) for n in ("a", "b", "c")] == [CYCLIC] * 3
+    assert [g.axiom_basis(n) for n in ("a", "b", "c")] == [()] * 3
     assert g.detect_cycles() == [("a", "b")]
     assert emit_dot(g).count("color=red") == 2
-    assert passes == [g]
+    assert closed == [(g, ["a", "b"]), (g, ["c"])]
+
+
+def test_deep_chain_and_long_ring_are_classified_in_one_pass():
+    """A 10,000-block chain of `declare`s down to one euclidean postulate,
+    and a 3,000-block ring: every block's class and axiom basis come from
+    the one pass that builds the graph, so neither walks the graph again."""
+    start = time.perf_counter()
+    n = 10_000
+    chain = graph_from_blocks(
+        [ElaboratedBlock(f"c{i}", (), (f"c{i + 1}",), None, None) for i in range(n - 1)]
+        + [ElaboratedBlock(f"c{n - 1}", ("euclidean",), (), None, None)]
+    )
+    assert chain.detect_cycles() == []
+    for i in range(n):
+        assert (chain.classify(f"c{i}"), chain.axiom_basis(f"c{i}")) == (
+            EUCLIDEAN_ONLY, (f"c{n - 1}",)
+        )
+    ring = graph_from_blocks(_blocks(**{f"r{i}": (f"r{(i + 1) % 3000}",) for i in range(3000)}))
+    assert ring.detect_cycles() == [tuple(sorted(ring.nodes))]
+    assert all((ring.classify(r), ring.axiom_basis(r)) == (CYCLIC, ()) for r in ring.nodes)
+    assert time.perf_counter() - start < 5.0

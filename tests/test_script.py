@@ -831,8 +831,9 @@ _TOKEN_PATH_STEPS = ("layoff", "lemma")
 
 def test_the_token_path_reads_no_valid_step_line(monkeypatch):
     """Only block headers, `qed` and the steps named in _TOKEN_PATH_STEPS
-    are tokenized; parse_step builds no other step.  (parse_case_branches
-    serves both paths, so the tokenized lines stand in for a spy on it.)"""
+    are tokenized; parse_step builds no other step.  (parse_steps reads a
+    case split's `case` and `close` rows on both paths, so the tokenized
+    lines stand in for a spy on which path read them.)"""
     built = []
     parse_step = _Parser.parse_step
 
