@@ -48,7 +48,7 @@ def _fact(name: str, where: str, line: int, fact: FactAst, scope: Tuple[str, ...
 def make_statement(block: S.TheoremAst) -> TheoremStatement:
     """The statement a theorem block writes.  Raises ValueError, naming the
     hypothesis and its line (a `show`, the block's line), when a fact names
-    a point out of scope (kernel.check_statement) or is degenerate."""
+    a point out of scope (checked by _fact) or is degenerate."""
     name, given = block.name, tuple(block.points)
     scope = given + tuple(block.introduces)
     return TheoremStatement(

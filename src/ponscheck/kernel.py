@@ -10,9 +10,9 @@ the numeric replay in models measures the same facts.
 Label semantics: a step label stands for the full tuple of facts its
 justification produced (a rule application can yield up to three), so a
 later citation matches if the needed premise is among them.  The inline
-reference `refl` discharges reflexive equalities, and `sym L` is accepted
-as an alias of `L` because equalities are stored canonically; both still
-register the corresponding equivalence rule as used.
+reference `refl` discharges reflexive equalities and registers SEG_REFL or
+ANG_REFL as used.  Equalities are stored canonically, so a label cited for
+`x == y` also matches `y == x`.
 
 Absurdity is quarantined: the ABSURD_* rules refuse to fire unless at
 least one case assumption is open, so a reductio cannot leak out of its
@@ -154,17 +154,13 @@ def check_statement(statement: TheoremStatement) -> None:
 
 @node
 class Ref(NamedTuple):
-    """A premise citation: a label, inline `refl`, or `sym label`."""
+    """A premise citation: a label or inline `refl`."""
 
-    kind: str  # "label" | "refl" | "sym"
+    kind: str  # "label" | "refl"
     label: str = ""
 
     def __repr__(self) -> str:
-        if self.kind == "refl":
-            return "refl"
-        if self.kind == "sym":
-            return f"sym {self.label}"
-        return self.label
+        return "refl" if self.kind == "refl" else self.label
 
 
 @node
@@ -456,7 +452,6 @@ def step_facts(step: Step, registry: Mapping[str, TheoremStatement]) -> Tuple[Fa
 # Checking
 
 _EQUIV_FOR_REFL = {SegEq: "SEG_REFL", AngEq: "ANG_REFL"}
-_EQUIV_FOR_SYM = {SegEq: "SEG_SYM", AngEq: "ANG_SYM"}
 
 
 class _Ctx:
@@ -498,14 +493,7 @@ def _justifies(state: ProofState, ref: Ref, want: Fact, ctx: _Ctx) -> bool:
             ctx.rule_uses[rule] = None
             return True
         return False
-    if want not in state.facts[ref.label]:
-        return False
-    if ref.kind == "sym":
-        rule = _EQUIV_FOR_SYM.get(type(want))
-        if rule is None:
-            return False  # sym only makes sense for congruences
-        ctx.rule_uses[rule] = None
-    return True
+    return want in state.facts[ref.label]
 
 
 def _check_covered(

@@ -8,7 +8,8 @@ facts it states (between a m b has m in the middle, as in a script).
 Instantiating a schema renames its facts through a binding from variables
 to point names (terms.subst_fact, the renaming lemmas use), which yields
 concrete canonical facts.  The inventory is fixed; the kernel refuses rule
-ids outside this table.
+ids outside this table, and _rule refuses an identity, a schema that only
+restates its premises (equalities are canonical, so none is needed).
 
 Ordered-triple congruence: SAS_ORD and ASA_ORD act on two ordered triples
 (P1,P2,P3), (Q1,Q2,Q3), so one triangle can be made congruent to itself
@@ -66,6 +67,8 @@ RULES: Dict[str, RuleSchema] = {}
 
 
 def _rule(schema: RuleSchema) -> None:
+    if set(schema.conclusions) <= set(schema.premises):
+        raise ValueError(f"{schema.rule_id} concludes only its own premises")
     RULES[schema.rule_id] = schema
 
 
@@ -81,20 +84,6 @@ _rule(RuleSchema(
     premises=(),
     side_conditions=(),
     conclusions=(_f("ang_eq", "a", "v", "b", "a", "v", "b"),),
-))
-
-_rule(RuleSchema(
-    "SEG_SYM", ("a", "b", "c", "d"),
-    premises=(_f("seg_eq", "a", "b", "c", "d"),),
-    side_conditions=(),
-    conclusions=(_f("seg_eq", "c", "d", "a", "b"),),
-))
-
-_rule(RuleSchema(
-    "ANG_SYM", ("a", "v", "b", "c", "w", "d"),
-    premises=(_f("ang_eq", "a", "v", "b", "c", "w", "d"),),
-    side_conditions=(),
-    conclusions=(_f("ang_eq", "c", "w", "d", "a", "v", "b"),),
 ))
 
 _rule(RuleSchema(

@@ -143,7 +143,7 @@ _EOF = ""  # ends the stream
 # between/noncollinear 13-16, rule 17, triples 18-23, flat list 24, refs 25.
 _N = r"[A-Za-z_][A-Za-z0-9_]*"
 _DOTTED = _N + r"(?:\.[A-Za-z0-9_]+)*"
-_REFS = rf"((?:sym\s+)?{_DOTTED}(?:\s*,\s*(?:sym\s+)?{_DOTTED})*)\s*"
+_REFS = rf"({_DOTTED}(?:\s*,\s*{_DOTTED})*)\s*"
 _SEG, _ANG = rf"seg\s+({_N})\s+({_N})", rf"ang\s+({_N})\s+({_N})\s+({_N})"
 _TRIPLE = rf"\(\s*({_N})\s*,\s*({_N})\s*,\s*({_N})\s*\)"
 _RULE_RE = re.compile(
@@ -155,7 +155,7 @@ _EXTEND_RE = re.compile(rf"\s*({_N})\s*:\s*extend\s+({_N})\s+({_N})\s+by\s+{_SEG
 _CASES_RE = re.compile(rf"\s*({_N})\s*:\s*cases\s+{_SEG}\s+vs\s+{_SEG}\s*")
 _CASE_RE = re.compile(r"\s*case\s+(lt|eq|gt)\s*")
 _CLOSE_RE = re.compile(rf"\s*close\s+(goal|absurd)\s+from\s+{_REFS}")
-_REF_RE = re.compile(rf"(sym\s+)?({_DOTTED})")
+_REF_RE = re.compile(_DOTTED)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +267,8 @@ class _Parser:
                 refs = (_REFL,) if text == "refl" else (_new(Ref, ("label", text)),)
             else:
                 refs = tuple(
-                    Ref("sym", label) if sym else _REFL if label == "refl" else Ref("label", label)
-                    for sym, label in _REF_RE.findall(text)
+                    _REFL if label == "refl" else Ref("label", label)
+                    for label in _REF_RE.findall(text)
                 )
             self.cited[text] = None if any(r.label in KEYWORDS for r in refs) else refs
         return self.cited[text]
@@ -633,8 +633,8 @@ class _Parser:
     def parse_ref(self) -> Ref:
         if self.accept("refl"):
             return _REFL
-        if self.accept("sym"):
-            return Ref("sym", self.ident("label", allow_dots=True))
+        if self.tok == "sym":
+            raise self.error("`sym` is gone: cite the label itself", ("label",))
         return Ref("label", self.ident("label", allow_dots=True))
 
 

@@ -73,7 +73,10 @@ REGISTRY = {
 INTRODUCE_AND_USE = {
     "label": (
         _rule("x", "seg_eq", ("A", "B", "A", "B"), "SEG_REFL", ("A", "B"), (REFL,)),
-        _rule("u", "seg_eq", ("A", "B", "A", "B"), "SEG_SYM", ("A", "B", "A", "B"), (LBL("x"),)),
+        _rule(
+            "u", "seg_eq", ("A", "B", "A", "B"), "SEG_TRANS", ("A", "B", "A", "B", "A", "B"),
+            (LBL("x"), LBL("x")),
+        ),
         "UnknownPremise",
     ),
     "point": (

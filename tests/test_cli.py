@@ -306,6 +306,51 @@ def test_check_syntax_error_exits_two(tmp_path, capsys):
     assert "broken.proof:6" in err
 
 
+SPLIT_ON_H1 = """\
+theorem t
+  tags: neutral
+  points A B C
+  assume h1: seg A B == seg A C
+  show seg A B == seg A C
+  proof
+    c1: cases seg A B vs seg A C
+    case lt
+      close goal from h1, c1.lt
+    case eq
+      close goal from h1
+    case gt
+      close goal from c1.gt, h1
+  qed from c1
+"""
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        (GOOD.replace("from h1, h1, refl", "from h1, sym h1, refl"), 8),
+        (SPLIT_ON_H1.replace("qed from c1", "qed from sym h1"), 14),
+        (SPLIT_ON_H1.replace("from h1, c1.lt", "from sym c1.lt, h1"), 9),
+    ],
+    ids=["rule-step", "qed", "close"],
+)
+def test_a_sym_citation_is_one_message_at_the_sym(tmp_path, capsys, text, row):
+    """`sym` no longer cites anything: equalities are canonical, so the
+    label itself matches either way.  The error points at the `sym`."""
+    ok = tmp_path / "ok.proof"
+    ok.write_text(text.replace("sym ", ""))
+    assert main(["check", str(ok)]) == 0  # the script without its `sym` checks
+    capsys.readouterr()
+    p = tmp_path / "sym.proof"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    col = text.splitlines()[row - 1].index("sym") + 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"ponscheck: {p}:{row}:{col}: syntax error: `sym` is gone: cite the label itself\n"
+    )
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["check", "no_such_file.proof"]) == 2
     assert "no_such_file.proof" in capsys.readouterr().err
@@ -413,7 +458,7 @@ def test_model_rejects_bad_numbers_with_exit_two(good_file, capsys, flag, value,
     "step",
     [
         "s1: seg A B == seg A B by SEG_REFL[A,B,C] from refl",  # wrong arity
-        "s1: seg A B == seg A B by SEG_SYM[A,B,A,A] from h1",  # degenerate segment
+        "s1: seg A B == seg A B by SEG_TRANS[A,B,A,A,A,B] from h1, h1",  # degenerate segment
     ],
 )
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
@@ -552,7 +597,7 @@ STEP_DIAGNOSTICS = [
     ),
     (
         "rule_degenerate",
-        _one_step("s1: seg A B == seg A B by SEG_SYM[A,B,A,A] from h1"),
+        _one_step("s1: seg A B == seg A B by SEG_TRANS[A,B,A,A,A,B] from h1, h1"),
         _at(9, "DegenerateInstantiation: segment endpoints coincide: A"),
         1,
         "",
@@ -566,7 +611,7 @@ STEP_DIAGNOSTICS = [
     ),
     (
         "rule_premise_mismatch",
-        _one_step("s1: seg A C == seg A B by SEG_SYM[A,B,A,C] from h2"),
+        _one_step("s1: seg A C == seg A B by SEG_TRANS[A,B,A,C,A,C] from h2, refl"),
         _at(
             9,
             "PremiseMismatch: premise seg(A,B) == seg(A,C) expected; "
@@ -611,7 +656,7 @@ STEP_DIAGNOSTICS = [
     ),
     (
         "degenerate_fact",
-        _one_step("s1: seg A A == seg A B by SEG_SYM[A,B,A,A] from h1"),
+        _one_step("s1: seg A A == seg A B by SEG_TRANS[A,B,A,C,A,C] from h1, refl"),
         _at(9, "DegenerateInstantiation: segment endpoints coincide: A"),
         1,
         "",
@@ -624,8 +669,15 @@ STEP_DIAGNOSTICS = [
         "",
     ),
     (
+        "removed_rule",  # a symmetry rule: equalities are canonical, so it is gone
+        _one_step("s1: seg A C == seg A B by SEG_SYM[A,B,A,C] from h1"),
+        _at(9, "KernelError: unknown rule SEG_SYM"),
+        1,
+        "",
+    ),
+    (
         "unknown_label",
-        _one_step("s1: seg A C == seg A B by SEG_SYM[A,B,A,C] from h9"),
+        _one_step("s1: seg A C == seg A B by SEG_TRANS[A,B,A,C,A,C] from h9, refl"),
         _at(9, "UnknownPremise: no step or hypothesis labeled h9"),
         1,
         "",
@@ -1045,12 +1097,14 @@ def test_model_conjecture_failure_in_flat_model_fails(capsys):
 # sha256 of stdout, recorded before the numeric layer shared draws and
 # distance tables, and the --tol row before its checks were compiled into
 # plans (CPython 3.11, x86-64 Linux, glibc libm); the seed-3 row since the
-# disk's working domain skips one euclid_i5 trial.  A change that alters
-# any number `model` prints must say why; see ROADMAP aim 1.
+# disk's working domain skips one euclid_i5 trial.  The JSON rows were
+# recorded again, with every number the same, when ANG_SYM left
+# euclid_i5_converse's axioms.  A change that alters any number `model`
+# prints must say why; see ROADMAP aim 1.
 MODEL_DIGESTS = [
     (
         ["--json", "--model", "all", "--trials", "40", "--seed", "0"],
-        "b689e3e71a0055f542efe1ca38e3be46ccd116bf178888a5d4e4815ecee9907b",
+        "42598256f8c16e39125f4b3ef5bd816db4402b5af3e69128fdf85f9febbcbb27",
     ),
     (
         ["--trials", "40", "--seed", "3"],
@@ -1058,7 +1112,7 @@ MODEL_DIGESTS = [
     ),
     (
         ["--json", "--model", "all", "--trials", "40", "--seed", "5", "--tol", "1e-6"],
-        "46bf83bc50b743b5b75716fd2da490b22011a128625851950a4439ff53041760",
+        "07be392201efd0581a3103ec781a5d35bb6f66f5c9320d9ebf8747758a210cfb",
     ),
 ]
 
@@ -1074,16 +1128,18 @@ def test_model_corpus_output_is_byte_identical(capsys, argv, digest):
 # sha256 of stdout of the symbolic commands on the corpus, with their exit
 # codes (`deps` exits 1 on the corpus's deliberate cycle).  A change to the
 # kernel, the terms or the graph must keep these bytes; see ROADMAP aim 1.
+# The check, dump-ast and dot digests were recorded again when the identity
+# rule ANG_SYM and the step t1 citing it left euclid_i5_converse.
 SYMBOLIC_DIGESTS = [
     (
         ["check", "--json"],
         0,
-        "d936157bba5f325a3e6616c5bc6001ac1bbc2584029a18535baf3f002bd5758f",
+        "2f8f343c6a93f5535dddee89aba9e4cb106d10a6bd3e12c5929555d1c7213878",
     ),
     (
         ["check", "--json", "--strict-degeneracy"],
         0,
-        "d936157bba5f325a3e6616c5bc6001ac1bbc2584029a18535baf3f002bd5758f",
+        "2f8f343c6a93f5535dddee89aba9e4cb106d10a6bd3e12c5929555d1c7213878",
     ),
     (
         ["deps"],
@@ -1093,10 +1149,10 @@ SYMBOLIC_DIGESTS = [
     (
         ["parse", "--dump-ast"],
         0,
-        "63c62a06a1802d765675f482e0b35a93f72855ca501c845696d88eaf857e7aa1",
+        "de4d8ca31e5ca5eccb7e6b2e35d217284b9b9c29c32e714546c82e96d78294b5",
     ),
 ]
-DOT_DIGEST = "f00a9ebb8a06584a20a88344b5f6f14bdcf5ea499bb533d5a8b425df4b2c6ff8"
+DOT_DIGEST = "ae7b0f0e5e3624bc80df2235d1463cc27f50d1490a59aeaedb4d674afa48b6b7"
 
 
 def _sha(text: str) -> str:

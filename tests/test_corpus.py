@@ -31,7 +31,7 @@ GOLDEN_RULE_USES = {
         "SAS_ORD",
         "SUPP_CONG",
     ),
-    "euclid_i5_converse": ("ANG_SYM", "SEG_REFL", "ASA_ORD"),
+    "euclid_i5_converse": ("SEG_REFL", "ASA_ORD"),
     "pappus_converse": ("SEG_REFL", "ASA_ORD"),
     "euclid_i6": (
         "ARM_SUBST",
@@ -186,7 +186,7 @@ def _ref_sites(steps: Tuple, rebuild):
 
         if isinstance(step, (RuleStep, LayoffStep)):
             for ri, ref in enumerate(step.refs):
-                if ref.kind in ("label", "sym"):
+                if ref.kind == "label":
                     yield lambda step=step, ri=ri, rb=rebuild_step: rb(
                         step._replace(refs=_corrupt_ref_tuple(step.refs, ri))
                     )
@@ -202,7 +202,7 @@ def _ref_sites(steps: Tuple, rebuild):
                     )
 
                 for ri, ref in enumerate(branch.close_refs):
-                    if ref.kind in ("label", "sym"):
+                    if ref.kind == "label":
                         yield lambda branch=branch, ri=ri, rb=rebuild_branch: rb(
                             branch._replace(
                                 close_refs=_corrupt_ref_tuple(branch.close_refs, ri),
@@ -219,7 +219,7 @@ def _citation_mutants(proof: Proof) -> List[Proof]:
     ):
         out.append(make())
     for ri, ref in enumerate(proof.qed_refs):
-        if ref.kind in ("label", "sym"):
+        if ref.kind == "label":
             out.append(
                 proof._replace(qed_refs=_corrupt_ref_tuple(proof.qed_refs, ri))
             )

@@ -34,7 +34,7 @@ theorem build
 """
 
 FACT = K.FactAst("seg_eq", ("A", "B", "A", "C"))
-REFS = (K.Ref("label", "h1"), K.Ref("sym", "h2"), K.Ref("refl"))
+REFS = (K.Ref("label", "h1"), K.Ref("label", "c1.lt"), K.Ref("refl"))
 KSTEP = K.ExtendStep("e1", "A", "B", ("A", "C"), "D", 5)
 
 SYNTAX_NODES = [S.AssumeAst("h1", FACT, 3)]
@@ -42,7 +42,7 @@ KERNEL_NODES = [
     FACT,
     K.InstAst(("A", "B", "C", "A", "C", "B"), True),
     *REFS,
-    K.RuleStep("s1", FACT, "SEG_SYM", K.InstAst(("A", "B", "A", "C")), REFS[:1], 4),
+    K.RuleStep("s1", FACT, "SEG_TRANS", K.InstAst(("A", "B", "A", "C", "A", "C")), REFS[:1], 4),
     KSTEP,
     K.LayoffStep("l1", "A", "C", ("A", "B"), "D", REFS[:1], 6),
     K.LemmaStep("m1", "foot", ("A", "B", "C"), ("H",), 7),
@@ -118,7 +118,7 @@ def test_classes_with_the_same_field_values_stay_distinct():
 
 
 def test_ref_prints_as_written():
-    assert [repr(r) for r in REFS] == ["h1", "sym h2", "refl"]
+    assert [repr(r) for r in REFS] == ["h1", "c1.lt", "refl"]
 
 
 AB_AC = seg_eq(segment("A", "B"), segment("A", "C"))
@@ -136,14 +136,14 @@ RECORDS = [
     PROOF,
     STEP_RESULT,
     K.SideConditionRecord("s1", ("A", "B", "C"), "derived"),
-    K.CheckReport("t", "ok", (STEP_RESULT,), ("SEG_SYM",), ("foot",), (), (("A", "B", "C"),)),
+    K.CheckReport("t", "ok", (STEP_RESULT,), ("SEG_TRANS",), ("foot",), (), (("A", "B", "C"),)),
     S.parse(SCRIPT),
     S.parse(SCRIPT).items[0],
     S.DeclareAst("d", ("euclidean",), ("t",), 2),
     S.ConjectureAst("angle_sum_pi", ("A", "B", "C"), 1),
     elaborate.ElaboratedBlock("t", ("neutral",), ("u",), STATEMENT, PROOF, 1),
     depgraph.Node("t", "theorem", frozenset({"NEUTRAL"})),
-    rules.RULES["SEG_SYM"],
+    rules.RULES["SEG_TRANS"],
     corpus.ENTRIES[-1],
     models.profile(1e-9),
     models.Counterexample(3, "seg(A,B) == seg(A,C)", (("A", (0.0, 0.5)), ("B", (0.25, 0.0)))),

@@ -31,7 +31,7 @@ from ponscheck.kernel import (
     check_proof,
 )
 from ponscheck.elaborate import collect_statements, elaborate_script
-from ponscheck.rules import RULE_IDS, RULES
+from ponscheck.rules import RULE_IDS, RULES, RuleSchema, _rule
 from ponscheck.script import parse
 from ponscheck.terms import (
     Fact,
@@ -45,6 +45,7 @@ from ponscheck.terms import (
     seg_lt,
     segment,
     subst_fact,
+    written_fact,
 )
 
 P = PointId
@@ -55,7 +56,6 @@ EXPECTED_RULES = (
     "ABSURD_LT_EQ_ANG",
     "ABSURD_LT_EQ_SEG",
     "ANG_REFL",
-    "ANG_SYM",
     "ANG_TRANS",
     "ARM_SUBST",
     "ASA_ORD",
@@ -65,7 +65,6 @@ EXPECTED_RULES = (
     "SAS_ORD",
     "SEG_REFL",
     "SEG_SUM",
-    "SEG_SYM",
     "SEG_TRANS",
     "SUPP_CONG",
     "WHOLE_PART_ANG",
@@ -75,6 +74,45 @@ EXPECTED_RULES = (
 
 def test_rule_inventory_is_closed():
     assert RULE_IDS == EXPECTED_RULES
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        # the symmetry rules the inventory once had: equalities are
+        # canonical, so each concludes exactly its premise
+        RuleSchema(
+            "SEG_SYM", ("a", "b", "c", "d"),
+            premises=(written_fact("seg_eq", ("a", "b", "c", "d")),),
+            side_conditions=(),
+            conclusions=(written_fact("seg_eq", ("c", "d", "a", "b")),),
+        ),
+        RuleSchema(
+            "ANG_SYM", ("a", "v", "b", "c", "w", "d"),
+            premises=(written_fact("ang_eq", ("a", "v", "b", "c", "w", "d")),),
+            side_conditions=(),
+            conclusions=(written_fact("ang_eq", ("c", "w", "d", "a", "v", "b")),),
+        ),
+        # two conclusions, each a premise written another way
+        RuleSchema(
+            "SEG_TWICE", ("a", "b", "c", "d"),
+            premises=(
+                written_fact("seg_eq", ("a", "b", "c", "d")),
+                written_fact("seg_lt", ("a", "b", "a", "c")),
+            ),
+            side_conditions=(),
+            conclusions=(
+                written_fact("seg_lt", ("a", "b", "a", "c")),
+                written_fact("seg_eq", ("d", "c", "b", "a")),
+            ),
+        ),
+    ],
+    ids=lambda s: s.rule_id,
+)
+def test_an_identity_schema_is_refused(schema):
+    with pytest.raises(ValueError, match="concludes only its own premises"):
+        _rule(schema)
+    assert schema.rule_id not in RULES
 
 
 def test_rule_arity_enforced():
@@ -526,7 +564,7 @@ def test_cases_branch_assumptions_and_closure():
         inst=InstAst(("A", "B", "C", "D") if which == "l" else ("C", "D", "A", "B")),
         refs=(
             LBL("c1.lt") if which == "l" else LBL("c1.gt"),
-            LBL("h1") if which == "l" else Ref("sym", "h1"),
+            LBL("h1"),
         ),
         line=3,
     )
@@ -664,9 +702,12 @@ def test_unknown_lemma_fails():
     assert report.status == "failed"
 
 
-def test_sym_ref_flips_equality():
+def test_label_matches_equality_either_way():
+    """A label cited for `x == y` also yields `y == x`: both premises of
+    this SEG_TRANS are the hypotheses flipped, and nothing but SEG_TRANS
+    enters the rule uses."""
     stmt = TheoremStatement(
-        name="symuse",
+        name="flipped",
         tags=frozenset(),
         points=("A", "B", "C", "D", "E", "F"),
         hypotheses=(
@@ -679,10 +720,10 @@ def test_sym_ref_flips_equality():
         steps=(
             RuleStep(
                 label="s1",
-                fact=FactAst("seg_eq", ("A", "B", "E", "F")),
+                fact=FactAst("seg_eq", ("E", "F", "A", "B")),
                 rule_id="SEG_TRANS",
-                inst=InstAst(("A", "B", "C", "D", "E", "F")),
-                refs=(Ref("sym", "h1"), LBL("h2")),
+                inst=InstAst(("E", "F", "C", "D", "A", "B")),
+                refs=(LBL("h2"), LBL("h1")),
                 line=1,
             ),
         ),
@@ -690,6 +731,7 @@ def test_sym_ref_flips_equality():
     )
     report = check_proof(stmt, proof)
     assert report.status == "ok"
+    assert report.rule_uses == ("SEG_TRANS",)
 
 
 def _extend_chain(steps: int, defect_at: int = 0) -> str:

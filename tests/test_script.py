@@ -195,7 +195,6 @@ _refs = st.lists(
     st.one_of(
         st.sampled_from(["h1", "h2", "s0"]).map(lambda l: Ref("label", l)),
         st.just(Ref("refl")),
-        st.sampled_from(["h1", "h2"]).map(lambda l: Ref("sym", l)),
     ),
     min_size=1,
     max_size=3,
@@ -521,7 +520,7 @@ def test_parse_errors_point_at_tokens_of_the_oracle_stream():
 # --- the line path against the token path --------------------------------
 
 # Every step shape the line path reads, each fact kind, both instantiation
-# forms, `sym` and dotted citations, nested cases, and the layoff and lemma
+# forms, dotted citations, nested cases, and the layoff and lemma
 # steps it leaves to the token path.
 _SHAPES = """\
 theorem shapes
@@ -532,7 +531,7 @@ theorem shapes
   show seg A B == seg A B
   proof
     r1: seg A B == seg A B by SEG_REFL[A,B] from refl
-    r2: seg A B < seg A C by LT_SUBST[A,B,A,C] from sym h1, r1
+    r2: seg A B < seg A C by LT_SUBST[A,B,A,C] from h1, r1
     r3: ang A B C == ang A C B by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl
     r4: ang A B C < ang A C B by WHOLE_PART_ANG[A,B,C,D] from r3
     r5: between A B C by BETWEEN_SYM[C,B,A] from r4
@@ -544,12 +543,12 @@ theorem shapes
     case lt
       c2: cases seg A C vs seg B C
       case lt
-        x1: absurd by ABSURD_LT_EQ[A,B,A,C] from c1.lt, sym c2.lt
+        x1: absurd by ABSURD_LT_EQ[A,B,A,C] from c1.lt, c2.lt
         close absurd from x1
       case eq
         close goal from c2.eq
       case gt
-        close goal from c2.gt, sym c1.lt
+        close goal from c2.gt, c1.lt
       close goal from c2
     case eq
       close goal from c1.eq
@@ -580,7 +579,7 @@ _SPACES = ("\t", "\u00a0", "\u3000", "  ")
 def _edit_step_line(rng, text):
     """One seeded edit of one proof line of `text` (a line between `proof`
     and `qed`): spacing around punctuation, other whitespace, joined words,
-    dotted or reserved names, `sym`, triples, comments, a repeated label
+    dotted or reserved names, a `sym` to reject, triples, comments, a repeated label
     or one of _mutate's token edits; sometimes other line breaks as well."""
     lines = text.split("\n")
     i = rng.choice([i for i, line in enumerate(lines) if line.startswith("    ")])
@@ -604,11 +603,13 @@ def _edit_step_line(rng, text):
         others = ["A.x", "c1.lt", "Z", "_q", "refl.x"]
         new = rng.choice(sorted(KEYWORDS) if rng.random() < 0.5 else others)
         line = re.sub(rf"\b{re.escape(rng.choice(names))}\b", new, line, count=1)
-    elif op == 4:  # sym before a citation, or sym dropped
-        if "sym" in line:
-            line = line.replace("sym ", "", 1)
-        else:
-            line = line.replace("from ", "from sym ", 1)
+    elif op == 4:  # sym before one citation, which both paths reject
+        head, sep, refs = line.partition(" from ")
+        if sep:
+            cites = refs.split(", ")
+            k = rng.randrange(len(cites))
+            cites[k] = "sym " + cites[k]
+            line = head + sep + ", ".join(cites)
     elif op == 5:  # flat list and triples swapped
         if rng.random() < 0.7:
             six = r"\[(\w+),(\w+),(\w+),(\w+),(\w+),(\w+)\]"
@@ -687,6 +688,7 @@ theorem rows
 _BRANCH_EDITS = (
     ("close goal from h1, c1.gt", "close goal from h1, case"),
     ("close goal from h1, c1.gt", "close goal from sym refl"),
+    ("close goal from h1, c1.gt", "close goal from h1, sym c1.gt"),
     ("close goal from h1, c1.gt", "close goal from h1, c1.gt x"),
     ("close goal from h1, c1.gt", "close goal from h1 c1.gt"),
     ("case gt", "case gt x"),
