@@ -128,12 +128,14 @@ def graph_from_blocks(
     """The graph of uniquely named blocks.  `reports` supplies the precise
     dependencies (rules fired, lemmas invoked) of every checked proof;
     stated-only blocks fall back to their written uses list.  A declare
-    with no uses is a postulate, and so is a used proof rule that is not
-    a block; any other used name is a declared result."""
+    with no uses is a postulate, and so is a used proof rule, which names
+    no block (ValueError); any other used name is a declared result."""
     reports = reports or {}
     nodes: Dict[str, Node] = {}
     edges: Dict[str, Tuple[str, ...]] = {}
     for block in blocks:
+        if block.name in RULES:  # its node would stand for the rule
+            raise ValueError(f"block {block.name} takes the name of the rule {block.name}")
         report = reports.get(block.name)
         uses = block.uses
         if report is not None:

@@ -5,27 +5,30 @@ line, comments from ``#`` to end of line.  A file is a sequence of
 ``theorem`` blocks (statement, optionally followed by a proof) and
 ``declare`` blocks (statement-free dependency stubs).
 
-A token is the plain string the token regex matched; a newline string
-closes each line that had tokens, the empty string ends the input, and
-a parallel list holds each token's line number.  The garbage collector
-does not track strings, so a long script adds nothing for it to scan.
-A proof body is read by one loop over its rows.  Each row with tokens
-is matched once by the line path's compiled pattern for what may come
-there (a rule, `extend` or `cases` step, and in a case split its `case`
-and `close` rows), and its tuple is built from the groups without
-tokenizing; the line path takes a row only when the token path would
-build the same tuple.  Any other row, and every row outside a proof
-body, is tokenized and read by plain recursive descent over the token
-strings, so that path alone reports errors, with line, column, and the
-expected-token set; a column is worked out only when an error is
-raised, by matching that one source line again.  The parser never
-raises anything but ParseError on malformed input, whatever the bytes
-were.  It emits the kernel's steps and proofs, with a segment as a point
-pair: a rule step keeps its fact and instantiation as written (format_script
-prints them, the kernel resolves them), and a proof its qed line.  It
-resolves no name; the kernel does.
-Syntax nodes, blocks and scripts are NamedTuples (see kernel.node),
-compared without their source line, so that parse(format_script(x)) == x.
+Each row with tokens is matched whole by the line path's compiled
+pattern for what may come there: _FACT_RE for a proof step and a
+statement row that starts with `assume` or `show`, _WORDS_RE for any
+other row (in a case branch a row is tried as `close` first, and after a
+step one that _FACT_RE misses as `qed`).  Its node is built from the
+groups without tokenizing.  A row goes to the token path only when its
+pattern misses it (as a dotted name outside a citation does), or a group
+fails a check the token path makes: a reserved word, a repeated point or
+label, an unknown tag, an `absurd` assumption, or a step, `close` or
+`qed` row out of place.  That path reads the row's tokens by recursive
+descent and alone reports errors, with line, column, and the
+expected-token set.  A token is the plain string the token regex
+matched; a newline string closes each line that had tokens, the empty
+string ends the input, and a parallel list holds each token's line
+number (the garbage collector does not track strings).  A column is
+worked out only when an error is raised, by matching that one source
+line again.  The parser never raises anything but ParseError on
+malformed input, whatever the bytes were.  It emits the kernel's steps
+and proofs, with a segment as a point pair: a rule step keeps its fact
+and instantiation as written (format_script prints them, the kernel
+resolves them), and a proof its qed line.  It resolves no name; the
+kernel does.  Syntax nodes, blocks and scripts are NamedTuples (see
+kernel.node), compared without their source line, so that
+parse(format_script(x)) == x.
 """
 
 from __future__ import annotations
@@ -136,26 +139,45 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _NL = "\n"  # closes every source line that had tokens
 _EOF = ""  # ends the stream
 
-# Line path: one pattern per line shape, for fullmatch on a line without
-# its comment.  Two words need \s+ between them, else the tokenizer reads
-# one identifier; names are undotted, and the parser checks them against
-# KEYWORDS.  Rule groups: label 0, seg 1-5 (op 3), ang 6-12 (op 9),
-# between/noncollinear 13-16, rule 17, triples 18-23, flat list 24, refs 25.
+# Line path: two patterns, for fullmatch on a row without its comment.
+# Two words need \s+ between them, else the tokenizer reads one
+# identifier; names are undotted except in citations, and the parser
+# checks them against KEYWORDS.
 _N = r"[A-Za-z_][A-Za-z0-9_]*"
 _DOTTED = _N + r"(?:\.[A-Za-z0-9_]+)*"
-_REFS = rf"({_DOTTED}(?:\s*,\s*{_DOTTED})*)\s*"
+_NAMES, _REFS = rf"({_N}(?:\s*,\s*{_N})*)", rf"({_DOTTED}(?:\s*,\s*{_DOTTED})*)"
 _SEG, _ANG = rf"seg\s+({_N})\s+({_N})", rf"ang\s+({_N})\s+({_N})\s+({_N})"
 _TRIPLE = rf"\(\s*({_N})\s*,\s*({_N})\s*,\s*({_N})\s*\)"
-_RULE_RE = re.compile(
-    rf"\s*({_N})\s*:\s*(?:{_SEG}\s*(==|<)\s*{_SEG}|{_ANG}\s*(==|<)\s*{_ANG}"
-    rf"|(between|noncollinear)\s+({_N})\s+({_N})\s+({_N})|absurd)\s+by\s+({_N})\s*\[\s*"
-    rf"(?:{_TRIPLE}\s*,\s*{_TRIPLE}|({_N}(?:\s*,\s*{_N})*))\s*\]\s*from\s+{_REFS}"
+# The one fact grammar: a fact row (`LABEL:` for a step, `assume LABEL:` or
+# `show`) with a step's optional `by ... from ...` tail; after `LABEL:` also
+# `extend` or `cases`, so the word after the label picks the alternative.
+# Groups, from 0: label 0, assume's label 1; seg 2-6 (op 4), ang 7-13 (op
+# 10), between/noncollinear 14-17; rule 18, triples 19-24, flat list 25,
+# refs 26; extend 27-31; cases 32-35.
+_FACT_RE = re.compile(
+    rf"\s*(?:({_N})\s*:\s*|assume\s+({_N})\s*:\s*|show\s+)(?:(?:{_SEG}\s*(==|<)\s*{_SEG}"
+    rf"|{_ANG}\s*(==|<)\s*{_ANG}|(between|noncollinear)\s+({_N})\s+({_N})\s+({_N})|absurd)"
+    rf"(?:\s+by\s+({_N})\s*\[\s*(?:{_TRIPLE}\s*,\s*{_TRIPLE}|{_NAMES})\s*\]\s*from\s+{_REFS}|)"
+    rf"|extend\s+({_N})\s+({_N})\s+by\s+{_SEG}\s+as\s+({_N})|cases\s+{_SEG}\s+vs\s+{_SEG})\s*"
 )
-_EXTEND_RE = re.compile(rf"\s*({_N})\s*:\s*extend\s+({_N})\s+({_N})\s+by\s+{_SEG}\s+as\s+({_N})\s*")
-_CASES_RE = re.compile(rf"\s*({_N})\s*:\s*cases\s+{_SEG}\s+vs\s+{_SEG}\s*")
-_CASE_RE = re.compile(r"\s*case\s+(lt|eq|gt)\s*")
-_CLOSE_RE = re.compile(rf"\s*close\s+(goal|absurd)\s+from\s+{_REFS}")
-_REF_RE = re.compile(_DOTTED)
+_MISS = (None,) * _FACT_RE.groups  # the groups of a row _FACT_RE missed
+# The other rows, each led by its word.  Groups: `close` kind 1 (None for
+# `qed`) and their refs 2; `case` kind 3; theorem or declare 4 and its name
+# 5; the names of points or introduces 6; proof; the names of uses or tags 7.
+_WORDS_RE = re.compile(
+    rf"\s*(?:(?:qed|close\s+(goal|absurd))\s+from\s+{_REFS}|case\s+(lt|eq|gt)"
+    rf"|(theorem|declare)\s+({_N})|(?:points|introduces)((?:\s+{_N})+)|proof"
+    rf"|(?:uses\s+|tags\s*:\s*){_NAMES})\s*"
+)
+
+
+def _fact(g: Tuple[Optional[str], ...]) -> FactAst:
+    """The fact of a fact row, from its _FACT_RE groups."""
+    if g[2]:
+        return _new(FactAst, ("seg_eq" if g[4] == "==" else "seg_lt", (g[2], g[3], g[5], g[6])))
+    if g[7]:
+        return _new(FactAst, ("ang_eq" if g[10] == "==" else "ang_lt", g[7:10] + g[11:14]))
+    return _new(FactAst, (g[14], g[15:18]) if g[14] else ("absurd", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +187,10 @@ _REF_RE = re.compile(_DOTTED)
 class _Parser:
     """Both paths of the module docstring.  `tok` is the current token and
     `pos` its index in `toks`, which skip_nl extends one source line at a
-    time; `row` is the next source line not yet read.  parse_steps walks
-    the rows itself and hands one to the token path by setting `row` to
-    it and calling skip_nl; between rows `tok` is the newline ending `toks`.
+    time; `row` is the next source line not yet read.  Between rows `tok`
+    is the newline ending `toks`; a row goes to the token path by setting
+    `row` to it and calling skip_nl.  parse_proof walks the rows itself,
+    and the statement readers ask `line` for theirs.
 
     Token strings alone identify words and punctuation: only an ident can
     spell a word (any other token is punctuation or one character that
@@ -183,7 +206,40 @@ class _Parser:
         self.lines: List[int] = []  # each token's source line
         self.pos, self.tok = -1, _NL
         self.cited: Dict[str, Optional[Tuple[Ref, ...]]] = {}
-        self.skip_nl()
+        self.seen: Tuple[int, Optional[str], Optional[re.Match]] = (-1, None, None)
+
+    # -- line path
+
+    def line(self, *words: str) -> Optional[re.Match]:
+        """Between rows, the line path's match of the next row with tokens if
+        its first word is in `words`: by _FACT_RE for `assume` and `show` rows,
+        else by _WORDS_RE.  `row` moves to that row, which is matched once
+        however often asked for, and tokenized if the line path missed it."""
+        if self.tok != _NL:
+            return None
+        i = self.row
+        if i != self.seen[0]:
+            rows, first, m = self.rows, None, None
+            while i < len(rows):
+                text = rows[i].partition("#")[0]
+                if text and not text.isspace():
+                    first = text.split(None, 1)[0].partition(":")[0]  # its first token, if matched
+                    m = (_FACT_RE if first in ("assume", "show") else _WORDS_RE).fullmatch(text)
+                    break
+                i += 1
+            self.row, self.seen = i, (i, first, m)
+            if m is None:
+                self.skip_nl()
+        return self.seen[2] if self.seen[1] in words else None
+
+    def at(self, word: str) -> bool:
+        """Whether the next row with tokens starts with `word`."""
+        return self.line(word) is not None or self.tok == word
+
+    def take(self) -> int:
+        """Read the matched row; its line."""
+        self.row += 1
+        return self.row
 
     # -- token plumbing
 
@@ -256,10 +312,6 @@ class _Parser:
         if self.tok and self.tok != _NL:
             raise self.fail("expected end of line", ("newline",))
 
-    def expect_nl(self) -> None:
-        self.end_line()
-        self.skip_nl()
-
     def cite(self, text: str) -> Optional[Tuple[Ref, ...]]:
         """A matched refs group's citations; None if one is a reserved word."""
         if text not in self.cited:
@@ -268,7 +320,7 @@ class _Parser:
             else:
                 refs = tuple(
                     _REFL if label == "refl" else Ref("label", label)
-                    for label in _REF_RE.findall(text)
+                    for label in "".join(text.split()).split(",")
                 )
             self.cited[text] = None if any(r.label in KEYWORDS for r in refs) else refs
         return self.cited[text]
@@ -299,127 +351,119 @@ class _Parser:
     def parse_script(self) -> ScriptAst:
         items: List[BlockAst] = []
         while True:
-            self.skip_nl()
-            if not self.tok:
-                break
-            if self.tok == "theorem":
-                items.append(self.parse_theorem())
-            elif self.tok == "declare":
-                items.append(self.parse_declare())
+            m = self.line("theorem", "declare")
+            if m and m[5] not in KEYWORDS:
+                word, name, line = m[4], m[5], self.take()
             else:
-                raise self.fail("expected a block", ("theorem", "declare"))
+                self.skip_nl()
+                if not self.tok:
+                    break
+                if self.tok not in ("theorem", "declare"):
+                    raise self.fail("expected a block", ("theorem", "declare"))
+                line, word = self.lines[self.pos], self.advance()
+                name = self.ident("theorem name")
+                self.end_line()
+            tags = self.parse_names("tags")
+            if word == "theorem":
+                items.append(self.parse_theorem(name, tags, line))
+            else:
+                items.append(_new(DeclareAst, (name, tags, self.parse_names("uses"), line)))
         return ScriptAst(tuple(items))
 
-    def parse_tags(self) -> Tuple[str, ...]:
-        self.expect("tags")
-        self.expect(":")
-        tags = self.comma_list(self.tag_name)
-        self.expect_nl()
-        return tags
+    def parse_names(self, word: str) -> Tuple[str, ...]:
+        """The tags of a `tags:` row, or the names of a `uses` row if one comes next."""
+        if word == "uses" and not self.at("uses"):
+            return ()
+        m = self.line(word)
+        names = tuple("".join(m[7].split()).split(",")) if m else ()
+        ok = set(names).issubset(TAG_NAMES) if word == "tags" else KEYWORDS.isdisjoint(names)
+        if names and ok:
+            self.take()
+            return names
+        self.skip_nl()
+        self.expect(word)
+        if word == "tags":
+            self.expect(":")
+        names = self.comma_list(self.tag_name if word == "tags" else lambda: self.ident("name"))
+        self.end_line()
+        return names
 
     def tag_name(self) -> str:
         if self.tok not in TAG_NAMES:
             raise self.fail("expected a tag", TAG_NAMES)
         return self.advance()
 
-    def parse_name_list(self) -> Tuple[str, ...]:
-        names = self.comma_list(lambda: self.ident("name"))
-        self.expect_nl()
-        return names
-
-    def parse_declare(self) -> DeclareAst:
-        line = self.lines[self.pos]
-        self.expect("declare")
-        name = self.ident("theorem name")
-        self.expect_nl()
-        tags = self.parse_tags()
-        uses: Tuple[str, ...] = ()
-        if self.accept("uses"):
-            uses = self.parse_name_list()
-        return DeclareAst(name, tags, uses, line=line)
-
-    def parse_theorem(self) -> TheoremAst:
-        line = self.lines[self.pos]
-        self.expect("theorem")
-        name = self.ident("theorem name")
-        self.expect_nl()
-        tags = self.parse_tags()
-
-        self.expect("points")
-        points = self.parse_points()
-        if not points:
-            raise self.fail("expected at least one point", ("point name",))
-        self.expect_nl()
-
-        introduces: List[str] = []
-        if self.accept("introduces"):
-            introduces = self.parse_points(points)
-            if not introduces:
-                raise self.fail("expected a point name", ("point name",))
-            self.expect_nl()
-
-        labels: set = set()
-        assumes: List[AssumeAst] = []
-        while self.tok == "assume":
-            at = self.pos
-            self.advance()
-            label = self.ident("hypothesis label")
-            if label in labels:
-                raise self.error(f"duplicate label {label}", pos=at)
-            labels.add(label)
-            self.expect(":")
-            fact = self.parse_fact(allow_absurd=False)
-            self.expect_nl()
-            assumes.append(AssumeAst(label, fact, line=self.lines[at]))
-
-        shows: List[FactAst] = []
-        while self.accept("show"):
-            shows.append(self.parse_fact(allow_absurd=True))
-            self.expect_nl()
+    def parse_theorem(self, name: str, tags: Tuple[str, ...], line: int) -> TheoremAst:
+        points = self.parse_points("points")
+        introduces = self.parse_points("introduces", points) if self.at("introduces") else ()
+        assumes, shows, labels = [], [], set()
+        while self.at("assume"):
+            assumes.append(_new(AssumeAst, self.parse_fact_row("assume", labels)))
+        while self.at("show"):
+            shows.append(self.parse_fact_row("show", labels)[1])
         if not shows:
+            self.skip_nl()
             raise self.fail("expected 'show'", ("show",))
-
-        uses: Tuple[str, ...] = ()
-        if self.accept("uses"):
-            uses = self.parse_name_list()
-
+        uses = self.parse_names("uses")
         proof = None
-        if self.accept("proof"):
-            self.end_line()
-            body = self.parse_steps(labels)
-            if not body:
-                raise self.fail("expected at least one proof step", ("step",))
-            qed_line = self.lines[self.pos]
-            self.expect("qed")
-            self.expect("from")
-            proof = Proof(tuple(body), self.parse_refs(), qed_line)
-            self.expect_nl()
-        return TheoremAst(
-            name,
-            tags,
-            tuple(points),
-            tuple(introduces),
-            tuple(assumes),
-            tuple(shows),
-            uses,
-            proof,
-            line=line,
-        )
+        if self.at("proof"):
+            if self.line("proof"):
+                self.take()
+            else:
+                self.advance()
+                self.end_line()
+            proof = self.parse_proof(labels)
+        body = (name, tags, points, introduces, tuple(assumes), tuple(shows), uses, proof, line)
+        return _new(TheoremAst, body)
 
-    def parse_points(self, taken: Sequence[str] = ()) -> List[str]:
-        """Point names up to the next non-name token, each new and none in `taken`."""
+    def parse_points(self, word: str, taken: Tuple[str, ...] = ()) -> Tuple[str, ...]:
+        """A `points` or `introduces` row: its point names, each new and none in `taken`."""
+        m = self.line(word)
+        names = tuple(m[6].split()) if m else ()
+        if names and KEYWORDS.isdisjoint(names) and len({*names, *taken}) == len(names + taken):
+            self.take()
+            return names
+        self.skip_nl()
+        self.expect(word)
         points: List[str] = []
         while self.at_ident():
             p = self.point()
             if p in points or p in taken:
                 raise self.error(f"duplicate point {p}", pos=self.pos - 1)
             points.append(p)
-        return points
+        if not points:
+            empty = "expected a point name" if taken else "expected at least one point"
+            raise self.fail(empty, ("point name",))
+        self.end_line()
+        return tuple(points)
 
-    def parse_steps(self, labels: set) -> List[Step]:
-        """A proof body, case branches included, up to the row whose first
-        token is `qed` (or the end of input)."""
+    def parse_fact_row(self, word: str, labels: set) -> Tuple[str, FactAst, int]:
+        """An `assume` row, whose label must be new to `labels` and is added
+        to them, or a `show` row (label ""): its label, fact and line."""
+        m = self.line(word)
+        g = m.groups() if m else _MISS
+        label, fact = g[1] or "", m and not (g[0] or g[18] or g[27] or g[32]) and _fact(g)
+        ok = word == "show" or fact and fact[0] != "absurd" and label not in labels
+        if fact and ok and KEYWORDS.isdisjoint((label, *fact[1])):
+            labels.add(label)
+            return label, fact, self.take()
+        self.skip_nl()
+        at = self.pos
+        self.advance()
+        if word == "assume":
+            label = self.ident("hypothesis label")
+            if label in labels:
+                raise self.error(f"duplicate label {label}", pos=at)
+            self.expect(":")
+        labels.add(label)
+        fact = self.parse_fact(allow_absurd=word == "show")
+        self.end_line()
+        return label, fact, self.lines[at]
+
+    def parse_proof(self, labels: set) -> Proof:
+        """A proof body, case branches included, and its `qed` row."""
         rows, i, n = self.rows, self.row, len(self.rows)
+        cite, disjoint = self.cite, KEYWORDS.isdisjoint
         steps: List[Step] = []
         # per open case split, innermost last: its header (a CasesStep without
         # branches), its branches, the steps it goes into, its `case` row's line
@@ -437,8 +481,8 @@ class _Parser:
             split = splits[-1] if splits else None
             if split and not split[3]:  # a `case` row is due
                 kind = _KINDS[len(split[1])]
-                m = _CASE_RE.fullmatch(text)
-                if m and m[1] == kind:
+                m = _WORDS_RE.fullmatch(text)
+                if m and m[3] == kind:
                     i += 1
                     split[3] = i
                 else:
@@ -453,50 +497,51 @@ class _Parser:
                 steps = []
                 continue
             step = refs = None
-            m = split and _CLOSE_RE.fullmatch(text)
-            if m and (refs := self.cite(m[2])):
+            m = split and _WORDS_RE.fullmatch(text)
+            if m and m[1] and (refs := cite(m[2])):  # a `close` row ends the branch
                 i += 1
                 close = m[1]
-            elif m := _RULE_RE.fullmatch(text):
+            elif m := _FACT_RE.fullmatch(text):
                 g = m.groups()
-                if g[1]:
-                    kind, pts = "seg_eq" if g[3] == "==" else "seg_lt", (g[1], g[2], g[4], g[5])
-                elif g[6]:
-                    kind, pts = "ang_eq" if g[9] == "==" else "ang_lt", g[6:9] + g[10:13]
-                else:
-                    kind, pts = g[13] or "absurd", g[14:17] if g[13] else ()
-                # a flat list is names and commas, maybe with whitespace around them
-                inst = g[18:24] if g[24] is None else tuple("".join(g[24].split()).split(","))
-                cited = self.cite(g[25])
-                if cited and g[0] not in labels and KEYWORDS.isdisjoint((g[0],) + pts + inst):
-                    labels.add(g[0])
-                    i += 1
-                    fact, inst = _new(FactAst, (kind, pts)), _new(InstAst, (inst, g[24] is None))
-                    step = _new(RuleStep, (g[0], fact, g[17], inst, cited, i))
-            elif m := _EXTEND_RE.fullmatch(text) or _CASES_RE.fullmatch(text):
-                g = m.groups()
-                if g[0] not in labels and KEYWORDS.isdisjoint(g):
-                    labels.add(g[0])
-                    i += 1
-                    if m.re is _EXTEND_RE:
-                        step = _new(ExtendStep, (g[0], g[1], g[2], g[3:5], g[5], i))
-                    else:
-                        step = _new(CasesStep, (g[0], g[1:3], g[3:5], (), i))
+                label = g[0]
+                if label and label not in labels and label not in KEYWORDS:
+                    if g[18]:  # a rule step
+                        fact, cited = _fact(g), cite(g[26])
+                        flat = g[25]  # names and commas, maybe with whitespace around them
+                        inst = g[19:25] if flat is None else tuple("".join(flat.split()).split(","))
+                        if cited and disjoint(fact[1] + inst):  # its points
+                            i += 1
+                            inst = _new(InstAst, (inst, flat is None))
+                            step = _new(RuleStep, (label, fact, g[18], inst, cited, i))
+                    elif g[27] and disjoint(g[27:32]):
+                        i += 1
+                        step = _new(ExtendStep, (label, g[27], g[28], g[29:31], g[31], i))
+                    elif g[32] and disjoint(g[32:36]):
+                        i += 1
+                        step = _new(CasesStep, (label, g[32:34], g[34:36], (), i))
+                    if step:
+                        labels.add(label)
+            elif not split and (m := _WORDS_RE.fullmatch(text)) and m[2] and not m[1] and steps:
+                if refs := cite(m[2]):  # `qed` after a step
+                    self.row = i + 1
+                    return Proof(tuple(steps), refs, i + 1)
             if step is None and not refs:  # the token path reads this row
                 self.row = i
                 self.skip_nl()
                 if self.tok and self.tok != ("close" if split else "qed"):
                     step = self.parse_step(labels)
                 elif not split:
-                    return steps
+                    if not steps:
+                        raise self.fail("expected at least one proof step", ("step",))
+                    line = self.lines[self.pos]
+                    self.expect("qed")
+                    return Proof(tuple(steps), self.parse_from(), line)
                 else:
                     self.expect("close")
                     if self.tok not in ("goal", "absurd"):
                         raise self.fail("expected close kind", ("goal", "absurd"))
                     close = self.advance()
-                    self.expect("from")
-                    refs = self.parse_refs()
-                    self.end_line()
+                    refs = self.parse_from()
                 i = self.row
             if refs:  # a `close` row ends the current branch
                 head, branches, outer, at = split
@@ -542,10 +587,7 @@ class _Parser:
             seg = self.parse_segterm()
             self.expect("as")
             fresh = self.point()
-            self.expect("from")
-            refs = self.parse_refs()
-            self.end_line()
-            return LayoffStep(label, start, toward, seg, fresh, refs, line)
+            return LayoffStep(label, start, toward, seg, fresh, self.parse_from(), line)
         if self.accept("cases"):
             left = self.parse_segterm()
             self.expect("vs")
@@ -566,10 +608,7 @@ class _Parser:
         self.expect("by")
         rule = self.ident("rule name", allow_keyword=True)
         inst = self.parse_inst()
-        self.expect("from")
-        refs = self.parse_refs()
-        self.end_line()
-        return RuleStep(label, fact, rule, inst, refs, line)
+        return RuleStep(label, fact, rule, inst, self.parse_from(), line)
 
     def parse_segterm(self) -> Tuple[str, str]:
         self.expect("seg")
@@ -627,8 +666,12 @@ class _Parser:
         self.expect(")")
         return (a, b, c)
 
-    def parse_refs(self) -> Tuple[Ref, ...]:
-        return self.comma_list(self.parse_ref)
+    def parse_from(self) -> Tuple[Ref, ...]:
+        """`from` and the citations that end a row."""
+        self.expect("from")
+        refs = self.comma_list(self.parse_ref)
+        self.end_line()
+        return refs
 
     def parse_ref(self) -> Ref:
         if self.accept("refl"):
@@ -659,17 +702,12 @@ def parse_conjecture(text: str) -> ConjectureAst:
     line = p.lines[p.pos]
     p.expect("conjecture")
     name = p.ident("conjecture name")
-    p.expect_nl()
-    p.skip_nl()
-    p.expect("points")
-    points = p.parse_points()
-    if not points:
-        raise p.fail("expected at least one point", ("point name",))
-    p.expect_nl()
+    p.end_line()
+    points = p.parse_points("points")
     p.skip_nl()
     if p.tok:
         raise p.fail("expected end of file", ("end of file",))
-    return ConjectureAst(name, tuple(points), line=line)
+    return ConjectureAst(name, points, line=line)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import random
 import time
 from typing import Dict, List, Sequence, Set, Tuple
 
+import pytest
+
 from ponscheck.depgraph import (
     CYCLIC,
     EUCLIDEAN_ONLY,
@@ -207,6 +209,20 @@ def test_used_names_that_are_not_blocks_become_nodes():
     assert g.nodes["SEG_REFL"] == Node("SEG_REFL", "axiom", frozenset({NEUTRAL}))
     assert g.nodes["helper"] == Node("helper", "declared")
     assert g.all_edges() == (("thm", "SEG_REFL"), ("thm", "helper"))
+
+
+def test_a_block_named_after_a_rule_is_refused():
+    """A block may not take a proof rule's name: its node would stand for
+    the rule, so a euclidean `declare SAS_ORD` would make the rule a
+    euclidean axiom for every theorem citing it."""
+    blocks = [
+        ElaboratedBlock("SAS_ORD", ("euclidean",), (), None, None),
+        ElaboratedBlock("thm", ("neutral",), ("SAS_ORD",), None, None),
+    ]
+    with pytest.raises(ValueError, match=r"\bSAS_ORD\b.*\brule SAS_ORD\b"):
+        graph_from_blocks(blocks)
+    with pytest.raises(ValueError, match="SEG_REFL"):
+        graph_from_blocks(_blocks(SEG_REFL=("thm",), thm=()))
 
 
 def test_cycles_found_once_per_graph_state(monkeypatch):

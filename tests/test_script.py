@@ -715,9 +715,9 @@ def _branch_texts():
 
 def _line_path_off(monkeypatch):
     """Switch the line path off: none of its patterns matches any row, so
-    the token path reads every proof row."""
+    the token path reads every row."""
     never = re.compile(r"(?!)")
-    for name in ("_RULE_RE", "_EXTEND_RE", "_CASES_RE", "_CASE_RE", "_CLOSE_RE"):
+    for name in ("_FACT_RE", "_WORDS_RE"):
         monkeypatch.setattr(script_module, name, never)
 
 
@@ -832,10 +832,10 @@ _TOKEN_PATH_STEPS = ("layoff", "lemma")
 
 
 def test_the_token_path_reads_no_valid_step_line(monkeypatch):
-    """Only block headers, `qed` and the steps named in _TOKEN_PATH_STEPS
-    are tokenized; parse_step builds no other step.  (parse_steps reads a
-    case split's `case` and `close` rows on both paths, so the tokenized
-    lines stand in for a spy on which path read them.)"""
+    """Only the steps named in _TOKEN_PATH_STEPS are tokenized; parse_step
+    builds no other step.  (parse_proof reads a case split's `case` and
+    `close` rows on both paths, so the tokenized lines stand in for a spy
+    on which path read them.)"""
     built = []
     parse_step = _Parser.parse_step
 
@@ -853,7 +853,179 @@ def test_the_token_path_reads_no_valid_step_line(monkeypatch):
         for line, tok in zip(p.lines, p.toks[:-1]):  # the end token has no line
             by_line.setdefault(line, []).append(tok)
         for toks in by_line.values():
-            assert toks[0] not in ("case", "close"), toks
-            if toks[1] == ":" and toks[0] != "tags":  # a step line
-                assert toks[2] in _TOKEN_PATH_STEPS, toks
+            assert toks[1] == ":" and toks[2] in _TOKEN_PATH_STEPS, toks
     assert built and {type(s) for s in built} == {LayoffStep, LemmaStep}
+
+
+# --- statement rows on both paths ------------------------------------------
+
+# Statement rows of every kind: both block kinds, two tags, `introduces`,
+# an assumption of each fact kind, two `show` rows, `uses` lists, and a
+# proof's `proof` and `qed` rows.
+_STATEMENTS = """\
+declare postulate_a
+  tags: euclidean
+
+declare wrapper
+  tags: neutral, euclidean
+  uses postulate_a, other
+
+theorem stated
+  tags: neutral
+  points A B C D
+  introduces E F
+  assume h1: seg A B == seg A C
+  assume h2: noncollinear A B C
+  assume h3: ang A B C < ang A C B
+  assume h4: between A D B
+  show seg A B < seg A C
+  show absurd
+  uses wrapper
+
+theorem proved
+  tags: neutral
+  points A B C
+  assume h1: seg A B == seg A C
+  show seg A B == seg A C
+  uses stated
+  proof
+    r1: seg A B == seg A B by SEG_REFL[A,B] from refl
+  qed from h1, r1
+"""
+
+_STATEMENT_WORDS = ("theorem", "declare", "tags", "points", "introduces", "assume", "show",
+                    "uses", "proof", "qed", "conjecture")
+
+
+def _first_word(row):
+    """The first token of `row` if it is a word, else ''."""
+    m = re.match(r"\s*([A-Za-z_]\w*)", row.split("#")[0])
+    return m[1] if m else ""
+
+
+def _statement_rows(text):
+    """The line numbers of the statement rows of `text`."""
+    return [n for n, row in enumerate(text.splitlines(), 1) if _first_word(row) in _STATEMENT_WORDS]
+
+
+def _edit_statement_row(rng, text):
+    """One seeded edit of one statement row of `text`: a reserved word, a
+    dotted name or `sym` for a name, a repeated point or label, an unknown
+    tag, a dropped or an added colon, an extra or a missing token, `absurd`
+    or a step's tail in a fact row, other spacing, or a trailing comment;
+    sometimes CRLF line ends as well."""
+    lines = text.split("\n")
+    i = rng.choice(_statement_rows(text)) - 1
+    line = lines[i]
+    names = list(re.finditer(r"(?<![\w.])[A-Za-z_]\w*", line))
+    op = rng.randrange(12)
+    if op == 0:  # a name made a reserved word, a dotted name or a `sym` citation
+        m = rng.choice(names)
+        new = rng.choice(sorted(KEYWORDS) + ["a.b", "c1.lt", "sym " + m[0], "Q9"])
+        line = line[: m.start()] + new + line[m.end():]
+    elif op == 1:  # a point repeated, or introduced although it is a point already
+        line = re.sub(r"^(\s*(?:points|introduces)\s+)(\w+)", rng.choice((r"\1\2 \2", r"\1A \2")), line)
+    elif op == 2:  # the label of another assumption
+        labels = re.findall(r"^\s*assume\s+(\w+)", text, re.M)
+        line = re.sub(r"^(\s*assume\s+)\w+", lambda m: m[1] + rng.choice(labels or ["h1"]), line)
+    elif op == 3:  # an unknown tag
+        line = re.sub(r"neutral|euclidean", rng.choice(("hyperbolic", "Neutral", "neutral.x", "tags")), line)
+    elif op == 4:  # a colon dropped
+        line = line.replace(":", "", 1)
+    elif op == 9:  # a colon after the row's first word
+        line = re.sub(r"^(\s*\w+)", r"\1" + rng.choice((":", " :")), line)
+    elif op == 10:  # an `absurd` fact
+        line = re.sub(r"(:|show)\s.*", r"\1 absurd", line)
+    elif op == 11:  # a step's tail
+        line += rng.choice((" by SEG_REFL[A,B] from refl", " by R[(A,B,C),(A,B,C)] from h1"))
+    elif op in (5, 6):  # a token-sized piece added, or a word dropped
+        words = line.split(" ")
+        k = rng.randrange(len(words))
+        if op == 5:
+            words.insert(k + 1, rng.choice(("A", "x", ",", ":", "==", "from", "a.b", "9", "(")))
+        elif words[k]:
+            del words[k]
+        line = " ".join(words)
+    elif op == 7:  # other spacing: tabs, doubled spaces, spaces around punctuation
+        line = line.replace(" ", rng.choice(("\t", "  ", " \t", "\u3000")), rng.randrange(1, 4))
+        line = line.replace(",", rng.choice((" ,", ", ", " , ", ",")))
+        line = line.replace(":", rng.choice((" :", ": ", ":")))
+    else:  # a trailing comment, with or without a space before it
+        line += rng.choice(("  # why", "#x: seg A B", " #", "\t# points A"))
+    lines[i] = line
+    text = "\n".join(lines)
+    if rng.random() < 0.2:
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+def _conjecture_outcome(text):
+    try:
+        return repr(parse_conjecture(text))
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.col, exc.expected)
+
+
+def test_the_line_path_reads_statement_rows_as_the_token_path_does(monkeypatch):
+    """Seeded edits of statement rows parse to the same AST, line numbers
+    included, or fail with the same message, line and column, with the
+    line path on and off."""
+    import random
+
+    rng = random.Random(2711)
+    sources = [load_text(f) for f in PROOF_FILENAMES] + [_STATEMENTS]
+    texts = sources + [_edit_statement_row(rng, rng.choice(sources)) for _ in range(1200)]
+    conj = load_text("anglesum.conj")
+    conjectures = [conj] + [_edit_statement_row(rng, conj) for _ in range(100)]
+    normal = [_outcome(t) for t in texts]
+    normal_conj = [_conjecture_outcome(t) for t in conjectures]
+    _line_path_off(monkeypatch)
+    for text, got in zip(texts, normal):
+        assert _outcome(text) == got, text
+    for text, got in zip(conjectures, normal_conj):
+        assert _conjecture_outcome(text) == got, text
+    for outcomes in (normal, normal_conj):
+        errors = sum(isinstance(o, tuple) for o in outcomes)
+        assert len(outcomes) // 5 < errors < len(outcomes) - len(outcomes) // 5
+
+
+def _spaced(text):
+    """`text` with tabs, doubled spaces and trailing comments in its
+    statement rows, spaces around their commas, and CRLF line ends."""
+    out = []
+    for n, row in enumerate(text.splitlines(), 1):
+        if _first_word(row) in _STATEMENT_WORDS:
+            row = re.sub(r"(\S) ", "\\1\t", row.replace(", ", " , "), count=1)
+            row = re.sub(r"(\S) ", "\\1  ", row, count=1) + ("  # note" if n % 2 else "#")
+        out.append(row)
+    return "\r\n".join(out) + "\r\n"
+
+
+def test_the_token_path_reads_every_row_only_with_the_line_path_off(monkeypatch):
+    """A spy on skip_nl, which tokenizes a row for the token path.  With
+    the line path on it tokenizes no statement row of a valid script, its
+    spacing and comments changed or not; with the line path's patterns
+    patched to miss it tokenizes every row with tokens, once, in order."""
+    tokenized = []
+    skip_nl = _Parser.skip_nl
+
+    def spy(self):
+        before = len(self.toks)
+        skip_nl(self)
+        if len(self.toks) > before and self.toks[-1]:  # a row, not the end
+            tokenized.append(self.lines[-1])
+
+    monkeypatch.setattr(_Parser, "skip_nl", spy)
+    texts = [load_text(f) for f in PROOF_FILENAMES] + [_STATEMENTS]
+    texts += [_spaced(t) for t in texts]
+    asts = []
+    for text in texts:
+        tokenized.clear()
+        asts.append(repr(parse(text)))
+        assert not set(tokenized) & set(_statement_rows(text)), text
+    _line_path_off(monkeypatch)
+    for text, ast in zip(texts, asts):
+        tokenized.clear()
+        assert repr(parse(text)) == ast
+        rows = [n for n, row in enumerate(text.splitlines(), 1) if row.split("#")[0].strip()]
+        assert tokenized == rows
