@@ -27,7 +27,8 @@ because perfbench's tracer patches them here; they can go once it stops.
 
 Exit codes: 0 success, 1 failed proofs / cyclic checked theorems /
 model-check failures / a block name defined twice or naming a rule, 2
-syntax or usage or IO errors (including a file that is not UTF-8).
+syntax or usage or IO errors (including a file that is not UTF-8), 141
+(128 + SIGPIPE) without a message when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -389,13 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so that a closed pipe is caught below
+        return code
     except CliError as exc:
         print(f"ponscheck: {exc.message}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:  # the reader closed stdout (`| head`): the exit's flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

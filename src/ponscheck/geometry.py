@@ -38,8 +38,8 @@ class DegenerateDirection(ValueError):
 _TINY = 1e-12
 
 
-def _norm2(v: Vec) -> float:
-    return math.sqrt(sum(c * c for c in v))
+def _norm2(v: Vec) -> float:  # a sum(), which is compensated from Python 3.12: not a + b + c
+    return math.sqrt(sum((v[0] * v[0], v[1] * v[1], v[2] * v[2])))
 
 
 def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
@@ -202,15 +202,15 @@ class PoincareModel(Model):
         if d < _TINY:
             raise DegenerateDirection("coincident points")
         ch, sh = math.cosh(d), math.sinh(d)
-        return tuple((Q[i] - ch * P[i]) / sh for i in range(3))
+        return ((Q[0] - ch * P[0]) / sh, (Q[1] - ch * P[1]) / sh, (Q[2] - ch * P[2]) / sh)
 
     def exp(self, p: Vec, v, t: float) -> Vec:
         P = disk_to_hyperboloid(p)
         ch, sh = math.cosh(t), math.sinh(t)
-        H = tuple(ch * P[i] + sh * v[i] for i in range(3))
+        H = (ch * P[0] + sh * v[0], ch * P[1] + sh * v[1], ch * P[2] + sh * v[2])
         # re-project to the sheet to cancel float drift
         s = math.sqrt(max(_TINY, -minkowski_dot(H, H)))
-        return hyperboloid_to_disk(tuple(c / s for c in H))
+        return hyperboloid_to_disk((H[0] / s, H[1] / s, H[2] / s))
 
     def perp_tangent(self, p: Vec, v):
         P = disk_to_hyperboloid(p)
@@ -223,7 +223,7 @@ class PoincareModel(Model):
             a[0] * b[1] - a[1] * b[0],
         )
         n = math.sqrt(max(_TINY, minkowski_dot(w, w)))
-        return tuple(c / n for c in w)
+        return (w[0] / n, w[1] / n, w[2] / n)
 
     def tangent_dot(self, p: Vec, u, v) -> float:
         return minkowski_dot(u, v)
@@ -270,11 +270,11 @@ class SphereModel(Model):
         if d < _TINY or d > math.pi - _TINY:
             raise DegenerateDirection("coincident or antipodal points")
         c, s = math.cos(d), math.sin(d)
-        return tuple((q[i] - c * p[i]) / s for i in range(3))
+        return ((q[0] - c * p[0]) / s, (q[1] - c * p[1]) / s, (q[2] - c * p[2]) / s)
 
     def exp(self, p: Vec, v, t: float) -> Vec:
         c, s = math.cos(t), math.sin(t)
-        w = tuple(c * p[i] + s * v[i] for i in range(3))
+        w = (c * p[0] + s * v[0], c * p[1] + s * v[1], c * p[2] + s * v[2])
         n = _norm2(w)
         return (w[0] / n, w[1] / n, w[2] / n)
 

@@ -16,13 +16,14 @@ the opcodes.  The guards, eval_fact, the lemma solver's residual (which
 re-measures only the moving point) and the final evaluation run plans,
 cached per model, facts and tolerance (the final ones per model_check).
 
-A trial only samples, replays constructions, solves the points a lemma
-or statement only asserts (bracketed Illinois regula falsi) and measures
-the facts that kernel.step_facts derives.  Statements with the same points
-and hypotheses draw the same trials, shared through a sample store (the
-model command keeps one per model); after a trial that cannot be sampled,
-the rest are skipped unsampled.  ModelCheckReport.tally counts the trials
-of every check, skipping those that raise UnrealizableStep.
+A check compiles its proof once into a Replay program, so a trial only
+samples, replays constructions and case splits, solves the points a lemma
+or statement only asserts (bracketed Anderson-Bjorck regula falsi) and
+measures the facts that kernel.step_facts derives.  Statements with the
+same points and hypotheses draw the same trials, shared through a sample
+store (the model command keeps one per model); after a trial that cannot
+be sampled, the rest are skipped unsampled.  ModelCheckReport.tally counts
+the trials of every check, skipping those that raise UnrealizableStep.
 
 Each model's numeric profile (equality tolerance, sampling distances and
 region, working domain) lives on its Model class in geometry; MIN_ANGLE is
@@ -45,7 +46,6 @@ from .geometry import DegenerateDirection, DomainError, Model, Vec
 from .kernel import (
     CasesStep,
     ExtendStep,
-    LayoffStep,
     LemmaStep,
     RuleStep,
     Step,
@@ -101,6 +101,7 @@ _RAY_END = " end"
 # conclusions are measured at (orders and noncollinearity keep lt_margin)
 GUARD_EQ = 1e-2
 _CORNERS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # angles at a, b, c by sides ab, ac, bc
+_FACTS, _BUILD, _LEMMA, _SPLIT = range(4)  # Replay's opcodes
 
 
 @node
@@ -548,8 +549,10 @@ def solve_introduced_point(
     """Realize a point that a lemma (or stated theorem) merely asserts:
     supported pattern is Between(fresh; {p, q}) plus at most one angle
     equality mentioning fresh.  The angle residual is bracketed by the two
-    ends of the geodesic from p to q and its root found by Illinois regula
-    falsi (Dowell & Jarratt 1971); without an angle equality the point is
+    ends of the geodesic from p to q and its root found by regula falsi;
+    an end kept twice in a row has its value scaled by Anderson and
+    Bjorck's factor 1 - f(new) / f(replaced) (BIT 13, 1973), or halved
+    where that is not positive.  Without an angle equality the point is
     the midpoint.  UnrealizableStep without a carrier or a sign change, or
     when the carrier's ends coincide or a probe's angle is degenerate."""
     carrier, plan, fixed, moving = _solver_setup(model, fresh, tuple(conclusions), tol)
@@ -567,17 +570,18 @@ def solve_introduced_point(
         return model.exp(a, u, 0.5 * span)
 
     (_, left, right), = plan.ops
+    exp, dist, cos_angle, angles = model.exp, model.dist, model.cos_angle, plan.angles
     d = [0.0 if pair is None else inst.dist(*pair) for pair in fixed]
     moving = [(i, inst.point(p)) for i, p in moving]
     probe: Vec = ()
 
     def residual(t: float) -> float:
         nonlocal probe
-        probe = model.exp(a, u, t * span)
+        probe = exp(a, u, t * span)
         for i, other in moving:
-            d[i] = model.dist(probe, other)
-        angles = _angles(model.cos_angle, d, plan.angles, tol.eq_tol)  # angle j is ~j here too
-        r = angles[left] - angles[right]
+            d[i] = dist(probe, other)
+        measured = _angles(cos_angle, d, angles, tol.eq_tol)  # angle j is ~j here too
+        r = measured[left] - measured[right]
         if r != r:
             raise UnrealizableStep(f"degenerate angle probing {fresh}")
         return r
@@ -594,15 +598,15 @@ def solve_introduced_point(
         t = (lo * fhi - hi * flo) / (fhi - flo)
         ft = residual(t)
         if (ft < 0) == (flo < 0):
-            lo, flo = t, ft
-            if side == -1:
-                fhi *= 0.5
-            side = -1
+            if side == -1:  # hi kept twice: scale it by how far the new value fell
+                m = 1.0 - ft / flo
+                fhi *= m if m > 0.0 else 0.5
+            lo, flo, side = t, ft, -1
         else:
-            hi, fhi = t, ft
             if side == 1:
-                flo *= 0.5
-            side = 1
+                m = 1.0 - ft / fhi
+                flo *= m if m > 0.0 else 0.5
+            hi, fhi, side = t, ft, 1
         if abs(ft) <= eps or (hi - lo) * span <= eps:
             break
     return probe
@@ -668,38 +672,55 @@ def _place_asserted(model: Model, instance: Trial, names, facts, tol: ToleranceP
     return instance
 
 
-def _walk_steps(
-    model: Model, instance: Trial, steps: Sequence[Step], tol: ToleranceProfile,
-    derived: Callable[[Step], Tuple[Fact, ...]], out_facts: List[Tuple[Fact, ...]],
-    cuts: List[Tuple[int, Trial]],
-) -> Trial:
-    """Replay proof steps on an instance: realize constructions, solve
-    lemma-introduced points, pick the numerically true trichotomy branch,
-    and collect each step's derived facts for evaluation.  Before a step
-    moves a point a closed case branch named, `cuts` gets the number of
-    facts collected and the trial they are to be measured in.  Raises
-    UnrealizableStep for a trial that cannot be replayed."""
-    for step in steps:
-        if isinstance(step, CasesStep):
-            dl, dr = instance.dist(*step.left), instance.dist(*step.right)
-            eq, lt, gt = tol.close(dl, dr), tol.less(dl, dr), tol.less(dr, dl)
-            kind = "eq" if eq else "lt" if lt else "gt" if gt else ""
-            if not kind:
-                raise UnrealizableStep("segment comparison inside tolerance dead zone")
-            branch = next(b for b in step.branches if b.kind == kind)
-            instance = _walk_steps(model, instance, branch.steps, tol, derived, out_facts, cuts)
-            continue
-        facts = derived(step)
-        if not isinstance(step, RuleStep):
-            fresh = step.fresh if isinstance(step, LemmaStep) else (step.fresh,)
-            if any(name in instance.pts for name in fresh):
-                cuts.append((len(out_facts), instance))
-        if isinstance(step, (ExtendStep, LayoffStep)):
-            instance = realize_construction(model, instance, step)
-        elif isinstance(step, LemmaStep):
-            instance = _place_asserted(model, instance, step.fresh, facts, tol)
-        out_facts.append(facts)
-    return instance
+class Replay:
+    """Accepted proof steps compiled into (opcode, step, facts) entries, a
+    run of rule steps into one tuple of their facts; a case branch is
+    compiled when a trial first takes it.  `run` realizes constructions,
+    solves lemma-introduced points, takes the numerically true branch and
+    collects the facts to measure in `out`; before a step moves a point a
+    closed branch named, `cuts` gets the number of facts collected and the
+    trial to measure them in.  UnrealizableStep for a trial it cannot replay."""
+
+    def __init__(self, model: Model, steps: Sequence[Step], tol: ToleranceProfile, registry):
+        self.model, self.tol, self.registry = model, tol, registry
+        self.ops = self.compile(steps)
+
+    def compile(self, steps: Sequence[Step]) -> List[tuple]:
+        ops, run = [], ()
+        for step in steps:
+            if isinstance(step, RuleStep):
+                run += step_facts(step, self.registry)
+                continue
+            ops += [(_FACTS, None, run)] if run else []
+            op = _SPLIT if isinstance(step, CasesStep) else _LEMMA if isinstance(step, LemmaStep) else _BUILD
+            ops.append((op, step, {} if op == _SPLIT else step_facts(step, self.registry)))
+            run = ()
+        return ops + [(_FACTS, None, run)] if run else ops
+
+    def run(self, instance: Trial, out: List[Tuple[Fact, ...]], cuts: List[Tuple[int, Trial]],
+            ops: Optional[List[tuple]] = None) -> Trial:
+        tol = self.tol
+        for op, step, facts in self.ops if ops is None else ops:
+            if op == _SPLIT:  # facts: the program of each branch taken so far, by kind
+                dl, dr = instance.dist(*step.left), instance.dist(*step.right)
+                eq, lt, gt = tol.close(dl, dr), tol.less(dl, dr), tol.less(dr, dl)
+                kind = "eq" if eq else "lt" if lt else "gt" if gt else ""
+                if not kind:
+                    raise UnrealizableStep("segment comparison inside tolerance dead zone")
+                if kind not in facts:
+                    facts[kind] = self.compile(next(b for b in step.branches if b.kind == kind).steps)
+                instance = self.run(instance, out, cuts, facts[kind])
+                continue
+            if op != _FACTS:
+                fresh = step.fresh if op == _LEMMA else (step.fresh,)
+                if any(name in instance.pts for name in fresh):
+                    cuts.append((len(out), instance))
+                if op == _BUILD:
+                    instance = realize_construction(self.model, instance, step)
+                else:
+                    instance = _place_asserted(self.model, instance, fresh, facts, tol)
+            out.append(facts)
+        return instance
 
 
 def _until_unsampled(trials: int, draw: Callable[[int], Optional[Trial]]):
@@ -743,19 +764,12 @@ def model_check(
     tol = tol or tolerance_for(model)
     registry = registry or {}
     report = ModelCheckReport(model=model.name, trials=trials)
-    memo: Dict[int, Tuple[Fact, ...]] = {}  # by id(step); facts name points only
     plans: Dict[Tuple[int, ...], Plan] = {}  # by the ids of the measured facts' tuples
-
-    def derived(step: Step) -> Tuple[Fact, ...]:
-        facts = memo.get(id(step))
-        if facts is None:
-            facts = memo[id(step)] = step_facts(step, registry)
-        return facts
+    replay = Replay(model, steps, tol, registry)
 
     def measure(instance: Trial) -> Tuple[Optional[str], Trial]:
-        walked: List[Tuple[Fact, ...]] = []
-        cuts: List[Tuple[int, Trial]] = []
-        instance = _walk_steps(model, instance, steps, tol, derived, walked, cuts)
+        walked, cuts = [], []
+        instance = replay.run(instance, walked, cuts)
         asserted = [name for name in statement.introduced if name not in instance.pts]
         instance = _place_asserted(model, instance, asserted, statement.conclusions, tol)
         walked.append(statement.conclusions)

@@ -1259,6 +1259,32 @@ def test_module_entry_point_runs():
     assert "pappus_pons: ok" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--dump-ast", "--corpus"],
+    ["check", "--corpus"],
+    ["deps", "--corpus"],
+    ["model", "--corpus", "--trials", "5"],
+], ids=lambda argv: argv[0])
+def test_a_reader_that_closes_stdout_ends_the_command_quietly(argv):
+    """As `ponscheck ... | head` does once it has its lines; here stdout is
+    a pipe whose reading end is closed before the command starts."""
+    src = os.path.dirname(os.path.dirname(ponscheck.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ponscheck", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+
+
 FRESH_INTERPRETER = """\
 import sys
 

@@ -12,7 +12,10 @@ from ponscheck.geometry import (
     SPHERE,
     DegenerateDirection,
     DomainError,
+    disk_to_hyperboloid,
     get_model,
+    hyperboloid_to_disk,
+    minkowski_dot,
 )
 from oracles import quadrature_distance
 
@@ -143,3 +146,84 @@ def test_random_point_respects_limits(name):
             assert model.in_domain(p)
             # cap radius keeps any two samples within a unit arc
             assert model.dist(p, (0.0, 0.0, 1.0)) <= model.cap + 1e-12
+
+
+def _norm(v):
+    return math.sqrt(sum(c * c for c in v))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _poincare_unit_tangent(p, q):
+    P, Q = disk_to_hyperboloid(p), disk_to_hyperboloid(q)
+    d = POINCARE.dist(p, q)
+    ch, sh = math.cosh(d), math.sinh(d)
+    return tuple((Q[i] - ch * P[i]) / sh for i in range(3))
+
+
+def _poincare_exp(p, v, t):
+    P = disk_to_hyperboloid(p)
+    ch, sh = math.cosh(t), math.sinh(t)
+    H = tuple(ch * P[i] + sh * v[i] for i in range(3))
+    s = math.sqrt(max(1e-12, -minkowski_dot(H, H)))
+    return hyperboloid_to_disk(tuple(c / s for c in H))
+
+
+def _poincare_perp_tangent(p, v):
+    P = disk_to_hyperboloid(p)
+    w = _cross((P[0], P[1], -P[2]), (v[0], v[1], -v[2]))
+    n = math.sqrt(max(1e-12, minkowski_dot(w, w)))
+    return tuple(c / n for c in w)
+
+
+def _sphere_unit_tangent(p, q):
+    d = SPHERE.dist(p, q)
+    c, s = math.cos(d), math.sin(d)
+    return tuple((q[i] - c * p[i]) / s for i in range(3))
+
+
+def _sphere_exp(p, v, t):
+    c, s = math.cos(t), math.sin(t)
+    w = tuple(c * p[i] + s * v[i] for i in range(3))
+    n = _norm(w)
+    return (w[0] / n, w[1] / n, w[2] / n)
+
+
+def _sphere_perp_tangent(p, v):
+    w = _cross(p, v)
+    n = _norm(w)
+    return (w[0] / n, w[1] / n, w[2] / n)
+
+
+# exp, unit_tangent and perp_tangent of each model with their vectors built
+# by tuple(<generator>) and norms by sum(<generator>): the models build the
+# same vectors element by element and must round exactly as these do (the
+# euclidean model's 2-vectors are the same expressions)
+REFERENCE = {
+    "euclidean": (
+        lambda p, v, t: (p[0] + t * v[0], p[1] + t * v[1]),
+        lambda p, q: tuple((q[i] - p[i]) / EUCLIDEAN.dist(p, q) for i in range(2)),
+        lambda p, v: (-v[1], v[0]),
+    ),
+    "poincare": (_poincare_exp, _poincare_unit_tangent, _poincare_perp_tangent),
+    "sphere": (_sphere_exp, _sphere_unit_tangent, _sphere_perp_tangent),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_vector_operations_are_bit_identical_to_the_generator_form(name):
+    """Same float operations in the same order, so `==`: a sum of products
+    written as `a + b + c` would fail here from Python 3.12, where sum() is
+    compensated."""
+    model = MODELS[name]
+    exp, unit_tangent, perp_tangent = REFERENCE[name]
+    rng = Random(f"bits:{name}")
+    for _ in range(500):
+        p, q = model.random_point(rng), model.random_point(rng)
+        u = model.unit_tangent(p, q)
+        assert u == unit_tangent(p, q)
+        assert model.perp_tangent(p, u) == perp_tangent(p, u)
+        t = rng.uniform(-2.0 * model.max_leg, 2.0 * model.max_leg)
+        assert model.exp(p, u, t) == exp(p, u, t)

@@ -20,7 +20,7 @@ from ponscheck.cli import main
 from ponscheck.corpus import PROOF_FILENAMES, load_text
 from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.geometry import EUCLIDEAN, MODELS, POINCARE, SPHERE
-from ponscheck.kernel import ExtendStep, LayoffStep, TheoremStatement, check_proof
+from ponscheck.kernel import CasesStep, ExtendStep, LayoffStep, TheoremStatement, check_proof
 from ponscheck.models import (
     BUILTIN_CONJECTURES,
     GeodesicOutOfDomain,
@@ -527,7 +527,7 @@ def test_solver_exp_calls_per_solve_are_bounded(model):
     for inst in _triangles(model, 40):
         del calls[:]
         solve_introduced_point(counted, inst, H, BISECTOR_FOOT, tol)
-        assert len(calls) <= 12
+        assert len(calls) <= 11  # the two bracket ends and at most 9 steps
 
 
 def _corpus():
@@ -610,10 +610,19 @@ def test_solver_compiles_nothing_for_conclusions_it_has_seen(compiles):
     assert compiles == []
 
 
-@pytest.mark.parametrize("name", ["bisector_pons", "euclid_i5"])
-def test_kernel_and_replay_take_step_facts_from_one_function(monkeypatch, name):
-    block, registry = _corpus_block(name)
-    steps = block.proof.steps
+def _labels(steps):
+    """The steps' labels in order, a case split's replaced by its branches' steps'."""
+    labels = []
+    for step in steps:
+        split = isinstance(step, CasesStep)
+        labels += _labels([s for b in step.branches for s in b.steps]) if split else [step.label]
+    return labels
+
+
+@pytest.fixture
+def step_fact_calls():
+    """A list of the labels of the steps kernel.step_facts was called on,
+    and a stand-in for kernel.step_facts that appends to it."""
     calls = []
     step_facts = kernel.step_facts
 
@@ -621,6 +630,18 @@ def test_kernel_and_replay_take_step_facts_from_one_function(monkeypatch, name):
         calls.append(step.label)
         return step_facts(step, reg)
 
+    return calls, counting
+
+
+@pytest.mark.parametrize("name", ["bisector_pons", "euclid_i5", "euclid_i6"])
+def test_kernel_and_replay_take_step_facts_from_one_function(monkeypatch, step_fact_calls, name):
+    """The replay builds a step's facts once per check, and a branch's
+    steps only when a trial takes that branch: every trial of euclid_i6,
+    one case split, takes `eq`, which has no steps.  The kernel builds
+    every step's, each branch's included."""
+    block, registry = _corpus_block(name)
+    steps = block.proof.steps
+    calls, counting = step_fact_calls
     monkeypatch.setattr(models, "step_facts", counting)
     for trials in (10, 40):
         del calls[:]
@@ -629,11 +650,33 @@ def test_kernel_and_replay_take_step_facts_from_one_function(monkeypatch, name):
         )
         # one of euclid_i5's 40 trials walks out of the disk's working domain
         assert rep.trials_run == trials - ((name, trials) == ("euclid_i5", 40))
-        assert calls == [step.label for step in steps]
+        assert calls == [step.label for step in steps if not isinstance(step, CasesStep)]
     monkeypatch.setattr(kernel, "step_facts", counting)
     del calls[:]
     assert check_proof(block.statement, block.proof, registry).status == "ok"
-    assert calls == [step.label for step in steps]
+    assert calls == _labels(steps)
+
+
+def test_replay_compiles_a_branch_when_a_trial_first_takes_it(monkeypatch, step_fact_calls):
+    """euclid_i6's strict branches, on triangles whose legs differ: each
+    branch's steps are compiled once, when a trial first takes it, and
+    the replay collects the facts its steps derive, in order."""
+    block, registry = _corpus_block("euclid_i6")
+    (split,) = block.proof.steps
+    branches = {b.kind: b.steps for b in split.branches}
+    calls, counting = step_fact_calls
+    monkeypatch.setattr(models, "step_facts", counting)
+    replay = models.Replay(EUCLIDEAN, block.proof.steps, tolerance_for(EUCLIDEAN), registry)
+    assert calls == []
+    shorter = models.Trial(EUCLIDEAN, {A: (0.0, 0.0), B: (1.0, 0.0), C: (0.0, 2.0)})  # |AB| < |AC|
+    longer = models.Trial(EUCLIDEAN, {A: (0.0, 0.0), B: (2.0, 0.0), C: (0.0, 1.0)})
+    for trial, kind, compiled in ((shorter, "lt", "lt"), (shorter, "lt", "lt"), (longer, "gt", "lt gt")):
+        out, cuts = [], []
+        at = replay.run(trial, out, cuts)
+        assert calls == _labels([s for k in compiled.split() for s in branches[k]])
+        derived = [f for s in branches[kind] for f in kernel.step_facts(s, registry)]
+        assert [f for part in out for f in part] == derived
+        assert cuts == [] and set(at) == {"A", "B", "C", "D"}
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +964,7 @@ def _dead_zone():
     (block,), _ = _checks(REUSED_AFTER_SPLIT)
     split, tol = block.proof.steps[:1], tolerance_for(EUCLIDEAN)
     trial = models.Trial(EUCLIDEAN, {A: (0.0, 0.0), B: (1.0, 0.0), C: (0.0, 1.0 + 5.0 * tol.eq_tol)})
-    walk = lambda t: (None, models._walk_steps(EUCLIDEAN, t, split, tol, lambda step: (), [], []))
+    walk = lambda t: (None, models.Replay(EUCLIDEAN, split, tol, {}).run(t, [], []))
     return models.ModelCheckReport(EUCLIDEAN.name, 1).tally([(0, trial)], walk)
 
 
