@@ -24,6 +24,7 @@ open assumptions) is logged on an undo trail; after a branch closes, the
 trail rolls the state back to where the split began.  So a branch sees
 nothing its siblings derived, the parent gains only the split's own label,
 and a split costs the work its branches do rather than a copy of the state.
+A branch with no steps only names its assumption, as its close reads labels.
 
 Names are resolved here and nowhere else: every point a step names and
 every label a citation names must be in scope when the step runs, and a
@@ -331,14 +332,18 @@ class ProofState:
         self.trail.append((set.discard, self.points, name))
         return name
 
+    def name(self, label: str, facts: Tuple[Fact, ...]) -> Tuple[Fact, ...]:
+        """Put the facts under a new label, for citations only."""
+        if label in self.facts:
+            raise KernelError(f"label {label} already defined")
+        self.facts[label] = facts
+        self.trail.append((dict.pop, self.facts, label))
+        return facts
+
     def add_label(self, label: str, facts: Sequence[Fact]) -> None:
         """Name the given facts, which the term constructors built and so
         are canonical, and add them to the known set."""
-        if label in self.facts:
-            raise KernelError(f"label {label} already defined")
-        facts = self.facts[label] = tuple(facts)
-        self.trail.append((dict.pop, self.facts, label))
-        for f in facts:
+        for f in self.name(label, tuple(facts)):
             self.know(f)
 
     def know(self, fact: Fact) -> None:
@@ -452,6 +457,7 @@ def step_facts(step: Step, registry: Mapping[str, TheoremStatement]) -> Tuple[Fa
 # Checking
 
 _EQUIV_FOR_REFL = {SegEq: "SEG_REFL", AngEq: "ANG_REFL"}
+_new = tuple.__new__  # builds a StepResult without its Python-level __new__
 
 
 class _Ctx:
@@ -530,20 +536,23 @@ def _discharge_side_conditions(
 def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]:
     """The facts a rule step derives.  Its checks run in this order; the
     first that fails raises: (1) the named points are in scope; (2) the rule
-    exists; (3) the stated fact, premises and conclusions can be built; (4)
-    one citation per premise, or a lone `refl` for none; (5) the cited
-    labels are in scope, then each citation yields its premise; (6)
-    NC_TRANSFER's points share a recorded line, then each side condition is
-    derived or, outside strict mode, assumed; (7) an absurdity needs an open
-    case; (8) the stated fact is a conclusion."""
+    exists; (3) the stated fact, premises and conclusions can be built (a
+    schema with no premises, side conditions or collinear side is bound in
+    step_facts only); (4) one citation per premise, or a lone `refl` for
+    none; (5) the cited labels are in scope, then each citation yields its
+    premise; (6) NC_TRANSFER's points share a recorded line, then each side
+    condition is derived or, outside strict mode, assumed; (7) an absurdity
+    needs an open case; (8) the stated fact is a conclusion."""
     state.require((*step.inst.points, *step.fact.points))
     schema = RULES.get(step.rule_id)
     if schema is None:
         raise KernelError(f"unknown rule {step.rule_id}")
     try:
         fact = written_fact(*step.fact)
-        binding = schema.bind(step.inst.points)
-        premises = schema.instantiate_premises(binding) if schema.premises else ()
+        premises = ()
+        if schema.premises or schema.side_conditions or schema.collinear_side:
+            binding = schema.bind(step.inst.points)
+            premises = schema.instantiate_premises(binding) if schema.premises else ()
         conclusions = step_facts(step, ctx.registry)
     except ValueError as exc:
         raise DegenerateInstantiation(str(exc)) from None
@@ -655,16 +664,18 @@ def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
             ("eq", seg_eq(left, right)),
             ("gt", seg_lt(right, left)),
         )
+        if tuple(branch.kind for branch in step.branches) != ("lt", "eq", "gt"):
+            raise KernelError("case branches must be lt, eq, gt in that order")
         for branch, (kind, assumption) in zip(step.branches, cases):
-            if branch.kind != kind:
-                raise KernelError(f"case branches out of order: expected {kind}")
             mark = len(state.trail)
             label = f"{step.label}.{kind}"
-            state.assumptions.append((label, assumption))
-            state.trail.append((list.pop, state.assumptions, -1))
-            state.add_label(label, (assumption,))
             if branch.steps:
+                state.assumptions.append((label, assumption))
+                state.trail.append((list.pop, state.assumptions, -1))
+                state.add_label(label, (assumption,))
                 _run_steps(state, branch.steps, ctx)
+            else:  # its close reads labels only
+                state.name(label, (assumption,))
             wanted = (ABSURD,) if branch.close_kind == "absurd" else ctx.statement.conclusions
             try:
                 _check_covered(
@@ -691,7 +702,7 @@ def _run_steps(state: ProofState, steps: Sequence[Step], ctx: _Ctx) -> None:
             detail = f"{type(exc).__name__}: {exc}"
             ctx.results.append(StepResult(step.label, False, detail, step.line))
             raise _ProofFailed(step.label, step.line, detail) from exc
-        ctx.results.append(StepResult(step.label, True, "", step.line))
+        ctx.results.append(_new(StepResult, (step.label, True, "", step.line)))
 
 
 def bad_statement(name: str, error: object) -> CheckReport:

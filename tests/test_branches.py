@@ -156,18 +156,54 @@ def _snapshot(state):
 
 
 def test_kernel_parent_gains_only_the_split_label():
-    state = initial_state(STATEMENT)
-    before = _snapshot(state)
     introductions = [
         intro._replace(label=f"x{i}")
         for i, (intro, _, _) in enumerate(INTRODUCE_AND_USE.values())
     ]
-    proof = _proof(lt=introductions)
-    _run_steps(state, proof.steps, _Ctx(STATEMENT, REGISTRY, strict=True))
-    known, facts, points, lines, nc, assumptions, trail = _snapshot(state)
-    assert facts.pop("c1") == STATEMENT.conclusions
-    assert (known, facts, points, lines, nc, assumptions) == before[:-1]
-    assert trail == before[-1] + 1
+    for lt in (introductions, ()):  # every branch empty in the second run
+        state = initial_state(STATEMENT)
+        before = _snapshot(state)
+        _run_steps(state, _proof(lt=lt).steps, _Ctx(STATEMENT, REGISTRY, strict=True))
+        known, facts, points, lines, nc, assumptions, trail = _snapshot(state)
+        assert facts.pop("c1") == STATEMENT.conclusions
+        assert (known, facts, points, lines, nc, assumptions) == before[:-1]
+        assert trail == before[-1] + 1
+
+
+# A branch with no steps only names its assumption, and only until it closes.
+_CITES_LT = (LBL("h1"), LBL("c1.lt"))
+
+
+@pytest.mark.parametrize("where", ["eq", "gt", "after"])
+def test_kernel_empty_branch_label_is_gone_after_its_close(where):
+    branches = tuple(
+        CaseBranch(kind, (), "goal", _CITES_LT if kind in ("lt", where) else (LBL("h1"),))
+        for kind in ("lt", "eq", "gt")
+    )
+    after = _rule(
+        "u", "seg_eq", ("A", "B", "A", "B"), "SEG_TRANS", ("A", "B", "A", "B", "A", "B"),
+        (LBL("c1.lt"), LBL("c1.lt")),
+    )
+    steps = (CasesStep("c1", ("A", "B"), ("A", "C"), branches),)
+    report = _check(Proof(steps + ((after,) if where == "after" else ()), (LBL("h1"),)))
+    assert report.status == "failed"
+    (failed,) = [s for s in report.steps if not s.ok]
+    if where == "after":
+        assert failed.label == "u"
+        assert failed.detail == "UnknownPremise: no step or hypothesis labeled c1.lt"
+    else:
+        assert failed.label == f"c1 case {where} close"
+        assert failed.detail == "no step or hypothesis labeled c1.lt"
+
+
+@pytest.mark.parametrize("lt_steps", [(), (INTRODUCE_AND_USE["point"][0],)], ids=["none", "one"])
+def test_kernel_split_label_taken_fails_the_split(lt_steps):
+    taken = STATEMENT._replace(hypotheses=STATEMENT.hypotheses + (("c1.lt", _nc("A", "B", "C")),))
+    report = check_proof(taken, _proof(lt=lt_steps), REGISTRY, strict=True)
+    assert report.status == "failed"
+    assert [(s.label, s.detail) for s in report.steps if not s.ok] == [
+        ("c1", "KernelError: label c1.lt already defined")
+    ]
 
 
 # --- parsed proofs ---------------------------------------------------------
@@ -230,3 +266,65 @@ def test_parsed_proof_hides_lt_introductions(what, where):
     failed = [s for s in report.steps if not s.ok]
     assert [s.label for s in failed] == ["u"]
     assert error in failed[0].detail
+
+
+# --- the shape of a split --------------------------------------------------
+
+PONS = """\
+theorem pons
+  tags: neutral
+  points A B C
+  assume h1: seg A B == seg A C
+  assume h2: noncollinear A B C
+  show ang A B C == ang A C B
+  proof
+    c1: cases seg A B vs seg A C
+    case lt
+      s1: ang A B C == ang A C B by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl
+      close goal from s1
+    case eq
+      s2: ang A B C == ang A C B by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl
+      close goal from s2
+    case gt
+      s3: ang A B C == ang A C B by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl
+      close goal from s3
+  qed from c1
+"""
+
+
+def _pons_with(pick):
+    """The pons proof with its split's branches replaced by `pick(branches)`;
+    the parser builds only the three branches lt, eq, gt in order, so any
+    other split is built here."""
+    (theorem,) = parse(PONS).items
+    split = theorem.proof.steps[0]
+    proof = theorem.proof._replace(steps=(split._replace(branches=pick(split.branches)),))
+    return check_proof(make_statement(theorem), proof)
+
+
+def test_pons_split_parsed_as_written_is_ok():
+    report = _pons_with(lambda b: b)
+    assert report.status == "ok", report.error
+
+
+# a branch that does not establish the goal
+_UNCLOSED = CaseBranch("gt", (), "goal", (LBL("h2"),))
+
+
+@pytest.mark.parametrize(
+    "pick",
+    [
+        lambda b: (),
+        lambda b: b[:1],
+        lambda b: b[:2],
+        lambda b: b + (_UNCLOSED,),
+        lambda b: (b[1], b[0], b[2]),
+    ],
+    ids=["none", "lt", "lt-eq", "four", "out-of-order"],
+)
+def test_a_split_needs_exactly_the_branches_lt_eq_gt(pick):
+    report = _pons_with(pick)
+    assert report.status == "failed"
+    (failed,) = [s for s in report.steps if not s.ok]
+    assert failed.label == "c1"
+    assert failed.detail == "KernelError: case branches must be lt, eq, gt in that order"

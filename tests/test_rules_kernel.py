@@ -26,6 +26,7 @@ from ponscheck.kernel import (
     Proof,
     Ref,
     RuleStep,
+    SideConditionRecord,
     StepResult,
     TheoremStatement,
     check_proof,
@@ -820,7 +821,8 @@ def test_long_chain_builds_no_dataclass_per_node_or_step():
     assert report.status == "ok", report.error
     per_step = [cls for cls, n in built.items() if n >= 1000]
     assert all(issubclass(cls, tuple) for cls in per_step), built
-    assert built[StepResult] == 1001  # the hook does see each tuple built
+    # the hook does see each tuple built: one record per ARM_SUBST side condition
+    assert built[SideConditionRecord] == 500
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,12 @@ from ponscheck.kernel import (
     LayoffStep,
     LemmaStep,
     Proof,
+    ProofState,
     Ref,
     RuleStep,
+    check_proof,
 )
+from ponscheck.rules import RuleSchema
 
 BASIC = """\
 # base angles of an isosceles triangle
@@ -825,6 +828,33 @@ def test_long_script_parses_are_pinned(shape):
     assert re.search(r"(?m)^$", text) and re.search(r"(?m)^\s*# note$", text)
     digest = hashlib.sha256(repr(parse(text)).encode()).hexdigest()
     assert digest == LONG_PARSE_DIGESTS[shape]
+
+
+# Calls a strict check of a 1000-step script makes: a split knows only its
+# own label (its branches have no steps, so they only name their
+# assumptions), and a premise-free rule step binds its schema once.
+KERNEL_CALLS = {
+    "cases": (ProofState, "know", 1 + 1000),
+    "refl": (RuleSchema, "bind", 1000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(KERNEL_CALLS))
+def test_long_script_kernel_call_counts(monkeypatch, shape):
+    cls, name, want = KERNEL_CALLS[shape]
+    make = {"cases": _cases_script, "refl": _refl_script}[shape]
+    (block,) = blocks = elaborate_script(parse(make(1000)))
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(None)
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    report = check_proof(block.statement, block.proof, collect_statements(blocks), strict=True)
+    assert report.status == "ok", report.error
+    assert len(calls) == want
 
 
 # Step kinds the line path leaves to the token path.
