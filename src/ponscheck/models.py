@@ -22,8 +22,12 @@ or statement only asserts (bracketed Anderson-Bjorck regula falsi) and
 measures the facts that kernel.step_facts derives.  Statements with the
 same points and hypotheses draw the same trials, shared through a sample
 store (the model command keeps one per model); after a trial that cannot
-be sampled, the rest are skipped unsampled.  ModelCheckReport.tally counts
-the trials of every check, skipping those that raise UnrealizableStep.
+be sampled, the rest are skipped unsampled.  Such a group draws all its
+sampling attempts, trial after trial, from one Random seeded once by the
+check's seed, not from one seeded per attempt; a seed reproduces a run of
+trials, not a lone trial.
+ModelCheckReport.tally counts the trials of every check, skipping those
+that raise UnrealizableStep.
 
 Each model's numeric profile (equality tolerance, sampling distances and
 region, working domain) lives on its Model class in geometry; MIN_ANGLE is
@@ -474,10 +478,11 @@ def _attempt(plan: Plan, points: Sequence[str], rng: Random, line=()) -> Optiona
     return _guarded(model, pts, plan)
 
 
-def _sample(plan: Plan, points: Sequence[str], seed, line: Sequence[str] = ()) -> Optional[Trial]:
-    """The first accepted of 1000 seeded attempts, or None."""
-    for attempt in range(_MAX_ATTEMPTS):
-        trial = _attempt(plan, points, Random(f"{seed}:{attempt}"), line)
+def _sample(plan: Plan, points: Sequence[str], rng: Random, line: Sequence[str] = ()) -> Optional[Trial]:
+    """The first accepted of up to 1000 attempts, drawn in turn from rng's
+    stream (each one goes on where the last stopped), or None."""
+    for _ in range(_MAX_ATTEMPTS):
+        trial = _attempt(plan, points, rng, line)
         if trial is not None:
             return trial
     return None
@@ -489,10 +494,14 @@ def sample_instance(
     """Deterministically sample coordinates satisfying the statement's
     hypotheses: constructive placement where a hypothesis shape is
     recognized, rejection sampling plus nondegeneracy guards otherwise.
-    Returns the accepted attempt's Trial, its distance table filled by the
-    guards.  Raises SamplingFailed after 1000 attempts."""
+    `seed` is either a seed, which starts a fresh stream (equal seeds give
+    equal samples), or a Random whose stream the attempts continue (each
+    call on it draws a new sample).  Returns the accepted attempt's Trial,
+    its distance table filled by the guards.  Raises SamplingFailed after
+    1000 attempts."""
+    rng = seed if isinstance(seed, Random) else Random(f"{seed}")
     hyps = tuple(fact for _, fact in statement.hypotheses)
-    trial = _sample(_plan(model, hyps, tol or tolerance_for(model), True), statement.points, seed)
+    trial = _sample(_plan(model, hyps, tol or tolerance_for(model), True), statement.points, rng)
     if trial is None:
         raise SamplingFailed(f"{statement.name}: no instance in {_MAX_ATTEMPTS} attempts")
     return trial
@@ -732,17 +741,31 @@ def _until_unsampled(trials: int, draw: Callable[[int], Optional[Trial]]):
         yield k, trial
 
 
+class _Drawn(dict):
+    """One draw key's trials by index, beside the stream they are drawn from."""
+
+    __slots__ = ("rng",)
+
+
 def _draws(model: Model, statement: TheoremStatement, trials: int, seed, tol, samples):
-    """The statement's trials, as _until_unsampled yields them.  A sample
-    store (a dict) shares the draws among statements with the same points
-    and hypotheses; a stored Trial's points never change."""
+    """The statement's trials, as _until_unsampled yields them.  Trials of
+    one draw key (model, points, hypotheses, seed and tolerance) come in
+    order from one stream, seeded when the key is first drawn: trial k
+    goes on where trial k-1 stopped.  A sample store (a dict, key -> {k:
+    Trial}) shares the draws and the stream among statements with the same
+    key, so a later check goes on from the last trial drawn and reports
+    what fresh draws would; a stored Trial's points never change."""
     key = (model, statement.points, tuple(f for _, f in statement.hypotheses), seed, tol)
-    drawn = (samples if samples is not None else {}).setdefault(key, {})
+    store = samples if samples is not None else {}
+    drawn = store.get(key)
+    if drawn is None:
+        drawn = store[key] = _Drawn()
+        drawn.rng = Random(f"{seed}")
 
     def draw(k: int) -> Optional[Trial]:
         if k not in drawn:
             try:
-                drawn[k] = sample_instance(model, statement, f"{seed}:{k}", tol)
+                drawn[k] = sample_instance(model, statement, drawn.rng, tol)
             except SamplingFailed:
                 drawn[k] = None
         return drawn[k]
@@ -848,7 +871,9 @@ def check_rule_soundness(
     sound), and measure its conclusions; the schema's own facts, over its
     variable names, are the statement.  A rule whose points must share a
     line has them placed on it in each attempt.  A contradiction rule,
-    whose premises never hold together, gets one attempt per trial.
+    whose premises never hold together, gets one attempt per trial.  All
+    of a call's attempts are drawn in turn from one stream, seeded by the
+    seed, the rule and the model.
     Trials whose premises cannot be sampled are counted as skipped, never
     as failures; after the first trial that 1000 attempts cannot sample,
     the rest are skipped unsampled."""
@@ -858,10 +883,10 @@ def check_rule_soundness(
     conclusions = Plan(model, schema.conclusions, tol)
     guard = Plan(model, hyps, tol, guard=True)
     points, line = schema.variables, schema.collinear_side
-    key = f"{seed}:{rule_id}:{model.name}:{{}}".format
+    rng = Random(f"{seed}:{rule_id}:{model.name}")
     if ABSURD in conclusions.facts:
-        draws = ((k, _attempt(guard, points, Random(key(k)))) for k in range(trials))
+        draws = ((k, _attempt(guard, points, rng)) for k in range(trials))
     else:
-        draws = _until_unsampled(trials, lambda k: _sample(guard, points, key(k), line))
+        draws = _until_unsampled(trials, lambda k: _sample(guard, points, rng, line))
     report = ModelCheckReport(model=model.name, trials=trials)
     return report.tally(draws, lambda trial: (conclusions.failure(trial), trial))

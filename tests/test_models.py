@@ -648,8 +648,10 @@ def test_kernel_and_replay_take_step_facts_from_one_function(monkeypatch, step_f
         rep = model_check(
             POINCARE, block.statement, steps, trials=trials, seed=3, registry=registry
         )
-        # one of euclid_i5's 40 trials walks out of the disk's working domain
-        assert rep.trials_run == trials - ((name, trials) == ("euclid_i5", 40))
+        # euclid_i5's step e2 walks one of its first 10 trials and two of its
+        # 40 out of the disk's working domain (GeodesicOutOfDomain)
+        skipped = {("euclid_i5", 10): 1, ("euclid_i5", 40): 2}.get((name, trials), 0)
+        assert (rep.trials_run, rep.skipped) == (trials - skipped, skipped)
         assert calls == [step.label for step in steps if not isinstance(step, CasesStep)]
     monkeypatch.setattr(kernel, "step_facts", counting)
     del calls[:]
@@ -793,6 +795,72 @@ def test_model_command_draws_each_trial_once_per_statement(model, monkeypatch, c
     assert len(calls) == 3 * trials
 
 
+@pytest.fixture
+def seeded(monkeypatch):
+    """The seed of each Random that models builds, in order."""
+    seeds = []
+
+    class Counting(Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(models, "Random", Counting)
+    return seeds
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_model_command_seeds_one_stream_per_draw_key(model, seeded, capsys):
+    # the corpus's statements and the conjecture make 3 draw keys a model;
+    # seeding a Mersenne Twister per attempt made at least 3 * 6 of them
+    assert main(["model", "--corpus", "--model", model, "--trials", "6"]) == 0
+    assert seeded == ["0"] * 3
+
+
+@pytest.mark.parametrize("rule_id", ["SAS_ORD", "NC_TRANSFER", "ABSURD_LT_EQ_SEG"])
+def test_a_rule_soundness_check_seeds_one_stream(rule_id, seeded):
+    check_rule_soundness(POINCARE, rule_id, trials=20, seed=3)
+    assert seeded == [f"3:{rule_id}:poincare"]
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_a_check_draws_its_trials_in_turn_from_one_stream(model):
+    block, registry = _corpus_block("bisector_pons")
+    store = {}
+    steps = block.proof.steps
+    model_check(model, block.statement, steps, 12, seed=4, registry=registry, samples=store)
+    (drawn,) = store.values()
+    rng = Random("4")
+    assert [dict(drawn[k]) for k in range(12)] == [
+        dict(sample_instance(model, block.statement, rng)) for _ in range(12)
+    ]
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_a_longer_check_goes_on_from_where_a_shorter_one_stopped(model):
+    def snapshot(store):
+        return {
+            key: {k: None if t is None else dict(t) for k, t in drawn.items()}
+            for key, drawn in store.items()
+        }
+
+    for check in _corpus_checks():
+        shared, fresh = {}, {}
+        check(model, trials=15, seed=2, samples=shared)
+        longer = check(model, trials=30, seed=2, samples=shared)
+        assert longer.as_dict() == check(model, trials=30, seed=2, samples=fresh).as_dict()
+        assert snapshot(shared) == snapshot(fresh)
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_sample_instance_continues_a_stream_it_is_given(model):
+    stmt = _isosceles_statement()
+    rng = Random(8)
+    first, second = sample_instance(model, stmt, rng), sample_instance(model, stmt, rng)
+    assert dict(first) != dict(second)
+    assert dict(sample_instance(model, stmt, Random(8))) == dict(first)
+
+
 UNSATISFIABLE = """\
 theorem unsat
   tags: neutral
@@ -898,7 +966,10 @@ def test_a_name_bound_again_after_a_split_is_measured_where_each_step_put_it():
     assert check_proof(block.statement, block.proof, registry).status == "ok"
     for model in MODELS.values():
         rep = model_check(model, block.statement, block.proof.steps, 50, registry=registry)
-        assert (rep.trials_run, rep.failures) == (50, 0), model.name
+        # step e1 walks one Poincare trial out of the disk's working domain
+        # (GeodesicOutOfDomain); it is skipped, not failed
+        run = 49 if model is POINCARE else 50
+        assert (rep.trials_run, rep.skipped, rep.failures) == (run, 50 - run, 0), model.name
 
 
 PERP_FOOT = """\
