@@ -29,7 +29,9 @@ A branch with no steps only names its assumption, as its close reads labels.
 Names are resolved here and nowhere else: every point a step names and
 every label a citation names must be in scope when the step runs, and a
 name that is not fails that step alone.  A citation list is resolved in
-full before any of its citations is matched.
+full before any of its citations is matched.  A ValueError raised while a
+step runs (its points cannot build a term) fails it as
+DegenerateInstantiation, in _run_steps alone.
 
 Statements, steps, citations and reports are NamedTuples (see node).  The
 parser builds every step; a RuleStep keeps its fact and instantiation as
@@ -377,29 +379,6 @@ def initial_state(statement: TheoremStatement) -> ProofState:
 # Side conditions
 
 
-def check_side_condition(
-    state: ProofState, triple: Tuple[PointId, PointId, PointId], strict: bool = False
-) -> Tuple[str, Optional[NonCollinear]]:
-    """Decide a NonCollinear obligation.
-
-    Returns (outcome, transferred) where outcome is "derived", "assumed" or
-    "failed", and transferred is the NonCollinear fact obtained by a
-    one-step NC_TRANSFER probe (None if the fact was already known).
-    """
-    p1, p2, p3 = triple
-    if state.lines.provably_collinear(p1, p2, p3):
-        return ("failed", None)
-    try:
-        want = non_collinear(p1, p2, p3)
-    except ValueError:
-        return ("failed", None)
-    if want in state.known:
-        return ("derived", None)
-    if _transfer_probe(state, want):
-        return ("derived", want)
-    return ("failed", None) if strict else ("assumed", None)
-
-
 def _transfer_probe(state: ProofState, want: NonCollinear) -> bool:
     """One NC_TRANSFER step: some known NonCollinear(x,y,z) shares its z with
     the target, and the target's other two points lie with {x,y} on one
@@ -517,8 +496,21 @@ def _check_covered(
 def _discharge_side_conditions(
     state: ProofState, step_label: str, triples, ctx: _Ctx
 ) -> None:
+    """Decide, record and raise on each NonCollinear obligation in turn:
+    failed if its points coincide or share a recorded line; derived if known
+    or an NC_TRANSFER probe yields it (it is then known); else assumed, or
+    failed in strict mode."""
     for triple in triples:
-        outcome, transferred = check_side_condition(state, triple, ctx.strict)
+        if len(set(triple)) < 3 or state.lines.common_line(triple) is not None:
+            outcome = "failed"
+        elif (want := non_collinear(*triple)) in state.known:
+            outcome = "derived"
+        elif _transfer_probe(state, want):
+            outcome = "derived"
+            ctx.rule_uses["NC_TRANSFER"] = None
+            state.know(want)
+        else:
+            outcome = "failed" if ctx.strict else "assumed"
         names = tuple(sorted(triple))
         ctx.side_conditions.append(SideConditionRecord(step_label, names, outcome))
         if outcome == "failed":
@@ -528,34 +520,29 @@ def _discharge_side_conditions(
             )
         if outcome == "assumed":
             ctx.assumed[names] = None
-        if transferred is not None:
-            ctx.rule_uses["NC_TRANSFER"] = None
-            state.know(transferred)
 
 
 def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]:
     """The facts a rule step derives.  Its checks run in this order; the
     first that fails raises: (1) the named points are in scope; (2) the rule
-    exists; (3) the stated fact, premises and conclusions can be built (a
-    schema with no premises, side conditions or collinear side is bound in
-    step_facts only); (4) one citation per premise, or a lone `refl` for
-    none; (5) the cited labels are in scope, then each citation yields its
-    premise; (6) NC_TRANSFER's points share a recorded line, then each side
-    condition is derived or, outside strict mode, assumed; (7) an absurdity
-    needs an open case; (8) the stated fact is a conclusion."""
+    exists; (3) the stated fact, premises and conclusions can be built, else
+    a ValueError (a schema with no premises, side conditions or collinear
+    side is bound in step_facts only); (4) one citation per premise, or a
+    lone `refl` for none; (5) the cited labels are in scope, then each
+    citation yields its premise; (6) NC_TRANSFER's points share a recorded
+    line, then each side condition is derived or, outside strict mode,
+    assumed; (7) an absurdity needs an open case; (8) the stated fact is a
+    conclusion."""
     state.require((*step.inst.points, *step.fact.points))
     schema = RULES.get(step.rule_id)
     if schema is None:
         raise KernelError(f"unknown rule {step.rule_id}")
-    try:
-        fact = written_fact(*step.fact)
-        premises = ()
-        if schema.premises or schema.side_conditions or schema.collinear_side:
-            binding = schema.bind(step.inst.points)
-            premises = schema.instantiate_premises(binding) if schema.premises else ()
-        conclusions = step_facts(step, ctx.registry)
-    except ValueError as exc:
-        raise DegenerateInstantiation(str(exc)) from None
+    fact = written_fact(*step.fact)
+    premises = ()
+    if schema.premises or schema.side_conditions or schema.collinear_side:
+        binding = schema.bind(step.inst.points)
+        premises = schema.instantiate_premises(binding) if schema.premises else ()
+    conclusions = step_facts(step, ctx.registry)
 
     refs = step.refs
     if len(refs) != len(premises):
@@ -594,29 +581,19 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
     return conclusions
 
 
-def _derived(step: Step, ctx: _Ctx) -> Tuple[Fact, ...]:
-    try:
-        return step_facts(step, ctx.registry)
-    except ValueError as exc:
-        raise DegenerateInstantiation(str(exc)) from None
-
-
 def apply_construction(
     state: ProofState, step: Union[ExtendStep, LayoffStep], ctx: _Ctx
 ) -> Tuple[Fact, ...]:
     if isinstance(step, LayoffStep):
-        try:
-            s = segment(state.point(step.seg[0]), state.point(step.seg[1]))
-            bound = seg_lt(s, segment(state.point(step.start), state.point(step.toward)))
-        except ValueError as exc:
-            raise DegenerateInstantiation(str(exc)) from None
+        s = segment(state.point(step.seg[0]), state.point(step.seg[1]))
+        bound = seg_lt(s, segment(state.point(step.start), state.point(step.toward)))
         _resolve(state, step.refs)
         if not any(_justifies(state, r, bound, ctx) for r in step.refs):
             raise LayoffWithoutBound(f"layoff needs {bound!r} among its citations")
     else:
         state.require((*step.seg, step.a, step.b))
     state.bind_point(step.fresh)
-    return _derived(step, ctx)
+    return step_facts(step, ctx.registry)
 
 
 def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ...]:
@@ -624,11 +601,8 @@ def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ..
     if lemma is None:  # no such block, or (None in the registry) a bad statement
         raise KernelError(f"lemma {step.lemma} has a bad statement" if step.lemma in ctx.registry
                           else f"unknown lemma {step.lemma}")
-    try:
-        check_statement(lemma)
-        mapping = _lemma_points(lemma, step.args)
-    except ValueError as exc:
-        raise DegenerateInstantiation(str(exc)) from None
+    check_statement(lemma)
+    mapping = _lemma_points(lemma, step.args)
     state.require(step.args)
     for _, hyp in lemma.hypotheses:
         try:
@@ -641,7 +615,7 @@ def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ..
             raise HypothesisNotSatisfied(f"lemma {lemma.name} needs {mapped!r}")
     for name in step.fresh:
         state.bind_point(name)
-    facts = _derived(step, ctx)
+    facts = step_facts(step, ctx.registry)
     ctx.lemma_uses.append(lemma.name)
     return facts
 
@@ -654,11 +628,8 @@ def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
     elif isinstance(step, LemmaStep):
         state.add_label(step.label, apply_lemma(state, step, ctx))
     elif isinstance(step, CasesStep):
-        try:
-            left = segment(state.point(step.left[0]), state.point(step.left[1]))
-            right = segment(state.point(step.right[0]), state.point(step.right[1]))
-        except ValueError as exc:
-            raise DegenerateInstantiation(str(exc)) from None
+        left = segment(state.point(step.left[0]), state.point(step.left[1]))
+        right = segment(state.point(step.right[0]), state.point(step.right[1]))
         cases = (
             ("lt", seg_lt(left, right)),
             ("eq", seg_eq(left, right)),
@@ -696,9 +667,9 @@ def _run_steps(state: ProofState, steps: Sequence[Step], ctx: _Ctx) -> None:
     for step in steps:
         try:
             _run_step(state, step, ctx)
-        except _ProofFailed:
-            raise
-        except KernelError as exc:
+        except (KernelError, ValueError) as exc:  # a branch's _ProofFailed passes
+            if isinstance(exc, ValueError):
+                exc = DegenerateInstantiation(str(exc))
             detail = f"{type(exc).__name__}: {exc}"
             ctx.results.append(StepResult(step.label, False, detail, step.line))
             raise _ProofFailed(step.label, step.line, detail) from exc

@@ -345,10 +345,6 @@ class LineTable:
                 moved.append(p)
         return moved
 
-    def provably_collinear(self, p: PointId, q: PointId, r: PointId) -> bool:
-        """True iff some stored line contains all three points."""
-        return self.common_line((p, q, r)) is not None
-
     def common_line(self, names: Iterable[str]) -> Optional[AbstractSet[str]]:
         """The stored line containing every given name, if any.  The result
         is the table's own set: read it, do not keep or change it."""

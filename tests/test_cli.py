@@ -13,9 +13,12 @@ import sys
 import pytest
 
 import ponscheck
-from ponscheck import cli
+from ponscheck import cli, kernel
 from ponscheck.cli import main
+from ponscheck.elaborate import collect_statements, elaborate_script
+from ponscheck.kernel import StepResult, check_proof
 from ponscheck.models import model_check
+from ponscheck.script import parse
 from test_rules_kernel import _extend_chain
 
 GOOD = """\
@@ -29,6 +32,10 @@ theorem mirror_pons
     s1: ang A B C == ang A C B by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl
   qed from s1
 """
+
+CORPUS = os.path.join(os.path.dirname(ponscheck.__file__), "corpus")
+ANGLESUM = os.path.join(CORPUS, "anglesum.conj")
+EUCLID_I5 = os.path.join(CORPUS, "euclid_i5.proof")
 
 BAD_CITATION = GOOD.replace("from h1, h1, refl", "from h1, h2, refl")
 
@@ -429,6 +436,19 @@ def test_parse_reports_block_count(good_file, capsys):
     assert "(1 blocks)" in capsys.readouterr().out
 
 
+def test_parse_names_a_conjecture(capsys):
+    assert main(["parse", ANGLESUM]) == 0
+    assert capsys.readouterr().out == f"{ANGLESUM}: ok (conjecture angle_sum_pi)\n"
+
+
+def test_deps_dot_to_an_unwritable_path_is_one_message(tmp_path, capsys):
+    dot = tmp_path / "no_such_dir" / "deps.dot"
+    assert main(["deps", "--corpus", "--dot", str(dot)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ponscheck: cannot write {dot}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_model_zero_trials_exits_two(capsys):
     # a model check with no evaluated trial is not a pass
     assert main(["model", "--corpus", "--trials", "0"]) == 2
@@ -822,6 +842,34 @@ def test_step_diagnostics_are_pinned(tmp_path, capsys, script, check_line, model
     assert captured.err.strip() == model_err
     if check_line is not None and check_line.startswith("  step"):
         assert captured.out.count("] proof-failed\n") == 3
+
+
+def test_a_value_error_while_a_step_runs_fails_that_step(monkeypatch, capsys):
+    """A ValueError raised anywhere while a step runs, not only where its
+    terms are built, fails that step as DegenerateInstantiation and ends
+    the proof: no later step runs and no traceback escapes."""
+    add_label = kernel.ProofState.add_label
+
+    def add_label_failing_at_s3(state, label, facts):
+        if label == "s3":
+            raise ValueError("boom")
+        add_label(state, label, facts)
+
+    monkeypatch.setattr(kernel.ProofState, "add_label", add_label_failing_at_s3)
+    with open(EUCLID_I5, encoding="utf-8") as f:
+        blocks = elaborate_script(parse(f.read()))
+    (block,) = blocks
+    report = check_proof(block.statement, block.proof, collect_statements(blocks))
+    assert report.status == "failed"
+    assert [r.label for r in report.steps] == ["e1", "e2", "s1", "s2", "a1", "a2", "a3", "s3"]
+    assert [r for r in report.steps if not r.ok] == [
+        StepResult("s3", False, "DegenerateInstantiation: boom", 19)
+    ]
+    assert main(["check", EUCLID_I5]) == 1
+    captured = capsys.readouterr()
+    steps = [line for line in captured.out.splitlines() if line.startswith("  step")]
+    assert steps == ["  step s3 (line 19): DegenerateInstantiation: boom"]
+    assert captured.err == ""
 
 
 # A stated lemma point with no betweenness carrier cannot be solved for, so
@@ -1323,6 +1371,31 @@ def test_check_and_deps_never_load_the_numeric_layer():
     assert "[euclidean] trials=2 failures=0" in proc.stdout
     missing = "module 'ponscheck' has no attribute 'no_such_name'"
     assert proc.stdout.endswith(f"no attribute: {missing}\n")
+
+
+def test_the_package_loads_its_numeric_names_on_first_use():
+    """`ponscheck.__getattr__` resolves the numeric layer's names (PEP 562);
+    a fresh `import ponscheck` loads neither `models` nor `geometry`."""
+    from ponscheck import geometry, models
+
+    assert ponscheck.model_check is models.model_check
+    assert ponscheck.EUCLIDEAN is geometry.EUCLIDEAN
+    assert ponscheck.__getattr__("geometry") is geometry
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ponscheck.no_such_name
+    src = os.path.dirname(os.path.dirname(ponscheck.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    fresh = (
+        "import sys, ponscheck; "
+        "print(sorted({'ponscheck.models', 'ponscheck.geometry'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", fresh],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_model_choices_are_the_geometry_models(capsys):

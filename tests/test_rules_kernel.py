@@ -444,6 +444,78 @@ def test_nc_transfer_probe_derives_side_condition():
     assert not report.assumed
 
 
+_H1 = ("h1", seg_eq(_AB, segment(P("A"), P("C"))))
+_ABC = ("A", "B", "C")
+
+# The mirror SAS step s1 of _pons_proof cites refl for its angle premise
+# (ANG_REFL) and asks noncollinear(A,B,C) twice.
+# name: (hypotheses, strict, side-condition records as (step, triple,
+# outcome), assumed, rule_uses, the failed step's detail or None)
+SIDE_CONDITIONS = {
+    "known": (
+        (_H1, ("h2", _NC[1])), True, [("s1", _ABC, "derived")] * 2, [],
+        ("ANG_REFL", "SAS_ORD"), None,
+    ),
+    "assumed": (
+        (_H1,), False, [("s1", _ABC, "assumed")] * 2, [_ABC], ("ANG_REFL", "SAS_ORD"), None,
+    ),
+    "on a recorded line": (
+        (_H1, ("h2", between(P("B"), P("A"), P("C")))), False,
+        [("s1", _ABC, "failed")], [], ("ANG_REFL",),
+        "SideConditionFailed: cannot justify noncollinear(A,B,C)",
+    ),
+    "strict": (
+        (_H1,), True, [("s1", _ABC, "failed")], [], ("ANG_REFL",),
+        "SideConditionFailed: cannot justify noncollinear(A,B,C) (strict mode)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_CONDITIONS))
+def test_side_condition_records_are_pinned(case):
+    hypotheses, strict, records, assumed, rule_uses, detail = SIDE_CONDITIONS[case]
+    statement = _statement("sides", hypotheses, ())
+    report = check_proof(statement, Proof(_pons_proof().steps, ()), strict=strict)
+    assert report.side_conditions == [SideConditionRecord(*r) for r in records]
+    assert list(report.assumed) == assumed
+    assert report.rule_uses == rule_uses
+    assert report.steps == [StepResult("s1", detail is None, detail or "", 1)]
+
+
+def test_a_transferred_side_condition_is_known_afterwards():
+    """The first noncollinear(A,C,D) obligation is derived by an NC_TRANSFER
+    probe, which makes the fact known: the second is derived from the known
+    set, and a lemma whose hypothesis it is applies."""
+    nc = lambda x, y, z: non_collinear(P(x), P(y), P(z))
+    lemma = TheoremStatement("nc", frozenset(), _ABC, (("h", nc(*_ABC)),), (nc(*_ABC),))
+    statement = TheoremStatement(
+        name="transfer",
+        tags=frozenset(),
+        points=("A", "B", "C", "D"),
+        hypotheses=(
+            ("h1", nc("A", "B", "C")),
+            ("h2", between(P("D"), P("A"), P("B"))),
+            ("h3", seg_eq(_AD, segment(P("A"), P("C")))),
+        ),
+        conclusions=(),
+    )
+    sas = ("A", "D", "C", "A", "C", "D")
+    proof = Proof(
+        (
+            RuleStep("s1", FactAst("ang_eq", sas), "SAS_ORD", InstAst(sas),
+                     (LBL("h3"), LBL("h3"), REFL), 1),
+            LemmaStep("l1", "nc", ("A", "C", "D"), (), 2),
+        ),
+        (),
+    )
+    report = check_proof(statement, proof, {"nc": lemma}, strict=True)
+    assert report.status == "ok", report.error
+    assert report.side_conditions == [SideConditionRecord("s1", ("A", "C", "D"), "derived")] * 2
+    assert list(report.assumed) == []
+    assert report.rule_uses == ("ANG_REFL", "NC_TRANSFER", "SAS_ORD")
+    assert report.lemma_uses == ("nc",)
+
+
 def _statement_with_lt() -> TheoremStatement:
     return TheoremStatement(
         name="lay",

@@ -142,7 +142,7 @@ def test_line_table_merges_on_two_shared_points():
     t = LineTable()
     t = t.record_between(between(B, A, C))  # A B C on one line
     t = t.record_between(between(C, B, D))  # B C D: shares B, C -> merge
-    assert t.provably_collinear(A, B, D)
+    assert t.common_line((A, B, D)) is not None
     assert len(t.lines) == 1
 
 
@@ -151,7 +151,7 @@ def test_line_table_keeps_disjoint_lines_apart():
     t = t.record_between(between(B, A, C))
     t = t.record_between(between(E, D, PointId("F")))
     assert len(t.lines) == 2
-    assert not t.provably_collinear(A, B, D)
+    assert t.common_line((A, B, D)) is None
 
 
 def test_common_line():
@@ -196,11 +196,11 @@ def test_line_table_monotone(facts, extra):
         for q in "ABCDEF"
         for r in "ABCDEF"
         if len({p, q, r}) == 3
-        and t.provably_collinear(PointId(p), PointId(q), PointId(r))
+        and t.common_line((PointId(p), PointId(q), PointId(r))) is not None
     ]
     t2 = t.record_between(extra)
     for p, q, r in before:
-        assert t2.provably_collinear(PointId(p), PointId(q), PointId(r))
+        assert t2.common_line((PointId(p), PointId(q), PointId(r))) is not None
 
 
 # --- indexed line table against a brute-force closure ---------------------
@@ -218,7 +218,8 @@ def _answers(table):
     """Every answer the table gives over the eight names."""
     lines = set(table.lines)
     collinear = {
-        t for t in combinations(_EIGHT, 3) if table.provably_collinear(*map(PointId, t))
+        t for t in combinations(_EIGHT, 3)
+        if table.common_line(tuple(map(PointId, t))) is not None
     }
     common = {}
     for q in _QUERIES:
