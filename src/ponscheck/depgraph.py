@@ -43,6 +43,7 @@ class Graph:
         self._edges = edges
         self._class: Dict[str, str] = {}  # a node's, once its component closes
         self._basis: Dict[str, Tuple[str, ...]] = {}
+        self._bases: Dict[Tuple[str, ...], Tuple[str, ...]] = {}  # each distinct basis once
         self._cycles: List[Tuple[str, ...]] = []
         # Tarjan's algorithm.  `open_` holds the reached nodes whose component is
         # open, in the order they were reached, so a node's place on it serves
@@ -79,8 +80,8 @@ class Graph:
         self.cyclic = frozenset(n for cyc in self._cycles for n in cyc)  # their nodes
 
     def _close(self, comp: List[str]) -> None:
-        """Record a closing component's cycle, class and axiom basis; every
-        component it uses is recorded already."""
+        """Record a closing component's cycle, class and axiom basis (shared
+        through `_bases`); every component it uses is recorded already."""
         edges, nodes = self._edges, self.nodes
         used = {dst for name in comp for dst in edges[name]}.difference(comp)
         axioms = {name for name in comp if nodes[name].kind == "axiom"}
@@ -92,6 +93,7 @@ class Graph:
             classes.add(EUCLIDEAN_ONLY)
         cls = next((c for c in (CYCLIC, EUCLIDEAN_ONLY) if c in classes), NEUTRAL)
         basis = tuple(sorted(axioms.union(*(self._basis[name] for name in used))))
+        basis = self._bases.setdefault(basis, basis)
         for name in comp:
             self._class[name] = cls
             self._basis[name] = basis

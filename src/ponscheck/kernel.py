@@ -31,13 +31,15 @@ every label a citation names must be in scope when the step runs, and a
 name that is not fails that step alone.  A citation list is resolved in
 full before any of its citations is matched.  A ValueError raised while a
 step runs (its points cannot build a term) fails it as
-DegenerateInstantiation, in _run_steps alone.
+DegenerateInstantiation, in _run_steps alone; a rule or lemma step naming
+the wrong number of points fails as ArityMismatch.
 
 Statements, steps, citations and reports are NamedTuples (see node).  The
 parser builds every step; a RuleStep keeps its fact and instantiation as
 written, and apply_rule builds the canonical fact from them.  A rule's
 premises and conclusions and a lemma's hypotheses and conclusions are
-instantiated by one renaming, terms.subst_fact.
+instantiated by one renaming, terms.rename: a rule's at the step's points
+by its schema's compiled positions, a lemma's through terms.subst_fact.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ class SideConditionFailed(KernelError):
 
 class DegenerateInstantiation(KernelError):
     pass
+
+
+class ArityMismatch(KernelError):
+    """A rule or lemma step names the wrong number of points."""
 
 
 class ConclusionMismatch(KernelError):
@@ -400,7 +406,7 @@ def _transfer_probe(state: ProofState, want: NonCollinear) -> bool:
 def _lemma_points(lemma: TheoremStatement, args: Sequence[str]) -> Dict[str, PointId]:
     """A lemma's given points mapped to a step's arguments."""
     if len(args) != len(lemma.points):
-        raise ValueError(
+        raise ArityMismatch(
             f"lemma {lemma.name} takes {len(lemma.points)} point(s), got {len(args)}"
         )
     return dict(zip(lemma.points, args))
@@ -410,10 +416,9 @@ def step_facts(step: Step, registry: Mapping[str, TheoremStatement]) -> Tuple[Fa
     """The facts a rule, extend, layoff or lemma step derives, by point
     name.  The kernel adds them under the step's label once its checks
     pass; the numeric replay measures them.  Raises ValueError when the
-    step's points cannot build them."""
+    step's points cannot build them; apply_rule checks a rule step's arity."""
     if isinstance(step, RuleStep):
-        schema = RULES[step.rule_id]
-        return schema.instantiate_conclusions(schema.bind(step.inst.points))
+        return RULES[step.rule_id].instantiate_conclusions(step.inst.points)
     if isinstance(step, (ExtendStep, LayoffStep)):
         fresh, s = step.fresh, segment(*step.seg)
         if isinstance(step, LayoffStep):
@@ -424,7 +429,7 @@ def step_facts(step: Step, registry: Mapping[str, TheoremStatement]) -> Tuple[Fa
     lemma = registry[step.lemma]
     mapping = _lemma_points(lemma, step.args)
     if len(step.fresh) != len(lemma.introduced):
-        raise ValueError(
+        raise ArityMismatch(
             f"lemma {lemma.name} introduces {len(lemma.introduced)} point(s), "
             f"{len(step.fresh)} name(s) given"
         )
@@ -525,23 +530,22 @@ def _discharge_side_conditions(
 def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]:
     """The facts a rule step derives.  Its checks run in this order; the
     first that fails raises: (1) the named points are in scope; (2) the rule
-    exists; (3) the stated fact, premises and conclusions can be built, else
-    a ValueError (a schema with no premises, side conditions or collinear
-    side is bound in step_facts only); (4) one citation per premise, or a
-    lone `refl` for none; (5) the cited labels are in scope, then each
-    citation yields its premise; (6) NC_TRANSFER's points share a recorded
-    line, then each side condition is derived or, outside strict mode,
-    assumed; (7) an absurdity needs an open case; (8) the stated fact is a
-    conclusion."""
+    exists; (3) the stated fact, then (after one ArityMismatch check of the
+    step's points) its premises and conclusions can be built, else a
+    ValueError; (4) one citation per premise, or a lone `refl` for none;
+    (5) the cited labels are in scope, then each citation yields its
+    premise; (6) NC_TRANSFER's points share a recorded line, then each side
+    condition is derived or, outside strict mode, assumed; (7) an absurdity
+    needs an open case; (8) the stated fact is a conclusion."""
     state.require((*step.inst.points, *step.fact.points))
     schema = RULES.get(step.rule_id)
     if schema is None:
         raise KernelError(f"unknown rule {step.rule_id}")
     fact = written_fact(*step.fact)
-    premises = ()
-    if schema.premises or schema.side_conditions or schema.collinear_side:
-        binding = schema.bind(step.inst.points)
-        premises = schema.instantiate_premises(binding) if schema.premises else ()
+    points = step.inst.points
+    if len(points) != len(schema.variables):
+        raise ArityMismatch(f"{step.rule_id} expects {len(schema.variables)} points, got {len(points)}")
+    premises = schema.instantiate_premises(points) if schema.premises else ()
     conclusions = step_facts(step, ctx.registry)
 
     refs = step.refs
@@ -561,13 +565,13 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
                 raise PremiseMismatch(f"premise {want!r} expected; {ref!r} provides: {have}")
 
     if schema.collinear_side:
-        names = [binding[v] for v in schema.collinear_side]
+        names = [points[i] for i in schema.collinear_side_at]
         if state.lines.common_line(names) is None:
             raise SideConditionFailed(
                 f"points {{{','.join(sorted(set(names)))}}} are not on one recorded line"
             )
     if schema.side_conditions:
-        triples = schema.instantiate_side_conditions(binding)
+        triples = schema.instantiate_side_conditions(points)
         _discharge_side_conditions(state, step.label, triples, ctx)
 
     if ABSURD in conclusions and not state.assumptions:

@@ -5,11 +5,13 @@ side-condition triples and conclusions.  Premises and conclusions are
 ordinary canonical facts over the variable names, built once here by _f
 from the kind and points a script would write, so a schema prints as the
 facts it states (between a m b has m in the middle, as in a script).
-Instantiating a schema renames its facts through a binding from variables
-to point names (terms.subst_fact, the renaming lemmas use), which yields
-concrete canonical facts.  The inventory is fixed; the kernel refuses rule
-ids outside this table, and _rule refuses an identity, a schema that only
-restates its premises (equalities are canonical, so none is needed).
+_rule compiles each schema once, each fact to its constructor and the
+positions in `variables` of its points (terms.fact_program), each side
+condition to positions; a step instantiates it at its points, in the order
+of `variables`, through terms.rename, the renaming lemmas use too.  The
+inventory is fixed; the kernel refuses rule ids outside this table, and
+_rule refuses an identity, a schema that only restates its premises
+(equalities are canonical, so none is needed).
 
 Ordered-triple congruence: SAS_ORD and ASA_ORD act on two ordered triples
 (P1,P2,P3), (Q1,Q2,Q3), so one triangle can be made congruent to itself
@@ -26,11 +28,9 @@ Conventions of the instantiation points:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .terms import ABSURD, Fact, PointId, subst_fact, written_fact
-
-Binding = Mapping[str, PointId]
+from .terms import ABSURD, Fact, PointId, fact_program, rename, written_fact
 
 
 class RuleSchema(NamedTuple):
@@ -40,22 +40,21 @@ class RuleSchema(NamedTuple):
     side_conditions: Tuple[Tuple[str, str, str], ...]
     conclusions: Tuple[Fact, ...]
     collinear_side: Tuple[str, ...] = ()  # NC_TRANSFER: names that must share a line
+    # Set by _rule (register a changed copy through _rule again): the fields
+    # above by position in `variables`, each fact as (constructor, positions).
+    premises_at: tuple = ()
+    conclusions_at: tuple = ()
+    side_conditions_at: tuple = ()
+    collinear_side_at: Tuple[int, ...] = ()
 
-    def bind(self, points: Sequence[PointId]) -> Dict[str, PointId]:
-        if len(points) != len(self.variables):
-            raise ValueError(
-                f"{self.rule_id} expects {len(self.variables)} points, got {len(points)}"
-            )
-        return dict(zip(self.variables, points))
+    def instantiate_premises(self, points: Sequence[PointId]) -> Tuple[Fact, ...]:
+        return tuple([rename(make, at, points) for make, at in self.premises_at])
 
-    def instantiate_premises(self, b: Binding) -> Tuple[Fact, ...]:
-        return tuple([subst_fact(f, b) for f in self.premises])
+    def instantiate_conclusions(self, points: Sequence[PointId]) -> Tuple[Fact, ...]:
+        return tuple([rename(make, at, points) for make, at in self.conclusions_at])
 
-    def instantiate_conclusions(self, b: Binding) -> Tuple[Fact, ...]:
-        return tuple([subst_fact(f, b) for f in self.conclusions])
-
-    def instantiate_side_conditions(self, b: Binding):
-        return tuple((b[x], b[y], b[z]) for (x, y, z) in self.side_conditions)
+    def instantiate_side_conditions(self, points: Sequence[PointId]):
+        return tuple([(points[x], points[y], points[z]) for x, y, z in self.side_conditions_at])
 
 
 def _f(kind: str, *variables: str) -> Fact:
@@ -69,7 +68,14 @@ RULES: Dict[str, RuleSchema] = {}
 def _rule(schema: RuleSchema) -> None:
     if set(schema.conclusions) <= set(schema.premises):
         raise ValueError(f"{schema.rule_id} concludes only its own premises")
-    RULES[schema.rule_id] = schema
+    at = schema.variables.index
+    facts = lambda fs: tuple((make, tuple(map(at, names))) for make, names in map(fact_program, fs))
+    RULES[schema.rule_id] = schema._replace(
+        premises_at=facts(schema.premises),
+        conclusions_at=facts(schema.conclusions),
+        side_conditions_at=tuple(tuple(map(at, t)) for t in schema.side_conditions),
+        collinear_side_at=tuple(map(at, schema.collinear_side)),
+    )
 
 
 _rule(RuleSchema(

@@ -14,9 +14,10 @@ reject degenerate input and canonicalize (endpoints, arms and outer pairs
 sorted by name, equality sides in tuple order), so every fact is canonical
 as built: syntactically mirrored writings such as seg(A,B) and seg(B,A)
 are the same value, and the kernel needs neither symmetry bookkeeping nor
-a second canonicalization pass.  One renaming, subst_fact, rebuilds a fact
-over other points through the same constructors; rule schemas, lemmas and
-canon_fact all instantiate through it.
+a second canonicalization pass.  One renaming, rename, rebuilds a fact
+over other points through the same constructors, given its constructor
+and its points' places: rule schemas (compiled to positions once), lemmas
+and canon_fact all instantiate through it.
 
 The line table is the collinearity store: every strict-betweenness fact
 adds a three-point line, and lines sharing two points are merged
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from itertools import count
 from operator import itemgetter
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 PointId = str  # a point is its name
 
@@ -203,43 +204,52 @@ def non_collinear(p: PointId, q: PointId, r: PointId) -> NonCollinear:
     return _new(NonCollinear, ("noncollinear", *sorted((p, q, r))))
 
 
+def rename(make: Optional[Callable[..., Fact]], at: Tuple, p) -> Fact:
+    """The fact `make` builds over the points p[i], i in `at`: two segments
+    or two angles from four or six, three points, or absurd from none.  The
+    one renaming; raises the constructors' errors when points collapse."""
+    n = len(at)
+    if n == 4:
+        a, b, c, d = at
+        return make(segment(p[a], p[b]), segment(p[c], p[d]))
+    if n == 6:
+        a, v, b, c, w, d = at
+        return make(angle(p[a], p[v], p[b]), angle(p[c], p[w], p[d]))
+    if n == 3:
+        a, b, c = at
+        return make(p[a], p[b], p[c])
+    return ABSURD
+
+
+_WRITTEN = {
+    "seg_eq": (seg_eq, (0, 1, 2, 3)), "seg_lt": (seg_lt, (0, 1, 2, 3)),
+    "ang_eq": (ang_eq, (0, 1, 2, 3, 4, 5)), "ang_lt": (ang_lt, (0, 1, 2, 3, 4, 5)),
+    "between": (between, (1, 0, 2)), "noncollinear": (non_collinear, (0, 1, 2)), "absurd": (None, ()),
+}
+
+
 def written_fact(kind: str, p: Tuple[PointId, ...]) -> Fact:
     """The fact a script writes as `kind` (seg_eq, seg_lt, ang_eq, ang_lt,
     between, noncollinear or absurd) over points `p` in source order;
     written "between X Y Z", Y is the middle point.  Raises the
     constructors' errors on degenerate points."""
-    if kind in ("seg_eq", "seg_lt"):
-        return (seg_eq if kind == "seg_eq" else seg_lt)(segment(*p[:2]), segment(*p[2:]))
-    if kind in ("ang_eq", "ang_lt"):
-        return (ang_eq if kind == "ang_eq" else ang_lt)(angle(*p[:3]), angle(*p[3:]))
-    if kind == "between":
-        return between(p[1], p[0], p[2])
-    if kind == "noncollinear":
-        return non_collinear(*p)
-    return ABSURD  # absurd, the one kind left
+    return rename(*_WRITTEN[kind], p)
+
+
+_MAKE = {SegEq: seg_eq, SegLt: seg_lt, AngEq: ang_eq, AngLt: ang_lt, Between: between,
+         NonCollinear: non_collinear}
+
+
+def fact_program(fact: Fact) -> Tuple[Optional[Callable[..., Fact]], Tuple[PointId, ...]]:
+    """The constructor of `fact` (None for absurd) and its points, for rename."""
+    return _MAKE.get(type(fact)), fact_point_names(fact)
 
 
 def subst_fact(fact: Fact, mapping: Mapping[PointId, PointId]) -> Fact:
     """The fact with every point p renamed to mapping[p], rebuilt through
-    the canonicalizing constructors: the one renaming, which instantiates
-    rule schemas and lemmas.  Raises the constructors' errors when points
-    collapse."""
-    m, kind = mapping, type(fact)
-    if kind is SegEq or kind is SegLt:
-        (_, a, b), (_, c, d) = fact[1], fact[2]
-        make = seg_eq if kind is SegEq else seg_lt
-        return make(segment(m[a], m[b]), segment(m[c], m[d]))
-    if kind is AngEq or kind is AngLt:
-        (_, v, p, q), (_, w, r, t) = fact[1], fact[2]
-        make = ang_eq if kind is AngEq else ang_lt
-        return make(angle(m[p], m[v], m[q]), angle(m[r], m[w], m[t]))
-    if kind is Between:
-        return between(m[fact[1]], m[fact[2]], m[fact[3]])
-    if kind is NonCollinear:
-        return non_collinear(m[fact[1]], m[fact[2]], m[fact[3]])
-    if kind is Absurd:
-        return ABSURD
-    raise TypeError(f"not a fact: {fact!r}")
+    the canonicalizing constructors by rename; lemmas instantiate through
+    it.  Raises the constructors' errors when points collapse."""
+    return rename(*fact_program(fact), mapping)
 
 
 def canon_fact(fact: Fact) -> Fact:

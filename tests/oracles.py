@@ -6,7 +6,8 @@ geodesic lengths come from numeric quadrature of each model's line
 element (production uses closed-form distance functions), tokens come
 from a two-regex tokenizer (production uses one named-group regex), and
 lines come from a brute-force closure (production keeps an incidence
-index and merges by size).
+index and merges by size), and renamed facts come from a per-kind
+dispatch over a {name: point} dict (production runs compiled positions).
 """
 
 import math
@@ -14,6 +15,7 @@ import re
 
 from scipy.integrate import quad
 
+from ponscheck import terms as T
 from ponscheck.geometry import Model, Vec
 
 
@@ -97,3 +99,27 @@ def closure_lines(triples):
             if changed:
                 break
     return {frozenset(line) for line in lines}
+
+
+# --- renaming --------------------------------------------------------------
+
+
+def dict_subst_fact(fact, mapping):
+    """The fact with every point p renamed to mapping[p], rebuilt through
+    the constructors in the order terms.rename calls them."""
+    m, kind = mapping, type(fact)
+    if kind is T.SegEq or kind is T.SegLt:
+        (_, a, b), (_, c, d) = fact[1], fact[2]
+        make = T.seg_eq if kind is T.SegEq else T.seg_lt
+        return make(T.segment(m[a], m[b]), T.segment(m[c], m[d]))
+    if kind is T.AngEq or kind is T.AngLt:
+        (_, v, p, q), (_, w, r, t) = fact[1], fact[2]
+        make = T.ang_eq if kind is T.AngEq else T.ang_lt
+        return make(T.angle(m[p], m[v], m[q]), T.angle(m[r], m[w], m[t]))
+    if kind is T.Between:
+        return T.between(m[fact[1]], m[fact[2]], m[fact[3]])
+    if kind is T.NonCollinear:
+        return T.non_collinear(m[fact[1]], m[fact[2]], m[fact[3]])
+    if kind is T.Absurd:
+        return T.ABSURD
+    raise TypeError(f"not a fact: {fact!r}")

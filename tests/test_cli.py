@@ -475,14 +475,17 @@ def test_model_rejects_bad_numbers_with_exit_two(good_file, capsys, flag, value,
 
 
 @pytest.mark.parametrize(
-    "step",
+    "step, error",
     [
-        "s1: seg A B == seg A B by SEG_REFL[A,B,C] from refl",  # wrong arity
-        "s1: seg A B == seg A B by SEG_TRANS[A,B,A,A,A,B] from h1, h1",  # degenerate segment
+        pytest.param(step, error, id=step)
+        for step, error in [
+            ("s1: seg A B == seg A B by SEG_REFL[A,B,C] from refl", "ArityMismatch"),
+            ("s1: seg A B == seg A B by SEG_TRANS[A,B,A,A,A,B] from h1, h1", "DegenerateInstantiation"),
+        ]
     ],
 )
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-def test_model_uninstantiable_step_is_a_diagnostic(tmp_path, capsys, step, json_flag):
+def test_model_uninstantiable_step_is_a_diagnostic(tmp_path, capsys, step, error, json_flag):
     p = tmp_path / "bad_inst.proof"
     p.write_text(
         GOOD.replace(
@@ -491,7 +494,7 @@ def test_model_uninstantiable_step_is_a_diagnostic(tmp_path, capsys, step, json_
         ).replace("show ang A B C == ang A C B", "show seg A B == seg A B")
     )
     assert main(["check", str(p)]) == 1
-    assert "DegenerateInstantiation" in capsys.readouterr().out
+    assert f"): {error}: " in capsys.readouterr().out
     assert main(["model", str(p), "--trials", "5"] + json_flag) == 1
     _assert_proof_failed(capsys.readouterr(), "mirror_pons", json_flag)
 
@@ -542,7 +545,7 @@ def test_model_lemma_arity_mismatch_is_a_diagnostic(tmp_path, capsys, step, json
     p = tmp_path / "bad_lemma.proof"
     p.write_text(FOOT_USER.replace("LEMMA_STEP", step))
     assert main(["check", str(p)]) == 1
-    assert "DegenerateInstantiation" in capsys.readouterr().out
+    assert "): ArityMismatch: lemma foot " in capsys.readouterr().out
     assert main(["model", str(p), "--trials", "20"] + json_flag) == 1
     _assert_proof_failed(capsys.readouterr(), "uses_foot", json_flag)
 
@@ -611,7 +614,7 @@ STEP_DIAGNOSTICS = [
     (
         "rule_arity",
         _one_step("s1: seg A B == seg A B by SEG_REFL[A,B,C] from refl"),
-        _at(9, "DegenerateInstantiation: SEG_REFL expects 2 points, got 3"),
+        _at(9, "ArityMismatch: SEG_REFL expects 2 points, got 3"),
         1,
         "",
     ),
@@ -786,21 +789,21 @@ STEP_DIAGNOSTICS = [
     (
         "lemma_too_many_fresh",
         _one_step("s1: lemma foot(A,B,C) as H, K", ONE_LEMMA_STEP),
-        _at(21, "DegenerateInstantiation: lemma foot introduces 1 point(s), 2 name(s) given"),
+        _at(21, "ArityMismatch: lemma foot introduces 1 point(s), 2 name(s) given"),
         1,
         "",
     ),
     (
         "lemma_no_fresh",
         _one_step("s1: lemma foot(A,B,C)", ONE_LEMMA_STEP),
-        _at(21, "DegenerateInstantiation: lemma foot introduces 1 point(s), 0 name(s) given"),
+        _at(21, "ArityMismatch: lemma foot introduces 1 point(s), 0 name(s) given"),
         1,
         "",
     ),
     (
         "lemma_one_point_short",
         _one_step("s1: lemma foot(A,B) as H", ONE_LEMMA_STEP),
-        _at(21, "DegenerateInstantiation: lemma foot takes 3 point(s), got 2"),
+        _at(21, "ArityMismatch: lemma foot takes 3 point(s), got 2"),
         1,
         "",
     ),

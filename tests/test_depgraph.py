@@ -169,6 +169,15 @@ def test_axiom_basis_is_sorted_reachable_axioms():
     assert g.axiom_basis("ax_n") == ("ax_n",)
 
 
+def test_equal_axiom_bases_are_one_tuple():
+    """Nodes that rest on the same axioms share one basis tuple, so the
+    renamed copies of a library hold each distinct basis once."""
+    g = _graph_of(4, [(0, 2), (1, 2), (3, 0)], [_KINDS[0], _KINDS[0], _KINDS[1], _KINDS[0]])
+    bases = [g.axiom_basis(f"n{i}") for i in range(4)]
+    assert bases == [("n2",)] * 4
+    assert all(basis is bases[2] for basis in bases)
+
+
 def test_self_loop_is_a_cycle():
     g = graph_from_blocks(_blocks(ouro=("ouro",)))
     assert g.detect_cycles() == [("ouro",)]

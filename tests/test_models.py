@@ -546,9 +546,9 @@ def test_model_check_instantiates_rule_facts_independently_of_trials(monkeypatch
     calls = []
     instantiate = RuleSchema.instantiate_conclusions
 
-    def counting(self, binding):
+    def counting(self, points):
         calls.append(self.rule_id)
-        return instantiate(self, binding)
+        return instantiate(self, points)
 
     monkeypatch.setattr(RuleSchema, "instantiate_conclusions", counting)
     counts = []

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import importlib
 import io
@@ -11,6 +12,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import dict_subst_fact
 
 import ponscheck
 
@@ -33,6 +35,7 @@ from ponscheck.kernel import (
 )
 from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.rules import RULE_IDS, RULES, RuleSchema, _rule
+from ponscheck.corpus import PROOF_FILENAMES, load_text
 from ponscheck.script import parse
 from ponscheck.terms import (
     Fact,
@@ -117,8 +120,14 @@ def test_an_identity_schema_is_refused(schema):
 
 
 def test_rule_arity_enforced():
-    with pytest.raises(ValueError):
-        RULES["SAS_ORD"].bind([P("A"), P("B")])
+    """A step naming too few or too many points fails as ArityMismatch, not
+    as DegenerateInstantiation, whose points coincide."""
+    step = _pons_proof().steps[0]
+    for inst in (("A", "B"), ("A", "B", "C", "A", "C", "B", "C")):
+        proof = Proof((step._replace(inst=InstAst(inst)),), (LBL("s1"),), 2)
+        report = check_proof(_pons_statement(), proof)
+        detail = f"ArityMismatch: SAS_ORD expects 6 points, got {len(inst)}"
+        assert report.steps == [StepResult("s1", False, detail, 1)]
 
 
 def test_schemas_are_facts_over_their_own_variables():
@@ -134,10 +143,62 @@ def test_schemas_are_facts_over_their_own_variables():
 
 def test_the_identity_instantiates_a_schema_as_its_own_facts():
     for schema in RULES.values():
-        identity = schema.bind(schema.variables)
+        identity = schema.variables
         assert schema.instantiate_premises(identity) == schema.premises
         assert schema.instantiate_conclusions(identity) == schema.conclusions
         assert schema.instantiate_side_conditions(identity) == schema.side_conditions
+        assert tuple(identity[i] for i in schema.collinear_side_at) == schema.collinear_side
+
+
+def _outcome(build):
+    """What build() returns, or the class and message of its ValueError."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+LETTERS = "ABCDEFGHIJKL"
+
+
+@functools.cache
+def _corpus_statements():
+    blocks = [b for fn in PROOF_FILENAMES for b in elaborate_script(parse(load_text(fn)))]
+    return [s for s in collect_statements(blocks).values() if s is not None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, len(LETTERS)).flatmap(
+        lambda k: st.lists(st.sampled_from(LETTERS[:k]), min_size=12, max_size=12)
+    ),
+    st.integers(0, 10**6),
+)
+def test_positional_instantiation_matches_the_dict_reference(drawn, pick):
+    """Every schema at drawn points (often collapsing ones) and the facts of
+    a corpus statement under a drawn map give the facts and triples of the
+    dict-based reference renaming, or the same error class and message."""
+    for schema in RULES.values():
+        points = tuple(drawn[: len(schema.variables)])
+        b = dict(zip(schema.variables, points))
+        pairs = [
+            (lambda: schema.instantiate_premises(points),
+             lambda: tuple(dict_subst_fact(f, b) for f in schema.premises)),
+            (lambda: schema.instantiate_conclusions(points),
+             lambda: tuple(dict_subst_fact(f, b) for f in schema.conclusions)),
+            (lambda: schema.instantiate_side_conditions(points),
+             lambda: tuple((b[x], b[y], b[z]) for x, y, z in schema.side_conditions)),
+        ]
+        for positional, reference in pairs:
+            assert _outcome(positional) == _outcome(reference), schema.rule_id
+        assert [points[i] for i in schema.collinear_side_at] == [b[v] for v in schema.collinear_side]
+    statements = _corpus_statements()
+    lemma = statements[pick % len(statements)]
+    mapping = dict(zip(lemma.points + lemma.introduced, drawn))
+    for fact in [f for _, f in lemma.hypotheses] + list(lemma.conclusions):
+        assert _outcome(lambda: subst_fact(fact, mapping)) == _outcome(
+            lambda: dict_subst_fact(fact, mapping)
+        ), (lemma.name, fact)
 
 
 SCHEMA_FACTS = sorted({f for s in RULES.values() for f in s.premises + s.conclusions})
@@ -833,6 +894,28 @@ def _extend_chain(steps: int, defect_at: int = 0) -> str:
     lines.append("    g: seg A B == seg A B by SEG_REFL[A,B] from refl")
     lines.append("  qed from g")
     return "\n".join(lines) + "\n"
+
+
+def test_a_strict_chain_instantiates_each_rule_step_once(monkeypatch):
+    """A strict check of the 2000-step chain instantiates the premises and
+    the conclusions of each ARM_SUBST step once, at the step's points."""
+    blocks = elaborate_script(parse(_extend_chain(2000)))
+    (block,), registry = blocks, collect_statements(blocks)
+    calls = Counter()
+    for name in ("instantiate_premises", "instantiate_conclusions"):
+        def spy(self, points, name=name, method=getattr(RuleSchema, name)):
+            assert type(points) is tuple and len(points) == len(self.variables)
+            calls[name, self.rule_id] += 1
+            return method(self, points)
+
+        monkeypatch.setattr(RuleSchema, name, spy)
+    report = check_proof(block.statement, block.proof, registry, strict=True)
+    assert report.status == "ok", report.error
+    assert calls == {
+        ("instantiate_premises", "ARM_SUBST"): 1000,
+        ("instantiate_conclusions", "ARM_SUBST"): 1000,
+        ("instantiate_conclusions", "SEG_REFL"): 1,
+    }
 
 
 def test_long_chain_check_makes_no_python_hash_or_eq_calls():

@@ -832,10 +832,11 @@ def test_long_script_parses_are_pinned(shape):
 
 # Calls a strict check of a 1000-step script makes: a split knows only its
 # own label (its branches have no steps, so they only name their
-# assumptions), and a premise-free rule step binds its schema once.
+# assumptions), and a premise-free rule step instantiates its
+# conclusions once, at its points.
 KERNEL_CALLS = {
     "cases": (ProofState, "know", 1 + 1000),
-    "refl": (RuleSchema, "bind", 1000),
+    "refl": (RuleSchema, "instantiate_conclusions", 1000),
 }
 
 
