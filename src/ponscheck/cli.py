@@ -7,13 +7,13 @@ Subcommands:
   parse   syntax check, optionally dumping the canonical form
 
 `check`, `deps` and `model` render one list of rows: `_rows` parses the
-inputs, rejects an unknown conjecture and a block name defined twice or
-naming a proof rule, builds every statement, checks every proof in the
-kernel once, and returns the dependency graph with one `Row` per block,
-then per conjecture.  A bad statement, or a name a proof gets wrong,
-fails that block only.  `check` prints their statuses, `deps` their
-classifications, `model` their model checks, and `--json` the rows
-themselves.
+inputs, rejects an unknown conjecture and a block or conjecture name
+defined twice or naming a proof rule, builds every statement, checks
+every proof in the kernel once, and returns the dependency graph with one
+`Row` per block, then per conjecture.  A bad statement, or a name a
+proof gets wrong, fails that block only.  `check` prints their statuses,
+`deps` their classifications, `model` their model checks, and `--json`
+the rows themselves.
 
 `_rows` pauses the cyclic garbage collector, and `check` and `deps` keep it
 paused until they have printed; each restores the caller's setting on every
@@ -26,9 +26,10 @@ and `model_check_conjecture` import `models` and delegate to it only
 because perfbench's tracer patches them here; they can go once it stops.
 
 Exit codes: 0 success, 1 failed proofs / cyclic checked theorems /
-model-check failures / a block name defined twice or naming a rule, 2
-syntax or usage or IO errors (including a file that is not UTF-8), 141
-(128 + SIGPIPE) without a message when the reader closes stdout early.
+model-check failures / a name defined twice or a block naming a rule, 2
+syntax or usage or IO errors (including a file that is not UTF-8; a
+byte-order mark is skipped), 141 (128 + SIGPIPE) without a message when
+the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _read_sources(paths: Sequence[str], use_corpus: bool) -> List[Tuple[str, str
             sources.append((f"corpus:{filename}", load_text(filename)))
     for raw in paths:
         try:
-            text = Path(raw).read_text(encoding="utf-8")
+            text = Path(raw).read_text(encoding="utf-8-sig")  # a byte-order mark is not text
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(2, f"cannot read {raw}: {exc}") from exc
         sources.append((raw, text))
@@ -125,31 +126,28 @@ def _rows(
     args: argparse.Namespace, strict: bool = False, runs: Optional[dict] = None
 ) -> Tuple[Graph, List[Row]]:
     """Parse, elaborate and check the inputs once: the dependency graph and
-    one row per block, then one per conjecture.  Given `runs` (the trials,
-    seed and tolerance of `model`), each row is bound to its model check."""
+    one row per block, then one per conjecture.  Given `runs` (the trials
+    and seed of `model`), each row is bound to its model check."""
     with _GcPaused():
-        asts: List[Tuple[str, ScriptAst]] = []
-        conjectures: List[ConjectureAst] = []
+        trees: List[Tuple[str, ScriptAst | ConjectureAst]] = []
         for source, text in _read_sources(args.files, args.corpus):
             tree = _parse(source, text)
-            if isinstance(tree, ScriptAst):
-                asts.append((source, tree))
-                continue
-            try:
-                check_conjecture(tree.name, tree.points)
-            except UnknownConjecture as exc:
-                raise CliError(2, f"unknown conjecture {exc}") from exc
-            conjectures.append(tree)
-        where: Dict[str, str] = {}  # block name -> file:line
-        for source, ast in asts:
-            for item in ast.items:
+            if isinstance(tree, ConjectureAst):
+                try:
+                    check_conjecture(tree.name, tree.points)
+                except UnknownConjecture as exc:
+                    raise CliError(2, f"unknown conjecture {exc}") from exc
+            trees.append((source, tree))
+        where: Dict[str, str] = {}  # block or conjecture name -> file:line, in input order
+        for source, tree in trees:
+            for item in tree.items if isinstance(tree, ScriptAst) else (tree,):
                 at = f"{source}:{item.line}"
                 if item.name in where:
                     raise CliError(1, f"{item.name} is defined twice: {where[item.name]} and {at}")
                 if item.name in RULES:  # it would stand for the rule in the graph
                     raise CliError(1, f"{item.name} is the name of a rule: {at}")
                 where[item.name] = at
-        blocks = [b for _, ast in asts for b in elaborate_script(ast)]
+        blocks = [b for _, ast in trees if isinstance(ast, ScriptAst) for b in elaborate_script(ast)]
         registry = collect_statements(blocks)
         reports: Dict[str, CheckReport] = {}
         for b in blocks:
@@ -169,7 +167,7 @@ def _rows(
                     model_check, statement=b.statement, steps=steps, registry=registry, **runs
                 )
             rows.append(Row(b.name, status, graph.classify(b.name), rep, check))
-        for conj in conjectures:
+        for conj in (tree for _, tree in trees if isinstance(tree, ConjectureAst)):
             check = None
             if runs is not None:
                 check = partial(model_check_conjecture, name=conj.name, points=conj.points, **runs)
@@ -260,18 +258,18 @@ def _describe_counterexample(rep: ModelCheckReport) -> str:
 
 def cmd_model(args: argparse.Namespace) -> int:
     from .geometry import get_model
-    from .models import profile
     if args.trials < 1:
         raise CliError(2, f"--trials must not be negative or zero, got {args.trials}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
         raise CliError(2, f"--tol must be finite and positive, got {args.tol}")
-    tol = profile(args.tol) if args.tol is not None else None
-    graph, rows = _rows(args, runs=dict(trials=args.trials, seed=args.seed, tol=tol))
-    names = MODEL_NAMES if args.model == "all" else (args.model,)
+    graph, rows = _rows(args, runs=dict(trials=args.trials, seed=args.seed))
+    models = [get_model(name) for name in (MODEL_NAMES if args.model == "all" else (args.model,))]
+    if args.tol is not None:  # tuned copies: the shared models keep their own
+        models = [model.with_eq_tol(args.tol) for model in models]
     hard_failures = 0
     collected: List[Dict[str, ModelCheckReport]] = [{} for _ in rows]
     lines: List[List[str]] = [[] for _ in rows]  # each row's, in model order
-    for model in map(get_model, names):
+    for model in models:
         samples: dict = {}  # this model's: blocks with equal points and hypotheses share draws
         for row, reps, out in zip(rows, collected, lines):
             if row.status == "failed":  # its steps are not replayed

@@ -5,8 +5,9 @@ Poincare disk, a unit 3-vector (x, y, z) for the sphere.  Each model
 provides distances, its law of cosines (which models' plans measure
 angles with), geodesic motion (exp map along a unit tangent), the unit
 tangent toward a point and its turns, and seeded point sampling.  Each model class also
-carries its numeric profile (equality tolerance, sampling distances,
-sampling region, working domain), so no caller branches on a model's name.
+carries its numeric profile (equality tolerance and order margin, sampling
+distances, sampling region, working domain), so no caller branches on a
+model's name; `model --tol` measures with copies made by with_eq_tol.
 
 The Poincare disk is handled internally on the hyperboloid sheet
 {x^2 + y^2 - t^2 = -1, t > 0} in Minkowski 3-space, where geodesics are the
@@ -48,7 +49,9 @@ def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
 
 class Model:
     """One constant-curvature model and its numeric profile: the equality
-    tolerance of measurements, the intrinsic distances sampled points keep
+    tolerance of measurements (two measures are equal when |x-y| <= eq_tol
+    * (1 + max(|x|,|y|)), strictly ordered when they differ by lt_margin
+    scaled the same way), the intrinsic distances sampled points keep
     (min_separation apart, legs of at most max_leg, instances no wider than
     max_spread), the region random_point draws from and the working domain
     constructions must stay in.  The separation (with models.MIN_ANGLE)
@@ -61,6 +64,16 @@ class Model:
     min_separation: float
     max_leg: float
     max_spread: float = math.inf
+
+    @property
+    def lt_margin(self) -> float:
+        return 10.0 * self.eq_tol
+
+    def with_eq_tol(self, eq_tol: float) -> "Model":
+        """A new model of this class that measures at eq_tol; self is unchanged."""
+        model = type(self)()
+        model.__dict__.update(vars(self), eq_tol=eq_tol)
+        return model
 
     def in_domain(self, p: Vec) -> bool:
         """Whether p lies in the working domain (the whole model by default)."""

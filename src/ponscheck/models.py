@@ -14,7 +14,7 @@ once by the model's law of cosines, Model.cos_angle (the tangent-vector
 formulation stays out of the production path as a test oracle), and runs
 the opcodes.  The guards, eval_fact, the lemma solver's residual (which
 re-measures only the moving point) and the final evaluation run plans,
-cached per model, facts and tolerance (the final ones per model_check).
+cached per model and facts (the final ones per model_check).
 
 A check compiles its proof once into a Replay program, so a trial only
 samples, replays constructions and case splits, solves the points a lemma
@@ -29,12 +29,12 @@ trials, not a lone trial.
 ModelCheckReport.tally counts the trials of every check, skipping those
 that raise UnrealizableStep.
 
-Each model's numeric profile (equality tolerance, sampling distances and
-region, working domain) lives on its Model class in geometry; MIN_ANGLE is
-the one sampling constant shared by all three.  There is one sampler, which
-the rule soundness harness shares (a rule's premises and side conditions
-are its hypotheses); it never copies one triangle onto another, which
-would make every sample a congruent pair.
+Each model's numeric profile (equality tolerance and order margin,
+sampling distances and region, working domain) lives on its Model in
+geometry; MIN_ANGLE is the one sampling constant shared by all three.
+There is one sampler, which the rule soundness harness shares (a rule's
+premises and side conditions are its hypotheses); it never copies one
+triangle onto another, which would make every sample a congruent pair.
 """
 
 from __future__ import annotations
@@ -108,28 +108,14 @@ _CORNERS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # angles at a, b, c by sides ab, a
 _FACTS, _BUILD, _LEMMA, _SPLIT = range(4)  # Replay's opcodes
 
 
-@node
-class ToleranceProfile(NamedTuple):
-    """Relative-plus-absolute comparisons: two measures are equal when
-    |x-y| <= eq_tol * (1 + max(|x|,|y|)), strictly ordered when they
-    differ by the same scaling of lt_margin."""
-
-    eq_tol: float
-    lt_margin: float
-
-    def close(self, x: float, y: float) -> bool:
-        return abs(x - y) <= self.eq_tol * (1.0 + max(abs(x), abs(y)))
-
-    def less(self, x: float, y: float) -> bool:
-        return x < y - self.lt_margin * (1.0 + max(abs(x), abs(y)))
+def close(x: float, y: float, eq: float) -> bool:
+    """Equal within eq, relative plus absolute (a model's eq_tol)."""
+    return abs(x - y) <= eq * (1.0 + max(abs(x), abs(y)))
 
 
-def profile(eq_tol: float) -> ToleranceProfile:
-    return ToleranceProfile(eq_tol=eq_tol, lt_margin=10.0 * eq_tol)
-
-
-def tolerance_for(model: Model) -> ToleranceProfile:
-    return profile(model.eq_tol)
+def less(x: float, y: float, lt: float) -> bool:
+    """Smaller by more than the margin lt, scaled as in close (a model's lt_margin)."""
+    return x < y - lt * (1.0 + max(abs(x), abs(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +135,11 @@ def _angles(cos_angle, d: Sequence[float], sides, eq_tol: float) -> List[float]:
     ]
 
 
-def angle_at(model: Model, a: Vec, v: Vec, b: Vec, tol: Optional[ToleranceProfile] = None) -> float:
+def angle_at(model: Model, a: Vec, v: Vec, b: Vec) -> float:
     """Angle at vertex v between geodesics toward a and b, in (0, pi),
     via the model's law of cosines."""
-    tol = tol or tolerance_for(model)
     p, q = model.dist(v, a), model.dist(v, b)
-    if p <= tol.eq_tol or q <= tol.eq_tol:
+    if p <= model.eq_tol or q <= model.eq_tol:
         raise DegenerateAngle(f"arm shorter than tolerance: {p!r}, {q!r}")
     return math.acos(min(1.0, max(-1.0, model.cos_angle(p, q, model.dist(a, b)))))
 
@@ -227,20 +212,22 @@ _OPCODES = {"=s": _EQ, "=a": _EQ, "<s": _LT, "<a": _LT, "between": _BETWEEN,
 
 
 class Plan:
-    """Facts compiled for one model and tolerance: their distinct point
-    pairs (in name order), their distinct angles (by vertex and unordered
-    arms; dist and cos_angle are bitwise symmetric), each as the pair
-    indices of its two arms and opposite side, and each fact as an opcode
-    over value indices: the distances, then the angles in reverse order,
-    so angle j is value ~j.  A guard plan also keeps the angles of each
-    noncollinearity's triangle clear of 0 and pi, in opcodes after the
-    facts', and compares equalities and betweenness at GUARD_EQ of eq_tol
-    (`compare`).  `build` is the facts in the order the sampler builds
-    them: a guard plan's by _build_order, any other's as written."""
+    """Facts compiled for one model: their distinct point pairs (in name
+    order), their distinct angles (by vertex and unordered arms; dist and
+    cos_angle are bitwise symmetric), each as the pair indices of its two
+    arms and opposite side, and each fact as an opcode over value indices:
+    the distances, then the angles in reverse order, so angle j is value
+    ~j.  A guard plan also keeps the angles of each noncollinearity's
+    triangle clear of 0 and pi, in opcodes after the facts'.  Equalities
+    and betweenness hold within `eq`, the model's eq_tol (a guard plan's
+    GUARD_EQ of it), orders and noncollinearity by `lt`, its lt_margin.
+    `build` is the facts in the order the sampler builds them: a guard
+    plan's by _build_order, any other's as written."""
 
-    def __init__(self, model: Model, facts: Sequence[Fact], tol: ToleranceProfile, guard=False):
-        self.model, self.facts, self.tol = model, tuple(facts), tol
-        self.compare = tol._replace(eq_tol=GUARD_EQ * tol.eq_tol) if guard else tol
+    def __init__(self, model: Model, facts: Sequence[Fact], guard=False):
+        self.model, self.facts = model, tuple(facts)
+        self.eq = GUARD_EQ * model.eq_tol if guard else model.eq_tol
+        self.lt = model.lt_margin
         pairs: Dict[Tuple[str, str], int] = {}
         angles: Dict[Tuple[str, ...], int] = {}
         ops, clear = [], []
@@ -264,8 +251,7 @@ class Plan:
 
     def run(self, v: List[float]) -> Optional[int]:
         """Index of the first failing opcode, or None; _EQ and _LT inline close and less."""
-        t = self.compare
-        close, less, eq, lt = t.close, t.less, t.eq_tol, t.lt_margin
+        eq, lt = self.eq, self.lt
         for k, o in enumerate(self.ops):
             op = o[0]
             if op <= _LT:  # values are never negative: max(|x|, |y|) is the larger
@@ -273,11 +259,11 @@ class Plan:
                 m = 1.0 + (x if x > y else y)
                 holds = abs(x - y) <= eq * m if op == _EQ else x < y - lt * m
             elif op == _BETWEEN:  # an end coinciding with the mid is not between
-                _, x, y, z = o
-                holds = not (close(v[x], 0.0) or close(v[y], 0.0)) and close(v[x] + v[y], v[z])
+                x, y, z = v[o[1]], v[o[2]], v[o[3]]
+                holds = not (close(x, 0.0, eq) or close(y, 0.0, eq)) and close(x + y, z, eq)
             elif op == _NONCOLLINEAR:  # each side clears the others' sum by the margin
                 a, b, c = v[o[1]], v[o[2]], v[o[3]]
-                holds = less(c, a + b) and less(b, c + a) and less(a, b + c)
+                holds = less(c, a + b, lt) and less(b, c + a, lt) and less(a, b + c, lt)
             elif op == _CLEAR:  # a guarded triangle's angles stay clear of 0 and pi
                 angles = _angles(self.model.cos_angle, (v[o[1]], v[o[2]], v[o[3]]), _CORNERS, eq)
                 holds = all(MIN_ANGLE <= t <= math.pi - MIN_ANGLE for t in angles)
@@ -291,7 +277,7 @@ class Plan:
         """The index of the first fact (or clear angle) that does not hold
         in the trial, or None; a point the trial lacks makes values NaN."""
         d = trial.measure(self.pairs)
-        return self.run(d + _angles(self.model.cos_angle, d, self.angles, self.tol.eq_tol))
+        return self.run(d + _angles(self.model.cos_angle, d, self.angles, self.model.eq_tol))
 
     def failure(self, trial: Trial) -> Optional[str]:
         """The first fact that does not hold in the trial, printed; None when all hold."""
@@ -302,16 +288,14 @@ class Plan:
 _plan = functools.lru_cache(maxsize=1024)(Plan)  # one compile per distinct arguments
 
 
-def eval_fact(
-    model: Model, instance: Mapping[str, Vec], fact: Fact, tol: Optional[ToleranceProfile] = None
-) -> bool:
+def eval_fact(model: Model, instance: Mapping[str, Vec], fact: Fact) -> bool:
     """Measure one fact, as a one-fact plan, in an instance or a Trial's
     table.  Degenerate angle configurations make angle facts false; a
     missing point raises MissingPoint."""
     trial = Trial(model, instance)
     for name in fact_point_names(fact):
         trial.point(name)
-    return Plan(model, (fact,), tol or tolerance_for(model)).first_false(trial) is None
+    return Plan(model, (fact,)).first_false(trial) is None
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +354,8 @@ def _slide(fact: AngEq, pivots: Mapping[str, str]) -> Optional[Tuple[str, str]]:
 
 
 def _constructive_pass(
-    model: Model, pts: Dict[str, Vec], fact: Fact, rng: Random, tol: ToleranceProfile,
-    placed: Dict[str, int], pivots: Dict[str, str],
+    model: Model, pts: Dict[str, Vec], fact: Fact, rng: Random, placed: Dict[str, int],
+    pivots: Dict[str, str],
 ) -> None:
     """Adjust point placements so `fact` holds by construction, and record
     in `placed` the points it named (1) and moved (2), and in `pivots` the
@@ -412,13 +396,13 @@ def _constructive_pass(
             x, u = slide
             end = model.exp(pts[u], model.unit_tangent(pts[u], pts[x]), _SLIDE_LEGS * model.max_leg)
             carrier = between(x, u, _RAY_END)
-            pts[x] = solve_introduced_point(model, {**pts, _RAY_END: end}, x, (carrier, fact), tol)
+            pts[x] = solve_introduced_point(model, {**pts, _RAY_END: end}, x, (carrier, fact))
             moved = (x,)
         else:
             move = _moves(fact.left, fact.right, placed)
             if move is not None:
                 (_, v, a, b), (_, w, _, _), c, d = move
-                theta = angle_at(model, pts[a], pts[v], pts[b], tol)
+                theta = angle_at(model, pts[a], pts[v], pts[b])
                 u = model.unit_tangent(pts[w], pts[c])
                 sign = 1.0 if rng.random() < 0.5 else -1.0
                 turned = model.rotate_tangent(pts[w], u, sign * theta)
@@ -467,7 +451,7 @@ def _attempt(plan: Plan, points: Sequence[str], rng: Random, line=()) -> Optiona
     pivots: Dict[str, str] = {}
     try:
         for fact in plan.build:
-            _constructive_pass(model, pts, fact, rng, plan.tol, placed, pivots)
+            _constructive_pass(model, pts, fact, rng, placed, pivots)
         if line:
             p, q, x, y = line
             u = model.unit_tangent(pts[x], pts[y])
@@ -488,9 +472,7 @@ def _sample(plan: Plan, points: Sequence[str], rng: Random, line: Sequence[str] 
     return None
 
 
-def sample_instance(
-    model: Model, statement: TheoremStatement, seed, tol: Optional[ToleranceProfile] = None
-) -> Trial:
+def sample_instance(model: Model, statement: TheoremStatement, seed) -> Trial:
     """Deterministically sample coordinates satisfying the statement's
     hypotheses: constructive placement where a hypothesis shape is
     recognized, rejection sampling plus nondegeneracy guards otherwise.
@@ -501,7 +483,7 @@ def sample_instance(
     1000 attempts."""
     rng = seed if isinstance(seed, Random) else Random(f"{seed}")
     hyps = tuple(fact for _, fact in statement.hypotheses)
-    trial = _sample(_plan(model, hyps, tol or tolerance_for(model), True), statement.points, rng)
+    trial = _sample(_plan(model, hyps, True), statement.points, rng)
     if trial is None:
         raise SamplingFailed(f"{statement.name}: no instance in {_MAX_ATTEMPTS} attempts")
     return trial
@@ -538,22 +520,21 @@ _SOLVE_MAX_STEPS = 40
 
 
 @functools.lru_cache(maxsize=1024)
-def _solver_setup(model: Model, fresh: str, conclusions: Tuple[Fact, ...], tol: ToleranceProfile):
+def _solver_setup(model: Model, fresh: str, conclusions: Tuple[Fact, ...]):
     """The last carrier of fresh and the plan of the last angle equality
     naming it (None without one), each plan pair measured once (None if it
     moves), and (index, other point) of those that move with the probe."""
     last = conclusions[::-1]
     carrier = next((f for f in last if isinstance(f, Between) and f.mid == fresh), None)
     target = next((f for f in last if isinstance(f, AngEq) and fresh in fact_point_names(f)), None)
-    plan = _plan(model, (target,), tol) if target else None
+    plan = _plan(model, (target,)) if target else None
     pairs = plan.pairs if plan else ()
     return (carrier, plan, tuple(None if fresh in pair else pair for pair in pairs),
             tuple((i, q if p == fresh else p) for i, (p, q) in enumerate(pairs) if fresh in (p, q)))
 
 
 def solve_introduced_point(
-    model: Model, instance: Mapping[PointId, Vec], fresh: PointId, conclusions: Sequence[Fact],
-    tol: ToleranceProfile,
+    model: Model, instance: Mapping[PointId, Vec], fresh: PointId, conclusions: Sequence[Fact]
 ) -> Vec:
     """Realize a point that a lemma (or stated theorem) merely asserts:
     supported pattern is Between(fresh; {p, q}) plus at most one angle
@@ -564,7 +545,7 @@ def solve_introduced_point(
     where that is not positive.  Without an angle equality the point is
     the midpoint.  UnrealizableStep without a carrier or a sign change, or
     when the carrier's ends coincide or a probe's angle is degenerate."""
-    carrier, plan, fixed, moving = _solver_setup(model, fresh, tuple(conclusions), tol)
+    carrier, plan, fixed, moving = _solver_setup(model, fresh, tuple(conclusions))
     if carrier is None:
         raise UnrealizableStep(f"no betweenness carrier for introduced point {fresh}")
     inst = Trial(model, instance)
@@ -589,7 +570,7 @@ def solve_introduced_point(
         probe = exp(a, u, t * span)
         for i, other in moving:
             d[i] = dist(probe, other)
-        measured = _angles(cos_angle, d, angles, tol.eq_tol)  # angle j is ~j here too
+        measured = _angles(cos_angle, d, angles, model.eq_tol)  # angle j is ~j here too
         r = measured[left] - measured[right]
         if r != r:
             raise UnrealizableStep(f"degenerate angle probing {fresh}")
@@ -601,7 +582,7 @@ def solve_introduced_point(
         return probe
     if not flo * fhi <= 0.0:  # no sign change, or a NaN residual
         raise UnrealizableStep(f"no sign change bracketing {fresh}")
-    eps = _SOLVE_MARGIN * tol.eq_tol
+    eps = _SOLVE_MARGIN * model.eq_tol
     side = 0  # end the previous step replaced: -1 lo, +1 hi
     for _ in range(_SOLVE_MAX_STEPS):
         t = (lo * fhi - hi * flo) / (fhi - flo)
@@ -672,11 +653,11 @@ class ModelCheckReport:
         return self
 
 
-def _place_asserted(model: Model, instance: Trial, names, facts, tol: ToleranceProfile) -> Trial:
+def _place_asserted(model: Model, instance: Trial, names, facts) -> Trial:
     """The instance with each named point, which the facts only assert,
     placed by solve_introduced_point; a reused name moves its point."""
     for name in names:
-        point = solve_introduced_point(model, instance, name, facts, tol)
+        point = solve_introduced_point(model, instance, name, facts)
         instance = instance.with_point(name, point)
     return instance
 
@@ -690,8 +671,8 @@ class Replay:
     closed branch named, `cuts` gets the number of facts collected and the
     trial to measure them in.  UnrealizableStep for a trial it cannot replay."""
 
-    def __init__(self, model: Model, steps: Sequence[Step], tol: ToleranceProfile, registry):
-        self.model, self.tol, self.registry = model, tol, registry
+    def __init__(self, model: Model, steps: Sequence[Step], registry):
+        self.model, self.registry = model, registry
         self.ops = self.compile(steps)
 
     def compile(self, steps: Sequence[Step]) -> List[tuple]:
@@ -708,12 +689,12 @@ class Replay:
 
     def run(self, instance: Trial, out: List[Tuple[Fact, ...]], cuts: List[Tuple[int, Trial]],
             ops: Optional[List[tuple]] = None) -> Trial:
-        tol = self.tol
+        eq, lt = self.model.eq_tol, self.model.lt_margin
         for op, step, facts in self.ops if ops is None else ops:
             if op == _SPLIT:  # facts: the program of each branch taken so far, by kind
                 dl, dr = instance.dist(*step.left), instance.dist(*step.right)
-                eq, lt, gt = tol.close(dl, dr), tol.less(dl, dr), tol.less(dr, dl)
-                kind = "eq" if eq else "lt" if lt else "gt" if gt else ""
+                kind = ("eq" if close(dl, dr, eq) else "lt" if less(dl, dr, lt)
+                        else "gt" if less(dr, dl, lt) else "")
                 if not kind:
                     raise UnrealizableStep("segment comparison inside tolerance dead zone")
                 if kind not in facts:
@@ -727,7 +708,7 @@ class Replay:
                 if op == _BUILD:
                     instance = realize_construction(self.model, instance, step)
                 else:
-                    instance = _place_asserted(self.model, instance, fresh, facts, tol)
+                    instance = _place_asserted(self.model, instance, fresh, facts)
             out.append(facts)
         return instance
 
@@ -747,15 +728,16 @@ class _Drawn(dict):
     __slots__ = ("rng",)
 
 
-def _draws(model: Model, statement: TheoremStatement, trials: int, seed, tol, samples):
+def _draws(model: Model, statement: TheoremStatement, trials: int, seed, samples):
     """The statement's trials, as _until_unsampled yields them.  Trials of
-    one draw key (model, points, hypotheses, seed and tolerance) come in
-    order from one stream, seeded when the key is first drawn: trial k
-    goes on where trial k-1 stopped.  A sample store (a dict, key -> {k:
-    Trial}) shares the draws and the stream among statements with the same
-    key, so a later check goes on from the last trial drawn and reports
-    what fresh draws would; a stored Trial's points never change."""
-    key = (model, statement.points, tuple(f for _, f in statement.hypotheses), seed, tol)
+    one draw key (model, points, hypotheses and seed; a with_eq_tol copy is
+    a model of its own) come in order from one stream, seeded when the key
+    is first drawn: trial k goes on where trial k-1 stopped.  A sample
+    store (a dict, key -> {k: Trial}) shares the draws and the stream among
+    statements with the same key, so a later check goes on from the last
+    trial drawn and reports what fresh draws would; a stored Trial's points
+    never change."""
+    key = (model, statement.points, tuple(f for _, f in statement.hypotheses), seed)
     store = samples if samples is not None else {}
     drawn = store.get(key)
     if drawn is None:
@@ -765,7 +747,7 @@ def _draws(model: Model, statement: TheoremStatement, trials: int, seed, tol, sa
     def draw(k: int) -> Optional[Trial]:
         if k not in drawn:
             try:
-                drawn[k] = sample_instance(model, statement, drawn.rng, tol)
+                drawn[k] = sample_instance(model, statement, drawn.rng)
             except SamplingFailed:
                 drawn[k] = None
         return drawn[k]
@@ -775,8 +757,7 @@ def _draws(model: Model, statement: TheoremStatement, trials: int, seed, tol, sa
 
 def model_check(
     model: Model, statement: TheoremStatement, steps: Sequence[Step] = (), trials: int = 1000,
-    seed=0, tol: Optional[ToleranceProfile] = None,
-    registry: Optional[Mapping[str, TheoremStatement]] = None, samples: Optional[dict] = None,
+    seed=0, registry: Optional[Mapping[str, TheoremStatement]] = None, samples: Optional[dict] = None,
 ) -> ModelCheckReport:
     """Sample instances of the hypotheses and measure every derived fact
     plus the statement's conclusions, replaying `steps`, which
@@ -784,45 +765,44 @@ def model_check(
     reports; unsatisfiable or unrealizable trials count as skipped.  Checks
     given the same `samples` dict share the draws of statements with the
     same points and hypotheses and report what fresh draws would."""
-    tol = tol or tolerance_for(model)
     registry = registry or {}
     report = ModelCheckReport(model=model.name, trials=trials)
     plans: Dict[Tuple[int, ...], Plan] = {}  # by the ids of the measured facts' tuples
-    replay = Replay(model, steps, tol, registry)
+    replay = Replay(model, steps, registry)
 
     def measure(instance: Trial) -> Tuple[Optional[str], Trial]:
         walked, cuts = [], []
         instance = replay.run(instance, walked, cuts)
         asserted = [name for name in statement.introduced if name not in instance.pts]
-        instance = _place_asserted(model, instance, asserted, statement.conclusions, tol)
+        instance = _place_asserted(model, instance, asserted, statement.conclusions)
         walked.append(statement.conclusions)
         cuts.append((len(walked), instance))
         start = 0
         for end, at in cuts:  # each run of facts on the trial it was walked in
             key = tuple(map(id, walked[start:end]))
             if key not in plans:
-                plans[key] = Plan(model, [f for part in walked[start:end] for f in part], tol)
+                plans[key] = Plan(model, [f for part in walked[start:end] for f in part])
             failed = plans[key].failure(at)
             if failed is not None:
                 break
             start = end
         return failed, at
 
-    return report.tally(_draws(model, statement, trials, seed, tol, samples), measure)
+    return report.tally(_draws(model, statement, trials, seed, samples), measure)
 
 
 # ---------------------------------------------------------------------------
 # Built-in numeric conjectures
 
 
-def _angle_sum_pi(t: Trial, names: Sequence[str], tol: ToleranceProfile) -> Tuple[bool, str]:
+def _angle_sum_pi(t: Trial, names: Sequence[str]) -> Tuple[bool, str]:
     """Whether the triangle at the named points has angle sum pi, and what
     was measured, for a counterexample to say."""
     a, b, c = names
     sides = t.measure(((a, b), (a, c), (b, c)))
-    at_a, at_b, at_c = _angles(t.model.cos_angle, sides, _CORNERS, tol.eq_tol)
+    at_a, at_b, at_c = _angles(t.model.cos_angle, sides, _CORNERS, t.model.eq_tol)
     total = at_a + at_b + at_c
-    return tol.close(total, math.pi), f"angle sum {total!r} vs pi"
+    return close(total, math.pi, t.model.eq_tol), f"angle sum {total!r} vs pi"
 
 
 # each conjecture's measure of a trial at the named points: (holds, detail)
@@ -843,28 +823,24 @@ def conjecture_statement(name: str, points: Sequence[str]) -> TheoremStatement:
 
 
 def model_check_conjecture(
-    model: Model, name: str, points: Sequence[str], trials: int = 1000, seed=0,
-    tol: Optional[ToleranceProfile] = None, samples: Optional[dict] = None,
+    model: Model, name: str, points: Sequence[str], trials: int = 1000, seed=0, samples: Optional[dict] = None
 ) -> ModelCheckReport:
-    tol = tol or tolerance_for(model)
     statement = conjecture_statement(name, points)
     evaluate = BUILTIN_CONJECTURES[name]
     report = ModelCheckReport(model=model.name, trials=trials)
 
     def measure(instance: Trial) -> Tuple[Optional[str], Trial]:
-        holds, detail = evaluate(instance, points, tol)
+        holds, detail = evaluate(instance, points)
         return None if holds else detail, instance
 
-    return report.tally(_draws(model, statement, trials, seed, tol, samples), measure)
+    return report.tally(_draws(model, statement, trials, seed, samples), measure)
 
 
 # ---------------------------------------------------------------------------
 # Rule-level soundness harness
 
 
-def check_rule_soundness(
-    model: Model, rule_id: str, trials: int = 1000, seed=0, tol: Optional[ToleranceProfile] = None
-) -> ModelCheckReport:
+def check_rule_soundness(model: Model, rule_id: str, trials: int = 1000, seed=0) -> ModelCheckReport:
     """Sample the rule's premises and side conditions as a statement's
     hypotheses, like sample_instance (the sample is built from the
     hypotheses alone, so a conclusion holds only where the rule is
@@ -877,11 +853,10 @@ def check_rule_soundness(
     Trials whose premises cannot be sampled are counted as skipped, never
     as failures; after the first trial that 1000 attempts cannot sample,
     the rest are skipped unsampled."""
-    tol = tol or tolerance_for(model)
     schema = RULES[rule_id]
     hyps = schema.premises + tuple(non_collinear(*triple) for triple in schema.side_conditions)
-    conclusions = Plan(model, schema.conclusions, tol)
-    guard = Plan(model, hyps, tol, guard=True)
+    conclusions = Plan(model, schema.conclusions)
+    guard = Plan(model, hyps, guard=True)
     points, line = schema.variables, schema.collinear_side
     rng = Random(f"{seed}:{rule_id}:{model.name}")
     if ABSURD in conclusions.facts:

@@ -117,6 +117,24 @@ def test_a_repeated_declare_is_one_message(tmp_path, capsys, command, tag):
 
 
 @pytest.mark.parametrize("command", ["check", "deps", "model"])
+@pytest.mark.parametrize("twin", ["conjecture", "theorem"])
+def test_a_conjecture_defined_twice_is_one_message(tmp_path, capsys, command, twin):
+    """A conjecture's name is entered with the blocks' names, in input
+    order: a second conjecture of that name, or a block, is one message."""
+    if twin == "conjecture":
+        p, line = tmp_path / "a.conj", 5
+        with open(ANGLESUM, encoding="utf-8") as f:
+            p.write_text(f.read())
+    else:
+        p, line = tmp_path / "a.proof", 1
+        p.write_text(GOOD.replace("mirror_pons", "angle_sum_pi"))
+    assert main([command, "--corpus", str(p)]) == 1
+    assert capsys.readouterr() == (
+        "", f"ponscheck: angle_sum_pi is defined twice: corpus:anglesum.conj:5 and {p}:{line}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "deps", "model"])
 def test_a_theorem_and_a_declare_may_not_share_a_name(tmp_path, capsys, command):
     p = tmp_path / "shared.proof"
     p.write_text(GOOD + "\ndeclare mirror_pons\n  tags: neutral\n")
@@ -371,6 +389,21 @@ def test_undecodable_file_exits_two(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"ponscheck: cannot read {p}: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["check"], ["parse", "--dump-ast"]], ids=lambda argv: argv[0])
+def test_a_byte_order_mark_reads_as_its_plain_twin(tmp_path, capsys, argv):
+    with open(EUCLID_I5, encoding="utf-8") as f:
+        text = f.read()
+    plain, bom = tmp_path / "plain.proof", tmp_path / "bom.proof"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    outputs = []
+    for p in (plain, bom):
+        assert main(argv + [str(p)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out and outputs[0].err == ""
 
 
 def test_no_input_exits_two(capsys):
@@ -1164,15 +1197,51 @@ MODEL_DIGESTS = [
         ["--json", "--model", "all", "--trials", "40", "--seed", "5", "--tol", "1e-6"],
         "6643d8c46cb7cb4349ef3efa42fbe54951a23efa9a50e4ad976356b73701f6c9",
     ),
+    # recorded when the tolerance moved onto the model (`--tol` measures
+    # with a tuned copy); the same bytes as the tolerance profile printed
+    (
+        ["--json", "--tol", "1e-6", "--seed", "3", "--trials", "60"],
+        "5bd1ca36789d9f242aa1045ca59d1a6dd1c849455589f3eaf14aa1c9053c3046",
+    ),
+    (
+        ["--tol", "1e-4", "--model", "sphere", "--seed", "4", "--trials", "60"],
+        "668ce8ce73382e0d5afc818d2a000c6c0cea2546e5b1e3783727620aca64954d",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, digest", MODEL_DIGESTS, ids=["json-all-seed0", "text-seed3", "json-all-seed5-tol"]
-)
+@pytest.mark.parametrize("argv, digest", MODEL_DIGESTS, ids=[
+    "json-all-seed0", "text-seed3", "json-all-seed5-tol", "json-seed3-tol-1e-6", "text-sphere-seed4-tol-1e-4"
+])
 def test_model_corpus_output_is_byte_identical(capsys, argv, digest):
     assert main(["model", "--corpus"] + argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_a_tolerance_run_leaves_the_shared_models_as_they_were(capsys):
+    """`--tol` measures with tuned copies of the models: a default run after
+    one in the same process prints what a fresh process prints, and every
+    shared model keeps its own tolerance."""
+    from ponscheck.geometry import MODELS
+
+    tolerances = {name: model.eq_tol for name, model in MODELS.items()}
+    argv = ["model", "--corpus", "--json", "--trials", "20", "--seed", "5"]
+    src = os.path.dirname(os.path.dirname(ponscheck.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "ponscheck", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert fresh.returncode == 0
+    tuned = []
+    for tol in ("1e-3", "1e-2"):  # at 1e-2 the counterexamples move
+        assert main(argv + ["--tol", tol]) == 0
+        tuned.append(capsys.readouterr().out)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh.stdout != tuned[1]
+    assert {name: model.eq_tol for name, model in MODELS.items()} == tolerances
 
 
 # sha256 of stdout of the symbolic commands on the corpus, with their exit
@@ -1245,14 +1314,13 @@ declare mix_declared
 
 def test_every_command_renders_the_same_rows(tmp_path, capsys):
     """`check` text and `--json`, `deps` and `model --json` agree row by row
-    on the corpus plus a script with every status and a second conjecture."""
+    on the corpus (its conjecture among them) plus a script with every
+    status."""
     script = tmp_path / "mixed.proof"
     script.write_text(MIXED)
-    conj = tmp_path / "mixed.conj"
-    conj.write_text("conjecture angle_sum_pi\n  points P Q R\n")
 
     def out(*argv):
-        assert main([*argv, "--corpus", str(script), str(conj)]) == 1
+        assert main([*argv, "--corpus", str(script)]) == 1
         return capsys.readouterr().out
 
     rows = json.loads(out("check", "--json"))["theorems"]

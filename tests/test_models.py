@@ -29,14 +29,14 @@ from ponscheck.models import (
     UnrealizableStep,
     angle_at,
     check_rule_soundness,
+    close,
     eval_fact,
+    less,
     model_check,
     model_check_conjecture,
-    profile,
     realize_construction,
     sample_instance,
     solve_introduced_point,
-    tolerance_for,
 )
 from ponscheck.rules import RULES, RuleSchema
 from ponscheck.script import parse
@@ -98,25 +98,37 @@ def _converse_statement():
 
 
 def test_tolerance_profiles():
-    assert tolerance_for(EUCLIDEAN).eq_tol == 1e-9
-    assert tolerance_for(POINCARE).eq_tol == 1e-7
-    assert tolerance_for(SPHERE).eq_tol == 1e-7
-    assert profile(1e-6).lt_margin == pytest.approx(1e-5)
-    assert tolerance_for(POINCARE).eq_tol == 1e-7
+    assert EUCLIDEAN.eq_tol == 1e-9
+    assert POINCARE.eq_tol == 1e-7
+    assert SPHERE.eq_tol == 1e-7
+    assert POINCARE.with_eq_tol(1e-6).lt_margin == pytest.approx(1e-5)
+    assert POINCARE.eq_tol == 1e-7
 
 
 def test_close_and_less_are_relative():
-    tol = profile(1e-9)
+    eq, lt = EUCLIDEAN.eq_tol, EUCLIDEAN.lt_margin
     # absolute floor near zero
-    assert tol.close(0.0, 5e-10)
-    assert not tol.close(0.0, 5e-9)
+    assert close(0.0, 5e-10, eq)
+    assert not close(0.0, 5e-9, eq)
     # scales with magnitude
-    assert tol.close(1e9, 1e9 + 0.5)
-    assert tol.less(1.0, 2.0)
-    assert not tol.less(2.0, 1.0)
+    assert close(1e9, 1e9 + 0.5, eq)
+    assert less(1.0, 2.0, lt)
+    assert not less(2.0, 1.0, lt)
     # dead zone between close and less
-    assert not tol.less(1.0, 1.0 + 5e-9)
-    assert not tol.close(1.0, 1.0 + 5e-9)
+    assert not less(1.0, 1.0 + 5e-9, lt)
+    assert not close(1.0, 1.0 + 5e-9, eq)
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_with_eq_tol_is_a_new_model_of_the_same_class(model):
+    """Only the tolerance and the margin drawn from it differ; the shared
+    model keeps its own."""
+    eq_tol = model.eq_tol
+    tuned = model.with_eq_tol(1e-3)
+    assert tuned is not model and type(tuned) is type(model)
+    assert vars(tuned) == {**vars(model), "eq_tol": 1e-3}
+    assert (tuned.eq_tol, tuned.lt_margin) == (1e-3, 10.0 * 1e-3)
+    assert (model.eq_tol, model.lt_margin) == (eq_tol, 10.0 * eq_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +214,7 @@ def test_eval_fact_missing_point():
 # The compiled plan against a fact-by-fact reference
 
 
-def _reference_first_false(model, instance, facts, tol):
+def _reference_first_false(model, instance, facts):
     """The index of the first fact that does not hold, each measured on its
     own from model.dist and angle_at; a missing point or a degenerate angle
     makes a fact false."""
@@ -212,7 +224,9 @@ def _reference_first_false(model, instance, facts, tol):
 
     def size(term):
         _, v, p, q = term
-        return angle_at(model, instance[p], instance[v], instance[q], tol)
+        return angle_at(model, instance[p], instance[v], instance[q])
+
+    eq, lt = model.eq_tol, model.lt_margin
 
     for k, fact in enumerate(facts):
         tag = fact[0]
@@ -222,17 +236,17 @@ def _reference_first_false(model, instance, facts, tol):
             elif tag in ("=a", "<a"):
                 left, right = size(fact[1]), size(fact[2])
             if tag in ("=s", "=a"):
-                holds = tol.close(left, right)
+                holds = close(left, right, eq)
             elif tag in ("<s", "<a"):
-                holds = tol.less(left, right)
+                holds = less(left, right, lt)
             elif tag == "between":
                 _, m, a, b = fact
                 am, mb, ab = dist(a, m), dist(m, b), dist(a, b)
-                holds = not (tol.close(am, 0.0) or tol.close(mb, 0.0)) and tol.close(am + mb, ab)
+                holds = not (close(am, 0.0, eq) or close(mb, 0.0, eq)) and close(am + mb, ab, eq)
             elif tag == "noncollinear":
                 _, a, b, c = fact
                 holds = all(
-                    tol.less(dist(x, y), dist(x, m) + dist(m, y)) for m, x, y in ((a, b, c), (b, c, a), (c, a, b))
+                    less(dist(x, y), dist(x, m) + dist(m, y), lt) for m, x, y in ((a, b, c), (b, c, a), (c, a, b))
                 )
             else:
                 holds = False
@@ -264,7 +278,7 @@ _plan_facts = st.one_of(
 
 
 @st.composite
-def _plan_instances(draw, model, tol):
+def _plan_instances(draw, model):
     """Points for some of the names around an anchor, the first name: some
     on one geodesic through it, so that betweenness and collinearity hold
     and angles at it are straight; some at lengths from it a few tolerance
@@ -282,7 +296,7 @@ def _plan_instances(draw, model, tol):
             instance[name] = model.exp(anchor, line, draw(st.sampled_from([-1.0, -0.5, 0.5, 1.0])) * length)
         elif how == "margin":
             margins = draw(st.sampled_from([0.0, 0.5, 1.5, 5.0, 9.0, 11.0, 20.0]))
-            t = length + margins * tol.eq_tol * (1.0 + length)
+            t = length + margins * model.eq_tol * (1.0 + length)
             toward = model.unit_tangent(anchor, model.random_point(rng))
             instance[name] = model.exp(anchor, toward, t)
         elif how == "same":
@@ -297,14 +311,14 @@ def _plan_instances(draw, model, tol):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_plan_first_false_matches_a_fact_by_fact_reference(model, eq_tol, data):
-    tol = tolerance_for(model) if eq_tol is None else profile(eq_tol)
-    instance = data.draw(_plan_instances(model, tol))
+    model = model if eq_tol is None else model.with_eq_tol(eq_tol)
+    instance = data.draw(_plan_instances(model))
     facts = data.draw(st.lists(_plan_facts, min_size=1, max_size=8))
-    plan = models.Plan(model, facts, tol)
-    assert plan.first_false(models.Trial(model, instance)) == _reference_first_false(model, instance, facts, tol)
+    plan = models.Plan(model, facts)
+    assert plan.first_false(models.Trial(model, instance)) == _reference_first_false(model, instance, facts)
     for fact in facts:  # each on its own, so that facts after a false one are compared too
-        alone = models.Plan(model, (fact,), tol).first_false(models.Trial(model, instance))
-        assert alone == _reference_first_false(model, instance, (fact,), tol)
+        alone = models.Plan(model, (fact,)).first_false(models.Trial(model, instance))
+        assert alone == _reference_first_false(model, instance, (fact,))
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +338,10 @@ def test_sampling_is_deterministic(model):
 @pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
 def test_sampled_instances_satisfy_hypotheses(model):
     stmt = _isosceles_statement()
-    tol = tolerance_for(model)
     for k in range(25):
         inst = sample_instance(model, stmt, seed=k)
         for _, hyp in stmt.hypotheses:
-            assert eval_fact(model, inst, hyp, tol), (model.name, k, hyp)
+            assert eval_fact(model, inst, hyp), (model.name, k, hyp)
 
 
 _TWO_TRIANGLES = {  # the premises of each congruence over triangles A B C and D E F
@@ -354,10 +367,9 @@ def _assert_samples(model, facts, seeds=30):
     facts = list(facts) + [non_collinear("A", "B", "C"), non_collinear("D", "E", "F")]
     points = sorted({p for fact in facts for p in fact_point_names(fact)})
     stmt = _statement(tuple(points), tuple((f"h{k}", f) for k, f in enumerate(facts)), ())
-    tol = tolerance_for(model)
     for seed in range(seeds):
         inst = sample_instance(model, stmt, seed)
-        assert all(eval_fact(model, inst, fact, tol) for fact in facts), seed
+        assert all(eval_fact(model, inst, fact) for fact in facts), seed
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=str)
@@ -464,17 +476,13 @@ def test_solve_introduced_point_finds_the_bisector_foot():
         between(H, B, C),
         ang_eq(angle(B, A, H), angle(C, A, H)),
     )
-    got = solve_introduced_point(
-        EUCLIDEAN, inst, H, conclusions, tolerance_for(EUCLIDEAN)
-    )
+    got = solve_introduced_point(EUCLIDEAN, inst, H, conclusions)
     assert got == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
 def test_solve_introduced_point_midpoint_fallback():
     inst = {B: (-2.0, 0.0), C: (2.0, 0.0)}
-    got = solve_introduced_point(
-        EUCLIDEAN, inst, H, (between(H, B, C),), tolerance_for(EUCLIDEAN)
-    )
+    got = solve_introduced_point(EUCLIDEAN, inst, H, (between(H, B, C),))
     assert got == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
@@ -489,7 +497,6 @@ def _triangles(model, count):
 
 @pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
 def test_solver_agrees_with_brentq_on_the_bisector_foot(model):
-    tol = tolerance_for(model)
     for inst in _triangles(model, 40):
         a, b, c = inst[A], inst[B], inst[C]
         span = model.dist(b, c)
@@ -497,10 +504,10 @@ def test_solver_agrees_with_brentq_on_the_bisector_foot(model):
 
         def residual(s):
             h = model.exp(b, u, s)
-            return angle_at(model, b, a, h, tol) - angle_at(model, c, a, h, tol)
+            return angle_at(model, b, a, h) - angle_at(model, c, a, h)
 
         want = brentq(residual, 1e-6 * span, (1.0 - 1e-6) * span, xtol=1e-14)
-        got = solve_introduced_point(model, inst, H, BISECTOR_FOOT, tol)
+        got = solve_introduced_point(model, inst, H, BISECTOR_FOOT)
         assert model.dist(b, got) == pytest.approx(want, abs=1e-9)
 
 
@@ -509,7 +516,7 @@ def test_solver_without_sign_change_is_unrealizable():
     inst = {A: (0.0, 5.0), B: (-1.0, 0.0), C: (1.0, 0.0)}
     conclusions = (between(H, B, C), ang_eq(angle(B, A, H), angle(A, B, C)))
     with pytest.raises(UnrealizableStep):
-        solve_introduced_point(EUCLIDEAN, inst, H, conclusions, tolerance_for(EUCLIDEAN))
+        solve_introduced_point(EUCLIDEAN, inst, H, conclusions)
 
 
 @pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
@@ -523,10 +530,9 @@ def test_solver_exp_calls_per_solve_are_bounded(model):
         return exp(p, v, t)
 
     counted.exp = counting
-    tol = tolerance_for(model)
     for inst in _triangles(model, 40):
         del calls[:]
-        solve_introduced_point(counted, inst, H, BISECTOR_FOOT, tol)
+        solve_introduced_point(counted, inst, H, BISECTOR_FOOT)
         assert len(calls) <= 11  # the two bracket ends and at most 9 steps
 
 
@@ -600,13 +606,12 @@ def test_model_check_compiles_plans_independently_of_trials(compiles, model, nam
 
 
 def test_solver_compiles_nothing_for_conclusions_it_has_seen(compiles):
-    tol = tolerance_for(EUCLIDEAN)
     first, second = _triangles(EUCLIDEAN, 2)
     del compiles[:]  # the triangles' guard plan
-    solve_introduced_point(EUCLIDEAN, first, H, BISECTOR_FOOT, tol)
+    solve_introduced_point(EUCLIDEAN, first, H, BISECTOR_FOOT)
     assert compiles == [BISECTOR_FOOT[1:]]
     del compiles[:]
-    solve_introduced_point(EUCLIDEAN, second, H, list(BISECTOR_FOOT), tolerance_for(EUCLIDEAN))
+    solve_introduced_point(EUCLIDEAN, second, H, list(BISECTOR_FOOT))
     assert compiles == []
 
 
@@ -668,7 +673,7 @@ def test_replay_compiles_a_branch_when_a_trial_first_takes_it(monkeypatch, step_
     branches = {b.kind: b.steps for b in split.branches}
     calls, counting = step_fact_calls
     monkeypatch.setattr(models, "step_facts", counting)
-    replay = models.Replay(EUCLIDEAN, block.proof.steps, tolerance_for(EUCLIDEAN), registry)
+    replay = models.Replay(EUCLIDEAN, block.proof.steps, registry)
     assert calls == []
     shorter = models.Trial(EUCLIDEAN, {A: (0.0, 0.0), B: (1.0, 0.0), C: (0.0, 2.0)})  # |AB| < |AC|
     longer = models.Trial(EUCLIDEAN, {A: (0.0, 0.0), B: (2.0, 0.0), C: (0.0, 1.0)})
@@ -1033,9 +1038,9 @@ def _unsampleable():
 def _dead_zone():
     # the split's two segments differ by 5 eq_tol: neither equal nor ordered
     (block,), _ = _checks(REUSED_AFTER_SPLIT)
-    split, tol = block.proof.steps[:1], tolerance_for(EUCLIDEAN)
-    trial = models.Trial(EUCLIDEAN, {A: (0.0, 0.0), B: (1.0, 0.0), C: (0.0, 1.0 + 5.0 * tol.eq_tol)})
-    walk = lambda t: (None, models.Replay(EUCLIDEAN, split, tol, {}).run(t, [], []))
+    split = block.proof.steps[:1]
+    trial = models.Trial(EUCLIDEAN, {A: (0.0, 0.0), B: (1.0, 0.0), C: (0.0, 1.0 + 5.0 * EUCLIDEAN.eq_tol)})
+    walk = lambda t: (None, models.Replay(EUCLIDEAN, split, {}).run(t, [], []))
     return models.ModelCheckReport(EUCLIDEAN.name, 1).tally([(0, trial)], walk)
 
 
