@@ -72,7 +72,8 @@ def _read_sources(paths: Sequence[str], use_corpus: bool) -> List[Tuple[str, str
             sources.append((f"corpus:{filename}", load_text(filename)))
     for raw in paths:
         try:
-            text = Path(raw).read_text(encoding="utf-8-sig")  # a byte-order mark is not text
+            # decoded whole, so an error's position is the byte's offset in the file
+            text = Path(raw).read_bytes().decode("utf-8").removeprefix("\ufeff")
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(2, f"cannot read {raw}: {exc}") from exc
         sources.append((raw, text))
@@ -177,9 +178,10 @@ def _rows(
 
 def _print_json(
     graph: Graph, rows: List[Row], seed: int,
-    models: Optional[List[Dict[str, ModelCheckReport]]] = None,
+    models: Optional[List[Dict[str, ModelCheckReport]]] = None, tol: Optional[float] = None,
 ) -> None:
-    """The rows as a JSON report; `models` holds each row's model checks."""
+    """The rows as a JSON report; `models` holds each row's model checks,
+    measured at the equality tolerance `tol` if one was given."""
     theorems = [
         {
             "name": row.name,
@@ -192,6 +194,8 @@ def _print_json(
         for row, per_model in zip(rows, models or [{} for _ in rows])
     ]
     report = {"version": __version__, "seed": seed, "theorems": theorems}
+    if tol is not None:
+        report["tol"] = tol
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -300,7 +304,7 @@ def cmd_model(args: argparse.Namespace) -> int:
                 )
             out.append("  counterexample " + _describe_counterexample(rep))
     if args.json:
-        _print_json(graph, rows, args.seed, collected)
+        _print_json(graph, rows, args.seed, collected, args.tol)
     else:
         for line in (line for out in lines for line in out):
             print(line)

@@ -53,13 +53,11 @@ def make_statement(block: S.TheoremAst) -> TheoremStatement:
     scope = given + tuple(block.introduces)
     return TheoremStatement(
         name=name,
-        tags=frozenset(block.tags),
         points=given,
         hypotheses=tuple((a.label, _fact(name, f"hypothesis {a.label}", a.line, a.fact, given))
                          for a in block.assumes),
         conclusions=tuple(_fact(name, "show", block.line, f, scope) for f in block.shows),
         introduced=tuple(block.introduces),
-        uses=tuple(block.uses),
     )
 
 

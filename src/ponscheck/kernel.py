@@ -9,19 +9,19 @@ the numeric replay in models measures the same facts.
 
 Label semantics: a step label stands for the full tuple of facts its
 justification produced (a rule application can yield up to three), so a
-later citation matches if the needed premise is among them.  The inline
-reference `refl` discharges reflexive equalities and registers SEG_REFL or
-ANG_REFL as used.  Equalities are stored canonically, so a label cited for
-`x == y` also matches `y == x`.
+later citation matches if the needed premise is among them.  A citation is
+a name: a label, or the reserved word `refl`, which discharges reflexive
+equalities and registers SEG_REFL or ANG_REFL as used.  Equalities are
+stored canonically, so a label cited for `x == y` also matches `y == x`.
 
 Absurdity is quarantined: the ABSURD_* rules refuse to fire unless at
 least one case assumption is open, so a reductio cannot leak out of its
 branch except through the case-split bookkeeping itself.
 
 Case branches run one after another on the one proof state.  Every update
-to it (points, labels, known facts, the NonCollinear index, the line table,
-open assumptions) is logged on an undo trail; after a branch closes, the
-trail rolls the state back to where the split began.  So a branch sees
+to its scope (points, labels, known facts, the NonCollinear index, the line
+table, open assumptions) is logged on an undo trail; after a branch closes,
+the trail rolls the state back to where the split began.  So a branch sees
 nothing its siblings derived, the parent gains only the split's own label,
 and a split costs the work its branches do rather than a copy of the state.
 A branch with no steps only names its assumption, as its close reads labels.
@@ -32,19 +32,20 @@ name that is not fails that step alone.  A citation list is resolved in
 full before any of its citations is matched.  A ValueError raised while a
 step runs (its points cannot build a term) fails it as
 DegenerateInstantiation, in _run_steps alone; a rule or lemma step naming
-the wrong number of points fails as ArityMismatch.
+the wrong number of points fails as ArityMismatch.  _fail alone records a
+failed step or case close, naming its exception's class.
 
-Statements, steps, citations and reports are NamedTuples (see node).  The
-parser builds every step; a RuleStep keeps its fact and instantiation as
-written, and apply_rule builds the canonical fact from them.  A rule's
-premises and conclusions and a lemma's hypotheses and conclusions are
-instantiated by one renaming, terms.rename: a rule's at the step's points
-by its schema's compiled positions, a lemma's through terms.subst_fact.
+Statements, steps and reports are NamedTuples (see node).  The parser
+builds every step; a RuleStep keeps its fact and points as written, and
+apply_rule builds the canonical fact from them.  A rule's premises and
+conclusions and a lemma's hypotheses and conclusions are instantiated by
+one renaming, terms.rename: a rule's at the step's points by its schema's
+compiled positions, a lemma's through terms.subst_fact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Set, Tuple, Union
 
 from .rules import RULES
 from .terms import (
@@ -136,12 +137,13 @@ class TheoremStatement(NamedTuple):
     may also mention existentially introduced points (see check_statement)."""
 
     name: str
-    tags: FrozenSet[str]
     points: Tuple[str, ...]
     hypotheses: Tuple[Tuple[str, Fact], ...]
     conclusions: Tuple[Fact, ...]
     introduced: Tuple[str, ...] = ()
-    uses: Tuple[str, ...] = ()
+
+
+Registry = Mapping[str, Optional[TheoremStatement]]  # lemmas by name; None for a bad statement
 
 
 def check_statement(statement: TheoremStatement) -> None:
@@ -162,17 +164,6 @@ def check_statement(statement: TheoremStatement) -> None:
 
 
 @node
-class Ref(NamedTuple):
-    """A premise citation: a label or inline `refl`."""
-
-    kind: str  # "label" | "refl"
-    label: str = ""
-
-    def __repr__(self) -> str:
-        return "refl" if self.kind == "refl" else self.label
-
-
-@node
 class FactAst(NamedTuple):
     """A fact as written; `points` keeps source order.  For kind
     "between" the middle point is the one lying between the outer two."""
@@ -182,24 +173,19 @@ class FactAst(NamedTuple):
 
 
 @node
-class InstAst(NamedTuple):
-    """A rule instantiation; `triples` records whether it was written as
-    two point triples (congruence criteria) or one flat list."""
-
-    points: Tuple[str, ...]
-    triples: bool = False
-
-
-@node
 class RuleStep(NamedTuple):
     """A rule application as written: `fact` is the stated conclusion and
-    `inst` the rule's points, both in source form."""
+    `points` the rule's, both in source form; `triples` records whether the
+    points were written as two triples (congruence criteria) or one list.
+    A citation (in `refs` here and in every step, close and qed) is a
+    label or `refl`."""
 
     label: str
     fact: FactAst
     rule_id: str
-    inst: InstAst
-    refs: Tuple[Ref, ...]
+    points: Tuple[str, ...]
+    triples: bool
+    refs: Tuple[str, ...]
     line: int = 0
 
 
@@ -225,7 +211,7 @@ class LayoffStep(NamedTuple):
     toward: str
     seg: Tuple[str, str]
     fresh: str
-    refs: Tuple[Ref, ...]
+    refs: Tuple[str, ...]
     line: int = 0
 
 
@@ -243,7 +229,7 @@ class CaseBranch(NamedTuple):
     kind: str  # "lt" | "eq" | "gt"
     steps: Tuple["Step", ...]
     close_kind: str  # "goal" | "absurd"
-    close_refs: Tuple[Ref, ...]
+    close_refs: Tuple[str, ...]
     line: int = 0
 
 
@@ -265,7 +251,7 @@ Step = Union[RuleStep, ExtendStep, LayoffStep, LemmaStep, CasesStep]
 @node
 class Proof(NamedTuple):
     steps: Tuple[Step, ...]
-    qed_refs: Tuple[Ref, ...]
+    qed_refs: Tuple[str, ...]
     line: int = 0  # of the qed line
 
 
@@ -295,7 +281,6 @@ class CheckReport(NamedTuple):
     rule_uses: Tuple[str, ...] = ()
     lemma_uses: Tuple[str, ...] = ()
     side_conditions: Sequence[SideConditionRecord] = ()
-    assumed: Sequence[Tuple[str, str, str]] = ()
     error: Optional[str] = None
 
     @property
@@ -303,17 +288,31 @@ class CheckReport(NamedTuple):
         """Dependency edges this proof contributes: rules, then lemmas."""
         return self.rule_uses + self.lemma_uses
 
+    @property
+    def assumed(self) -> Tuple[Tuple[str, str, str], ...]:
+        """The side conditions taken on faith, each once, in first-seen order."""
+        assumed = (r.triple for r in self.side_conditions if r.outcome == "assumed")
+        return tuple(dict.fromkeys(assumed))
+
 
 # ---------------------------------------------------------------------------
 # Proof state
 
 
 class ProofState:
-    """Mutable checking context for one proof.  Every update is logged on
-    `trail`, so a case branch runs on its parent's state and
-    `trail.rollback(mark)` then restores the parent exactly."""
+    """The checking context of one proof: its statement, the lemma registry,
+    `strict`, what is in scope and known, and the records.  Every update to
+    the points, labels, known facts, NonCollinear index, line table and open
+    assumptions is logged on `trail`, so a case branch runs on its parent's
+    state and `trail.rollback(mark)` then restores the parent exactly.  The
+    records (results, rule_uses, lemma_uses, side_conditions) only grow."""
 
-    def __init__(self) -> None:
+    def __init__(
+        self, statement: TheoremStatement, registry: Optional[Registry] = None, strict: bool = False
+    ) -> None:
+        self.statement = statement
+        self.registry = registry or {}
+        self.strict = strict
         self.trail = Trail()
         self.known: Set[Fact] = set()
         self.facts: Dict[str, Tuple[Fact, ...]] = {}
@@ -321,6 +320,10 @@ class ProofState:
         self.lines = LineTable(self.trail)
         self.noncollinear: Dict[str, List[NonCollinear]] = {}  # by point name
         self.assumptions: List[Tuple[str, Fact]] = []
+        self.results: List[StepResult] = []
+        self.rule_uses: Dict[str, None] = {}  # an ordered set
+        self.lemma_uses: List[str] = []
+        self.side_conditions: List[SideConditionRecord] = []
 
     def point(self, name: str) -> PointId:
         if name not in self.points:
@@ -371,9 +374,11 @@ class ProofState:
                 self.trail.append((list.pop, facts, -1))
 
 
-def initial_state(statement: TheoremStatement) -> ProofState:
+def initial_state(
+    statement: TheoremStatement, registry: Optional[Registry] = None, strict: bool = False
+) -> ProofState:
     check_statement(statement)
-    state = ProofState()
+    state = ProofState(statement, registry, strict)
     for name in statement.points:
         state.bind_point(name)
     for label, fact in statement.hypotheses:
@@ -418,7 +423,7 @@ def step_facts(step: Step, registry: Mapping[str, TheoremStatement]) -> Tuple[Fa
     pass; the numeric replay measures them.  Raises ValueError when the
     step's points cannot build them; apply_rule checks a rule step's arity."""
     if isinstance(step, RuleStep):
-        return RULES[step.rule_id].instantiate_conclusions(step.inst.points)
+        return RULES[step.rule_id].instantiate_conclusions(step.points)
     if isinstance(step, (ExtendStep, LayoffStep)):
         fresh, s = step.fresh, segment(*step.seg)
         if isinstance(step, LayoffStep):
@@ -444,63 +449,48 @@ _EQUIV_FOR_REFL = {SegEq: "SEG_REFL", AngEq: "ANG_REFL"}
 _new = tuple.__new__  # builds a StepResult without its Python-level __new__
 
 
-class _Ctx:
-    def __init__(
-        self,
-        statement: TheoremStatement,
-        registry: Optional[Mapping[str, Optional[TheoremStatement]]],
-        strict: bool,
-    ) -> None:
-        self.statement = statement
-        self.registry = registry or {}
-        self.strict = strict
-        self.results: List[StepResult] = []
-        self.rule_uses: Dict[str, None] = {}
-        self.lemma_uses: List[str] = []
-        self.side_conditions: List[SideConditionRecord] = []
-        self.assumed: Dict[Tuple[str, str, str], None] = {}  # in first-seen order
-
-
 class _ProofFailed(Exception):
-    def __init__(self, where: str, line: int, message: str) -> None:
-        super().__init__(message)
-        self.where = where
-        self.line = line
+    """Ends a proof at a failed step or case close; args[0] is its StepResult."""
 
 
-def _resolve(state: ProofState, refs: Tuple[Ref, ...]) -> None:
+def _fail(state: ProofState, where: str, line: int, exc: Exception) -> NoReturn:
+    """Record the failed step or close `where` and end the proof."""
+    result = StepResult(where, False, f"{type(exc).__name__}: {exc}", line)
+    state.results.append(result)
+    raise _ProofFailed(result) from exc
+
+
+def _resolve(state: ProofState, refs: Sequence[str]) -> None:
     """Raise UnknownPremise unless every label the citations name is in scope."""
     for ref in refs:
-        if ref.kind != "refl" and ref.label not in state.facts:
-            raise UnknownPremise(f"no step or hypothesis labeled {ref.label}")
+        if ref != "refl" and ref not in state.facts:
+            raise UnknownPremise(f"no step or hypothesis labeled {ref}")
 
 
-def _justifies(state: ProofState, ref: Ref, want: Fact, ctx: _Ctx) -> bool:
+def _justifies(state: ProofState, ref: str, want: Fact) -> bool:
     """Whether one resolved citation yields `want`."""
-    if ref.kind == "refl":
+    if ref == "refl":
         rule = _EQUIV_FOR_REFL.get(type(want))
         if rule is not None and want.left == want.right:  # type: ignore[union-attr]
-            ctx.rule_uses[rule] = None
+            state.rule_uses[rule] = None
             return True
         return False
-    return want in state.facts[ref.label]
+    return want in state.facts[ref]
 
 
 def _check_covered(
-    state: ProofState, refs: Tuple[Ref, ...], wanted: Sequence[Fact], ctx: _Ctx, what: str
+    state: ProofState, refs: Sequence[str], wanted: Sequence[Fact], what: str
 ) -> None:
     _resolve(state, refs)
     for fact in wanted:
         for r in refs:
-            if _justifies(state, r, fact, ctx):
+            if _justifies(state, r, fact):
                 break
         else:
             raise PremiseMismatch(f"{what}: cited labels do not establish {fact!r}")
 
 
-def _discharge_side_conditions(
-    state: ProofState, step_label: str, triples, ctx: _Ctx
-) -> None:
+def _discharge_side_conditions(state: ProofState, step_label: str, triples) -> None:
     """Decide, record and raise on each NonCollinear obligation in turn:
     failed if its points coincide or share a recorded line; derived if known
     or an NC_TRANSFER probe yields it (it is then known); else assumed, or
@@ -512,22 +502,20 @@ def _discharge_side_conditions(
             outcome = "derived"
         elif _transfer_probe(state, want):
             outcome = "derived"
-            ctx.rule_uses["NC_TRANSFER"] = None
+            state.rule_uses["NC_TRANSFER"] = None
             state.know(want)
         else:
-            outcome = "failed" if ctx.strict else "assumed"
+            outcome = "failed" if state.strict else "assumed"
         names = tuple(sorted(triple))
-        ctx.side_conditions.append(SideConditionRecord(step_label, names, outcome))
+        state.side_conditions.append(SideConditionRecord(step_label, names, outcome))
         if outcome == "failed":
             raise SideConditionFailed(
                 f"cannot justify noncollinear({','.join(names)})"
-                + (" (strict mode)" if ctx.strict else "")
+                + (" (strict mode)" if state.strict else "")
             )
-        if outcome == "assumed":
-            ctx.assumed[names] = None
 
 
-def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]:
+def apply_rule(state: ProofState, step: RuleStep) -> Tuple[Fact, ...]:
     """The facts a rule step derives.  Its checks run in this order; the
     first that fails raises: (1) the named points are in scope; (2) the rule
     exists; (3) the stated fact, then (after one ArityMismatch check of the
@@ -537,32 +525,32 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
     premise; (6) NC_TRANSFER's points share a recorded line, then each side
     condition is derived or, outside strict mode, assumed; (7) an absurdity
     needs an open case; (8) the stated fact is a conclusion."""
-    state.require((*step.inst.points, *step.fact.points))
+    points = step.points
+    state.require((*points, *step.fact.points))
     schema = RULES.get(step.rule_id)
     if schema is None:
         raise KernelError(f"unknown rule {step.rule_id}")
     fact = written_fact(*step.fact)
-    points = step.inst.points
     if len(points) != len(schema.variables):
         raise ArityMismatch(f"{step.rule_id} expects {len(schema.variables)} points, got {len(points)}")
     premises = schema.instantiate_premises(points) if schema.premises else ()
-    conclusions = step_facts(step, ctx.registry)
+    conclusions = step_facts(step, state.registry)
 
     refs = step.refs
     if len(refs) != len(premises):
         # Premise-free rules still need a `from` clause; a lone refl is it.
-        if premises or len(refs) != 1 or refs[0].kind != "refl":
+        if premises or len(refs) != 1 or refs[0] != "refl":
             raise PremiseMismatch(
                 f"{step.rule_id} takes {len(premises)} premise(s), {len(refs)} cited"
             )
     elif refs:
         _resolve(state, refs)
         for ref, want in zip(refs, premises):
-            if not _justifies(state, ref, want, ctx):
-                if ref.kind == "refl":
+            if not _justifies(state, ref, want):
+                if ref == "refl":
                     raise PremiseMismatch(f"refl does not justify {want!r}")
-                have = ", ".join(repr(f) for f in state.facts[ref.label])
-                raise PremiseMismatch(f"premise {want!r} expected; {ref!r} provides: {have}")
+                have = ", ".join(repr(f) for f in state.facts[ref])
+                raise PremiseMismatch(f"premise {want!r} expected; {ref} provides: {have}")
 
     if schema.collinear_side:
         names = [points[i] for i in schema.collinear_side_at]
@@ -571,12 +559,11 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
                 f"points {{{','.join(sorted(set(names)))}}} are not on one recorded line"
             )
     if schema.side_conditions:
-        triples = schema.instantiate_side_conditions(points)
-        _discharge_side_conditions(state, step.label, triples, ctx)
+        _discharge_side_conditions(state, step.label, schema.instantiate_side_conditions(points))
 
     if ABSURD in conclusions and not state.assumptions:
         raise AbsurdOutsideCase("absurdity derived outside any case assumption")
-    ctx.rule_uses[step.rule_id] = None
+    state.rule_uses[step.rule_id] = None
     if fact not in conclusions:
         raise ConclusionMismatch(
             f"{fact!r} is not a conclusion of {step.rule_id} at this "
@@ -585,25 +572,24 @@ def apply_rule(state: ProofState, step: RuleStep, ctx: _Ctx) -> Tuple[Fact, ...]
     return conclusions
 
 
-def apply_construction(
-    state: ProofState, step: Union[ExtendStep, LayoffStep], ctx: _Ctx
-) -> Tuple[Fact, ...]:
+def apply_construction(state: ProofState, step: Union[ExtendStep, LayoffStep]) -> Tuple[Fact, ...]:
     if isinstance(step, LayoffStep):
         s = segment(state.point(step.seg[0]), state.point(step.seg[1]))
         bound = seg_lt(s, segment(state.point(step.start), state.point(step.toward)))
         _resolve(state, step.refs)
-        if not any(_justifies(state, r, bound, ctx) for r in step.refs):
+        if not any(_justifies(state, r, bound) for r in step.refs):
             raise LayoffWithoutBound(f"layoff needs {bound!r} among its citations")
     else:
         state.require((*step.seg, step.a, step.b))
     state.bind_point(step.fresh)
-    return step_facts(step, ctx.registry)
+    return step_facts(step, state.registry)
 
 
-def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ...]:
-    lemma = ctx.registry.get(step.lemma)
+def apply_lemma(state: ProofState, step: LemmaStep) -> Tuple[Fact, ...]:
+    registry = state.registry
+    lemma = registry.get(step.lemma)
     if lemma is None:  # no such block, or (None in the registry) a bad statement
-        raise KernelError(f"lemma {step.lemma} has a bad statement" if step.lemma in ctx.registry
+        raise KernelError(f"lemma {step.lemma} has a bad statement" if step.lemma in registry
                           else f"unknown lemma {step.lemma}")
     check_statement(lemma)
     mapping = _lemma_points(lemma, step.args)
@@ -619,18 +605,18 @@ def apply_lemma(state: ProofState, step: LemmaStep, ctx: _Ctx) -> Tuple[Fact, ..
             raise HypothesisNotSatisfied(f"lemma {lemma.name} needs {mapped!r}")
     for name in step.fresh:
         state.bind_point(name)
-    facts = step_facts(step, ctx.registry)
-    ctx.lemma_uses.append(lemma.name)
+    facts = step_facts(step, registry)
+    state.lemma_uses.append(lemma.name)
     return facts
 
 
-def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
+def _run_step(state: ProofState, step: Step) -> None:
     if isinstance(step, RuleStep):
-        state.add_label(step.label, apply_rule(state, step, ctx))
+        state.add_label(step.label, apply_rule(state, step))
     elif isinstance(step, (ExtendStep, LayoffStep)):
-        state.add_label(step.label, apply_construction(state, step, ctx))
+        state.add_label(step.label, apply_construction(state, step))
     elif isinstance(step, LemmaStep):
-        state.add_label(step.label, apply_lemma(state, step, ctx))
+        state.add_label(step.label, apply_lemma(state, step))
     elif isinstance(step, CasesStep):
         left = segment(state.point(step.left[0]), state.point(step.left[1]))
         right = segment(state.point(step.right[0]), state.point(step.right[1]))
@@ -648,36 +634,30 @@ def _run_step(state: ProofState, step: Step, ctx: _Ctx) -> None:
                 state.assumptions.append((label, assumption))
                 state.trail.append((list.pop, state.assumptions, -1))
                 state.add_label(label, (assumption,))
-                _run_steps(state, branch.steps, ctx)
+                _run_steps(state, branch.steps)
             else:  # its close reads labels only
                 state.name(label, (assumption,))
-            wanted = (ABSURD,) if branch.close_kind == "absurd" else ctx.statement.conclusions
+            wanted = (ABSURD,) if branch.close_kind == "absurd" else state.statement.conclusions
             try:
-                _check_covered(
-                    state, branch.close_refs, wanted, ctx, f"close {branch.close_kind}"
-                )
+                _check_covered(state, branch.close_refs, wanted, f"close {branch.close_kind}")
             except KernelError as exc:
-                where = f"{step.label} case {kind} close"
-                ctx.results.append(StepResult(where, False, str(exc), branch.line))
-                raise _ProofFailed(where, branch.line, str(exc)) from None
+                _fail(state, f"{step.label} case {kind} close", branch.line, exc)
             state.trail.rollback(mark)
         # All three cases closed, so the goal stands unconditionally.
-        state.add_label(step.label, ctx.statement.conclusions)
+        state.add_label(step.label, state.statement.conclusions)
     else:
         raise KernelError(f"unknown step type: {step!r}")
 
 
-def _run_steps(state: ProofState, steps: Sequence[Step], ctx: _Ctx) -> None:
+def _run_steps(state: ProofState, steps: Sequence[Step]) -> None:
     for step in steps:
         try:
-            _run_step(state, step, ctx)
-        except (KernelError, ValueError) as exc:  # a branch's _ProofFailed passes
-            if isinstance(exc, ValueError):
-                exc = DegenerateInstantiation(str(exc))
-            detail = f"{type(exc).__name__}: {exc}"
-            ctx.results.append(StepResult(step.label, False, detail, step.line))
-            raise _ProofFailed(step.label, step.line, detail) from exc
-        ctx.results.append(_new(StepResult, (step.label, True, "", step.line)))
+            _run_step(state, step)
+        except KernelError as exc:  # a branch's _ProofFailed passes
+            _fail(state, step.label, step.line, exc)
+        except ValueError as exc:
+            _fail(state, step.label, step.line, DegenerateInstantiation(str(exc)))
+        state.results.append(_new(StepResult, (step.label, True, "", step.line)))
 
 
 def bad_statement(name: str, error: object) -> CheckReport:
@@ -687,9 +667,7 @@ def bad_statement(name: str, error: object) -> CheckReport:
 
 
 def check_proof(
-    statement: TheoremStatement,
-    proof: Proof,
-    registry: Optional[Mapping[str, Optional[TheoremStatement]]] = None,
+    statement: TheoremStatement, proof: Proof, registry: Optional[Registry] = None,
     strict: bool = False,
 ) -> CheckReport:
     """Check one proof against its statement.
@@ -697,22 +675,21 @@ def check_proof(
     Status is ok iff every step is justified, every trichotomy branch
     closes, and the qed citations establish every conclusion.
     """
-    ctx = _Ctx(statement, registry, strict)
     try:
-        state = initial_state(statement)
+        state = initial_state(statement, registry, strict)
     except (ValueError, KernelError) as exc:
         return bad_statement(statement.name, exc)
     error = None
     try:
-        _run_steps(state, proof.steps, ctx)
-        try:
-            _check_covered(state, proof.qed_refs, statement.conclusions, ctx, "qed")
-        except KernelError as exc:
-            raise _ProofFailed("qed", proof.line, str(exc)) from exc
+        _run_steps(state, proof.steps)
+        _check_covered(state, proof.qed_refs, statement.conclusions, "qed")
     except _ProofFailed as failure:
-        error = f"{failure.where} (line {failure.line}): {failure}"
+        where, _, detail, line = failure.args[0]
+        error = f"{where} (line {line}): {detail}"
+    except KernelError as exc:  # at qed
+        error = f"qed (line {proof.line}): {exc}"
     return CheckReport(
-        statement.name, "failed" if error is not None else "ok", ctx.results,
-        tuple(ctx.rule_uses), tuple(dict.fromkeys(ctx.lemma_uses)),
-        ctx.side_conditions, list(ctx.assumed), error,
+        statement.name, "failed" if error is not None else "ok", state.results,
+        tuple(state.rule_uses), tuple(dict.fromkeys(state.lemma_uses)), state.side_conditions,
+        error,
     )

@@ -815,7 +815,6 @@ def conjecture_statement(name: str, points: Sequence[str]) -> TheoremStatement:
     check_conjecture(name, points)
     return TheoremStatement(
         name=name,
-        tags=frozenset(),
         points=tuple(points),
         hypotheses=(("nondeg", non_collinear(*points[:3])),),
         conclusions=(),

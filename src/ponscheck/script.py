@@ -23,12 +23,12 @@ number (the garbage collector does not track strings).  A column is
 worked out only when an error is raised, by matching that one source
 line again.  The parser never raises anything but ParseError on
 malformed input, whatever the bytes were.  It emits the kernel's steps
-and proofs, with a segment as a point pair: a rule step keeps its fact
-and instantiation as written (format_script prints them, the kernel
-resolves them), and a proof its qed line.  It resolves no name; the
-kernel does.  Syntax nodes, blocks and scripts are NamedTuples (see
-kernel.node), compared without their source line, so that
-parse(format_script(x)) == x.
+and proofs, with a segment as a point pair and a citation as its name: a
+rule step keeps its fact and points as written (format_script prints
+them, the kernel resolves them), and a proof its qed line.  It resolves
+no name; the kernel does.  Syntax nodes, blocks and scripts are
+NamedTuples (see kernel.node), compared without their source line, so
+that parse(format_script(x)) == x.
 """
 
 from __future__ import annotations
@@ -41,11 +41,9 @@ from .kernel import (
     CasesStep,
     ExtendStep,
     FactAst,
-    InstAst,
     LayoffStep,
     LemmaStep,
     Proof,
-    Ref,
     RuleStep,
     Step,
     node,
@@ -61,7 +59,6 @@ TAG_NAMES = ("neutral", "euclidean")
 
 _MAX_CASE_DEPTH = 64
 _KINDS = ("lt", "eq", "gt")  # the branches of a case split, in order
-_REFL = Ref("refl")  # one citation object serves every `refl`
 _T = TypeVar("_T")
 _new = tuple.__new__  # builds a node without its Python-level __new__
 
@@ -205,7 +202,7 @@ class _Parser:
         self.toks: List[str] = []
         self.lines: List[int] = []  # each token's source line
         self.pos, self.tok = -1, _NL
-        self.cited: Dict[str, Optional[Tuple[Ref, ...]]] = {}
+        self.cited: Dict[str, Optional[Tuple[str, ...]]] = {}
         self.seen: Tuple[int, Optional[str], Optional[re.Match]] = (-1, None, None)
 
     # -- line path
@@ -312,17 +309,13 @@ class _Parser:
         if self.tok and self.tok != _NL:
             raise self.fail("expected end of line", ("newline",))
 
-    def cite(self, text: str) -> Optional[Tuple[Ref, ...]]:
-        """A matched refs group's citations; None if one is a reserved word."""
+    def cite(self, text: str) -> Optional[Tuple[str, ...]]:
+        """A matched refs group's citations; None if one is a reserved word
+        other than `refl`."""
         if text not in self.cited:
-            if text.isidentifier():  # one undotted label, the common case
-                refs = (_REFL,) if text == "refl" else (_new(Ref, ("label", text)),)
-            else:
-                refs = tuple(
-                    _REFL if label == "refl" else Ref("label", label)
-                    for label in "".join(text.split()).split(",")
-                )
-            self.cited[text] = None if any(r.label in KEYWORDS for r in refs) else refs
+            refs = (text,) if text.isidentifier() else tuple("".join(text.split()).split(","))
+            ok = all(r == "refl" or r not in KEYWORDS for r in refs)
+            self.cited[text] = refs if ok else None
         return self.cited[text]
 
     def ident(self, what: str, allow_dots: bool = False, allow_keyword: bool = False) -> str:
@@ -511,8 +504,7 @@ class _Parser:
                         inst = g[19:25] if flat is None else tuple("".join(flat.split()).split(","))
                         if cited and disjoint(fact[1] + inst):  # its points
                             i += 1
-                            inst = _new(InstAst, (inst, flat is None))
-                            step = _new(RuleStep, (label, fact, g[18], inst, cited, i))
+                            step = _new(RuleStep, (label, fact, g[18], inst, flat is None, cited, i))
                     elif g[27] and disjoint(g[27:32]):
                         i += 1
                         step = _new(ExtendStep, (label, g[27], g[28], g[29:31], g[31], i))
@@ -607,8 +599,8 @@ class _Parser:
         fact = self.parse_fact(allow_absurd=True)
         self.expect("by")
         rule = self.ident("rule name", allow_keyword=True)
-        inst = self.parse_inst()
-        return RuleStep(label, fact, rule, inst, self.parse_from(), line)
+        points, triples = self.parse_inst()
+        return RuleStep(label, fact, rule, points, triples, self.parse_from(), line)
 
     def parse_segterm(self) -> Tuple[str, str]:
         self.expect("seg")
@@ -644,17 +636,18 @@ class _Parser:
             return self.advance()
         raise self.fail("expected a comparison", ("==", "<"))
 
-    def parse_inst(self) -> InstAst:
+    def parse_inst(self) -> Tuple[Tuple[str, ...], bool]:
+        """A rule step's points, and whether they were written as two triples."""
         self.expect("[")
         if self.tok == "(":
             first = self.parse_triple()
             self.expect(",")
             second = self.parse_triple()
             self.expect("]")
-            return InstAst(first + second, triples=True)
+            return first + second, True
         pts = self.comma_list(self.point)
         self.expect("]")
-        return InstAst(pts, triples=False)
+        return pts, False
 
     def parse_triple(self) -> Tuple[str, str, str]:
         self.expect("(")
@@ -666,19 +659,17 @@ class _Parser:
         self.expect(")")
         return (a, b, c)
 
-    def parse_from(self) -> Tuple[Ref, ...]:
+    def parse_from(self) -> Tuple[str, ...]:
         """`from` and the citations that end a row."""
         self.expect("from")
         refs = self.comma_list(self.parse_ref)
         self.end_line()
         return refs
 
-    def parse_ref(self) -> Ref:
-        if self.accept("refl"):
-            return _REFL
+    def parse_ref(self) -> str:
         if self.tok == "sym":
             raise self.error("`sym` is gone: cite the label itself", ("label",))
-        return Ref("label", self.ident("label", allow_dots=True))
+        return self.advance() if self.tok == "refl" else self.ident("label", allow_dots=True)
 
 
 def parse(text: str) -> ScriptAst:
@@ -731,22 +722,18 @@ def _fmt_fact(fact: FactAst) -> str:
     return "absurd"  # absurd, the one kind left
 
 
-def _fmt_refs(refs: Tuple[Ref, ...]) -> str:
-    return ", ".join(repr(r) for r in refs)
-
-
-def _fmt_inst(inst: InstAst) -> str:
-    if inst.triples:
-        p = inst.points
+def _fmt_inst(step: RuleStep) -> str:
+    p = step.points
+    if step.triples:
         return f"[({p[0]},{p[1]},{p[2]}),({p[3]},{p[4]},{p[5]})]"
-    return "[" + ",".join(inst.points) + "]"
+    return "[" + ",".join(p) + "]"
 
 
 def _fmt_step(step: Step, indent: str, out: List[str]) -> None:
     if isinstance(step, RuleStep):
         out.append(
             f"{indent}{step.label}: {_fmt_fact(step.fact)} by {step.rule_id}"
-            f"{_fmt_inst(step.inst)} from {_fmt_refs(step.refs)}"
+            f"{_fmt_inst(step)} from {', '.join(step.refs)}"
         )
     elif isinstance(step, ExtendStep):
         out.append(
@@ -756,7 +743,7 @@ def _fmt_step(step: Step, indent: str, out: List[str]) -> None:
     elif isinstance(step, LayoffStep):
         out.append(
             f"{indent}{step.label}: layoff {step.start} toward {step.toward} by "
-            f"seg {' '.join(step.seg)} as {step.fresh} from {_fmt_refs(step.refs)}"
+            f"seg {' '.join(step.seg)} as {step.fresh} from {', '.join(step.refs)}"
         )
     elif isinstance(step, LemmaStep):
         text = f"{indent}{step.label}: lemma {step.lemma}({','.join(step.args)})"
@@ -771,7 +758,7 @@ def _fmt_step(step: Step, indent: str, out: List[str]) -> None:
             for inner in branch.steps:
                 _fmt_step(inner, indent + "  ", out)
             out.append(
-                f"{indent}  close {branch.close_kind} from {_fmt_refs(branch.close_refs)}"
+                f"{indent}  close {branch.close_kind} from {', '.join(branch.close_refs)}"
             )
 
 
@@ -802,5 +789,5 @@ def format_script(ast: ScriptAst) -> str:
             out.append("  proof")
             for step in item.proof.steps:
                 _fmt_step(step, "    ", out)
-            out.append(f"  qed from {_fmt_refs(item.proof.qed_refs)}")
+            out.append(f"  qed from {', '.join(item.proof.qed_refs)}")
     return "\n".join(out) + ("\n" if out else "")

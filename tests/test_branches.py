@@ -10,13 +10,10 @@ from ponscheck.kernel import (
     CasesStep,
     ExtendStep,
     FactAst,
-    InstAst,
     LemmaStep,
     Proof,
-    Ref,
     RuleStep,
     TheoremStatement,
-    _Ctx,
     _run_steps,
     check_proof,
     initial_state,
@@ -25,8 +22,6 @@ from ponscheck.script import parse
 from ponscheck.terms import PointId, between, non_collinear, seg_eq, segment
 
 P = PointId
-LBL = lambda s: Ref("label", s)  # noqa: E731
-REFL = Ref("refl")
 
 
 def _nc(a, b, c):
@@ -39,13 +34,12 @@ def _seg_refl(a, b):
 
 def _rule(label, kind, points, rule_id, inst, refs):
     """A rule step as the parser builds it from its written form."""
-    return RuleStep(label, FactAst(kind, points), rule_id, InstAst(inst), refs)
+    return RuleStep(label, FactAst(kind, points), rule_id, inst, False, refs)
 
 
 # D lies between A and B, so {A, B, D} is a recorded line from the start.
 STATEMENT = TheoremStatement(
     name="probe",
-    tags=frozenset(),
     points=("A", "B", "C", "D", "E"),
     hypotheses=(("h1", _nc("A", "B", "C")), ("h2", between(P("D"), P("A"), P("B")))),
     conclusions=(_nc("A", "B", "C"),),
@@ -54,14 +48,12 @@ STATEMENT = TheoremStatement(
 REGISTRY = {
     "needs_nc": TheoremStatement(
         name="needs_nc",
-        tags=frozenset(),
         points=("X", "Y", "Z"),
         hypotheses=(("k1", _nc("X", "Y", "Z")),),
         conclusions=(_seg_refl("X", "Y"),),
     ),
     "make_line": TheoremStatement(
         name="make_line",
-        tags=frozenset(),
         points=("X", "Y", "Z"),
         hypotheses=(),
         conclusions=(between(P("Y"), P("X"), P("Z")),),
@@ -72,16 +64,16 @@ REGISTRY = {
 # kernel gives when the step runs where the introduction is not visible.
 INTRODUCE_AND_USE = {
     "label": (
-        _rule("x", "seg_eq", ("A", "B", "A", "B"), "SEG_REFL", ("A", "B"), (REFL,)),
+        _rule("x", "seg_eq", ("A", "B", "A", "B"), "SEG_REFL", ("A", "B"), ("refl",)),
         _rule(
             "u", "seg_eq", ("A", "B", "A", "B"), "SEG_TRANS", ("A", "B", "A", "B", "A", "B"),
-            (LBL("x"), LBL("x")),
+            ("x", "x"),
         ),
         "UnknownPremise",
     ),
     "point": (
         ExtendStep("x", "A", "B", ("A", "C"), "F"),
-        _rule("u", "seg_eq", ("A", "F", "A", "F"), "SEG_REFL", ("A", "F"), (REFL,)),
+        _rule("u", "seg_eq", ("A", "F", "A", "F"), "SEG_REFL", ("A", "F"), ("refl",)),
         "point F is not in scope",
     ),
     # strict mode derives noncollinear(A,C,D) by NC_TRANSFER from h1 and
@@ -89,7 +81,7 @@ INTRODUCE_AND_USE = {
     "nc_transfer": (
         _rule(
             "x", "seg_eq", ("C", "D", "C", "D"), "SAS_ORD", ("A", "D", "C", "A", "D", "C"),
-            (REFL, REFL, REFL),
+            ("refl", "refl", "refl"),
         ),
         LemmaStep("u", "needs_nc", ("A", "D", "C"), ()),
         "HypothesisNotSatisfied",
@@ -99,7 +91,7 @@ INTRODUCE_AND_USE = {
         LemmaStep("x", "make_line", ("C", "E", "A"), ()),
         _rule(
             "u", "noncollinear", ("A", "B", "E"), "NC_TRANSFER", ("A", "C", "B", "A", "E"),
-            (LBL("h1"),),
+            ("h1",),
         ),
         "are not on one recorded line",
     ),
@@ -108,11 +100,11 @@ INTRODUCE_AND_USE = {
 
 def _proof(lt=(), eq=(), gt=(), after=()):
     branches = tuple(
-        CaseBranch(kind, tuple(steps), "goal", (LBL("h1"),))
+        CaseBranch(kind, tuple(steps), "goal", ("h1",))
         for kind, steps in (("lt", lt), ("eq", eq), ("gt", gt))
     )
     cases = CasesStep("c1", ("A", "B"), ("A", "C"), branches)
-    return Proof((cases,) + tuple(after), (LBL("h1"),))
+    return Proof((cases,) + tuple(after), ("h1",))
 
 
 def _check(proof):
@@ -161,9 +153,9 @@ def test_kernel_parent_gains_only_the_split_label():
         for i, (intro, _, _) in enumerate(INTRODUCE_AND_USE.values())
     ]
     for lt in (introductions, ()):  # every branch empty in the second run
-        state = initial_state(STATEMENT)
+        state = initial_state(STATEMENT, REGISTRY, strict=True)
         before = _snapshot(state)
-        _run_steps(state, _proof(lt=lt).steps, _Ctx(STATEMENT, REGISTRY, strict=True))
+        _run_steps(state, _proof(lt=lt).steps)
         known, facts, points, lines, nc, assumptions, trail = _snapshot(state)
         assert facts.pop("c1") == STATEMENT.conclusions
         assert (known, facts, points, lines, nc, assumptions) == before[:-1]
@@ -171,21 +163,21 @@ def test_kernel_parent_gains_only_the_split_label():
 
 
 # A branch with no steps only names its assumption, and only until it closes.
-_CITES_LT = (LBL("h1"), LBL("c1.lt"))
+_CITES_LT = ("h1", "c1.lt")
 
 
 @pytest.mark.parametrize("where", ["eq", "gt", "after"])
 def test_kernel_empty_branch_label_is_gone_after_its_close(where):
     branches = tuple(
-        CaseBranch(kind, (), "goal", _CITES_LT if kind in ("lt", where) else (LBL("h1"),))
+        CaseBranch(kind, (), "goal", _CITES_LT if kind in ("lt", where) else ("h1",))
         for kind in ("lt", "eq", "gt")
     )
     after = _rule(
         "u", "seg_eq", ("A", "B", "A", "B"), "SEG_TRANS", ("A", "B", "A", "B", "A", "B"),
-        (LBL("c1.lt"), LBL("c1.lt")),
+        ("c1.lt", "c1.lt"),
     )
     steps = (CasesStep("c1", ("A", "B"), ("A", "C"), branches),)
-    report = _check(Proof(steps + ((after,) if where == "after" else ()), (LBL("h1"),)))
+    report = _check(Proof(steps + ((after,) if where == "after" else ()), ("h1",)))
     assert report.status == "failed"
     (failed,) = [s for s in report.steps if not s.ok]
     if where == "after":
@@ -193,7 +185,7 @@ def test_kernel_empty_branch_label_is_gone_after_its_close(where):
         assert failed.detail == "UnknownPremise: no step or hypothesis labeled c1.lt"
     else:
         assert failed.label == f"c1 case {where} close"
-        assert failed.detail == "no step or hypothesis labeled c1.lt"
+        assert failed.detail == "UnknownPremise: no step or hypothesis labeled c1.lt"
 
 
 @pytest.mark.parametrize("lt_steps", [(), (INTRODUCE_AND_USE["point"][0],)], ids=["none", "one"])
@@ -308,7 +300,7 @@ def test_pons_split_parsed_as_written_is_ok():
 
 
 # a branch that does not establish the goal
-_UNCLOSED = CaseBranch("gt", (), "goal", (LBL("h2"),))
+_UNCLOSED = CaseBranch("gt", (), "goal", ("h2",))
 
 
 @pytest.mark.parametrize(

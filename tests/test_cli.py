@@ -406,6 +406,19 @@ def test_a_byte_order_mark_reads_as_its_plain_twin(tmp_path, capsys, argv):
     assert outputs[0] == outputs[1] and outputs[0].out and outputs[0].err == ""
 
 
+@pytest.mark.parametrize("data, position", [
+    (b"\xef\xbb\xbftheorem \xff\n", 11), (b"theorem \xff\n", 8),
+], ids=["bom", "plain"])
+def test_a_bad_byte_is_placed_at_its_offset_in_the_file(tmp_path, capsys, data, position):
+    """A byte-order mark counts toward the position a decode error names."""
+    p = tmp_path / "bad.proof"
+    p.write_bytes(data)
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"can't decode byte 0xff in position {position}:" in err
+    assert "Traceback" not in err
+
+
 def test_no_input_exits_two(capsys):
     assert main(["check"]) == 2
     assert "no input" in capsys.readouterr().err
@@ -1195,13 +1208,13 @@ MODEL_DIGESTS = [
     ),
     (
         ["--json", "--model", "all", "--trials", "40", "--seed", "5", "--tol", "1e-6"],
-        "6643d8c46cb7cb4349ef3efa42fbe54951a23efa9a50e4ad976356b73701f6c9",
+        "963884d2ba660b2221c6444b6b64e472db4990d4db6431a82f179eaec495f79c",
     ),
-    # recorded when the tolerance moved onto the model (`--tol` measures
-    # with a tuned copy); the same bytes as the tolerance profile printed
+    # recorded when the report gained its `tol` key; without that key, the
+    # bytes the tolerance profile printed
     (
         ["--json", "--tol", "1e-6", "--seed", "3", "--trials", "60"],
-        "5bd1ca36789d9f242aa1045ca59d1a6dd1c849455589f3eaf14aa1c9053c3046",
+        "4cf840d8bfb798b489c1ca948774429f0bc9e938e76e11af06f2cbec8a07a950",
     ),
     (
         ["--tol", "1e-4", "--model", "sphere", "--seed", "4", "--trials", "60"],
@@ -1215,7 +1228,11 @@ MODEL_DIGESTS = [
 ])
 def test_model_corpus_output_is_byte_identical(capsys, argv, digest):
     assert main(["model", "--corpus"] + argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if "--json" in argv:  # the report records a given tolerance, and only a given one
+        tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else None
+        assert json.loads(out).get("tol") == tol
 
 
 def test_a_tolerance_run_leaves_the_shared_models_as_they_were(capsys):

@@ -11,13 +11,14 @@ from ponscheck.elaborate import collect_statements, elaborate_script
 from ponscheck.kernel import (
     CaseBranch,
     CasesStep,
+    KernelError,
     LayoffStep,
     Proof,
-    Ref,
     RuleStep,
     check_proof,
 )
 from ponscheck.script import parse
+from test_rules_kernel import _cases_chain, _extend_chain, _refl_chain
 
 # Rules in first-citation order, as the reports record them.
 GOLDEN_RULE_USES = {
@@ -173,9 +174,8 @@ def _deletion_mutants(proof: Proof) -> List[Proof]:
     ]
 
 
-def _corrupt_ref_tuple(refs: Tuple[Ref, ...], idx: int) -> Tuple[Ref, ...]:
-    ref = refs[idx]
-    return refs[:idx] + (Ref(ref.kind, BOGUS),) + refs[idx + 1 :]
+def _corrupt_ref_tuple(refs: Tuple[str, ...], idx: int) -> Tuple[str, ...]:
+    return refs[:idx] + (BOGUS,) + refs[idx + 1 :]
 
 
 def _ref_sites(steps: Tuple, rebuild):
@@ -186,7 +186,7 @@ def _ref_sites(steps: Tuple, rebuild):
 
         if isinstance(step, (RuleStep, LayoffStep)):
             for ri, ref in enumerate(step.refs):
-                if ref.kind == "label":
+                if ref != "refl":
                     yield lambda step=step, ri=ri, rb=rebuild_step: rb(
                         step._replace(refs=_corrupt_ref_tuple(step.refs, ri))
                     )
@@ -202,7 +202,7 @@ def _ref_sites(steps: Tuple, rebuild):
                     )
 
                 for ri, ref in enumerate(branch.close_refs):
-                    if ref.kind == "label":
+                    if ref != "refl":
                         yield lambda branch=branch, ri=ri, rb=rebuild_branch: rb(
                             branch._replace(
                                 close_refs=_corrupt_ref_tuple(branch.close_refs, ri),
@@ -219,7 +219,7 @@ def _citation_mutants(proof: Proof) -> List[Proof]:
     ):
         out.append(make())
     for ri, ref in enumerate(proof.qed_refs):
-        if ref.kind == "label":
+        if ref != "refl":
             out.append(
                 proof._replace(qed_refs=_corrupt_ref_tuple(proof.qed_refs, ri))
             )
@@ -262,3 +262,23 @@ def test_citation_corruption_is_located(pipeline):
     assert rep.status == "failed"
     failing = [sr.label for sr in rep.steps if not sr.ok]
     assert failing == ["s4"]
+
+
+def test_every_failed_step_names_its_kernel_error(pipeline):
+    """The detail of a failed step or case close starts with the name of
+    the KernelError class that failed it, over every damaged corpus proof
+    and a defective chain of each long-proof shape."""
+    blocks, registry, _ = pipeline
+    names = {KernelError.__name__} | {c.__name__ for c in KernelError.__subclasses__()}
+    reports = [
+        check_proof(b.statement, mutant, registry)
+        for b in blocks
+        if b.name in PROVED_NAMES and b.proof is not None
+        for mutant in _deletion_mutants(b.proof) + _citation_mutants(b.proof)
+    ]
+    for make in (_extend_chain, _cases_chain, _refl_chain):
+        (block,) = chain = elaborate_script(parse(make(200, 70)))
+        reports.append(check_proof(block.statement, block.proof, collect_statements(chain), True))
+    failed = [r for report in reports for r in report.steps if not r.ok]
+    assert any(r.label.endswith(" close") for r in failed)
+    assert [r.detail for r in failed if r.detail.partition(": ")[0] not in names] == []

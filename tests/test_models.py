@@ -63,7 +63,6 @@ ORACLE_TOL = {"euclidean": 1e-9, "poincare": 1e-7, "sphere": 1e-7}
 def _statement(points, hypotheses, conclusions, introduced=()):
     return TheoremStatement(
         name="t",
-        tags=frozenset({"neutral"}),
         points=points,
         hypotheses=hypotheses,
         conclusions=conclusions,

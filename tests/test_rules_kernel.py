@@ -22,11 +22,9 @@ from ponscheck.kernel import (
     CasesStep,
     ExtendStep,
     FactAst,
-    InstAst,
     LayoffStep,
     LemmaStep,
     Proof,
-    Ref,
     RuleStep,
     SideConditionRecord,
     StepResult,
@@ -53,8 +51,6 @@ from ponscheck.terms import (
 )
 
 P = PointId
-LBL = lambda s: Ref("label", s)
-REFL = Ref("refl")
 
 EXPECTED_RULES = (
     "ABSURD_LT_EQ_ANG",
@@ -124,7 +120,7 @@ def test_rule_arity_enforced():
     as DegenerateInstantiation, whose points coincide."""
     step = _pons_proof().steps[0]
     for inst in (("A", "B"), ("A", "B", "C", "A", "C", "B", "C")):
-        proof = Proof((step._replace(inst=InstAst(inst)),), (LBL("s1"),), 2)
+        proof = Proof((step._replace(points=inst),), ("s1",), 2)
         report = check_proof(_pons_statement(), proof)
         detail = f"ArityMismatch: SAS_ORD expects 6 points, got {len(inst)}"
         assert report.steps == [StepResult("s1", False, detail, 1)]
@@ -222,7 +218,6 @@ def test_renaming_twice_is_renaming_by_the_composite(image1, image2):
 def _pons_statement() -> TheoremStatement:
     return TheoremStatement(
         name="pons",
-        tags=frozenset({"NEUTRAL"}),
         points=("A", "B", "C"),
         hypotheses=(
             ("h1", seg_eq(segment(P("A"), P("B")), segment(P("A"), P("C")))),
@@ -238,11 +233,11 @@ def _pons_proof() -> Proof:
         label="s1",
         fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
         rule_id="SAS_ORD",
-        inst=InstAst(("A", "B", "C", "A", "C", "B")),
-        refs=(LBL("h1"), LBL("h1"), REFL),
+        points=("A", "B", "C", "A", "C", "B"), triples=False,
+        refs=("h1", "h1", "refl"),
         line=1,
     )
-    return Proof(steps=(step,), qed_refs=(LBL("s1"),), line=2)
+    return Proof(steps=(step,), qed_refs=("s1",), line=2)
 
 
 def test_mirror_sas_closes_pons():
@@ -258,7 +253,7 @@ _NC = ("h1", non_collinear(P("A"), P("B"), P("C")))
 
 def _statement(name, hypotheses, conclusions):
     return TheoremStatement(
-        name=name, tags=frozenset(), points=("A", "B", "C"),
+        name=name, points=("A", "B", "C"),
         hypotheses=hypotheses, conclusions=conclusions,
     )
 
@@ -276,11 +271,11 @@ def _through_lemma(hypotheses, conclusions):
 UNDECLARED_POINT = {
     "hypothesis": lambda: (
         _statement("hyp", (("h1", seg_eq(_AB, _AD)),), (seg_eq(_AB, _AD),)),
-        Proof((), (LBL("h1"),)), {},
+        Proof((), ("h1",)), {},
     ),
     "conclusion": lambda: (
         _statement("concl", (_NC,), (seg_eq(_BD, _AB),)),
-        Proof((ExtendStep("e1", "A", "B", ("A", "B"), "D", 1),), (LBL("e1"),)), {},
+        Proof((ExtendStep("e1", "A", "B", ("A", "B"), "D", 1),), ("e1",)), {},
     ),
     "lemma_hypothesis": lambda: _through_lemma((_NC, ("h2", seg_eq(_AB, _AD))), ()),
     "lemma_conclusion": lambda: _through_lemma((_NC,), (seg_eq(_AB, _AD),)),
@@ -306,12 +301,12 @@ def test_unknown_premise_label_fails():
                 label="s1",
                 fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
                 rule_id="SAS_ORD",
-                inst=InstAst(("A", "B", "C", "A", "C", "B")),
-                refs=(LBL("nope"), LBL("h1"), REFL),
+                points=("A", "B", "C", "A", "C", "B"), triples=False,
+                refs=("nope", "h1", "refl"),
                 line=1,
             ),
         ),
-        qed_refs=(LBL("s1"),),
+        qed_refs=("s1",),
     )
     report = check_proof(_pons_statement(), bad)
     assert report.status == "failed"
@@ -320,7 +315,6 @@ def test_unknown_premise_label_fails():
 
 _BOUNDED = TheoremStatement(
     name="bounded",
-    tags=frozenset(),
     points=("A", "B", "C"),
     hypotheses=(_NC, ("h3", seg_lt(_AB, segment(P("A"), P("C"))))),
     conclusions=(_NC[1],),
@@ -330,10 +324,10 @@ _BOUNDED = TheoremStatement(
 def _closes(lt_refs):
     """A split whose three branches close the goal, `lt` from `lt_refs`."""
     branches = tuple(
-        CaseBranch(kind, (), "goal", lt_refs if kind == "lt" else (LBL("h1"),), 3 + i)
+        CaseBranch(kind, (), "goal", lt_refs if kind == "lt" else ("h1",), 3 + i)
         for i, kind in enumerate(("lt", "eq", "gt"))
     )
-    return Proof((CasesStep("c1", ("A", "B"), ("A", "C"), branches, 2),), (LBL("c1"),), 6)
+    return Proof((CasesStep("c1", ("A", "B"), ("A", "C"), branches, 2),), ("c1",), 6)
 
 
 # Each cites r9, which names nothing, after a citation that alone covers.
@@ -341,7 +335,7 @@ CITES_AFTER_A_COVERING_ONE = {
     "qed": lambda refs: Proof((), refs, 2),
     "close": _closes,
     "layoff": lambda refs: Proof(
-        (LayoffStep("l1", "A", "C", ("A", "B"), "D", refs, 2),), (LBL("h1"),), 3
+        (LayoffStep("l1", "A", "C", ("A", "B"), "D", refs, 2),), ("h1",), 3
     ),
 }
 
@@ -349,9 +343,9 @@ CITES_AFTER_A_COVERING_ONE = {
 @pytest.mark.parametrize("where", sorted(CITES_AFTER_A_COVERING_ONE))
 def test_every_cited_label_must_resolve(where):
     make = CITES_AFTER_A_COVERING_ONE[where]
-    covering = LBL("h3") if where == "layoff" else LBL("h1")
+    covering = "h3" if where == "layoff" else "h1"
     assert check_proof(_BOUNDED, make((covering,))).status == "ok"
-    report = check_proof(_BOUNDED, make((covering, LBL("r9"))))
+    report = check_proof(_BOUNDED, make((covering, "r9")))
     assert report.status == "failed"
     assert "no step or hypothesis labeled r9" in report.error
 
@@ -363,12 +357,12 @@ def test_premise_mismatch_fails():
                 label="s1",
                 fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
                 rule_id="SAS_ORD",
-                inst=InstAst(("A", "B", "C", "A", "C", "B")),
-                refs=(LBL("h2"), LBL("h1"), REFL),
+                points=("A", "B", "C", "A", "C", "B"), triples=False,
+                refs=("h2", "h1", "refl"),
                 line=1,
             ),
         ),
-        qed_refs=(LBL("s1"),),
+        qed_refs=("s1",),
     )
     report = check_proof(_pons_statement(), bad)
     assert report.status == "failed"
@@ -382,12 +376,12 @@ def test_refl_only_fills_reflexive_premises():
                 label="s1",
                 fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
                 rule_id="SAS_ORD",
-                inst=InstAst(("A", "B", "C", "A", "C", "B")),
-                refs=(REFL, LBL("h1"), REFL),
+                points=("A", "B", "C", "A", "C", "B"), triples=False,
+                refs=("refl", "h1", "refl"),
                 line=1,
             ),
         ),
-        qed_refs=(LBL("s1"),),
+        qed_refs=("s1",),
     )
     # SegEq(seg(A,B), seg(A,C)) is not reflexive, so refl must be rejected
     report = check_proof(_pons_statement(), bad)
@@ -401,12 +395,12 @@ def test_conclusion_must_match_schema():
                 label="s1",
                 fact=FactAst("seg_eq", ("A", "B", "A", "C")),
                 rule_id="SAS_ORD",
-                inst=InstAst(("A", "B", "C", "A", "C", "B")),
-                refs=(LBL("h1"), LBL("h1"), REFL),
+                points=("A", "B", "C", "A", "C", "B"), triples=False,
+                refs=("h1", "h1", "refl"),
                 line=1,
             ),
         ),
-        qed_refs=(LBL("s1"),),
+        qed_refs=("s1",),
     )
     report = check_proof(_pons_statement(), bad)
     assert report.status == "failed"
@@ -419,19 +413,19 @@ def test_degenerate_instantiation_fails():
                 label="s1",
                 fact=FactAst("ang_eq", ("A", "B", "C", "A", "C", "B")),
                 rule_id="SAS_ORD",
-                inst=InstAst(("A", "A", "C", "A", "C", "A")),
-                refs=(LBL("h1"), LBL("h1"), REFL),
+                points=("A", "A", "C", "A", "C", "A"), triples=False,
+                refs=("h1", "h1", "refl"),
                 line=1,
             ),
         ),
-        qed_refs=(LBL("s1"),),
+        qed_refs=("s1",),
     )
     report = check_proof(_pons_statement(), bad)
     assert report.status == "failed"
 
 
 def test_qed_must_cover_conclusions():
-    proof = Proof(steps=_pons_proof().steps, qed_refs=(LBL("h1"),))
+    proof = Proof(steps=_pons_proof().steps, qed_refs=("h1",))
     report = check_proof(_pons_statement(), proof)
     assert report.status == "failed"
 
@@ -440,7 +434,6 @@ def test_side_condition_assumed_permissive_failed_strict():
     # same proof but the statement gives no noncollinearity hypothesis
     stmt = TheoremStatement(
         name="pons_degenerate",
-        tags=frozenset(),
         points=("A", "B", "C"),
         hypotheses=(
             ("h1", seg_eq(segment(P("A"), P("B")), segment(P("A"), P("C")))),
@@ -457,7 +450,6 @@ def test_side_condition_assumed_permissive_failed_strict():
 def test_side_condition_fails_when_provably_collinear():
     stmt = TheoremStatement(
         name="collinear_sas",
-        tags=frozenset(),
         points=("A", "B", "C"),
         hypotheses=(
             ("h1", seg_eq(segment(P("A"), P("B")), segment(P("A"), P("C")))),
@@ -476,7 +468,6 @@ def test_nc_transfer_probe_derives_side_condition():
     # noncollinear(A,D,C), derivable by transferring along the line
     stmt = TheoremStatement(
         name="transfer",
-        tags=frozenset(),
         points=("A", "B", "C", "D"),
         hypotheses=(
             ("h1", non_collinear(P("A"), P("B"), P("C"))),
@@ -491,12 +482,12 @@ def test_nc_transfer_probe_derives_side_condition():
                 label="s1",
                 fact=FactAst("ang_eq", ("A", "D", "C", "A", "C", "D")),
                 rule_id="SAS_ORD",
-                inst=InstAst(("A", "D", "C", "A", "C", "D")),
-                refs=(LBL("h3"), LBL("h3"), REFL),
+                points=("A", "D", "C", "A", "C", "D"), triples=False,
+                refs=("h3", "h3", "refl"),
                 line=1,
             ),
         ),
-        qed_refs=(LBL("s1"),),
+        qed_refs=("s1",),
     )
     report = check_proof(stmt, proof, strict=True)
     assert report.status == "ok"
@@ -548,10 +539,9 @@ def test_a_transferred_side_condition_is_known_afterwards():
     probe, which makes the fact known: the second is derived from the known
     set, and a lemma whose hypothesis it is applies."""
     nc = lambda x, y, z: non_collinear(P(x), P(y), P(z))
-    lemma = TheoremStatement("nc", frozenset(), _ABC, (("h", nc(*_ABC)),), (nc(*_ABC),))
+    lemma = TheoremStatement("nc", _ABC, (("h", nc(*_ABC)),), (nc(*_ABC),))
     statement = TheoremStatement(
         name="transfer",
-        tags=frozenset(),
         points=("A", "B", "C", "D"),
         hypotheses=(
             ("h1", nc("A", "B", "C")),
@@ -563,8 +553,8 @@ def test_a_transferred_side_condition_is_known_afterwards():
     sas = ("A", "D", "C", "A", "C", "D")
     proof = Proof(
         (
-            RuleStep("s1", FactAst("ang_eq", sas), "SAS_ORD", InstAst(sas),
-                     (LBL("h3"), LBL("h3"), REFL), 1),
+            RuleStep("s1", FactAst("ang_eq", sas), "SAS_ORD", sas, False,
+                     ("h3", "h3", "refl"), 1),
             LemmaStep("l1", "nc", ("A", "C", "D"), (), 2),
         ),
         (),
@@ -580,7 +570,6 @@ def test_a_transferred_side_condition_is_known_afterwards():
 def _statement_with_lt() -> TheoremStatement:
     return TheoremStatement(
         name="lay",
-        tags=frozenset(),
         points=("A", "B", "C", "D"),
         hypotheses=(
             ("h1", seg_lt(segment(P("C"), P("D")), segment(P("A"), P("B")))),
@@ -618,7 +607,7 @@ def test_layoff_with_bound_places_point():
                 toward="B",
                 seg=("C", "D"),
                 fresh="E",
-                refs=(LBL("h1"),),
+                refs=("h1",),
                 line=1,
             ),
         ),
@@ -631,7 +620,6 @@ def test_layoff_with_bound_places_point():
 def test_extend_records_both_facts():
     stmt = TheoremStatement(
         name="ext",
-        tags=frozenset(),
         points=("A", "B"),
         hypotheses=(),
         conclusions=(),
@@ -643,8 +631,8 @@ def test_extend_records_both_facts():
         label="s2",
         fact=FactAst("seg_lt", ("A", "B", "A", "D")),
         rule_id="WHOLE_PART_SEG",
-        inst=InstAst(("A", "B", "D")),
-        refs=(LBL("e1"),),
+        points=("A", "B", "D"), triples=False,
+        refs=("e1",),
         line=2,
     )
     report = check_proof(stmt, Proof(steps=(ext, s2), qed_refs=()))
@@ -654,7 +642,6 @@ def test_extend_records_both_facts():
 def test_absurd_outside_case_analysis_fails():
     stmt = TheoremStatement(
         name="oops",
-        tags=frozenset(),
         points=("A", "B", "C", "D"),
         hypotheses=(
             ("h1", seg_lt(segment(P("A"), P("B")), segment(P("C"), P("D")))),
@@ -668,8 +655,8 @@ def test_absurd_outside_case_analysis_fails():
                 label="s1",
                 fact=FactAst("absurd"),
                 rule_id="ABSURD_LT_EQ_SEG",
-                inst=InstAst(("A", "B", "C", "D")),
-                refs=(LBL("h1"), LBL("h2")),
+                points=("A", "B", "C", "D"), triples=False,
+                refs=("h1", "h2"),
                 line=1,
             ),
         ),
@@ -684,7 +671,6 @@ def test_cases_branch_assumptions_and_closure():
     # branches refute themselves, eq branch reaches the goal
     stmt = TheoremStatement(
         name="tri",
-        tags=frozenset(),
         points=("A", "B", "C", "D"),
         hypotheses=(
             ("h1", seg_eq(segment(P("A"), P("B")), segment(P("C"), P("D")))),
@@ -695,10 +681,10 @@ def test_cases_branch_assumptions_and_closure():
         label=f"{which}1",
         fact=FactAst("absurd"),
         rule_id="ABSURD_LT_EQ_SEG",
-        inst=InstAst(("A", "B", "C", "D") if which == "l" else ("C", "D", "A", "B")),
+        points=("A", "B", "C", "D") if which == "l" else ("C", "D", "A", "B"), triples=False,
         refs=(
-            LBL("c1.lt") if which == "l" else LBL("c1.gt"),
-            LBL("h1"),
+            "c1.lt" if which == "l" else "c1.gt",
+            "h1",
         ),
         line=3,
     )
@@ -711,23 +697,23 @@ def test_cases_branch_assumptions_and_closure():
                 kind="lt",
                 steps=(mk_absurd("l"),),
                 close_kind="absurd",
-                close_refs=(LBL("l1"),),
+                close_refs=("l1",),
                 line=2,
             ),
             CaseBranch(
-                kind="eq", steps=(), close_kind="goal", close_refs=(LBL("c1.eq"),), line=4
+                kind="eq", steps=(), close_kind="goal", close_refs=("c1.eq",), line=4
             ),
             CaseBranch(
                 kind="gt",
                 steps=(mk_absurd("g"),),
                 close_kind="absurd",
-                close_refs=(LBL("g1"),),
+                close_refs=("g1",),
                 line=5,
             ),
         ),
         line=1,
     )
-    proof = Proof(steps=(cases,), qed_refs=(LBL("c1"),))
+    proof = Proof(steps=(cases,), qed_refs=("c1",))
     report = check_proof(stmt, proof)
     assert report.status == "ok"
     assert "ABSURD_LT_EQ_SEG" in report.rule_uses
@@ -736,7 +722,6 @@ def test_cases_branch_assumptions_and_closure():
 def test_cases_open_branch_fails():
     stmt = TheoremStatement(
         name="tri_open",
-        tags=frozenset(),
         points=("A", "B", "C", "D"),
         hypotheses=(
             ("h1", seg_eq(segment(P("A"), P("B")), segment(P("C"), P("D")))),
@@ -748,21 +733,20 @@ def test_cases_open_branch_fails():
         left=("A", "B"),
         right=("C", "D"),
         branches=(
-            CaseBranch(kind="lt", steps=(), close_kind="goal", close_refs=(LBL("h1"),), line=2),
-            CaseBranch(kind="eq", steps=(), close_kind="goal", close_refs=(LBL("c1.eq"),), line=3),
-            CaseBranch(kind="gt", steps=(), close_kind="absurd", close_refs=(LBL("h1"),), line=4),
+            CaseBranch(kind="lt", steps=(), close_kind="goal", close_refs=("h1",), line=2),
+            CaseBranch(kind="eq", steps=(), close_kind="goal", close_refs=("c1.eq",), line=3),
+            CaseBranch(kind="gt", steps=(), close_kind="absurd", close_refs=("h1",), line=4),
         ),
         line=1,
     )
     # gt branch cites a non-absurd fact to close an absurd branch
-    report = check_proof(stmt, Proof(steps=(cases,), qed_refs=(LBL("c1"),)))
+    report = check_proof(stmt, Proof(steps=(cases,), qed_refs=("c1",)))
     assert report.status == "failed"
 
 
 def test_lemma_step_instantiates_conclusions():
     helper = TheoremStatement(
         name="foot",
-        tags=frozenset(),
         points=("A", "B", "C"),
         hypotheses=(("h1", non_collinear(P("A"), P("B"), P("C"))),),
         conclusions=(
@@ -773,7 +757,6 @@ def test_lemma_step_instantiates_conclusions():
     )
     stmt = TheoremStatement(
         name="use_foot",
-        tags=frozenset(),
         points=("X", "Y", "Z"),
         hypotheses=(("h1", non_collinear(P("X"), P("Y"), P("Z"))),),
         conclusions=(between(P("M"), P("Y"), P("Z")),),
@@ -783,7 +766,7 @@ def test_lemma_step_instantiates_conclusions():
         steps=(
             LemmaStep(label="l1", lemma="foot", args=("X", "Y", "Z"), fresh=("M",), line=1),
         ),
-        qed_refs=(LBL("l1"),),
+        qed_refs=("l1",),
     )
     report = check_proof(stmt, proof, registry={"foot": helper})
     assert report.status == "ok"
@@ -793,7 +776,6 @@ def test_lemma_step_instantiates_conclusions():
 def test_lemma_hypotheses_must_be_satisfied():
     helper = TheoremStatement(
         name="foot",
-        tags=frozenset(),
         points=("A", "B", "C"),
         hypotheses=(("h1", non_collinear(P("A"), P("B"), P("C"))),),
         conclusions=(between(P("H"), P("B"), P("C")),),
@@ -801,7 +783,6 @@ def test_lemma_hypotheses_must_be_satisfied():
     )
     stmt = TheoremStatement(
         name="no_hyp",
-        tags=frozenset(),
         points=("X", "Y", "Z"),
         hypotheses=(),  # nothing establishes noncollinearity
         conclusions=(between(P("M"), P("Y"), P("Z")),),
@@ -811,7 +792,7 @@ def test_lemma_hypotheses_must_be_satisfied():
         steps=(
             LemmaStep(label="l1", lemma="foot", args=("X", "Y", "Z"), fresh=("M",), line=1),
         ),
-        qed_refs=(LBL("l1"),),
+        qed_refs=("l1",),
     )
     report = check_proof(stmt, proof, registry={"foot": helper})
     assert report.status == "failed"
@@ -820,7 +801,6 @@ def test_lemma_hypotheses_must_be_satisfied():
 def test_unknown_lemma_fails():
     stmt = TheoremStatement(
         name="ghost",
-        tags=frozenset(),
         points=("X", "Y", "Z"),
         hypotheses=(),
         conclusions=(),
@@ -842,7 +822,6 @@ def test_label_matches_equality_either_way():
     enters the rule uses."""
     stmt = TheoremStatement(
         name="flipped",
-        tags=frozenset(),
         points=("A", "B", "C", "D", "E", "F"),
         hypotheses=(
             ("h1", seg_eq(segment(P("A"), P("B")), segment(P("C"), P("D")))),
@@ -856,12 +835,12 @@ def test_label_matches_equality_either_way():
                 label="s1",
                 fact=FactAst("seg_eq", ("E", "F", "A", "B")),
                 rule_id="SEG_TRANS",
-                inst=InstAst(("E", "F", "C", "D", "A", "B")),
-                refs=(LBL("h2"), LBL("h1")),
+                points=("E", "F", "C", "D", "A", "B"), triples=False,
+                refs=("h2", "h1"),
                 line=1,
             ),
         ),
-        qed_refs=(LBL("s1"),),
+        qed_refs=("s1",),
     )
     report = check_proof(stmt, proof)
     assert report.status == "ok"
@@ -986,7 +965,6 @@ def test_long_chain_builds_no_dataclass_per_node_or_step():
 
 _ABSURD_PAIR = TheoremStatement(
     name="pair",
-    tags=frozenset(),
     points=("A", "B", "C", "D"),
     hypotheses=(
         ("h1", seg_lt(_AB, segment(P("C"), P("D")))),
@@ -996,7 +974,6 @@ _ABSURD_PAIR = TheoremStatement(
 )
 _NO_NC = TheoremStatement(
     name="pons_degenerate",
-    tags=frozenset(),
     points=("A", "B", "C"),
     hypotheses=(("h1", seg_eq(_AB, segment(P("A"), P("C")))),),
     conclusions=(),
@@ -1007,38 +984,38 @@ _MIRROR = ("A", "B", "C", "A", "C", "B")
 TWO_WAYS_WRONG = {
     "point out of scope, unknown rule": (
         _pons_statement(), False, ("seg_eq", ("A", "Z", "A", "Z")), "NO_SUCH_RULE", ("A", "Z"),
-        (REFL,),
+        ("refl",),
         "KernelError: point Z is not in scope",
     ),
     "degenerate instantiation, premise count": (
         _pons_statement(), False, ("ang_eq", _MIRROR), "SAS_ORD", ("A", "A", "C", "A", "C", "A"),
-        (LBL("h1"), LBL("h1")),
+        ("h1", "h1"),
         "DegenerateInstantiation: segment endpoints coincide: A",
     ),
     "unknown label, premise mismatch": (
         _pons_statement(), False, ("ang_eq", _MIRROR), "SAS_ORD", _MIRROR,
-        (LBL("h2"), LBL("nope"), REFL),
+        ("h2", "nope", "refl"),
         "UnknownPremise: no step or hypothesis labeled nope",
     ),
     "strict side condition, conclusion mismatch": (
         _NO_NC, True, ("seg_eq", ("A", "B", "A", "C")), "SAS_ORD", _MIRROR,
-        (LBL("h1"), LBL("h1"), REFL),
+        ("h1", "h1", "refl"),
         "SideConditionFailed: cannot justify noncollinear(A,B,C) (strict mode)",
     ),
     "absurd outside a case, conclusion mismatch": (
         _ABSURD_PAIR, False, ("seg_eq", ("A", "B", "C", "D")), "ABSURD_LT_EQ_SEG",
         ("A", "B", "C", "D"),
-        (LBL("h1"), LBL("h2")),
+        ("h1", "h2"),
         "AbsurdOutsideCase: absurdity derived outside any case assumption",
     ),
     "label cited for a premise-free rule": (
         _pons_statement(), False, ("seg_eq", ("A", "B", "A", "B")), "SEG_REFL", ("A", "B"),
-        (LBL("h1"),),
+        ("h1",),
         "PremiseMismatch: SEG_REFL takes 0 premise(s), 1 cited",
     ),
     "refl and a label cited for a premise-free rule": (
         _pons_statement(), False, ("seg_eq", ("A", "B", "A", "B")), "SEG_REFL", ("A", "B"),
-        (REFL, LBL("h1")),
+        ("refl", "h1"),
         "PremiseMismatch: SEG_REFL takes 0 premise(s), 2 cited",
     ),
 }
@@ -1047,8 +1024,8 @@ TWO_WAYS_WRONG = {
 @pytest.mark.parametrize("case", sorted(TWO_WAYS_WRONG))
 def test_a_step_wrong_in_two_ways_reports_the_first_check(case):
     statement, strict, (kind, points), rule, inst, refs, detail = TWO_WAYS_WRONG[case]
-    step = RuleStep("s1", FactAst(kind, points), rule, InstAst(inst), refs, 4)
-    report = check_proof(statement, Proof((step,), (LBL("s1"),), 5), strict=strict)
+    step = RuleStep("s1", FactAst(kind, points), rule, inst, False, refs, 4)
+    report = check_proof(statement, Proof((step,), ("s1",), 5), strict=strict)
     assert report.status == "failed"
     assert report.steps == [StepResult("s1", False, detail, 4)]
     assert report.error == f"s1 (line 4): {detail}"
@@ -1056,9 +1033,9 @@ def test_a_step_wrong_in_two_ways_reports_the_first_check(case):
 
 def test_a_lone_refl_justifies_a_premise_free_rule():
     fact = FactAst("seg_eq", ("B", "A", "A", "B"))
-    step = RuleStep("s1", fact, "SEG_REFL", InstAst(("A", "B")), (REFL,), 4)
+    step = RuleStep("s1", fact, "SEG_REFL", ("A", "B"), False, ("refl",), 4)
     statement = _statement("r", (_NC,), (seg_eq(_AB, _AB),))
-    report = check_proof(statement, Proof((step,), (LBL("s1"),), 5))
+    report = check_proof(statement, Proof((step,), ("s1",), 5))
     assert report.status == "ok", report.error
     assert report.rule_uses == ("SEG_REFL",)
 
@@ -1067,24 +1044,23 @@ def test_assumed_side_conditions_are_listed_once_in_first_seen_order():
     """A non-strict proof that assumes noncollinear(A,B,C) at several steps,
     and two other triples once each, lists each triple once, in the order
     the steps first assumed it."""
-    pons = ("ang_eq", _MIRROR), "SAS_ORD", _MIRROR, (LBL("h1"), LBL("h1"), REFL)
+    pons = ("ang_eq", _MIRROR), "SAS_ORD", _MIRROR, ("h1", "h1", "refl")
     steps = [
         ("s1", *pons),
-        ("s2", ("seg_eq", ("A", "D", "A", "D")), "SAS_ORD", ("B", "A", "D") * 2, (REFL,) * 3),
+        ("s2", ("seg_eq", ("A", "D", "A", "D")), "SAS_ORD", ("B", "A", "D") * 2, ("refl",) * 3),
         ("s3", *pons),
-        ("s4", ("ang_eq", ("D", "C", "A", "D", "C", "A")), "ANG_REFL", ("D", "C", "A"), (REFL,)),
-        ("s5", ("seg_eq", ("A", "D", "A", "D")), "SAS_ORD", ("C", "A", "D") * 2, (REFL,) * 3),
+        ("s4", ("ang_eq", ("D", "C", "A", "D", "C", "A")), "ANG_REFL", ("D", "C", "A"), ("refl",)),
+        ("s5", ("seg_eq", ("A", "D", "A", "D")), "SAS_ORD", ("C", "A", "D") * 2, ("refl",) * 3),
         ("s6", *pons),
     ]
     statement = TheoremStatement(
         name="assumes",
-        tags=frozenset(),
         points=("A", "B", "C", "D"),
         hypotheses=(("h1", seg_eq(_AB, segment(P("A"), P("C")))),),
         conclusions=(),
     )
     proof = Proof(
-        tuple(RuleStep(label, FactAst(*fact), rule, InstAst(inst), refs, i + 1)
+        tuple(RuleStep(label, FactAst(*fact), rule, inst, False, refs, i + 1)
               for i, (label, fact, rule, inst, refs) in enumerate(steps)),
         (), 9,
     )
@@ -1161,7 +1137,7 @@ LONG_PROOF_DIGESTS = {
         (0, '663617486b04f57ae995db34c54645225134ef8a5e70c31de02a44a71d4d6e45'),
     ],
     ('cases', 397): [
-        (1, 'e78e799997fc59f434a97befdc69d4101af8d2c3ec2821d4cf9fcd061f2095cc'),
+        (1, 'ac615ac162c84c30b8323616190e1f4e64b7d4754f858abada851d7d78df3984'),
         (1, '37e49d452b6cf772bef0a0130270e0a12df359330deea0db89e7c500f684ed89'),
         (0, '663617486b04f57ae995db34c54645225134ef8a5e70c31de02a44a71d4d6e45'),
     ],

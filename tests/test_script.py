@@ -13,7 +13,6 @@ from ponscheck.script import (
     AssumeAst,
     DeclareAst,
     FactAst,
-    InstAst,
     ParseError,
     ScriptAst,
     TheoremAst,
@@ -29,7 +28,6 @@ from ponscheck.kernel import (
     LemmaStep,
     Proof,
     ProofState,
-    Ref,
     RuleStep,
     check_proof,
 )
@@ -63,11 +61,56 @@ def test_basic_theorem_parses():
     step = thm.proof.steps[0]
     assert isinstance(step, RuleStep)
     assert step.rule_id == "SAS_ORD"
-    assert step.inst.points == ("A", "B", "C", "A", "C", "B")
-    assert step.inst.triples
-    assert step.refs == (Ref("label", "h1"), Ref("label", "h1"), Ref("refl"))
-    assert thm.proof.qed_refs == (Ref("label", "s1"),)
+    assert step.points == ("A", "B", "C", "A", "C", "B")
+    assert step.triples
+    assert step.refs == ("h1", "h1", "refl")
+    assert thm.proof.qed_refs == ("s1",)
     assert thm.proof.line == 10
+
+
+# Citations of every kind of row: a layoff, rule steps written with two
+# triples and with a flat list, case closes and the qed.
+CITING = """\
+theorem cites
+  tags: neutral
+  points A B C D
+  assume h1: seg C D < seg A B
+  show seg A B == seg A B
+  proof
+    l1: layoff A toward B by seg C D as F from h1
+    s1: ang A B C == ang A C B by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl
+    c1: cases seg A B vs seg C D
+    case lt
+      x1: seg A B == seg A B by SEG_REFL[A, B] from refl
+      close goal from x1
+    case eq
+      close goal from c1.eq, refl
+    case gt
+      close goal from c1.gt
+  qed from c1
+"""
+
+
+def _citations(steps):
+    for step in steps:
+        yield from getattr(step, "refs", ())
+        for branch in getattr(step, "branches", ()):
+            yield from _citations(branch.steps)
+            yield from branch.close_refs
+
+
+def test_citations_are_names_and_a_rule_step_keeps_its_points():
+    (thm,) = parse(CITING).items
+    cited = [*_citations(thm.proof.steps), *thm.proof.qed_refs]
+    assert cited == ["h1", "h1", "h1", "refl", "refl", "x1", "c1.eq", "refl", "c1.gt", "c1"]
+    assert {type(c) for c in cited} == {str}
+    s1, x1 = thm.proof.steps[1], thm.proof.steps[2].branches[0].steps[0]
+    assert (s1.points, s1.triples) == (("A", "B", "C", "A", "C", "B"), True)
+    assert (x1.points, x1.triples) == (("A", "B"), False)
+    text = format_script(parse(CITING))
+    assert "by SAS_ORD[(A,B,C),(A,C,B)] from h1, h1, refl" in text
+    assert "by SEG_REFL[A,B] from refl" in text and "close goal from c1.eq, refl" in text
+    assert parse(text) == parse(CITING)
 
 
 def test_between_fact_reorders_to_mid_first():
@@ -196,8 +239,8 @@ _fact = st.one_of(_seg_fact, _slt_fact, _ang_fact, _btw_fact, _nc_fact)
 
 _refs = st.lists(
     st.one_of(
-        st.sampled_from(["h1", "h2", "s0"]).map(lambda l: Ref("label", l)),
-        st.just(Ref("refl")),
+        st.sampled_from(["h1", "h2", "s0"]),
+        st.just("refl"),
     ),
     min_size=1,
     max_size=3,
@@ -223,7 +266,8 @@ def _draw_steps(draw, labels, depth, min_size):
                     label=label,
                     fact=draw(_fact),
                     rule_id=draw(st.sampled_from(["SAS_ORD", "SEG_TRANS", "ARM_SUBST"])),
-                    inst=InstAst(points=inst_pts, triples=triples),
+                    points=inst_pts,
+                    triples=triples,
                     refs=draw(_refs),
                 )
             )
@@ -815,9 +859,9 @@ def _with_notes(text):
 # sha256 of repr(parse(text)), every line number included, for 1000-step
 # scripts with blank and comment-only rows among their proof rows.
 LONG_PARSE_DIGESTS = {
-    "extend": "7669347d6595df4d1b3f2758dc98eccdbbf3a795648ff183d75930bd0741cb3d",
-    "cases": "5449bd7a83e442ad49644a4d93c03b93b774d5db03d05cd4cd30b302bf6b231f",
-    "refl": "888e1506dfee7bac4622da4234acc654bdd6d7dcf24c337d04cc7393951969fa",
+    "extend": "0ab2d379359f9dd70200c3e4097c140a31c8a2f61f1e4c0eee11e33bdfdab7f5",
+    "cases": "d9e5534ba9a0ef0b93808875c9d69f015317c90c8ea2c6f8569a1f8c8080e4d3",
+    "refl": "2ab8f27bb2b4c310ecb70222ec69a6e2c26d12beede2c7f19dcd1cce56b6eb96",
 }
 
 
